@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test selftest gate fuzz-quick scale-quick chaos-quick \
-	async-quick compiled-quick verify bench
+	async-quick compiled-quick suite-smoke verify bench
 
 test:
 	$(PYTHON) -m pytest -q
@@ -45,12 +45,20 @@ async-quick:
 compiled-quick:
 	$(PYTHON) benchmarks/bench_compiled.py --quick
 
+# The repository benchmark at tiny sizes (~10 s): every workload once,
+# with its correctness checks (the Theorem 2/3 fair point, the RCP
+# allocation, the scalar and async replays, compiled == fast).  Exits
+# non-zero when a check fails; the timings mean nothing at this size.
+suite-smoke:
+	$(PYTHON) benchmarks/suite/run.py --smoke
+
 # The tier-1 flow: full test suite, the engine smoke check, the
 # benchmark regression gate (quick CI workload), the bounded fuzzing
 # sweep, the blocked-ensemble scale check, the chaos sweep, the
-# asynchronous-engine check, and the compiled-backend check.
+# asynchronous-engine check, the compiled-backend check, and the
+# repository benchmark's correctness checks.
 verify: test selftest gate fuzz-quick scale-quick chaos-quick \
-	async-quick compiled-quick
+	async-quick compiled-quick suite-smoke
 
 # Full-scale benchmarks + gate; refreshes BENCH_core.json,
 # BENCH_sim.json, BENCH_scale.json, BENCH_controllers.json,

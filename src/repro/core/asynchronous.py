@@ -55,7 +55,6 @@ import numpy as np
 
 from ..errors import RateVectorError, SweepError
 from ..observability import RunRecord, emit_run_record, is_collecting
-from .delays import round_trip_delays_batch
 from .dynamics import EnsembleResult, FlowControlSystem, Outcome, \
     Trajectory, _detect_period, _resolve_block_size, _resolve_history
 from .math_utils import as_rate_matrix, as_rate_vector, clip_nonnegative, \
@@ -438,9 +437,10 @@ class AsynchronousRunner:
                  * max(self.system.network.mu(g)
                        for g in self.system.network.gateway_names))
         for step in range(1, max_steps + 1):
-            stale = buffer[0]
-            b = self.system.signals(stale)
-            d = self.system.delays(stale)
+            # The observe stage as a one-row batch: the same kernels as
+            # run_async_ensemble, so members match this runner exactly.
+            b, d = self.system.scheme.observe_batch(buffer[0][None, :])
+            b, d = b[0], d[0]
             mask = self.schedule.participants(step - 1, n)
             r_next = r.copy()
             for i in np.nonzero(mask)[0]:
@@ -675,10 +675,7 @@ def _run_async_block(system, r0, base, end, shared, schedules, tau,
         if rec is not None:
             t0 = time.perf_counter()
         slot = step_count % (tau + 1)
-        stale = ring[slot]
-        b = system.scheme.signals_batch(stale, **kw)
-        d = round_trip_delays_batch(system.network, system.discipline,
-                                    stale, xp=xp)
+        b, d = system.scheme.observe_batch(ring[slot], **kw)
         if shared is not None:
             mask = shared.participants(step_count - 1, n)
             r_next = r.copy()

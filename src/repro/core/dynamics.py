@@ -12,13 +12,25 @@ as in the model.  :meth:`FlowControlSystem.run` iterates the map,
 records the trajectory, and classifies the outcome as converged,
 oscillating (a small-period limit cycle), diverged, or undecided.
 
-The batch engine — :meth:`FlowControlSystem.step_batch` and
-:meth:`FlowControlSystem.run_ensemble` — iterates an ``(M, N)`` array
-of M rate vectors through the *same* map simultaneously: every stage
-(queue laws, congestion measures, signal function, rate rules) is
-vectorised across the ensemble axis, and members that converge or
-diverge are masked out so finished trajectories stop costing work.
-Row ``m`` of the batched run reproduces ``run(initials[m])`` exactly.
+A step runs in stages over an ``(M, N)`` batch of rate vectors:
+
+1. *observe* — :meth:`FeedbackScheme.observe_batch
+   <repro.core.signals.FeedbackScheme.observe_batch>` evaluates each
+   gateway's queue law once and derives both the bottleneck signals
+   ``b`` and the round-trip delays ``d`` from it (on the degraded view
+   when a structural plan is active);
+2. *perturb* — the fault plan rewrites each row's observed signals;
+3. *decide* — every rule group's ``apply_batch`` over its columns;
+4. *clip* — the truncation at zero.
+
+The scalar :meth:`FlowControlSystem.step` is the ``M = 1`` case of
+:meth:`FlowControlSystem.step_batch`, so a scalar run and a member of
+a batched run share every kernel and agree bit for bit.
+:meth:`FlowControlSystem.run_ensemble` iterates the batch and masks out
+members that converge or diverge, so finished trajectories stop costing
+work; row ``m`` reproduces ``run(initials[m])`` exactly.  The
+independent per-connection reference map, which the fuzz oracles check
+the engine against, is :func:`repro.scenarios.oracles.reference_step`.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ import numpy as np
 from ..errors import ConvergenceError, RateVectorError, SweepError
 from ..faults import FaultEvent, FaultPlan
 from ..observability import RunRecord, emit_run_record, is_collecting
-from .delays import round_trip_delays, round_trip_delays_batch
+from .delays import round_trip_delays
 from .math_utils import (as_rate_matrix, as_rate_vector, clip_nonnegative,
                          sup_norm)
 from .ratecontrol import RateAdjustment, RcpSourceRule
@@ -340,6 +352,15 @@ class FlowControlSystem:
              step_index: int = 1, structural=None) -> np.ndarray:
         """One synchronous application of ``F``.
 
+        The scalar step is the ``M = 1`` case of :meth:`step_batch`: the
+        vector is validated once and runs as a one-row batch through the
+        same stages — observe (signals and delays from one queue-law
+        evaluation per gateway), the fault perturbation, the rule
+        groups' ``apply_batch``, and the clip — so it is bit-identical
+        to the matching row of any ``step_batch`` call.  The
+        per-gateway, per-connection reference path lives in
+        :func:`repro.scenarios.oracles.reference_step`.
+
         ``faults`` (a :class:`~repro.faults.FaultState`, obtained from
         :meth:`FaultPlan.start <repro.faults.FaultPlan.start>`)
         perturbs the signal vector the rules observe at this step;
@@ -365,25 +386,13 @@ class FlowControlSystem:
         if self._bank is not None:
             raise RateVectorError(
                 "system is controller-driven; use step_controlled")
-        r = as_rate_vector(rates, n=self.network.num_connections)
-        if structural is not None:
-            view = structural.resolve(step_index)
-            b = view.scheme.signals(r)
-            if view.blackholed.size:
-                b[view.blackholed] = 1.0
-        else:
-            b = self.signals(r)
+        r = as_rate_vector(rates, n=self.network.num_connections)[None, :]
+        views = (None if structural is None
+                 else [structural.resolve(step_index)])
+        b, d = self._observe(r, views, np)
         if faults is not None:
-            b = faults.apply(step_index, b)
-        if structural is not None:
-            d = round_trip_delays(view.network, self.discipline, r)
-        else:
-            d = self.delays(r)
-        new = np.array([
-            rule.apply(float(r[i]), float(b[i]), float(d[i]))
-            for i, rule in enumerate(self.rules)
-        ])
-        return clip_nonnegative(new)
+            b[0] = faults.apply(step_index, b[0])
+        return self._decide(r, b, d, np)[0]
 
     def step_batch(self, rates: np.ndarray, faults=None, members=None,
                    step_index: int = 1, structural=None) -> np.ndarray:
@@ -414,40 +423,51 @@ class FlowControlSystem:
         if self._bank is not None:
             raise RateVectorError(
                 "system is controller-driven; use step_controlled_batch")
-        xp = self._xp
-        # The xp namespace is only forwarded off the numpy default, so
-        # overridable collaborators predating the parameter keep
-        # working (the conditional-kwarg seam pattern).
-        kw = {} if xp is np else {"xp": xp}
         r = as_rate_matrix(rates, n=self.network.num_connections)
-        if structural is None:
-            b = self.scheme.signals_batch(r, **kw)
-        else:
-            rows_m = (list(members) if members is not None
-                      else list(range(r.shape[0])))
+        views = None
+        if structural is not None:
+            rows_m = members if members is not None else range(r.shape[0])
             views = [structural[m].resolve(step_index) for m in rows_m]
-            groups: dict = {}
-            for row, view in enumerate(views):
-                groups.setdefault(view.key, (view, []))[1].append(row)
-            b = np.empty_like(r)
-            d = np.empty_like(r)
-            for view, row_list in groups.values():
-                sel = np.asarray(row_list, dtype=np.intp)
-                sub = r[sel]
-                bs = view.scheme.signals_batch(sub, **kw)
-                if view.blackholed.size:
-                    bs[:, view.blackholed] = 1.0
-                b[sel] = bs
-                d[sel] = round_trip_delays_batch(view.network,
-                                                 self.discipline, sub,
-                                                 xp=xp)
+        b, d = self._observe(r, views, self._xp)
         if faults is not None:
             rows = members if members is not None else range(r.shape[0])
             for row, m in enumerate(rows):
                 b[row] = faults[m].apply(step_index, b[row])
-        if structural is None:
-            d = round_trip_delays_batch(self.network, self.discipline, r,
-                                        xp=xp)
+        return self._decide(r, b, d, self._xp)
+
+    def _observe(self, r, views, xp) -> tuple:
+        """The observe stage: signals and delays ``(b, d)`` of a
+        validated ``(M, N)`` batch.
+
+        ``views`` is ``None`` on the intact network, or one resolved
+        structural view per row: rows sharing a damage signature are
+        observed together on that view's degraded scheme, and
+        connections through a blackholed gateway see ``b = 1``.
+        """
+        # The xp namespace is only forwarded off the numpy default, so
+        # overridable collaborators predating the parameter keep
+        # working (the conditional-kwarg seam pattern).
+        kw = {} if xp is np else {"xp": xp}
+        if views is None:
+            return self.scheme.observe_batch(r, **kw)
+        groups: dict = {}
+        for row, view in enumerate(views):
+            groups.setdefault(view.key, (view, []))[1].append(row)
+        b = np.empty_like(r)
+        d = np.empty_like(r)
+        for view, row_list in groups.values():
+            sel = np.asarray(row_list, dtype=np.intp)
+            bs, ds = view.scheme.observe_batch(r[sel], **kw)
+            if view.blackholed.size:
+                bs[:, view.blackholed] = 1.0
+            b[sel] = bs
+            d[sel] = ds
+        return b, d
+
+    def _decide(self, r, b, d, xp) -> np.ndarray:
+        """The decide and clip stages: every rule group applied once over
+        its columns, then the truncation at zero."""
+        kw = {} if xp is np else {"xp": xp}
         new = xp.empty_like(r)
         for rule, cols in self._rule_groups:
             new[:, cols] = rule.apply_batch(r[:, cols], b[:, cols],

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .math_utils import as_rate_vector
+from .math_utils import as_rate_vector, row_sums
 from .service import ServiceDiscipline, _check_mu
 
 __all__ = ["Fifo"]
@@ -46,7 +46,9 @@ class Fifo(ServiceDiscipline):
         r = xp.asarray(rates, dtype=float)
         _check_mu(mu)
         rho = r / mu
-        rho_total = rho.sum(axis=1, keepdims=True)
+        # A strict per-row fold, so each row's bits do not depend on the
+        # batch it rides in (see row_sums).
+        rho_total = row_sums(rho, xp=xp)[:, None]
         overloaded = rho_total >= 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             q = rho / (1.0 - rho_total)

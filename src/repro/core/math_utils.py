@@ -32,6 +32,7 @@ __all__ = [
     "sup_norm",
     "is_close_vector",
     "clip_nonnegative",
+    "row_sums",
     "SPARSE_MIN_N",
     "pick_kernel",
 ]
@@ -203,6 +204,24 @@ def is_close_vector(a, b, atol: float = 1e-9, rtol: float = 1e-9) -> bool:
     if av.shape != bv.shape:
         return False
     return bool(np.allclose(av, bv, atol=atol, rtol=rtol))
+
+
+def row_sums(values: np.ndarray, xp=None) -> np.ndarray:
+    """Sums along the last axis, as a strict left-to-right fold per row.
+
+    ``values.sum(axis=-1)`` lets numpy pick the summation order from the
+    array's shape and memory layout, so a row summed on its own and the
+    same row inside a larger (or fancy-indexed, non-C-ordered) batch can
+    differ in the last bits.  ``cumsum`` always folds in index order, so
+    row ``m`` of the result depends on row ``m`` of the input alone: a
+    one-row batch is bit-identical to that row of any batch.
+
+    ``xp`` selects the array namespace (numpy when ``None``).
+    """
+    xp = np if xp is None else xp
+    if values.shape[-1] == 0:
+        return xp.zeros(values.shape[:-1], dtype=float)
+    return xp.cumsum(values, axis=-1)[..., -1]
 
 
 def clip_nonnegative(vec: np.ndarray, xp=None) -> np.ndarray:

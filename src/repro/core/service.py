@@ -130,13 +130,27 @@ class ServiceDiscipline(abc.ABC):
             raise RateVectorError(
                 f"rate batch must be 2-D, got shape {r.shape}")
         _check_mu(mu)
-        q = self.queue_lengths_batch(r, mu, **kw)
-        out = xp.empty_like(q)
-        positive = r > 0
+        return self.sojourns_batch(r, self.queue_lengths_batch(r, mu, **kw),
+                                   mu, **kw)
+
+    def sojourns_batch(self, rates: np.ndarray, queues: np.ndarray,
+                       mu: float, xp=None) -> np.ndarray:
+        """Little's-law sojourns ``Q_i / r_i`` of an ``(M, n)`` batch
+        whose queue lengths ``queues`` are already known.
+
+        The observe stage evaluates the queue law once per gateway and
+        derives both the signals and these sojourns from it.  Zero-rate
+        connections get the tiny-probe-rate limit of :meth:`delays`,
+        which costs one more queue-law evaluation only when such a
+        connection is present.
+        """
+        xp = np if xp is None else xp
+        kw = {} if xp is np else {"xp": xp}
+        positive = rates > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[positive] = q[positive] / r[positive]
-        if xp.any(~positive):
-            probe = r.copy()
+            out = queues / rates
+        if not positive.all():
+            probe = rates.copy()
             eps = mu * 1e-9
             probe[~positive] = eps
             q_probe = self.queue_lengths_batch(probe, mu, **kw)

@@ -32,7 +32,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ..errors import RateVectorError
-from .math_utils import as_rate_vector, pick_kernel
+from .math_utils import as_rate_vector, pick_kernel, row_sums
 from .service import ServiceDiscipline
 from .topology import Network
 
@@ -119,7 +119,8 @@ def _check_congestion(congestion: float) -> float:
 
 def _check_congestion_batch(congestion, xp=np) -> np.ndarray:
     arr = xp.asarray(congestion, dtype=float)
-    if xp.any(xp.isnan(arr)) or xp.any(arr < 0):
+    # One comparison catches both: NaN is not >= 0 either.
+    if not (arr >= 0).all():
         raise RateVectorError(
             "congestion measures must be >= 0 (and not NaN)")
     return arr
@@ -308,8 +309,11 @@ def individual_congestion_batch(queues: np.ndarray,
                                 xp=None) -> np.ndarray:
     """Row-wise :func:`individual_congestion` for an ``(M, n)`` batch.
 
-    Uses the same kernel as the scalar path at the same ``n`` (row for
-    row identical results), vectorised over the batch axis; ``method``
+    Uses the same kernel as the scalar path at the same ``n``,
+    vectorised over the batch axis; the dense kernel sums each row as a
+    strict fold (:func:`~repro.core.math_utils.row_sums`), so a row's
+    bits never depend on the batch around it and match the scalar
+    path up to summation order.  ``method``
     works as in :func:`individual_congestion`, replacing the
     ``(M, n, n)`` min-broadcast with the sorted kernel at large n.
     Under an active compiled backend the sorted kernel is served by
@@ -331,7 +335,7 @@ def individual_congestion_batch(queues: np.ndarray,
     if kernel == "sorted":
         return _individual_sorted(q, xp=xp)
     capped = xp.minimum(q[:, None, :], q[:, :, None])
-    return capped.sum(axis=2)
+    return row_sums(capped, xp=xp)
 
 
 def weighted_individual_congestion_batch(
@@ -349,7 +353,7 @@ def weighted_individual_congestion_batch(
     scaled_own = (phi[None, None, :] / phi[None, :, None]) * q[:, :, None]
     with np.errstate(invalid="ignore"):
         capped = xp.minimum(q[:, None, :], scaled_own)
-    return capped.sum(axis=2)
+    return row_sums(capped, xp=xp)
 
 
 def weighted_individual_congestion(queues: Sequence[float],
@@ -413,13 +417,15 @@ class FeedbackScheme:
                     f"{self.weights.shape}")
             if np.any(self.weights <= 0):
                 raise RateVectorError("weights must be positive")
-        # Gather indices for the batch path: per gateway, the connection
-        # columns in Gamma(a) order — views into the network's CSR
-        # member arrays.  Static because routing is static.
+        # Gather indices for the batch path: per non-empty gateway, the
+        # connection columns in Gamma(a) order (views into the network's
+        # CSR member arrays) and the service rate.  Static because
+        # routing is static.
         csr = network.csr
-        self._gateway_cols = {
-            gname: csr.members(a)
-            for a, gname in enumerate(csr.gateway_names)}
+        self._gateways = [
+            (csr.members(a), network.mu(gname))
+            for a, gname in enumerate(csr.gateway_names)
+            if csr.members(a).size]
 
     # -- per-gateway quantities ---------------------------------------
     def local_queues(self, rates: np.ndarray) -> Dict[str, np.ndarray]:
@@ -489,10 +495,10 @@ class FeedbackScheme:
     def signals_batch(self, rates: np.ndarray, xp=None) -> np.ndarray:
         """Bottleneck signals for an ``(M, N)`` batch of rate vectors.
 
-        Row ``m`` of the result equals ``signals(rates[m])``; every
-        stage — queue laws, congestion measures, signal function, the
-        MAX over gateways — is evaluated once per gateway for the whole
-        batch instead of once per ensemble member.
+        Row ``m`` of the result equals ``signals(rates[m])`` up to
+        summation order; every stage — queue laws, congestion measures,
+        signal function, the MAX over gateways — is evaluated once per
+        gateway for the whole batch instead of once per ensemble member.
 
         ``xp`` selects the array namespace (numpy when ``None``).  The
         namespace is only forwarded to the discipline and signal
@@ -500,6 +506,27 @@ class FeedbackScheme:
         before the parameter existed keep working on the default
         backend.
         """
+        return self._observe(rates, xp, with_delays=False)[0]
+
+    def observe_batch(self, rates: np.ndarray, xp=None) -> tuple:
+        """The observe stage of one step: ``(b, d)`` for an ``(M, N)``
+        batch.
+
+        ``b`` is :meth:`signals_batch` and ``d`` the round-trip delays
+        ``L_i + sum_a Q^a_i / r_i`` of
+        :func:`~repro.core.delays.round_trip_delays_batch`, both bit for
+        bit; each gateway's queue law is evaluated once and feeds both
+        (the paper's single steady-state queue vector ``Q^a(r)``).
+        ``rates`` is taken as already validated (finite, nonnegative);
+        only its shape is checked.  ``xp`` works as in
+        :meth:`signals_batch`.
+        """
+        return self._observe(rates, xp, with_delays=True)
+
+    def _observe(self, rates, xp, with_delays: bool) -> tuple:
+        """One pass over the non-empty gateways: queue law, congestion
+        measure, signal, MAX scatter into ``b`` and, ``with_delays``,
+        Little's-law sojourns added onto the path latencies in ``d``."""
         xp = np if xp is None else xp
         kw = {} if xp is np else {"xp": xp}
         r = xp.asarray(rates, dtype=float)
@@ -508,22 +535,28 @@ class FeedbackScheme:
                 f"need an (M, {self.network.num_connections}) rate "
                 f"batch, got shape {r.shape}")
         b = xp.zeros_like(r)
-        for gname, cols in self._gateway_cols.items():
+        d = None
+        if with_delays:
+            d = xp.empty_like(r)
+            d[:] = self.network.csr.path_latency
+        for cols, mu in self._gateways:
             local = r[:, cols]
-            q = self.discipline.queue_lengths_batch(
-                local, self.network.mu(gname), **kw)
+            q = self.discipline.queue_lengths_batch(local, mu, **kw)
             if self.style is FeedbackStyle.AGGREGATE:
-                c = xp.broadcast_to(
-                    q.sum(axis=1, keepdims=True), q.shape)
+                # One measure per row, shared by every connection: the
+                # MAX below broadcasts its signal across the columns.
+                c = row_sums(q, xp=xp)[:, None]
             elif self.weights is not None:
                 c = weighted_individual_congestion_batch(
                     q, self.weights[cols], xp=xp)
             else:
                 c = individual_congestion_batch(q, xp=xp)
-            local_b = self.signal_fn.apply_batch(c, **kw)
-            xp.maximum(b[:, cols], local_b, out=local_b)
-            b[:, cols] = local_b
-        return b
+            b[:, cols] = xp.maximum(b[:, cols],
+                                    self.signal_fn.apply_batch(c, **kw))
+            if d is not None:
+                d[:, cols] += self.discipline.sojourns_batch(local, q, mu,
+                                                             **kw)
+        return b, d
 
     def bottlenecks(self, rates: np.ndarray,
                     tol: float = 1e-12) -> Dict[int, tuple]:

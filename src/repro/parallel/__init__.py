@@ -62,6 +62,7 @@ import os
 import pickle
 import time
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -69,7 +70,8 @@ import numpy as np
 
 from ..chaos.crashpoints import crashpoint
 from ..errors import RateVectorError, SweepError, WorkerFunctionError
-from ..observability import SweepRecord, emit_sweep_record, is_collecting
+from ..observability import (SweepRecord, collect, emit_run_record,
+                             emit_sweep_record, is_collecting)
 
 __all__ = ["sweep", "chunk_indices", "memoised", "CHECKPOINT_SCHEMA"]
 
@@ -184,24 +186,33 @@ def _run_chunk_timed(fn: Callable, items: list) -> tuple:
     return out, time.perf_counter() - start
 
 
-def _run_chunk_guarded(fn: Callable, items: list, first_index: int) -> tuple:
+def _run_chunk_guarded(fn: Callable, items: list, first_index: int,
+                       capture: bool = False) -> tuple:
     """Worker-side chunk evaluation with error classification.
 
-    Returns ``("ok", results, elapsed)``, or ``("error", grid_index,
-    exception, repr)`` when ``fn`` itself raised — the caller turns
-    that into an immediate :class:`WorkerFunctionError` instead of a
-    retry.  (If the exception object cannot travel back through the
-    pool, the chunk degrades to an infrastructure failure and the
-    serial salvage path re-raises the original error directly.)
+    Returns ``("ok", results, elapsed, run_records)``, or ``("error",
+    grid_index, exception, repr)`` when ``fn`` itself raised — the
+    caller turns that into an immediate :class:`WorkerFunctionError`
+    instead of a retry.  (If the exception object cannot travel back
+    through the pool, the chunk degrades to an infrastructure failure
+    and the serial salvage path re-raises the original error directly.)
+
+    ``capture`` runs the chunk inside its own
+    :func:`~repro.observability.collect` session and returns the
+    :class:`~repro.observability.RunRecord` s it emitted, so records
+    made in a worker process reach the caller's session; otherwise
+    ``run_records`` is empty.
     """
     start = time.perf_counter()
     out = []
-    for offset, item in enumerate(items):
-        try:
-            out.append(fn(item))
-        except Exception as exc:
-            return ("error", first_index + offset, exc, repr(exc))
-    return ("ok", out, time.perf_counter() - start)
+    with collect() if capture else nullcontext() as session:
+        for offset, item in enumerate(items):
+            try:
+                out.append(fn(item))
+            except Exception as exc:
+                return ("error", first_index + offset, exc, repr(exc))
+    records = session.run_records if capture else []
+    return ("ok", out, time.perf_counter() - start, records)
 
 
 def _raise_worker_error(grid_index: int, rep: str, original) -> None:
@@ -331,6 +342,9 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
     :class:`~repro.observability.SweepRecord` with per-chunk in-worker
     timing, worker utilisation, retry/salvage/resume counts, and any
     serial-fallback reason is emitted; the result list is unaffected.
+    The :class:`~repro.observability.RunRecord` s that ``fn`` emits in
+    process workers travel back with each chunk's results and reach
+    the session too, in grid order.
     """
     items = list(grid)
     if executor not in ("process", "thread", "serial"):
@@ -385,6 +399,7 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
             if checkpoint_dir is not None else None)
     results: List[Optional[list]] = [None] * len(chunks)
     seconds = [0.0] * len(chunks)
+    worker_records: List[list] = [[] for _ in chunks]
     resumed: List[int] = []
     if ckpt is not None:
         for k, out in sorted(ckpt.load().items()):
@@ -450,7 +465,7 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
                     pool.shutdown(wait=False, cancel_futures=True)
                     _, grid_index, original, rep = payload
                     _raise_worker_error(grid_index, rep, original)
-                _, out, elapsed = payload
+                _, out, elapsed, worker_records[k] = payload
                 results[k] = out
                 seconds[k] = elapsed
                 pool_completed += 1
@@ -479,12 +494,16 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
             if payload[0] == "error":
                 _, grid_index, original, rep = payload
                 _raise_worker_error(grid_index, rep, original)
-            _, out, elapsed = payload
+            _, out, elapsed, _ = payload
             results[k] = out
             seconds[k] = elapsed
             if ckpt is not None:
                 ckpt.write(k, out)
 
+    # Run records made in worker processes, merged in grid order.
+    for records in worker_records:
+        for record in records:
+            emit_run_record(record)
     out: list = []
     for piece in results:
         out.extend(piece)
@@ -513,8 +532,17 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
 
 def _submit(pool, fn: Callable, chunk_items: list, first_index: int):
     """Submit one chunk to the pool (separate function so tests can
-    inject infrastructure failures deterministically)."""
-    return pool.submit(_run_chunk_guarded, fn, chunk_items, first_index)
+    inject infrastructure failures deterministically).
+
+    A worker process cannot reach the caller's collector sessions, so
+    while one is active each process chunk collects its own run
+    records and returns them with its results.  Thread workers share
+    the caller's sessions and emit directly.
+    """
+    capture = (is_collecting() and
+               isinstance(pool, concurrent.futures.ProcessPoolExecutor))
+    return pool.submit(_run_chunk_guarded, fn, chunk_items, first_index,
+                       capture)
 
 
 # Re-exported here so ``repro.parallel`` remains the single import

@@ -74,15 +74,18 @@ class TestEveryOracleFires:
 
     def test_ensemble_equivalence_catches_scalar_only_mutation(
             self, monkeypatch):
-        orig = FairShare.queue_lengths
+        # ``run`` advances through ``step`` and ``run_ensemble`` through
+        # ``step_batch``; the two share every kernel, so the mutant sits
+        # on the one thing only the scalar run sees: ``step``'s output.
+        from repro.core.dynamics import FlowControlSystem
+        orig = FlowControlSystem.step
 
-        def broken(self, rates, mu):
-            q = np.array(orig(self, rates, mu), dtype=float)
-            if q.shape[0] and np.isfinite(q[-1]):
-                q[-1] += 0.01
-            return q
+        def broken(self, rates, **kwargs):
+            out = np.array(orig(self, rates, **kwargs), dtype=float)
+            out[-1] += 1e-6
+            return out
 
-        monkeypatch.setattr(FairShare, "queue_lengths", broken)
+        monkeypatch.setattr(FlowControlSystem, "step", broken)
         fails = failing_oracles(spec_of(), ["ensemble-equivalence"])
         assert fails == ("ensemble-equivalence",)
 

@@ -260,6 +260,18 @@ class TestSweepTelemetry:
         sweep(_square, [1, 2], workers=1)
         assert session.sweep_records == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_run_records_reach_the_session(self, workers):
+        # F5 runs one trajectory per N through a process pool; each
+        # worker's run records travel back with its chunk and merge in
+        # grid order, whatever the worker count.
+        from repro.experiments.exp_f5_aggregate_instability import \
+            run_f5_aggregate_instability
+        with collect() as session:
+            run_f5_aggregate_instability(workers=workers)
+        assert [r.n_connections for r in session.run_records] == \
+            [2, 4, 6, 8, 12, 20]
+
 
 class TestProvenance:
     def test_config_hash_stable_under_key_order(self):

@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test selftest gate fuzz-quick scale-quick chaos-quick \
-	async-quick compiled-quick suite-smoke verify bench
+	async-quick compiled-quick suite-smoke digests verify bench
 
 test:
 	$(PYTHON) -m pytest -q
@@ -51,6 +51,12 @@ compiled-quick:
 # non-zero when a check fails; the timings mean nothing at this size.
 suite-smoke:
 	$(PYTHON) benchmarks/suite/run.py --smoke
+
+# Result digests of every benchmark unit, seeds 1 and 2 (~40 s).  A
+# change that must not move any result prints the same lines as its
+# parent: `make digests > after.txt` on both, then `diff`.
+digests:
+	$(PYTHON) benchmarks/digests.py
 
 # The tier-1 flow: full test suite, the engine smoke check, the
 # benchmark regression gate (quick CI workload), the bounded fuzzing

@@ -29,7 +29,8 @@ Run from the repository root::
 
 The acceptance targets are >= 3x events/sec over the fast kernel on
 the FIFO closed loop and >= 2x on the Fair Share queue-law microbench
-(quick mode shrinks the workloads and judges against the lower
+(quick mode shrinks the closed loop, runs the queue law at full shape
+with fewer repetitions, and judges against the lower
 ``QUICK_TARGETS``).  When no compiled tier can be built at all (no C
 compiler, no numba) the benchmark prints a notice and exits 0 — the
 compiled tier is optional by contract.
@@ -140,7 +141,10 @@ def run_benchmarks(quick=False):
     compiled.warmup()
     if quick:
         fifo = bench_compiled_fifo(pairs=3, horizon=4000.0, intervals=8)
-        fs = bench_fs_queue_law(pairs=3, members=16, n=256, reps=10)
+        # The full (64, 512) shape with fewer pairs and reps: a smaller
+        # batch mostly times the numpy pipeline's fixed per-call cost,
+        # not the queue law the compiled kernel replaces.
+        fs = bench_fs_queue_law(pairs=3, members=64, n=512, reps=5)
     else:
         fifo = bench_compiled_fifo()
         fs = bench_fs_queue_law()

@@ -53,6 +53,7 @@ class AdversaryRule(RateAdjustment):
     """
 
     name = "adversary"
+    reads_delay = False
 
 
 class BlasterRule(AdversaryRule):

@@ -439,6 +439,9 @@ class AsynchronousRunner:
         for step in range(1, max_steps + 1):
             # The observe stage as a one-row batch: the same kernels as
             # run_async_ensemble, so members match this runner exactly.
+            # Delays are computed even when no rule reads them: this is
+            # the per-connection reference the async-batch-equivalence
+            # oracle checks the batched engine against.
             b, d = self.system.scheme.observe_batch(buffer[0][None, :])
             b, d = b[0], d[0]
             mask = self.schedule.participants(step - 1, n)
@@ -494,7 +497,9 @@ def run_async_ensemble(system: FlowControlSystem, initials,
 
     The batched counterpart of :class:`AsynchronousRunner`: all M
     members advance through one vectorised step per schedule tick —
-    signals and delays are computed from the rate vectors
+    signals, and delays when a rule reads them
+    (:attr:`~repro.core.ratecontrol.RateAdjustment.reads_delay`), are
+    computed from the rate vectors
     ``signal_delay`` steps in the past (a ``(tau + 1, M, N)`` ring
     buffer), the scheduled connection columns apply their rules via
     the grouped ``apply_batch`` path (reusing the system's ``xp``
@@ -675,7 +680,8 @@ def _run_async_block(system, r0, base, end, shared, schedules, tau,
         if rec is not None:
             t0 = time.perf_counter()
         slot = step_count % (tau + 1)
-        b, d = system.scheme.observe_batch(ring[slot], **kw)
+        # d is None when no rule reads delays.
+        b, d = system._observe(ring[slot], None, xp)
         if shared is not None:
             mask = shared.participants(step_count - 1, n)
             r_next = r.copy()
@@ -683,16 +689,13 @@ def _run_async_block(system, r0, base, end, shared, schedules, tau,
                 cm = cols[mask[cols]]
                 if cm.size:
                     r_next[:, cm] = rule.apply_batch(
-                        r[:, cm], b[:, cm], d[:, cm], **kw)
+                        r[:, cm], b[:, cm],
+                        None if d is None else d[:, cm], **kw)
         else:
             mask_mat = np.stack(
                 [schedules[base + m].participants(step_count - 1, n)
                  for m in idx])
-            new = xp.empty_like(r)
-            for rule, cols in system._rule_groups:
-                new[:, cols] = rule.apply_batch(r[:, cols], b[:, cols],
-                                                d[:, cols], **kw)
-            r_next = xp.where(mask_mat, new, r)
+            r_next = xp.where(mask_mat, system._decide(r, b, d, xp), r)
         r_next = clip_nonnegative(r_next, xp=xp)
         ring[slot] = r_next
         if rec is not None:
@@ -703,12 +706,13 @@ def _run_async_block(system, r0, base, end, shared, schedules, tau,
         if full is not None:
             full[idx, step_count] = r_next
 
-        finite = np.all(np.isfinite(r_next), axis=1)
         with np.errstate(invalid="ignore"):
-            diverged = ~finite | np.any(r_next > limit, axis=1)
+            # The rows are clipped: one reduction serves the divergence
+            # test (NaN, +inf, above the limit) and the scale.
+            peak = np.max(r_next, axis=1)
+            diverged = ~(peak <= limit)
             change = np.max(np.abs(r_next - r), axis=1)
-            scale = np.maximum(1.0, np.max(r_next, axis=1))
-            within = change <= tol * scale
+            within = change <= tol * np.maximum(1.0, peak)
         quiet_next = np.where(within, quiet[idx] + 1, 0)
         quiet[idx] = quiet_next
         converged = (quiet_next >= settle_blk[idx]) & ~diverged

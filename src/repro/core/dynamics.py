@@ -18,14 +18,20 @@ A step runs in stages over an ``(M, N)`` batch of rate vectors:
    <repro.core.signals.FeedbackScheme.observe_batch>` evaluates each
    gateway's queue law once and derives both the bottleneck signals
    ``b`` and the round-trip delays ``d`` from it (on the degraded view
-   when a structural plan is active);
+   when a structural plan is active); ``d`` is computed only when some
+   rule reads it (:attr:`RateAdjustment.reads_delay
+   <repro.core.ratecontrol.RateAdjustment.reads_delay>`);
 2. *perturb* — the fault plan rewrites each row's observed signals;
-3. *decide* — every rule group's ``apply_batch`` over its columns;
+3. *decide* — every rule group's ``apply_batch`` over its columns (the
+   whole batch when one rule covers them all);
 4. *clip* — the truncation at zero.
 
 The scalar :meth:`FlowControlSystem.step` is the ``M = 1`` case of
 :meth:`FlowControlSystem.step_batch`, so a scalar run and a member of
-a batched run share every kernel and agree bit for bit.
+a batched run share every kernel and agree bit for bit.  The public
+steps validate their input; the runners validate the initial state
+once and then step validated arrays, because the divergence check and
+the clip already keep every next state finite and nonnegative.
 :meth:`FlowControlSystem.run_ensemble` iterates the batch and masks out
 members that converge or diverge, so finished trajectories stop costing
 work; row ``m`` reproduces ``run(initials[m])`` exactly.  The
@@ -280,6 +286,11 @@ class FlowControlSystem:
                 groups[seen[key]][1].append(i)
         self._rule_groups = [(rule, np.asarray(cols, dtype=np.intp))
                              for rule, cols in groups]
+        # A rule covering every column is applied to the whole batch,
+        # without gathering and scattering its columns.
+        self._sole_rule = groups[0][0] if len(groups) == 1 else None
+        # The observe stage computes delays only when a rule reads them.
+        self._reads_delay = any(rule.reads_delay for rule, _ in groups)
         # Router-side control (RCP): per-gateway advertised-rate state
         # replaces the per-source rule map entirely.  Sources must run
         # the degenerate RcpSourceRule so the configuration is explicit
@@ -386,13 +397,21 @@ class FlowControlSystem:
         if self._bank is not None:
             raise RateVectorError(
                 "system is controller-driven; use step_controlled")
-        r = as_rate_vector(rates, n=self.network.num_connections)[None, :]
+        return self._step_row(
+            as_rate_vector(rates, n=self.network.num_connections),
+            faults, step_index, structural)
+
+    def _step_row(self, r, faults=None, step_index: int = 1,
+                  structural=None) -> np.ndarray:
+        """:meth:`step` on a validated ``(N,)`` rate vector (what
+        :meth:`run` iterates)."""
+        rows = r[None, :]
         views = (None if structural is None
                  else [structural.resolve(step_index)])
-        b, d = self._observe(r, views, np)
+        b, d = self._observe(rows, views, np)
         if faults is not None:
             b[0] = faults.apply(step_index, b[0])
-        return self._decide(r, b, d, np)[0]
+        return clip_nonnegative(self._decide(rows, b, d, np))[0]
 
     def step_batch(self, rates: np.ndarray, faults=None, members=None,
                    step_index: int = 1, structural=None) -> np.ndarray:
@@ -423,56 +442,75 @@ class FlowControlSystem:
         if self._bank is not None:
             raise RateVectorError(
                 "system is controller-driven; use step_controlled_batch")
-        r = as_rate_matrix(rates, n=self.network.num_connections)
-        views = None
-        if structural is not None:
-            rows_m = members if members is not None else range(r.shape[0])
-            views = [structural[m].resolve(step_index) for m in rows_m]
-        b, d = self._observe(r, views, self._xp)
+        return self._step_rows(
+            as_rate_matrix(rates, n=self.network.num_connections),
+            faults, members, step_index, structural)
+
+    def _step_rows(self, r, faults=None, members=None,
+                   step_index: int = 1, structural=None) -> np.ndarray:
+        """:meth:`step_batch` on a validated ``(M, N)`` batch (what
+        :meth:`run_ensemble` iterates)."""
+        xp = self._xp
+        rows = members if members is not None else range(r.shape[0])
+        views = (None if structural is None
+                 else [structural[m].resolve(step_index) for m in rows])
+        b, d = self._observe(r, views, xp)
         if faults is not None:
-            rows = members if members is not None else range(r.shape[0])
             for row, m in enumerate(rows):
                 b[row] = faults[m].apply(step_index, b[row])
-        return self._decide(r, b, d, self._xp)
+        return clip_nonnegative(self._decide(r, b, d, xp), xp=xp)
 
     def _observe(self, r, views, xp) -> tuple:
         """The observe stage: signals and delays ``(b, d)`` of a
-        validated ``(M, N)`` batch.
+        validated ``(M, N)`` batch; ``d`` is ``None`` when no rule
+        reads it (:attr:`RateAdjustment.reads_delay
+        <repro.core.ratecontrol.RateAdjustment.reads_delay>`).
 
         ``views`` is ``None`` on the intact network, or one resolved
         structural view per row: rows sharing a damage signature are
         observed together on that view's degraded scheme, and
         connections through a blackholed gateway see ``b = 1``.
         """
-        # The xp namespace is only forwarded off the numpy default, so
-        # overridable collaborators predating the parameter keep
-        # working (the conditional-kwarg seam pattern).
-        kw = {} if xp is np else {"xp": xp}
         if views is None:
-            return self.scheme.observe_batch(r, **kw)
+            return self._observe_on(self.scheme, r, xp)
         groups: dict = {}
         for row, view in enumerate(views):
             groups.setdefault(view.key, (view, []))[1].append(row)
         b = np.empty_like(r)
-        d = np.empty_like(r)
+        d = np.empty_like(r) if self._reads_delay else None
         for view, row_list in groups.values():
             sel = np.asarray(row_list, dtype=np.intp)
-            bs, ds = view.scheme.observe_batch(r[sel], **kw)
+            bs, ds = self._observe_on(view.scheme, r[sel], xp)
             if view.blackholed.size:
                 bs[:, view.blackholed] = 1.0
             b[sel] = bs
-            d[sel] = ds
+            if d is not None:
+                d[sel] = ds
         return b, d
 
-    def _decide(self, r, b, d, xp) -> np.ndarray:
-        """The decide and clip stages: every rule group applied once over
-        its columns, then the truncation at zero."""
+    def _observe_on(self, scheme, r, xp) -> tuple:
+        """``(b, d)`` of ``r`` on one scheme; ``d`` only if it is read."""
+        # The xp namespace is only forwarded off the numpy default, so
+        # overridable collaborators predating the parameter keep
+        # working (the conditional-kwarg seam pattern).
         kw = {} if xp is np else {"xp": xp}
+        if self._reads_delay:
+            return scheme.observe_batch(r, **kw)
+        return scheme.signals_batch(r, **kw), None
+
+    def _decide(self, r, b, d, xp) -> np.ndarray:
+        """The decide stage, before the clip: every rule group applied
+        once over its columns, or the sole rule over the whole batch.
+        ``d`` is ``None`` when no rule reads delays."""
+        kw = {} if xp is np else {"xp": xp}
+        if self._sole_rule is not None:
+            return self._sole_rule.apply_batch(r, b, d, **kw)
         new = xp.empty_like(r)
         for rule, cols in self._rule_groups:
-            new[:, cols] = rule.apply_batch(r[:, cols], b[:, cols],
-                                            d[:, cols], **kw)
-        return clip_nonnegative(new, xp=xp)
+            new[:, cols] = rule.apply_batch(
+                r[:, cols], b[:, cols], None if d is None else d[:, cols],
+                **kw)
+        return new
 
     def step_controlled(self, rates: np.ndarray,
                         state: np.ndarray) -> tuple:
@@ -487,7 +525,11 @@ class FlowControlSystem:
         if self._bank is None:
             raise RateVectorError(
                 "system has no controller; use step")
-        r = as_rate_vector(rates, n=self.network.num_connections)
+        return self._controlled_row(
+            as_rate_vector(rates, n=self.network.num_connections), state)
+
+    def _controlled_row(self, r, state) -> tuple:
+        """:meth:`step_controlled` on a validated rate vector."""
         state_next = self._bank.update(r, state)
         return clip_nonnegative(self._bank.advertised(state_next)), \
             state_next
@@ -500,9 +542,13 @@ class FlowControlSystem:
         if self._bank is None:
             raise RateVectorError(
                 "system has no controller; use step_batch")
+        return self._controlled_rows(
+            as_rate_matrix(rates, n=self.network.num_connections), state)
+
+    def _controlled_rows(self, r, state) -> tuple:
+        """:meth:`step_controlled_batch` on a validated batch."""
         xp = self._xp
         kw = {} if xp is np else {"xp": xp}
-        r = as_rate_matrix(rates, n=self.network.num_connections)
         state_next = self._bank.update_batch(r, state, **kw)
         return clip_nonnegative(
             self._bank.advertised_batch(state_next, **kw), xp=xp), \
@@ -626,17 +672,18 @@ class FlowControlSystem:
             if rec is not None:
                 t0 = time.perf_counter()
             if ctrl is not None:
-                r_next, ctrl = self.step_controlled(r, ctrl)
-            elif fault_state is None and structural_state is None:
-                r_next = self.step(r)
+                r_next, ctrl = self._controlled_row(r, ctrl)
             else:
-                r_next = self.step(r, faults=fault_state,
-                                   step_index=step_count,
-                                   structural=structural_state)
+                r_next = self._step_row(r, fault_state, step_count,
+                                        structural_state)
             if rec is not None:
                 step_seconds += time.perf_counter() - t0
             history[step_count] = r_next
-            if not np.all(np.isfinite(r_next)) or np.any(r_next > limit):
+            # r_next is clipped, so its largest entry is NaN, +inf or
+            # above the limit exactly when the state diverged; the same
+            # peak is the convergence scale.
+            peak = float(np.max(r_next))
+            if not peak <= limit:
                 if rec is not None:
                     rec.observe_iteration(math.inf, 0, 0, 1)
                     rec.observe_mask_event(step_count, 0, "diverged")
@@ -646,10 +693,9 @@ class FlowControlSystem:
                                                    step_count),
                                   fault_events=fault_events(),
                                   structural_events=structural_events())
-            change = sup_norm(r_next, r)
-            scale = max(1.0, float(np.max(r_next)))
+            change = float(np.max(np.abs(r_next - r)))
             settled = False
-            if change <= tol * scale:
+            if change <= tol * max(1.0, peak):
                 quiet += 1
                 settled = quiet >= settle
             else:
@@ -700,10 +746,10 @@ class FlowControlSystem:
         as :meth:`run`: member ``m`` of the result matches
         ``run(initials[m], ...)`` in final state, outcome, step count,
         and period.  All M trajectories advance through one vectorised
-        :meth:`step_batch` per step, and members that converge or
-        diverge are masked out of the batch so finished trajectories
-        stop costing work.  An empty batch (``M = 0``) returns
-        immediately with well-shaped empty results.
+        :meth:`step_batch` per step (validated once, up front), and
+        members that converge or diverge are masked out of the batch so
+        finished trajectories stop costing work.  An empty batch
+        (``M = 0``) returns immediately with well-shaped empty results.
 
         ``block_size`` chunks the M axis: members are evolved in
         consecutive blocks of at most ``block_size`` members, so the
@@ -916,14 +962,10 @@ class FlowControlSystem:
             if rec is not None:
                 t0 = time.perf_counter()
             if ctrl is not None:
-                r_next, ctrl = self.step_controlled_batch(r, ctrl)
-            elif block_states is None and block_structural is None:
-                r_next = self.step_batch(r)
+                r_next, ctrl = self._controlled_rows(r, ctrl)
             else:
-                r_next = self.step_batch(r, faults=block_states,
-                                         members=idx,
-                                         step_index=step_count,
-                                         structural=block_structural)
+                r_next = self._step_rows(r, block_states, idx, step_count,
+                                         block_structural)
             if rec is not None:
                 timings["step"] += time.perf_counter() - t0
                 t0 = time.perf_counter()
@@ -932,12 +974,13 @@ class FlowControlSystem:
             if full is not None:
                 full[idx, step_count] = r_next
 
-            finite = np.all(np.isfinite(r_next), axis=1)
             with np.errstate(invalid="ignore"):
-                diverged = ~finite | np.any(r_next > limit, axis=1)
+                # One reduction for the divergence test and the scale,
+                # as in run: the rows are clipped.
+                peak = np.max(r_next, axis=1)
+                diverged = ~(peak <= limit)
                 change = np.max(np.abs(r_next - r), axis=1)
-                scale = np.maximum(1.0, np.max(r_next, axis=1))
-                within = change <= tol * scale
+                within = change <= tol * np.maximum(1.0, peak)
             quiet_next = np.where(within, quiet[idx] + 1, 0)
             quiet[idx] = quiet_next
             converged = (quiet_next >= settle) & ~diverged

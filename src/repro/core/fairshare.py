@@ -264,7 +264,13 @@ class FairShare(ServiceDiscipline):
             if out is not None:
                 return out
         order = xp.argsort(r, axis=1, kind="stable")
-        sorted_rates = xp.take_along_axis(r, order, axis=1)
+        # One fancy gather into sorted order and one scatter back.  The
+        # gather returns a C-ordered array whatever r's layout (a
+        # fancy-indexed column subset is F-ordered, and np.sort would
+        # keep that), so the dense load sum below adds in one fixed
+        # order and a row's bits never depend on the batch around it.
+        rows = xp.arange(m_batch)[:, None]
+        sorted_rates = r[rows, order]
         sigma = cumulative_loads_batch(r, mu, sorted_rates=sorted_rates,
                                        method=method, xp=xp)
 
@@ -283,10 +289,9 @@ class FairShare(ServiceDiscipline):
         q_sorted = xp.where(finite, acc, math.inf)
         q_sorted[sorted_rates == 0.0] = 0.0
 
-        inv = xp.empty_like(order)
-        xp.put_along_axis(
-            inv, order, xp.broadcast_to(xp.arange(n), order.shape), axis=1)
-        return xp.take_along_axis(q_sorted, inv, axis=1)
+        out = xp.empty_like(q_sorted)
+        out[rows, order] = q_sorted
+        return out
 
 
 def fair_share_queues_recursive(rates: Sequence[float],

@@ -119,7 +119,8 @@ def as_rate_vector(rates: Iterable[float], n: int = None) -> np.ndarray:
     """Coerce ``rates`` to a float numpy vector and validate it.
 
     Rates must be finite and nonnegative.  If ``n`` is given the length
-    must match.  Returns a fresh array (never a view of the input).
+    must match.  Returns a fresh array (never a view of the input):
+    ``np.array`` copies.
     """
     vec = np.array(list(rates) if not isinstance(rates, np.ndarray) else rates,
                    dtype=float)
@@ -129,7 +130,7 @@ def as_rate_vector(rates: Iterable[float], n: int = None) -> np.ndarray:
         raise RateVectorError(
             f"rate vector has length {vec.shape[0]}, expected {n}")
     validate_rates(vec)
-    return vec.copy()
+    return vec
 
 
 def as_rate_matrix(rates: Iterable[float], n: int = None) -> np.ndarray:

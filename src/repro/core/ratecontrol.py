@@ -42,6 +42,12 @@ delays.  The module provides the paper's named examples:
 
 :func:`verify_tsi` checks Theorem 1's condition numerically for *any*
 rule, and :func:`tsi_target` extracts the unique ``b_ss``.
+
+A rule states whether its ``f`` reads the delay ``d`` with the class
+attribute :attr:`RateAdjustment.reads_delay`.  Only the window-style
+rules (:class:`DecbitWindowRule`, :class:`TcpLikeRule`) do; the TSI
+rules of Section 3 and the rate-style rules declare ``False``, and the
+dynamics then skip computing delays no rule reads.
 """
 
 from __future__ import annotations
@@ -70,7 +76,14 @@ __all__ = [
 
 
 class RateAdjustment(abc.ABC):
-    """A source's local update rule ``f(r, b, d)``."""
+    """A source's local update rule ``f(r, b, d)``.
+
+    :attr:`reads_delay` states which inputs ``f`` uses; it is not a
+    setting.  Subclasses inherit ``True`` and always receive delays.  A
+    rule declaring ``False`` is handed ``delays=None`` (``delay=None``
+    in :meth:`delta` through the base :meth:`delta_batch`), so one that
+    reads ``d`` anyway gets no made-up delay.
+    """
 
     name: str = "abstract"
 
@@ -78,6 +91,10 @@ class RateAdjustment(abc.ABC):
     #: is (or claims to be) not time-scale invariant.  :func:`verify_tsi`
     #: validates the claim numerically.
     declared_target: Optional[float] = None
+
+    #: Whether ``f`` reads the round-trip delay ``d``.  The observe stage
+    #: computes delays only when some rule of a system reads them.
+    reads_delay: bool = True
 
     @abc.abstractmethod
     def delta(self, rate: float, signal: float, delay: float) -> float:
@@ -100,17 +117,21 @@ class RateAdjustment(abc.ABC):
         ``xp`` selects the array namespace (numpy when ``None``);
         callers forward it only for non-numpy backends, so custom
         rules without the parameter keep working on the default path.
+
+        ``delays=None`` (a rule declaring ``reads_delay = False``)
+        passes ``delay=None`` to :meth:`delta`.
         """
         xp = np if xp is None else xp
-        r, b, d = xp.broadcast_arrays(xp.asarray(rates, dtype=float),
-                                      xp.asarray(signals, dtype=float),
-                                      xp.asarray(delays, dtype=float))
+        r, b, d = xp.broadcast_arrays(
+            xp.asarray(rates, dtype=float), xp.asarray(signals, dtype=float),
+            xp.asarray(0.0 if delays is None else delays, dtype=float))
         out = xp.empty(r.shape, dtype=float)
         flat_r, flat_b, flat_d = r.ravel(), b.ravel(), d.ravel()
         flat_out = out.ravel()
         for k in range(flat_r.size):
-            flat_out[k] = self.delta(float(flat_r[k]), float(flat_b[k]),
-                                     float(flat_d[k]))
+            flat_out[k] = self.delta(
+                float(flat_r[k]), float(flat_b[k]),
+                None if delays is None else float(flat_d[k]))
         return out
 
     def apply_batch(self, rates: np.ndarray, signals: np.ndarray,
@@ -146,6 +167,7 @@ class TargetRule(RateAdjustment):
     """``f = eta (beta - b)``: drive the signal to the target ``beta``."""
 
     name = "target"
+    reads_delay = False
 
     def __init__(self, eta: float = 0.1, beta: float = 0.5):
         self.eta = _positive(eta, "gain eta")
@@ -174,6 +196,7 @@ class ProportionalTargetRule(RateAdjustment):
     """
 
     name = "proportional-target"
+    reads_delay = False
 
     def __init__(self, eta: float = 0.5, beta: float = 0.5):
         self.eta = _positive(eta, "gain eta")
@@ -240,6 +263,7 @@ class DecbitRateRule(RateAdjustment):
     """
 
     name = "decbit-rate"
+    reads_delay = False
 
     def __init__(self, eta: float = 0.05, beta: float = 0.5):
         self.eta = _positive(eta, "additive gain eta")
@@ -275,6 +299,7 @@ class BinaryAimdRule(RateAdjustment):
     """
 
     name = "binary-aimd"
+    reads_delay = False
 
     def __init__(self, increase: float = 0.01, decrease: float = 0.125,
                  threshold: float = 0.5):
@@ -365,6 +390,7 @@ class RcpSourceRule(RateAdjustment):
     """
 
     name = "rcp-source"
+    reads_delay = False
 
     def __init__(self):
         self.declared_target = None

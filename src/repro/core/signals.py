@@ -385,6 +385,14 @@ def weighted_individual_congestion(queues: Sequence[float],
     return capped.sum(axis=1)
 
 
+def _column_index(cols: np.ndarray):
+    """``cols`` as a ``slice`` when it is one increasing run of
+    consecutive columns, otherwise unchanged."""
+    if np.all(np.diff(cols) == 1):
+        return slice(int(cols[0]), int(cols[-1]) + 1)
+    return cols
+
+
 class FeedbackScheme:
     """The full signalling pipeline of one network configuration.
 
@@ -419,11 +427,12 @@ class FeedbackScheme:
                 raise RateVectorError("weights must be positive")
         # Gather indices for the batch path: per non-empty gateway, the
         # connection columns in Gamma(a) order (views into the network's
-        # CSR member arrays) and the service rate.  Static because
-        # routing is static.
+        # CSR member arrays, or a slice when they are one contiguous
+        # run, so indexing gives a view instead of a copy) and the
+        # service rate.  Static because routing is static.
         csr = network.csr
         self._gateways = [
-            (csr.members(a), network.mu(gname))
+            (_column_index(csr.members(a)), network.mu(gname))
             for a, gname in enumerate(csr.gateway_names)
             if csr.members(a).size]
 

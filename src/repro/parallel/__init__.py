@@ -479,6 +479,18 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
             if pending:
                 salvage_reason = round_reason
 
+    # Run records made in worker processes are emitted in grid order.  A
+    # chunk completed on this thread emits its records live, so the
+    # records of every chunk before it go out first.
+    emitted = 0
+
+    def emit_records_before(k: int) -> None:
+        nonlocal emitted
+        for records in worker_records[emitted:k]:
+            for record in records:
+                emit_run_record(record)
+        emitted = max(emitted, k)
+
     if pending:
         # Serial completion: the deliberate serial+checkpoint path, or
         # the salvage of chunks that kept failing for infra reasons.
@@ -489,6 +501,7 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
                 f"{salvage_reason}", RuntimeWarning, stacklevel=2)
             salvaged = list(pending)
         for k in pending:
+            emit_records_before(k)
             payload = _run_chunk_guarded(fn, [items[i] for i in chunks[k]],
                                          chunks[k].start)
             if payload[0] == "error":
@@ -500,10 +513,7 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
             if ckpt is not None:
                 ckpt.write(k, out)
 
-    # Run records made in worker processes, merged in grid order.
-    for records in worker_records:
-        for record in records:
-            emit_run_record(record)
+    emit_records_before(len(chunks))
     out: list = []
     for piece in results:
         out.extend(piece)

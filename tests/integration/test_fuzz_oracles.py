@@ -74,18 +74,19 @@ class TestEveryOracleFires:
 
     def test_ensemble_equivalence_catches_scalar_only_mutation(
             self, monkeypatch):
-        # ``run`` advances through ``step`` and ``run_ensemble`` through
-        # ``step_batch``; the two share every kernel, so the mutant sits
-        # on the one thing only the scalar run sees: ``step``'s output.
+        # ``run`` advances through the one-row stepper ``_step_row`` and
+        # ``run_ensemble`` through the batch stepper ``_step_rows``; the
+        # two share every kernel, so the mutant sits on the one thing
+        # only the scalar run sees: the one-row stepper's output.
         from repro.core.dynamics import FlowControlSystem
-        orig = FlowControlSystem.step
+        orig = FlowControlSystem._step_row
 
-        def broken(self, rates, **kwargs):
-            out = np.array(orig(self, rates, **kwargs), dtype=float)
+        def broken(self, r, *args):
+            out = np.array(orig(self, r, *args), dtype=float)
             out[-1] += 1e-6
             return out
 
-        monkeypatch.setattr(FlowControlSystem, "step", broken)
+        monkeypatch.setattr(FlowControlSystem, "_step_row", broken)
         fails = failing_oracles(spec_of(), ["ensemble-equivalence"])
         assert fails == ("ensemble-equivalence",)
 
@@ -94,14 +95,15 @@ class TestEveryOracleFires:
         # A kernel that leaks the batch-row *position* into the result
         # is invisible to the one-shot run alone, but blocked execution
         # re-bases each member's row index — the differential fires.
+        # ``run_ensemble`` advances through the batch stepper.
         from repro.core.dynamics import FlowControlSystem
-        orig = FlowControlSystem.step_batch
+        orig = FlowControlSystem._step_rows
 
-        def broken(self, rates):
-            out = np.array(orig(self, rates), dtype=float)
+        def broken(self, r, *args):
+            out = np.array(orig(self, r, *args), dtype=float)
             return out + 1e-6 * np.arange(out.shape[0])[:, None]
 
-        monkeypatch.setattr(FlowControlSystem, "step_batch", broken)
+        monkeypatch.setattr(FlowControlSystem, "_step_rows", broken)
         fails = failing_oracles(spec_of(), ["blocked-equivalence"])
         assert fails == ("blocked-equivalence",)
 

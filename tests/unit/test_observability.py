@@ -272,6 +272,23 @@ class TestSweepTelemetry:
         assert [r.n_connections for r in session.run_records] == \
             [2, 4, 6, 8, 12, 20]
 
+    def test_salvaged_chunk_records_keep_grid_order(self, monkeypatch):
+        # The chunk at grid index 1 fails for a non-retryable
+        # infrastructure reason and is salvaged on the calling thread;
+        # its record still lands between its neighbours' records.
+        from repro.experiments.exp_f5_aggregate_instability import \
+            run_f5_aggregate_instability
+        from tests.unit.test_resilient_sweep import _patched_submit
+        _patched_submit(monkeypatch, lambda first, attempt:
+                        RuntimeError("does not pickle") if first == 1
+                        else None)
+        with pytest.warns(RuntimeWarning, match="fell back to serial"):
+            with collect() as session:
+                run_f5_aggregate_instability(workers=2)
+        assert session.sweep_records[0].salvaged_chunks == [1]
+        assert [r.n_connections for r in session.run_records] == \
+            [2, 4, 6, 8, 12, 20]
+
 
 class TestProvenance:
     def test_config_hash_stable_under_key_order(self):

@@ -52,9 +52,10 @@ compiled-quick:
 suite-smoke:
 	$(PYTHON) benchmarks/suite/run.py --smoke
 
-# Result digests of every benchmark unit, seeds 1 and 2 (~40 s).  A
-# change that must not move any result prints the same lines as its
-# parent: `make digests > after.txt` on both, then `diff`.
+# Result digests of every benchmark unit, seeds 1 and 2, and of 11
+# fixed trajectory-engine cases (~1 min).  A change that must not move
+# any result prints the same lines as its parent: `make digests >
+# after.txt` on both, then `diff`.
 digests:
 	$(PYTHON) benchmarks/digests.py
 

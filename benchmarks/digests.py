@@ -8,8 +8,26 @@ untimed, and prints one line per unit::
 
 The digest is the unit's own ``Outcome.digest`` (a hash of the
 artifact rows, ensemble finals and steps, oracle verdicts or packet
-rate histories).  A change that must not move any result prints the
-same lines as its parent, so ``diff`` of the two outputs is the check.
+rate histories).
+
+The units leave paths of the trajectory engine unexercised, so an
+``engine`` section follows: about ten fixed, seeded cases, one line
+each::
+
+    engine <case> <digest>
+
+They cover the synchronous ensemble one-shot, blocked and with full
+histories of converging, oscillating and diverging members; fault and
+structural plans; RCP in blocks; the asynchronous ensemble under a
+shared and under per-member schedules at signal delays 0 and 3,
+one-shot and blocked; and the scalar ``run`` and
+``AsynchronousRunner.run`` on the same systems.  Each digest hashes
+finals, steps, outcomes, periods, the retained histories and the run
+record's mask events and per-iteration series.
+
+A change that must not move any result prints the same lines as its
+parent, so ``diff`` of the two outputs is the check.  The script uses
+only long-standing public APIs, so one copy runs on both commits.
 Takes about a minute on two cores.
 
 Run from the repository root::
@@ -17,15 +35,205 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/digests.py > digests.txt
 """
 
+import hashlib
+import math
 import os
 import sys
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "suite"))
 
 import workloads  # noqa: E402
+from repro.chaos import CapacityDegradation, StructuralFaultPlan  # noqa
+from repro.core.asynchronous import (  # noqa: E402
+    AsynchronousRunner, BernoulliSchedule, ClockSchedule, RateMixClock,
+    RoundRobinSchedule, run_async_ensemble)
+from repro.core.dynamics import FlowControlSystem  # noqa: E402
+from repro.core.fairshare import FairShare  # noqa: E402
+from repro.core.fifo import Fifo  # noqa: E402
+from repro.core.ratecontrol import (  # noqa: E402
+    ProportionalTargetRule, RateAdjustment, RcpSourceRule, TargetRule,
+    TcpLikeRule)
+from repro.core.rcp import RcpController  # noqa: E402
+from repro.core.signals import FeedbackStyle, LinearSaturating  # noqa
+from repro.core.steadystate import fair_steady_state  # noqa: E402
+from repro.core.topology import parking_lot, single_gateway  # noqa: E402
+from repro.faults import FaultPlan, SignalLoss  # noqa: E402
 
 SEEDS = (1, 2)
+SIGNAL = LinearSaturating()
+IND = FeedbackStyle.INDIVIDUAL
+
+
+class _Runaway(RateAdjustment):
+    """The rate doubles until it exceeds 8, then turns NaN."""
+
+    reads_delay = False
+
+    def delta(self, rate, signal, delay):
+        return math.nan if rate > 8.0 else rate
+
+
+def _rng(k):
+    return np.random.default_rng([7, k])
+
+
+def _fair_share():
+    system = FlowControlSystem(single_gateway(6, mu=1.0), FairShare(),
+                               SIGNAL,
+                               ProportionalTargetRule(eta=0.5, beta=0.5),
+                               style=IND)
+    return system, _rng(0).uniform(0.02, 0.3, size=(7, 6))
+
+
+def _mixed():
+    """Aggregate FIFO with eta * N = 3.6 > 2 (perturbed starts
+    oscillate, the fair point holds) beside a runaway member."""
+    system = FlowControlSystem(single_gateway(12, mu=1.0), Fifo(), SIGNAL,
+                               TargetRule(eta=0.3, beta=0.5),
+                               style=FeedbackStyle.AGGREGATE)
+    fair = fair_steady_state(single_gateway(12), 0.5)
+    kicked = fair * (1 + 1e-3 * _rng(1).standard_normal((3, 12)))
+    runaway = FlowControlSystem(single_gateway(2, mu=1.0), Fifo(), SIGNAL,
+                                _Runaway(), style=IND)
+    return ((system, np.vstack([fair, np.clip(kicked, 0.0, None)])),
+            (runaway, np.array([[1.0, 0.5], [0.0, 0.0], [0.5, 2.0]])))
+
+
+def _tcp_mixed():
+    net = parking_lot(3, cross_per_hop=2)
+    rules = (TargetRule(eta=0.05, beta=0.5), TcpLikeRule())
+    system = FlowControlSystem(
+        net, Fifo(), SIGNAL,
+        [rules[i % 2] for i in range(net.num_connections)], style=IND)
+    return system, _rng(2).uniform(0.02, 0.2,
+                                   size=(5, net.num_connections))
+
+
+def _schedules(m):
+    kinds = (RoundRobinSchedule(), BernoulliSchedule(0.5, seed=3),
+             ClockSchedule(RateMixClock(0.25, 1.0, 0.5, seed=3)))
+    return [kinds[i % len(kinds)] for i in range(m)]
+
+
+def _hash(*results) -> str:
+    """Digest of ensemble results and trajectories."""
+    h = hashlib.sha256()
+    for res in results:
+        if hasattr(res, "finals"):
+            parts = [res.finals, res.steps, [o.value for o in res.outcomes],
+                     res.periods]
+            parts += list(res.histories or ())
+        else:
+            parts = [res.history, res.outcome.value, res.period, res.steps]
+        rec = res.telemetry
+        if rec is not None:
+            parts += [rec.mask_events, rec.residuals, rec.active_members,
+                      rec.converged_counts, rec.diverged_counts,
+                      rec.fault_events]
+        for events in (res.fault_events, res.structural_events):
+            parts.append(None if events is None else [tuple(e)
+                                                      for e in events])
+        for part in parts:
+            h.update(part.tobytes() if isinstance(part, np.ndarray)
+                     else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def _sync_oneshot():
+    system, initials = _fair_share()
+    return _hash(system.run_ensemble(initials, max_steps=2000,
+                                     telemetry=True))
+
+
+def _sync_blocked():
+    system, initials = _fair_share()
+    return _hash(system.run_ensemble(initials, max_steps=2000,
+                                     block_size=3, telemetry=True))
+
+
+def _sync_full():
+    out = []
+    for system, initials in _mixed():
+        for block in (None, 2):
+            out.append(system.run_ensemble(
+                initials, max_steps=400, history="full", block_size=block,
+                telemetry=True))
+    return _hash(*out)
+
+
+def _faults_structural():
+    system, initials = _tcp_mixed()
+    names = system.network.gateway_names
+    faults = FaultPlan((SignalLoss(rate=0.2),), seed=5)
+    structural = StructuralFaultPlan(
+        (CapacityDegradation(names[0], factor=0.6, start=40, duration=60,
+                             period=150, jitter=5),), seed=5)
+    return _hash(*(system.run_ensemble(
+        initials, max_steps=300, tol=0.0, faults=faults,
+        structural=structural, block_size=block, telemetry=True)
+        for block in (None, 2)))
+
+
+def _rcp_blocked():
+    net = parking_lot(3, cross_per_hop=2)
+    system = FlowControlSystem(net, Fifo(), SIGNAL, RcpSourceRule(),
+                               style=IND,
+                               controller=RcpController(alpha=0.5,
+                                                        beta=0.05))
+    initials = _rng(3).uniform(0.01, 0.1, size=(5, net.num_connections))
+    return _hash(system.run_ensemble(initials, max_steps=600, tol=1e-12,
+                                     block_size=2, telemetry=True))
+
+
+def _async(per_member, tau):
+    def case():
+        out = []
+        for system, initials in (_fair_share(), _tcp_mixed()):
+            schedule = (_schedules(len(initials)) if per_member
+                        else ClockSchedule(RateMixClock(0.25, 1.0, 0.5,
+                                                        seed=4)))
+            for block in (None, 2):
+                out.append(run_async_ensemble(
+                    system, initials, schedule=schedule, signal_delay=tau,
+                    max_steps=800, tol=1e-8, history="full",
+                    block_size=block, telemetry=True))
+        return _hash(*out)
+    return case
+
+
+def _scalar_run():
+    out = []
+    for system, initials in (_fair_share(), _tcp_mixed(), *_mixed()):
+        out += [system.run(x0, max_steps=400) for x0 in initials[:3]]
+    return _hash(*out)
+
+
+def _async_runner():
+    out = []
+    for system, initials in (_fair_share(), _tcp_mixed()):
+        for tau, schedule in zip((0, 3), _schedules(2)):
+            runner = AsynchronousRunner(system, schedule, signal_delay=tau)
+            out += [runner.run(x0, max_steps=500) for x0 in initials[:2]]
+    return _hash(*out)
+
+
+#: case name -> digest function, in print order.
+ENGINE_CASES = {
+    "sync-oneshot": _sync_oneshot,
+    "sync-blocked": _sync_blocked,
+    "sync-full-histories": _sync_full,
+    "faults-structural": _faults_structural,
+    "rcp-blocked": _rcp_blocked,
+    "async-shared-tau0": _async(False, 0),
+    "async-shared-tau3": _async(False, 3),
+    "async-members-tau0": _async(True, 0),
+    "async-members-tau3": _async(True, 3),
+    "run": _scalar_run,
+    "async-runner": _async_runner,
+}
 
 
 def main() -> int:
@@ -35,6 +243,8 @@ def main() -> int:
             for unit in workload.units:
                 print(f"{seed} {unit.name} {unit.call().digest}",
                       flush=True)
+    for name, case in ENGINE_CASES.items():
+        print(f"engine {name} {case()}", flush=True)
     return 0
 
 

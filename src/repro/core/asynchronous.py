@@ -38,25 +38,24 @@ a **pure function of (seed, step)** — no schedule object carries
 mutable stream state — so scalar runs, batched ensembles, and blocked
 ensembles all see identical masks regardless of call history.  The
 batched engine, :func:`run_async_ensemble`, evolves an ``(M, N)``
-ensemble under one schedule (or one schedule per member) with a
-delayed-signal ring buffer, and member ``m`` reproduces the scalar
-:class:`AsynchronousRunner` path bit-exactly.
+ensemble under one schedule (or one schedule per member) through the
+synchronous ensemble loop of :mod:`repro.core.dynamics`, with a clock
+gate and a delayed-signal ring buffer switched on, and member ``m``
+reproduces the scalar :class:`AsynchronousRunner` path bit-exactly.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-import time
 from collections import deque
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import RateVectorError, SweepError
-from ..observability import RunRecord, emit_run_record, is_collecting
 from .dynamics import EnsembleResult, FlowControlSystem, Outcome, \
-    Trajectory, _detect_period, _resolve_block_size, _resolve_history
+    Trajectory, _check_loop, _detect_period
 from .math_utils import as_rate_matrix, as_rate_vector, clip_nonnegative, \
     sup_norm
 
@@ -405,12 +404,9 @@ class AsynchronousRunner:
     def __init__(self, system: FlowControlSystem,
                  schedule: Optional[UpdateSchedule] = None,
                  signal_delay: int = 0):
-        if signal_delay < 0:
-            raise RateVectorError(
-                f"signal delay must be >= 0, got {signal_delay!r}")
         self.system = system
         self.schedule = schedule or SynchronousSchedule()
-        self.signal_delay = int(signal_delay)
+        self.signal_delay = _check_delay(signal_delay)
 
     def run(self, initial: Sequence[float], max_steps: int = 20000,
             tol: float = 1e-10, settle: Optional[int] = None,
@@ -429,6 +425,7 @@ class AsynchronousRunner:
         sweep = self.schedule.steps_per_sweep(n)
         if settle is None:
             settle = 2 * sweep + self.signal_delay + 3
+        _check_loop(max_steps, settle, max_period)
         buffer = deque([r.copy()] * (self.signal_delay + 1),
                        maxlen=self.signal_delay + 1)
         history = [r.copy()]
@@ -489,22 +486,21 @@ def run_async_ensemble(system: FlowControlSystem, initials,
                        max_steps: int = 20000, tol: float = 1e-10,
                        settle: Optional[int] = None,
                        max_period: int = 64,
-                       record: bool = False,
                        telemetry: Optional[bool] = None,
                        block_size: Optional[int] = None,
                        history: Optional[str] = None) -> EnsembleResult:
     """Evolve an ``(M, N)`` ensemble under asynchronous updates.
 
-    The batched counterpart of :class:`AsynchronousRunner`: all M
-    members advance through one vectorised step per schedule tick —
-    signals, and delays when a rule reads them
-    (:attr:`~repro.core.ratecontrol.RateAdjustment.reads_delay`), are
-    computed from the rate vectors
+    The batched counterpart of :class:`AsynchronousRunner`, and the
+    ensemble loop of :meth:`FlowControlSystem.run_ensemble` with two
+    more stages switched on: the observe stage reads the rate vectors
     ``signal_delay`` steps in the past (a ``(tau + 1, M, N)`` ring
-    buffer), the scheduled connection columns apply their rules via
-    the grouped ``apply_batch`` path (reusing the system's ``xp``
-    array-backend seam), and unscheduled columns hold their rates.
-    Member ``m`` reproduces
+    buffer), and a clock gate keeps the rates of the sources whose
+    clock does not tick, after the rule groups' ``apply_batch`` has
+    decided every column.  Signals, and delays when a rule reads them
+    (:attr:`~repro.core.ratecontrol.RateAdjustment.reads_delay`), come
+    from the same kernels as the synchronous map.  Member ``m``
+    reproduces
     ``AsynchronousRunner(system, schedule, signal_delay)
     .run(initials[m], ...)`` bit-exactly in finals, outcomes, steps,
     and periods.
@@ -520,7 +516,7 @@ def run_async_ensemble(system: FlowControlSystem, initials,
     ``2 * steps_per_sweep + signal_delay + 3`` quiet steps, matching
     the scalar runner's full-quiet-sweep contract.
 
-    ``record`` / ``history`` / ``block_size`` / ``telemetry`` follow
+    ``history`` / ``block_size`` / ``telemetry`` follow
     :meth:`FlowControlSystem.run_ensemble` exactly: the same retention
     policies, the same blocked bit-identity, the same
     ``(step, member)``-ordered mask events, and a
@@ -531,9 +527,7 @@ def run_async_ensemble(system: FlowControlSystem, initials,
     raise :class:`~repro.errors.SweepError` — source-side schedules
     have nothing to schedule there.
     """
-    if signal_delay < 0:
-        raise RateVectorError(
-            f"signal delay must be >= 0, got {signal_delay!r}")
+    tau = _check_delay(signal_delay)
     if system.controlled:
         raise SweepError(
             "run_async_ensemble drives source-side update schedules; "
@@ -542,19 +536,16 @@ def run_async_ensemble(system: FlowControlSystem, initials,
     n = system.network.num_connections
     r0 = as_rate_matrix(initials, n=n)
     m_total = r0.shape[0]
-    history = _resolve_history(record, history)
-    record = history == "full"
-    block = _resolve_block_size(block_size, m_total)
-    tau = int(signal_delay)
+    if schedule is None or isinstance(schedule, UpdateSchedule):
+        shared = SynchronousSchedule() if schedule is None else schedule
 
-    shared: Optional[UpdateSchedule]
-    schedules: Optional[List[UpdateSchedule]]
-    if schedule is None:
-        shared, schedules = SynchronousSchedule(), None
-    elif isinstance(schedule, UpdateSchedule):
-        shared, schedules = schedule, None
+        def gate(step, members):
+            return shared.participants(step - 1, n)
+
+        if settle is None:
+            settle = 2 * shared.steps_per_sweep(n) + tau + 3
     else:
-        shared, schedules = None, list(schedule)
+        schedules = list(schedule)
         if len(schedules) != m_total:
             raise SweepError(
                 f"need one schedule per member: got {len(schedules)} "
@@ -565,221 +556,24 @@ def run_async_ensemble(system: FlowControlSystem, initials,
                     f"per-member schedules must be UpdateSchedules, "
                     f"got {s!r}")
 
-    if settle is None:
-        if shared is not None:
-            settle_arr = np.full(
-                m_total, 2 * shared.steps_per_sweep(n) + tau + 3,
-                dtype=int)
-        else:
-            settle_arr = np.array(
-                [2 * s.steps_per_sweep(n) + tau + 3 for s in schedules],
-                dtype=int)
-    else:
-        settle_arr = np.full(m_total, int(settle), dtype=int)
+        def gate(step, members):
+            return np.stack([schedules[m].participants(step - 1, n)
+                             for m in members])
 
-    limit = FlowControlSystem.DIVERGENCE_FACTOR * system._mu_max
-    if telemetry is None:
-        telemetry = is_collecting()
-    rec = RunRecord.begin(
-        "async_ensemble", m_total, n, max_steps, tol,
-        int(np.max(settle_arr)) if m_total else 0) if telemetry else None
-    n_blocks = -(-m_total // block) if m_total else 0
-    if rec is not None:
-        rec.n_blocks = max(n_blocks, 1)
-        rec.block_size = block if block_size is not None else None
-
-    outcomes: List[Outcome] = [Outcome.UNDECIDED] * m_total
-    periods: List[Optional[int]] = [None] * m_total
-    steps = np.full(m_total, 0, dtype=int)
-    finals = r0.copy()
-
-    if m_total == 0:
-        if rec is not None:
-            rec.finish(0, {})
-            emit_run_record(rec)
-        return EnsembleResult(finals=finals, outcomes=outcomes,
-                              periods=periods, steps=steps,
-                              initials=r0,
-                              histories=[] if record else None,
-                              telemetry=rec,
-                              history_policy=history,
-                              block_size=None)
-
-    histories: Optional[List[Optional[np.ndarray]]] = \
-        [None] * m_total if record else None
-    mask_events: List[tuple] = []
-    timings = {"step": 0.0, "classify": 0.0, "period": 0.0}
-    totals = {"converged": 0, "diverged": 0, "period_ran": 0}
-    for base in range(0, m_total, block):
-        _run_async_block(
-            system, r0, base, min(base + block, m_total), shared,
-            schedules, tau, max_steps, tol, settle_arr, max_period,
-            limit, history, rec, outcomes, periods, steps, finals,
-            histories, mask_events, timings, totals)
-
-    mask_events.sort(key=lambda e: (e[0], e[1]))
-    if rec is not None:
-        for step_count, member, kind in mask_events:
-            rec.observe_mask_event(step_count, member, kind)
-        if totals["period_ran"]:
-            rec.add_phase("period_detection", timings["period"])
-        rec.add_phase("step_batch", timings["step"])
-        rec.add_phase("classify", timings["classify"])
-        counts: dict = {}
-        for o in outcomes:
-            counts[o.value] = counts.get(o.value, 0) + 1
-        rec.finish(int(np.max(steps)) if m_total else 0, counts)
-        emit_run_record(rec)
-    return EnsembleResult(finals=finals, outcomes=outcomes,
-                          periods=periods, steps=steps,
-                          initials=r0, histories=histories,
-                          telemetry=rec,
-                          history_policy=history,
-                          block_size=(block if block_size is not None
-                                      else None))
+        if settle is None:
+            settle = np.array([2 * s.steps_per_sweep(n) + tau + 3
+                               for s in schedules], dtype=int)
+    return system._run_batch("async_ensemble", r0, max_steps, tol, settle,
+                             max_period, telemetry, block_size, history,
+                             gate=gate, tau=tau)
 
 
-def _run_async_block(system, r0, base, end, shared, schedules, tau,
-                     max_steps, tol, settle_arr, max_period, limit,
-                     history, rec, outcomes, periods, steps, finals,
-                     histories, mask_events, timings, totals):
-    """Evolve members ``base:end`` asynchronously; write results in place.
-
-    The asynchronous sibling of
-    :meth:`FlowControlSystem._run_ensemble_block`: the same compressed
-    still-iterating index array, rolling period-detection tail, and
-    absolute-index result writes, plus the delayed-signal ring buffer
-    (state at time ``s`` lives in slot ``s % (tau + 1)``, so the slot
-    about to be overwritten at step ``t`` holds exactly the
-    ``tau``-stale state the signals must read) and the per-step
-    participation masks.
-    """
-    xp = system.xp
-    kw = {} if xp is np else {"xp": xp}
-    mb = end - base
-    n = r0.shape[1]
-    tcap = min(4 * max_period, max_steps + 1)
-    tail = None
-    if history != "none":
-        tail = np.zeros((mb, tcap, n), dtype=float)
-        tail[:, 0] = r0[base:end]
-    full = None
-    if history == "full":
-        full = np.empty((mb, max_steps + 1, n))
-        full[:, 0] = r0[base:end]
-    quiet = np.zeros(mb, dtype=int)
-    settle_blk = settle_arr[base:end]
-
-    idx = np.arange(mb)           # block members still iterating
-    r = r0[base:end].copy()       # their current states, compressed
-    # Delayed-signal ring: slot s % (tau + 1) holds the state of time
-    # s; all slots start at the initial condition, matching the scalar
-    # runner's pre-filled deque.  Rows are compressed alongside r.
-    ring = np.tile(r[np.newaxis], (tau + 1, 1, 1))
-    for step_count in range(1, max_steps + 1):
-        if rec is not None:
-            t0 = time.perf_counter()
-        slot = step_count % (tau + 1)
-        # d is None when no rule reads delays.
-        b, d = system._observe(ring[slot], None, xp)
-        if shared is not None:
-            mask = shared.participants(step_count - 1, n)
-            r_next = r.copy()
-            for rule, cols in system._rule_groups:
-                cm = cols[mask[cols]]
-                if cm.size:
-                    r_next[:, cm] = rule.apply_batch(
-                        r[:, cm], b[:, cm],
-                        None if d is None else d[:, cm], **kw)
-        else:
-            mask_mat = np.stack(
-                [schedules[base + m].participants(step_count - 1, n)
-                 for m in idx])
-            r_next = xp.where(mask_mat, system._decide(r, b, d, xp), r)
-        r_next = clip_nonnegative(r_next, xp=xp)
-        ring[slot] = r_next
-        if rec is not None:
-            timings["step"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
-        if tail is not None:
-            tail[idx, step_count % tcap] = r_next
-        if full is not None:
-            full[idx, step_count] = r_next
-
-        with np.errstate(invalid="ignore"):
-            # The rows are clipped: one reduction serves the divergence
-            # test (NaN, +inf, above the limit) and the scale.
-            peak = np.max(r_next, axis=1)
-            diverged = ~(peak <= limit)
-            change = np.max(np.abs(r_next - r), axis=1)
-            within = change <= tol * np.maximum(1.0, peak)
-        quiet_next = np.where(within, quiet[idx] + 1, 0)
-        quiet[idx] = quiet_next
-        converged = (quiet_next >= settle_blk[idx]) & ~diverged
-        done = diverged | converged
-
-        if np.any(done):
-            done_members = idx[done]
-            finals[base + done_members] = r_next[done]
-            steps[base + done_members] = step_count
-            for m, is_div in zip(done_members, diverged[done]):
-                member = base + int(m)
-                if is_div:
-                    outcomes[member] = Outcome.DIVERGED
-                    totals["diverged"] += 1
-                else:
-                    outcomes[member] = Outcome.CONVERGED
-                    periods[member] = 1
-                    totals["converged"] += 1
-                mask_events.append(
-                    (step_count, member,
-                     "diverged" if is_div else "converged"))
-            keep = ~done
-            idx = idx[keep]
-            r = r_next[keep]
-            ring = ring[:, keep]
-            if rec is not None:
-                finite_changes = change[keep][np.isfinite(change[keep])]
-                rec.observe_iteration(
-                    float(np.max(finite_changes))
-                    if finite_changes.size else math.inf,
-                    int(idx.size), totals["converged"],
-                    totals["diverged"])
-                timings["classify"] += time.perf_counter() - t0
-            if idx.size == 0:
-                break
-        else:
-            r = r_next
-            if rec is not None:
-                rec.observe_iteration(float(np.max(change)),
-                                      int(idx.size),
-                                      totals["converged"],
-                                      totals["diverged"])
-                timings["classify"] += time.perf_counter() - t0
-    else:
-        # Members that exhausted the step budget: reconstruct the
-        # ordered tail from the ring buffer and look for a cycle
-        # (skipped — UNDECIDED — under history="none").
-        finals[base + idx] = r
-        steps[base + idx] = max_steps
-        if tail is not None:
-            if rec is not None:
-                t0 = time.perf_counter()
-            start = ((max_steps + 1) % tcap
-                     if max_steps + 1 > tcap else 0)
-            for m in idx:
-                ordered = np.roll(tail[m], -start, axis=0)
-                period = _detect_period(ordered, max_period, tol,
-                                        total_len=max_steps + 1)
-                if period is not None:
-                    outcomes[base + m] = Outcome.OSCILLATING
-                    periods[base + m] = period
-            if rec is not None:
-                timings["period"] += time.perf_counter() - t0
-                totals["period_ran"] += 1
-
-    if full is not None:
-        # Views, not copies: each member's trajectory window into the
-        # block buffer (see EnsembleResult.histories).
-        for m in range(mb):
-            histories[base + m] = full[m, :steps[base + m] + 1]
+def _check_delay(signal_delay) -> int:
+    """``signal_delay`` as an int; :class:`~repro.errors.RateVectorError`
+    unless it is an integer >= 0."""
+    if isinstance(signal_delay, bool) or \
+            not isinstance(signal_delay, (int, np.integer)) or \
+            signal_delay < 0:
+        raise RateVectorError(
+            f"signal delay must be an int >= 0, got {signal_delay!r}")
+    return int(signal_delay)

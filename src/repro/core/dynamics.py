@@ -23,8 +23,11 @@ A step runs in stages over an ``(M, N)`` batch of rate vectors:
    <repro.core.ratecontrol.RateAdjustment.reads_delay>`);
 2. *perturb* — the fault plan rewrites each row's observed signals;
 3. *decide* — every rule group's ``apply_batch`` over its columns (the
-   whole batch when one rule covers them all);
-4. *clip* — the truncation at zero.
+   whole batch when one rule covers them all), or the router-side
+   controller's gateway update;
+4. *gate* — the asynchronous clock mask: a source whose clock does not
+   tick keeps its rate;
+5. *clip* — the truncation at zero.
 
 The scalar :meth:`FlowControlSystem.step` is the ``M = 1`` case of
 :meth:`FlowControlSystem.step_batch`, so a scalar run and a member of
@@ -34,9 +37,13 @@ once and then step validated arrays, because the divergence check and
 the clip already keep every next state finite and nonnegative.
 :meth:`FlowControlSystem.run_ensemble` iterates the batch and masks out
 members that converge or diverge, so finished trajectories stop costing
-work; row ``m`` reproduces ``run(initials[m])`` exactly.  The
-independent per-connection reference map, which the fuzz oracles check
-the engine against, is :func:`repro.scenarios.oracles.reference_step`.
+work; row ``m`` reproduces ``run(initials[m])`` exactly.  Both
+ensemble runners share one blocked loop: the synchronous map is its
+case with no clock gate and no feedback delay, and
+:func:`repro.core.asynchronous.run_async_ensemble` passes a gate and a
+delay.  The independent per-connection reference map, which the fuzz
+oracles check the engine against, is
+:func:`repro.scenarios.oracles.reference_step`.
 """
 
 from __future__ import annotations
@@ -66,11 +73,11 @@ __all__ = ["Outcome", "Trajectory", "EnsembleResult", "FlowControlSystem",
            "HISTORY_POLICIES", "ensemble_buffer_bytes"]
 
 #: Valid ``history`` policies for :meth:`FlowControlSystem.run_ensemble`.
-#: ``"full"`` keeps every state of every member (the ``record=True``
-#: behaviour), ``"tail"`` keeps only the rolling window period detection
-#: needs, ``"none"`` keeps no history at all (cheapest; members that
-#: exhaust the step budget classify UNDECIDED because there is no tail
-#: to search for a limit cycle).
+#: ``"full"`` keeps every state of every member, ``"tail"`` keeps only
+#: the rolling window period detection needs, ``"none"`` keeps no
+#: history at all (cheapest; members that exhaust the step budget
+#: classify UNDECIDED because there is no tail to search for a limit
+#: cycle).
 HISTORY_POLICIES = ("full", "tail", "none")
 
 
@@ -172,8 +179,8 @@ class EnsembleResult:
             length when oscillating, ``None`` otherwise).
         steps: per-member number of map applications performed.
         initials: the ``(M, N)`` initial conditions.
-        histories: when the ensemble was run with ``record=True`` (or
-            ``history="full"``), the per-member trajectories (each
+        histories: when the ensemble was run with ``history="full"``,
+            the per-member trajectories (each
             ``(steps_m + 1, N)``).  These are *views* into the block
             history buffer, not copies — zero-copy for the common
             "wrap in a Trajectory and read" pattern; call ``.copy()``
@@ -223,12 +230,12 @@ class EnsembleResult:
     def trajectory(self, m: int) -> Trajectory:
         """Member ``m`` as a scalar-path :class:`Trajectory`.
 
-        Requires the ensemble to have been run with ``record=True``.
+        Requires the ensemble to have been run with ``history="full"``.
         """
         if self.histories is None:
             raise RateVectorError(
-                "run_ensemble(..., record=True) (history='full') is "
-                "required to extract per-member trajectories")
+                "run_ensemble(..., history='full') is required to "
+                "extract per-member trajectories")
         return Trajectory(self.histories[m], self.outcomes[m],
                           self.periods[m], int(self.steps[m]))
 
@@ -447,18 +454,29 @@ class FlowControlSystem:
             faults, members, step_index, structural)
 
     def _step_rows(self, r, faults=None, members=None,
-                   step_index: int = 1, structural=None) -> np.ndarray:
-        """:meth:`step_batch` on a validated ``(M, N)`` batch (what
-        :meth:`run_ensemble` iterates)."""
+                   step_index: int = 1, structural=None, stale=None,
+                   mask=None) -> np.ndarray:
+        """:meth:`step_batch` on a validated ``(M, N)`` batch: the five
+        stages the ensemble loop iterates.
+
+        ``stale`` is the batch the observe stage reads instead of ``r``
+        (the asynchronous engine's ``tau``-step-old states), and
+        ``mask`` the clock gate, a boolean ``(N,)`` or ``(M, N)`` mask
+        of the sources that update; the others keep their rates.  Both
+        ``None`` is the synchronous map.
+        """
         xp = self._xp
         rows = members if members is not None else range(r.shape[0])
         views = (None if structural is None
                  else [structural[m].resolve(step_index) for m in rows])
-        b, d = self._observe(r, views, xp)
+        b, d = self._observe(r if stale is None else stale, views, xp)
         if faults is not None:
             for row, m in enumerate(rows):
                 b[row] = faults[m].apply(step_index, b[row])
-        return clip_nonnegative(self._decide(r, b, d, xp), xp=xp)
+        new = self._decide(r, b, d, xp)
+        if mask is not None:
+            new = xp.where(mask, new, r)
+        return clip_nonnegative(new, xp=xp)
 
     def _observe(self, r, views, xp) -> tuple:
         """The observe stage: signals and delays ``(b, d)`` of a
@@ -581,7 +599,10 @@ class FlowControlSystem:
         a limit cycle of period ``<= max_period`` is searched for in the
         trajectory tail; finding one yields OSCILLATING, otherwise
         UNDECIDED.  Any non-finite or absurdly large rate yields
-        DIVERGED immediately.
+        DIVERGED immediately.  ``max_steps`` must be an int >= 0 and
+        ``settle`` and ``max_period`` ints >= 1, or
+        :class:`~repro.errors.SweepError` is raised; every runner
+        checks the same way.
 
         ``telemetry=None`` (the default) records a
         :class:`~repro.observability.RunRecord` — per-iteration
@@ -611,19 +632,8 @@ class FlowControlSystem:
         composes with a router-side controller.
         """
         r = as_rate_vector(initial, n=self.network.num_connections)
-        if self._bank is not None and faults is not None \
-                and not faults.empty:
-            raise SweepError(
-                "fault plans perturb the per-source signal path, which "
-                "controller-driven systems do not read; faults with a "
-                "controller are not supported")
-        if self._bank is not None and structural is not None \
-                and not structural.empty:
-            raise SweepError(
-                "structural fault plans damage the per-source "
-                "signal/delay path, which controller-driven systems "
-                "replace with router-side state; structural faults "
-                "with a controller are not supported")
+        _check_loop(max_steps, settle, max_period)
+        self._check_plans(faults, structural)
         ctrl = (self._bank.initial_state()
                 if self._bank is not None else None)
         fault_state = (faults.start(network=self.network,
@@ -733,7 +743,6 @@ class FlowControlSystem:
     def run_ensemble(self, initials, max_steps: int = 20000,
                      tol: float = 1e-10, settle: int = 5,
                      max_period: int = 64,
-                     record: bool = False,
                      telemetry: Optional[bool] = None,
                      faults: Optional[FaultPlan] = None,
                      block_size: Optional[int] = None,
@@ -749,7 +758,7 @@ class FlowControlSystem:
         :meth:`step_batch` per step (validated once, up front), and
         members that converge or diverge are masked out of the batch so
         finished trajectories stop costing work.  An empty batch
-        (``M = 0``) returns immediately with well-shaped empty results.
+        (``M = 0``) takes no step and returns well-shaped empty results.
 
         ``block_size`` chunks the M axis: members are evolved in
         consecutive blocks of at most ``block_size`` members, so the
@@ -764,8 +773,7 @@ class FlowControlSystem:
 
         ``history`` selects how much trajectory state is retained:
 
-        - ``"full"`` — every state of every member; equivalent to (and
-          implied by) ``record=True``.  Memory:
+        - ``"full"`` — every state of every member.  Memory:
           ``block * (max_steps + 1) * N`` floats per block, and the
           returned ``histories`` views keep each block's buffer alive.
         - ``"tail"`` (default) — only the rolling
@@ -776,8 +784,7 @@ class FlowControlSystem:
           UNDECIDED (never OSCILLATING) because there is no tail to
           search for a cycle.
 
-        Invalid policies raise :class:`~repro.errors.SweepError`, as
-        does ``record=True`` combined with a conflicting ``history``.
+        Invalid policies raise :class:`~repro.errors.SweepError`.
         :func:`ensemble_buffer_bytes` predicts the buffer cost of a
         given (M, N, history, block) combination.
 
@@ -806,166 +813,177 @@ class FlowControlSystem:
         bit-identical.
         """
         r0 = as_rate_matrix(initials, n=self.network.num_connections)
-        m_total, n = r0.shape
-        if self._bank is not None and faults is not None \
-                and not faults.empty:
+        self._check_plans(faults, structural)
+        members = range(r0.shape[0])
+        fault_states = None
+        if faults is not None and not faults.empty:
+            fault_states = [faults.start(network=self.network, member=m)
+                            for m in members]
+        structural_states = None
+        if structural is not None and not structural.empty:
+            structural_states = [structural.start(self, member=m)
+                                 for m in members]
+        return self._run_batch("ensemble", r0, max_steps, tol, settle,
+                               max_period, telemetry, block_size, history,
+                               fault_states, structural_states)
+
+    def _check_plans(self, faults, structural) -> None:
+        """Refuse non-empty fault and structural plans on a
+        controller-driven system: both act on the per-source signal
+        path that router-side control replaces."""
+        if self._bank is None:
+            return
+        if faults is not None and not faults.empty:
             raise SweepError(
                 "fault plans perturb the per-source signal path, which "
                 "controller-driven systems do not read; faults with a "
                 "controller are not supported")
-        if self._bank is not None and structural is not None \
-                and not structural.empty:
+        if structural is not None and not structural.empty:
             raise SweepError(
                 "structural fault plans damage the per-source "
                 "signal/delay path, which controller-driven systems "
                 "replace with router-side state; structural faults "
                 "with a controller are not supported")
-        history = _resolve_history(record, history)
-        record = history == "full"
+
+    def _run_batch(self, kind, r0, max_steps, tol, settle, max_period,
+                   telemetry, block_size, history, fault_states=None,
+                   structural_states=None, gate=None,
+                   tau: int = 0) -> EnsembleResult:
+        """The ensemble loop both ensemble runners share.
+
+        Evolves the validated ``(M, N)`` batch ``r0`` block by block and
+        assembles the :class:`EnsembleResult` and, when telemetry is
+        on, its :class:`~repro.observability.RunRecord` of ``kind``.
+        ``settle`` is one quiet-step count or an ``(M,)`` array of them.
+        Fault and structural states are indexed by absolute member.
+        ``gate`` (``gate(step, members) -> mask``, an ``(N,)`` mask
+        shared by the rows or an ``(M_active, N)`` stack) and ``tau``
+        are the asynchronous engine's clock gate and feedback delay:
+        ``None`` and 0 are the synchronous map.
+        """
+        _check_loop(max_steps, settle, max_period)
+        if history is None:
+            history = "tail"
+        elif history not in HISTORY_POLICIES:
+            raise SweepError(
+                f"history must be one of {HISTORY_POLICIES}, "
+                f"got {history!r}")
+        m_total, n = r0.shape
         block = _resolve_block_size(block_size, m_total)
-        fault_states = None
-        if faults is not None and not faults.empty:
-            fault_states = [faults.start(network=self.network, member=m)
-                            for m in range(m_total)]
-        structural_states = None
-        if structural is not None and not structural.empty:
-            structural_states = [structural.start(self, member=m)
-                                 for m in range(m_total)]
-        limit = self.DIVERGENCE_FACTOR * self._mu_max
+        blocked = block if block_size is not None else None
         if telemetry is None:
             telemetry = is_collecting()
-        rec = RunRecord.begin("ensemble", m_total, n, max_steps, tol,
-                              settle) if telemetry else None
-        n_blocks = -(-m_total // block) if m_total else 0
+        rec = RunRecord.begin(kind, m_total, n, max_steps, tol,
+                              int(np.max(settle, initial=0))) \
+            if telemetry else None
         if rec is not None:
-            rec.n_blocks = max(n_blocks, 1)
-            rec.block_size = block if block_size is not None else None
-
-        outcomes: List[Outcome] = [Outcome.UNDECIDED] * m_total
-        periods: List[Optional[int]] = [None] * m_total
-        steps = np.full(m_total, 0, dtype=int)
-        finals = r0.copy()
-
-        if m_total == 0:
-            # An empty ensemble is already finished; do not spin the
-            # step loop over empty arrays for max_steps iterations.
-            if rec is not None:
-                rec.finish(0, {})
-                emit_run_record(rec)
-            return EnsembleResult(finals=finals, outcomes=outcomes,
-                                  periods=periods, steps=steps,
-                                  initials=r0,
-                                  histories=[] if record else None,
-                                  telemetry=rec,
-                                  fault_events=(
-                                      [] if fault_states is not None
-                                      else None),
-                                  structural_events=(
-                                      [] if structural_states is not None
-                                      else None),
-                                  history_policy=history,
-                                  block_size=None)
-
-        histories: Optional[List[Optional[np.ndarray]]] = \
-            [None] * m_total if record else None
+            rec.n_blocks = max(-(-m_total // block), 1)
+            rec.block_size = blocked
+        res = EnsembleResult(
+            finals=r0.copy(), outcomes=[Outcome.UNDECIDED] * m_total,
+            periods=[None] * m_total, steps=np.zeros(m_total, dtype=int),
+            initials=r0,
+            histories=[None] * m_total if history == "full" else None,
+            telemetry=rec, history_policy=history, block_size=blocked)
+        settle = np.broadcast_to(settle, (m_total,))
         mask_events: List[tuple] = []
         timings = {"step": 0.0, "classify": 0.0, "period": 0.0}
         totals = {"converged": 0, "diverged": 0, "period_ran": 0}
         for base in range(0, m_total, block):
-            self._run_ensemble_block(
-                r0, base, min(base + block, m_total), max_steps, tol,
-                settle, max_period, limit, history, fault_states,
-                structural_states, rec,
-                outcomes, periods, steps, finals, histories,
-                mask_events, timings, totals)
+            self._run_block(res, base, min(base + block, m_total),
+                            max_steps, tol, settle, max_period,
+                            fault_states, structural_states, gate, tau,
+                            mask_events, timings, totals)
 
         # Members finish in (step, member) order on the one-shot path;
         # blocked execution discovers the same events block by block,
         # so a (stable) sort restores the identical ordering.
         mask_events.sort(key=lambda e: (e[0], e[1]))
-        all_fault_events = None
-        if fault_states is not None:
-            all_fault_events = [event for state in fault_states
-                                for event in state.events]
-            all_fault_events.sort(key=lambda e: (e.step, e.member))
-        all_structural_events = None
-        if structural_states is not None:
-            all_structural_events = [event for state in structural_states
-                                     for event in state.events]
-            all_structural_events.sort(key=lambda e: (e.step, e.member))
+        res.fault_events = _merged_events(fault_states)
+        res.structural_events = _merged_events(structural_states)
         if rec is not None:
-            for step_count, member, kind in mask_events:
-                rec.observe_mask_event(step_count, member, kind)
-            if all_fault_events is not None:
-                for event in all_fault_events:
-                    rec.observe_fault_event(*event)
+            for step_count, member, outcome in mask_events:
+                rec.observe_mask_event(step_count, member, outcome)
+            for event in res.fault_events or ():
+                rec.observe_fault_event(*event)
             if totals["period_ran"]:
                 rec.add_phase("period_detection", timings["period"])
             rec.add_phase("step_batch", timings["step"])
             rec.add_phase("classify", timings["classify"])
             counts = {}
-            for o in outcomes:
+            for o in res.outcomes:
                 counts[o.value] = counts.get(o.value, 0) + 1
-            rec.finish(int(np.max(steps)) if m_total else 0, counts)
+            rec.finish(int(np.max(res.steps, initial=0)), counts)
             emit_run_record(rec)
-        return EnsembleResult(finals=finals, outcomes=outcomes,
-                              periods=periods, steps=steps,
-                              initials=r0, histories=histories,
-                              telemetry=rec,
-                              fault_events=all_fault_events,
-                              structural_events=all_structural_events,
-                              history_policy=history,
-                              block_size=(block if block_size is not None
-                                          else None))
+        return res
 
-    def _run_ensemble_block(self, r0, base, end, max_steps, tol, settle,
-                            max_period, limit, history, fault_states,
-                            structural_states,
-                            rec, outcomes, periods, steps, finals,
-                            histories, mask_events, timings, totals):
-        """Evolve members ``base:end`` of ``r0``; write results in place.
+    def _run_block(self, res, base, end, max_steps, tol, settle,
+                   max_period, fault_states, structural_states, gate, tau,
+                   mask_events, timings, totals):
+        """Evolve members ``base:end`` of ``res.initials``; write ``res``
+        in place.
 
-        One block of :meth:`run_ensemble`: the per-step loop, masking,
+        One block of :meth:`_run_batch`: the per-step loop, masking,
         and period detection over a contiguous member slice, writing
-        into the caller's result arrays at absolute member indices and
-        appending ``(step, member, kind)`` mask events.  Fault and
-        structural states are indexed by absolute member so blocked
-        streams match the one-shot path exactly.
+        into ``res`` at absolute member indices and appending ``(step,
+        member, kind)`` mask events.  Fault and structural states, the
+        settle counts and the gate's ``members`` argument are indexed
+        by absolute member, so blocked streams match the one-shot path
+        exactly.
         """
+        rec = res.telemetry
         mb = end - base
+        r0 = res.initials[base:end]
         n = r0.shape[1]
+        limit = self.DIVERGENCE_FACTOR * self._mu_max
         block_states = (fault_states[base:end]
                         if fault_states is not None else None)
         block_structural = (structural_states[base:end]
                             if structural_states is not None else None)
+        settle = settle[base:end]
         # Rolling tail for period detection: _detect_period probes lags
         # up to max_period over a window of 3 * max_period, so the last
         # 4 * max_period states suffice.
         tcap = min(4 * max_period, max_steps + 1)
         tail = None
-        if history != "none":
+        if res.history_policy != "none":
             tail = np.zeros((mb, tcap, n), dtype=float)
-            tail[:, 0] = r0[base:end]
+            tail[:, 0] = r0
         full = None
-        if history == "full":
+        if res.history_policy == "full":
             full = np.empty((mb, max_steps + 1, n))
-            full[:, 0] = r0[base:end]
+            full[:, 0] = r0
         quiet = np.zeros(mb, dtype=int)
 
         idx = np.arange(mb)           # block members still iterating
-        r = r0[base:end].copy()       # their current states, compressed
+        r = r0.copy()                 # their current states, compressed
         # Controller state rides alongside r and is masked with it, so
         # finished members stop paying for gateway updates too.
         ctrl = (self._bank.initial_state_batch(mb)
                 if self._bank is not None else None)
+        # Delayed-feedback ring, tau > 0 only: slot s % (tau + 1) holds
+        # the state of time s and every slot starts at the initial
+        # condition (the scalar runner's pre-filled deque), so the slot
+        # step t is about to overwrite holds the tau-stale state the
+        # observe stage reads.  Rows are compressed alongside r.  At
+        # tau = 0 that slot would always equal r.
+        ring = np.tile(r[np.newaxis], (tau + 1, 1, 1)) if tau else None
+        stale = mask = None
         for step_count in range(1, max_steps + 1):
             if rec is not None:
                 t0 = time.perf_counter()
+            if ring is not None:
+                slot = step_count % (tau + 1)
+                stale = ring[slot]
+            if gate is not None:
+                mask = gate(step_count, base + idx)
             if ctrl is not None:
                 r_next, ctrl = self._controlled_rows(r, ctrl)
             else:
                 r_next = self._step_rows(r, block_states, idx, step_count,
-                                         block_structural)
+                                         block_structural, stale, mask)
+            if ring is not None:
+                ring[slot] = r_next
             if rec is not None:
                 timings["step"] += time.perf_counter() - t0
                 t0 = time.perf_counter()
@@ -983,21 +1001,21 @@ class FlowControlSystem:
                 within = change <= tol * np.maximum(1.0, peak)
             quiet_next = np.where(within, quiet[idx] + 1, 0)
             quiet[idx] = quiet_next
-            converged = (quiet_next >= settle) & ~diverged
+            converged = (quiet_next >= settle[idx]) & ~diverged
             done = diverged | converged
 
             if np.any(done):
                 done_members = idx[done]
-                finals[base + done_members] = r_next[done]
-                steps[base + done_members] = step_count
+                res.finals[base + done_members] = r_next[done]
+                res.steps[base + done_members] = step_count
                 for m, is_div in zip(done_members, diverged[done]):
                     member = base + int(m)
                     if is_div:
-                        outcomes[member] = Outcome.DIVERGED
+                        res.outcomes[member] = Outcome.DIVERGED
                         totals["diverged"] += 1
                     else:
-                        outcomes[member] = Outcome.CONVERGED
-                        periods[member] = 1
+                        res.outcomes[member] = Outcome.CONVERGED
+                        res.periods[member] = 1
                         totals["converged"] += 1
                     mask_events.append(
                         (step_count, member,
@@ -1007,6 +1025,8 @@ class FlowControlSystem:
                 r = r_next[keep]
                 if ctrl is not None:
                     ctrl = ctrl[keep]
+                if ring is not None:
+                    ring = ring[:, keep]
                 if rec is not None:
                     finite_changes = change[keep][np.isfinite(change[keep])]
                     rec.observe_iteration(
@@ -1029,8 +1049,8 @@ class FlowControlSystem:
             # Members that exhausted the step budget: reconstruct the
             # ordered tail from the ring buffer and look for a cycle
             # (skipped — UNDECIDED — under history="none").
-            finals[base + idx] = r
-            steps[base + idx] = max_steps
+            res.finals[base + idx] = r
+            res.steps[base + idx] = max_steps
             if tail is not None:
                 if rec is not None:
                     t0 = time.perf_counter()
@@ -1041,8 +1061,8 @@ class FlowControlSystem:
                     period = _detect_period(ordered, max_period, tol,
                                             total_len=max_steps + 1)
                     if period is not None:
-                        outcomes[base + m] = Outcome.OSCILLATING
-                        periods[base + m] = period
+                        res.outcomes[base + m] = Outcome.OSCILLATING
+                        res.periods[base + m] = period
                 if rec is not None:
                     timings["period"] += time.perf_counter() - t0
                     totals["period_ran"] += 1
@@ -1051,7 +1071,7 @@ class FlowControlSystem:
             # Views, not copies: each member's trajectory window into
             # the block buffer (see EnsembleResult.histories).
             for m in range(mb):
-                histories[base + m] = full[m, :steps[base + m] + 1]
+                res.histories[base + m] = full[m, :res.steps[base + m] + 1]
 
     def solve(self, initial: Sequence[float], **kwargs) -> np.ndarray:
         """Run to convergence and return the steady state; raise otherwise."""
@@ -1062,18 +1082,27 @@ class FlowControlSystem:
         return traj.final
 
 
-def _resolve_history(record: bool, history: Optional[str]) -> str:
-    """Resolve the ``record``/``history`` pair to one retention policy."""
-    if history is None:
-        return "full" if record else "tail"
-    if history not in HISTORY_POLICIES:
-        raise SweepError(
-            f"history must be one of {HISTORY_POLICIES}, got {history!r}")
-    if record and history != "full":
-        raise SweepError(
-            f"record=True keeps full histories and conflicts with "
-            f"history={history!r}; drop one of the two")
-    return history
+def _check_loop(max_steps, settle, max_period) -> None:
+    """Raise :class:`~repro.errors.SweepError` unless ``max_steps`` is
+    an int >= 0 and ``settle`` and ``max_period`` are ints >= 1
+    (``settle`` may also be an int array, one count per member)."""
+    for name, value, low in (("max_steps", max_steps, 0),
+                             ("settle", settle, 1),
+                             ("max_period", max_period, 1)):
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iu" or np.any(arr < low):
+            raise SweepError(
+                f"{name} must be an int >= {low}, got {value!r}")
+
+
+def _merged_events(states) -> Optional[list]:
+    """Every per-member state's events in (step, member) order, or
+    ``None`` when there are no states."""
+    if states is None:
+        return None
+    events = [event for state in states for event in state.events]
+    events.sort(key=lambda e: (e.step, e.member))
+    return events
 
 
 def _resolve_block_size(block_size, m_total: int) -> int:
@@ -1090,7 +1119,7 @@ def _resolve_block_size(block_size, m_total: int) -> int:
         warnings.warn(
             f"block_size={block_size} exceeds the ensemble size "
             f"M={m_total}; running as a single block",
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=4)
         return m_total
     return int(block_size)
 

@@ -61,8 +61,10 @@ class RunRecord:
             (empty for fault-free runs).
         outcome_counts: final tally per outcome name.
         steps: total number of map applications performed.
-        phase_seconds: wall time per engine phase (``"step"``,
-            ``"classify"``, ``"period_detection"``).
+        phase_seconds: wall time per engine phase: ``"step"`` for a
+            scalar run, ``"step_batch"`` and ``"classify"`` for the
+            ensembles, and ``"period_detection"`` whenever a limit
+            cycle was searched for.
         wall_seconds: total wall time of the call.
         n_blocks: number of member blocks the ensemble was executed in
             (1 for unblocked runs and scalar trajectories).

@@ -764,7 +764,7 @@ def check_blocked_equivalence(ctx: ScenarioContext) -> OracleResult:
     """
     budget = min(ctx.spec.max_steps, 400)
     initials = ctx.probes
-    kwargs = dict(max_steps=budget, tol=ctx.spec.tol, record=True)
+    kwargs = dict(max_steps=budget, tol=ctx.spec.tol, history="full")
     blocked = ctx.system.run_ensemble(initials, block_size=2, **kwargs)
     oneshot = ctx.system.run_ensemble(initials, **kwargs)
     if not np.array_equal(blocked.finals, oneshot.finals):

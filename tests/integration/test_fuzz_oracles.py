@@ -453,16 +453,20 @@ class TestAsyncOracles:
 
     def test_async_fixed_point_catches_drifting_steady_state(
             self, monkeypatch):
-        # Bias the async engine's clip stage: the synchronous reference
-        # (dynamics.py has its own import) still converges to the true
-        # fixed point, but every async trajectory drifts off it.
-        import repro.core.asynchronous as async_mod
-        orig = async_mod.clip_nonnegative
+        # Bias the gate stage, the one stage no synchronous run executes:
+        # the batch stepper drifts only when it is handed a clock mask
+        # (its seventh positional argument), so the synchronous
+        # reference still converges to the true fixed point, but every
+        # async trajectory drifts off it.
+        from repro.core.dynamics import FlowControlSystem
+        orig = FlowControlSystem._step_rows
 
-        def biased(vec, xp=np):
-            return orig(vec, xp=xp) + 1e-4
+        def biased(self, r, *args):
+            out = orig(self, r, *args)
+            gated = len(args) > 5 and args[5] is not None
+            return out + 1e-4 if gated else out
 
-        monkeypatch.setattr(async_mod, "clip_nonnegative", biased)
+        monkeypatch.setattr(FlowControlSystem, "_step_rows", biased)
         fails = failing_oracles(self.clocked_spec(),
                                 ["async-fixed-point"])
         assert fails == ("async-fixed-point",)

@@ -72,7 +72,7 @@ class TestScalarEquivalence:
         sched = BernoulliSchedule(0.4, seed=9)
         ens = run_async_ensemble(system, initials, schedule=sched,
                                  signal_delay=1, max_steps=300,
-                                 record=True)
+                                 history="full")
         runner = AsynchronousRunner(system, sched, signal_delay=1)
         for m in range(len(ens)):
             traj = runner.run(initials[m], max_steps=300)
@@ -98,7 +98,7 @@ class TestBlockedAndRecording:
         initials = _initials(4, m=5)
         sched = ClockSchedule(RateMixClock(seed=1))
         kwargs = dict(schedule=sched, signal_delay=2, max_steps=400,
-                      record=True)
+                      history="full")
         blocked = run_async_ensemble(system, initials, block_size=2,
                                      **kwargs)
         oneshot = run_async_ensemble(system, initials, **kwargs)
@@ -190,7 +190,7 @@ class TestRingBufferBoundaries:
                                      SynchronousSchedule())
         ens = run_async_ensemble(system, r0[np.newaxis],
                                  signal_delay=0, max_steps=steps,
-                                 settle=steps + 1, record=True)
+                                 settle=steps + 1, history="full")
         got = ens.histories[0]
         assert np.array_equal(got[:steps + 1], expected[:got.shape[0]])
 
@@ -204,7 +204,7 @@ class TestRingBufferBoundaries:
                                      SynchronousSchedule())
         ens = run_async_ensemble(system, r0[np.newaxis],
                                  signal_delay=tau, max_steps=tau + 3,
-                                 settle=tau + 4, record=True)
+                                 settle=tau + 4, history="full")
         assert np.array_equal(ens.histories[0], expected)
         # The warm-up really is constant-signal: recompute step 2 from
         # r_1 instead of r_0 and check it would have differed.
@@ -220,7 +220,7 @@ class TestRingBufferBoundaries:
                                      SynchronousSchedule())
         ens = run_async_ensemble(system, r0[np.newaxis],
                                  signal_delay=tau, max_steps=steps,
-                                 record=True)
+                                 history="full")
         assert ens.outcomes[0] is Outcome.UNDECIDED
         assert np.array_equal(ens.histories[0], expected)
         # And the scalar runner agrees bit-exactly.

@@ -216,7 +216,7 @@ class TestRunEnsemble:
             rng = np.random.default_rng(7)
             starts = rng.uniform(0.0, 0.6, size=(8, 3))
             starts[0] = 0.0
-            result = system.run_ensemble(starts, record=True, **kwargs)
+            result = system.run_ensemble(starts, history="full", **kwargs)
             assert len(result) == 8
             for m in range(8):
                 traj = system.run(starts[m], **kwargs)
@@ -263,7 +263,7 @@ class TestRunEnsemble:
     def test_empty_ensemble_well_shaped(self):
         system = self._system()
         result = system.run_ensemble(np.empty((0, 3)), max_steps=500,
-                                     record=True)
+                                     history="full")
         assert len(result) == 0
         assert result.finals.shape == (0, 3)
         assert result.initials.shape == (0, 3)

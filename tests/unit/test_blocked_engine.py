@@ -102,18 +102,6 @@ class TestHistoryPolicies:
         assert result.history_policy == "tail"
         assert result.histories is None
 
-    def test_record_true_means_full(self, system, starts):
-        via_record = system.run_ensemble(starts, max_steps=300,
-                                         record=True)
-        via_policy = system.run_ensemble(starts, max_steps=300,
-                                         history="full")
-        assert via_record.history_policy == "full"
-        assert via_policy.history_policy == "full"
-        _same(via_record, via_policy)
-        for m in range(len(via_record)):
-            assert np.array_equal(via_record.histories[m],
-                                  via_policy.histories[m])
-
     def test_none_policy_keeps_finals_drops_retention(self, system,
                                                       starts):
         lean = system.run_ensemble(starts, max_steps=300,
@@ -123,7 +111,7 @@ class TestHistoryPolicies:
         assert lean.outcomes == full.outcomes
         assert np.array_equal(lean.steps, full.steps)
         assert lean.histories is None
-        with pytest.raises(RateVectorError, match="record=True"):
+        with pytest.raises(RateVectorError, match="history='full'"):
             lean.trajectory(0)
 
     def test_none_policy_cannot_detect_oscillation(self, system):
@@ -147,7 +135,7 @@ class TestHistoryPolicies:
 class TestHistoryOwnership:
     def test_ensemble_histories_are_views_without_cross_aliasing(
             self, system, starts):
-        result = system.run_ensemble(starts, max_steps=300, record=True)
+        result = system.run_ensemble(starts, max_steps=300, history="full")
         # Views into the block buffer (the zero-copy contract)...
         assert all(h.base is not None for h in result.histories)
         # ...but distinct members never alias: writing through one view
@@ -191,11 +179,6 @@ class TestValidation:
     def test_bad_history_policy_raises(self, system, starts):
         with pytest.raises(SweepError, match="history must be one of"):
             system.run_ensemble(starts, max_steps=10, history="most")
-
-    def test_record_conflicts_with_partial_history(self, system, starts):
-        with pytest.raises(SweepError, match="record=True"):
-            system.run_ensemble(starts, max_steps=10, record=True,
-                                history="none")
 
     def test_empty_ensemble_accepts_policies(self, system):
         empty = system.run_ensemble(np.empty((0, 4)), max_steps=10,

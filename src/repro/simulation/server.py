@@ -95,14 +95,16 @@ class GatewayServer:
     def _evict_hog(self, arriving: Packet) -> bool:
         """Make room by evicting from the most-occupying connection.
 
-        Picks the connection with the most packets in system here; if
+        Picks the connection with the most packets in system here,
+        ties going to the lowest local position (a stable sort: an
+        unstable one orders ties differently from CPU to CPU); if
         its only packet is the one in service (never evicted), falls
         back to refusing the arrival.  Returns True when a slot was
         freed for ``arriving``.
         """
         now = self._scheduler.now
         counts = self.monitor.occupancy()
-        order = list(np.argsort(-counts))
+        order = list(np.argsort(-counts, kind="stable"))
         local = self.monitor.local_conns
         for pos in order:
             if counts[pos] <= 0:

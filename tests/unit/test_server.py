@@ -22,9 +22,8 @@ class _FixedServiceRng:
 
 
 def _server(discipline, mu=1.0, service_times=(1.0,) * 50,
-            buffer_size=None, drop_policy="tail"):
+            buffer_size=None, drop_policy="tail", conns=(0, 1)):
     sched = Scheduler()
-    conns = [0, 1]
     monitor = GatewayMonitor(conns)
     delivered = []
     server = GatewayServer(
@@ -115,6 +114,18 @@ class TestFiniteBuffer:
         assert server.in_system == 3
         assert monitor.drops[0] == 1
         assert monitor.drops[1] == 0
+
+    def test_longest_drop_tie_goes_to_lowest_position(self):
+        # Connections 2 and 3 tie at two packets each when connection
+        # 0's packet overflows the buffer: the tie goes to the lower
+        # local position, so connection 2 loses its newest packet.
+        sched, server, monitor, _ = _server(FifoQueue(), buffer_size=4,
+                                            drop_policy="longest",
+                                            conns=(0, 1, 2, 3))
+        for seq, conn in enumerate((2, 3, 2, 3, 0)):
+            server.arrive(_pkt(conn, seq))
+        assert list(monitor.drops) == [0, 0, 1, 0]
+        assert list(monitor.occupancy()) == [1, 0, 1, 2]
 
     def test_longest_falls_back_to_tail_when_hog_unevictable(self):
         # Only the in-service packet occupies the gateway: nothing can

@@ -52,10 +52,12 @@ compiled-quick:
 suite-smoke:
 	$(PYTHON) benchmarks/suite/run.py --smoke
 
-# Result digests of every benchmark unit, seeds 1 and 2, and of 11
-# fixed trajectory-engine cases (~1 min).  A change that must not move
-# any result prints the same lines as its parent: `make digests >
-# after.txt` on both, then `diff`.
+# Result digests of every benchmark unit, seeds 1 and 2, of 11 fixed
+# trajectory-engine cases, and of 23 seeded packet-simulator cases on
+# engine="auto" and engine="legacy" (~1 min; the two lines of a packet
+# case must agree).  A change that must not move any result prints the
+# same lines as its parent: `make digests > after.txt` on both, then
+# `diff`.
 digests:
 	$(PYTHON) benchmarks/digests.py
 

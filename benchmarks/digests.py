@@ -25,6 +25,22 @@ one-shot and blocked; and the scalar ``run`` and
 finals, steps, outcomes, periods, the retained histories and the run
 record's mask events and per-iteration series.
 
+A ``packet`` section follows: seeded open-loop runs of the packet
+simulator, two lines per case::
+
+    packet <case> auto <digest>
+    packet <case> legacy <digest>
+
+The cases cover FIFO, Fair Share, fixed-priority and Fair Queueing,
+each with tail and longest drop where valid (Fair Queueing cannot
+evict), on a single gateway, a tandem and a parking lot, all with
+finite buffers that overflow; every run changes its rates once
+(``set_rates``), and two Fair Share cases run in measured mode with one
+refresh.  Each digest hashes the event count, mean queues, arrival
+rates, drop fractions, throughput and delays.  Since ``engine="auto"``
+is bit-identical to the reference ``engine="legacy"``, the two lines of
+a case carry the same digest.
+
 A change that must not move any result prints the same lines as its
 parent, so ``diff`` of the two outputs is the check.  The script uses
 only long-standing public APIs, so one copy runs on both commits.
@@ -59,8 +75,10 @@ from repro.core.ratecontrol import (  # noqa: E402
 from repro.core.rcp import RcpController  # noqa: E402
 from repro.core.signals import FeedbackStyle, LinearSaturating  # noqa
 from repro.core.steadystate import fair_steady_state  # noqa: E402
-from repro.core.topology import parking_lot, single_gateway  # noqa: E402
+from repro.core.topology import (  # noqa: E402
+    parking_lot, single_gateway, tandem)
 from repro.faults import FaultPlan, SignalLoss  # noqa: E402
+from repro.simulation.network_sim import NetworkSimulation  # noqa: E402
 
 SEEDS = (1, 2)
 SIGNAL = LinearSaturating()
@@ -236,6 +254,61 @@ ENGINE_CASES = {
 }
 
 
+#: name -> network of the packet cases; every gateway has mu = 1.
+PACKET_TOPOLOGIES = {
+    "single": lambda: single_gateway(4, mu=1.0, latency=0.5),
+    "tandem": lambda: tandem(2, 4, mu=1.0, latency=0.5),
+    "parking-lot": lambda: parking_lot(3, latency=0.5, cross_per_hop=2),
+}
+
+
+def _packet_cases():
+    """case name -> NetworkSimulation keywords (bar engine and seed)."""
+    cases = {}
+    for topo, build in PACKET_TOPOLOGIES.items():
+        for disc in ("fifo", "fair-share", "fixed-priority",
+                     "fair-queueing"):
+            for policy in ("tail", "longest"):
+                if disc == "fair-queueing" and policy == "longest":
+                    continue
+                cases[f"{disc}-{policy}-{topo}"] = dict(
+                    network=build(), discipline_kind=disc,
+                    drop_policy=policy)
+    for policy in ("tail", "longest"):
+        cases[f"fair-share-measured-{policy}-tandem"] = dict(
+            network=tandem(2, 4, mu=1.0, latency=0.5),
+            discipline_kind="fair-share", drop_policy=policy,
+            rate_mode="measured")
+    return cases
+
+
+def _packet_run(engine, network, **kwargs):
+    """Offered load 1.3 at the busiest gateway, buffers of 4, one rate
+    change (and one measured refresh before it); digest of every
+    public statistic and the event count."""
+    n = network.num_connections
+    busiest = max(len(network.connections_at(g))
+                  for g in network.gateway_names)
+    rates = 1.3 / busiest * np.linspace(0.6, 1.4, n)
+    sim = NetworkSimulation(network, seed=11, initial_rates=rates,
+                            buffer_sizes=4, engine=engine, **kwargs)
+    sim.run_for(100.0)
+    sim.reset_statistics()
+    sim.run_for(1500.0)
+    if kwargs.get("rate_mode") == "measured":
+        sim.refresh_measured_rates()
+    sim.set_rates(rates[::-1])
+    sim.run_for(1500.0)
+    h = hashlib.sha256(repr(sim.events_processed).encode())
+    for stats in (sim.mean_queue_lengths(), sim.measured_arrival_rates(),
+                  sim.drop_fractions()):
+        for g in network.gateway_names:
+            h.update(stats[g].tobytes())
+    h.update(sim.throughput().tobytes())
+    h.update(sim.mean_delays().tobytes())
+    return h.hexdigest()[:16]
+
+
 def main() -> int:
     for seed in SEEDS:
         for name, workload_cls in workloads.WORKLOADS.items():
@@ -245,6 +318,10 @@ def main() -> int:
                       flush=True)
     for name, case in ENGINE_CASES.items():
         print(f"engine {name} {case()}", flush=True)
+    for name, kwargs in _packet_cases().items():
+        for engine in ("auto", "legacy"):
+            print(f"packet {name} {engine} {_packet_run(engine, **kwargs)}",
+                  flush=True)
     return 0
 
 

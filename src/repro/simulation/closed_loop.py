@@ -101,8 +101,8 @@ def run_closed_loop(network: Network,
 
     ``engine`` selects the simulation engine (see
     :class:`~repro.simulation.network_sim.NetworkSimulation`):
-    ``"auto"`` uses the fast kernel whenever the configuration allows,
-    with bit-identical trajectories to ``"legacy"``.
+    ``"auto"`` runs every configuration on the fast kernel, with
+    trajectories bit-identical to the reference ``"legacy"`` engine.
 
     When an :func:`repro.observability.collect` session is active, a
     :class:`~repro.observability.RunRecord` is emitted whose

@@ -18,22 +18,27 @@
   monolithic loop with the calendar, pool, RNG buffers and statistics
   all inlined into locals) services back-to-back departures at a
   gateway without touching the calendar whenever the next completion
-  *strictly* precedes every pending event; ties and the preemptive
-  class disciplines take the general path.
+  *strictly* precedes every pending event; ties, the preemptive class
+  disciplines and Fair Queueing take the general path;
+* Fair Queueing keeps the legacy virtual clock and finish tags per
+  gateway (:class:`_FairQueueingGateway`), and the drop-from-longest
+  buffer policy evicts through :meth:`FastEngine._evict_longest`,
+  which runs only on overflow.
 
 Correctness bar: given the same seed, the kernel consumes every random
 stream in the same order and performs the same float arithmetic as the
 legacy engine, so trajectories are **bit-identical** — for FIFO, Fair
-Share and fixed-priority alike (the equivalence tests assert 0 ulp).
-The burst path is exact, not approximate: when the next completion
+Share, fixed-priority and Fair Queueing, under drop-tail and
+drop-from-longest alike (the equivalence tests assert 0 ulp).  The
+burst path is exact, not approximate: when the next completion
 strictly precedes all pending events, the legacy engine would pop that
 completion next anyway, and on a tie the kernel falls back to the
 calendar where the fresh completion's later insertion sequence loses
 the tie exactly as it would have under the legacy scheduler.
 
-Unsupported configurations (Fair Queueing, drop-from-longest with
-finite buffers) stay on the legacy engine; see
-``NetworkSimulation(engine="auto")``.
+Every configuration ``NetworkSimulation`` accepts runs here; the legacy
+engine (``engine="legacy"``) is kept only as the reference these
+guarantees are tested against.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ __all__ = [
     "KernelGatewayStats",
     "KernelEndToEndStats",
     "KernelServerView",
-    "supports_fast_engine",
 ]
 
 # Event kinds (the calendar's integer ``kind`` column).
@@ -64,25 +68,9 @@ _COMPLETE = 1  # a = gateway index
 _HANDOFF = 2   # a = packet id, b = next hop index on its path
 _SINK = 3      # a = packet id
 
-#: Disciplines the kernel implements (Fair Queueing's virtual-clock
-#: bookkeeping is left to the legacy engine).
-_FAST_DISCIPLINES = ("fifo", "fair-share", "fixed-priority")
-
-
-def supports_fast_engine(discipline_kind: str,
-                         buffer_map: Dict[str, Optional[int]],
-                         drop_policy: str) -> bool:
-    """Can :class:`FastEngine` run this configuration exactly?
-
-    Everything except Fair Queueing and the drop-from-longest eviction
-    policy (which only matters when some buffer is finite).
-    """
-    if discipline_kind not in _FAST_DISCIPLINES:
-        return False
-    has_finite = any(v is not None for v in buffer_map.values())
-    if drop_policy == "longest" and has_finite:
-        return False
-    return True
+#: Disciplines the kernel implements: all four of the legacy engine's.
+_FAST_DISCIPLINES = ("fifo", "fair-share", "fixed-priority",
+                     "fair-queueing")
 
 
 class KernelGatewayStats:
@@ -141,6 +129,17 @@ class KernelGatewayStats:
     def on_drop(self, conn: int, now: float) -> None:
         self.accumulate(now)
         self._e.st_drops[self._g][self.pos[conn]] += 1
+
+    def on_evict(self, conn: int, now: float) -> None:
+        self.accumulate(now)
+        e, g, pos = self._e, self._g, self.pos[conn]
+        if e.st_count[g][pos] <= 0:
+            raise SimulationError(
+                f"eviction of connection {conn} with empty gateway count")
+        e.st_count[g][pos] -= 1
+        if e.st_arrivals[g][pos] > 0:
+            e.st_arrivals[g][pos] -= 1
+        e.st_drops[g][pos] += 1
 
     def reset_statistics(self, now: float) -> None:
         self.accumulate(now)
@@ -290,6 +289,63 @@ class KernelServerView:
         return self._engine.in_system_count[self._g]
 
 
+class _FairQueueingGateway:
+    """One gateway's Fair Queueing state over packet ids.
+
+    :class:`~repro.simulation.queues.FairQueueingQueue` with local
+    positions for connections and an integer count of backlogged
+    positions instead of a recount per call: the same operations in the
+    same order, hence the same floats.  ``backlog`` counts a position's
+    waiting packets plus the one in service.
+    """
+
+    __slots__ = ("heap", "counter", "virtual", "last_update", "finish",
+                 "backlog", "active")
+
+    def __init__(self, n_local: int):
+        self.heap: list = []  # (finish, counter, pid)
+        self.counter = 0
+        self.virtual = 0.0
+        self.last_update = 0.0
+        self.finish = [0.0] * n_local
+        self.backlog = [0] * n_local
+        self.active = 0
+
+    def advance(self, now: float) -> None:
+        if self.active > 0:
+            self.virtual += (now - self.last_update) / self.active
+        self.last_update = now
+
+    def push(self, pid: int, pos: int, service: float, now: float) -> None:
+        self.advance(now)
+        finish = max(self.virtual, self.finish[pos]) + service
+        self.finish[pos] = finish
+        self.counter += 1
+        heapq.heappush(self.heap, (finish, self.counter, pid))
+        if not self.backlog[pos]:
+            self.active += 1
+        self.backlog[pos] += 1
+
+    def pop(self, now: float) -> int:
+        """The packet with the smallest finish tag, or -1."""
+        self.advance(now)
+        if not self.heap:
+            return -1
+        return heapq.heappop(self.heap)[2]
+
+    def release(self, pos: int, now: float) -> None:
+        """The packet in service at ``pos`` completed.  When the
+        gateway drains, a new busy period starts: the clock and the
+        tags reset (the last-update time does not)."""
+        self.advance(now)
+        self.backlog[pos] -= 1
+        if not self.backlog[pos]:
+            self.active -= 1
+        if not self.heap:
+            self.virtual = 0.0
+            self.finish[:] = [0.0] * len(self.finish)
+
+
 class FastEngine:
     """Flat-data discrete-event engine behind ``NetworkSimulation``.
 
@@ -304,7 +360,8 @@ class FastEngine:
                  buffer_map: Dict[str, Optional[int]], drop_policy: str):
         if discipline_kind not in _FAST_DISCIPLINES:
             raise SimulationError(
-                f"fast engine does not implement {discipline_kind!r}")
+                f"unknown discipline {discipline_kind!r}; choose from "
+                f"{sorted(_FAST_DISCIPLINES)}")
         gw_names = list(network.gateway_names)
         n_gw = len(gw_names)
         n = network.num_connections
@@ -342,15 +399,23 @@ class FastEngine:
         # test a single integer comparison.
         self.buffer_cap = [s if s is not None else (1 << 62)
                            for s in self.buffer_size]
+        #: Whether an overflow evicts (drop-from-longest with some
+        #: finite buffer) instead of refusing the newcomer.
+        self.evicts = drop_policy == "longest" and any(
+            s is not None for s in self.buffer_size)
 
-        # Queues: one deque per gateway (FIFO) or one per priority
-        # class (the class-based disciplines never need more classes
-        # than local connections).
+        # Queues: one deque per gateway (FIFO), one per priority class
+        # (the class-based disciplines never need more classes than
+        # local connections), or a finish-tag heap (Fair Queueing).
+        self.queues: Optional[List[deque]] = None
+        self.cqueues: Optional[List[List[deque]]] = None
+        self.fq: Optional[List[_FairQueueingGateway]] = None
         if discipline_kind == "fifo":
-            self.queues: Optional[List[deque]] = [deque() for _ in gw_names]
-            self.cqueues = None
+            self.queues = [deque() for _ in gw_names]
+        elif discipline_kind == "fair-queueing":
+            self.fq = [_FairQueueingGateway(len(lc))
+                       for lc in self.local_conns]
         else:
-            self.queues = None
             self.cqueues = [[deque() for _ in lc] for lc in self.local_conns]
 
         # Server state: packet id in service (or -1), its scheduled
@@ -490,17 +555,50 @@ class FastEngine:
             self.fs_tables[g] = table
 
     # ------------------------------------------------------------------
-    # general-path event handlers (class-based disciplines)
+    # drop-from-longest eviction (overflow only; both loops)
+    # ------------------------------------------------------------------
+    def _evict_longest(self, g: int, now: float) -> bool:
+        """Make room at the full gateway ``g`` as the legacy
+        ``GatewayServer._evict_hog`` does: the connection with the most
+        packets here (ties to the lowest local position) loses its most
+        recent *waiting* packet.  False when no candidate has one; the
+        caller then refuses the arrival."""
+        counts = self.st_count[g]
+        p_conn = self.pool.conn
+        if self.queues is not None:
+            queues = (self.queues[g],)
+        else:  # class disciplines: lowest-priority class first
+            queues = self.cqueues[g][::-1]
+        # ``sorted`` is stable, also with ``reverse``.
+        for pos in sorted(range(len(counts)), key=counts.__getitem__,
+                          reverse=True):
+            if counts[pos] <= 0:
+                break
+            conn = self.local_conns[g][pos]
+            for q in queues:
+                for idx in range(len(q) - 1, -1, -1):
+                    pid = q[idx]
+                    if p_conn[pid] == conn:
+                        del q[idx]
+                        self.gw_stats[g].on_evict(conn, now)
+                        self.in_system_count[g] -= 1
+                        self.pool.free(pid)
+                        return True
+        return False
+
+    # ------------------------------------------------------------------
+    # general-path event handlers (class disciplines, Fair Queueing)
     # ------------------------------------------------------------------
     def _arrive(self, g: int, pid: int, now: float) -> None:
         """A packet reaches gateway ``g`` — the legacy ``arrive`` order:
-        buffer check (drop before any draw), service draw, monitor,
-        enqueue, then start or preempt."""
+        buffer check (evict or drop before any draw), service draw,
+        monitor, enqueue, then start or preempt."""
         pool = self.pool
         conn = pool.conn[pid]
         stats = self.gw_stats[g]
         size = self.buffer_size[g]
-        if size is not None and self.in_system_count[g] >= size:
+        if (size is not None and self.in_system_count[g] >= size
+                and not (self.evicts and self._evict_longest(g, now))):
             stats.on_drop(conn, now)
             pool.free(pid)
             return
@@ -509,8 +607,13 @@ class FastEngine:
         stats.on_arrival(conn, now)
         self.in_system_count[g] += 1
 
-        # Classify into a priority class.
         pos = self.local_pos[g][conn]
+        if self.fq is not None:  # non-preemptive: start only if idle
+            self.fq[g].push(pid, pos, pool.remaining[pid], now)
+            if self.serving[g] < 0:
+                self._start_next(g, now)
+            return
+        # Classify into a priority class.
         if self.thin_buf is not None:  # fair-share thinning
             entry = self.fs_tables[g][pos]
             if entry is None:
@@ -546,10 +649,13 @@ class FastEngine:
 
     def _start_next(self, g: int, now: float) -> None:
         pid = -1
-        for q in self.cqueues[g]:
-            if q:
-                pid = q.popleft()
-                break
+        if self.fq is not None:
+            pid = self.fq[g].pop(now)
+        else:
+            for q in self.cqueues[g]:
+                if q:
+                    pid = q.popleft()
+                    break
         if pid < 0:
             self.serving[g] = -1
             self.completion_slot[g] = -1
@@ -574,6 +680,8 @@ class FastEngine:
         self.serving[g] = -1
         self.completion_slot[g] = -1
         conn = pool.conn[pid]
+        if self.fq is not None:
+            self.fq[g].release(self.local_pos[g][conn], now)
         self.gw_stats[g].on_departure(conn, now)
         self.in_system_count[g] -= 1
         path = self.paths[conn]
@@ -756,8 +864,10 @@ class FastEngine:
                         c_svc = svc_buf[g]
                         c_mu = mu_scale[g]
                         c_cap = buffer_cap[g]
-                    # --- arrive at g (inlined) ---
-                    if in_sys[g] >= c_cap:
+                    # --- arrive at g (inlined; on overflow, evict or
+                    # refuse) ---
+                    if in_sys[g] >= c_cap and not (
+                            self.evicts and self._evict_longest(g, now)):
                         dt = now - st_last[g]
                         if dt > 0.0:
                             for j, c in enumerate(c_cnt):
@@ -903,7 +1013,8 @@ class FastEngine:
                         c_mu = mu_scale[g]
                         c_cap = buffer_cap[g]
                     # --- arrive at g (inlined, same as EMIT's) ---
-                    if in_sys[g] >= c_cap:
+                    if in_sys[g] >= c_cap and not (
+                            self.evicts and self._evict_longest(g, now)):
                         dt = now - st_last[g]
                         if dt > 0.0:
                             for j, c in enumerate(c_cnt):

@@ -4,11 +4,12 @@
 FastEngine` whose ``_run_fifo`` executes inside the runtime-compiled C
 library from :mod:`repro.backends._cext` instead of the Python
 bytecode loop.  Everything else — construction, rate pushes, the
-general (class-discipline) loop, the measurement surface — is
-inherited unchanged, and when the C library is unavailable (no
+general loop (class disciplines, Fair Queueing), the measurement
+surface — is inherited unchanged, and when the C library is unavailable (no
 compiler, failed build) every call falls back to the inherited Python
 loop, so ``engine="compiled"`` degrades gracefully to ``engine="fast"``
-behaviour with identical results.
+behaviour with identical results.  The C loop has no drop-from-longest
+eviction, so a configuration that evicts also runs the Python loop.
 
 Bit-identity is by construction, not accident:
 
@@ -59,7 +60,7 @@ class CompiledFifoEngine(FastEngine):
         lib = self._lib
         bufs = self.svc_buf + self.arr_buf
         block = bufs[0]._block if bufs else 0
-        if (lib is None or block <= 0
+        if (lib is None or block <= 0 or self.evicts
                 or any(b._block != block or len(b._values) != block
                        for b in bufs)):
             self.fifo_fallbacks += 1

@@ -19,18 +19,19 @@ classes.  Two modes:
   gathered by their own monitors over the previous measurement window
   (what a real router could do).
 
-Two interchangeable engines run the system (``engine=`` selects):
+Interchangeable engines run the system (``engine=`` selects):
 
-* ``"legacy"`` — the original object engine: callback
-  :class:`~repro.simulation.events.Scheduler`, :class:`Packet`
-  dataclasses, per-draw numpy crossings;
 * ``"fast"`` — the :class:`~repro.simulation.kernel.FastEngine` on the
   struct-of-arrays calendar, pooled packet ids and buffered random
-  streams.  Same seed ⇒ bit-identical trajectories (same draws, same
-  event order, same float arithmetic).
-* ``"auto"`` (default) — the fast engine whenever it supports the
-  configuration (FIFO / Fair Share / fixed-priority with drop-tail
-  buffers); Fair Queueing and drop-from-longest fall back to legacy.
+  streams.  It runs every configuration this class accepts.
+* ``"auto"`` (default) — the same as ``"fast"``.
+* ``"compiled"`` — the fast engine with its FIFO loop in runtime-built
+  C (:class:`~repro.simulation.kernel_compiled.CompiledFifoEngine`).
+* ``"legacy"`` — the original object engine: callback
+  :class:`~repro.simulation.events.Scheduler`, :class:`Packet`
+  dataclasses, per-draw numpy crossings.  It is the reference the
+  others are tested against: same seed ⇒ bit-identical trajectories
+  (same draws, same event order, same float arithmetic).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from ..core.topology import Network
 from ..errors import SimulationError
 from .events import EventHandle, Scheduler
-from .kernel import FastEngine, KernelServerView, supports_fast_engine
+from .kernel import FastEngine, KernelServerView
 from .monitors import EndToEndMonitor, GatewayMonitor
 from .packet import Packet
 from .queues import make_discipline
@@ -78,6 +79,12 @@ class NetworkSimulation:
         else:
             buffer_map = {g: int(buffer_sizes)
                           for g in network.gateway_names}
+        if (discipline_kind == "fair-queueing" and drop_policy == "longest"
+                and any(v is not None for v in buffer_map.values())):
+            raise SimulationError(
+                "discipline 'fair-queueing' does not support "
+                "drop_policy 'longest' with finite buffers: it cannot "
+                "evict a queued packet")
         self.network = network
         self.discipline_kind = discipline_kind
         self.rate_mode = rate_mode
@@ -95,18 +102,7 @@ class NetworkSimulation:
                     np.isfinite(self._rates)):
                 raise SimulationError("initial rates must be finite and >= 0")
 
-        fast_ok = supports_fast_engine(discipline_kind, buffer_map,
-                                       drop_policy)
-        if engine in ("fast", "compiled") and not fast_ok:
-            raise SimulationError(
-                f"the {engine} engine does not support "
-                f"discipline {discipline_kind!r} with "
-                f"drop_policy {drop_policy!r} here; use engine='legacy'")
-        if engine == "compiled":
-            self.engine = "compiled"
-        else:
-            self.engine = "fast" if (engine != "legacy" and fast_ok) \
-                else "legacy"
+        self.engine = "fast" if engine == "auto" else engine
 
         # Rates the Fair Share classifier sees, per gateway (local order).
         self._fs_rates: Dict[str, np.ndarray] = {}
@@ -117,8 +113,8 @@ class NetworkSimulation:
         if self.engine in ("fast", "compiled"):
             if self.engine == "compiled":
                 # Same construction, compiled FIFO hot loop (with a
-                # graceful per-call fallback to the Python loop when
-                # no C tier could be built).
+                # per-call fallback to the Python loop when no C tier
+                # could be built or when an overflow may evict).
                 from .kernel_compiled import CompiledFifoEngine
                 engine_cls = CompiledFifoEngine
             else:

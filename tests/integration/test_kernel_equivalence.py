@@ -1,11 +1,11 @@
 """Integration tests: the fast struct-of-arrays kernel is bit-identical
 to the legacy object engine.
 
-Every supported configuration is run on both engines with the same seed
-and compared field by field — mean queue lengths, measured arrival
-rates, drop fractions, throughput, delays, *and* the processed event
-count (so the engines agree on the event schedule itself, not just on
-aggregate statistics).
+Configurations of every discipline and drop policy are run on both
+engines with the same seed and compared field by field — mean queue
+lengths, measured arrival rates, drop fractions, throughput, delays,
+*and* the processed event count (so the engines agree on the event
+schedule itself, not just on aggregate statistics).
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.ratecontrol import TargetRule
 from repro.core.signals import FeedbackStyle, LinearSaturating
-from repro.core.topology import Connection, Gateway, Network, single_gateway
+from repro.core.topology import (Connection, Gateway, Network, parking_lot,
+                                 single_gateway)
 from repro.errors import SimulationError
 from repro.observability import collect, validate_run_record
 from repro.simulation.closed_loop import run_closed_loop
@@ -21,6 +22,9 @@ from repro.simulation.network_sim import NetworkSimulation
 
 RATES4 = [0.2, 0.2, 0.25, 0.15]
 RATE_SEQ = [np.array([0.3, 0.1, 0.2, 0.2]), np.array([0.15, 0.25, 0.2, 0.1])]
+#: Offered load 1.7 on mu = 1: finite buffers overflow often.
+HEAVY4 = [0.5, 0.5, 0.4, 0.3]
+HEAVY_SEQ = [np.array([0.6, 0.3, 0.5, 0.3]), np.array([0.3, 0.6, 0.4, 0.5])]
 
 
 def _net4():
@@ -40,13 +44,20 @@ def _tandem(latency=0.5):
                                 Connection("c3", ("g0",))])
 
 
+def _parking_lot():
+    """Three hops, one long connection and two cross connections per
+    hop: seven connections."""
+    return parking_lot(3, latency=0.5, cross_per_hop=2)
+
+
 def _run(engine, disc, net, rates, horizon=400.0, seed=7, steps=0,
-         buffer_sizes=None, rate_mode="oracle", refresh=False,
-         rate_seq=None):
+         buffer_sizes=None, drop_policy="tail", rate_mode="oracle",
+         refresh=False, rate_seq=None):
     """One warmup + measurement run; returns every public statistic."""
     sim = NetworkSimulation(net, discipline_kind=disc, seed=seed,
                             initial_rates=rates, rate_mode=rate_mode,
-                            buffer_sizes=buffer_sizes, engine=engine)
+                            buffer_sizes=buffer_sizes,
+                            drop_policy=drop_policy, engine=engine)
     sim.run_for(horizon / 4)
     sim.reset_statistics()
     for k in range(max(1, steps)):
@@ -75,6 +86,13 @@ def _assert_engines_agree(**kw):
     assert np.array_equal(a["thr"], b["thr"])
     assert np.array_equal(a["delay"], b["delay"], equal_nan=True)
     assert a["events"] == b["events"]
+    return a
+
+
+def _assert_engines_agree_dropping(**kw):
+    """As :func:`_assert_engines_agree`, on a run that did overflow."""
+    out = _assert_engines_agree(**kw)
+    assert any(d.sum() > 0 for d in out["drop"].values())
 
 
 def _assert_compiled_matches_fast(**kw):
@@ -124,6 +142,62 @@ class TestBitIdentity:
         _assert_engines_agree(disc="fair-share", net=_net4_latency(),
                               rates=RATES4, rate_mode="measured",
                               steps=3, refresh=True)
+
+    def test_fair_queueing_with_latency(self):
+        _assert_engines_agree(disc="fair-queueing", net=_net4_latency(),
+                              rates=RATES4)
+
+    def test_tandem_fair_queueing_with_rate_updates(self):
+        _assert_engines_agree(disc="fair-queueing", net=_tandem(),
+                              rates=RATES4, steps=2, rate_seq=RATE_SEQ)
+
+    def test_fair_queueing_finite_buffer_tail_drop(self):
+        _assert_engines_agree_dropping(disc="fair-queueing",
+                                       net=_net4_latency(), rates=HEAVY4,
+                                       buffer_sizes=4)
+
+    def test_parking_lot_fair_queueing(self):
+        _assert_engines_agree(disc="fair-queueing", net=_parking_lot(),
+                              rates=[0.12] * 7, steps=2,
+                              rate_seq=[np.full(7, 0.08), np.full(7, 0.15)])
+
+    def test_fifo_longest_drop(self):
+        _assert_engines_agree_dropping(disc="fifo", net=_net4_latency(),
+                                       rates=HEAVY4, buffer_sizes=4,
+                                       drop_policy="longest")
+
+    def test_tandem_fifo_longest_drop_with_rate_updates(self):
+        _assert_engines_agree_dropping(disc="fifo", net=_tandem(),
+                                       rates=HEAVY4, buffer_sizes=3,
+                                       drop_policy="longest", steps=2,
+                                       rate_seq=HEAVY_SEQ)
+
+    def test_fair_share_longest_drop(self):
+        _assert_engines_agree_dropping(disc="fair-share",
+                                       net=_net4_latency(), rates=HEAVY4,
+                                       buffer_sizes=4,
+                                       drop_policy="longest")
+
+    def test_fair_share_longest_drop_measured_with_refresh(self):
+        _assert_engines_agree_dropping(disc="fair-share",
+                                       net=_net4_latency(), rates=HEAVY4,
+                                       buffer_sizes=4,
+                                       drop_policy="longest",
+                                       rate_mode="measured", steps=3,
+                                       refresh=True)
+
+    def test_fixed_priority_longest_drop(self):
+        _assert_engines_agree_dropping(disc="fixed-priority",
+                                       net=_net4_latency(), rates=HEAVY4,
+                                       buffer_sizes=4,
+                                       drop_policy="longest")
+
+    def test_parking_lot_fifo_longest_drop(self):
+        _assert_engines_agree_dropping(disc="fifo", net=_parking_lot(),
+                                       rates=[0.2] * 7, buffer_sizes=4,
+                                       drop_policy="longest", steps=2,
+                                       rate_seq=[np.full(7, 0.25),
+                                                 np.full(7, 0.15)])
 
     def test_measured_estimates_are_sane(self):
         out = _run("fast", disc="fair-share", net=_net4_latency(),
@@ -182,6 +256,20 @@ class TestCompiledEngine:
         assert np.array_equal(fast.final_delays, comp.final_delays,
                               equal_nan=True)
 
+    def test_fifo_longest_drop_runs_the_python_loop(self):
+        # The C loop has no eviction: each run falls back, and the
+        # results stay those of the fast engine.
+        _assert_compiled_matches_fast(disc="fifo", net=_tandem(),
+                                      rates=HEAVY4, buffer_sizes=3,
+                                      drop_policy="longest", steps=2,
+                                      rate_seq=HEAVY_SEQ)
+        sim = NetworkSimulation(_net4(), discipline_kind="fifo",
+                                initial_rates=HEAVY4, buffer_sizes=4,
+                                drop_policy="longest", engine="compiled")
+        sim.run_for(50.0)
+        sim.run_for(50.0)
+        assert sim._engine.fifo_fallbacks == 2
+
     def test_compiled_engine_is_selectable(self):
         sim = NetworkSimulation(_net4(), discipline_kind="fifo",
                                 initial_rates=RATES4,
@@ -189,9 +277,10 @@ class TestCompiledEngine:
         assert sim.engine == "compiled"
 
     def test_forced_compiled_on_unsupported_raises(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="fair-queueing"):
             NetworkSimulation(_net4(), discipline_kind="fair-queueing",
-                              initial_rates=RATES4, engine="compiled")
+                              initial_rates=RATES4, buffer_sizes=4,
+                              drop_policy="longest", engine="compiled")
 
 
 class TestEngineSelection:
@@ -201,16 +290,17 @@ class TestEngineSelection:
                                     initial_rates=RATES4)
             assert sim.engine == "fast"
 
-    def test_auto_falls_back_for_fair_queueing(self):
+    def test_auto_is_fast_for_fair_queueing(self):
         sim = NetworkSimulation(_net4(), discipline_kind="fair-queueing",
-                                initial_rates=RATES4)
-        assert sim.engine == "legacy"
+                                initial_rates=RATES4, buffer_sizes=4)
+        assert sim.engine == "fast"
 
-    def test_auto_falls_back_for_longest_drop(self):
-        sim = NetworkSimulation(_net4(), discipline_kind="fifo",
-                                initial_rates=RATES4, buffer_sizes=4,
-                                drop_policy="longest")
-        assert sim.engine == "legacy"
+    def test_auto_is_fast_for_longest_drop(self):
+        for disc in ("fifo", "fair-share", "fixed-priority"):
+            sim = NetworkSimulation(_net4(), discipline_kind=disc,
+                                    initial_rates=RATES4, buffer_sizes=4,
+                                    drop_policy="longest")
+            assert sim.engine == "fast"
 
     def test_longest_drop_with_infinite_buffers_stays_fast(self):
         # The eviction policy only matters when some buffer is finite.
@@ -220,9 +310,34 @@ class TestEngineSelection:
         assert sim.engine == "fast"
 
     def test_forced_fast_on_unsupported_raises(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="fair-queueing"):
             NetworkSimulation(_net4(), discipline_kind="fair-queueing",
-                              initial_rates=RATES4, engine="fast")
+                              initial_rates=RATES4, buffer_sizes=4,
+                              drop_policy="longest", engine="fast")
+
+    @pytest.mark.parametrize("engine", ["auto", "legacy"])
+    def test_fair_queueing_eviction_rejected_at_construction(self, engine):
+        # Fair Queueing cannot evict: the configuration fails before
+        # any event runs, on every engine, not mid-run on legacy.
+        with pytest.raises(SimulationError,
+                           match="'fair-queueing'.*'longest'"):
+            NetworkSimulation(single_gateway(2, mu=1.0), "fair-queueing",
+                              buffer_sizes=4, drop_policy="longest",
+                              engine=engine)
+
+    def test_closed_loop_rejects_fair_queueing_eviction(self):
+        with pytest.raises(SimulationError,
+                           match="'fair-queueing'.*'longest'"):
+            run_closed_loop(_net4(), TargetRule(eta=0.1, beta=0.4),
+                            LinearSaturating(),
+                            discipline_kind="fair-queueing",
+                            buffer_sizes={"g0": 4}, drop_policy="longest",
+                            control_interval=10.0, n_steps=2)
+
+    def test_fair_queueing_longest_drop_with_infinite_buffers(self):
+        # Without a finite buffer nothing is ever evicted.
+        _assert_engines_agree(disc="fair-queueing", net=_net4(),
+                              rates=RATES4, drop_policy="longest")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError):
@@ -260,6 +375,18 @@ class TestFuzzGeneratedConfigs:
         spec = next(s for s in fuzz_specs if len(s.gateways) > 1)
         _assert_engines_agree(disc=spec.discipline, net=spec.network(),
                               rates=list(spec.initial_rates))
+
+    def test_fuzz_multi_gateway_fair_queueing(self, fuzz_specs):
+        spec = next(s for s in fuzz_specs if len(s.gateways) > 1)
+        _assert_engines_agree(disc="fair-queueing", net=spec.network(),
+                              rates=list(spec.initial_rates))
+
+    def test_fuzz_multi_gateway_longest_drop(self, fuzz_specs):
+        spec = next(s for s in fuzz_specs if len(s.gateways) > 1)
+        _assert_engines_agree_dropping(
+            disc="fifo", net=spec.network(),
+            rates=list(2.0 * np.asarray(spec.initial_rates)),
+            buffer_sizes=3, drop_policy="longest")
 
 
 class TestClosedLoopEngines:

@@ -11,7 +11,8 @@ from repro.core.signals import (ExponentialSignal, FeedbackScheme,
                                 FeedbackStyle, LinearSaturating,
                                 PowerSaturating, SignalFunction,
                                 aggregate_congestion,
-                                individual_congestion)
+                                individual_congestion,
+                                individual_congestion_batch)
 from repro.core.topology import single_gateway, two_gateway_shared
 from repro.errors import RateVectorError
 
@@ -182,6 +183,17 @@ class TestCongestionMeasures:
         c = individual_congestion(q)
         assert c[0] == pytest.approx(2.0)  # min(inf, 1) = 1
         assert math.isinf(c[1])
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_individual_equal_queues_get_one_measure(self, n):
+        # Equal queues give equal measures, bit for bit, at every
+        # gateway size: here the Fair Share queues of equal rates.
+        q = FairShare().queue_lengths(np.full(n, 0.9 / n), 1.0)
+        c = individual_congestion(q)
+        assert np.unique(c).size == 1
+        assert c[0] == pytest.approx(q.sum())
+        batch = individual_congestion_batch(np.full((2, n), 0.7))
+        assert np.unique(batch).size == 1
 
     def test_individual_rejects_matrix(self):
         with pytest.raises(RateVectorError):

@@ -48,7 +48,7 @@ from bench_sim_kernel import _fifo_run
 
 from repro import backends
 from repro.backends import compiled
-from repro.core.fairshare import FairShare
+from repro.core.fairshare import _sorted_queues
 
 #: Full-scale minimum speedups (the committed BENCH_compiled.json
 #: targets): compiled C event loop vs the numpy fast kernel, and the
@@ -91,28 +91,26 @@ def bench_compiled_fifo(pairs=7, horizon=20000.0, intervals=20):
 def bench_fs_queue_law(pairs=7, members=64, n=512, reps=30, seed=5):
     """Paired sorted/compiled timings of the Fair Share queue law.
 
-    One rep evaluates ``queue_lengths_batch`` on a ``(members, n)``
-    batch — the numpy ``sorted`` pipeline vs the compiled kernel
-    (``method="compiled"``), proven bit-identical on the first pair.
+    One rep evaluates the queue law on a ``(members, n)`` batch — the
+    numpy sorted pipeline vs the compiled kernel, proven bit-identical
+    on the first pair.
     """
     rng = np.random.default_rng(seed)
     rates = rng.uniform(0.0, 2.0 / n, size=(members, n))
     rates[0, :8] = 0.0                      # idle sources
     rates[1] = 2.0 / n                      # overloaded row
-    discipline = FairShare()
 
-    def run(method):
+    def run(kernel):
         t0 = time.perf_counter()
         for _ in range(reps):
-            out = discipline.queue_lengths_batch(rates, mu=1.0,
-                                                 method=method)
+            out = kernel(rates, 1.0)
         return out, time.perf_counter() - t0
 
     ratios = []
     sorted_s = compiled_s = 0.0
     for p in range(pairs):
-        out_s, sorted_s = run("sorted")
-        out_c, compiled_s = run("compiled")
+        out_s, sorted_s = run(_sorted_queues)
+        out_c, compiled_s = run(compiled.fs_queue_batch)
         if p == 0:
             assert np.array_equal(out_s, out_c), \
                 "compiled queue law differs from the sorted pipeline"

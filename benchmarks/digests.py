@@ -11,7 +11,7 @@ artifact rows, ensemble finals and steps, oracle verdicts or packet
 rate histories).
 
 The units leave paths of the trajectory engine unexercised, so an
-``engine`` section follows: about ten fixed, seeded cases, one line
+``engine`` section follows: twelve fixed, seeded cases, one line
 each::
 
     engine <case> <digest>
@@ -20,8 +20,10 @@ They cover the synchronous ensemble one-shot, blocked and with full
 histories of converging, oscillating and diverging members; fault and
 structural plans; RCP in blocks; the asynchronous ensemble under a
 shared and under per-member schedules at signal delays 0 and 3,
-one-shot and blocked; and the scalar ``run`` and
-``AsynchronousRunner.run`` on the same systems.  Each digest hashes
+one-shot and blocked; the scalar ``run`` and
+``AsynchronousRunner.run`` on the same systems; and Fair Share
+individual feedback at ``N = 96`` started from equal rates and from a
+perturbation of them (ensemble and scalar runs).  Each digest hashes
 finals, steps, outcomes, periods, the retained histories and the run
 record's mask events and per-iteration series.
 
@@ -222,6 +224,21 @@ def _async(per_member, tau):
     return case
 
 
+def _fair_share_96():
+    """Fair Share individual feedback at N = 96, from equal rates and
+    from a perturbation of them: ensemble and scalar runs."""
+    system = FlowControlSystem(single_gateway(96, mu=1.0), FairShare(),
+                               SIGNAL,
+                               ProportionalTargetRule(eta=0.5, beta=0.5),
+                               style=IND)
+    equal = np.full(96, 0.9 / 96)
+    perturbed = equal * _rng(4).uniform(0.8, 1.2, size=96)
+    initials = np.vstack([equal, perturbed])
+    return _hash(system.run_ensemble(initials, max_steps=400,
+                                     telemetry=True),
+                 *(system.run(x0, max_steps=400) for x0 in initials))
+
+
 def _scalar_run():
     out = []
     for system, initials in (_fair_share(), _tcp_mixed(), *_mixed()):
@@ -251,6 +268,7 @@ ENGINE_CASES = {
     "async-members-tau3": _async(True, 3),
     "run": _scalar_run,
     "async-runner": _async_runner,
+    "fair-share-96": _fair_share_96,
 }
 
 

@@ -4,8 +4,11 @@ The batch engine is written against an array *namespace* ``xp`` —
 numpy by default — plus an optional compiled-kernel tier for the two
 hot paths that dominate profiles: the FIFO event loop in
 :mod:`repro.simulation.kernel` and the Fair Share sorted prefix-sum
-queue laws in :mod:`repro.core.fairshare` / :mod:`repro.core.signals`.
-This package is the single place both axes are resolved:
+laws in :mod:`repro.core.fairshare` / :mod:`repro.core.signals`.  The
+Fair Share laws do not consult the backend: they run in C whenever the
+C tier has built (same bits as the numpy pipeline) and on the numpy
+pipeline otherwise or under a non-numpy ``xp``.  This package is the
+single place both axes are resolved:
 
 * :func:`resolve` — map a backend name (or the ``REPRO_BACKEND``
   environment variable) to a :class:`Backend`.  Unknown or unavailable
@@ -15,9 +18,6 @@ This package is the single place both axes are resolved:
   activation (``using`` is the scoped context-manager form).  The
   default is the plain numpy backend, under which every code path is
   bit-identical to the pre-backend engine.
-* :func:`fs_kernels_active` — the switch :func:`~repro.core.math_utils.
-  pick_kernel` consults before routing ``method="auto"`` to the
-  compiled Fair Share kernels.
 * :func:`stub_namespace` — a numpy-masquerading namespace that counts
   attribute traffic, so the test suite can prove the ``xp`` seam is
   really threaded through without needing a GPU.
@@ -26,11 +26,11 @@ Backend names
 -------------
 
 =============  ============================================================
-``numpy``      plain numpy, pure-python kernels (always available; default)
+``numpy``      plain numpy array namespace (always available; default)
 ``compiled``   best compiled tier with graceful fallback:
                numba ``@njit`` > runtime-compiled C extension > pure python
-``numba``      force the numba tier (loud error when numba is absent)
-``cext``       force the C-extension tier (loud error when no C compiler)
+``numba``      require the numba tier (loud error when numba is absent)
+``cext``       require the C-extension tier (loud error when no C compiler)
 ``cupy``       cupy array namespace (probed; loud error when absent)
 ``jax``        ``jax.numpy`` namespace (probed; loud error when absent)
 ``stub``       numpy-masquerade test namespace (always available)
@@ -56,7 +56,7 @@ from ..errors import CLIError
 
 __all__ = [
     "Backend", "BACKEND_NAMES", "available_backends", "resolve",
-    "use", "using", "active", "reset", "fs_kernels_active",
+    "use", "using", "active", "reset",
     "stub_namespace", "StubNamespace",
 ]
 
@@ -80,9 +80,10 @@ class Backend:
         xp: the array namespace (numpy, cupy, ``jax.numpy``, or the
             stub masquerade).  Everything threaded through the ``xp``
             seam calls into this object.
-        kernel_tier: which compiled-kernel implementation serves the
-            hot paths — ``"numba"``, ``"cext"``, or ``"python"``
-            (meaning: the existing pure-python/numpy kernels).
+        kernel_tier: which compiled tier the backend names —
+            ``"numba"``, ``"cext"``, or ``"python"``.  It chooses no
+            kernel: the Fair Share laws run in C whenever it has built,
+            and both give the numpy pipeline's bits.
         description: one-line summary for ``selftest`` / ``--backend``
             listings.
     """
@@ -91,17 +92,6 @@ class Backend:
     xp: Any
     kernel_tier: str = "python"
     description: str = ""
-
-    @property
-    def is_numpy(self) -> bool:
-        """True when ``xp`` is the real numpy module (the compiled
-        kernel tiers require host numpy arrays)."""
-        return self.xp is np
-
-    @property
-    def compiled(self) -> bool:
-        """True when a compiled kernel tier (numba or cext) is live."""
-        return self.kernel_tier in ("numba", "cext")
 
 
 class StubNamespace:
@@ -208,7 +198,7 @@ def resolve(name: Optional[str] = None) -> Backend:
 
     if name == "numpy":
         return Backend("numpy", np, "python",
-                       "plain numpy (pure-python kernels)")
+                       "plain numpy array namespace")
     if name == "stub":
         return Backend("stub", stub_namespace(), "python",
                        "numpy-masquerade test namespace")
@@ -304,19 +294,3 @@ def using(backend):
         yield _ACTIVE
     finally:
         _ACTIVE = previous
-
-
-def fs_kernels_active() -> bool:
-    """Should ``pick_kernel(method="auto")`` route the large-``n``
-    Fair Share paths to the compiled kernels?
-
-    True only when the active backend both carries a live compiled
-    tier *and* uses real numpy arrays (the C/numba kernels read host
-    memory).  Under the default numpy backend this is False, so the
-    pre-backend behaviour is untouched.
-    """
-    backend = active()
-    if not (backend.compiled and backend.is_numpy):
-        return False
-    from . import compiled
-    return compiled.fs_available()

@@ -1,14 +1,23 @@
 """Compiled-kernel tier selection and dispatch.
 
-One question, answered once per process: which implementation serves
-the compiled hot paths?  ``numba`` (``@njit``-wrapped loop twins from
-:mod:`repro.backends._fs_python`) when numba is importable and its
-kernels compile; otherwise the runtime-built C extension
-(:mod:`repro.backends._cext`) when a C compiler exists; otherwise
-``python``, meaning callers keep using the existing pure-python/numpy
-kernels unchanged.  The FIFO event loop is served by the C extension
-only — numba cannot drive the heap/pool/RNG trampoline — so
-:func:`fifo_lib` is independent of the Fair Share tier.
+The C extension (:mod:`repro.backends._cext`, built at first use when a
+C compiler exists) serves two hot paths:
+
+* the Fair Share sorted prefix-sum laws — queue lengths, cumulative
+  loads and the individual congestion measure.  :func:`fs_queue_batch`,
+  :func:`fs_loads_batch` and :func:`ind_congestion_batch` are the one
+  wrapper between :mod:`repro.core.fairshare` / :mod:`repro.core.signals`
+  and the ctypes call.  They run whenever the C tier has built,
+  whatever the active backend, because they give the same bits as the
+  numpy pipeline; they return None when it has not built or when the
+  input lies outside the kernel's domain, and the caller then runs the
+  numpy pipeline.
+* the FIFO event loop (:func:`fifo_lib`).
+
+:func:`tier` still names the best tier for the backend registry:
+``numba`` when numba is importable and compiles the loop twins of
+:mod:`repro.backends._fs_python`, else ``cext``, else ``python``.  The
+numba twins serve no kernel; they only answer ``resolve("numba")``.
 
 Observability: :data:`METRICS` carries per-phase
 :class:`~repro.observability.metrics.Timer` spans — ``compile.cext``
@@ -31,6 +40,7 @@ __all__ = ["tier", "fs_available", "fifo_lib", "metrics",
            "ind_congestion_batch", "warmup"]
 
 _TIER: Optional[str] = None
+_NUMBA_TRIED = False
 _NUMBA_KERNELS = None
 _METRICS = None
 
@@ -46,10 +56,12 @@ def metrics():
 
 
 def _try_numba():
-    """Compile the numba tier; returns the jitted kernels or None."""
-    global _NUMBA_KERNELS
-    if _NUMBA_KERNELS is not None:
+    """Compile the numba tier once; returns the jitted kernels or None
+    (a failed import or compilation is remembered, not retried)."""
+    global _NUMBA_TRIED, _NUMBA_KERNELS
+    if _NUMBA_TRIED:
         return _NUMBA_KERNELS
+    _NUMBA_TRIED = True
     try:
         import numba
     except Exception:
@@ -95,8 +107,8 @@ def tier() -> str:
 
 
 def fs_available() -> bool:
-    """A compiled Fair Share kernel tier is live."""
-    return tier() != "python"
+    """The C Fair Share kernels have built."""
+    return _cext.load() is not None
 
 
 def fifo_lib():
@@ -123,36 +135,51 @@ def warmup() -> str:
 
 
 # ------------------------------------------------------------------
-# Fair Share kernel dispatch (numpy in / numpy out; None = no tier)
+# Fair Share kernel dispatch (numpy in / numpy out; None = numpy path)
 # ------------------------------------------------------------------
 def fs_queue_batch(rates: np.ndarray,
                    mu: float) -> Optional[np.ndarray]:
-    """Compiled Fair Share queue lengths, or None when no tier is
-    live (caller falls back to the numpy ``sorted`` pipeline)."""
+    """Fair Share queue lengths of an ``(M, n)`` rate batch from the C
+    kernel, or None when the C tier has not built or a rate is NaN,
+    negative or infinite."""
+    lib = _cext.load()
+    if lib is None:
+        return None
     r = np.ascontiguousarray(rates, dtype=np.float64)
     out = np.empty_like(r)
-    kernels = _try_numba()
-    if kernels is not None:
-        return kernels["fs_queue_batch"](r, float(mu), out)
-    return _cext.fs_queue_batch(r, float(mu), out)
+    m, n = r.shape
+    if lib.fs_queue_batch(r.ctypes.data, m, n, float(mu),
+                          out.ctypes.data):
+        return None
+    return out
 
 
 def fs_loads_batch(sorted_rates: np.ndarray,
                    mu: float) -> Optional[np.ndarray]:
-    """Compiled cumulative loads over pre-sorted rows, or None."""
+    """Cumulative loads over row-sorted rates from the C kernel, or
+    None (as :func:`fs_queue_batch`)."""
+    lib = _cext.load()
+    if lib is None:
+        return None
     r = np.ascontiguousarray(sorted_rates, dtype=np.float64)
     out = np.empty_like(r)
-    kernels = _try_numba()
-    if kernels is not None:
-        return kernels["fs_loads_batch"](r, float(mu), out)
-    return _cext.fs_loads_batch(r, float(mu), out)
+    m, n = r.shape
+    if lib.fs_loads_batch(r.ctypes.data, m, n, float(mu),
+                          out.ctypes.data):
+        return None
+    return out
 
 
 def ind_congestion_batch(queues: np.ndarray) -> Optional[np.ndarray]:
-    """Compiled individual-congestion prefix sums, or None."""
+    """Individual congestion measures of an ``(M, n)`` queue batch from
+    the C kernel, or None when the C tier has not built or a queue is
+    NaN or negative (infinite queues are in its domain)."""
+    lib = _cext.load()
+    if lib is None:
+        return None
     q = np.ascontiguousarray(queues, dtype=np.float64)
     out = np.empty_like(q)
-    kernels = _try_numba()
-    if kernels is not None:
-        return kernels["ind_congestion_batch"](q, out)
-    return _cext.ind_congestion_batch(q, out)
+    m, n = q.shape
+    if lib.ind_congestion_batch(q.ctypes.data, m, n, out.ctypes.data):
+        return None
+    return out

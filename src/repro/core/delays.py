@@ -53,7 +53,7 @@ def round_trip_delays(network: Network, discipline: ServiceDiscipline,
     (default) switches to sparse at ``N >= SPARSE_MIN_N``.
     """
     r = as_rate_vector(rates, n=network.num_connections)
-    if pick_kernel(method, r.shape[0], large="sparse") == "sparse":
+    if pick_kernel(method, r.shape[0]) == "sparse":
         return round_trip_delays_batch(network, discipline, r[None, :])[0]
     sojourns = per_gateway_delays(network, discipline, r)
     csr = network.csr

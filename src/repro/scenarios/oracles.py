@@ -6,8 +6,10 @@ a whole scenario family:
 
 ================== ====================================================
 ``batch-equivalence``    ``step_batch`` rows vs :func:`reference_step`,
-                         the dense scalar laws with a per-connection
-                         ``rule.apply`` (contract: equal to <= 1e-12)
+                         plain scalar laws (the Fair Share recursion,
+                         a min-broadcast congestion measure) with a
+                         per-connection ``rule.apply`` (contract:
+                         equal to <= 1e-12)
 ``ensemble-equivalence`` ``run_ensemble`` member vs scalar ``run``
                          (the ``M = 1`` batch; contract: equal to
                          <= 1e-12)
@@ -65,6 +67,7 @@ the kernels) and the numerical realities of the theorem checks
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -74,10 +77,11 @@ from ..chaos.monitor import check_robustness_floor
 from ..chaos.structural import StructuralFaultPlan
 from ..core.asynchronous import (AsynchronousRunner, BernoulliSchedule,
                                  RoundRobinSchedule, run_async_ensemble)
-from ..core.delays import round_trip_delays
 from ..core.dynamics import FlowControlSystem, Outcome, Trajectory
+from ..core.fairshare import FairShare, fair_share_queues_recursive
 from ..core.math_utils import sup_norm
 from ..core.robustness import reservation_floor_heterogeneous
+from ..core.signals import FeedbackStyle, weighted_individual_congestion
 from ..core.stability import jacobian, spectral_radius
 from ..core.steadystate import is_aggregate_steady_state, refine
 from ..errors import ConvergenceError, OracleError
@@ -198,19 +202,57 @@ class ScenarioContext:
 # ----------------------------------------------------------------------
 # differential oracles
 # ----------------------------------------------------------------------
-def reference_step(system: FlowControlSystem, rates) -> np.ndarray:
-    """One clean step of the map along the scalar reference path.
+def _reference_queues(discipline, rates: np.ndarray,
+                      mu: float) -> np.ndarray:
+    """The plain queue law of one gateway: the paper's recursion for
+    Fair Share, the discipline's own scalar law otherwise."""
+    if isinstance(discipline, FairShare):
+        return fair_share_queues_recursive(rates, mu)
+    return discipline.queue_lengths(rates, mu)
 
-    Signals and delays come from the dense per-gateway scalar laws
-    (``discipline.queue_lengths``, one route walk per connection) and
-    every connection applies its own ``rule.apply``.  The engine's
-    ``step`` is a one-row ``step_batch`` and shares none of this code,
-    so the pair is a true differential.
+
+def reference_step(system: FlowControlSystem, rates) -> np.ndarray:
+    """One clean step of the map along plain scalar laws.
+
+    One loop over the gateways evaluates each gateway's queue law once
+    (:func:`_reference_queues`) and derives from it the congestion
+    measure — the total, the weighted law, or the O(n^2) min-broadcast
+    ``C_i = sum_k min(Q_k, Q_i)`` — the signals ``B(C)``, their MAX
+    over the route, and the Little's-law sojourns ``Q_i / r_i``, with
+    the tiny-probe-rate limit for zero-rate connections.  Every
+    connection then applies its own ``rule.apply``.  The engine shares
+    none of this code, so ``step_batch`` against it is a true
+    differential.
     """
     r = np.asarray(rates, dtype=float)
-    b = system.scheme.signals(r, method="dense")
-    d = round_trip_delays(system.network, system.discipline, r,
-                          method="dense")
+    scheme, net = system.scheme, system.network
+    csr = net.csr
+    b = np.zeros_like(r)
+    d = np.array(csr.path_latency, dtype=float)
+    for a, gname in enumerate(csr.gateway_names):
+        cols = csr.members(a)
+        if cols.size == 0:
+            continue
+        local, mu = r[cols], net.mu(gname)
+        q = _reference_queues(system.discipline, local, mu)
+        if scheme.style is FeedbackStyle.AGGREGATE:
+            c = np.full(q.shape, float(np.sum(q)))
+        elif scheme.weights is not None:
+            c = weighted_individual_congestion(q, scheme.weights[cols])
+        else:
+            c = np.minimum(q[None, :], q[:, None]).sum(axis=1)
+        signal = np.array([1.0 if math.isinf(ci) else scheme.signal_fn(ci)
+                           for ci in c])
+        b[cols] = np.maximum(b[cols], signal)
+        idle = local == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sojourn = q / local
+        if idle.any():
+            eps = mu * 1e-9
+            probe = _reference_queues(system.discipline,
+                                      np.where(idle, eps, local), mu)
+            sojourn[idle] = probe[idle] / eps
+        d[cols] += sojourn
     new = np.array([rule.apply(float(r[i]), float(b[i]), float(d[i]))
                     for i, rule in enumerate(system.rules)])
     return np.maximum(new, 0.0)

@@ -34,7 +34,7 @@ import numpy as np
 from .analysis.bifurcation import bifurcation_diagram, quadratic_map_sweep
 from .analysis.maps import QuadraticRateMap
 from .core.dynamics import FlowControlSystem
-from .core.fairshare import FairShare
+from .core.fairshare import FairShare, _sorted_queues
 from .core.fifo import Fifo
 from .core.ratecontrol import (DecbitRateRule, ProportionalTargetRule,
                                TargetRule)
@@ -281,14 +281,19 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
           f"compiled FIFO engine: "
           f"{'yes' if compiled_kernels.fifo_lib() is not None else 'no'})")
     big = rng.uniform(0.0, 0.5, size=(4, 96))
-    want = FairShare().queue_lengths_batch(big, mu=1.0, method="sorted")
+    big[1] = 0.9 / 96                # equal rates: one queue value
+    want = _sorted_queues(big, 1.0)
+    tied_queues = FairShare().queue_lengths(big[1], mu=1.0)
+    _check("equal rates get one Fair Share queue at N = 96",
+           np.unique(tied_queues).size == 1, failures)
     got = compiled_kernels.fs_queue_batch(big, 1.0)
     if got is None:
-        _check("compiled FS kernels unavailable (pure-python tier ok)",
+        _check("compiled FS kernels unavailable (numpy pipeline ok)",
                True, failures)
     else:
-        _check("compiled FS queue law is bit-identical to sorted",
-               bool(np.array_equal(got, want)), failures)
+        _check("compiled FS queue law is bit-identical to the numpy "
+               "sorted pipeline", bool(np.array_equal(got, want)),
+               failures)
     stub = backends.resolve("stub")
     stub_sys = FlowControlSystem(single_gateway(4, mu=1.0), FairShare(),
                                  LinearSaturating(),

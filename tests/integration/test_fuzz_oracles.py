@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.dynamics import Outcome, Trajectory
-from repro.core.fairshare import FairShare
+from repro.backends import _cext
+from repro.core.fairshare import FairShare, cumulative_loads_batch
+from repro.core.math_utils import g
 from repro.core.steadystate import predicted_steady_state
 from repro.errors import ScenarioError, SweepError
 from repro.faults.plan import FaultState
@@ -20,6 +22,7 @@ from repro.scenarios import (ClockSpec, ConnectionSpec, ControllerSpec,
                              RuleSpec, ScenarioSpec, SignalSpec,
                              failing_oracles, fuzz, generate,
                              run_scenario, shrink)
+from repro.scenarios import oracles
 from repro.scenarios.oracles import ScenarioContext, run_oracle
 from repro.simulation.network_sim import NetworkSimulation
 
@@ -44,6 +47,21 @@ def spec_of(n=3, discipline="fair-share", style="individual",
     )
 
 
+def break_reference_law(monkeypatch):
+    """Break the Fair Share law on the scalar reference path only: the
+    paper's recursion that :func:`reference_step` evaluates and the
+    engine never calls."""
+    orig = oracles.fair_share_queues_recursive
+
+    def broken(rates, mu):
+        q = np.array(orig(rates, mu), dtype=float)
+        if q.shape[0] and np.isfinite(q[-1]):
+            q[-1] += 0.01
+        return q
+
+    monkeypatch.setattr(oracles, "fair_share_queues_recursive", broken)
+
+
 def doctored_context(spec, fake_final):
     """A context whose reference trajectory *claims* convergence to
     ``fake_final`` — the oracle under test must notice the lie."""
@@ -60,15 +78,35 @@ class TestEveryOracleFires:
 
     def test_batch_equivalence_catches_scalar_only_mutation(
             self, monkeypatch):
-        orig = FairShare.queue_lengths
+        break_reference_law(monkeypatch)
+        fails = failing_oracles(spec_of(), ["batch-equivalence"])
+        assert fails == ("batch-equivalence",)
 
-        def broken(self, rates, mu):
-            q = np.array(orig(self, rates, mu), dtype=float)
-            if q.shape[0] and np.isfinite(q[-1]):
-                q[-1] += 0.01
-            return q
+    def test_batch_equivalence_catches_kernel_mutation(self, monkeypatch):
+        # A mutant sorted kernel that shares class k among n - k + 1
+        # connections instead of n - k, run on the numpy path.
+        def mutant(self, rates, mu, xp=None):
+            r = np.asarray(rates, dtype=float)
+            m, n = r.shape
+            order = np.argsort(r, axis=1, kind="stable")
+            srt = np.take_along_axis(r, order, axis=1)
+            g_sigma = g(cumulative_loads_batch(r, mu, sorted_rates=srt))
+            finite = np.isfinite(g_sigma)
+            g_prev = np.concatenate([np.zeros((m, 1)), g_sigma[:, :-1]],
+                                    axis=1)
+            with np.errstate(invalid="ignore"):
+                shares = (g_sigma - g_prev) / (n - np.arange(n) + 1.0)
+            q = np.where(finite,
+                         np.cumsum(np.where(finite, shares, 0.0), axis=1),
+                         np.inf)
+            q[srt == 0.0] = 0.0
+            out = np.empty_like(q)
+            np.put_along_axis(out, order, q, axis=1)
+            return out
 
-        monkeypatch.setattr(FairShare, "queue_lengths", broken)
+        assert failing_oracles(spec_of(), ["batch-equivalence"]) == ()
+        monkeypatch.setattr(_cext, "load", lambda: None)
+        monkeypatch.setattr(FairShare, "queue_lengths_batch", mutant)
         fails = failing_oracles(spec_of(), ["batch-equivalence"])
         assert fails == ("batch-equivalence",)
 
@@ -222,18 +260,10 @@ class TestEveryOracleFires:
 class TestShrinker:
     def test_fair_share_queue_law_mutation_shrinks_small(
             self, monkeypatch):
-        # The ISSUE's acceptance scenario: break the Fair Share queue
-        # law on the scalar path only, fuzz until an oracle fires, and
-        # shrink the failure to <= 3 connections.
-        orig = FairShare.queue_lengths
-
-        def broken(self, rates, mu):
-            q = np.array(orig(self, rates, mu), dtype=float)
-            if q.shape[0] and np.isfinite(q[-1]):
-                q[-1] += 0.01
-            return q
-
-        monkeypatch.setattr(FairShare, "queue_lengths", broken)
+        # Break the Fair Share queue law on the scalar reference path
+        # only, fuzz until an oracle fires, and shrink the failure to
+        # <= 3 connections.
+        break_reference_law(monkeypatch)
         target = next(s for s in generate(7, 50)
                       if s.discipline == "fair-share")
         fails = failing_oracles(target)
@@ -251,15 +281,7 @@ class TestShrinker:
             shrink(spec_of())
 
     def test_shrink_respects_iteration_cap(self, monkeypatch):
-        orig = FairShare.queue_lengths
-
-        def broken(self, rates, mu):
-            q = np.array(orig(self, rates, mu), dtype=float)
-            if q.shape[0] and np.isfinite(q[-1]):
-                q[-1] += 0.01
-            return q
-
-        monkeypatch.setattr(FairShare, "queue_lengths", broken)
+        break_reference_law(monkeypatch)
         result = shrink(spec_of(n=5), oracles=["batch-equivalence"],
                         max_iters=3)
         assert result.evaluations <= 3
@@ -280,15 +302,7 @@ class TestHarnessAndCli:
             assert spec.name == path.stem
 
     def test_fuzz_failure_writes_repro_spec(self, tmp_path, monkeypatch):
-        orig = FairShare.queue_lengths
-
-        def broken(self, rates, mu):
-            q = np.array(orig(self, rates, mu), dtype=float)
-            if q.shape[0] and np.isfinite(q[-1]):
-                q[-1] += 0.01
-            return q
-
-        monkeypatch.setattr(FairShare, "queue_lengths", broken)
+        break_reference_law(monkeypatch)
         # seed 7 index 1 is a fair-share scenario (fixed by the
         # generator's determinism contract).
         report = fuzz(7, 2, shrink_failures=True, json_dir=tmp_path,

@@ -1,16 +1,20 @@
 """Unit tests for repro.backends: the resolver, the stub array
-namespace, the compiled kernel tiers, and the pick_kernel boundary."""
+namespace, the compiled kernel tiers against the numpy sorted
+pipeline, and the pick_kernel boundary."""
 
 import numpy as np
 import pytest
 
 from repro import backends
-from repro.backends import _fs_python, compiled
+from repro.backends import _cext, _fs_python, compiled
 from repro.core.dynamics import FlowControlSystem
-from repro.core.fairshare import FairShare, cumulative_loads
+from repro.core.fairshare import (FairShare, _sorted_loads, _sorted_queues,
+                                  cumulative_loads,
+                                  fair_share_queues_recursive)
 from repro.core.math_utils import SPARSE_MIN_N, pick_kernel
 from repro.core.ratecontrol import TargetRule
 from repro.core.signals import (FeedbackStyle, LinearSaturating,
+                                _individual_sorted,
                                 individual_congestion,
                                 individual_congestion_batch)
 from repro.core.topology import single_gateway
@@ -138,6 +142,31 @@ class TestStubSeam:
         assert system.backend.name == "stub"
 
 
+def fuzz_batches(seed, count=2000):
+    """Seeded ``(rates, sorted_rates, queues)`` batches, ``N`` from 1 to
+    130: tied rates, zeros and ``-0.0``, overloaded rows, rows of equal
+    rates, and queue rows with infinite, tied and signed-zero entries."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 131))
+        rates = rng.uniform(0.0, 1.8 / n, size=(m, n))
+        if trial % 2 == 0:
+            pool = np.array([0.0, -0.0, 0.2 / n, 0.4 / n, 0.9 / n])
+            k = n // 2 + 1
+            rates[:, :k] = rng.choice(pool, size=(m, k))
+        if trial % 5 == 0:
+            rates[0] = 2.0 / n
+        if trial % 11 == 0:
+            rates[-1] = 0.9 / n
+        queues = _sorted_queues(rates, 1.0)
+        if trial % 3 == 0:
+            queues[:, : n // 3 + 1] = queues[:, :1]
+        if trial % 7 == 0:
+            queues[:, -1] = -0.0
+        yield rates, np.sort(rates, axis=1, kind="stable"), queues
+
+
 class TestPythonTwins:
     """The numba-compatible loop twins diff against the numpy
     pipeline with no optional dependency installed."""
@@ -147,16 +176,14 @@ class TestPythonTwins:
         for m, n in ((1, 5), (3, 17), (2, 80)):
             rates = rng.uniform(0.0, 2.0 / n, size=(m, n))
             rates[0, 0] = 0.0
-            want = FairShare().queue_lengths_batch(rates, mu=1.0,
-                                                   method="sorted")
+            want = _sorted_queues(rates, 1.0)
             out = _fs_python.fs_queue_batch(rates, 1.0,
                                             np.empty_like(rates))
             assert np.array_equal(out, want)
 
     def test_fs_queue_twin_overload_rows(self):
         rates = np.full((2, 70), 0.5)
-        want = FairShare().queue_lengths_batch(rates, mu=1.0,
-                                               method="sorted")
+        want = _sorted_queues(rates, 1.0)
         out = _fs_python.fs_queue_batch(rates, 1.0,
                                         np.empty_like(rates))
         assert np.array_equal(out, want)
@@ -165,7 +192,7 @@ class TestPythonTwins:
         rng = np.random.default_rng(12)
         queues = rng.uniform(0.0, 5.0, size=(3, 90))
         queues[0, 7] = np.inf
-        want = individual_congestion_batch(queues, method="sorted")
+        want = _individual_sorted(queues)
         out = _fs_python.ind_congestion_batch(queues,
                                               np.empty_like(queues))
         assert np.array_equal(out, want)
@@ -173,39 +200,44 @@ class TestPythonTwins:
     def test_loads_twin_matches_sorted_pipeline(self):
         rng = np.random.default_rng(13)
         rates = np.sort(rng.uniform(0.0, 0.01, size=(2, 75)), axis=1)
-        from repro.core.fairshare import cumulative_loads_batch
-        want = cumulative_loads_batch(rates, mu=1.0, method="sorted")
+        want = _sorted_loads(rates, 1.0)
         out = _fs_python.fs_loads_batch(rates, 1.0,
                                         np.empty_like(rates))
         assert np.array_equal(out, want)
+
+    def test_twins_match_pipeline_on_fuzz(self):
+        for trial, (rates, srt, queues) in enumerate(fuzz_batches(41)):
+            assert np.array_equal(
+                _fs_python.fs_queue_batch(rates, 1.0,
+                                          np.empty_like(rates)),
+                _sorted_queues(rates, 1.0)), trial
+            assert np.array_equal(
+                _fs_python.fs_loads_batch(srt, 1.0, np.empty_like(srt)),
+                _sorted_loads(srt, 1.0)), trial
+            assert np.array_equal(
+                _fs_python.ind_congestion_batch(queues,
+                                                np.empty_like(queues)),
+                _individual_sorted(queues)), trial
 
 
 @needs_compiled_fs
 class TestCompiledFairShare:
     def test_queue_law_fuzz_bit_identity(self):
-        rng = np.random.default_rng(21)
-        for trial in range(60):
-            m = int(rng.integers(1, 5))
-            n = int(rng.integers(1, 220))
-            rates = rng.uniform(0.0, 1.8 / n, size=(m, n))
-            if trial % 3 == 0:    # heavy rate ties
-                pool = np.array([0.0, 0.2 / n, 0.4 / n])
-                rates[:, : n // 2] = rng.choice(pool,
-                                                size=(m, n // 2))
-            if trial % 5 == 0:    # overloaded rows
-                rates[0] = 2.0 / max(n, 1)
-            want = FairShare().queue_lengths_batch(rates, mu=1.0,
-                                                   method="sorted")
+        # C kernels against the numpy sorted pipeline, all three laws.
+        for trial, (rates, srt, queues) in enumerate(fuzz_batches(21)):
             got = compiled.fs_queue_batch(rates, 1.0)
             assert got is not None
-            assert np.array_equal(got, want), f"trial {trial}"
+            assert np.array_equal(got, _sorted_queues(rates, 1.0)), trial
+            assert np.array_equal(compiled.fs_loads_batch(srt, 1.0),
+                                  _sorted_loads(srt, 1.0)), trial
+            assert np.array_equal(compiled.ind_congestion_batch(queues),
+                                  _individual_sorted(queues)), trial
 
     def test_queue_law_signed_zero_ties(self):
         # -0.0 and +0.0 are one tie class under IEEE comparison; the
         # radix key transform must keep them so.
         row = np.array([0.3, 0.0, -0.0, 0.1, 0.0, 0.2] * 20)[None, :]
-        want = FairShare().queue_lengths_batch(row, mu=1.0,
-                                               method="sorted")
+        want = _sorted_queues(row, 1.0)
         got = compiled.fs_queue_batch(row, 1.0)
         assert np.array_equal(got, want)
 
@@ -214,80 +246,131 @@ class TestCompiledFairShare:
         queues = rng.uniform(0.0, 4.0, size=(3, 150))
         queues[0, 3] = np.inf
         queues[2, :] = np.inf
-        want = individual_congestion_batch(queues, method="sorted")
+        want = _individual_sorted(queues)
         got = compiled.ind_congestion_batch(queues)
         assert np.array_equal(got, want)
 
-    def test_scalar_entry_points_accept_method_compiled(self):
+    def test_scalar_entry_points_run_the_c_kernel(self):
         rng = np.random.default_rng(23)
-        rates = rng.uniform(0.0, 0.01, size=130)
-        assert np.array_equal(
-            FairShare().queue_lengths(rates, mu=1.0,
-                                      method="compiled"),
-            FairShare().queue_lengths(rates, mu=1.0, method="sorted"))
-        assert np.array_equal(
-            cumulative_loads(rates, mu=1.0, method="compiled"),
-            cumulative_loads(rates, mu=1.0, method="sorted"))
-        queues = rng.uniform(0.0, 3.0, size=130)
-        assert np.array_equal(
-            individual_congestion(queues, method="compiled"),
-            individual_congestion(queues, method="sorted"))
+        for n in (4, 130):
+            rates = rng.uniform(0.0, 1.0 / n, size=n)
+            assert np.array_equal(
+                FairShare().queue_lengths(rates, mu=1.0),
+                compiled.fs_queue_batch(rates[None, :], 1.0)[0])
+            assert np.array_equal(
+                cumulative_loads(rates, mu=1.0),
+                _sorted_loads(np.sort(rates)[None, :], 1.0)[0])
+            queues = rng.uniform(0.0, 3.0, size=n)
+            assert np.array_equal(
+                individual_congestion(queues),
+                compiled.ind_congestion_batch(queues[None, :])[0])
+
+    def test_out_of_domain_input_takes_the_numpy_pipeline(self):
+        bad = np.array([[0.1, np.nan, 0.2], [0.1, -0.2, 0.3],
+                        [0.1, np.inf, 0.2]])
+        for row in bad:
+            assert compiled.fs_queue_batch(row[None, :], 1.0) is None
+            assert compiled.fs_loads_batch(row[None, :], 1.0) is None
+        assert compiled.ind_congestion_batch(bad[:2]) is None
+        assert compiled.ind_congestion_batch(bad[2:]) is not None
+        with pytest.raises(RateVectorError):
+            FairShare().queue_lengths_batch(bad[1:2], 1.0)
+        assert np.isnan(
+            individual_congestion_batch(bad[:1])[0]).any()
+
+    def test_masked_c_tier_gives_the_same_bits(self, monkeypatch):
+        # The engine's results do not depend on whether C has built.
+        def runs():
+            out = []
+            for n in (4, 70):
+                system = FlowControlSystem(
+                    single_gateway(n, mu=1.0), FairShare(),
+                    LinearSaturating(), TargetRule(eta=0.3, beta=0.5),
+                    style=FeedbackStyle.INDIVIDUAL)
+                starts = np.random.default_rng(n).uniform(
+                    0.0, 1.5 / n, size=(3, n))
+                starts[0] = 0.9 / n
+                ens = system.run_ensemble(starts, max_steps=300)
+                traj = system.run(starts[1], max_steps=300)
+                out.append((ens.finals, ens.steps, traj.history))
+            return out
+
+        with_c = runs()
+        monkeypatch.setattr(_cext, "load", lambda: None)
+        assert compiled.fs_queue_batch(np.ones((1, 2)), 4.0) is None
+        without_c = runs()
+        for got, want in zip(without_c, with_c):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+class TestCompiledDispatch:
+    def test_numba_import_is_tried_at_most_once(self, monkeypatch):
+        # A missing numba used to be re-imported on every compiled
+        # Fair Share call.
+        import builtins
+        real_import = builtins.__import__
+        attempts = []
+
+        def counting_import(name, *args, **kwargs):
+            if name == "numba":
+                attempts.append(name)
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(compiled, "_NUMBA_TRIED", False)
+        monkeypatch.setattr(compiled, "_NUMBA_KERNELS", None)
+        monkeypatch.setattr(builtins, "__import__", counting_import)
+        rates = np.array([[0.1, 0.2, 0.2, 0.05]])
+        for _ in range(20):
+            compiled.fs_queue_batch(rates, 1.0)
+            compiled.fs_loads_batch(rates, 1.0)
+            compiled.ind_congestion_batch(rates)
+            compiled.numba_tier_ready()
+        assert len(attempts) <= 1
 
 
 class TestPickKernelBoundary:
-    """The auto switch must flip at exactly SPARSE_MIN_N, with or
-    without a compiled backend active, and the flip must not move
-    results by even one ulp."""
+    """The route-walk switch of ``FeedbackScheme.signals`` and
+    ``round_trip_delays`` flips at exactly SPARSE_MIN_N whatever the
+    backend; the Fair Share laws have no switch and give the same bits
+    on both sides of it."""
 
     def test_boundary_names_default_backend(self):
         assert pick_kernel("auto", SPARSE_MIN_N - 1) == "dense"
-        assert pick_kernel("auto", SPARSE_MIN_N) == "sorted"
-        assert pick_kernel("auto", SPARSE_MIN_N + 1) == "sorted"
+        assert pick_kernel("auto", SPARSE_MIN_N) == "sparse"
+        assert pick_kernel("auto", SPARSE_MIN_N + 1) == "sparse"
 
-    @needs_compiled_fs
     def test_boundary_names_compiled_backend(self):
         with backends.using("compiled"):
             assert pick_kernel("auto", SPARSE_MIN_N - 1) == "dense"
-            assert pick_kernel("auto", SPARSE_MIN_N) == "compiled"
-            assert pick_kernel("auto", SPARSE_MIN_N + 1) == "compiled"
+            assert pick_kernel("auto", SPARSE_MIN_N) == "sparse"
+            assert pick_kernel("auto", SPARSE_MIN_N + 1) == "sparse"
 
-    def test_compiled_method_on_sparse_paths_degrades(self):
-        assert pick_kernel("compiled", 10, large="sparse") == "sparse"
-
-    def test_unknown_method_lists_compiled(self):
+    def test_unknown_method_lists_the_choices(self):
         with pytest.raises(RateVectorError) as exc:
-            pick_kernel("fastest", 10)
-        assert "'compiled'" in str(exc.value)
+            pick_kernel("compiled", 10)
+        assert "'dense'" in str(exc.value)
+        assert "'sparse'" in str(exc.value)
 
     @pytest.mark.parametrize("n", [SPARSE_MIN_N - 1, SPARSE_MIN_N,
                                    SPARSE_MIN_N + 1])
     def test_bit_identity_across_the_switch(self, n):
         # Dyadic rates (k/32n with dyadic n-scaling is exact in
         # binary64) make any kernel discrepancy a hard bit flip
-        # rather than harmless noise.  The contract pinned here:
-        # "auto" is bitwise the kernel it resolves to on either side
-        # of the switch, and the compiled kernel is bitwise the
-        # sorted pipeline at every n (dense vs sorted are different
-        # formulations, equal only to float tolerance — that gap is
-        # the historical behaviour, not something this PR may move).
+        # rather than harmless noise.  The contract pinned here: on
+        # either side of the route-walk switch the scalar law is the
+        # one-row numpy sorted pipeline bit for bit, under any
+        # backend, and within float tolerance of the recursion.
         rng = np.random.default_rng(31)
         rates = rng.integers(0, 32, size=n) / (32.0 * n)
-        dense = FairShare().queue_lengths(rates, mu=1.0,
-                                          method="dense")
-        auto = FairShare().queue_lengths(rates, mu=1.0, method="auto")
-        srt = FairShare().queue_lengths(rates, mu=1.0,
-                                        method="sorted")
-        expected = dense if n < SPARSE_MIN_N else srt
-        assert np.array_equal(auto, expected)
-        assert np.allclose(dense, srt, rtol=1e-12, atol=1e-12)
-        if compiled.fs_available():
-            comp = FairShare().queue_lengths(rates, mu=1.0,
-                                             method="compiled")
-            assert np.array_equal(srt, comp)
-            with backends.using("compiled"):
-                active_auto = FairShare().queue_lengths(rates, mu=1.0,
-                                                        method="auto")
-            assert np.array_equal(expected, active_auto)
+        want = _sorted_queues(rates[None, :], 1.0)[0]
+        assert np.array_equal(FairShare().queue_lengths(rates, mu=1.0),
+                              want)
+        with backends.using("compiled"):
+            assert np.array_equal(
+                FairShare().queue_lengths(rates, mu=1.0), want)
+        assert np.allclose(want, fair_share_queues_recursive(rates, 1.0),
+                           rtol=1e-12, atol=1e-12)
 
 
 class TestObservability:

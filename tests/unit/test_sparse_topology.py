@@ -3,11 +3,11 @@
 The CSR index arrays (:class:`~repro.core.topology.TopologyCSR`) are a
 *layout* change, not a semantic one: every lookup they answer must be
 bit-identical to the historical ``gamma(i)``/``Gamma(a)`` scans.  The
-sorted O(n log n) kernels behind ``method="sorted"`` may differ from
-the dense O(n^2) reference only in floating-point summation order
-(<= 1e-12 relative), and the scalar and batch paths switch kernels at
-the same ``SPARSE_MIN_N`` so their exact-identity contract survives
-the threshold.
+Fair Share law and the congestion measure run one sorted O(n log n)
+kernel at every size; it may differ from the plain O(n^2) laws only
+in floating-point summation order (<= 1e-12 relative).  The route
+walks of ``signals`` and ``round_trip_delays`` switch to one-row
+batches at ``SPARSE_MIN_N``.
 """
 
 import math
@@ -17,7 +17,8 @@ import pytest
 
 from repro.core.delays import round_trip_delays, round_trip_delays_batch
 from repro.core.fairshare import (FairShare, cumulative_loads,
-                                  cumulative_loads_batch)
+                                  cumulative_loads_batch,
+                                  fair_share_queues_recursive)
 from repro.core.fifo import Fifo
 from repro.core.math_utils import SPARSE_MIN_N, pick_kernel
 from repro.core.signals import (FeedbackScheme, FeedbackStyle,
@@ -76,16 +77,25 @@ class TestCSRLayout:
         assert net.csr is net.csr
 
 
+def dense_loads(rates, mu):
+    """The plain O(n^2) law ``sigma_k = sum_m min(r_m, r_(k)) / mu``."""
+    srt = np.sort(rates)
+    return np.minimum(srt[None, :], srt[:, None]).sum(axis=1) / mu
+
+
+def dense_congestion(queues):
+    """The plain O(n^2) min-broadcast ``C_i = sum_k min(Q_k, Q_i)``."""
+    return np.minimum(queues[None, :], queues[:, None]).sum(axis=1)
+
+
 class TestKernelSelection:
     def test_auto_switches_at_threshold(self):
         assert pick_kernel("auto", SPARSE_MIN_N - 1) == "dense"
-        assert pick_kernel("auto", SPARSE_MIN_N) == "sorted"
-        assert pick_kernel("auto", SPARSE_MIN_N,
-                           large="sparse") == "sparse"
+        assert pick_kernel("auto", SPARSE_MIN_N) == "sparse"
 
     def test_forced_methods_pass_through(self):
         assert pick_kernel("dense", 10**6) == "dense"
-        assert pick_kernel("sorted", 2) == "sorted"
+        assert pick_kernel("sparse", 2) == "sparse"
 
     def test_unknown_method_raises(self):
         with pytest.raises(RateVectorError, match="method"):
@@ -99,26 +109,45 @@ class TestSortedKernels:
         rates = rng.uniform(0.0, 0.4, size=n)
         rates[: n // 4] = rates[0]  # ties
         rates[-1] = 0.0             # idle connection
-        dense = cumulative_loads(rates, mu=1.1, method="dense")
-        fast = cumulative_loads(rates, mu=1.1, method="sorted")
-        np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=1e-12)
+        fast = cumulative_loads(rates, mu=1.1)
+        np.testing.assert_allclose(fast, dense_loads(rates, 1.1),
+                                   rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 17, SPARSE_MIN_N, 257])
     def test_cumulative_loads_batch_dense_vs_sorted(self, n):
         rng = np.random.default_rng(100 + n)
         rates = rng.uniform(0.0, 0.4, size=(5, n))
-        dense = cumulative_loads_batch(rates, mu=0.9, method="dense")
-        fast = cumulative_loads_batch(rates, mu=0.9, method="sorted")
-        np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=1e-12)
+        fast = cumulative_loads_batch(rates, mu=0.9)
+        for m in range(rates.shape[0]):
+            np.testing.assert_allclose(fast[m], dense_loads(rates[m], 0.9),
+                                       rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 17, SPARSE_MIN_N, 257])
     def test_individual_congestion_dense_vs_sorted(self, n):
         rng = np.random.default_rng(200 + n)
         queues = rng.uniform(0.0, 5.0, size=n)
         queues[: n // 5] = queues[0]
-        dense = individual_congestion(queues, method="dense")
-        fast = individual_congestion(queues, method="sorted")
-        np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=1e-12)
+        fast = individual_congestion(queues)
+        np.testing.assert_allclose(fast, dense_congestion(queues),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 17, SPARSE_MIN_N, 257])
+    def test_queue_law_matches_recursion(self, n):
+        # The engine's law against the paper's recursion, with ties,
+        # an idle connection and an overloaded tail.
+        rng = np.random.default_rng(400 + n)
+        rates = rng.uniform(0.0, 1.6 / n, size=(6, n))
+        rates[:, : n // 4] = rates[:, :1]
+        rates[:, -1] = 0.0
+        batch = FairShare().queue_lengths_batch(rates, mu=1.0)
+        for m in range(rates.shape[0]):
+            want = fair_share_queues_recursive(rates[m], 1.0)
+            assert np.array_equal(np.isinf(batch[m]), np.isinf(want))
+            finite = np.isfinite(want)
+            np.testing.assert_allclose(batch[m][finite], want[finite],
+                                       rtol=1e-12, atol=0.0)
+            assert np.array_equal(
+                FairShare().queue_lengths(rates[m], 1.0), batch[m])
 
     def test_individual_congestion_sorted_handles_inf(self):
         # Overloaded entries: the connection's own infinite queue makes
@@ -126,15 +155,14 @@ class TestSortedKernels:
         # larger queue at their own length — no inf leakage, no NaN
         # from the inf * 0 corner of the prefix formulation.
         queues = np.array([0.5, math.inf, 1.5, math.inf, 0.0])
-        dense = individual_congestion(queues, method="dense")
-        fast = individual_congestion(queues, method="sorted")
+        dense = dense_congestion(queues)
+        fast = individual_congestion(queues)
         assert np.array_equal(np.isinf(dense), np.isinf(fast))
         finite = np.isfinite(dense)
         np.testing.assert_allclose(fast[finite], dense[finite],
                                    rtol=1e-12, atol=1e-12)
-        batch = individual_congestion_batch(queues[None, :],
-                                            method="sorted")[0]
-        assert np.array_equal(np.isinf(batch), np.isinf(fast))
+        batch = individual_congestion_batch(queues[None, :])[0]
+        assert np.array_equal(batch, fast)
 
     @pytest.mark.parametrize("n", [SPARSE_MIN_N - 1, SPARSE_MIN_N,
                                    SPARSE_MIN_N + 1])

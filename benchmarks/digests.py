@@ -11,7 +11,7 @@ artifact rows, ensemble finals and steps, oracle verdicts or packet
 rate histories).
 
 The units leave paths of the trajectory engine unexercised, so an
-``engine`` section follows: twelve fixed, seeded cases, one line
+``engine`` section follows: thirteen fixed, seeded cases, one line
 each::
 
     engine <case> <digest>
@@ -23,7 +23,9 @@ shared and under per-member schedules at signal delays 0 and 3,
 one-shot and blocked; the scalar ``run`` and
 ``AsynchronousRunner.run`` on the same systems; and Fair Share
 individual feedback at ``N = 96`` started from equal rates and from a
-perturbation of them (ensemble and scalar runs).  Each digest hashes
+perturbation of them (ensemble and scalar runs); and weighted
+individual feedback over weighted Fair Share with unequal weights at
+``N = 4`` and ``N = 70`` (ensemble and scalar runs).  Each digest hashes
 finals, steps, outcomes, periods, the retained histories and the run
 record's mask events and per-iteration series.
 
@@ -79,6 +81,7 @@ from repro.core.signals import FeedbackStyle, LinearSaturating  # noqa
 from repro.core.steadystate import fair_steady_state  # noqa: E402
 from repro.core.topology import (  # noqa: E402
     parking_lot, single_gateway, tandem)
+from repro.core.weighted import WeightedFairShare  # noqa: E402
 from repro.faults import FaultPlan, SignalLoss  # noqa: E402
 from repro.simulation.network_sim import NetworkSimulation  # noqa: E402
 
@@ -239,6 +242,29 @@ def _fair_share_96():
                  *(system.run(x0, max_steps=400) for x0 in initials))
 
 
+def _weighted_systems():
+    """Weighted individual feedback over weighted Fair Share, unequal
+    weights, at N = 4 and N = 70, each with three seeded starts."""
+    out = []
+    for n in (4, 70):
+        phi = np.array([1.0, 2.0, 3.0, 0.5] * (n // 4 + 1))[:n]
+        system = FlowControlSystem(single_gateway(n, mu=1.0),
+                                   WeightedFairShare(phi), SIGNAL,
+                                   ProportionalTargetRule(eta=0.5, beta=0.5),
+                                   style=IND, weights=phi)
+        out.append((system, _rng(5 + n).uniform(0.1, 1.5, size=(3, n)) / n))
+    return out
+
+
+def _weighted_fair_share():
+    """Ensemble and scalar runs of :func:`_weighted_systems`."""
+    return _hash(*(res for system, initials in _weighted_systems()
+                   for res in (system.run_ensemble(initials, max_steps=400,
+                                                   telemetry=True),
+                               *(system.run(x0, max_steps=400)
+                                 for x0 in initials))))
+
+
 def _scalar_run():
     out = []
     for system, initials in (_fair_share(), _tcp_mixed(), *_mixed()):
@@ -269,6 +295,7 @@ ENGINE_CASES = {
     "run": _scalar_run,
     "async-runner": _async_runner,
     "fair-share-96": _fair_share_96,
+    "weighted-fair-share": _weighted_fair_share,
 }
 
 

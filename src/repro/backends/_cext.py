@@ -19,8 +19,13 @@ Two kernel families live in the library:
   ``np.argsort(kind="stable")`` because the stable ascending
   permutation is unique; the key transform collapses ``-0.0`` onto
   ``+0.0`` so the radix tie classes match IEEE comparison ties).
+  ``fs_queue_batch`` also takes an optional weight vector, the
+  weighted law of :class:`~repro.core.weighted.WeightedFairShare`
+  (sorted by ``r / phi``), which has no loop twin: its reference is
+  the weighted numpy pipeline.
   Each checks its input first and returns a nonzero status, writing
-  nothing, on a NaN or negative value (and on an infinite rate), so
+  nothing, on a NaN or negative value (and on an infinite rate or a
+  weight that is not finite and positive), so
   :mod:`repro.backends.compiled` hands such input to the numpy
   pipeline.
 * the FIFO event loop — a C transcription of
@@ -194,39 +199,68 @@ static int all_rates(const double *v, i64 len)
     return 1;
 }
 
-int fs_queue_batch(const double *rates, i64 m, i64 n, double mu,
-                   double *out)
+static int all_weights(const double *phi, i64 n)
+{
+    for (i64 i = 0; i < n; i++)
+        if (!(phi[i] > 0.0 && phi[i] < INFINITY)) return 0;
+    return 1;
+}
+
+/* The Fair Share queue law of an (m, n) rate batch.  phi, when not
+ * NULL, holds the n weights of the weighted law: each row is sorted
+ * by the normalised rate v = r / phi, class k's load is
+ * (prefix of r + v_(k) * weight strictly above k) / mu, and its
+ * occupancy increment is split by phi_j / (weight at or above k).
+ * NULL is the unweighted law (v = r, every weight 1), which is the
+ * equal-weight case bit for bit: the weight sums are then exact
+ * integers and every product by a weight of 1 is exact.  The top run
+ * has no weight above it and adds no cap term, so an overflowing v
+ * never meets a zero weight. */
+int fs_queue_batch(const double *rates, const double *phi, i64 m, i64 n,
+                   double mu, double *out)
 {
     if (!all_rates(rates, m * n)) return ST_DOMAIN;
+    if (phi && !all_weights(phi, n)) return ST_DOMAIN;
     if (m == 0 || n == 0) return ST_DONE;
     i64 *idx = (i64 *)malloc((size_t)n * sizeof(i64));
     i64 *tmp = (i64 *)malloc((size_t)n * sizeof(i64));
     u64 *keys = (u64 *)malloc((size_t)n * sizeof(u64));
     u64 *keys_tmp = (u64 *)malloc((size_t)n * sizeof(u64));
-    if (!idx || !tmp || !keys || !keys_tmp) {
-        free(idx); free(tmp); free(keys); free(keys_tmp);
+    double *v = (double *)malloc((size_t)n * sizeof(double));
+    /* w[k]: weight at or above sorted rank k; w[n] = 0 */
+    double *w = (double *)malloc((size_t)(n + 1) * sizeof(double));
+    if (!idx || !tmp || !keys || !keys_tmp || !v || !w) {
+        free(idx); free(tmp); free(keys); free(keys_tmp); free(v); free(w);
         return ST_OOM;
     }
     for (i64 row = 0; row < m; row++) {
         const double *rr = rates + row * n;
+        const double *vv = rr;
         double *oo = out + row * n;
-        sort_row(rr, n, idx, tmp, keys, keys_tmp);
+        if (phi) {
+            for (i64 i = 0; i < n; i++) v[i] = rr[i] / phi[i];
+            vv = v;
+        }
+        sort_row(vv, n, idx, tmp, keys, keys_tmp);
+        w[n] = 0.0;
+        for (i64 k = n - 1; k >= 0; k--)
+            w[k] = (phi ? phi[idx[k]] : 1.0) + w[k + 1];
         double prefix = 0.0, g_prev = 0.0, acc = 0.0;
         for (i64 k = 0; k < n;) {
             i64 end = k;
             prefix += rr[idx[k]];
-            while (end + 1 < n && rr[idx[end + 1]] == rr[idx[k]])
+            while (end + 1 < n && vv[idx[end + 1]] == vv[idx[k]])
                 prefix += rr[idx[++end]];
-            double sigma = (prefix + rr[idx[end]] * (double)(n - 1 - end))
-                           / mu;
+            double cap = (end + 1 < n) ? vv[idx[end]] * w[end + 1] : 0.0;
+            double sigma = (prefix + cap) / mu;
             double gs = (sigma < 1.0) ? (sigma / (1.0 - sigma))
                                       : INFINITY;
             for (; k <= end; k++) {
                 i64 j = idx[k];
                 double q;
                 if (isfinite(gs)) {
-                    acc += (gs - g_prev) / (double)(n - k);
-                    q = acc;
+                    acc += (gs - g_prev) / w[k];
+                    q = phi ? acc * phi[j] : acc;
                 } else {
                     acc += 0.0; /* the masked cumsum adds literal zero */
                     q = INFINITY;
@@ -241,6 +275,8 @@ int fs_queue_batch(const double *rates, i64 m, i64 n, double mu,
     free(tmp);
     free(keys);
     free(keys_tmp);
+    free(v);
+    free(w);
     return ST_DONE;
 }
 
@@ -875,7 +911,7 @@ _P = ctypes.c_void_p
 
 
 def _configure(lib: ctypes.CDLL) -> None:
-    lib.fs_queue_batch.argtypes = [_P, _I, _I, _D, _P]
+    lib.fs_queue_batch.argtypes = [_P, _P, _I, _I, _D, _P]
     lib.fs_queue_batch.restype = ctypes.c_int
     lib.fs_loads_batch.argtypes = [_P, _I, _I, _D, _P]
     lib.fs_loads_batch.restype = ctypes.c_int

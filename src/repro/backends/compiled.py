@@ -3,8 +3,9 @@
 The C extension (:mod:`repro.backends._cext`, built at first use when a
 C compiler exists) serves two hot paths:
 
-* the Fair Share sorted prefix-sum laws — queue lengths, cumulative
-  loads and the individual congestion measure.  :func:`fs_queue_batch`,
+* the Fair Share sorted prefix-sum laws — queue lengths (unweighted
+  and weighted), cumulative loads and the individual congestion
+  measure.  :func:`fs_queue_batch`,
   :func:`fs_loads_batch` and :func:`ind_congestion_batch` are the one
   wrapper between :mod:`repro.core.fairshare` / :mod:`repro.core.signals`
   and the ctypes call.  They run whenever the C tier has built,
@@ -137,19 +138,30 @@ def warmup() -> str:
 # ------------------------------------------------------------------
 # Fair Share kernel dispatch (numpy in / numpy out; None = numpy path)
 # ------------------------------------------------------------------
-def fs_queue_batch(rates: np.ndarray,
-                   mu: float) -> Optional[np.ndarray]:
+def fs_queue_batch(rates: np.ndarray, mu: float,
+                   weights: Optional[np.ndarray] = None
+                   ) -> Optional[np.ndarray]:
     """Fair Share queue lengths of an ``(M, n)`` rate batch from the C
-    kernel, or None when the C tier has not built or a rate is NaN,
-    negative or infinite."""
+    kernel, or None when the C tier has not built, a rate is NaN,
+    negative or infinite, or a weight is not finite and positive.
+
+    ``weights`` (``n`` of them) selects the weighted law of
+    :class:`~repro.core.weighted.WeightedFairShare`; None is the
+    unweighted law."""
     lib = _cext.load()
     if lib is None:
         return None
     r = np.ascontiguousarray(rates, dtype=np.float64)
-    out = np.empty_like(r)
     m, n = r.shape
-    if lib.fs_queue_batch(r.ctypes.data, m, n, float(mu),
-                          out.ctypes.data):
+    phi = None
+    if weights is not None:
+        phi = np.ascontiguousarray(weights, dtype=np.float64)
+        if phi.shape != (n,):
+            raise ValueError(f"need {n} weights, got shape {phi.shape}")
+    out = np.empty_like(r)
+    if lib.fs_queue_batch(r.ctypes.data,
+                          None if phi is None else phi.ctypes.data,
+                          m, n, float(mu), out.ctypes.data):
         return None
     return out
 

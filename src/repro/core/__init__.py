@@ -47,7 +47,9 @@ from .steadystate import (fair_steady_state, is_aggregate_steady_state,
 from .topology import (Connection, Gateway, Network, parking_lot,
                        random_network, single_gateway, tandem,
                        two_gateway_shared)
-from .weighted import (WeightedFairShare, weighted_max_min_allocation,
+from .weighted import (WeightedFairShare,
+                       weighted_fair_share_queues_recursive,
+                       weighted_max_min_allocation,
                        weighted_reservation_floor)
 from .asynchronous import (CLOCK_KINDS, AsynchronousRunner,
                            BernoulliSchedule, BurstyClock, ClockModel,
@@ -98,8 +100,8 @@ __all__ = [
     "satisfies_theorem5_condition", "theorem5_condition_batch",
     "is_robust_outcome", "worst_floor_ratio", "reservation_delay",
     # weighted extension
-    "WeightedFairShare", "weighted_max_min_allocation",
-    "weighted_reservation_floor",
+    "WeightedFairShare", "weighted_fair_share_queues_recursive",
+    "weighted_max_min_allocation", "weighted_reservation_floor",
     # asynchronous extension
     "UpdateSchedule", "SynchronousSchedule", "RoundRobinSchedule",
     "BernoulliSchedule", "AsynchronousRunner", "run_async_ensemble",

@@ -36,6 +36,7 @@ from ..errors import RateVectorError
 from .math_utils import as_rate_vector, pick_kernel, row_sums, run_ends
 from .service import ServiceDiscipline
 from .topology import Network
+from .weighted import _check_weights
 
 __all__ = [
     "SignalFunction",
@@ -388,17 +389,8 @@ class FeedbackScheme:
         self.discipline = discipline
         self.signal_fn = signal_fn
         self.style = FeedbackStyle(style)
-        if weights is None:
-            self.weights = None
-        else:
-            self.weights = np.asarray(weights, dtype=float)
-            if self.weights.shape != (network.num_connections,):
-                raise RateVectorError(
-                    f"need one weight per connection "
-                    f"({network.num_connections}), got shape "
-                    f"{self.weights.shape}")
-            if np.any(self.weights <= 0):
-                raise RateVectorError("weights must be positive")
+        self.weights = (None if weights is None else
+                        _check_weights(weights, n=network.num_connections))
         # Gather indices for the batch path: per non-empty gateway, the
         # connection columns in Gamma(a) order (views into the network's
         # CSR member arrays, or a slice when they are one contiguous

@@ -17,6 +17,14 @@ host.  This module generalises the construction to positive weights
   occupancy ``L_k = g(sigma_k) - g(sigma_{k-1})`` is split among the
   participants in proportion to their weights.
 
+Sorted by ``v``, the load is a prefix sum,
+``sigma_k = (sum_{m<=k} r_(m) + v_(k) * sum_{m>k} phi_(m)) / mu``, so
+:class:`WeightedFairShare` runs on the sorted Fair Share kernel of
+:mod:`repro.core.fairshare` (in C whenever it has built), and equal
+weights give bit for bit the unweighted queues.  The class-by-class
+loop is :func:`weighted_fair_share_queues_recursive`, the plain law the
+kernel is checked against.
+
 The induced queue law keeps the structural properties Theorems 4 and 5
 rely on, in weighted form:
 
@@ -43,12 +51,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import RateVectorError, TopologyError
+from .fairshare import _fs_queues_batch
 from .math_utils import as_rate_vector, g
 from .service import ServiceDiscipline, _check_mu
 from .topology import Network
 
-__all__ = ["WeightedFairShare", "weighted_max_min_allocation",
-           "weighted_reservation_floor"]
+__all__ = ["WeightedFairShare", "weighted_fair_share_queues_recursive",
+           "weighted_max_min_allocation", "weighted_reservation_floor"]
 
 
 def _check_weights(weights: Sequence[float], n: int = None) -> np.ndarray:
@@ -67,8 +76,9 @@ class WeightedFairShare(ServiceDiscipline):
     """Fair Share with per-connection weights ``phi`` (see module doc).
 
     The weight vector is indexed like the local rate vector handed to
-    :meth:`queue_lengths`.  ``WeightedFairShare(np.ones(n))`` is
-    numerically identical to :class:`~repro.core.fairshare.FairShare`.
+    :meth:`queue_lengths`.  The law runs on the sorted Fair Share
+    kernel, so ``WeightedFairShare(np.ones(n))`` gives bit for bit the
+    queues of :class:`~repro.core.fairshare.FairShare`.
     """
 
     name = "weighted-fair-share"
@@ -81,46 +91,59 @@ class WeightedFairShare(ServiceDiscipline):
         return self._phi.copy()
 
     def queue_lengths(self, rates, mu):
+        """A one-row call of :meth:`queue_lengths_batch`."""
         r = as_rate_vector(rates, n=self._phi.shape[0])
-        _check_mu(mu)
-        phi = self._phi
-        n = r.shape[0]
-        v = r / phi
-        order = np.argsort(v, kind="stable")
-        q = np.zeros(n, dtype=float)
-        sigma_prev = 0.0
-        g_prev = 0.0
-        overloaded = False
-        for k in range(n):
-            vk = v[order[k]]
-            # Cumulative load of classes 1..k.
-            sigma = float(np.sum(np.minimum(r, phi * vk))) / mu
-            if overloaded:
-                q[order[k]] = math.inf if r[order[k]] > 0 else 0.0
-                continue
-            g_now = g(sigma)
-            if math.isinf(g_now):
-                overloaded = True
-                q[order[k]] = math.inf if r[order[k]] > 0 else 0.0
-                continue
-            level = g_now - g_prev
-            # Weight present in class k: every connection with
-            # v_m >= v_k (ties included).
-            participants = v >= vk - 1e-15
-            weight_in_class = float(np.sum(phi[participants]))
-            if level > 0 and weight_in_class > 0:
-                # Everyone at or above this level, including later
-                # ranks, accrues a share of this class.
-                share = level / weight_in_class
-                q[participants] += share * phi[participants]
-            sigma_prev, g_prev = sigma, g_now
-        q[r == 0.0] = 0.0
-        return q
+        return self.queue_lengths_batch(r[None, :], mu)[0]
+
+    def queue_lengths_batch(self, rates, mu, xp=None):
+        """The weighted law over an ``(M, n)`` batch of rate rows.
+
+        The sorted Fair Share kernel with this discipline's weights:
+        in the C tier whenever it has built, else the numpy sorted
+        pipeline, with the same bits and the same domain guard (a NaN,
+        negative or infinite rate takes the numpy pipeline).
+        """
+        return _fs_queues_batch(rates, mu, self._phi, xp=xp)
 
 
-# A subtlety of the loop above: ties in v would double-count a class if
-# two equal normalised rates produced two zero-width "levels".  Zero
-# width means `level == 0`, contributing nothing, so ties are safe.
+def weighted_fair_share_queues_recursive(rates: Sequence[float],
+                                         weights: Sequence[float],
+                                         mu: float) -> np.ndarray:
+    """The weighted law class by class, for cross-validation.
+
+    For each normalised rate ``v_(k)`` in increasing order it sums the
+    class load ``sigma_k = (1/mu) sum_m min(r_m, phi_m v_(k))`` inline,
+    takes the occupancy increment ``g(sigma_k) - g(sigma_{k-1})`` and
+    adds it to every connection with ``v_j >= v_(k)`` in proportion to
+    ``phi_j``.  Ties are exact: a tolerance would merge classes whose
+    normalised rates differ by less than it and break time-scale
+    invariance at small rates.  Mathematically identical to
+    :meth:`WeightedFairShare.queue_lengths` but sharing none of its
+    code, so it is the plain law the ``batch-equivalence`` oracle and
+    the tests check the kernel against.
+    """
+    phi = _check_weights(weights)
+    r = as_rate_vector(rates, n=phi.shape[0])
+    _check_mu(mu)
+    v = r / phi
+    q = np.zeros(r.shape[0], dtype=float)
+    g_prev = 0.0
+    for i in np.argsort(v, kind="stable"):
+        sigma = float(np.sum(np.minimum(r, phi * v[i]))) / mu
+        g_now = g(sigma)
+        if math.isinf(g_now):
+            # Overload: this class and every later one has no steady
+            # state.
+            q[v >= v[i]] = math.inf
+            break
+        # Everyone at or above this level, ties included, accrues a
+        # share of the class; a tie's later ranks add a zero level.
+        participants = v >= v[i]
+        share = (g_now - g_prev) / float(np.sum(phi[participants]))
+        q[participants] += share * phi[participants]
+        g_prev = g_now
+    q[r == 0.0] = 0.0
+    return q
 
 
 def weighted_max_min_allocation(network: Network,

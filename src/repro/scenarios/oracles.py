@@ -7,7 +7,8 @@ a whole scenario family:
 ================== ====================================================
 ``batch-equivalence``    ``step_batch`` rows vs :func:`reference_step`,
                          plain scalar laws (the Fair Share recursion,
-                         a min-broadcast congestion measure) with a
+                         the weighted class loop, a min-broadcast
+                         congestion measure) with a
                          per-connection ``rule.apply`` (contract:
                          equal to <= 1e-12)
 ``ensemble-equivalence`` ``run_ensemble`` member vs scalar ``run``
@@ -84,6 +85,8 @@ from ..core.robustness import reservation_floor_heterogeneous
 from ..core.signals import FeedbackStyle, weighted_individual_congestion
 from ..core.stability import jacobian, spectral_radius
 from ..core.steadystate import is_aggregate_steady_state, refine
+from ..core.weighted import (WeightedFairShare,
+                             weighted_fair_share_queues_recursive)
 from ..errors import ConvergenceError, OracleError
 from ..faults import FaultPlan
 from .spec import ScenarioSpec
@@ -205,9 +208,13 @@ class ScenarioContext:
 def _reference_queues(discipline, rates: np.ndarray,
                       mu: float) -> np.ndarray:
     """The plain queue law of one gateway: the paper's recursion for
-    Fair Share, the discipline's own scalar law otherwise."""
+    Fair Share, the class-by-class loop for weighted Fair Share, the
+    discipline's own scalar law otherwise."""
     if isinstance(discipline, FairShare):
         return fair_share_queues_recursive(rates, mu)
+    if isinstance(discipline, WeightedFairShare):
+        return weighted_fair_share_queues_recursive(
+            rates, discipline.weights, mu)
     return discipline.queue_lengths(rates, mu)
 
 

@@ -41,6 +41,7 @@ from .core.ratecontrol import (DecbitRateRule, ProportionalTargetRule,
 from .core.signals import (FeedbackStyle, LinearSaturating,
                            PowerSaturating)
 from .core.topology import parking_lot, single_gateway
+from .core.weighted import WeightedFairShare
 from .errors import SweepError
 from .observability import collect, validate_run_record
 from .parallel import sweep
@@ -286,6 +287,10 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
     tied_queues = FairShare().queue_lengths(big[1], mu=1.0)
     _check("equal rates get one Fair Share queue at N = 96",
            np.unique(tied_queues).size == 1, failures)
+    _check("equal weights give the Fair Share bits",
+           bool(np.array_equal(
+               WeightedFairShare(np.ones(96)).queue_lengths_batch(big, 1.0),
+               FairShare().queue_lengths_batch(big, 1.0))), failures)
     got = compiled_kernels.fs_queue_batch(big, 1.0)
     if got is None:
         _check("compiled FS kernels unavailable (numpy pipeline ok)",

@@ -14,6 +14,7 @@ from repro.backends import _cext
 from repro.core.fairshare import FairShare, cumulative_loads_batch
 from repro.core.math_utils import g
 from repro.core.steadystate import predicted_steady_state
+from repro.core.weighted import WeightedFairShare
 from repro.errors import ScenarioError, SweepError
 from repro.faults.plan import FaultState
 from repro.observability.artifacts import validate_artifact
@@ -28,7 +29,8 @@ from repro.simulation.network_sim import NetworkSimulation
 
 
 def spec_of(n=3, discipline="fair-share", style="individual",
-            rule=None, mu=1.0, fault_plan=None, name="bad", seed=5):
+            rule=None, mu=1.0, fault_plan=None, name="bad", seed=5,
+            weights=None):
     rule = rule or RuleSpec("proportional-target",
                             {"eta": 0.5, "beta": 0.5})
     return ScenarioSpec(
@@ -44,6 +46,7 @@ def spec_of(n=3, discipline="fair-share", style="individual",
         max_steps=1500,
         seed=seed,
         fault_plan=fault_plan,
+        weights=weights,
     )
 
 
@@ -108,6 +111,42 @@ class TestEveryOracleFires:
         monkeypatch.setattr(_cext, "load", lambda: None)
         monkeypatch.setattr(FairShare, "queue_lengths_batch", mutant)
         fails = failing_oracles(spec_of(), ["batch-equivalence"])
+        assert fails == ("batch-equivalence",)
+
+    def test_batch_equivalence_catches_weighted_kernel_mutation(
+            self, monkeypatch):
+        # A mutant weighted kernel that splits class k by n - k, the
+        # unweighted class size, instead of the weight at or above k.
+        def mutant(self, rates, mu, xp=None):
+            r = np.asarray(rates, dtype=float)
+            m, n = r.shape
+            v = r / self.weights
+            order = np.argsort(v, axis=1, kind="stable")
+            srt = np.take_along_axis(r, order, axis=1)
+            phi = self.weights[order]
+            above = np.cumsum(phi[:, ::-1], axis=1)[:, ::-1] - phi
+            g_sigma = g((np.cumsum(srt, axis=1)
+                         + np.take_along_axis(v, order, axis=1) * above)
+                        / mu)
+            finite = np.isfinite(g_sigma)
+            g_prev = np.concatenate([np.zeros((m, 1)), g_sigma[:, :-1]],
+                                    axis=1)
+            with np.errstate(invalid="ignore"):
+                shares = (g_sigma - g_prev) / (n - np.arange(n))
+            q = np.where(finite,
+                         np.cumsum(np.where(finite, shares, 0.0), axis=1)
+                         * phi, np.inf)
+            q[srt == 0.0] = 0.0
+            out = np.empty_like(q)
+            np.put_along_axis(out, order, q, axis=1)
+            return out
+
+        spec = spec_of(discipline="weighted-fair-share",
+                       weights=(1.0, 2.0, 3.0))
+        assert failing_oracles(spec, ["batch-equivalence"]) == ()
+        monkeypatch.setattr(WeightedFairShare, "queue_lengths_batch",
+                            mutant)
+        fails = failing_oracles(spec, ["batch-equivalence"])
         assert fails == ("batch-equivalence",)
 
     def test_ensemble_equivalence_catches_scalar_only_mutation(

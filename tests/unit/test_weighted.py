@@ -5,24 +5,46 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.dynamics import FlowControlSystem
 from repro.core.fairness import max_min_allocation
 from repro.core.fairshare import FairShare
 from repro.core.math_utils import g
-from repro.core.signals import (individual_congestion,
+from repro.core.ratecontrol import TargetRule
+from repro.core.signals import (LinearSaturating, individual_congestion,
                                 weighted_individual_congestion)
 from repro.core.topology import single_gateway, two_gateway_shared
 from repro.core.weighted import (WeightedFairShare,
+                                 weighted_fair_share_queues_recursive,
                                  weighted_max_min_allocation,
                                  weighted_reservation_floor)
 from repro.errors import RateVectorError, TopologyError
 
 
+def weighted_batch(n, seed, m=6):
+    """Seeded ``(rates, weights)``: weights with ties, rows with tied
+    normalised rates (dyadic, so ``r / phi`` ties exactly), zero
+    rates and an overloaded row."""
+    rng = np.random.default_rng(seed)
+    phi = rng.choice([0.5, 1.0, 2.0, 3.0, 4.0], size=n)
+    rates = rng.uniform(0.0, 0.9 / n, size=(m, n))
+    rates[1] = phi * rng.integers(0, 4, size=n) / (8.0 * n)
+    rates[2, : n // 3 + 1] = 0.0
+    rates[3] = 1.6 / n
+    return rates, phi
+
+
 class TestWeightedQueueLaw:
-    def test_equal_weights_reduce_to_fair_share(self, rates4):
-        wfs = WeightedFairShare(np.ones(4))
-        fs = FairShare()
-        assert np.allclose(wfs.queue_lengths(rates4, 1.0),
-                           fs.queue_lengths(rates4, 1.0))
+    def test_equal_weights_reduce_to_fair_share(self):
+        for n in (4, 64, 100):
+            rates, _ = weighted_batch(n, seed=n)
+            rates[4] = 0.9 / n             # equal rates: one tie run
+            wfs = WeightedFairShare(np.ones(n))
+            assert np.array_equal(
+                wfs.queue_lengths_batch(rates, 1.0),
+                FairShare().queue_lengths_batch(rates, 1.0)), n
+            for row in rates:
+                assert np.array_equal(wfs.queue_lengths(row, 1.0),
+                                      FairShare().queue_lengths(row, 1.0))
 
     def test_total_conserved(self, rates4):
         wfs = WeightedFairShare([1.0, 2.0, 0.5, 3.0])
@@ -83,6 +105,104 @@ class TestWeightedQueueLaw:
         w = wfs.weights
         w[0] = 99.0
         assert wfs.weights[0] == 1.0
+
+    def test_batch_rows_equal_scalar_calls(self):
+        rates, phi = weighted_batch(9, seed=5)
+        wfs = WeightedFairShare(phi)
+        batch = wfs.queue_lengths_batch(rates, 1.0)
+        for row, want in zip(rates, batch):
+            assert np.array_equal(wfs.queue_lengths(row, 1.0), want)
+        with pytest.raises(RateVectorError):
+            wfs.queue_lengths_batch(rates[:, :4], 1.0)
+
+
+class TestWeightedKernelAgainstTheory:
+    """The batch kernel against the weighted law's closed forms and
+    against the plain class-by-class law, which shares no code with
+    it."""
+
+    NS = [3, 17, 64, 257]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_conservation(self, n):
+        rates, phi = weighted_batch(n, seed=n)
+        q = WeightedFairShare(phi).queue_lengths_batch(rates, 1.0)
+        for row, qm in zip(rates, q):
+            rho = float(np.sum(row))
+            if rho < 1.0:
+                assert np.sum(qm) == pytest.approx(g(rho), rel=1e-12)
+            else:
+                assert np.isinf(qm).any()
+
+    @pytest.mark.parametrize("n", NS)
+    def test_weighted_theorem5_bound(self, n):
+        rates, phi = weighted_batch(n, seed=n + 1)
+        q = WeightedFairShare(phi).queue_lengths_batch(rates, 1.0)
+        ratio = phi.sum() / phi
+        checked = 0
+        for row, qm in zip(rates, q):
+            denom = 1.0 - ratio * row
+            ok = denom > 0
+            bound = row[ok] / denom[ok]
+            assert np.all(qm[ok] <= bound * (1 + 1e-12) + 1e-300)
+            checked += int(ok.sum())
+        assert checked > 0
+
+    @pytest.mark.parametrize("n", NS)
+    def test_agrees_with_the_plain_law(self, n):
+        rates, phi = weighted_batch(n, seed=n + 2)
+        q = WeightedFairShare(phi).queue_lengths_batch(rates, 1.0)
+        for row, qm in zip(rates, q):
+            want = weighted_fair_share_queues_recursive(row, phi, 1.0)
+            assert np.array_equal(np.isinf(qm), np.isinf(want))
+            fin = np.isfinite(want)
+            assert np.allclose(qm[fin], want[fin], rtol=1e-12, atol=0)
+
+    def test_overflowing_normalised_rate(self):
+        # r / phi overflows to inf for a subnormal weight; the top run
+        # has no weight above it, so the kernel adds no inf * 0 cap.
+        phi = np.array([1.0, 1e-310])
+        rates = np.array([[0.1, 0.05]])
+        with np.errstate(over="ignore"):
+            want = weighted_fair_share_queues_recursive(rates[0], phi,
+                                                        1000.0)
+        assert np.all(np.isfinite(want))
+        got = WeightedFairShare(phi).queue_lengths_batch(rates, 1000.0)
+        assert np.allclose(got[0], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("s", [1e-15, 1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("law", ["kernel", "plain"])
+    def test_time_scale_invariance(self, s, law):
+        # Q(s r, s mu) = Q(r, mu).  Ties between normalised rates are
+        # exact: an absolute tie tolerance merged the classes of
+        # (1, 2, 1)-weighted rates (0.1, 0.2, 0.3) at s = 1e-15, and a
+        # near tie at s = 1e-8.
+        cases = [([1.0, 2.0, 1.0], [0.1, 0.2, 0.3]),
+                 ([1.0, 1.0, 2.0], [0.1, 0.1 + 5e-8, 0.3])]
+        for phi, rates in cases:
+            def queues(r, mu):
+                if law == "kernel":
+                    return WeightedFairShare(phi).queue_lengths(r, mu)
+                return weighted_fair_share_queues_recursive(r, phi, mu)
+            want = queues(np.array(rates), 1.0)
+            got = queues(s * np.array(rates), s)
+            assert np.allclose(got, want, rtol=1e-12, atol=0), (phi, s)
+
+
+class TestWeightedSystem:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_weights_rejected_at_construction(self, bad):
+        with pytest.raises(RateVectorError, match="finite and positive"):
+            FlowControlSystem(single_gateway(3), WeightedFairShare(
+                [1.0, 1.0, 1.0]), LinearSaturating(),
+                TargetRule(eta=0.1, beta=0.5), weights=[bad, 1.0, 1.0])
+
+    def test_wrong_weight_count_rejected(self):
+        with pytest.raises(RateVectorError):
+            FlowControlSystem(single_gateway(3), FairShare(),
+                              LinearSaturating(),
+                              TargetRule(eta=0.1, beta=0.5),
+                              weights=[1.0, 1.0])
 
 
 class TestWeightedCongestion:

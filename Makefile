@@ -38,10 +38,10 @@ chaos-quick:
 async-quick:
 	$(PYTHON) benchmarks/bench_async.py --quick --check
 
-# Quick compiled-backend check: small workloads judged against the
+# Quick compiled-tier check: small workloads judged against the
 # BENCH_compiled.json quick floors (no rewrite).  Exits 0 with a
-# notice when no compiled tier can be built (no numba, no C compiler)
-# so a bare install stays green.
+# notice when the C library cannot be built (no C compiler) so a bare
+# install stays green.
 compiled-quick:
 	$(PYTHON) benchmarks/bench_compiled.py --quick
 
@@ -66,7 +66,7 @@ digests:
 # The tier-1 flow: full test suite, the engine smoke check, the
 # benchmark regression gate (quick CI workload), the bounded fuzzing
 # sweep, the blocked-ensemble scale check, the chaos sweep, the
-# asynchronous-engine check, the compiled-backend check, and the
+# asynchronous-engine check, the compiled-tier check, and the
 # repository benchmark's correctness checks.
 verify: test selftest gate fuzz-quick scale-quick chaos-quick \
 	async-quick compiled-quick suite-smoke

@@ -1,4 +1,4 @@
-"""Microbenchmark for the compiled backend tier.
+"""Microbenchmark for the compiled (C) tier.
 
 Standalone (not collected by pytest): times the compiled hot paths
 against the fastest pre-existing implementations on
@@ -19,9 +19,8 @@ Methodology matches ``bench_sim_kernel.py``: every speedup is the
 both implementations alike.  Compilation cost is kept out of the
 measured runs — :func:`repro.backends.compiled.warmup` builds (or
 cache-loads) the C library up front, and the per-phase Timer spans
-(``compile.cext`` / ``compile.numba`` vs ``run.fifo``) are recorded in
-the provenance block so the JSON separates JIT/C-build warmup from
-steady-state throughput.
+(``compile.cext`` vs ``run.fifo``) are recorded in the provenance block
+so the JSON separates C-build warmup from steady-state throughput.
 
 Run from the repository root::
 
@@ -31,9 +30,9 @@ The acceptance targets are >= 3x events/sec over the fast kernel on
 the FIFO closed loop and >= 2x on the Fair Share queue-law microbench
 (quick mode shrinks the closed loop, runs the queue law at full shape
 with fewer repetitions, and judges against the lower
-``QUICK_TARGETS``).  When no compiled tier can be built at all (no C
-compiler, no numba) the benchmark prints a notice and exits 0 — the
-compiled tier is optional by contract.
+``QUICK_TARGETS``).  When the C library cannot be built at all (no C
+compiler) the benchmark prints a notice and exits 0 — the compiled
+tier is optional by contract.
 """
 
 import argparse
@@ -46,7 +45,6 @@ import numpy as np
 
 from bench_sim_kernel import _fifo_run
 
-from repro import backends
 from repro.backends import compiled
 from repro.core.fairshare import _sorted_queues
 
@@ -123,10 +121,9 @@ def bench_fs_queue_law(pairs=7, members=64, n=512, reps=30, seed=5):
 
 
 def provenance():
-    """Backend identity plus the per-phase compile/run Timer spans."""
+    """The kernel tier plus the per-phase compile/run Timer spans."""
     timers = compiled.metrics().snapshot()["timers"]
-    return {"backend": backends.active().name,
-            "kernel_tier": compiled.tier(),
+    return {"kernel_tier": compiled.tier(),
             "fifo_engine": ("cext" if compiled.fifo_lib() is not None
                             else "python"),
             "timers": {name: {"total_seconds": round(t["total_seconds"],
@@ -151,8 +148,8 @@ def run_benchmarks(quick=False):
 
 
 def compiled_tier_available() -> bool:
-    """Anything to benchmark?  (C event loop or a compiled FS tier.)"""
-    return compiled.fifo_lib() is not None or compiled.fs_available()
+    """Anything to benchmark?  (The C library has built.)"""
+    return compiled.tier() == "cext"
 
 
 def main(argv=None):
@@ -166,7 +163,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if not compiled_tier_available():
-        print("compiled tier unavailable (no numba, no C compiler) — "
+        print("compiled tier unavailable (no C compiler) — "
               "nothing to benchmark; the pure-python fallback serves "
               "all paths")
         return 0

@@ -8,16 +8,16 @@ simulation-kernel benchmarks (``bench_sim_kernel.py``), the
 blocked-vs-one-shot scale benchmarks (``bench_scale.py``), the
 controller benchmarks (``bench_controllers.py``), the chaos-layer
 benchmarks (``bench_chaos.py``), the asynchronous-engine benchmarks
-(``bench_async.py``), and the compiled-backend benchmarks
+(``bench_async.py``), and the compiled-tier benchmarks
 (``bench_compiled.py``), compares the fresh ratios against the
 committed baselines in ``BENCH_core.json``, ``BENCH_sim.json``,
 ``BENCH_scale.json``, ``BENCH_controllers.json``,
 ``BENCH_chaos.json``, ``BENCH_async.json``, and
 ``BENCH_compiled.json``, and exits nonzero
 when performance regressed by more than the threshold (default 25%).
-The compiled-backend leg is skipped with a notice when no compiled
-tier exists in the environment (no numba, no C compiler) — the tier
-is optional, so a bare install must stay green.
+The compiled-tier leg is skipped with a notice when the C library
+cannot be built in the environment (no C compiler) — the tier is
+optional, so a bare install must stay green.
 
 Two modes:
 
@@ -92,10 +92,10 @@ GATED_CHAOS = [("empty_plan", "chaos_empty_plan_ratio_min"),
 GATED_ASYNC = [("async_ensemble", "async_ensemble_speedup_min"),
                ("delay_ring", "async_delay_ring_ratio_min")]
 
-#: The compiled-backend benchmarks (baseline BENCH_compiled.json).
-#: Skipped with a notice when no compiled tier can be built in this
-#: environment (no numba, no C compiler): the tier is optional by
-#: contract, so its absence must not fail CI on a bare install.
+#: The compiled-tier benchmarks (baseline BENCH_compiled.json).
+#: Skipped with a notice when the C library cannot be built in this
+#: environment (no C compiler): the tier is optional by contract, so
+#: its absence must not fail CI on a bare install.
 GATED_COMPILED = [("compiled_fifo", "compiled_fifo_speedup_min"),
                   ("fs_queue_law", "fs_queue_law_speedup_min")]
 
@@ -214,7 +214,7 @@ def main(argv=None):
         "--compiled-baseline",
         default=str(Path(__file__).resolve().parent.parent /
                     "BENCH_compiled.json"),
-        help="committed compiled-backend baseline JSON (default: repo "
+        help="committed compiled-tier baseline JSON (default: repo "
              "BENCH_compiled.json)")
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="allowed fractional regression vs the "
@@ -271,9 +271,9 @@ def main(argv=None):
         gated=GATED_ASYNC)
     compiled_ok, compiled_report, compiled_notice = True, [], None
     if not compiled_tier_available():
-        compiled_notice = ("compiled-backend benchmarks skipped: no "
-                           "compiled tier in this environment (no "
-                           "numba, no C compiler) — pure-python "
+        compiled_notice = ("compiled-tier benchmarks skipped: no "
+                           "compiled tier in this environment (no C "
+                           "compiler) — pure-python "
                            "fallback in force")
     else:
         with open(args.compiled_baseline) as fh:

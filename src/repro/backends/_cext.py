@@ -5,8 +5,8 @@ compiler (``cc``/``gcc``/``clang``), caches the shared library under
 ``src/repro/backends/_build`` (override with ``REPRO_CC_CACHE``; falls
 back to a temporary directory when the tree is read-only), and binds
 it with :mod:`ctypes`.  Nothing is installed; when no compiler exists
-the tier simply reports unavailable and callers fall back to the
-pure-python kernels.
+:func:`load` returns None (:func:`load_error` says why) and callers run
+the numpy pipelines and the pure-python event loop instead.
 
 Two kernel families live in the library:
 
@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Optional
 
 __all__ = [
-    "compiler_available", "load", "load_error", "build_seconds",
+    "load", "load_error", "build_seconds",
     "ST_DONE", "ST_REFILL", "ST_MAX_EVENTS", "ST_IDLE_SERVER",
     "ST_OOM",
 ]
@@ -857,11 +857,6 @@ def _find_compiler() -> Optional[str]:
         if cand and shutil.which(cand):
             return cand
     return None
-
-
-def compiler_available() -> bool:
-    """A C compiler exists on PATH (cheap; does not build)."""
-    return _find_compiler() is not None
 
 
 def _cache_dir() -> Path:

@@ -4,16 +4,10 @@ These functions replicate, scalar operation for scalar operation, the
 numpy sorted pipelines in :mod:`repro.core.fairshare` (``_sorted_queues``
 and ``_sorted_loads``) and :mod:`repro.core.signals`
 (``_individual_sorted``), which the C kernels in ``_cext.py`` also
-replicate.  They exist for two reasons:
-
-* they are written in the numba-``@njit``-compatible subset (plain
-  loops, ``np.argsort(kind="mergesort")``, no fancy indexing), so
-  :mod:`repro.backends.compiled` can wrap them with ``numba.njit``
-  when numba is installed — that wrapped object *is* the numba kernel
-  tier; and
-* un-jitted they are executable reference implementations the unit
-  tests can diff against both the numpy pipeline and the C extension
-  without any optional dependency installed.
+replicate.  Written as plain loops over ``np.argsort(kind="mergesort")``
+with no fancy indexing, they are executable reference implementations
+the unit tests diff against both the numpy pipeline and the C
+extension.
 
 Bit-identity notes (shared with the C twin in ``_cext.py``):
 
@@ -35,8 +29,8 @@ Bit-identity notes (shared with the C twin in ``_cext.py``):
   :func:`~repro.core.math_utils.run_ends`); the twins sum the run
   into the prefix first, then write it.
 
-Every function takes a preallocated ``out`` and returns it, so the
-jitted and plain versions share a calling convention with the C tier.
+Every function takes a preallocated ``out`` and returns it, the
+calling convention of the C tier.
 """
 
 from __future__ import annotations

@@ -9,23 +9,19 @@ C compiler exists) serves two hot paths:
   :func:`fs_loads_batch` and :func:`ind_congestion_batch` are the one
   wrapper between :mod:`repro.core.fairshare` / :mod:`repro.core.signals`
   and the ctypes call.  They run whenever the C tier has built,
-  whatever the active backend, because they give the same bits as the
-  numpy pipeline; they return None when it has not built or when the
-  input lies outside the kernel's domain, and the caller then runs the
-  numpy pipeline.
+  because they give the same bits as the numpy pipeline; they return
+  None when it has not built or when the input lies outside the
+  kernel's domain, and the caller then runs the numpy pipeline.
 * the FIFO event loop (:func:`fifo_lib`).
 
-:func:`tier` still names the best tier for the backend registry:
-``numba`` when numba is importable and compiles the loop twins of
-:mod:`repro.backends._fs_python`, else ``cext``, else ``python``.  The
-numba twins serve no kernel; they only answer ``resolve("numba")``.
+:func:`tier` names the live tier: ``cext`` when the C library has
+built, else ``python``.
 
-Observability: :data:`METRICS` carries per-phase
+Observability: :func:`metrics` carries per-phase
 :class:`~repro.observability.metrics.Timer` spans — ``compile.cext``
-(actual C build time, zero on a cache hit), ``compile.numba`` (JIT
-warmup of the Fair Share twins), and ``run.fifo`` (steady-state time
-inside the compiled event loop) — so ``BENCH_compiled.json`` can
-separate warmup from throughput.
+(actual C build time, zero on a cache hit) and ``run.fifo``
+(steady-state time inside the compiled event loop) — so
+``BENCH_compiled.json`` can separate warmup from throughput.
 """
 
 from __future__ import annotations
@@ -34,15 +30,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import _cext, _fs_python
+from . import _cext
 
 __all__ = ["tier", "fs_available", "fifo_lib", "metrics",
-           "numba_tier_ready", "fs_queue_batch", "fs_loads_batch",
-           "ind_congestion_batch", "warmup"]
+           "fs_queue_batch", "fs_loads_batch", "ind_congestion_batch",
+           "warmup"]
 
-_TIER: Optional[str] = None
-_NUMBA_TRIED = False
-_NUMBA_KERNELS = None
 _METRICS = None
 
 
@@ -56,55 +49,9 @@ def metrics():
     return _METRICS
 
 
-def _try_numba():
-    """Compile the numba tier once; returns the jitted kernels or None
-    (a failed import or compilation is remembered, not retried)."""
-    global _NUMBA_TRIED, _NUMBA_KERNELS
-    if _NUMBA_TRIED:
-        return _NUMBA_KERNELS
-    _NUMBA_TRIED = True
-    try:
-        import numba
-    except Exception:
-        return None
-    try:
-        with metrics().timer("compile.numba").time():
-            jit = numba.njit(cache=False, fastmath=False)
-            kernels = {
-                "fs_queue_batch": jit(_fs_python.fs_queue_batch),
-                "fs_loads_batch": jit(_fs_python.fs_loads_batch),
-                "ind_congestion_batch":
-                    jit(_fs_python.ind_congestion_batch),
-            }
-            # Force compilation now so "compile" time is not smeared
-            # into the first measured run.
-            probe = np.array([[0.25, 0.5, 0.125]])
-            out = np.empty_like(probe)
-            kernels["fs_queue_batch"](probe, 1.0, out)
-            kernels["fs_loads_batch"](np.sort(probe, axis=1), 1.0, out)
-            kernels["ind_congestion_batch"](probe, out)
-    except Exception:
-        return None
-    _NUMBA_KERNELS = kernels
-    return kernels
-
-
-def numba_tier_ready() -> bool:
-    """numba is importable *and* the kernels actually compiled."""
-    return _try_numba() is not None
-
-
 def tier() -> str:
-    """The best live tier: ``"numba"`` > ``"cext"`` > ``"python"``."""
-    global _TIER
-    if _TIER is None:
-        if _try_numba() is not None:
-            _TIER = "numba"
-        elif _cext.load() is not None:
-            _TIER = "cext"
-        else:
-            _TIER = "python"
-    return _TIER
+    """``"cext"`` when the C library has built, else ``"python"``."""
+    return "cext" if _cext.load() is not None else "python"
 
 
 def fs_available() -> bool:
@@ -113,19 +60,13 @@ def fs_available() -> bool:
 
 
 def fifo_lib():
-    """The C library serving the FIFO event loop, or None.
-
-    Independent of :func:`tier`: even under the numba tier the event
-    loop runs through the C extension (numba has no story for the
-    heap/pool/RNG resume trampoline), so this is simply "the cext
-    built" — with the pure-python ``_run_fifo`` as the graceful
-    fallback when it did not.
-    """
+    """The C library serving the FIFO event loop, or None when it has
+    not built (the pure-python ``_run_fifo`` then runs)."""
     return _cext.load()
 
 
 def warmup() -> str:
-    """Force tier resolution (and any compilation); returns the tier."""
+    """Build or load the C library now; returns the tier."""
     t = tier()
     if _cext.load() is not None and not _cext.built_from_cache():
         reg = metrics()

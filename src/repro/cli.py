@@ -32,12 +32,6 @@ Commands:
   worker at fuzzed crashpoints, prove the resumed results
   bit-identical); exits nonzero when any leg fails.
 
-``selftest``, ``fuzz`` and ``scale`` also take ``--backend NAME`` (or
-honour the ``REPRO_BACKEND`` environment variable) to pick the array /
-compiled-kernel backend for the run; unknown or unavailable names fail
-loudly with the list of available backends and an install hint (see
-:mod:`repro.backends`).
-
 ``run`` also takes ``--faults SPEC`` (inject a seeded fault plan, e.g.
 ``loss=0.3,delay=2,seed=7`` — see :func:`repro.faults.parse_fault_spec`)
 and ``--resume DIR`` (checkpoint the experiment's parameter sweep in
@@ -106,16 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     t1_p.add_argument("--mu", type=float, default=1.5,
                       help="gateway service rate")
 
-    backend_help = ("array/kernel backend (see repro.backends): "
-                    "numpy, compiled, numba, cext, cupy, jax, or stub; "
-                    "default: $REPRO_BACKEND or numpy")
-
     selftest_p = sub.add_parser(
         "selftest", help="fast batch-engine smoke check (< 30 s)")
     selftest_p.add_argument("--quick", action="store_true",
                             help="smaller ensembles (CI-friendly)")
-    selftest_p.add_argument("--backend", default=None, metavar="NAME",
-                            help=backend_help)
     selftest_p.add_argument("--force-fail", action="store_true",
                             help=argparse.SUPPRESS)
 
@@ -141,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--max-shrink-iters", type=int, default=None,
                         help="cap on shrink-search oracle evaluations "
                              "(clamped to a safe range)")
-    fuzz_p.add_argument("--backend", default=None, metavar="NAME",
-                        help=backend_help)
 
     scale_p = sub.add_parser(
         "scale",
@@ -161,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="step budget per member (default 50)")
     scale_p.add_argument("--discipline", default="fair-share",
                          help="fair-share or fifo (default fair-share)")
-    scale_p.add_argument("--backend", default=None, metavar="NAME",
-                         help=backend_help)
 
     chaos_p = sub.add_parser(
         "chaos",
@@ -253,7 +237,15 @@ def _cmd_all(csv_dir: Optional[Path], json_dir: Optional[Path]) -> int:
 
 
 def _cmd_table1(rates: str, mu: float) -> int:
-    values = [float(tok) for tok in rates.split(",") if tok.strip()]
+    values = []
+    for tok in rates.split(","):
+        if not tok.strip():
+            continue
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise CLIError(
+                f"--rates: {tok.strip()!r} is not a number") from None
     result = run_table1(rates=values, mu=mu)
     print(format_table(result))
     return 0 if result.all_checks_pass else 1
@@ -440,12 +432,6 @@ def _cmd_chaos(quick: bool, rounds: Optional[int], seed: int,
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "backend", None) is not None:
-        # Resolve loudly before the command runs: an unknown or
-        # unavailable backend is a CLIError listing the alternatives,
-        # never a silent fall-through to numpy.
-        from . import backends
-        backends.use(backends.resolve(args.backend))
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -68,35 +68,26 @@ def round_trip_delays(network: Network, discipline: ServiceDiscipline,
 
 def round_trip_delays_batch(network: Network,
                             discipline: ServiceDiscipline,
-                            rates: np.ndarray,
-                            xp=None) -> np.ndarray:
+                            rates: np.ndarray) -> np.ndarray:
     """Batched :func:`round_trip_delays`: row ``m`` of the ``(M, N)``
     result equals ``round_trip_delays(network, discipline, rates[m])``.
 
     Gateway sojourns are computed once per gateway for the whole batch
     and scattered back onto connection columns through the network's
     CSR member arrays.
-
-    ``xp`` selects the array namespace (numpy when ``None``); it is
-    forwarded to the discipline only when it is not numpy, so custom
-    disciplines without the parameter keep working on the default
-    backend.
     """
-    xp = np if xp is None else xp
-    kw = {} if xp is np else {"xp": xp}
-    r = xp.asarray(rates, dtype=float)
+    r = np.asarray(rates, dtype=float)
     n = network.num_connections
     if r.ndim != 2 or r.shape[1] != n:
         raise RateVectorError(
             f"need an (M, {n}) rate batch, got shape {r.shape}")
     csr = network.csr
-    d = xp.empty_like(r)
+    d = np.empty_like(r)
     d[:] = csr.path_latency
     for a, gname in enumerate(csr.gateway_names):
         cols = csr.members(a)
         if cols.size == 0:
             continue
-        sojourn = discipline.delays_batch(r[:, cols], network.mu(gname),
-                                          **kw)
+        sojourn = discipline.delays_batch(r[:, cols], network.mu(gname))
         d[:, cols] += sojourn
     return d

@@ -251,20 +251,7 @@ class FlowControlSystem:
                  rules: Union[RateAdjustment, Sequence[RateAdjustment]],
                  style: FeedbackStyle = FeedbackStyle.INDIVIDUAL,
                  weights=None,
-                 controller: Optional[RcpController] = None,
-                 backend=None):
-        # ``backend`` pins the array backend of the batch engine: a
-        # name (resolved through repro.backends.resolve, loud on
-        # unknown/unavailable), a Backend object, or None for the
-        # session's active backend (numpy unless selected otherwise).
-        from .. import backends as _backends
-        if backend is None:
-            self._backend = _backends.active()
-        elif isinstance(backend, _backends.Backend):
-            self._backend = backend
-        else:
-            self._backend = _backends.resolve(backend)
-        self._xp = self._backend.xp
+                 controller: Optional[RcpController] = None):
         self.network = network
         self.discipline = discipline
         self.scheme = FeedbackScheme(network, discipline, signal_fn, style,
@@ -342,16 +329,6 @@ class FlowControlSystem:
         """True when every connection runs the same rule object."""
         return all(rule is self.rules[0] for rule in self.rules)
 
-    @property
-    def backend(self):
-        """The :class:`~repro.backends.Backend` the batch engine uses."""
-        return self._backend
-
-    @property
-    def xp(self):
-        """The array namespace of :attr:`backend`."""
-        return self._xp
-
     # ------------------------------------------------------------------
     # observables
     # ------------------------------------------------------------------
@@ -415,10 +392,10 @@ class FlowControlSystem:
         rows = r[None, :]
         views = (None if structural is None
                  else [structural.resolve(step_index)])
-        b, d = self._observe(rows, views, np)
+        b, d = self._observe(rows, views)
         if faults is not None:
             b[0] = faults.apply(step_index, b[0])
-        return clip_nonnegative(self._decide(rows, b, d, np))[0]
+        return clip_nonnegative(self._decide(rows, b, d))[0]
 
     def step_batch(self, rates: np.ndarray, faults=None, members=None,
                    step_index: int = 1, structural=None) -> np.ndarray:
@@ -465,20 +442,19 @@ class FlowControlSystem:
         of the sources that update; the others keep their rates.  Both
         ``None`` is the synchronous map.
         """
-        xp = self._xp
         rows = members if members is not None else range(r.shape[0])
         views = (None if structural is None
                  else [structural[m].resolve(step_index) for m in rows])
-        b, d = self._observe(r if stale is None else stale, views, xp)
+        b, d = self._observe(r if stale is None else stale, views)
         if faults is not None:
             for row, m in enumerate(rows):
                 b[row] = faults[m].apply(step_index, b[row])
-        new = self._decide(r, b, d, xp)
+        new = self._decide(r, b, d)
         if mask is not None:
-            new = xp.where(mask, new, r)
-        return clip_nonnegative(new, xp=xp)
+            new = np.where(mask, new, r)
+        return clip_nonnegative(new)
 
-    def _observe(self, r, views, xp) -> tuple:
+    def _observe(self, r, views) -> tuple:
         """The observe stage: signals and delays ``(b, d)`` of a
         validated ``(M, N)`` batch; ``d`` is ``None`` when no rule
         reads it (:attr:`RateAdjustment.reads_delay
@@ -490,7 +466,7 @@ class FlowControlSystem:
         connections through a blackholed gateway see ``b = 1``.
         """
         if views is None:
-            return self._observe_on(self.scheme, r, xp)
+            return self._observe_on(self.scheme, r)
         groups: dict = {}
         for row, view in enumerate(views):
             groups.setdefault(view.key, (view, []))[1].append(row)
@@ -498,7 +474,7 @@ class FlowControlSystem:
         d = np.empty_like(r) if self._reads_delay else None
         for view, row_list in groups.values():
             sel = np.asarray(row_list, dtype=np.intp)
-            bs, ds = self._observe_on(view.scheme, r[sel], xp)
+            bs, ds = self._observe_on(view.scheme, r[sel])
             if view.blackholed.size:
                 bs[:, view.blackholed] = 1.0
             b[sel] = bs
@@ -506,28 +482,22 @@ class FlowControlSystem:
                 d[sel] = ds
         return b, d
 
-    def _observe_on(self, scheme, r, xp) -> tuple:
+    def _observe_on(self, scheme, r) -> tuple:
         """``(b, d)`` of ``r`` on one scheme; ``d`` only if it is read."""
-        # The xp namespace is only forwarded off the numpy default, so
-        # overridable collaborators predating the parameter keep
-        # working (the conditional-kwarg seam pattern).
-        kw = {} if xp is np else {"xp": xp}
         if self._reads_delay:
-            return scheme.observe_batch(r, **kw)
-        return scheme.signals_batch(r, **kw), None
+            return scheme.observe_batch(r)
+        return scheme.signals_batch(r), None
 
-    def _decide(self, r, b, d, xp) -> np.ndarray:
+    def _decide(self, r, b, d) -> np.ndarray:
         """The decide stage, before the clip: every rule group applied
         once over its columns, or the sole rule over the whole batch.
         ``d`` is ``None`` when no rule reads delays."""
-        kw = {} if xp is np else {"xp": xp}
         if self._sole_rule is not None:
-            return self._sole_rule.apply_batch(r, b, d, **kw)
-        new = xp.empty_like(r)
+            return self._sole_rule.apply_batch(r, b, d)
+        new = np.empty_like(r)
         for rule, cols in self._rule_groups:
             new[:, cols] = rule.apply_batch(
-                r[:, cols], b[:, cols], None if d is None else d[:, cols],
-                **kw)
+                r[:, cols], b[:, cols], None if d is None else d[:, cols])
         return new
 
     def step_controlled(self, rates: np.ndarray,
@@ -565,11 +535,8 @@ class FlowControlSystem:
 
     def _controlled_rows(self, r, state) -> tuple:
         """:meth:`step_controlled_batch` on a validated batch."""
-        xp = self._xp
-        kw = {} if xp is np else {"xp": xp}
-        state_next = self._bank.update_batch(r, state, **kw)
-        return clip_nonnegative(
-            self._bank.advertised_batch(state_next, **kw), xp=xp), \
+        state_next = self._bank.update_batch(r, state)
+        return clip_nonnegative(self._bank.advertised_batch(state_next)), \
             state_next
 
     def residual(self, rates: np.ndarray) -> np.ndarray:

@@ -52,8 +52,7 @@ __all__ = ["FairShare", "priority_decomposition", "cumulative_loads",
            "cumulative_loads_batch", "fair_share_queues_recursive"]
 
 
-def _sorted_loads(sorted_rates: np.ndarray, mu: float,
-                  xp=np) -> np.ndarray:
+def _sorted_loads(sorted_rates: np.ndarray, mu: float) -> np.ndarray:
     """O(n log n) cumulative loads from row-sorted rates.
 
     With the rates of each row sorted increasingly,
@@ -67,13 +66,13 @@ def _sorted_loads(sorted_rates: np.ndarray, mu: float,
     one load.
     """
     n = sorted_rates.shape[-1]
-    prefix = xp.cumsum(sorted_rates, axis=-1)
-    counts = (n - 1 - xp.arange(n)).astype(float)
+    prefix = np.cumsum(sorted_rates, axis=-1)
+    counts = (n - 1 - np.arange(n)).astype(float)
     loads = (prefix + sorted_rates * counts) / mu
-    return xp.take_along_axis(loads, run_ends(sorted_rates, xp), axis=-1)
+    return np.take_along_axis(loads, run_ends(sorted_rates), axis=-1)
 
 
-def _sorted_queues(rates: np.ndarray, mu: float, xp=np,
+def _sorted_queues(rates: np.ndarray, mu: float,
                    weights: np.ndarray = None) -> np.ndarray:
     """The numpy sorted pipeline of the Fair Share law for an ``(M, n)``
     batch: the C kernel's reference, and the path without it.
@@ -92,57 +91,55 @@ def _sorted_queues(rates: np.ndarray, mu: float, xp=np,
     product by a weight of 1 is exact.
     """
     m_batch, n = rates.shape
-    rows = xp.arange(m_batch)[:, None]
+    rows = np.arange(m_batch)[:, None]
     if weights is None:
-        weights = xp.ones(n)
+        weights = np.ones(n)
     with np.errstate(over="ignore"):
         v = rates / weights
-    order = xp.argsort(v, axis=1, kind="stable")
+    order = np.argsort(v, axis=1, kind="stable")
     sorted_rates, sorted_v = rates[rows, order], v[rows, order]
     phi = weights[order]
-    at_or_above = xp.cumsum(phi[:, ::-1], axis=1)[:, ::-1]
+    at_or_above = np.cumsum(phi[:, ::-1], axis=1)[:, ::-1]
     # The top rank has no weight above it and adds no cap, so an
     # overflowing v never meets a zero weight.
-    cap = xp.zeros_like(sorted_v)
+    cap = np.zeros_like(sorted_v)
     cap[:, :-1] = sorted_v[:, :-1] * at_or_above[:, 1:]
-    loads = (xp.cumsum(sorted_rates, axis=1) + cap) / mu
-    sigma = xp.take_along_axis(loads, run_ends(sorted_v, xp), axis=1)
+    loads = (np.cumsum(sorted_rates, axis=1) + cap) / mu
+    sigma = np.take_along_axis(loads, run_ends(sorted_v), axis=1)
 
     # L_k = g(sigma_k) - g(sigma_{k-1}), shared by the connections in
     # class k in proportion to their weights; a connection's queue is
     # its weight times the cumsum of its per-weight class shares.
     # sigma is nondecreasing along each row, so once g hits inf
     # (overload) every later class is inf too.
-    g_sigma = xp.asarray(g(sigma))
-    finite = xp.isfinite(g_sigma)
-    g_prev = xp.concatenate(
-        [xp.zeros((m_batch, 1)), g_sigma[:, :-1]], axis=1)
+    g_sigma = np.asarray(g(sigma))
+    finite = np.isfinite(g_sigma)
+    g_prev = np.concatenate(
+        [np.zeros((m_batch, 1)), g_sigma[:, :-1]], axis=1)
     with np.errstate(invalid="ignore"):
         shares = (g_sigma - g_prev) / at_or_above
-    acc = xp.cumsum(xp.where(finite, shares, 0.0), axis=1) * phi
-    q_sorted = xp.where(finite, acc, math.inf)
+    acc = np.cumsum(np.where(finite, shares, 0.0), axis=1) * phi
+    q_sorted = np.where(finite, acc, math.inf)
     q_sorted[sorted_rates == 0.0] = 0.0
 
-    out = xp.empty_like(q_sorted)
+    out = np.empty_like(q_sorted)
     out[rows, order] = q_sorted
     return out
 
 
-def _fs_queues_batch(rates, mu: float, weights: np.ndarray = None,
-                     xp=None) -> np.ndarray:
+def _fs_queues_batch(rates, mu: float,
+                     weights: np.ndarray = None) -> np.ndarray:
     """The one Fair Share kernel over an ``(M, n)`` batch of rate rows:
     unweighted, or weighted by ``weights`` (see :func:`_sorted_queues`).
 
     The sorted prefix-sum kernel runs in the C tier whenever it has
-    built, whatever the active backend; otherwise (no compiler, or a
-    non-numpy ``xp``) the numpy sorted pipeline runs and gives the same
-    bits.  Only well-formed input reaches C: a NaN, negative or
-    infinite rate takes the numpy pipeline, so the edge-case semantics
-    (``nan`` propagation, the ``g()`` domain error) are the historical
-    ones.  ``xp`` selects the array namespace (numpy when ``None``).
+    built; otherwise (no compiler) the numpy sorted pipeline runs and
+    gives the same bits.  Only well-formed input reaches C: a NaN,
+    negative or infinite rate takes the numpy pipeline, so the
+    edge-case semantics (``nan`` propagation, the ``g()`` domain error)
+    are the historical ones.
     """
-    xp = np if xp is None else xp
-    r = xp.asarray(rates, dtype=float)
+    r = np.asarray(rates, dtype=float)
     _check_mu(mu)
     if r.ndim != 2:
         raise RateVectorError(
@@ -150,11 +147,10 @@ def _fs_queues_batch(rates, mu: float, weights: np.ndarray = None,
     if weights is not None and r.shape[1] != weights.shape[0]:
         raise RateVectorError(
             f"need {weights.shape[0]} rates per row, got shape {r.shape}")
-    if xp is np:
-        out = compiled.fs_queue_batch(r, mu, weights)
-        if out is not None:
-            return out
-    return _sorted_queues(r, mu, xp=xp, weights=weights)
+    out = compiled.fs_queue_batch(r, mu, weights)
+    if out is not None:
+        return out
+    return _sorted_queues(r, mu, weights=weights)
 
 
 def priority_decomposition(rates: Sequence[float]) -> np.ndarray:
@@ -201,8 +197,7 @@ def cumulative_loads(rates: Sequence[float], mu: float,
 
 
 def cumulative_loads_batch(rates: np.ndarray, mu: float,
-                           sorted_rates: np.ndarray = None,
-                           xp=None) -> np.ndarray:
+                           sorted_rates: np.ndarray = None) -> np.ndarray:
     """Batched :func:`cumulative_loads`: row ``m`` of the ``(M, n)``
     result is ``cumulative_loads(rates[m], mu)``.
 
@@ -210,22 +205,18 @@ def cumulative_loads_batch(rates: np.ndarray, mu: float,
     the caller has already sorted the batch.  The O(M n log n)
     prefix-sum kernel runs in the C tier when it has built and in the
     numpy sorted pipeline otherwise; the two give the same bits.
-    ``xp`` selects the array namespace (numpy when ``None``); the C
-    kernel only engages on numpy arrays.
     """
-    xp = np if xp is None else xp
-    r = xp.asarray(rates, dtype=float)
+    r = np.asarray(rates, dtype=float)
     _check_mu(mu)
     if r.ndim != 2:
         raise RateVectorError(
             f"rate batch must be 2-D, got shape {r.shape}")
     if sorted_rates is None:
-        sorted_rates = xp.sort(r, axis=1, kind="stable")
-    if xp is np:
-        out = compiled.fs_loads_batch(sorted_rates, mu)
-        if out is not None:
-            return out
-    return _sorted_loads(sorted_rates, mu, xp=xp)
+        sorted_rates = np.sort(r, axis=1, kind="stable")
+    out = compiled.fs_loads_batch(sorted_rates, mu)
+    if out is not None:
+        return out
+    return _sorted_loads(sorted_rates, mu)
 
 
 class FairShare(ServiceDiscipline):
@@ -239,12 +230,12 @@ class FairShare(ServiceDiscipline):
         r = as_rate_vector(rates)
         return self.queue_lengths_batch(r[None, :], mu)[0]
 
-    def queue_lengths_batch(self, rates, mu, xp=None):
+    def queue_lengths_batch(self, rates, mu):
         """Vectorised FS queue law over an ``(M, n)`` batch of rate
         rows: the sorted prefix-sum kernel, in C whenever the C tier has
         built, else the numpy sorted pipeline, with the same bits (see
         :func:`_fs_queues_batch`)."""
-        return _fs_queues_batch(rates, mu, xp=xp)
+        return _fs_queues_batch(rates, mu)
 
 
 def fair_share_queues_recursive(rates: Sequence[float],

@@ -41,15 +41,14 @@ class Fifo(ServiceDiscipline):
             return q.astype(float)
         return rho / (1.0 - rho_total)
 
-    def queue_lengths_batch(self, rates, mu, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
+    def queue_lengths_batch(self, rates, mu):
+        r = np.asarray(rates, dtype=float)
         _check_mu(mu)
         rho = r / mu
         # A strict per-row fold, so each row's bits do not depend on the
         # batch it rides in (see row_sums).
-        rho_total = row_sums(rho, xp=xp)[:, None]
+        rho_total = row_sums(rho)[:, None]
         overloaded = rho_total >= 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             q = rho / (1.0 - rho_total)
-        return xp.where(overloaded, xp.where(rho > 0, math.inf, 0.0), q)
+        return np.where(overloaded, np.where(rho > 0, math.inf, 0.0), q)

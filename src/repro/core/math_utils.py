@@ -161,22 +161,20 @@ def inverse_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def run_ends(sorted_values: np.ndarray, xp=None) -> np.ndarray:
+def run_ends(sorted_values: np.ndarray) -> np.ndarray:
     """Rank of the last entry of each entry's run of equal values.
 
     ``sorted_values`` is sorted increasingly along its last axis.  The
     sorted prefix-sum laws give every rank of a run the value computed
     at that run's last rank, where the prefix sum has taken in the
     whole run: exact in real arithmetic, and tied inputs then get
-    bit-identical outputs.  ``xp`` selects the array namespace (numpy
-    when ``None``).
+    bit-identical outputs.
     """
-    xp = np if xp is None else xp
     n = sorted_values.shape[-1]
-    last = xp.ones(sorted_values.shape, dtype=bool)
+    last = np.ones(sorted_values.shape, dtype=bool)
     last[..., :-1] = sorted_values[..., 1:] != sorted_values[..., :-1]
-    ends = xp.where(last, xp.arange(n), n - 1)
-    return xp.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    ends = np.where(last, np.arange(n), n - 1)
+    return np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
 
 
 def relative_error(measured: float, expected: float) -> float:
@@ -208,7 +206,7 @@ def is_close_vector(a, b, atol: float = 1e-9, rtol: float = 1e-9) -> bool:
     return bool(np.allclose(av, bv, atol=atol, rtol=rtol))
 
 
-def row_sums(values: np.ndarray, xp=None) -> np.ndarray:
+def row_sums(values: np.ndarray) -> np.ndarray:
     """Sums along the last axis, as a strict left-to-right fold per row.
 
     ``values.sum(axis=-1)`` lets numpy pick the summation order from the
@@ -217,22 +215,15 @@ def row_sums(values: np.ndarray, xp=None) -> np.ndarray:
     differ in the last bits.  ``cumsum`` always folds in index order, so
     row ``m`` of the result depends on row ``m`` of the input alone: a
     one-row batch is bit-identical to that row of any batch.
-
-    ``xp`` selects the array namespace (numpy when ``None``).
     """
-    xp = np if xp is None else xp
     if values.shape[-1] == 0:
-        return xp.zeros(values.shape[:-1], dtype=float)
-    return xp.cumsum(values, axis=-1)[..., -1]
+        return np.zeros(values.shape[:-1], dtype=float)
+    return np.cumsum(values, axis=-1)[..., -1]
 
 
-def clip_nonnegative(vec: np.ndarray, xp=None) -> np.ndarray:
-    """Truncate negative entries to zero (the paper's rate truncation).
-
-    ``xp`` selects the array namespace (numpy when ``None``).
-    """
-    xp = np if xp is None else xp
-    return xp.maximum(xp.asarray(vec, dtype=float), 0.0)
+def clip_nonnegative(vec: np.ndarray) -> np.ndarray:
+    """Truncate negative entries to zero (the paper's rate truncation)."""
+    return np.maximum(np.asarray(vec, dtype=float), 0.0)
 
 
 def pairs(seq: Sequence) -> Iterable[Tuple]:

@@ -105,7 +105,7 @@ class RateAdjustment(abc.ABC):
         return max(0.0, rate + self.delta(rate, signal, delay))
 
     def delta_batch(self, rates: np.ndarray, signals: np.ndarray,
-                    delays: np.ndarray, xp=None) -> np.ndarray:
+                    delays: np.ndarray) -> np.ndarray:
         """Elementwise ``f`` over same-shaped arrays of ``(r, b, d)``.
 
         The base implementation loops over :meth:`delta`, so any custom
@@ -114,18 +114,13 @@ class RateAdjustment(abc.ABC):
         against each other exactly like the vectorised overrides (a
         scalar delay against an ``(N,)`` rate vector is fine).
 
-        ``xp`` selects the array namespace (numpy when ``None``);
-        callers forward it only for non-numpy backends, so custom
-        rules without the parameter keep working on the default path.
-
         ``delays=None`` (a rule declaring ``reads_delay = False``)
         passes ``delay=None`` to :meth:`delta`.
         """
-        xp = np if xp is None else xp
-        r, b, d = xp.broadcast_arrays(
-            xp.asarray(rates, dtype=float), xp.asarray(signals, dtype=float),
-            xp.asarray(0.0 if delays is None else delays, dtype=float))
-        out = xp.empty(r.shape, dtype=float)
+        r, b, d = np.broadcast_arrays(
+            np.asarray(rates, dtype=float), np.asarray(signals, dtype=float),
+            np.asarray(0.0 if delays is None else delays, dtype=float))
+        out = np.empty(r.shape, dtype=float)
         flat_r, flat_b, flat_d = r.ravel(), b.ravel(), d.ravel()
         flat_out = out.ravel()
         for k in range(flat_r.size):
@@ -135,13 +130,10 @@ class RateAdjustment(abc.ABC):
         return out
 
     def apply_batch(self, rates: np.ndarray, signals: np.ndarray,
-                    delays: np.ndarray, xp=None) -> np.ndarray:
+                    delays: np.ndarray) -> np.ndarray:
         """Elementwise truncated update ``max(0, r + f(r, b, d))``."""
-        xp = np if xp is None else xp
-        kw = {} if xp is np else {"xp": xp}
-        r = xp.asarray(rates, dtype=float)
-        return xp.maximum(0.0, r + self.delta_batch(r, signals, delays,
-                                                    **kw))
+        r = np.asarray(rates, dtype=float)
+        return np.maximum(0.0, r + self.delta_batch(r, signals, delays))
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -177,9 +169,8 @@ class TargetRule(RateAdjustment):
     def delta(self, rate, signal, delay):
         return self.eta * (self.beta - signal)
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        b = xp.asarray(signals, dtype=float)
+    def delta_batch(self, rates, signals, delays):
+        b = np.asarray(signals, dtype=float)
         return self.eta * (self.beta - b)
 
     def __repr__(self):
@@ -206,10 +197,9 @@ class ProportionalTargetRule(RateAdjustment):
     def delta(self, rate, signal, delay):
         return self.eta * rate * (self.beta - signal)
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
         return self.eta * r * (self.beta - b)
 
     def __repr__(self):
@@ -238,17 +228,16 @@ class DecbitWindowRule(RateAdjustment):
             return -self.beta * signal * rate
         return (1.0 - signal) * self.eta / delay - self.beta * signal * rate
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
-        d = xp.asarray(delays, dtype=float)
-        if xp.any(d <= 0):
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
+        d = np.asarray(delays, dtype=float)
+        if np.any(d <= 0):
             raise RateVectorError("delays must be positive")
         decrease = self.beta * b * r
         with np.errstate(invalid="ignore"):
             increase = (1.0 - b) * self.eta / d
-        return xp.where(xp.isinf(d), -decrease, increase - decrease)
+        return np.where(np.isinf(d), -decrease, increase - decrease)
 
     def __repr__(self):
         return f"DecbitWindowRule(eta={self.eta}, beta={self.beta})"
@@ -273,10 +262,9 @@ class DecbitRateRule(RateAdjustment):
     def delta(self, rate, signal, delay):
         return (1.0 - signal) * self.eta - self.beta * signal * rate
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
         return (1.0 - b) * self.eta - self.beta * b * r
 
     def steady_rate(self, signal: float) -> float:
@@ -317,11 +305,10 @@ class BinaryAimdRule(RateAdjustment):
             return self.increase
         return -self.decrease * rate
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
-        return xp.where(b < self.threshold, self.increase,
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
+        return np.where(b < self.threshold, self.increase,
                         -self.decrease * r)
 
     def __repr__(self):
@@ -362,15 +349,14 @@ class TcpLikeRule(RateAdjustment):
             return self.increase / delay
         return -self.decrease * rate
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
-        d = xp.asarray(delays, dtype=float)
-        if xp.any(d <= 0):
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
+        d = np.asarray(delays, dtype=float)
+        if np.any(d <= 0):
             raise RateVectorError("delays must be positive")
         # increase / inf == 0.0 exactly, matching the scalar path.
-        return xp.where(b < self.threshold, self.increase / d,
+        return np.where(b < self.threshold, self.increase / d,
                         -self.decrease * r)
 
     def __repr__(self):
@@ -398,11 +384,10 @@ class RcpSourceRule(RateAdjustment):
     def delta(self, rate, signal, delay):
         return 0.0
 
-    def delta_batch(self, rates, signals, delays, xp=None):
-        xp = np if xp is None else xp
-        r = xp.asarray(rates, dtype=float)
-        b = xp.asarray(signals, dtype=float)
-        return xp.zeros(np.broadcast(r, b).shape, dtype=float)
+    def delta_batch(self, rates, signals, delays):
+        r = np.asarray(rates, dtype=float)
+        b = np.asarray(signals, dtype=float)
+        return np.zeros(np.broadcast(r, b).shape, dtype=float)
 
     def __repr__(self):
         return "RcpSourceRule()"

@@ -36,7 +36,7 @@ from ..errors import RateVectorError
 from .math_utils import as_rate_vector, pick_kernel, row_sums, run_ends
 from .service import ServiceDiscipline
 from .topology import Network
-from .weighted import _check_weights
+from .weighted import WeightedFairShare, _check_weights
 
 __all__ = [
     "SignalFunction",
@@ -69,8 +69,7 @@ class SignalFunction(abc.ABC):
         Defined for ``signal in [0, 1)``; ``signal -> 1`` gives ``inf``.
         """
 
-    def apply_batch(self, congestion: np.ndarray,
-                    xp=None) -> np.ndarray:
+    def apply_batch(self, congestion: np.ndarray) -> np.ndarray:
         """Elementwise signals for an array of congestion measures.
 
         Equals ``B`` applied entry by entry; the base implementation
@@ -80,14 +79,9 @@ class SignalFunction(abc.ABC):
         ``B(inf) = 1`` contract), so a subclass whose scalar map divides
         by the measure never sees ``inf`` and cannot leak ``inf - inf``
         NaNs into the overloaded-gateway signals.
-
-        ``xp`` selects the array namespace (numpy when ``None``);
-        callers only pass it for non-numpy backends, so subclasses
-        that predate the parameter keep working on the default path.
         """
-        xp = np if xp is None else xp
-        arr = xp.asarray(congestion, dtype=float)
-        out = xp.empty(arr.size, dtype=float)
+        arr = np.asarray(congestion, dtype=float)
+        out = np.empty(arr.size, dtype=float)
         flat = arr.ravel()
         for k in range(flat.size):
             c = flat[k]
@@ -119,8 +113,8 @@ def _check_congestion(congestion: float) -> float:
     return value
 
 
-def _check_congestion_batch(congestion, xp=np) -> np.ndarray:
-    arr = xp.asarray(congestion, dtype=float)
+def _check_congestion_batch(congestion) -> np.ndarray:
+    arr = np.asarray(congestion, dtype=float)
     # One comparison catches both: NaN is not >= 0 either.
     if not (arr >= 0).all():
         raise RateVectorError(
@@ -146,11 +140,10 @@ class LinearSaturating(SignalFunction):
             return 1.0
         return c / (c + 1.0)
 
-    def apply_batch(self, congestion, xp=None):
-        xp = np if xp is None else xp
-        c = _check_congestion_batch(congestion, xp=xp)
+    def apply_batch(self, congestion):
+        c = _check_congestion_batch(congestion)
         with np.errstate(invalid="ignore"):
-            return xp.where(xp.isinf(c), 1.0, c / (c + 1.0))
+            return np.where(np.isinf(c), 1.0, c / (c + 1.0))
 
     def congestion_for(self, signal):
         b = _check_signal(signal)
@@ -184,11 +177,10 @@ class PowerSaturating(SignalFunction):
         # bit-identical to apply_batch for the step/step_batch contract.
         return float(np.power(c / (c + 1.0), self.p))
 
-    def apply_batch(self, congestion, xp=None):
-        xp = np if xp is None else xp
-        c = _check_congestion_batch(congestion, xp=xp)
+    def apply_batch(self, congestion):
+        c = _check_congestion_batch(congestion)
         with np.errstate(invalid="ignore"):
-            return xp.where(xp.isinf(c), 1.0, (c / (c + 1.0)) ** self.p)
+            return np.where(np.isinf(c), 1.0, (c / (c + 1.0)) ** self.p)
 
     def congestion_for(self, signal):
         b = _check_signal(signal)
@@ -219,10 +211,9 @@ class ExponentialSignal(SignalFunction):
         # apply_batch (libm and the numpy ufunc differ in the last ulp).
         return 1.0 - float(np.exp(-self.k * c))
 
-    def apply_batch(self, congestion, xp=None):
-        xp = np if xp is None else xp
-        c = _check_congestion_batch(congestion, xp=xp)
-        return 1.0 - xp.exp(-self.k * c)
+    def apply_batch(self, congestion):
+        c = _check_congestion_batch(congestion)
+        return 1.0 - np.exp(-self.k * c)
 
     def congestion_for(self, signal):
         b = _check_signal(signal)
@@ -246,7 +237,7 @@ def aggregate_congestion(queues: Sequence[float]) -> float:
     return float(np.sum(np.asarray(queues, dtype=float)))
 
 
-def _individual_sorted(queues: np.ndarray, xp=np) -> np.ndarray:
+def _individual_sorted(queues: np.ndarray) -> np.ndarray:
     """O(n log n) individual congestion for a row batch of queues: the
     numpy sorted pipeline, the C kernel's reference and the path
     without it.
@@ -265,15 +256,15 @@ def _individual_sorted(queues: np.ndarray, xp=np) -> np.ndarray:
     the O(n^2) min-broadcast up to floating-point summation order.
     """
     n = queues.shape[-1]
-    order = xp.argsort(queues, axis=-1, kind="stable")
-    qs = xp.take_along_axis(queues, order, axis=-1)
-    prefix = xp.cumsum(qs, axis=-1)
-    counts = (n - 1 - xp.arange(n)).astype(float)
+    order = np.argsort(queues, axis=-1, kind="stable")
+    qs = np.take_along_axis(queues, order, axis=-1)
+    prefix = np.cumsum(qs, axis=-1)
+    counts = (n - 1 - np.arange(n)).astype(float)
     with np.errstate(invalid="ignore"):
-        c_sorted = xp.where(xp.isinf(qs), math.inf, prefix + qs * counts)
-    c_sorted = xp.take_along_axis(c_sorted, run_ends(qs, xp), axis=-1)
-    out = xp.empty_like(queues)
-    xp.put_along_axis(out, order, c_sorted, axis=-1)
+        c_sorted = np.where(np.isinf(qs), math.inf, prefix + qs * counts)
+    c_sorted = np.take_along_axis(c_sorted, run_ends(qs), axis=-1)
+    out = np.empty_like(queues)
+    np.put_along_axis(out, order, c_sorted, axis=-1)
     return out
 
 
@@ -291,44 +282,37 @@ def individual_congestion(queues: Sequence[float]) -> np.ndarray:
     return individual_congestion_batch(q[None, :])[0]
 
 
-def individual_congestion_batch(queues: np.ndarray,
-                                xp=None) -> np.ndarray:
+def individual_congestion_batch(queues: np.ndarray) -> np.ndarray:
     """Row-wise :func:`individual_congestion` for an ``(M, n)`` batch.
 
     The O(M n log n) sorted prefix-sum kernel runs in the C tier
-    whenever it has built, whatever the active backend; otherwise (no
-    compiler, or a non-numpy ``xp``) the numpy sorted pipeline runs
-    and gives the same bits.  A NaN or negative queue takes the numpy
-    pipeline.  ``xp`` selects the array namespace (numpy when
-    ``None``).
+    whenever it has built; otherwise (no compiler) the numpy sorted
+    pipeline runs and gives the same bits.  A NaN or negative queue
+    takes the numpy pipeline.
     """
-    xp = np if xp is None else xp
-    q = xp.asarray(queues, dtype=float)
+    q = np.asarray(queues, dtype=float)
     if q.ndim != 2:
         raise RateVectorError(f"queue batch must be 2-D, got {q.shape}")
-    if xp is np:
-        out = compiled.ind_congestion_batch(q)
-        if out is not None:
-            return out
-    return _individual_sorted(q, xp=xp)
+    out = compiled.ind_congestion_batch(q)
+    if out is not None:
+        return out
+    return _individual_sorted(q)
 
 
 def weighted_individual_congestion_batch(
-        queues: np.ndarray, weights: Sequence[float],
-        xp=None) -> np.ndarray:
+        queues: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """Row-wise :func:`weighted_individual_congestion` for a batch."""
-    xp = np if xp is None else xp
-    q = xp.asarray(queues, dtype=float)
-    phi = xp.asarray(weights, dtype=float)
+    q = np.asarray(queues, dtype=float)
+    phi = np.asarray(weights, dtype=float)
     if q.ndim != 2 or phi.ndim != 1 or q.shape[1] != phi.shape[0]:
         raise RateVectorError(
             f"queue batch {q.shape} and weights {phi.shape} do not match")
-    if xp.any(phi <= 0) or not xp.all(xp.isfinite(phi)):
+    if np.any(phi <= 0) or not np.all(np.isfinite(phi)):
         raise RateVectorError("weights must be finite and positive")
     scaled_own = (phi[None, None, :] / phi[None, :, None]) * q[:, :, None]
     with np.errstate(invalid="ignore"):
-        capped = xp.minimum(q[:, None, :], scaled_own)
-    return row_sums(capped, xp=xp)
+        capped = np.minimum(q[:, None, :], scaled_own)
+    return row_sums(capped)
 
 
 def weighted_individual_congestion(queues: Sequence[float],
@@ -391,12 +375,22 @@ class FeedbackScheme:
         self.style = FeedbackStyle(style)
         self.weights = (None if weights is None else
                         _check_weights(weights, n=network.num_connections))
+        csr = network.csr
+        if isinstance(discipline, WeightedFairShare):
+            # Its weights are indexed by local position at a gateway.
+            k = len(discipline.weights)
+            for a, gname in enumerate(csr.gateway_names):
+                carried = csr.members(a).size
+                if carried and carried != k:
+                    raise RateVectorError(
+                        f"gateway {gname!r} carries {carried} "
+                        f"connections but the weighted Fair Share "
+                        f"discipline has {k} weights")
         # Gather indices for the batch path: per non-empty gateway, the
         # connection columns in Gamma(a) order (views into the network's
         # CSR member arrays, or a slice when they are one contiguous
         # run, so indexing gives a view instead of a copy) and the
         # service rate.  Static because routing is static.
-        csr = network.csr
         self._gateways = [
             (_column_index(csr.members(a)), network.mu(gname))
             for a, gname in enumerate(csr.gateway_names)
@@ -467,23 +461,17 @@ class FeedbackScheme:
             b[i] = best
         return b
 
-    def signals_batch(self, rates: np.ndarray, xp=None) -> np.ndarray:
+    def signals_batch(self, rates: np.ndarray) -> np.ndarray:
         """Bottleneck signals for an ``(M, N)`` batch of rate vectors.
 
         Row ``m`` of the result equals ``signals(rates[m])`` up to
         summation order; every stage — queue laws, congestion measures,
         signal function, the MAX over gateways — is evaluated once per
         gateway for the whole batch instead of once per ensemble member.
-
-        ``xp`` selects the array namespace (numpy when ``None``).  The
-        namespace is only forwarded to the discipline and signal
-        function when it is not numpy, so custom subclasses written
-        before the parameter existed keep working on the default
-        backend.
         """
-        return self._observe(rates, xp, with_delays=False)[0]
+        return self._observe(rates, with_delays=False)[0]
 
-    def observe_batch(self, rates: np.ndarray, xp=None) -> tuple:
+    def observe_batch(self, rates: np.ndarray) -> tuple:
         """The observe stage of one step: ``(b, d)`` for an ``(M, N)``
         batch.
 
@@ -493,44 +481,40 @@ class FeedbackScheme:
         bit; each gateway's queue law is evaluated once and feeds both
         (the paper's single steady-state queue vector ``Q^a(r)``).
         ``rates`` is taken as already validated (finite, nonnegative);
-        only its shape is checked.  ``xp`` works as in
-        :meth:`signals_batch`.
+        only its shape is checked.
         """
-        return self._observe(rates, xp, with_delays=True)
+        return self._observe(rates, with_delays=True)
 
-    def _observe(self, rates, xp, with_delays: bool) -> tuple:
+    def _observe(self, rates, with_delays: bool) -> tuple:
         """One pass over the non-empty gateways: queue law, congestion
         measure, signal, MAX scatter into ``b`` and, ``with_delays``,
         Little's-law sojourns added onto the path latencies in ``d``."""
-        xp = np if xp is None else xp
-        kw = {} if xp is np else {"xp": xp}
-        r = xp.asarray(rates, dtype=float)
+        r = np.asarray(rates, dtype=float)
         if r.ndim != 2 or r.shape[1] != self.network.num_connections:
             raise RateVectorError(
                 f"need an (M, {self.network.num_connections}) rate "
                 f"batch, got shape {r.shape}")
-        b = xp.zeros_like(r)
+        b = np.zeros_like(r)
         d = None
         if with_delays:
-            d = xp.empty_like(r)
+            d = np.empty_like(r)
             d[:] = self.network.csr.path_latency
         for cols, mu in self._gateways:
             local = r[:, cols]
-            q = self.discipline.queue_lengths_batch(local, mu, **kw)
+            q = self.discipline.queue_lengths_batch(local, mu)
             if self.style is FeedbackStyle.AGGREGATE:
                 # One measure per row, shared by every connection: the
                 # MAX below broadcasts its signal across the columns.
-                c = row_sums(q, xp=xp)[:, None]
+                c = row_sums(q)[:, None]
             elif self.weights is not None:
                 c = weighted_individual_congestion_batch(
-                    q, self.weights[cols], xp=xp)
+                    q, self.weights[cols])
             else:
-                c = individual_congestion_batch(q, xp=xp)
-            b[:, cols] = xp.maximum(b[:, cols],
-                                    self.signal_fn.apply_batch(c, **kw))
+                c = individual_congestion_batch(q)
+            b[:, cols] = np.maximum(b[:, cols],
+                                    self.signal_fn.apply_batch(c))
             if d is not None:
-                d[:, cols] += self.discipline.sojourns_batch(local, q, mu,
-                                                             **kw)
+                d[:, cols] += self.discipline.sojourns_batch(local, q, mu)
         return b, d
 
     def bottlenecks(self, rates: np.ndarray,

@@ -95,7 +95,7 @@ class WeightedFairShare(ServiceDiscipline):
         r = as_rate_vector(rates, n=self._phi.shape[0])
         return self.queue_lengths_batch(r[None, :], mu)[0]
 
-    def queue_lengths_batch(self, rates, mu, xp=None):
+    def queue_lengths_batch(self, rates, mu):
         """The weighted law over an ``(M, n)`` batch of rate rows.
 
         The sorted Fair Share kernel with this discipline's weights:
@@ -103,7 +103,7 @@ class WeightedFairShare(ServiceDiscipline):
         pipeline, with the same bits and the same domain guard (a NaN,
         negative or infinite rate takes the numpy pipeline).
         """
-        return _fs_queues_batch(rates, mu, self._phi, xp=xp)
+        return _fs_queues_batch(rates, mu, self._phi)
 
 
 def weighted_fair_share_queues_recursive(rates: Sequence[float],

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..core.fairshare import FairShare, priority_decomposition
 from ..core.math_utils import sorted_order
+from ..errors import RateVectorError
 from .base import ExperimentResult
 
 __all__ = ["run_table1"]
@@ -24,8 +25,13 @@ _CLASS_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 def run_table1(rates: Sequence[float] = (0.1, 0.2, 0.3, 0.4),
                mu: float = 1.5) -> ExperimentResult:
-    """Reproduce Table 1 for ``rates`` (any length up to 26)."""
+    """Reproduce Table 1 for ``rates`` (1 to 26 of them, one class
+    label each)."""
     r = np.asarray(rates, dtype=float)
+    if r.ndim != 1 or not 1 <= r.size <= len(_CLASS_LABELS):
+        raise RateVectorError(
+            f"Table 1 needs 1 to {len(_CLASS_LABELS)} rates, got "
+            f"shape {r.shape}")
     n = r.shape[0]
     decomp = priority_decomposition(r)
     order = sorted_order(r)

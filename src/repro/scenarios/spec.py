@@ -1021,7 +1021,7 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"scenario spec is missing field {exc.args[0]!r}") \
                 from None
-        except TypeError as exc:
+        except (TypeError, ValueError, AttributeError) as exc:
             raise ScenarioError(
                 f"scenario spec is malformed: {exc}") from None
 

@@ -88,7 +88,7 @@ class TestEveryOracleFires:
     def test_batch_equivalence_catches_kernel_mutation(self, monkeypatch):
         # A mutant sorted kernel that shares class k among n - k + 1
         # connections instead of n - k, run on the numpy path.
-        def mutant(self, rates, mu, xp=None):
+        def mutant(self, rates, mu):
             r = np.asarray(rates, dtype=float)
             m, n = r.shape
             order = np.argsort(r, axis=1, kind="stable")
@@ -117,7 +117,7 @@ class TestEveryOracleFires:
             self, monkeypatch):
         # A mutant weighted kernel that splits class k by n - k, the
         # unweighted class size, instead of the weight at or above k.
-        def mutant(self, rates, mu, xp=None):
+        def mutant(self, rates, mu):
             r = np.asarray(rates, dtype=float)
             m, n = r.shape
             v = r / self.weights

@@ -1,6 +1,6 @@
-"""Unit tests for repro.backends: the resolver, the stub array
-namespace, the compiled kernel tiers against the numpy sorted
-pipeline, and the pick_kernel boundary."""
+"""Unit tests for repro.backends: the C Fair Share kernels and their
+loop twins against the numpy sorted pipeline, and the compiled tier's
+timers."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from repro.core.signals import (FeedbackStyle, LinearSaturating,
                                 individual_congestion_batch)
 from repro.core.topology import single_gateway
 from repro.core.weighted import WeightedFairShare
-from repro.errors import CLIError, RateVectorError
+from repro.errors import RateVectorError
 
 needs_compiled_fs = pytest.mark.skipif(
     not compiled.fs_available(),
@@ -27,120 +27,6 @@ needs_compiled_fs = pytest.mark.skipif(
 needs_fifo_lib = pytest.mark.skipif(
     compiled.fifo_lib() is None,
     reason="no C compiler: FIFO event loop runs pure python")
-
-
-@pytest.fixture(autouse=True)
-def _pristine_activation():
-    """No test leaks a process-wide backend activation."""
-    backends.reset()
-    yield
-    backends.reset()
-
-
-class TestResolver:
-    def test_default_is_numpy(self):
-        backend = backends.resolve()
-        assert backend.name == "numpy"
-        assert backend.xp is np
-        assert backend.kernel_tier == "python"
-
-    def test_name_is_normalised(self):
-        assert backends.resolve("  NumPy ").name == "numpy"
-
-    def test_unknown_name_is_loud(self):
-        with pytest.raises(CLIError) as exc:
-            backends.resolve("tensorflow")
-        msg = str(exc.value)
-        assert "tensorflow" in msg
-        assert "available backends" in msg
-        assert "numpy" in msg
-        assert "repro[numba]" in msg
-
-    def test_unavailable_dependency_is_loud(self):
-        if backends._numba_available():
-            pytest.skip("numba installed: the gap cannot be provoked")
-        with pytest.raises(CLIError) as exc:
-            backends.resolve("numba")
-        msg = str(exc.value)
-        assert "not available" in msg
-        assert "repro[numba]" in msg
-
-    def test_compiled_degrades_gracefully(self):
-        backend = backends.resolve("compiled")
-        assert backend.name == "compiled"
-        assert backend.xp is np
-        assert backend.kernel_tier in ("numba", "cext", "python")
-
-    def test_always_available_names(self):
-        names = backends.available_backends()
-        for name in ("numpy", "compiled", "stub"):
-            assert name in names
-
-    def test_env_variable_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "stub")
-        backends.reset()
-        assert backends.active().name == "stub"
-
-    def test_env_variable_unknown_is_loud(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "gpu9000")
-        backends.reset()
-        with pytest.raises(CLIError):
-            backends.active()
-
-    def test_use_and_reset(self):
-        backends.use("stub")
-        assert backends.active().name == "stub"
-        backends.reset()
-        assert backends.active().name == "numpy"
-
-    def test_using_restores_previous(self):
-        with backends.using("stub"):
-            assert backends.active().name == "stub"
-        assert backends.active().name == "numpy"
-
-    def test_backend_instance_passes_through(self):
-        backend = backends.resolve("stub")
-        assert backends.use(backend) is backend
-
-
-class TestStubSeam:
-    def _system(self, backend=None):
-        return FlowControlSystem(
-            single_gateway(4, mu=1.0), FairShare(), LinearSaturating(),
-            TargetRule(eta=0.1, beta=0.5),
-            style=FeedbackStyle.INDIVIDUAL, backend=backend)
-
-    def test_step_batch_bit_identical_and_exercised(self):
-        rng = np.random.default_rng(3)
-        batch = rng.uniform(0.0, 0.5, size=(5, 4))
-        stub = backends.resolve("stub")
-        out = self._system(backend=stub).step_batch(batch)
-        want = self._system().step_batch(batch)
-        assert np.array_equal(out, want)
-        assert stub.xp.calls > 0
-        assert "asarray" in stub.xp.attributes_used
-
-    def test_run_ensemble_bit_identical(self):
-        rng = np.random.default_rng(4)
-        starts = rng.uniform(0.0, 0.5, size=(6, 4))
-        stub = backends.resolve("stub")
-        got = self._system(backend=stub).run_ensemble(starts,
-                                                      max_steps=200)
-        want = self._system().run_ensemble(starts, max_steps=200)
-        assert np.array_equal(got.finals, want.finals)
-        assert got.outcomes == want.outcomes
-        assert stub.xp.calls > 0
-
-    def test_system_resolves_backend_names(self):
-        system = self._system(backend="stub")
-        assert system.backend.name == "stub"
-        with pytest.raises(CLIError):
-            self._system(backend="not-a-backend")
-
-    def test_system_defaults_to_active_backend(self):
-        with backends.using("stub"):
-            system = self._system()
-        assert system.backend.name == "stub"
 
 
 def fuzz_batches(seed, count=2000):
@@ -186,8 +72,7 @@ def fuzz_batches(seed, count=2000):
 
 
 class TestPythonTwins:
-    """The numba-compatible loop twins diff against the numpy
-    pipeline with no optional dependency installed."""
+    """The loop twins diff against the numpy pipeline."""
 
     def test_fs_queue_twin_matches_sorted_pipeline(self):
         rng = np.random.default_rng(11)
@@ -339,53 +224,32 @@ class TestCompiledFairShare:
         with_c = runs()
         monkeypatch.setattr(_cext, "load", lambda: None)
         assert compiled.fs_queue_batch(np.ones((1, 2)), 4.0) is None
+        assert compiled.tier() == "python"
         without_c = runs()
         for got, want in zip(without_c, with_c):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
 
-class TestCompiledDispatch:
-    def test_numba_import_is_tried_at_most_once(self, monkeypatch):
-        # A missing numba used to be re-imported on every compiled
-        # Fair Share call.
-        import builtins
-        real_import = builtins.__import__
-        attempts = []
-
-        def counting_import(name, *args, **kwargs):
-            if name == "numba":
-                attempts.append(name)
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(compiled, "_NUMBA_TRIED", False)
-        monkeypatch.setattr(compiled, "_NUMBA_KERNELS", None)
-        monkeypatch.setattr(builtins, "__import__", counting_import)
-        rates = np.array([[0.1, 0.2, 0.2, 0.05]])
-        for _ in range(20):
-            compiled.fs_queue_batch(rates, 1.0)
-            compiled.fs_loads_batch(rates, 1.0)
-            compiled.ind_congestion_batch(rates)
-            compiled.numba_tier_ready()
-        assert len(attempts) <= 1
-
-
 class TestPickKernelBoundary:
     """The route-walk switch of ``FeedbackScheme.signals`` and
-    ``round_trip_delays`` flips at exactly SPARSE_MIN_N whatever the
-    backend; the Fair Share laws have no switch and give the same bits
-    on both sides of it."""
+    ``round_trip_delays`` flips at exactly SPARSE_MIN_N whether or not
+    the C tier has built; the Fair Share laws have no switch and give
+    the same bits on both sides of it."""
 
     def test_boundary_names_default_backend(self):
         assert pick_kernel("auto", SPARSE_MIN_N - 1) == "dense"
         assert pick_kernel("auto", SPARSE_MIN_N) == "sparse"
         assert pick_kernel("auto", SPARSE_MIN_N + 1) == "sparse"
 
-    def test_boundary_names_compiled_backend(self):
-        with backends.using("compiled"):
-            assert pick_kernel("auto", SPARSE_MIN_N - 1) == "dense"
-            assert pick_kernel("auto", SPARSE_MIN_N) == "sparse"
-            assert pick_kernel("auto", SPARSE_MIN_N + 1) == "sparse"
+    def test_boundary_names_compiled_backend(self, monkeypatch):
+        # The switch does not consult the compiled tier: masking the C
+        # library leaves it where it was.
+        monkeypatch.setattr(_cext, "load", lambda: None)
+        assert compiled.tier() == "python"
+        assert pick_kernel("auto", SPARSE_MIN_N - 1) == "dense"
+        assert pick_kernel("auto", SPARSE_MIN_N) == "sparse"
+        assert pick_kernel("auto", SPARSE_MIN_N + 1) == "sparse"
 
     def test_unknown_method_lists_the_choices(self):
         with pytest.raises(RateVectorError) as exc:
@@ -395,19 +259,20 @@ class TestPickKernelBoundary:
 
     @pytest.mark.parametrize("n", [SPARSE_MIN_N - 1, SPARSE_MIN_N,
                                    SPARSE_MIN_N + 1])
-    def test_bit_identity_across_the_switch(self, n):
+    def test_bit_identity_across_the_switch(self, n, monkeypatch):
         # Dyadic rates (k/32n with dyadic n-scaling is exact in
         # binary64) make any kernel discrepancy a hard bit flip
         # rather than harmless noise.  The contract pinned here: on
         # either side of the route-walk switch the scalar law is the
-        # one-row numpy sorted pipeline bit for bit, under any
-        # backend, and within float tolerance of the recursion.
+        # one-row numpy sorted pipeline bit for bit, with the C tier
+        # and without it, and within float tolerance of the recursion.
         rng = np.random.default_rng(31)
         rates = rng.integers(0, 32, size=n) / (32.0 * n)
         want = _sorted_queues(rates[None, :], 1.0)[0]
         assert np.array_equal(FairShare().queue_lengths(rates, mu=1.0),
                               want)
-        with backends.using("compiled"):
+        with monkeypatch.context() as masked:
+            masked.setattr(_cext, "load", lambda: None)
             assert np.array_equal(
                 FairShare().queue_lengths(rates, mu=1.0), want)
         assert np.allclose(want, fair_share_queues_recursive(rates, 1.0),
@@ -416,7 +281,9 @@ class TestPickKernelBoundary:
 
 class TestObservability:
     def test_warmup_reports_tier(self):
-        assert compiled.warmup() in ("numba", "cext", "python")
+        assert compiled.warmup() in ("cext", "python")
+        # The repository benchmark records both as provenance.
+        assert backends.active().name == "numpy"
 
     @needs_fifo_lib
     def test_fifo_runs_are_timed(self):

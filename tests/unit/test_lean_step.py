@@ -51,7 +51,7 @@ class _Recording(RateAdjustment):
     def delta(self, rate, signal, delay):
         return 0.01 * (0.5 - signal)
 
-    def delta_batch(self, rates, signals, delays, xp=None):
+    def delta_batch(self, rates, signals, delays):
         self.seen.append(np.array(delays, dtype=float))
         return 0.01 * (0.5 - np.asarray(signals, dtype=float))
 
@@ -143,9 +143,9 @@ class TestDelaysOnlyWhenRead:
         calls = []
         orig = Fifo.sojourns_batch
 
-        def counting(self, rates, queues, mu, xp=None):
+        def counting(self, rates, queues, mu):
             calls.append(rates.shape)
-            return orig(self, rates, queues, mu, xp=xp)
+            return orig(self, rates, queues, mu)
 
         monkeypatch.setattr(Fifo, "sojourns_batch", counting)
         return calls

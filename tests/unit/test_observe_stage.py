@@ -145,9 +145,9 @@ class TestOneQueueLawCallPerGateway:
         calls = []
         orig = Fifo.queue_lengths_batch
 
-        def counting(self, rates, mu, xp=None):
+        def counting(self, rates, mu):
             calls.append(rates.shape)
-            return orig(self, rates, mu, xp=xp)
+            return orig(self, rates, mu)
 
         monkeypatch.setattr(Fifo, "queue_lengths_batch", counting)
         return calls

@@ -150,6 +150,20 @@ class TestSpecSerialisation:
         with pytest.raises(ScenarioError, match="not valid JSON"):
             ScenarioSpec.from_json("{nope")
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(initial_rates=["x"] * len(d["initial_rates"])),
+        lambda d: d.update(weights=["x"] * len(d["initial_rates"])),
+        lambda d: d["rules"][0].update(params="abc"),
+        lambda d: d.update(fault_plan="loss"),
+        lambda d: d.update(structural_plan="cut"),
+    ], ids=["initial_rates", "weights", "rule-params", "fault_plan",
+            "structural_plan"])
+    def test_malformed_field_rejected(self, mutate):
+        data = json.loads(generate_spec(3, 0).to_json())
+        mutate(data)
+        with pytest.raises(ScenarioError, match="malformed"):
+            ScenarioSpec.from_json(json.dumps(data))
+
 
 class TestStructuralEdits:
     def test_drop_connection_prunes_unused_gateways(self):

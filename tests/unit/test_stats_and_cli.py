@@ -93,6 +93,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "c2" in out
 
+    @pytest.mark.parametrize("rates,named", [
+        ("0.1,abc", "'abc' is not a number"),
+        (",", "1 to 26 rates"),
+        (",".join(["0.01"] * 27), "1 to 26 rates")],
+        ids=["not-a-number", "empty", "27-rates"])
+    def test_table1_bad_rates_exit_2(self, rates, named, capsys):
+        from repro.cli import console_main
+        assert console_main(["table1", "--rates", rates]) == 2
+        err = capsys.readouterr().err
+        assert "repro: error:" in err
+        assert named in err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -12,7 +12,8 @@ from repro.core.math_utils import g
 from repro.core.ratecontrol import TargetRule
 from repro.core.signals import (LinearSaturating, individual_congestion,
                                 weighted_individual_congestion)
-from repro.core.topology import single_gateway, two_gateway_shared
+from repro.core.topology import (parking_lot, single_gateway,
+                                 two_gateway_shared)
 from repro.core.weighted import (WeightedFairShare,
                                  weighted_fair_share_queues_recursive,
                                  weighted_max_min_allocation,
@@ -203,6 +204,26 @@ class TestWeightedSystem:
                               LinearSaturating(),
                               TargetRule(eta=0.1, beta=0.5),
                               weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("network,phi,carried", [
+        (single_gateway(3), [1.0, 2.0], 3),
+        (parking_lot(2), [1.0, 2.0, 3.0], 2)],
+        ids=["single-gateway", "parking-lot"])
+    def test_discipline_weights_must_match_every_gateway(
+            self, network, phi, carried):
+        with pytest.raises(RateVectorError,
+                           match=f"'g0' carries {carried} connections "
+                                 f"but .* has {len(phi)} weights"):
+            FlowControlSystem(network, WeightedFairShare(phi),
+                              LinearSaturating(),
+                              TargetRule(eta=0.1, beta=0.5))
+
+    def test_equal_local_counts_build(self):
+        # Weights are indexed by local position: two connections at
+        # each parking-lot gateway take two weights.
+        system = FlowControlSystem(parking_lot(2), WeightedFairShare(
+            [1.0, 2.0]), LinearSaturating(), TargetRule(eta=0.1, beta=0.5))
+        assert np.all(system.step(np.full(3, 0.1)) >= 0.0)
 
 
 class TestWeightedCongestion:

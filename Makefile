@@ -52,10 +52,12 @@ compiled-quick:
 suite-smoke:
 	$(PYTHON) benchmarks/suite/run.py --smoke
 
-# Result digests of every benchmark unit, seeds 1 and 2, of 13 fixed
-# trajectory-engine cases (the last two: Fair Share individual feedback
-# at N = 96 from equal and perturbed rates, and weighted Fair Share with
-# unequal weights at N = 4 and 70), and of 23 seeded
+# Result digests of every benchmark unit, seeds 1 and 2, of 14 fixed
+# trajectory-engine cases (the last three: Fair Share individual feedback
+# at N = 96 from equal and perturbed rates, weighted Fair Share with
+# unequal weights at N = 4 and 70, and Fair Share on a parking lot with
+# delay-reading rules, a zero-rate start and a capacity degradation),
+# and of 23 seeded
 # packet-simulator cases on engine="auto" and engine="legacy" (~1 min;
 # the two lines of a packet case must agree).  A change that must not move any result prints the
 # same lines as its parent: `make digests > after.txt` on both, then

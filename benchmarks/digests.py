@@ -11,7 +11,7 @@ artifact rows, ensemble finals and steps, oracle verdicts or packet
 rate histories).
 
 The units leave paths of the trajectory engine unexercised, so an
-``engine`` section follows: thirteen fixed, seeded cases, one line
+``engine`` section follows: fourteen fixed, seeded cases, one line
 each::
 
     engine <case> <digest>
@@ -25,9 +25,12 @@ one-shot and blocked; the scalar ``run`` and
 individual feedback at ``N = 96`` started from equal rates and from a
 perturbation of them (ensemble and scalar runs); and weighted
 individual feedback over weighted Fair Share with unequal weights at
-``N = 4`` and ``N = 70`` (ensemble and scalar runs).  Each digest hashes
-finals, steps, outcomes, periods, the retained histories and the run
-record's mask events and per-iteration series.
+``N = 4`` and ``N = 70`` (ensemble and scalar runs); and Fair Share
+individual feedback on a parking lot whose delay-reading DECbit window
+rules see the zero-rate probe and a capacity-degraded view (one-shot
+and blocked ensembles and scalar runs).  Each digest hashes finals,
+steps, outcomes, periods, the retained histories and the run record's
+mask events and per-iteration series.
 
 A ``packet`` section follows: seeded open-loop runs of the packet
 simulator, two lines per case::
@@ -74,8 +77,8 @@ from repro.core.dynamics import FlowControlSystem  # noqa: E402
 from repro.core.fairshare import FairShare  # noqa: E402
 from repro.core.fifo import Fifo  # noqa: E402
 from repro.core.ratecontrol import (  # noqa: E402
-    ProportionalTargetRule, RateAdjustment, RcpSourceRule, TargetRule,
-    TcpLikeRule)
+    DecbitWindowRule, ProportionalTargetRule, RateAdjustment, RcpSourceRule,
+    TargetRule, TcpLikeRule)
 from repro.core.rcp import RcpController  # noqa: E402
 from repro.core.signals import FeedbackStyle, LinearSaturating  # noqa
 from repro.core.steadystate import fair_steady_state  # noqa: E402
@@ -265,6 +268,29 @@ def _weighted_fair_share():
                                  for x0 in initials))))
 
 
+def _fair_share_delays():
+    """Fair Share individual feedback on ``parking_lot(3)`` with target
+    rules beside delay-reading DECbit window rules, one member starting
+    with a window connection at zero rate (the Fair Share zero-rate
+    probe), under a periodic capacity degradation (a degraded Fair
+    Share view): one-shot and blocked ensembles and scalar runs."""
+    net = parking_lot(3, cross_per_hop=2)
+    n = net.num_connections
+    rules = (TargetRule(eta=0.05, beta=0.5), DecbitWindowRule())
+    system = FlowControlSystem(net, FairShare(), SIGNAL,
+                               [rules[i % 2] for i in range(n)], style=IND)
+    initials = _rng(6).uniform(0.02, 0.2, size=(4, n))
+    initials[1, 1] = 0.0
+    structural = StructuralFaultPlan(
+        (CapacityDegradation(net.gateway_names[1], factor=0.5, start=20,
+                             duration=60, period=150, jitter=5),), seed=6)
+    return _hash(*(system.run_ensemble(
+        initials, max_steps=400, structural=structural, block_size=block,
+        telemetry=True) for block in (None, 2)),
+        *(system.run(x0, max_steps=400, structural=structural,
+                     fault_member=m) for m, x0 in enumerate(initials)))
+
+
 def _scalar_run():
     out = []
     for system, initials in (_fair_share(), _tcp_mixed(), *_mixed()):
@@ -296,6 +322,7 @@ ENGINE_CASES = {
     "async-runner": _async_runner,
     "fair-share-96": _fair_share_96,
     "weighted-fair-share": _weighted_fair_share,
+    "fair-share-delays": _fair_share_delays,
 }
 
 

@@ -8,7 +8,7 @@ it with :mod:`ctypes`.  Nothing is installed; when no compiler exists
 :func:`load` returns None (:func:`load_error` says why) and callers run
 the numpy pipelines and the pure-python event loop instead.
 
-Two kernel families live in the library:
+Three kernel families live in the library:
 
 * ``fs_queue_batch`` / ``fs_loads_batch`` / ``ind_congestion_batch``
   — the Fair Share sorted prefix-sum laws, loop twins of
@@ -22,12 +22,24 @@ Two kernel families live in the library:
   ``fs_queue_batch`` also takes an optional weight vector, the
   weighted law of :class:`~repro.core.weighted.WeightedFairShare`
   (sorted by ``r / phi``), which has no loop twin: its reference is
-  the weighted numpy pipeline.
+  the weighted numpy pipeline.  The queue law and the individual
+  measure are static row functions, and the batch entry points are
+  loops over them.
   Each checks its input first and returns a nonzero status, writing
   nothing, on a NaN or negative value (and on an infinite rate or a
   weight that is not finite and positive), so
   :mod:`repro.backends.compiled` hands such input to the numpy
   pipeline.
+* ``observe_batch`` — the whole observe stage of
+  :class:`~repro.core.signals.FeedbackScheme` for an ``(M, N)`` batch
+  in one call: per non-empty gateway the FIFO, Fair Share or weighted
+  Fair Share law, the aggregate, individual or weighted individual
+  measure, ``B(C) = C / (C + 1)``, the MAX scatter and, when asked,
+  the Little's-law sojourns with the zero-rate probe.  It runs the
+  same row functions as the first family and the numpy loop's
+  arithmetic in its order, and returns ``ST_DOMAIN`` on a NaN,
+  negative or infinite rate or a NaN or negative measure, so the
+  numpy loop then runs (and raises where it raises).
 * the FIFO event loop — a C transcription of
   ``FastEngine._run_fifo`` driven through a resume trampoline:
   ``fifo_enter`` copies the event heap, packet pool, and queue chains
@@ -61,7 +73,8 @@ from typing import Optional
 __all__ = [
     "load", "load_error", "build_seconds",
     "ST_DONE", "ST_REFILL", "ST_MAX_EVENTS", "ST_IDLE_SERVER",
-    "ST_OOM",
+    "ST_OOM", "LAW_FIFO", "LAW_FAIR_SHARE", "MEASURE_AGGREGATE",
+    "MEASURE_INDIVIDUAL", "MEASURE_WEIGHTED",
 ]
 
 # Status codes shared with the C side.
@@ -70,6 +83,13 @@ ST_REFILL = 1
 ST_MAX_EVENTS = 3
 ST_IDLE_SERVER = 4
 ST_OOM = 5
+
+# Queue-law and congestion-measure codes of observe_batch.
+LAW_FIFO = 0
+LAW_FAIR_SHARE = 1
+MEASURE_AGGREGATE = 0
+MEASURE_INDIVIDUAL = 1
+MEASURE_WEIGHTED = 2
 
 _SOURCE = r"""
 #include <stdlib.h>
@@ -206,8 +226,39 @@ static int all_weights(const double *phi, i64 n)
     return 1;
 }
 
-/* The Fair Share queue law of an (m, n) rate batch.  phi, when not
- * NULL, holds the n weights of the weighted law: each row is sorted
+/* Work arrays of the sorted row laws, for rows of up to n entries. */
+typedef struct {
+    i64 *idx, *tmp;
+    u64 *keys, *keys_tmp;
+    double *v;
+    double *w;   /* w[k]: weight at or above sorted rank k; w[n] = 0 */
+} RowScratch;
+
+static void scratch_free(RowScratch *s)
+{
+    free(s->idx); free(s->tmp); free(s->keys); free(s->keys_tmp);
+    free(s->v); free(s->w);
+}
+
+/* Returns 0, with nothing left allocated, when memory runs out. */
+static int scratch_alloc(RowScratch *s, i64 n)
+{
+    size_t len = (size_t)n + 1;
+    s->idx = (i64 *)malloc(len * sizeof(i64));
+    s->tmp = (i64 *)malloc(len * sizeof(i64));
+    s->keys = (u64 *)malloc(len * sizeof(u64));
+    s->keys_tmp = (u64 *)malloc(len * sizeof(u64));
+    s->v = (double *)malloc(len * sizeof(double));
+    s->w = (double *)malloc(len * sizeof(double));
+    if (!s->idx || !s->tmp || !s->keys || !s->keys_tmp || !s->v || !s->w) {
+        scratch_free(s);
+        return 0;
+    }
+    return 1;
+}
+
+/* The Fair Share queue law of one row of n rates.  phi, when not
+ * NULL, holds the n weights of the weighted law: the row is sorted
  * by the normalised rate v = r / phi, class k's load is
  * (prefix of r + v_(k) * weight strictly above k) / mu, and its
  * occupancy increment is split by phi_j / (weight at or above k).
@@ -216,67 +267,80 @@ static int all_weights(const double *phi, i64 n)
  * integers and every product by a weight of 1 is exact.  The top run
  * has no weight above it and adds no cap term, so an overflowing v
  * never meets a zero weight. */
+static void fs_queue_row(const double *rr, const double *phi, i64 n,
+                         double mu, double *oo, RowScratch *s)
+{
+    const double *vv = rr;
+    i64 *idx = s->idx;
+    double *w = s->w;
+    if (phi) {
+        for (i64 i = 0; i < n; i++) s->v[i] = rr[i] / phi[i];
+        vv = s->v;
+    }
+    sort_row(vv, n, idx, s->tmp, s->keys, s->keys_tmp);
+    w[n] = 0.0;
+    for (i64 k = n - 1; k >= 0; k--)
+        w[k] = (phi ? phi[idx[k]] : 1.0) + w[k + 1];
+    double prefix = 0.0, g_prev = 0.0, acc = 0.0;
+    for (i64 k = 0; k < n;) {
+        i64 end = k;
+        prefix += rr[idx[k]];
+        while (end + 1 < n && vv[idx[end + 1]] == vv[idx[k]])
+            prefix += rr[idx[++end]];
+        double cap = (end + 1 < n) ? vv[idx[end]] * w[end + 1] : 0.0;
+        double sigma = (prefix + cap) / mu;
+        double gs = (sigma < 1.0) ? (sigma / (1.0 - sigma)) : INFINITY;
+        for (; k <= end; k++) {
+            i64 j = idx[k];
+            double q;
+            if (isfinite(gs)) {
+                acc += (gs - g_prev) / w[k];
+                q = phi ? acc * phi[j] : acc;
+            } else {
+                acc += 0.0; /* the masked cumsum adds literal zero */
+                q = INFINITY;
+            }
+            if (rr[j] == 0.0) q = 0.0;
+            oo[j] = q;
+            g_prev = gs;
+        }
+    }
+}
+
+/* The individual congestion measure of one row of n queues. */
+static void ind_congestion_row(const double *qq, i64 n, double *oo,
+                               RowScratch *s)
+{
+    i64 *idx = s->idx;
+    sort_row(qq, n, idx, s->tmp, s->keys, s->keys_tmp);
+    double prefix = -0.0;   /* the additive identity: a -0.0 row sums
+                             * to -0.0, as np.cumsum does */
+    for (i64 k = 0; k < n;) {
+        i64 end = k;
+        prefix += qq[idx[k]];
+        while (end + 1 < n && qq[idx[end + 1]] == qq[idx[k]])
+            prefix += qq[idx[++end]];
+        double v = qq[idx[end]];
+        double c = isinf(v) ? INFINITY
+                            : (prefix + v * (double)(n - 1 - end));
+        for (; k <= end; k++)
+            oo[idx[k]] = c;
+    }
+}
+
+/* The Fair Share queue law of an (m, n) rate batch, row by row (see
+ * fs_queue_row; phi NULL is the unweighted law). */
 int fs_queue_batch(const double *rates, const double *phi, i64 m, i64 n,
                    double mu, double *out)
 {
     if (!all_rates(rates, m * n)) return ST_DOMAIN;
     if (phi && !all_weights(phi, n)) return ST_DOMAIN;
     if (m == 0 || n == 0) return ST_DONE;
-    i64 *idx = (i64 *)malloc((size_t)n * sizeof(i64));
-    i64 *tmp = (i64 *)malloc((size_t)n * sizeof(i64));
-    u64 *keys = (u64 *)malloc((size_t)n * sizeof(u64));
-    u64 *keys_tmp = (u64 *)malloc((size_t)n * sizeof(u64));
-    double *v = (double *)malloc((size_t)n * sizeof(double));
-    /* w[k]: weight at or above sorted rank k; w[n] = 0 */
-    double *w = (double *)malloc((size_t)(n + 1) * sizeof(double));
-    if (!idx || !tmp || !keys || !keys_tmp || !v || !w) {
-        free(idx); free(tmp); free(keys); free(keys_tmp); free(v); free(w);
-        return ST_OOM;
-    }
-    for (i64 row = 0; row < m; row++) {
-        const double *rr = rates + row * n;
-        const double *vv = rr;
-        double *oo = out + row * n;
-        if (phi) {
-            for (i64 i = 0; i < n; i++) v[i] = rr[i] / phi[i];
-            vv = v;
-        }
-        sort_row(vv, n, idx, tmp, keys, keys_tmp);
-        w[n] = 0.0;
-        for (i64 k = n - 1; k >= 0; k--)
-            w[k] = (phi ? phi[idx[k]] : 1.0) + w[k + 1];
-        double prefix = 0.0, g_prev = 0.0, acc = 0.0;
-        for (i64 k = 0; k < n;) {
-            i64 end = k;
-            prefix += rr[idx[k]];
-            while (end + 1 < n && vv[idx[end + 1]] == vv[idx[k]])
-                prefix += rr[idx[++end]];
-            double cap = (end + 1 < n) ? vv[idx[end]] * w[end + 1] : 0.0;
-            double sigma = (prefix + cap) / mu;
-            double gs = (sigma < 1.0) ? (sigma / (1.0 - sigma))
-                                      : INFINITY;
-            for (; k <= end; k++) {
-                i64 j = idx[k];
-                double q;
-                if (isfinite(gs)) {
-                    acc += (gs - g_prev) / w[k];
-                    q = phi ? acc * phi[j] : acc;
-                } else {
-                    acc += 0.0; /* the masked cumsum adds literal zero */
-                    q = INFINITY;
-                }
-                if (rr[j] == 0.0) q = 0.0;
-                oo[j] = q;
-                g_prev = gs;
-            }
-        }
-    }
-    free(idx);
-    free(tmp);
-    free(keys);
-    free(keys_tmp);
-    free(v);
-    free(w);
+    RowScratch s;
+    if (!scratch_alloc(&s, n)) return ST_OOM;
+    for (i64 row = 0; row < m; row++)
+        fs_queue_row(rates + row * n, phi, n, mu, out + row * n, &s);
+    scratch_free(&s);
     return ST_DONE;
 }
 
@@ -301,42 +365,164 @@ int fs_loads_batch(const double *sorted_rates, i64 m, i64 n,
     return ST_DONE;
 }
 
+/* Queues may be inf, not NaN or negative. */
+static int all_queues(const double *q, i64 len)
+{
+    for (i64 i = 0; i < len; i++)
+        if (!(q[i] >= 0.0)) return 0;
+    return 1;
+}
+
 int ind_congestion_batch(const double *queues, i64 m, i64 n,
                          double *out)
 {
-    for (i64 i = 0; i < m * n; i++)   /* queues may be inf, not NaN */
-        if (!(queues[i] >= 0.0)) return ST_DOMAIN;
+    if (!all_queues(queues, m * n)) return ST_DOMAIN;
     if (m == 0 || n == 0) return ST_DONE;
-    i64 *idx = (i64 *)malloc((size_t)n * sizeof(i64));
-    i64 *tmp = (i64 *)malloc((size_t)n * sizeof(i64));
-    u64 *keys = (u64 *)malloc((size_t)n * sizeof(u64));
-    u64 *keys_tmp = (u64 *)malloc((size_t)n * sizeof(u64));
-    if (!idx || !tmp || !keys || !keys_tmp) {
-        free(idx); free(tmp); free(keys); free(keys_tmp);
+    RowScratch s;
+    if (!scratch_alloc(&s, n)) return ST_OOM;
+    for (i64 row = 0; row < m; row++)
+        ind_congestion_row(queues + row * n, n, out + row * n, &s);
+    scratch_free(&s);
+    return ST_DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* The observe stage: every gateway's law, measure, signal and MAX     */
+/* ------------------------------------------------------------------ */
+
+#define LAW_FIFO 0
+#define LAW_FAIR_SHARE 1
+#define MEASURE_AGGREGATE 0
+#define MEASURE_INDIVIDUAL 1
+#define MEASURE_WEIGHTED 2
+
+/* The FIFO queue law of one row, as Fifo.queue_lengths_batch: the
+ * total load is a strict left fold (row_sums); an overloaded row has
+ * inf queues where rho > 0 and 0 elsewhere. */
+static void fifo_queue_row(const double *rr, i64 n, double mu, double *oo)
+{
+    double total = rr[0] / mu;
+    for (i64 k = 1; k < n; k++) total += rr[k] / mu;
+    if (total >= 1.0) {
+        for (i64 k = 0; k < n; k++)
+            oo[k] = (rr[k] / mu > 0.0) ? INFINITY : 0.0;
+    } else {
+        double idle = 1.0 - total;
+        for (i64 k = 0; k < n; k++) oo[k] = (rr[k] / mu) / idle;
+    }
+}
+
+static void queue_row(int law, const double *rr, const double *law_phi,
+                      i64 n, double mu, double *oo, RowScratch *s)
+{
+    if (law == LAW_FIFO) fifo_queue_row(rr, n, mu, oo);
+    else fs_queue_row(rr, law_phi, n, mu, oo, s);
+}
+
+/* As weighted_individual_congestion_batch: c_i is the left fold over
+ * j of np.minimum(q_j, (phi_j / phi_i) * q_i), where np.minimum
+ * returns a NaN operand (the first of two) and otherwise the second
+ * operand unless the first is strictly smaller. */
+static void weighted_congestion_row(const double *q, const double *phi,
+                                    const i64 *cols, i64 n, double *oo)
+{
+    for (i64 i = 0; i < n; i++) {
+        double pi = phi[cols[i]], c = 0.0;
+        for (i64 j = 0; j < n; j++) {
+            double a = q[j], b = (phi[cols[j]] / pi) * q[i];
+            double x = (isnan(a) || a < b) ? a : b;
+            c = (j == 0) ? x : c + x;
+        }
+        oo[i] = c;
+    }
+}
+
+/* The observe stage of an (m, n) rate batch, gateway by gateway in
+ * CSR order: the queue law (law, with law_phi the weighted Fair Share
+ * weights by local position), the congestion measure (measure, with
+ * phi the per-connection weights of the weighted measure), the signal
+ * B(C) = C / (C + 1) (1 for C = inf), and the MAX into b, where the
+ * old value stays only when strictly larger (np.maximum(b, s)).  With
+ * path_latency not NULL it also writes the round-trip delays into d:
+ * the latencies plus each gateway's Little's-law sojourns q / r, and
+ * for r <= 0 the probe q_probe / eps with eps = mu * 1e-9 and q_probe
+ * the law on the row with those rates set to eps.  Each step is the
+ * numpy loop's arithmetic in its order, so the bits are the same.
+ * Returns ST_DOMAIN, possibly having written b and d, on a NaN,
+ * negative or infinite rate, or a NaN or negative measure. */
+int observe_batch(const double *rates, i64 m, i64 n, i64 n_gw,
+                  const i64 *gw_ptr, const i64 *members, const double *mu,
+                  int law, const double *law_phi, int measure,
+                  const double *phi, const double *path_latency,
+                  double *b, double *d)
+{
+    if (!all_rates(rates, m * n)) return ST_DOMAIN;
+    i64 width = 0;
+    for (i64 a = 0; a < n_gw; a++)
+        if (gw_ptr[a + 1] - gw_ptr[a] > width)
+            width = gw_ptr[a + 1] - gw_ptr[a];
+    RowScratch s;
+    if (!scratch_alloc(&s, width)) return ST_OOM;
+    size_t len = (size_t)width + 1;
+    double *work = (double *)malloc(5 * len * sizeof(double));
+    if (!work) {
+        scratch_free(&s);
         return ST_OOM;
     }
-    for (i64 row = 0; row < m; row++) {
-        const double *qq = queues + row * n;
-        double *oo = out + row * n;
-        sort_row(qq, n, idx, tmp, keys, keys_tmp);
-        double prefix = 0.0;
-        for (i64 k = 0; k < n;) {
-            i64 end = k;
-            prefix += qq[idx[k]];
-            while (end + 1 < n && qq[idx[end + 1]] == qq[idx[k]])
-                prefix += qq[idx[++end]];
-            double v = qq[idx[end]];
-            double c = isinf(v) ? INFINITY
-                                : (prefix + v * (double)(n - 1 - end));
-            for (; k <= end; k++)
-                oo[idx[k]] = c;
+    double *local = work, *q = work + len, *c = work + 2 * len;
+    double *probe = work + 3 * len, *q_probe = work + 4 * len;
+    for (i64 i = 0; i < m * n; i++) b[i] = 0.0;
+    if (path_latency)
+        for (i64 row = 0; row < m; row++)
+            memcpy(d + row * n, path_latency, (size_t)n * sizeof(double));
+    int status = ST_DONE;
+    for (i64 a = 0; a < n_gw && status == ST_DONE; a++) {
+        const i64 *cols = members + gw_ptr[a];
+        i64 k = gw_ptr[a + 1] - gw_ptr[a];
+        for (i64 row = 0; row < m && k > 0; row++) {
+            const double *rr = rates + row * n;
+            double *bb = b + row * n;
+            for (i64 j = 0; j < k; j++) local[j] = rr[cols[j]];
+            queue_row(law, local, law_phi, k, mu[a], q, &s);
+            if (measure == MEASURE_AGGREGATE) {
+                double total = q[0];
+                for (i64 j = 1; j < k; j++) total += q[j];
+                for (i64 j = 0; j < k; j++) c[j] = total;
+            } else if (measure == MEASURE_INDIVIDUAL) {
+                /* a NaN or negative queue sends the numpy loop to its
+                 * own measure pipeline: hand the batch back */
+                if (!all_queues(q, k)) {
+                    status = ST_DOMAIN;
+                    break;
+                }
+                ind_congestion_row(q, k, c, &s);
+            } else {
+                weighted_congestion_row(q, phi, cols, k, c);
+            }
+            if (!all_queues(c, k)) {
+                status = ST_DOMAIN;
+                break;
+            }
+            for (i64 j = 0; j < k; j++) {
+                double sig = isinf(c[j]) ? 1.0 : c[j] / (c[j] + 1.0);
+                if (!(bb[cols[j]] > sig)) bb[cols[j]] = sig;
+            }
+            if (!path_latency) continue;
+            double *dd = d + row * n, eps = mu[a] * 1e-9;
+            int idle = 0;
+            for (i64 j = 0; j < k; j++) {
+                probe[j] = (local[j] > 0.0) ? local[j] : eps;
+                idle |= !(local[j] > 0.0);
+            }
+            if (idle) queue_row(law, probe, law_phi, k, mu[a], q_probe, &s);
+            for (i64 j = 0; j < k; j++)
+                dd[cols[j]] += (local[j] > 0.0) ? q[j] / local[j]
+                                                : q_probe[j] / eps;
         }
     }
-    free(idx);
-    free(tmp);
-    free(keys);
-    free(keys_tmp);
-    return ST_DONE;
+    free(work);
+    scratch_free(&s);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */
@@ -912,6 +1098,12 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.fs_loads_batch.restype = ctypes.c_int
     lib.ind_congestion_batch.argtypes = [_P, _I, _I, _P]
     lib.ind_congestion_batch.restype = ctypes.c_int
+    lib.observe_batch.argtypes = (
+        [_P, _I, _I]                          # rates, m, n
+        + [_I, _P, _P, _P]                    # n_gw, gw_ptr, members, mu
+        + [ctypes.c_int, _P, ctypes.c_int, _P]  # law, law_phi, measure, phi
+        + [_P, _P, _P])                       # path_latency, b, d
+    lib.observe_batch.restype = ctypes.c_int
     lib.fifo_enter.argtypes = (
         [_I, _I, _I, _D, _I, _D, _I]          # dims, horizon, now, seq
         + [_P] * 3                            # latency, mu_scale, cap

@@ -17,7 +17,10 @@ Bit-identity notes (shared with the C twin in ``_cext.py``):
 * the numpy pipeline's ``np.cumsum`` is a sequential left-to-right
   accumulation, so a running-scalar ``prefix += x`` reproduces it
   exactly (numpy's *pairwise* ``.sum()`` is never used on these
-  paths).
+  paths).  The individual measure starts its prefix at ``-0.0``, the
+  additive identity, so a row of ``-0.0`` queues keeps the cumsum's
+  ``-0.0``; the queue laws write ``0.0`` for every zero rate, so their
+  ``0.0`` start never shows.
 * masked accumulation (``np.where(finite, shares, 0.0)`` feeding
   ``cumsum``) is mirrored by adding literal ``0.0`` in the masked
   branch; the accumulator is never ``-0.0`` (shares are quotients of
@@ -124,7 +127,7 @@ def ind_congestion_batch(queues, out):
     for row in range(m):
         qq = queues[row]
         order = np.argsort(qq, kind="mergesort")
-        prefix = 0.0
+        prefix = -0.0
         k = 0
         while k < n:
             end = k

@@ -1,7 +1,7 @@
 """Compiled-kernel tier selection and dispatch.
 
 The C extension (:mod:`repro.backends._cext`, built at first use when a
-C compiler exists) serves two hot paths:
+C compiler exists) serves three hot paths:
 
 * the Fair Share sorted prefix-sum laws — queue lengths (unweighted
   and weighted), cumulative loads and the individual congestion
@@ -12,6 +12,11 @@ C compiler exists) serves two hot paths:
   because they give the same bits as the numpy pipeline; they return
   None when it has not built or when the input lies outside the
   kernel's domain, and the caller then runs the numpy pipeline.
+* the observe stage of :class:`~repro.core.signals.FeedbackScheme`
+  (:func:`observe_batch`): every gateway's queue law, congestion
+  measure, signal, bottleneck MAX and sojourns in one call, for the
+  schemes it serves; None sends the caller to the numpy loop, as
+  above.
 * the FIFO event loop (:func:`fifo_lib`).
 
 :func:`tier` names the live tier: ``cext`` when the C library has
@@ -34,7 +39,7 @@ from . import _cext
 
 __all__ = ["tier", "fs_available", "fifo_lib", "metrics",
            "fs_queue_batch", "fs_loads_batch", "ind_congestion_batch",
-           "warmup"]
+           "observe_batch", "warmup"]
 
 _METRICS = None
 
@@ -136,3 +141,33 @@ def ind_congestion_batch(queues: np.ndarray) -> Optional[np.ndarray]:
     if lib.ind_congestion_batch(q.ctypes.data, m, n, out.ctypes.data):
         return None
     return out
+
+
+def observe_batch(rates: np.ndarray, plan,
+                  with_delays: bool) -> Optional[tuple]:
+    """The observe stage of an ``(M, N)`` rate batch from the C kernel:
+    ``(b, d)``, with ``d`` None unless ``with_delays``.  None when the
+    C tier has not built, or when a rate is NaN, negative or infinite
+    or a congestion measure is NaN or negative; the caller then runs
+    the numpy loop.
+
+    ``plan`` holds the kernel's static arguments for one scheme: ``n``
+    connections, ``args`` (the gateway CSR, service rates, law and
+    measure codes and weights, as addresses) and ``latency`` (the
+    address of the path latencies).
+    :class:`~repro.core.signals.FeedbackScheme` builds it once."""
+    lib = _cext.load()
+    if lib is None:
+        return None
+    r = np.ascontiguousarray(rates, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] != plan.n:
+        raise ValueError(f"need an (M, {plan.n}) rate batch, got shape "
+                         f"{r.shape}")
+    m, n = r.shape
+    b = np.empty_like(r)
+    d = np.empty_like(r) if with_delays else None
+    if lib.observe_batch(r.ctypes.data, m, n, *plan.args,
+                         plan.latency if with_delays else None,
+                         b.ctypes.data, None if d is None else d.ctypes.data):
+        return None
+    return b, d

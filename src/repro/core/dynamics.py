@@ -658,8 +658,9 @@ class FlowControlSystem:
             history[step_count] = r_next
             # r_next is clipped, so its largest entry is NaN, +inf or
             # above the limit exactly when the state diverged; the same
-            # peak is the convergence scale.
-            peak = float(np.max(r_next))
+            # peak is the convergence scale.  The ndarray methods skip
+            # np.max's dispatch, which costs more than a small reduction.
+            peak = float(r_next.max())
             if not peak <= limit:
                 if rec is not None:
                     rec.observe_iteration(math.inf, 0, 0, 1)
@@ -670,7 +671,7 @@ class FlowControlSystem:
                                                    step_count),
                                   fault_events=fault_events(),
                                   structural_events=structural_events())
-            change = float(np.max(np.abs(r_next - r)))
+            change = float(abs(r_next - r).max())
             settled = False
             if change <= tol * max(1.0, peak):
                 quiet += 1

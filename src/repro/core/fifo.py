@@ -26,29 +26,30 @@ from .service import ServiceDiscipline, _check_mu
 __all__ = ["Fifo"]
 
 
+def _fifo_queues(rates, mu: float) -> np.ndarray:
+    """The FIFO law over an ``(M, n)`` batch of rate rows, which the
+    scalar law runs as a one-row batch."""
+    r = np.asarray(rates, dtype=float)
+    _check_mu(mu)
+    rho = r / mu
+    # A strict per-row fold, so each row's bits do not depend on the
+    # batch it rides in (see row_sums).
+    rho_total = row_sums(rho)[:, None]
+    overloaded = rho_total >= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = rho / (1.0 - rho_total)
+    return np.where(overloaded, np.where(rho > 0, math.inf, 0.0), q)
+
+
 class Fifo(ServiceDiscipline):
     """First-in first-out service: ``Q_i = rho_i / (1 - rho_total)``."""
 
     name = "fifo"
 
     def queue_lengths(self, rates, mu):
-        r = as_rate_vector(rates)
-        _check_mu(mu)
-        rho = r / mu
-        rho_total = float(np.sum(rho))
-        if rho_total >= 1.0:
-            q = np.where(rho > 0, math.inf, 0.0)
-            return q.astype(float)
-        return rho / (1.0 - rho_total)
+        """A one-row call of the batch law, so the scalar and batch
+        laws sum the load in the same order."""
+        return _fifo_queues(as_rate_vector(rates)[None, :], mu)[0]
 
     def queue_lengths_batch(self, rates, mu):
-        r = np.asarray(rates, dtype=float)
-        _check_mu(mu)
-        rho = r / mu
-        # A strict per-row fold, so each row's bits do not depend on the
-        # batch it rides in (see row_sums).
-        rho_total = row_sums(rho)[:, None]
-        overloaded = rho_total >= 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = rho / (1.0 - rho_total)
-        return np.where(overloaded, np.where(rho > 0, math.inf, 0.0), q)
+        return _fifo_queues(rates, mu)

@@ -31,10 +31,12 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from ..backends import compiled
+from ..backends import _cext, compiled
 from ..errors import RateVectorError
+from .fairshare import FairShare
+from .fifo import Fifo
 from .math_utils import as_rate_vector, pick_kernel, row_sums, run_ends
-from .service import ServiceDiscipline
+from .service import ServiceDiscipline, _check_mu
 from .topology import Network
 from .weighted import WeightedFairShare, _check_weights
 
@@ -233,8 +235,10 @@ class FeedbackStyle(enum.Enum):
 
 
 def aggregate_congestion(queues: Sequence[float]) -> float:
-    """``C = sum_k Q_k`` (``inf`` propagates)."""
-    return float(np.sum(np.asarray(queues, dtype=float)))
+    """``C = sum_k Q_k`` (``inf`` propagates), summed as the observe
+    stage sums one row: a strict left fold
+    (:func:`~repro.core.math_utils.row_sums`)."""
+    return float(row_sums(np.asarray(queues, dtype=float).reshape(1, -1))[0])
 
 
 def _individual_sorted(queues: np.ndarray) -> np.ndarray:
@@ -310,6 +314,7 @@ def weighted_individual_congestion_batch(
     if np.any(phi <= 0) or not np.all(np.isfinite(phi)):
         raise RateVectorError("weights must be finite and positive")
     scaled_own = (phi[None, None, :] / phi[None, :, None]) * q[:, :, None]
+    # inf * finite ratios stay inf; min handles them.
     with np.errstate(invalid="ignore"):
         capped = np.minimum(q[:, None, :], scaled_own)
     return row_sums(capped)
@@ -328,6 +333,7 @@ def weighted_individual_congestion(queues: Sequence[float],
     to :func:`individual_congestion`, and with
     :class:`~repro.core.weighted.WeightedFairShare` gateways the
     Theorem 5 robustness argument carries over to weighted floors.
+    A one-row call of :func:`weighted_individual_congestion_batch`.
     """
     q = np.asarray(queues, dtype=float)
     phi = np.asarray(weights, dtype=float)
@@ -335,13 +341,7 @@ def weighted_individual_congestion(queues: Sequence[float],
         raise RateVectorError(
             f"queues {q.shape} and weights {phi.shape} must be matching "
             f"1-D vectors")
-    if np.any(phi <= 0) or not np.all(np.isfinite(phi)):
-        raise RateVectorError("weights must be finite and positive")
-    scaled_own = (phi[None, :] / phi[:, None]) * q[:, None]
-    with np.errstate(invalid="ignore"):
-        capped = np.minimum(q[None, :], scaled_own)
-    # inf * finite ratios stay inf; min handles them.
-    return capped.sum(axis=1)
+    return weighted_individual_congestion_batch(q[None, :], phi)[0]
 
 
 def _column_index(cols: np.ndarray):
@@ -350,6 +350,78 @@ def _column_index(cols: np.ndarray):
     if np.all(np.diff(cols) == 1):
         return slice(int(cols[0]), int(cols[-1]) + 1)
     return cols
+
+
+class _ObservePlan:
+    """The static arguments of the C observe kernel for one scheme of
+    ``n`` connections: the gateway CSR, the service rates, the law and
+    measure codes with their weights, and the path latencies, each
+    array's pointer taken once.  The plan keeps the arrays alive, and
+    pickles as the arrays, so a copy in another process takes its own
+    pointers."""
+
+    def __init__(self, network: Network, law: int, law_weights,
+                 measure: int, weights, mu):
+        csr = network.csr
+        arrays = [
+            None if a is None else np.ascontiguousarray(a, dtype=dtype)
+            for a, dtype in ((csr.gw_ptr, np.int64),
+                             (csr.gw_members, np.int64), (mu, float),
+                             (law_weights, float), (weights, float),
+                             (csr.path_latency, float))]
+        self.__setstate__((network.num_connections,
+                           len(csr.gateway_names), law, measure, arrays))
+
+    def __getstate__(self):
+        return self._state
+
+    def __setstate__(self, state):
+        self._state = state
+        self.n, n_gw, law, measure, arrays = state
+        gw_ptr, members, mu, law_weights, weights, latency = [
+            None if a is None else a.ctypes.data for a in arrays]
+        self.args = (n_gw, gw_ptr, members, mu, law, law_weights, measure,
+                     weights)
+        self.latency = latency
+
+
+def _observe_plan(network: Network, discipline: ServiceDiscipline,
+                  signal_fn: SignalFunction, style: FeedbackStyle,
+                  weights) -> _ObservePlan | None:
+    """The C observe kernel's plan for a scheme, or None when the
+    kernel does not serve it.
+
+    It serves the FIFO, Fair Share and weighted Fair Share laws under
+    :class:`LinearSaturating`, with valid service rates.  The checks
+    are on exact types, so a subclass keeps its overrides.  Only
+    ``C / (C + 1)`` runs in C: ``np.power`` and ``np.exp`` differ from
+    libm in the last bit, so the other signal functions keep the numpy
+    loop.
+    """
+    if type(signal_fn) is not LinearSaturating:
+        return None
+    law_weights = None
+    if type(discipline) is Fifo:
+        law = _cext.LAW_FIFO
+    elif type(discipline) is FairShare:
+        law = _cext.LAW_FAIR_SHARE
+    elif type(discipline) is WeightedFairShare:
+        law, law_weights = _cext.LAW_FAIR_SHARE, discipline.weights
+    else:
+        return None
+    mu = [network.mu(gname) for gname in network.csr.gateway_names]
+    try:
+        for value in mu:
+            _check_mu(value)
+    except RateVectorError:
+        return None
+    if style is FeedbackStyle.AGGREGATE:
+        measure, weights = _cext.MEASURE_AGGREGATE, None
+    elif weights is not None:
+        measure = _cext.MEASURE_WEIGHTED
+    else:
+        measure = _cext.MEASURE_INDIVIDUAL
+    return _ObservePlan(network, law, law_weights, measure, weights, mu)
 
 
 class FeedbackScheme:
@@ -395,6 +467,8 @@ class FeedbackScheme:
             (_column_index(csr.members(a)), network.mu(gname))
             for a, gname in enumerate(csr.gateway_names)
             if csr.members(a).size]
+        self._plan = _observe_plan(network, discipline, signal_fn,
+                                   self.style, self.weights)
 
     # -- per-gateway quantities ---------------------------------------
     def local_queues(self, rates: np.ndarray) -> Dict[str, np.ndarray]:
@@ -488,12 +562,22 @@ class FeedbackScheme:
     def _observe(self, rates, with_delays: bool) -> tuple:
         """One pass over the non-empty gateways: queue law, congestion
         measure, signal, MAX scatter into ``b`` and, ``with_delays``,
-        Little's-law sojourns added onto the path latencies in ``d``."""
+        Little's-law sojourns added onto the path latencies in ``d``.
+
+        The pass is one C call (:func:`repro.backends.compiled.
+        observe_batch`) whenever the C tier has built and the scheme is
+        one the kernel serves (see :func:`_observe_plan`); it gives the
+        numpy loop's bits.  Otherwise, and on input outside the
+        kernel's domain, the numpy loop below runs."""
         r = np.asarray(rates, dtype=float)
         if r.ndim != 2 or r.shape[1] != self.network.num_connections:
             raise RateVectorError(
                 f"need an (M, {self.network.num_connections}) rate "
                 f"batch, got shape {r.shape}")
+        if self._plan is not None:
+            out = compiled.observe_batch(r, self._plan, with_delays)
+            if out is not None:
+                return out
         b = np.zeros_like(r)
         d = None
         if with_delays:

@@ -38,8 +38,8 @@ from .core.fairshare import FairShare, _sorted_queues
 from .core.fifo import Fifo
 from .core.ratecontrol import (DecbitRateRule, ProportionalTargetRule,
                                TargetRule)
-from .core.signals import (FeedbackStyle, LinearSaturating,
-                           PowerSaturating)
+from .core.signals import (FeedbackScheme, FeedbackStyle,
+                           LinearSaturating, PowerSaturating)
 from .core.topology import parking_lot, single_gateway
 from .core.weighted import WeightedFairShare
 from .errors import SweepError
@@ -59,6 +59,19 @@ def _check(name: str, ok: bool, failures: list) -> None:
 
 def _square(x):
     return x * x
+
+
+def _bits(a):
+    return None if a is None else a.tobytes()
+
+
+def _numpy_loop(scheme, rates, with_delays: bool) -> tuple:
+    """The observe stage's numpy loop: the scheme without its C plan."""
+    plan, scheme._plan = scheme._plan, None
+    try:
+        return scheme._observe(rates, with_delays)
+    finally:
+        scheme._plan = plan
 
 
 def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
@@ -273,7 +286,8 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
 
     from .backends import _cext
     from .backends import compiled as compiled_kernels
-    print("compiled kernels: the C Fair Share and FIFO kernels "
+    print("compiled kernels: the C Fair Share, observe-stage and FIFO "
+          "kernels "
           + ("built" if compiled_kernels.fs_available()
              else f"did not build ({_cext.load_error()})"))
     big = rng.uniform(0.0, 0.5, size=(4, 96))
@@ -294,6 +308,27 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
         _check("compiled FS queue law is bit-identical to the numpy "
                "sorted pipeline", bool(np.array_equal(got, want)),
                failures)
+    lot = parking_lot(3)
+    probes = rng.uniform(0.0, 0.5, size=(4, lot.num_connections))
+    probes[0, 0] = 0.0               # the zero-rate probe
+    probes[1] = 0.6                  # overloaded
+    if not compiled_kernels.fs_available():
+        _check("compiled observe stage unavailable (numpy loop ok)",
+               True, failures)
+    else:
+        ok = True
+        for discipline in (Fifo(), FairShare()):
+            for style in FeedbackStyle:
+                scheme = FeedbackScheme(lot, discipline,
+                                        LinearSaturating(), style)
+                for with_delays in (False, True):
+                    got = compiled_kernels.observe_batch(
+                        probes, scheme._plan, with_delays)
+                    want = _numpy_loop(scheme, probes, with_delays)
+                    ok &= got is not None and all(
+                        _bits(a) == _bits(b) for a, b in zip(got, want))
+        _check("compiled observe stage is bit-identical to the numpy loop",
+               ok, failures)
 
     print("scenario fuzzing smoke:")
     from .scenarios import generate, run_scenario

@@ -5,12 +5,13 @@ sweep over the real engines passes the whole catalogue."""
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.dynamics import Outcome, Trajectory
-from repro.backends import _cext
+from repro.backends import _cext, compiled
 from repro.core.fairshare import FairShare, cumulative_loads_batch
 from repro.core.math_utils import g
 from repro.core.steadystate import predicted_steady_state
@@ -144,8 +145,31 @@ class TestEveryOracleFires:
         spec = spec_of(discipline="weighted-fair-share",
                        weights=(1.0, 2.0, 3.0))
         assert failing_oracles(spec, ["batch-equivalence"]) == ()
+        monkeypatch.setattr(_cext, "load", lambda: None)
         monkeypatch.setattr(WeightedFairShare, "queue_lengths_batch",
                             mutant)
+        fails = failing_oracles(spec, ["batch-equivalence"])
+        assert fails == ("batch-equivalence",)
+
+    @pytest.mark.skipif(not compiled.fs_available(),
+                        reason="no compiled observe kernel")
+    def test_batch_equivalence_catches_observe_kernel_mutation(
+            self, monkeypatch):
+        # The C-path twin: a mutant observe kernel that runs the
+        # unweighted law at weighted Fair Share gateways.
+        orig = compiled.observe_batch
+
+        def mutant(rates, plan, with_delays):
+            n_gw, gw_ptr, members, mu, law, _, measure, phi = plan.args
+            unweighted = SimpleNamespace(
+                n=plan.n, latency=plan.latency,
+                args=(n_gw, gw_ptr, members, mu, law, None, measure, phi))
+            return orig(rates, unweighted, with_delays)
+
+        spec = spec_of(discipline="weighted-fair-share",
+                       weights=(1.0, 2.0, 3.0))
+        assert failing_oracles(spec, ["batch-equivalence"]) == ()
+        monkeypatch.setattr(compiled, "observe_batch", mutant)
         fails = failing_oracles(spec, ["batch-equivalence"])
         assert fails == ("batch-equivalence",)
 

@@ -1,23 +1,29 @@
 """Unit tests for repro.backends: the C Fair Share kernels and their
-loop twins against the numpy sorted pipeline, and the compiled tier's
-timers."""
+loop twins against the numpy sorted pipeline, the C observe kernel
+against the numpy observe loop, and the compiled tier's timers."""
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro import backends
 from repro.backends import _cext, _fs_python, compiled
+from repro.core.asynchronous import BernoulliSchedule, run_async_ensemble
 from repro.core.dynamics import FlowControlSystem
 from repro.core.fairshare import (FairShare, _sorted_loads, _sorted_queues,
                                   cumulative_loads,
                                   fair_share_queues_recursive)
+from repro.core.fifo import Fifo
 from repro.core.math_utils import SPARSE_MIN_N, pick_kernel
-from repro.core.ratecontrol import TargetRule
-from repro.core.signals import (FeedbackStyle, LinearSaturating,
+from repro.core.ratecontrol import TargetRule, TcpLikeRule
+from repro.core.service import PreemptivePriority
+from repro.core.signals import (FeedbackScheme, FeedbackStyle,
+                                LinearSaturating, PowerSaturating,
                                 _individual_sorted,
                                 individual_congestion,
                                 individual_congestion_batch)
-from repro.core.topology import single_gateway
+from repro.core.topology import parking_lot, random_network, single_gateway
 from repro.core.weighted import WeightedFairShare
 from repro.errors import RateVectorError
 
@@ -203,32 +209,220 @@ class TestCompiledFairShare:
     def test_masked_c_tier_gives_the_same_bits(self, monkeypatch):
         # The engine's results do not depend on whether C has built,
         # under Fair Share and under weighted Fair Share.
+        # The observe stage runs in one C call whenever it serves the
+        # scheme, so FIFO and a delay-reading rule are covered too, and
+        # every runner: run, run_ensemble and run_async_ensemble.
         def runs():
             out = []
             for n in (4, 70):
                 phi = np.random.default_rng(n).choice([1.0, 2.0, 3.0], n)
-                for discipline, weights in ((FairShare(), None),
-                                            (WeightedFairShare(phi), phi)):
+                for discipline, weights, style, rule in (
+                        (FairShare(), None, FeedbackStyle.INDIVIDUAL,
+                         TargetRule(eta=0.3, beta=0.5)),
+                        (WeightedFairShare(phi), phi,
+                         FeedbackStyle.INDIVIDUAL,
+                         TargetRule(eta=0.3, beta=0.5)),
+                        (Fifo(), None, FeedbackStyle.AGGREGATE,
+                         TcpLikeRule())):
                     system = FlowControlSystem(
                         single_gateway(n, mu=1.0), discipline,
-                        LinearSaturating(), TargetRule(eta=0.3, beta=0.5),
-                        style=FeedbackStyle.INDIVIDUAL, weights=weights)
+                        LinearSaturating(), rule, style=style,
+                        weights=weights)
                     starts = np.random.default_rng(n).uniform(
                         0.0, 1.5 / n, size=(3, n))
                     starts[0] = 0.9 / n
+                    starts[2, 0] = 0.0
                     ens = system.run_ensemble(starts, max_steps=300)
                     traj = system.run(starts[1], max_steps=300)
-                    out.append((ens.finals, ens.steps, traj.history))
+                    asy = run_async_ensemble(
+                        system, starts,
+                        schedule=BernoulliSchedule(0.5, seed=n),
+                        signal_delay=1, max_steps=300)
+                    out.append((ens.finals, ens.steps, traj.history,
+                                asy.finals, asy.steps))
             return out
 
         with_c = runs()
         monkeypatch.setattr(_cext, "load", lambda: None)
         assert compiled.fs_queue_batch(np.ones((1, 2)), 4.0) is None
+        assert compiled.observe_batch(np.ones((1, 2)), None, False) is None
         assert compiled.tier() == "python"
         without_c = runs()
         for got, want in zip(without_c, with_c):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
+
+
+def _bits(a):
+    return None if a is None else a.tobytes()
+
+
+def observe_cases(seed, count):
+    """Seeded ``(scheme, rates)`` pairs over every configuration the C
+    observe kernel serves: the FIFO, Fair Share and weighted Fair Share
+    laws under aggregate, individual and weighted individual feedback,
+    on single gateways with ``N`` from 1 to 257 (across
+    ``RADIX_MIN_N``), parking lots, random multi-gateway networks and
+    capacity-degraded views of them.  ``M`` runs from 1 to 8; the rows
+    hold zero rates, ``-0.0`` rows, rows mixing ``0.0`` and ``-0.0``,
+    tied rates (and tied weights) and overloaded rows."""
+    rng = np.random.default_rng(seed)
+    styles = (FeedbackStyle.AGGREGATE, FeedbackStyle.INDIVIDUAL)
+    for trial in range(count):
+        shape = trial % 3
+        if shape == 0:
+            net = single_gateway(int(rng.integers(1, 258)),
+                                 mu=float(rng.uniform(0.5, 2.0)))
+        elif shape == 1:
+            net = parking_lot(int(rng.integers(1, 5)),
+                              cross_per_hop=int(rng.integers(1, 4)),
+                              mu=float(rng.uniform(0.5, 2.0)),
+                              latency=0.25)
+        else:
+            net = random_network(int(rng.integers(1, 6)),
+                                 int(rng.integers(2, 60)), seed=trial)
+        if trial % 4 == 3:
+            names = net.gateway_names
+            net = net.with_mu_factors(
+                {names[int(rng.integers(len(names)))]: 0.5})
+        n = net.num_connections
+        sizes = {net.csr.members(a).size
+                 for a in range(len(net.gateway_names))} - {0}
+        width = max(sizes)
+        laws = [Fifo(), FairShare()]
+        if len(sizes) == 1:
+            laws.append(WeightedFairShare(
+                rng.choice([0.5, 1.0, 1.0, 2.0, 3.0], size=width)))
+        law = laws[trial % len(laws)]
+        style = styles[(trial // 3) % 2]
+        weights = (rng.choice([0.5, 1.0, 2.0], size=n)
+                   if style is FeedbackStyle.INDIVIDUAL and trial % 5 < 2
+                   else None)
+        scheme = FeedbackScheme(net, law, LinearSaturating(), style,
+                                weights=weights)
+        m = int(rng.integers(1, 9))
+        rates = rng.uniform(0.0, 1.8 / width, size=(m, n))
+        if trial % 2 == 0:
+            pool = np.array([0.0, -0.0, 0.2, 0.4, 0.9]) / width
+            k = n // 2 + 1
+            rates[:, :k] = rng.choice(pool, size=(m, k))
+        rates[0, int(rng.integers(n))] = 0.0
+        if trial % 5 == 0:
+            rates[-1] = 2.0 / width
+        if trial % 7 == 0:
+            rates[m // 2] = -0.0
+        if trial % 3 == 0:
+            rates[(m - 1) // 2] = 0.9 / width
+        if trial % 4 == 1:
+            rates[-1, ::3], rates[-1, 1::3] = -0.0, 0.0
+        yield scheme, rates
+
+
+@needs_compiled_fs
+class TestCompiledObserveStage:
+    """The C observe kernel against the numpy loop, bit for bit (NaN
+    payloads and signed zeros included): the loop runs with the C tier
+    masked, so it is numpy from the queue law on."""
+
+    def test_kernel_matches_the_numpy_loop_on_fuzz(self, monkeypatch):
+        cases = list(observe_cases(5, 480))
+        served = set()
+        kernel = []
+        for scheme, rates in cases:
+            plan = scheme._plan
+            assert plan is not None
+            law, law_weights, measure = plan.args[4:7]
+            served.add((law, law_weights is not None, measure))
+            for with_delays in (False, True):
+                out = compiled.observe_batch(rates, plan, with_delays)
+                assert out is not None
+                kernel.append(out)
+        # The FIFO, Fair Share and weighted Fair Share laws under each
+        # measure.
+        assert len(served) == 9, served
+        monkeypatch.setattr(_cext, "load", lambda: None)
+        loop = [scheme._observe(rates, with_delays)
+                for scheme, rates in cases for with_delays in (False, True)]
+        for trial, ((b, d), (want_b, want_d)) in enumerate(
+                zip(kernel, loop)):
+            assert _bits(b) == _bits(want_b), trial
+            assert _bits(d) == _bits(want_d), trial
+
+    def test_out_of_domain_input_takes_the_numpy_loop(self):
+        def outcome(scheme, r):
+            try:
+                return _bits(scheme.observe_batch(r)[0])
+            except RateVectorError as exc:
+                return str(exc)
+
+        net = single_gateway(3)
+        for discipline in (Fifo(), FairShare()):
+            for style in FeedbackStyle:
+                scheme = FeedbackScheme(net, discipline, LinearSaturating(),
+                                        style)
+                plan = scheme._plan
+                for row in ([0.1, np.nan, 0.2], [0.1, -0.2, 0.3],
+                            [0.1, np.inf, 0.2]):
+                    r = np.array([row])
+                    assert compiled.observe_batch(r, plan, True) is None
+                    got = outcome(scheme, r)
+                    scheme._plan = None
+                    assert got == outcome(scheme, r), (discipline, row)
+                    scheme._plan = plan
+        # A weight ratio that overflows makes the weighted measure NaN
+        # (inf * 0 for the idle connection), which the numpy loop
+        # rejects.
+        weighted = FeedbackScheme(single_gateway(2), Fifo(),
+                                  LinearSaturating(),
+                                  FeedbackStyle.INDIVIDUAL,
+                                  weights=[1e300, 1e-300])
+        r = np.array([[0.1, 0.0]])
+        assert compiled.observe_batch(r, weighted._plan, False) is None
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RateVectorError):
+            weighted.signals_batch(r)
+
+    def test_rates_must_match_the_plan(self):
+        scheme = FeedbackScheme(single_gateway(3), Fifo(),
+                                LinearSaturating(),
+                                FeedbackStyle.INDIVIDUAL)
+        for bad in (np.ones((2, 2)), np.ones((2, 4)), np.ones(3)):
+            with pytest.raises(ValueError):
+                compiled.observe_batch(bad, scheme._plan, False)
+
+    def test_a_pickled_scheme_takes_its_own_pointers(self):
+        # Process pools pickle systems: a copy must not read the
+        # original's arrays through stale addresses.
+        net = parking_lot(3, cross_per_hop=2)
+        system = FlowControlSystem(net, Fifo(), LinearSaturating(),
+                                   TcpLikeRule(),
+                                   style=FeedbackStyle.INDIVIDUAL)
+        x0 = np.full(net.num_connections, 0.05)
+        want = system.run(x0, max_steps=200).history
+        copy = pickle.loads(pickle.dumps(system))
+        assert copy.scheme._plan.args != system.scheme._plan.args
+        del system
+        assert np.array_equal(copy.run(x0, max_steps=200).history, want)
+
+    def test_unserved_schemes_have_no_plan(self):
+        net = single_gateway(4)
+        ind = FeedbackStyle.INDIVIDUAL
+
+        class SlowFifo(Fifo):
+            pass
+
+        class Linear(LinearSaturating):
+            pass
+
+        for discipline, signal in (
+                (Fifo(), PowerSaturating(p=1.5)),
+                (PreemptivePriority([1, 0, 3, 2]), LinearSaturating()),
+                (SlowFifo(), LinearSaturating()),
+                (Fifo(), Linear())):
+            scheme = FeedbackScheme(net, discipline, signal, ind)
+            assert scheme._plan is None, (discipline, signal)
+        assert FeedbackScheme(net, Fifo(), LinearSaturating(),
+                              ind)._plan is not None
 
 
 class TestPickKernelBoundary:

@@ -73,25 +73,35 @@ class TestAsRateMatrix:
 
 
 class TestQueueLawBatches:
+    # Every scalar law is a one-row call of its batch law, so rows agree
+    # bit for bit at every width, including the widths (n >= 8) at which
+    # np.sum would switch to pairwise summation.
+    WIDTHS = (5, 9, 16, 100)
+
+    def _batch(self, n, rng):
+        batch = _rate_batch(n, rng)
+        batch[4:] *= 2.0 / n        # interior rows under capacity
+        return batch
+
     @pytest.mark.parametrize("discipline", [Fifo(), FairShare()])
     def test_matches_scalar_rows(self, discipline):
         rng = np.random.default_rng(0)
-        batch = _rate_batch(5, rng)
-        q = discipline.queue_lengths_batch(batch, mu=1.0)
-        for m in range(batch.shape[0]):
-            expect = discipline.queue_lengths(batch[m], 1.0)
-            assert np.allclose(q[m], expect, atol=TOL, equal_nan=True)
-            assert np.array_equal(np.isinf(q[m]), np.isinf(expect))
+        for n in self.WIDTHS:
+            batch = self._batch(n, rng)
+            q = discipline.queue_lengths_batch(batch, mu=1.0)
+            for m in range(batch.shape[0]):
+                assert np.array_equal(
+                    q[m], discipline.queue_lengths(batch[m], 1.0)), (n, m)
 
     @pytest.mark.parametrize("discipline", [Fifo(), FairShare()])
     def test_delays_match_scalar_rows(self, discipline):
         rng = np.random.default_rng(1)
-        batch = _rate_batch(4, rng)
-        d = discipline.delays_batch(batch, mu=1.0)
-        for m in range(batch.shape[0]):
-            expect = discipline.delays(batch[m], 1.0)
-            assert np.allclose(d[m], expect, atol=TOL, equal_nan=True)
-            assert np.array_equal(np.isinf(d[m]), np.isinf(expect))
+        for n in self.WIDTHS:
+            batch = self._batch(n, rng)
+            d = discipline.delays_batch(batch, mu=1.0)
+            for m in range(batch.shape[0]):
+                assert np.array_equal(
+                    d[m], discipline.delays(batch[m], 1.0)), (n, m)
 
     def test_cumulative_loads_batch(self):
         rng = np.random.default_rng(2)

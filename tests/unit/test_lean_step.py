@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.core.math_utils as math_utils
+from repro.backends import _cext, compiled
 from repro.chaos import (BlasterRule, CapacityDegradation, GatewayBlackhole,
                          StructuralFaultPlan)
 from repro.core.asynchronous import (AsynchronousRunner, BernoulliSchedule,
@@ -132,23 +133,8 @@ class TestValidateOncePerRun:
         assert len(validations) == 2
 
 
-class TestDelaysOnlyWhenRead:
-    """Sojourns (and the zero-rate probe) are computed only when some
-    rule of the system reads the delay."""
-
+class _StepPaths:
     STEPS = 6
-
-    @pytest.fixture
-    def sojourns(self, monkeypatch):
-        calls = []
-        orig = Fifo.sojourns_batch
-
-        def counting(self, rates, queues, mu):
-            calls.append(rates.shape)
-            return orig(self, rates, queues, mu)
-
-        monkeypatch.setattr(Fifo, "sojourns_batch", counting)
-        return calls
 
     def _start(self, system, m=3):
         x0 = np.full((m, system.network.num_connections), 0.05)
@@ -165,6 +151,25 @@ class TestDelaysOnlyWhenRead:
         run_async_ensemble(system, x0, schedule=BernoulliSchedule(0.5),
                            signal_delay=1, max_steps=self.STEPS, tol=0.0)
         return 2 + 3 * self.STEPS  # steps taken over all paths
+
+
+class TestDelaysOnlyWhenRead(_StepPaths):
+    """Sojourns (and the zero-rate probe) are computed only when some
+    rule of the system reads the delay.  Counted on the numpy loop,
+    with the C tier masked."""
+
+    @pytest.fixture
+    def sojourns(self, monkeypatch):
+        monkeypatch.setattr(_cext, "load", lambda: None)
+        calls = []
+        orig = Fifo.sojourns_batch
+
+        def counting(self, rates, queues, mu):
+            calls.append(rates.shape)
+            return orig(self, rates, queues, mu)
+
+        monkeypatch.setattr(Fifo, "sojourns_batch", counting)
+        return calls
 
     def test_declarations(self):
         for rule in (TargetRule(), ProportionalTargetRule(),
@@ -221,6 +226,51 @@ class TestDelaysOnlyWhenRead:
         AsynchronousRunner(system).run(np.full(3, 0.1),
                                        max_steps=self.STEPS, tol=0.0)
         assert len(sojourns) == self.STEPS
+
+
+@pytest.mark.skipif(not compiled.fs_available(),
+                    reason="no compiled observe kernel in this environment")
+class TestDelaysRequestedOnlyWhenRead(_StepPaths):
+    """The C-path twins: one observe kernel call per step, which asks
+    for the delays exactly when some rule reads them."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        orig = compiled.observe_batch
+
+        def counting(rates, plan, with_delays):
+            calls.append(with_delays)
+            out = orig(rates, plan, with_delays)
+            assert out is not None
+            return out
+
+        monkeypatch.setattr(compiled, "observe_batch", counting)
+        return calls
+
+    def test_never_requested_when_no_rule_reads_them(self, kernel_calls):
+        system = _mixed(parking_lot(3, cross_per_hop=2),
+                        (TargetRule(eta=0.05, beta=0.5),
+                         ProportionalTargetRule(eta=0.2, beta=0.5),
+                         DecbitRateRule(), BinaryAimdRule(),
+                         BlasterRule(cap=0.2)))
+        steps = self._exercise(system)
+        assert kernel_calls == [False] * steps
+
+    @pytest.mark.parametrize("reader", [TcpLikeRule, DecbitWindowRule,
+                                        _Recording],
+                             ids=["tcp-like", "decbit-window", "custom"])
+    def test_requested_every_step_when_read(self, kernel_calls, reader):
+        system = _mixed(parking_lot(3, cross_per_hop=2),
+                        (TargetRule(eta=0.05, beta=0.5), reader()))
+        steps = self._exercise(system)
+        assert kernel_calls == [True] * steps
+
+    def test_asynchronous_runner_still_requests_delays(self, kernel_calls):
+        system = _mixed(single_gateway(3), (TargetRule(eta=0.05),))
+        AsynchronousRunner(system).run(np.full(3, 0.1),
+                                       max_steps=self.STEPS, tol=0.0)
+        assert kernel_calls == [True] * self.STEPS
 
 
 class _Runaway(RateAdjustment):

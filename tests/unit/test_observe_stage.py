@@ -5,13 +5,16 @@ delays from it.
 It must equal the two separate public paths bit for bit, on every
 discipline and feedback style; every step path (scalar, batched,
 structural, asynchronous) must go through it with exactly one
-queue-law call per non-empty gateway; and a one-row batch must be
-bit-identical to the same row of a larger batch.
+queue-law call per non-empty gateway on the numpy loop, and exactly one
+C kernel call per step and structural view group where the C tier
+serves it; and a one-row batch must be bit-identical to the same row
+of a larger batch.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends import _cext, compiled
 from repro.chaos import (CapacityDegradation, GatewayBlackhole,
                          StructuralFaultPlan)
 from repro.core.asynchronous import (AsynchronousRunner, BernoulliSchedule,
@@ -20,11 +23,13 @@ from repro.core.delays import round_trip_delays_batch
 from repro.core.dynamics import FlowControlSystem
 from repro.core.fairshare import FairShare
 from repro.core.fifo import Fifo
-from repro.core.math_utils import SPARSE_MIN_N
+from repro.core.math_utils import SPARSE_MIN_N, row_sums
 from repro.core.ratecontrol import ProportionalTargetRule, TargetRule
 from repro.core.service import PreemptivePriority
-from repro.core.signals import FeedbackScheme, FeedbackStyle, \
-    LinearSaturating
+from repro.core.signals import (FeedbackScheme, FeedbackStyle,
+                                LinearSaturating, aggregate_congestion,
+                                weighted_individual_congestion,
+                                weighted_individual_congestion_batch)
 from repro.core.topology import parking_lot, random_network, single_gateway
 from repro.core.weighted import WeightedFairShare
 
@@ -133,15 +138,57 @@ class TestOneRowBatchIsARow:
             assert np.array_equal(batch[m], system.step(r[m]))
             assert np.array_equal(batch[m], system.step_batch(r[m:m + 1])[0])
 
+    @pytest.mark.parametrize("n", [3, 8, 9, 16, 64, 100])
+    def test_scalar_laws_are_one_row_batches(self, n):
+        # np.sum turns pairwise at n >= 8; the scalar FIFO law and the
+        # scalar measures fold like their batch forms.
+        rng = np.random.default_rng(n)
+        rates = rng.uniform(0.0, 1.2 / n, size=(20, n))
+        rates[0] = 2.0 / n
+        queues = Fifo().queue_lengths_batch(rates, 1.0)
+        phi = rng.choice([0.5, 1.0, 2.0, 3.0], size=n)
+        sums = row_sums(queues)
+        weighted = weighted_individual_congestion_batch(queues, phi)
+        for m in range(rates.shape[0]):
+            assert np.array_equal(Fifo().queue_lengths(rates[m], 1.0),
+                                  queues[m])
+            assert aggregate_congestion(queues[m]) == sums[m]
+            assert np.array_equal(
+                weighted_individual_congestion(queues[m], phi),
+                weighted[m])
+
+
+def _observe_calls(monkeypatch):
+    """Record ``(rows, delays requested)`` of every C observe kernel
+    call."""
+    calls = []
+    orig = compiled.observe_batch
+
+    def counting(rates, plan, with_delays):
+        calls.append((rates.shape[0], with_delays))
+        out = orig(rates, plan, with_delays)
+        assert out is not None
+        return out
+
+    monkeypatch.setattr(compiled, "observe_batch", counting)
+    return calls
+
+
+needs_observe_kernel = pytest.mark.skipif(
+    not compiled.fs_available(),
+    reason="no compiled observe kernel in this environment")
+
 
 class TestOneQueueLawCallPerGateway:
     """Every step path evaluates each non-empty gateway's queue law
-    exactly once per step (signals and delays share it)."""
+    exactly once per step (signals and delays share it).  Counted on
+    the numpy loop, with the C tier masked."""
 
     STEPS = 5
 
     @pytest.fixture
     def counted(self, monkeypatch):
+        monkeypatch.setattr(_cext, "load", lambda: None)
         calls = []
         orig = Fifo.queue_lengths_batch
 
@@ -191,3 +238,54 @@ class TestOneQueueLawCallPerGateway:
                                  tol=0.0)
         assert list(ens.steps) == [self.STEPS] * 3
         assert len(counted) == self.STEPS * system.network.num_gateways
+
+
+@needs_observe_kernel
+class TestOneObserveKernelCallPerStep(TestOneQueueLawCallPerGateway):
+    """The C-path twins: every step path makes exactly one observe
+    kernel call per step and structural view group, for the whole
+    batch, asking for no delays when no rule reads them."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        return _observe_calls(monkeypatch)
+
+    def test_step(self, counted):
+        system = self._system()
+        system.step(self._start(system)[0])
+        assert counted == [(1, False)]
+
+    def test_step_batch(self, counted):
+        system = self._system()
+        system.step_batch(self._start(system, m=6))
+        assert counted == [(6, False)]
+
+    def test_asynchronous_runner(self, counted):
+        system = self._system()
+        traj = AsynchronousRunner(system, BernoulliSchedule(0.5, seed=1),
+                                  signal_delay=1).run(
+            self._start(system)[0], max_steps=self.STEPS, tol=0.0)
+        assert traj.steps == self.STEPS
+        # The scalar asynchronous runner always observes the delays.
+        assert counted == [(1, True)] * self.STEPS
+
+    def test_run_async_ensemble(self, counted):
+        system = self._system()
+        ens = run_async_ensemble(system, self._start(system, m=3),
+                                 schedule=BernoulliSchedule(0.5, seed=1),
+                                 signal_delay=1, max_steps=self.STEPS,
+                                 tol=0.0)
+        assert list(ens.steps) == [self.STEPS] * 3
+        assert counted == [(3, False)] * self.STEPS
+
+    def test_one_call_per_structural_view_group(self, counted):
+        system = self._system()
+        names = system.network.gateway_names
+        damaged, clean = (
+            StructuralFaultPlan((CapacityDegradation(
+                names[0], factor=0.5, start=start, duration=5),),
+                seed=3).start(system)
+            for start in (0, 10))
+        states = [damaged, clean, damaged, damaged]
+        system.step_batch(self._start(system, m=4), structural=states)
+        assert sorted(counted) == [(1, False), (3, False)]

@@ -181,27 +181,30 @@ class TestSparseAddressing:
     @pytest.mark.parametrize("style", [FeedbackStyle.INDIVIDUAL,
                                        FeedbackStyle.AGGREGATE])
     def test_signals_dense_vs_sparse(self, style):
+        # The route walk's scalar laws are one-row calls of the batch
+        # laws, so the two paths agree bit for bit.
         net = random_network(6, 40, seed=13)
-        scheme = FeedbackScheme(net, FairShare(), LinearSaturating(),
-                                style)
         rng = np.random.default_rng(17)
         rates = rng.uniform(0.0, 0.05, size=net.num_connections)
-        dense = scheme.signals(rates, method="dense")
-        sparse = scheme.signals(rates, method="sparse")
-        np.testing.assert_allclose(sparse, dense, rtol=1e-12,
-                                   atol=1e-12)
+        for discipline in (Fifo(), FairShare()):
+            scheme = FeedbackScheme(net, discipline, LinearSaturating(),
+                                    style)
+            dense = scheme.signals(rates, method="dense")
+            sparse = scheme.signals(rates, method="sparse")
+            assert np.array_equal(sparse, dense), discipline
 
     def test_signals_batch_rows_match_dense(self):
         net = random_network(5, 24, seed=3)
-        scheme = FeedbackScheme(net, Fifo(), LinearSaturating(),
-                                FeedbackStyle.INDIVIDUAL)
         rng = np.random.default_rng(23)
         batch = rng.uniform(0.0, 0.06, size=(4, net.num_connections))
-        out = scheme.signals_batch(batch)
-        for m in range(batch.shape[0]):
-            np.testing.assert_allclose(
-                out[m], scheme.signals(batch[m], method="dense"),
-                rtol=1e-12, atol=1e-12)
+        for discipline in (Fifo(), FairShare()):
+            scheme = FeedbackScheme(net, discipline, LinearSaturating(),
+                                    FeedbackStyle.INDIVIDUAL)
+            out = scheme.signals_batch(batch)
+            for m in range(batch.shape[0]):
+                assert np.array_equal(
+                    out[m], scheme.signals(batch[m], method="dense")), \
+                    (discipline, m)
 
     def test_delays_dense_vs_sparse(self):
         net = random_network(6, 40, seed=13)

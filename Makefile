@@ -25,9 +25,11 @@ fuzz-quick:
 scale-quick:
 	$(PYTHON) benchmarks/bench_scale.py --quick --check
 
-# Quick chaos sweep (~30 s): the structural-fault demo, the Theorem 5
+# Quick chaos sweep (~8 s): the structural-fault demo, the Theorem 5
 # robustness-floor monitor (Fair Share holds / FIFO violates), and the
-# kill-anywhere orchestrator recovery harness at 2 rounds.
+# kill-anywhere harness at 2 rounds, one per sweep crashpoint: each
+# round SIGKILLs a checkpointed process-pool sweep and fails unless the
+# kill happened and the resumed results are bit-identical.
 chaos-quick:
 	$(PYTHON) -m repro chaos --quick
 

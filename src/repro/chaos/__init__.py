@@ -11,9 +11,10 @@ Three kinds of trouble, one package:
   rules, plus :mod:`repro.chaos.monitor`'s runtime Theorem 5
   robustness-floor assertion over the honest connections;
 * :mod:`repro.chaos.crashpoints` — env-armed SIGKILL sites along the
-  sweep/orchestrator write paths, driven by the kill-anywhere harness
-  in :mod:`repro.chaos.harness` (imported lazily by its users, not
-  here — it sits above :mod:`repro.parallel` in the layering).
+  checkpoint write path of :func:`repro.parallel.sweep`, driven by the
+  kill-anywhere harness in :mod:`repro.chaos.harness` (imported lazily
+  by its users, not here — it sits above :mod:`repro.parallel` in the
+  layering).
 
 Entry point: ``python -m repro chaos`` runs the structural demo, the
 floor monitor on FS vs FIFO, and a small kill-anywhere check.

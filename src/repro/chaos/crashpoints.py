@@ -1,9 +1,9 @@
 """Env-armed crashpoints: deterministic SIGKILL injection sites.
 
-The kill-anywhere harness needs to murder a worker at *specific*
-places — above all between a checkpoint's temp-file write and its
-atomic ``os.replace`` — and have the next run prove the resume path is
-bit-identical.  A crashpoint is one named call site::
+The kill-anywhere harness needs to kill a checkpointed sweep at
+*specific* places — above all between a checkpoint's temp-file write
+and its atomic ``os.replace`` — and have the next run prove the resume
+path is bit-identical.  A crashpoint is one named call site::
 
     crashpoint("sweep-checkpoint-mid-write")
 
@@ -11,12 +11,12 @@ Unarmed (the default — ``REPRO_CRASHPOINT`` unset) it is a dictionary
 miss and nothing more; the production path is untouched.  Armed with
 ``REPRO_CRASHPOINT="name"`` or ``"name:count"``, the process SIGKILLs
 *itself* the ``count``-th time that site is hit — no cleanup handlers,
-no ``atexit``, exactly the crash a power loss delivers.  The
-environment variable propagates into worker subprocesses, so a
-crashpoint inside a sweep worker kills the worker, not the harness.
+no ``atexit``, exactly the crash a power loss delivers.  The sweep
+writes its checkpoints in the process that called it, so an armed site
+kills that process, not its pool workers or the harness.
 
 :data:`KNOWN_CRASHPOINTS` is the catalogue of instrumented sites; the
-harness fuzzes over it rather than hard-coding names.
+harness arms each in turn rather than hard-coding names.
 """
 
 from __future__ import annotations
@@ -32,17 +32,13 @@ __all__ = ["CRASHPOINT_ENV", "KNOWN_CRASHPOINTS", "crashpoint",
 
 CRASHPOINT_ENV = "REPRO_CRASHPOINT"
 
-#: Every instrumented call site, in execution order along the sweep /
-#: orchestrator write paths.  ``mid-write`` points sit between a temp
-#: file's write and its atomic ``os.replace`` — the window a naive
-#: checkpointer corrupts.
+#: Every instrumented call site along the sweep checkpoint's write
+#: path: before a completed chunk is written, and between a temp file's
+#: write and its atomic ``os.replace`` (the manifest's and each
+#: chunk's) — the window a naive checkpointer corrupts.
 KNOWN_CRASHPOINTS = (
     "sweep-checkpoint-pre-write",
     "sweep-checkpoint-mid-write",
-    "orchestrator-pre-shard-result",
-    "orchestrator-shard-mid-write",
-    "orchestrator-pre-state-update",
-    "orchestrator-state-mid-write",
 )
 
 _hits: Dict[str, int] = {}

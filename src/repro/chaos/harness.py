@@ -1,22 +1,28 @@
-"""Kill-anywhere harness: SIGKILL a worker at fuzzed crashpoints and
-prove the resumed sweep is bit-identical to an uninterrupted one.
+"""Kill-anywhere harness: SIGKILL a checkpointed sweep at each
+crashpoint in turn and prove the resumed sweep is bit-identical to an
+uninterrupted one.
 
-The victim is a real subprocess running a real
-:class:`~repro.parallel.SweepJob` through the orchestrator, with
-``REPRO_CRASHPOINT`` armed at a fuzzed ``(site, hit-count)`` pair drawn
-from :data:`~repro.chaos.crashpoints.KNOWN_CRASHPOINTS` — including the
-mid-write windows between a checkpoint's temp file and its atomic
-rename.  The harness then re-runs the victim unarmed against the same
-job directory and asserts the recovered results equal the clean
-``[fn(p) for p in grid]`` list exactly.
+The victim is a real subprocess running the sweep that ``repro run
+--resume`` runs: :func:`~repro.parallel.sweep` on a process pool with a
+``checkpoint_dir``, ``REPRO_CRASHPOINT`` armed at one
+:data:`~repro.chaos.crashpoints.KNOWN_CRASHPOINTS` site — before a
+chunk's checkpoint write, or between a checkpoint's temp file and its
+atomic rename.  The victim prints its results as JSON.  The harness
+then re-runs the victim unarmed against the same directory and asserts
+that it prints exactly the clean ``[fn(p) for p in grid]`` list.
 
-This module sits *above* :mod:`repro.parallel` in the layering (it
-imports the orchestrator), which is why :mod:`repro.chaos`'s package
+Both runs capture the victim's stdout and stderr, which its pool
+workers share, so a run returns only once the victim *and* every
+worker are gone.
+
+This module sits *above* :mod:`repro.parallel` in the layering (its
+victim runs a sweep), which is why :mod:`repro.chaos`'s package
 ``__init__`` does not import it eagerly.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -29,45 +35,38 @@ import numpy as np
 
 from .crashpoints import CRASHPOINT_ENV, KNOWN_CRASHPOINTS
 
-__all__ = ["KillReport", "victim_fn", "victim_job", "run_victim",
-           "kill_anywhere"]
+__all__ = ["KillReport", "victim_fn", "run_victim", "kill_anywhere"]
 
 
 def victim_fn(x: int) -> tuple:
     """Deterministic per-item work for the victim sweep (module-level
-    so shard pickles and resumed checkpoints replay identically)."""
+    so pool workers and resumed checkpoints replay identically)."""
     return (x, x * x - 3 * x)
 
 
-def victim_job(name: str, n_items: int, shards: int):
-    """The victim's :class:`~repro.parallel.SweepJob` — serial executor
-    so the SIGKILL lands in the process doing the checkpoint writes."""
-    from ..parallel import SweepJob
-    return SweepJob(name=name, fn=victim_fn, grid=list(range(n_items)),
-                    shards=shards, executor="serial", retries=0)
-
-
+# Two workers and chunks of 3 pin the same chunk layout on any host:
+# 9 items make 3 chunks, so the pre-write site is reached 3 times and
+# the mid-write site 4 times (the manifest, then each chunk).
 _VICTIM_SOURCE = """\
+import json
 import sys
 
-from repro.chaos.harness import victim_job
-from repro.parallel import Orchestrator
+from repro.chaos.harness import victim_fn
+from repro.parallel import sweep
 
-root, name, n_items, shards = sys.argv[1:5]
-orchestrator = Orchestrator(root)
-job = victim_job(name, int(n_items), int(shards))
-orchestrator.submit(job)
-orchestrator.run_job(name)
+root, n_items = sys.argv[1], int(sys.argv[2])
+print(json.dumps(sweep(victim_fn, range(n_items), workers=2, chunk_size=3,
+                       checkpoint_dir=root)))
 """
 
 
-def run_victim(root: Union[str, Path], job_name: str = "kill-anywhere",
-               n_items: int = 9, shards: int = 3,
+def run_victim(root: Union[str, Path], n_items: int = 9,
                crash_spec: Optional[str] = None,
-               timeout: float = 120.0) -> subprocess.CompletedProcess:
-    """Run one victim subprocess against ``root``; returns the
-    completed process (``returncode == -SIGKILL`` when the armed
-    crashpoint fired, ``0`` on a clean finish)."""
+               timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run one victim subprocess against the checkpoint directory
+    ``root``; returns the completed process (``returncode ==
+    -SIGKILL`` when the armed crashpoint fired, ``0`` and the results
+    as JSON on stdout after a clean finish)."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH")
@@ -77,8 +76,8 @@ def run_victim(root: Union[str, Path], job_name: str = "kill-anywhere",
     else:
         env.pop(CRASHPOINT_ENV, None)
     return subprocess.run(
-        [sys.executable, "-c", _VICTIM_SOURCE, str(root), job_name,
-         str(int(n_items)), str(int(shards))],
+        [sys.executable, "-c", _VICTIM_SOURCE, str(root),
+         str(int(n_items))],
         env=env, capture_output=True, text=True, timeout=timeout)
 
 
@@ -95,11 +94,12 @@ class KillReport:
 
     @property
     def ok(self) -> bool:
-        """The round proved recovery: resume finished and the results
-        match the uninterrupted reference bit-for-bit.  (``killed`` may
-        legitimately be False when the fuzzed hit count exceeds how
-        often the site is reached — the run simply completed.)"""
-        return self.resumed and self.identical
+        """The round proved recovery: the armed crashpoint killed the
+        victim, the resume finished, and its results match the
+        uninterrupted reference bit-for-bit.  A round that kills
+        nothing (a misspelled site, a hit count the sweep never
+        reaches) proves nothing and fails."""
+        return self.killed and self.resumed and self.identical
 
     def describe(self) -> str:
         verdict = "ok" if self.ok else f"FAILED ({self.note or 'mismatch'})"
@@ -109,26 +109,27 @@ class KillReport:
 
 
 def kill_anywhere(workdir: Union[str, Path], rounds: int = 6,
-                  seed: int = 0, n_items: int = 9, shards: int = 3,
+                  seed: int = 0, n_items: int = 9,
                   points: Sequence[str] = KNOWN_CRASHPOINTS,
                   max_count: int = 3) -> List[KillReport]:
-    """Fuzz ``rounds`` (site, count) pairs; kill, resume, compare.
+    """Kill, resume and compare for ``rounds`` (site, count) pairs.
 
-    Every round uses a fresh job directory under ``workdir``.  The
-    reference is the clean list comprehension — the strongest oracle
-    available, since the orchestrator's contract is exactly
+    Round ``k`` arms ``points[k % len(points)]``, so every site is
+    armed once ``rounds >= len(points)``; the hit count is drawn from
+    ``seed``.  Every round uses a fresh checkpoint directory under
+    ``workdir``.  The reference is the clean list comprehension — the
+    strongest oracle available, since the sweep's contract is exactly
     ``[fn(p) for p in grid]``.
     """
-    from ..parallel import Orchestrator
     workdir = Path(workdir)
-    expected = [victim_fn(x) for x in range(n_items)]
+    expected = json.dumps([victim_fn(x) for x in range(n_items)])
     rng = np.random.default_rng(seed)
     reports: List[KillReport] = []
     for k in range(rounds):
-        point = points[int(rng.integers(0, len(points)))]
+        point = points[k % len(points)]
         count = int(rng.integers(1, max_count + 1))
         root = workdir / f"round_{k:02d}"
-        victim = run_victim(root, n_items=n_items, shards=shards,
+        victim = run_victim(root, n_items=n_items,
                             crash_spec=f"{point}:{count}")
         killed = victim.returncode == -int(signal.SIGKILL)
         if not killed and victim.returncode != 0:
@@ -137,22 +138,16 @@ def kill_anywhere(workdir: Union[str, Path], rounds: int = 6,
                 note=f"victim exited {victim.returncode}: "
                      f"{victim.stderr.strip()[-400:]}"))
             continue
-        resume = run_victim(root, n_items=n_items, shards=shards,
-                            crash_spec=None)
+        resume = run_victim(root, n_items=n_items, crash_spec=None)
         resumed = resume.returncode == 0
-        identical = False
-        note = ""
-        if resumed:
-            try:
-                identical = (Orchestrator(root).results("kill-anywhere")
-                             == expected)
-                if not identical:
-                    note = "recovered results differ from reference"
-            except Exception as exc:
-                note = f"results unreadable after resume: {exc!r}"
-        else:
+        identical = resumed and resume.stdout.strip() == expected
+        if not resumed:
             note = (f"resume exited {resume.returncode}: "
                     f"{resume.stderr.strip()[-400:]}")
+        elif not identical:
+            note = "recovered results differ from reference"
+        else:
+            note = "" if killed else "the armed crashpoint never fired"
         reports.append(KillReport(point, count, killed=killed,
                                   resumed=resumed, identical=identical,
                                   note=note))

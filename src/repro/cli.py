@@ -28,8 +28,9 @@ Commands:
   structural chaos layer end to end: a scheduled
   degradation/blackhole run with its recorded transitions, the
   Theorem 5 robustness-floor monitor on Fair Share vs FIFO against a
-  blaster adversary, and the kill-anywhere harness (SIGKILL a sweep
-  worker at fuzzed crashpoints, prove the resumed results
+  blaster adversary, and the kill-anywhere harness (SIGKILL a
+  checkpointed process-pool sweep at each crashpoint in turn, prove
+  that every round killed it and that the resumed results are
   bit-identical); exits nonzero when any leg fails.
 
 ``run`` also takes ``--faults SPEC`` (inject a seeded fault plan, e.g.
@@ -158,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="kill-anywhere rounds (default 6, "
                               "--quick 2)")
     chaos_p.add_argument("--seed", type=int, default=0,
-                         help="seed for the crashpoint fuzzing")
+                         help="seed for the crashpoint hit counts")
     chaos_p.add_argument("--workdir", type=Path, default=None,
                          help="directory for the victim sweeps "
                               "(default: a temporary directory)")
@@ -408,9 +409,9 @@ def _cmd_chaos(quick: bool, rounds: Optional[int], seed: int,
         ok &= check.holds == expect_hold
         print(f"  {disc_name:>10}: {check.describe()} — {verdict}")
 
-    # 3. Kill-anywhere: SIGKILL a real sweep worker at fuzzed
-    # crashpoints, resume, demand bit-identical results.
-    print(f"\nkill-anywhere: {rounds} fuzzed SIGKILL rounds "
+    # 3. Kill-anywhere: SIGKILL a checkpointed sweep at each
+    # crashpoint in turn, resume, demand bit-identical results.
+    print(f"\nkill-anywhere: {rounds} SIGKILL rounds "
           f"(seed {seed}):")
     if workdir is not None:
         workdir.mkdir(parents=True, exist_ok=True)
@@ -422,7 +423,7 @@ def _cmd_chaos(quick: bool, rounds: Optional[int], seed: int,
         print(f"  {report.describe()}")
     kills = sum(r.killed for r in reports)
     ok &= all(r.ok for r in reports)
-    print(f"  {kills}/{len(reports)} rounds killed the worker; "
+    print(f"  {kills}/{len(reports)} rounds killed the sweep; "
           f"recovery {'bit-identical in every round' if ok else 'FAILED'}")
 
     print(f"\nchaos: {'OK' if ok else 'FAILED'}")

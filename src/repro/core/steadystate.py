@@ -188,7 +188,7 @@ class RefineResult:
 
     rates: np.ndarray    #: the refined fixed point
     iterations: int      #: map applications spent (0 on a cache hit)
-    cached: bool = False  #: True when memoised, no iteration performed
+    cached: bool = False  #: True on a cache hit, no iteration performed
 
 
 class FixedPointCache:

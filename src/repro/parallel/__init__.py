@@ -31,8 +31,12 @@ Resilience (all opt-in, all deterministic in the result):
 * **Checkpoint/resume** — ``checkpoint_dir`` persists each completed
   chunk to disk (atomically); a re-invocation with the same grid shape
   and directory loads completed chunks instead of recomputing them, so
-  an interrupted sweep resumes where it died and finishes with results
-  identical to an uninterrupted run.
+  an interrupted sweep — even one SIGKILLed mid-write — resumes where
+  it died and finishes with results identical to an uninterrupted run.
+  ``repro run --resume`` and the kill-anywhere harness
+  (:mod:`repro.chaos.harness`) resume through it.  Process-pool workers
+  end themselves when the sweep process dies, so a killed sweep leaves
+  no orphans behind.
 
 Guidance:
 
@@ -55,11 +59,13 @@ pools there.  :func:`sweep` is for grids where each point builds a
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
+import functools
+import itertools
 import json
 import math
 import os
 import pickle
+import threading
 import time
 import warnings
 from contextlib import nullcontext
@@ -73,7 +79,7 @@ from ..errors import RateVectorError, SweepError, WorkerFunctionError
 from ..observability import (SweepRecord, collect, emit_run_record,
                              emit_sweep_record, is_collecting)
 
-__all__ = ["sweep", "chunk_indices", "memoised", "CHECKPOINT_SCHEMA"]
+__all__ = ["sweep", "chunk_indices", "CHECKPOINT_SCHEMA"]
 
 #: Schema identifier embedded in every checkpoint manifest.
 CHECKPOINT_SCHEMA = "repro.sweep-checkpoint/v1"
@@ -128,49 +134,6 @@ def chunk_indices(n_items: int, n_chunks: int) -> List[range]:
     return out
 
 
-class memoised:
-    """Deterministic memoising wrapper for sweep functions.
-
-    ``memoised(fn)`` caches ``fn``'s results keyed by a stable digest
-    of the pickled argument, so grids with repeated points (warm-start
-    scans, queue-law solves re-evaluated per figure) compute each
-    distinct point once.  Only sound for *deterministic* ``fn`` — which
-    :func:`sweep` requires anyway.
-
-    The cache lives on the wrapper instance (per process); with the
-    process executor each worker keeps its own cache, so memoisation
-    pays off within a chunk and for serial/thread sweeps.  ``hits`` /
-    ``misses`` expose the effectiveness.  Unpicklable arguments fall
-    through to ``fn`` uncached rather than failing.
-    """
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-        self._cache: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def _key(self, item) -> Optional[str]:
-        try:
-            return hashlib.sha256(
-                pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
-            ).hexdigest()
-        except Exception:
-            return None
-
-    def __call__(self, item):
-        key = self._key(item)
-        if key is None:
-            return self.fn(item)
-        if key in self._cache:
-            self.hits += 1
-            return self._cache[key]
-        self.misses += 1
-        result = self.fn(item)
-        self._cache[key] = result
-        return result
-
-
 def _run_chunk(fn: Callable, items: list) -> list:
     """Evaluate one contiguous chunk, in order (module-level so process
     pools can pickle it)."""
@@ -215,10 +178,47 @@ def _run_chunk_guarded(fn: Callable, items: list, first_index: int,
     return ("ok", out, time.perf_counter() - start, records)
 
 
+def _exit_with_parent() -> None:
+    """Process-pool initializer: end this worker once the process that
+    started it is gone.
+
+    A sweep process that dies without shutting its pool down (SIGKILL,
+    the OOM killer) leaves its workers waiting on the task queue
+    forever, holding its stdout/stderr pipes open, so a caller reading
+    them never sees EOF.  The kernel reparents an orphan, so a change
+    of parent pid is the death notice.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _raise_worker_error(grid_index: int, rep: str, original) -> None:
     raise WorkerFunctionError(
         f"sweep function raised at grid index {grid_index}: {rep}",
         grid_index=grid_index) from original
+
+
+def _pinned_layout(manifest, n_items: int) -> Optional[List[range]]:
+    """The chunks a checkpoint manifest pins for an ``n_items`` grid,
+    or None when it belongs to another grid or its layout is malformed."""
+    if not (isinstance(manifest, dict)
+            and manifest.get("schema") == CHECKPOINT_SCHEMA
+            and manifest.get("n_items") == n_items):
+        return None
+    sizes = manifest.get("chunk_sizes")
+    if not (isinstance(sizes, list)
+            and all(type(size) is int and size >= 1 for size in sizes)
+            and sum(sizes) == n_items):
+        return None
+    starts = itertools.accumulate(sizes, initial=0)
+    return [range(start, start + size)
+            for start, size in zip(starts, sizes)]
 
 
 class _Checkpoint:
@@ -229,13 +229,17 @@ class _Checkpoint:
     results.  Writes are atomic (tmp file + rename), so a sweep killed
     mid-write never leaves a corrupt chunk behind — at worst the chunk
     is recomputed.
+
+    With ``adopt_layout`` an existing manifest for the same item count
+    supplies the chunks (``self.chunks``) in place of ``chunks``: the
+    default layout follows the core count, which may differ on the
+    host that resumes.
     """
 
     def __init__(self, directory: Union[str, Path], n_items: int,
-                 chunks: List[range]):
+                 chunks: List[range], adopt_layout: bool):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.chunks = chunks
         manifest = {"schema": CHECKPOINT_SCHEMA, "n_items": n_items,
                     "chunk_sizes": [len(r) for r in chunks]}
         path = self.directory / "manifest.json"
@@ -246,7 +250,11 @@ class _Checkpoint:
                 raise SweepError(
                     f"unreadable sweep checkpoint manifest {path}: "
                     f"{exc!r}") from exc
-            if existing != manifest:
+            pinned = (_pinned_layout(existing, n_items) if adopt_layout
+                      else None)
+            if pinned is not None:
+                chunks = pinned
+            elif existing != manifest:
                 raise SweepError(
                     f"checkpoint directory {self.directory} belongs to a "
                     f"different sweep (manifest {existing!r} != "
@@ -255,6 +263,7 @@ class _Checkpoint:
         else:
             self._atomic_write(path, json.dumps(manifest, indent=2),
                                binary=False)
+        self.chunks = chunks
 
     def _chunk_path(self, k: int) -> Path:
         return self.directory / f"chunk_{k:05d}.pkl"
@@ -311,7 +320,8 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
         executor: ``"process"``, ``"thread"``, or ``"serial"``.
         chunk_size: points per task.  ``None`` splits the grid into
             ``4 * workers`` contiguous chunks (enough slack for uneven
-            point costs without drowning in task overhead).
+            point costs without drowning in task overhead), or resumes
+            on the chunks a ``checkpoint_dir`` manifest pins.
         timeout: per-chunk result wait in seconds; a timed-out chunk
             counts as an infrastructure failure (retried, then salvaged
             serially).  ``None`` waits forever.
@@ -320,8 +330,9 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
         backoff: base of the exponential sleep between retry rounds
             (``backoff * 2**round`` seconds, jittered — see ``seed``).
         checkpoint_dir: directory for per-chunk checkpoints; pass the
-            same directory again to resume an interrupted sweep (grid
-            shape must match — the manifest is checked).
+            same directory again to resume an interrupted sweep (the
+            manifest is checked: the item count must match, and so
+            must the layout of an explicit ``chunk_size``).
         seed: seeds the retry backoff's jitter stream
             (``default_rng([seed, round])``), so the exact sleep
             schedule of a retried sweep is reproducible from the sweep
@@ -390,13 +401,16 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
         if chunk_size < 1:
             raise RateVectorError(
                 f"chunk_size must be >= 1, got {chunk_size!r}")
-        n_chunks = math.ceil(len(items) / chunk_size)
+        n_chunks = max(1, math.ceil(len(items) / chunk_size))
     else:
         n_chunks = 4 * max(1, workers)
     chunks = chunk_indices(len(items), n_chunks)
 
-    ckpt = (_Checkpoint(checkpoint_dir, len(items), chunks)
-            if checkpoint_dir is not None else None)
+    ckpt = None
+    if checkpoint_dir is not None:
+        ckpt = _Checkpoint(checkpoint_dir, len(items), chunks,
+                           adopt_layout=chunk_size is None)
+        chunks = ckpt.chunks
     results: List[Optional[list]] = [None] * len(chunks)
     seconds = [0.0] * len(chunks)
     worker_records: List[list] = [[] for _ in chunks]
@@ -413,9 +427,12 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
     pool_completed = 0
 
     if not serial_only and pending:
-        pool_cls = (concurrent.futures.ProcessPoolExecutor
-                    if executor == "process"
-                    else concurrent.futures.ThreadPoolExecutor)
+        if executor == "process":
+            pool_cls = functools.partial(
+                concurrent.futures.ProcessPoolExecutor,
+                initializer=_exit_with_parent)
+        else:
+            pool_cls = concurrent.futures.ThreadPoolExecutor
         round_index = 0
         while pending:
             if round_index > 0:
@@ -553,12 +570,3 @@ def _submit(pool, fn: Callable, chunk_items: list, first_index: int):
                isinstance(pool, concurrent.futures.ProcessPoolExecutor))
     return pool.submit(_run_chunk_guarded, fn, chunk_items, first_index,
                        capture)
-
-
-# Re-exported here so ``repro.parallel`` remains the single import
-# surface for parallel execution; the import sits at module bottom
-# because orchestrator pulls sweep()/chunk_indices() back from this
-# package.
-from .orchestrator import ORCHESTRATOR_SCHEMA, Orchestrator, SweepJob  # noqa: E402
-
-__all__ += ["Orchestrator", "SweepJob", "ORCHESTRATOR_SCHEMA"]

@@ -4,19 +4,14 @@ Covers the three chaos surfaces and the contracts they promise:
 structural fault plans (window semantics, degradation/blackhole views,
 the empty-plan bit-identity, scalar/batch replay), the adversary zoo
 and the Theorem 5 floor monitor, the scenario-grammar chaos dimensions
-and the adversarial-floor oracle, the controller-exclusion guards, the
-seeded retry backoff, and the orchestrator's chaos hardening (schema
-migration, leases, poison-shard quarantine).
+and the adversarial-floor oracle, the controller-exclusion guards, and
+the sweep's seeded retry backoff.
 """
-
-import json
-import time
 
 import numpy as np
 import pytest
 
 import repro.parallel as parallel_mod
-import repro.parallel.orchestrator as orch_mod
 from repro.chaos import (BlasterRule, CapacityDegradation,
                          GatewayBlackhole, PinnedRateRule, SawtoothRule,
                          StructuralFaultPlan, check_robustness_floor,
@@ -30,8 +25,7 @@ from repro.core.signals import FeedbackStyle, LinearSaturating
 from repro.core.topology import single_gateway
 from repro.errors import ChaosError, ScenarioError, SweepError
 from repro.faults import FaultPlan, SignalLoss
-from repro.parallel import Orchestrator, SweepJob, _retry_backoff, sweep
-from repro.parallel.orchestrator import ORCHESTRATOR_SCHEMA
+from repro.parallel import _retry_backoff, sweep
 from repro.scenarios import (AdversarySpec, ConnectionSpec, GatewaySpec,
                              RuleSpec, ScenarioSpec, SignalSpec,
                              StructuralInjectorSpec, StructuralPlanSpec)
@@ -563,118 +557,3 @@ class TestRetryBackoff:
 
 def _square(x):
     return x * x
-
-
-def _orch_job(name="j", grid=tuple(range(8)), **kwargs):
-    kwargs.setdefault("executor", "serial")
-    kwargs.setdefault("retries", 0)
-    kwargs.setdefault("shards", 2)
-    return SweepJob(name, _square, list(grid), **kwargs)
-
-
-def _poison(x):
-    if x == 5:
-        raise ValueError("poison cell")
-    return x * x
-
-
-class TestOrchestratorChaosHardening:
-    def test_v1_state_migrates_forward(self, tmp_path):
-        orch = Orchestrator(tmp_path)
-        orch.submit(_orch_job())
-        path = tmp_path / "jobs" / "j" / "state.json"
-        state = json.loads(path.read_text())
-        state["schema"] = "repro.orchestrator-job/v1"
-        state.pop("quarantined")
-        state.pop("attempts")
-        path.write_text(json.dumps(state))
-        resumed = Orchestrator(tmp_path)
-        assert resumed.submit(_orch_job())["quarantined"] == {}
-        assert resumed.run_job("j") == [x * x for x in range(8)]
-        assert json.loads(path.read_text())["schema"] == \
-            ORCHESTRATOR_SCHEMA
-
-    def test_unknown_schema_is_rejected_by_name(self, tmp_path):
-        orch = Orchestrator(tmp_path)
-        orch.submit(_orch_job())
-        path = tmp_path / "jobs" / "j" / "state.json"
-        state = json.loads(path.read_text())
-        state["schema"] = "repro.orchestrator-job/v99"
-        path.write_text(json.dumps(state))
-        with pytest.raises(SweepError) as err:
-            Orchestrator(tmp_path).submit(_orch_job())
-        assert "repro.orchestrator-job/v99" in str(err.value)
-        assert ORCHESTRATOR_SCHEMA in str(err.value)
-
-    def test_live_lease_blocks_and_requeues(self, tmp_path):
-        orch = Orchestrator(tmp_path)
-        orch.submit(_orch_job())
-        lease = tmp_path / "jobs" / "j" / "leases" / "shard_00000.json"
-        lease.parent.mkdir(parents=True)
-        lease.write_text(json.dumps(
-            {"owner": "other-worker", "pid": os.getpid(),
-             "acquired_at": time.time(),
-             "expires_at": time.time() + 3600}))
-        with pytest.raises(SweepError, match="leased by another"):
-            orch.run_job("j")
-        assert orch.status("j")["status"] == "queued"
-        assert orch.status("j")["completed_shards"] == [1]
-
-    def test_dead_owner_lease_is_reclaimed(self, tmp_path):
-        orch = Orchestrator(tmp_path)
-        orch.submit(_orch_job())
-        lease = tmp_path / "jobs" / "j" / "leases" / "shard_00000.json"
-        lease.parent.mkdir(parents=True)
-        lease.write_text(json.dumps(
-            {"owner": "ghost", "pid": 2 ** 22 + 12345,
-             "acquired_at": time.time(),
-             "expires_at": time.time() + 3600}))
-        assert orch.run_job("j") == [x * x for x in range(8)]
-
-    def test_corrupt_lease_is_reclaimed(self, tmp_path):
-        orch = Orchestrator(tmp_path)
-        orch.submit(_orch_job())
-        lease = tmp_path / "jobs" / "j" / "leases" / "shard_00000.json"
-        lease.parent.mkdir(parents=True)
-        lease.write_text("{broken")
-        assert orch.run_job("j") == [x * x for x in range(8)]
-
-    def test_poison_shard_is_quarantined_and_rest_complete(
-            self, tmp_path, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(orch_mod.time, "sleep", sleeps.append)
-        orch = Orchestrator(tmp_path)
-        orch.submit(SweepJob("j", _poison, list(range(8)), shards=4,
-                             executor="serial", retries=0,
-                             max_attempts=3, backoff=0.25, seed=5))
-        with pytest.raises(SweepError, match="quarantined"):
-            orch.run_job("j")
-        state = orch.status("j")
-        assert state["status"] == "failed"
-        assert list(state["quarantined"]) == ["2"]  # items 4-5
-        assert state["completed_shards"] == [0, 1, 3]
-        assert len(sleeps) == 2  # two retry sleeps for the poison shard
-        # seeded backoff: the schedule replays exactly
-        assert sleeps == [_retry_backoff(0.25, a - 1, [5, 2, a])
-                          for a in (2, 3)]
-
-    def test_resubmission_clears_quarantine_and_finishes(self, tmp_path):
-        orch = Orchestrator(tmp_path)
-        orch.submit(SweepJob("j", _poison, list(range(8)), shards=4,
-                             executor="serial", retries=0,
-                             max_attempts=2, backoff=0.0))
-        with pytest.raises(SweepError, match="quarantined"):
-            orch.run_job("j")
-        healed = Orchestrator(tmp_path)
-        state = healed.submit(_orch_job(grid=range(8), shards=4))
-        assert state["quarantined"] == {}
-        assert healed.run_job("j") == [x * x for x in range(8)]
-
-    @pytest.mark.parametrize("kwargs", [
-        {"seed": -1}, {"max_attempts": 0}, {"lease_ttl": 0.0}])
-    def test_chaos_knob_validation(self, kwargs):
-        with pytest.raises(SweepError):
-            SweepJob("j", _square, [1], **kwargs)
-
-
-import os  # noqa: E402  (used in lease fixtures above)

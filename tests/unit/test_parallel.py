@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.observability import collect
-from repro.parallel import chunk_indices, memoised, sweep
+from repro.parallel import chunk_indices, sweep
 from repro.errors import RateVectorError, SweepError
 
 
@@ -40,41 +40,6 @@ class TestChunkIndices:
         chunks = chunk_indices(3, 10)
         assert len(chunks) <= 3
         assert [i for r in chunks for i in r] == [0, 1, 2]
-
-
-class TestMemoised:
-    def test_repeated_points_hit_the_cache(self):
-        calls = []
-
-        def fn(x):
-            calls.append(x)
-            return x * x
-
-        memo = memoised(fn)
-        grid = [2.0, 3.0, 2.0, 2.0, 3.0]
-        out = [memo(x) for x in grid]
-        assert out == [4.0, 9.0, 4.0, 4.0, 9.0]
-        assert calls == [2.0, 3.0]
-        assert memo.misses == 2
-        assert memo.hits == 3
-
-    def test_matches_unmemoised_results_under_sweep(self):
-        memo = memoised(_square)
-        grid = [1, 2, 1, 3, 2, 1]
-        assert sweep(memo, grid, workers=2, executor="thread") == \
-            [_square(x) for x in grid]
-
-    def test_array_arguments_are_keyed_by_value(self):
-        memo = memoised(lambda v: float(np.sum(v)))
-        assert memo(np.array([1.0, 2.0])) == 3.0
-        assert memo(np.array([1.0, 2.0])) == 3.0
-        assert memo.hits == 1
-
-    def test_unpicklable_argument_falls_through_uncached(self):
-        memo = memoised(lambda g: next(g))
-        out = memo(x for x in [7])  # generators do not pickle
-        assert out == 7
-        assert memo.hits == 0 and memo.misses == 0
 
 
 class TestSweep:

@@ -210,15 +210,38 @@ class TestCheckpointResume:
         assert rec.resumed_chunks == sorted(
             int(p.stem.split("_")[1]) for p in done_before)
 
-    def test_fully_checkpointed_resume_recomputes_nothing(self, tmp_path):
-        sweep(_square, GRID, executor="serial", chunk_size=4,
-              checkpoint_dir=tmp_path)
+    @pytest.mark.parametrize("grid", [GRID, [], [3]])
+    def test_fully_checkpointed_resume_recomputes_nothing(self, tmp_path,
+                                                          grid):
+        expected = [_square(x) for x in grid]
+        assert sweep(_square, grid, executor="serial", chunk_size=4,
+                     checkpoint_dir=tmp_path) == expected
+        assert (tmp_path / "manifest.json").exists()
 
         def must_not_run(x):
             raise AssertionError("checkpointed item recomputed")
 
-        assert sweep(must_not_run, GRID, executor="serial", chunk_size=4,
-                     checkpoint_dir=tmp_path) == BASELINE
+        assert sweep(must_not_run, grid, executor="serial", chunk_size=4,
+                     checkpoint_dir=tmp_path) == expected
+
+    def test_default_layout_resumes_on_a_host_with_other_core_count(
+            self, tmp_path, monkeypatch):
+        # chunk_size=None splits the grid into 4 * cpu_count() chunks;
+        # the resume adopts the layout the manifest pins.
+        grid = list(range(40))
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        sweep(_square, grid, executor="serial", checkpoint_dir=tmp_path)
+        assert len(list(tmp_path.glob("chunk_*.pkl"))) == 16
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def must_not_run(x):
+            raise AssertionError("checkpointed item recomputed")
+
+        assert sweep(must_not_run, grid, executor="serial",
+                     checkpoint_dir=tmp_path) == [_square(x) for x in grid]
+        with pytest.raises(SweepError):
+            sweep(_square, grid[:-1], executor="serial",
+                  checkpoint_dir=tmp_path)
 
     def test_corrupt_chunk_is_recomputed(self, tmp_path):
         sweep(_square, GRID, executor="serial", chunk_size=4,

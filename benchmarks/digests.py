@@ -11,7 +11,7 @@ artifact rows, ensemble finals and steps, oracle verdicts or packet
 rate histories).
 
 The units leave paths of the trajectory engine unexercised, so an
-``engine`` section follows: fourteen fixed, seeded cases, one line
+``engine`` section follows: fifteen fixed, seeded cases, one line
 each::
 
     engine <case> <digest>
@@ -28,7 +28,11 @@ individual feedback over weighted Fair Share with unequal weights at
 ``N = 4`` and ``N = 70`` (ensemble and scalar runs); and Fair Share
 individual feedback on a parking lot whose delay-reading DECbit window
 rules see the zero-rate probe and a capacity-degraded view (one-shot
-and blocked ensembles and scalar runs).  Each digest hashes finals,
+and blocked ensembles and scalar runs); and scalar runs on a parking
+lot under a per-connection mix of all six built-in rules (FIFO and
+Fair Share, both feedback styles, a zero-rate start, a diverging run,
+a zero-step budget and a run whose record is hashed), the runs the
+compiled run loop serves.  Each digest hashes finals,
 steps, outcomes, periods, the retained histories and the run record's
 mask events and per-iteration series.
 
@@ -77,8 +81,8 @@ from repro.core.dynamics import FlowControlSystem  # noqa: E402
 from repro.core.fairshare import FairShare  # noqa: E402
 from repro.core.fifo import Fifo  # noqa: E402
 from repro.core.ratecontrol import (  # noqa: E402
-    DecbitWindowRule, ProportionalTargetRule, RateAdjustment, RcpSourceRule,
-    TargetRule, TcpLikeRule)
+    BinaryAimdRule, DecbitRateRule, DecbitWindowRule, ProportionalTargetRule,
+    RateAdjustment, RcpSourceRule, TargetRule, TcpLikeRule)
 from repro.core.rcp import RcpController  # noqa: E402
 from repro.core.signals import FeedbackStyle, LinearSaturating  # noqa
 from repro.core.steadystate import fair_steady_state  # noqa: E402
@@ -86,6 +90,7 @@ from repro.core.topology import (  # noqa: E402
     parking_lot, single_gateway, tandem)
 from repro.core.weighted import WeightedFairShare  # noqa: E402
 from repro.faults import FaultPlan, SignalLoss  # noqa: E402
+from repro.observability import collect  # noqa: E402
 from repro.simulation.network_sim import NetworkSimulation  # noqa: E402
 
 SEEDS = (1, 2)
@@ -298,6 +303,35 @@ def _scalar_run():
     return _hash(*out)
 
 
+def _run_loop():
+    """Scalar runs on ``parking_lot(3, cross_per_hop=2)`` under a
+    per-connection mix of all six built-in rules: FIFO and Fair Share,
+    individual and aggregate feedback, from three seeded starts (one
+    with a zero rate); a run that diverges at step 2; a zero-step
+    budget; and a run under ``collect()``, whose record is hashed."""
+    net = parking_lot(3, cross_per_hop=2)
+    n = net.num_connections
+    rules = (TargetRule(eta=0.05, beta=0.5),
+             ProportionalTargetRule(eta=0.5, beta=0.5), DecbitRateRule(),
+             DecbitWindowRule(), BinaryAimdRule(), TcpLikeRule())
+    mix = [rules[i % len(rules)] for i in range(n)]
+    initials = _rng(8).uniform(0.02, 0.2, size=(3, n))
+    initials[1, 0] = 0.0
+    out = []
+    for discipline in (Fifo(), FairShare()):
+        for style in (IND, FeedbackStyle.AGGREGATE):
+            system = FlowControlSystem(net, discipline, SIGNAL, mix,
+                                       style=style)
+            out += [system.run(x0, max_steps=400) for x0 in initials]
+    diverging = FlowControlSystem(net, Fifo(), SIGNAL,
+                                  TargetRule(eta=1e7, beta=0.5), style=IND)
+    out.append(diverging.run(np.full(n, 3.0)))
+    out.append(system.run(initials[0], max_steps=0))
+    with collect():
+        out.append(system.run(initials[2], max_steps=400))
+    return _hash(*out)
+
+
 def _async_runner():
     out = []
     for system, initials in (_fair_share(), _tcp_mixed()):
@@ -323,6 +357,7 @@ ENGINE_CASES = {
     "fair-share-96": _fair_share_96,
     "weighted-fair-share": _weighted_fair_share,
     "fair-share-delays": _fair_share_delays,
+    "run-loop": _run_loop,
 }
 
 

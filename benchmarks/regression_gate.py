@@ -289,6 +289,10 @@ def main(argv=None):
     print(format_report(report + sim_report + scale_report
                         + ctrl_report + chaos_report + async_report
                         + compiled_report))
+    ensemble = fresh["ensemble"]
+    print(f"       ensemble serial side: Python loop "
+          f"{ensemble['serial_s']}s (gated), C run loop "
+          f"{ensemble['serial_run_loop_s']}s")
     if compiled_notice:
         print(f"[SKIP] {compiled_notice}")
     print(f"\nregression gate {'PASSED' if ok else 'FAILED'} "

@@ -1,10 +1,11 @@
 """The compiled kernel tier.
 
-The engine runs on numpy.  Three hot paths also have a runtime-built C
+The engine runs on numpy.  Four hot paths also have a runtime-built C
 library (:mod:`repro.backends._cext`): the FIFO event loop in
 :mod:`repro.simulation.kernel`, the Fair Share sorted prefix-sum laws
-in :mod:`repro.core.fairshare` / :mod:`repro.core.signals`, and the
-observe stage of :class:`~repro.core.signals.FeedbackScheme`.
+in :mod:`repro.core.fairshare` / :mod:`repro.core.signals`, the
+observe stage of :class:`~repro.core.signals.FeedbackScheme`, and the
+step loop of :meth:`~repro.core.dynamics.FlowControlSystem.run`.
 :mod:`repro.backends.compiled` dispatches to it whenever it has built
 and reports which tier is live.  The C kernels never change results:
 they are bit-identical (same RNG bitstream, same float operation order)

@@ -8,7 +8,7 @@ it with :mod:`ctypes`.  Nothing is installed; when no compiler exists
 :func:`load` returns None (:func:`load_error` says why) and callers run
 the numpy pipelines and the pure-python event loop instead.
 
-Three kernel families live in the library:
+Four kernel families live in the library:
 
 * ``fs_queue_batch`` / ``fs_loads_batch`` / ``ind_congestion_batch``
   — the Fair Share sorted prefix-sum laws, loop twins of
@@ -39,7 +39,17 @@ Three kernel families live in the library:
   same row functions as the first family and the numpy loop's
   arithmetic in its order, and returns ``ST_DOMAIN`` on a NaN,
   negative or infinite rate or a NaN or negative measure, so the
-  numpy loop then runs (and raises where it raises).
+  numpy loop then runs (and raises where it raises).  Its per-row
+  body, ``observe_row``, is shared with the run loop.
+* ``run_loop`` — :meth:`~repro.core.dynamics.FlowControlSystem.run`'s
+  whole step loop on one trajectory: per step ``observe_row``, each
+  connection's rule (one of the six built-in rules, by ``RULE_*``
+  code), ``apply_batch``'s and ``clip_nonnegative``'s ``np.maximum``,
+  and ``run``'s divergence and convergence tests, writing each state
+  into ``run``'s history buffer.  It returns ``ST_CONVERGED``,
+  ``ST_DIVERGED`` or ``ST_DONE`` (budget spent) with the step count,
+  or ``ST_DOMAIN`` where the observe row does or a delay-reading rule
+  sees ``d <= 0``, so ``run``'s Python loop then runs from step 1.
 * the FIFO event loop — a C transcription of
   ``FastEngine._run_fifo`` driven through a resume trampoline:
   ``fifo_enter`` copies the event heap, packet pool, and queue chains
@@ -73,8 +83,10 @@ from typing import Optional
 __all__ = [
     "load", "load_error", "build_seconds",
     "ST_DONE", "ST_REFILL", "ST_MAX_EVENTS", "ST_IDLE_SERVER",
-    "ST_OOM", "LAW_FIFO", "LAW_FAIR_SHARE", "MEASURE_AGGREGATE",
-    "MEASURE_INDIVIDUAL", "MEASURE_WEIGHTED",
+    "ST_OOM", "ST_CONVERGED", "ST_DIVERGED", "LAW_FIFO", "LAW_FAIR_SHARE",
+    "MEASURE_AGGREGATE", "MEASURE_INDIVIDUAL", "MEASURE_WEIGHTED",
+    "RULE_TARGET", "RULE_PROPORTIONAL_TARGET", "RULE_DECBIT_RATE",
+    "RULE_DECBIT_WINDOW", "RULE_BINARY_AIMD", "RULE_TCP_LIKE",
 ]
 
 # Status codes shared with the C side.
@@ -83,6 +95,8 @@ ST_REFILL = 1
 ST_MAX_EVENTS = 3
 ST_IDLE_SERVER = 4
 ST_OOM = 5
+ST_CONVERGED = 7
+ST_DIVERGED = 8
 
 # Queue-law and congestion-measure codes of observe_batch.
 LAW_FIFO = 0
@@ -90,6 +104,14 @@ LAW_FAIR_SHARE = 1
 MEASURE_AGGREGATE = 0
 MEASURE_INDIVIDUAL = 1
 MEASURE_WEIGHTED = 2
+
+# Rule codes of run_loop (see repro.core.ratecontrol's rule table).
+RULE_TARGET = 0
+RULE_PROPORTIONAL_TARGET = 1
+RULE_DECBIT_RATE = 2
+RULE_DECBIT_WINDOW = 3
+RULE_BINARY_AIMD = 4
+RULE_TCP_LIKE = 5
 
 _SOURCE = r"""
 #include <stdlib.h>
@@ -437,91 +459,260 @@ static void weighted_congestion_row(const double *q, const double *phi,
     }
 }
 
-/* The observe stage of an (m, n) rate batch, gateway by gateway in
- * CSR order: the queue law (law, with law_phi the weighted Fair Share
- * weights by local position), the congestion measure (measure, with
- * phi the per-connection weights of the weighted measure), the signal
- * B(C) = C / (C + 1) (1 for C = inf), and the MAX into b, where the
+/* The static arguments of the observe stage for one scheme: the
+ * gateway CSR, the service rates, the law (with law_phi the weighted
+ * Fair Share weights by local position), the congestion measure (with
+ * phi the per-connection weights of the weighted measure) and, when
+ * the delays are wanted, the path latencies (NULL otherwise). */
+typedef struct {
+    i64 n, n_gw;
+    const i64 *gw_ptr, *members;
+    const double *mu;
+    int law, measure;
+    const double *law_phi, *phi, *path_latency;
+} ObservePlan;
+
+/* Work arrays of observe_row: the row laws' scratch and five vectors
+ * as wide as the widest gateway. */
+typedef struct {
+    RowScratch s;
+    double *local, *q, *c, *probe, *q_probe;  /* one block at local */
+} ObserveScratch;
+
+static void observe_scratch_free(ObserveScratch *o)
+{
+    free(o->local);
+    scratch_free(&o->s);
+}
+
+/* Returns 0, with nothing left allocated, when memory runs out. */
+static int observe_scratch_alloc(ObserveScratch *o, const ObservePlan *p)
+{
+    i64 width = 0;
+    for (i64 a = 0; a < p->n_gw; a++)
+        if (p->gw_ptr[a + 1] - p->gw_ptr[a] > width)
+            width = p->gw_ptr[a + 1] - p->gw_ptr[a];
+    if (!scratch_alloc(&o->s, width)) return 0;
+    size_t len = (size_t)width + 1;
+    o->local = (double *)malloc(5 * len * sizeof(double));
+    if (!o->local) {
+        scratch_free(&o->s);
+        return 0;
+    }
+    o->q = o->local + len;
+    o->c = o->local + 2 * len;
+    o->probe = o->local + 3 * len;
+    o->q_probe = o->local + 4 * len;
+    return 1;
+}
+
+/* The observe stage of one row rr of n rates, gateway by gateway in
+ * CSR order: the queue law, the congestion measure, the signal
+ * B(C) = C / (C + 1) (1 for C = inf), and the MAX into bb, where the
  * old value stays only when strictly larger (np.maximum(b, s)).  With
- * path_latency not NULL it also writes the round-trip delays into d:
+ * path_latency not NULL it also writes the round-trip delays into dd:
  * the latencies plus each gateway's Little's-law sojourns q / r, and
  * for r <= 0 the probe q_probe / eps with eps = mu * 1e-9 and q_probe
  * the law on the row with those rates set to eps.  Each step is the
  * numpy loop's arithmetic in its order, so the bits are the same.
- * Returns ST_DOMAIN, possibly having written b and d, on a NaN,
+ * Returns ST_DOMAIN, possibly having written bb and dd, on a NaN,
  * negative or infinite rate, or a NaN or negative measure. */
+static int observe_row(const double *rr, const ObservePlan *p,
+                       double *bb, double *dd, ObserveScratch *o)
+{
+    i64 n = p->n;
+    if (!all_rates(rr, n)) return ST_DOMAIN;
+    double *local = o->local, *q = o->q, *c = o->c;
+    for (i64 i = 0; i < n; i++) bb[i] = 0.0;
+    if (p->path_latency)
+        memcpy(dd, p->path_latency, (size_t)n * sizeof(double));
+    for (i64 a = 0; a < p->n_gw; a++) {
+        const i64 *cols = p->members + p->gw_ptr[a];
+        i64 k = p->gw_ptr[a + 1] - p->gw_ptr[a];
+        if (k == 0) continue;
+        for (i64 j = 0; j < k; j++) local[j] = rr[cols[j]];
+        queue_row(p->law, local, p->law_phi, k, p->mu[a], q, &o->s);
+        if (p->measure == MEASURE_AGGREGATE) {
+            double total = q[0];
+            for (i64 j = 1; j < k; j++) total += q[j];
+            for (i64 j = 0; j < k; j++) c[j] = total;
+        } else if (p->measure == MEASURE_INDIVIDUAL) {
+            /* a NaN or negative queue sends the numpy loop to its own
+             * measure pipeline: hand the row back */
+            if (!all_queues(q, k)) return ST_DOMAIN;
+            ind_congestion_row(q, k, c, &o->s);
+        } else {
+            weighted_congestion_row(q, p->phi, cols, k, c);
+        }
+        if (!all_queues(c, k)) return ST_DOMAIN;
+        for (i64 j = 0; j < k; j++) {
+            double sig = isinf(c[j]) ? 1.0 : c[j] / (c[j] + 1.0);
+            if (!(bb[cols[j]] > sig)) bb[cols[j]] = sig;
+        }
+        if (!p->path_latency) continue;
+        double eps = p->mu[a] * 1e-9;
+        int idle = 0;
+        for (i64 j = 0; j < k; j++) {
+            o->probe[j] = (local[j] > 0.0) ? local[j] : eps;
+            idle |= !(local[j] > 0.0);
+        }
+        if (idle)
+            queue_row(p->law, o->probe, p->law_phi, k, p->mu[a],
+                      o->q_probe, &o->s);
+        for (i64 j = 0; j < k; j++)
+            dd[cols[j]] += (local[j] > 0.0) ? q[j] / local[j]
+                                            : o->q_probe[j] / eps;
+    }
+    return ST_DONE;
+}
+
+/* The observe stage of an (m, n) rate batch, row by row (see
+ * observe_row): b and, with path_latency not NULL, d.  Returns
+ * ST_DOMAIN on the first row outside the kernel's domain. */
 int observe_batch(const double *rates, i64 m, i64 n, i64 n_gw,
                   const i64 *gw_ptr, const i64 *members, const double *mu,
                   int law, const double *law_phi, int measure,
                   const double *phi, const double *path_latency,
                   double *b, double *d)
 {
-    if (!all_rates(rates, m * n)) return ST_DOMAIN;
-    i64 width = 0;
-    for (i64 a = 0; a < n_gw; a++)
-        if (gw_ptr[a + 1] - gw_ptr[a] > width)
-            width = gw_ptr[a + 1] - gw_ptr[a];
-    RowScratch s;
-    if (!scratch_alloc(&s, width)) return ST_OOM;
-    size_t len = (size_t)width + 1;
-    double *work = (double *)malloc(5 * len * sizeof(double));
-    if (!work) {
-        scratch_free(&s);
+    ObservePlan p = {n, n_gw, gw_ptr, members, mu, law, measure,
+                     law_phi, phi, path_latency};
+    ObserveScratch o;
+    if (!observe_scratch_alloc(&o, &p)) return ST_OOM;
+    int status = ST_DONE;
+    for (i64 row = 0; row < m && status == ST_DONE; row++)
+        status = observe_row(rates + row * n, &p, b + row * n,
+                             path_latency ? d + row * n : NULL, &o);
+    observe_scratch_free(&o);
+    return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* The run loop: FlowControlSystem.run's step loop on one trajectory   */
+/* ------------------------------------------------------------------ */
+
+#define ST_CONVERGED 7
+#define ST_DIVERGED 8
+
+#define RULE_TARGET 0
+#define RULE_PROPORTIONAL_TARGET 1
+#define RULE_DECBIT_RATE 2
+#define RULE_DECBIT_WINDOW 3
+#define RULE_BINARY_AIMD 4
+#define RULE_TCP_LIKE 5
+
+/* np.maximum on floats: a when a is larger or NaN, else b (so a tie of
+ * two zeros takes b's sign, as numpy does). */
+static inline double np_maximum(double a, double b)
+{
+    return (a > b || isnan(a)) ? a : b;
+}
+
+/* The decide and clip stages of one row: each connection's rule
+ * (codes, with up to three parameters each in params) on its rate r,
+ * signal b and delay d, as the rule's delta_batch, then
+ * np.maximum(0.0, r + delta) (apply_batch) and np.maximum(x, 0.0)
+ * (clip_nonnegative), operation for operation.  Returns ST_DOMAIN when
+ * a delay-reading rule sees d <= 0, where delta_batch raises. */
+static int decide_row(const double *rr, const double *bb, const double *dd,
+                      i64 n, const i64 *codes, const double *params,
+                      double *out)
+{
+    for (i64 i = 0; i < n; i++) {
+        const double *p = params + 3 * i;
+        double r = rr[i], b = bb[i], delta;
+        switch (codes[i]) {
+        case RULE_TARGET:
+            delta = p[0] * (p[1] - b);
+            break;
+        case RULE_PROPORTIONAL_TARGET:
+            delta = p[0] * r * (p[1] - b);
+            break;
+        case RULE_DECBIT_RATE:
+            delta = (1.0 - b) * p[0] - p[1] * b * r;
+            break;
+        case RULE_DECBIT_WINDOW: {
+            double d = dd[i], decrease = p[1] * b * r;
+            if (d <= 0.0) return ST_DOMAIN;
+            delta = isinf(d) ? -decrease : (1.0 - b) * p[0] / d - decrease;
+            break;
+        }
+        case RULE_BINARY_AIMD:
+            delta = (b < p[2]) ? p[0] : -p[1] * r;
+            break;
+        default: /* RULE_TCP_LIKE */
+            if (dd[i] <= 0.0) return ST_DOMAIN;
+            delta = (b < p[2]) ? p[0] / dd[i] : -p[1] * r;
+        }
+        out[i] = np_maximum(np_maximum(0.0, r + delta), 0.0);
+    }
+    return ST_DONE;
+}
+
+/* FlowControlSystem.run's loop from the state in row 0 of hist, a
+ * (max_steps + 1, n) buffer: each step observes row step - 1, decides
+ * and clips into row step, then runs run's tests.  The step diverges
+ * when !(peak <= limit), with peak the row maximum (NaN when any entry
+ * is NaN); otherwise it is quiet when change <= tol * max(1, peak),
+ * with change the largest |r_next - r|, and settle quiet steps in a
+ * row converge.  changes, when not NULL, receives each step's change
+ * (the diverging step's is left unwritten).  Returns ST_CONVERGED or
+ * ST_DIVERGED with the step count in *steps, ST_DONE when the budget
+ * is spent, or ST_DOMAIN (the Python loop then runs, and raises where
+ * it raises) or ST_OOM. */
+int run_loop(double *hist, i64 max_steps, double tol, i64 settle,
+             double limit, i64 n, i64 n_gw, const i64 *gw_ptr,
+             const i64 *members, const double *mu, int law,
+             const double *law_phi, int measure, const double *phi,
+             const double *path_latency, const i64 *codes,
+             const double *params, double *changes, i64 *steps)
+{
+    ObservePlan p = {n, n_gw, gw_ptr, members, mu, law, measure,
+                     law_phi, phi, path_latency};
+    ObserveScratch o;
+    if (!observe_scratch_alloc(&o, &p)) return ST_OOM;
+    double *b = (double *)malloc(2 * (size_t)n * sizeof(double));
+    if (!b) {
+        observe_scratch_free(&o);
         return ST_OOM;
     }
-    double *local = work, *q = work + len, *c = work + 2 * len;
-    double *probe = work + 3 * len, *q_probe = work + 4 * len;
-    for (i64 i = 0; i < m * n; i++) b[i] = 0.0;
-    if (path_latency)
-        for (i64 row = 0; row < m; row++)
-            memcpy(d + row * n, path_latency, (size_t)n * sizeof(double));
+    double *d = b + n;
+    i64 quiet = 0;
     int status = ST_DONE;
-    for (i64 a = 0; a < n_gw && status == ST_DONE; a++) {
-        const i64 *cols = members + gw_ptr[a];
-        i64 k = gw_ptr[a + 1] - gw_ptr[a];
-        for (i64 row = 0; row < m && k > 0; row++) {
-            const double *rr = rates + row * n;
-            double *bb = b + row * n;
-            for (i64 j = 0; j < k; j++) local[j] = rr[cols[j]];
-            queue_row(law, local, law_phi, k, mu[a], q, &s);
-            if (measure == MEASURE_AGGREGATE) {
-                double total = q[0];
-                for (i64 j = 1; j < k; j++) total += q[j];
-                for (i64 j = 0; j < k; j++) c[j] = total;
-            } else if (measure == MEASURE_INDIVIDUAL) {
-                /* a NaN or negative queue sends the numpy loop to its
-                 * own measure pipeline: hand the batch back */
-                if (!all_queues(q, k)) {
-                    status = ST_DOMAIN;
-                    break;
-                }
-                ind_congestion_row(q, k, c, &s);
-            } else {
-                weighted_congestion_row(q, phi, cols, k, c);
-            }
-            if (!all_queues(c, k)) {
-                status = ST_DOMAIN;
+    *steps = max_steps;
+    for (i64 step = 1; step <= max_steps; step++) {
+        const double *r = hist + (step - 1) * n;
+        double *next = hist + step * n;
+        status = observe_row(r, &p, b, d, &o);
+        if (status == ST_DONE)
+            status = decide_row(r, b, d, n, codes, params, next);
+        if (status != ST_DONE) break;
+        double peak = next[0];
+        for (i64 i = 1; i < n && !isnan(peak); i++)
+            peak = (next[i] > peak || isnan(next[i])) ? next[i] : peak;
+        if (!(peak <= limit)) {
+            status = ST_DIVERGED;
+            *steps = step;
+            break;
+        }
+        double change = 0.0;
+        for (i64 i = 0; i < n; i++) {
+            double x = fabs(next[i] - r[i]);
+            if (x > change) change = x;
+        }
+        if (changes) changes[step - 1] = change;
+        if (change <= tol * (peak > 1.0 ? peak : 1.0)) {
+            if (++quiet >= settle) {
+                status = ST_CONVERGED;
+                *steps = step;
                 break;
             }
-            for (i64 j = 0; j < k; j++) {
-                double sig = isinf(c[j]) ? 1.0 : c[j] / (c[j] + 1.0);
-                if (!(bb[cols[j]] > sig)) bb[cols[j]] = sig;
-            }
-            if (!path_latency) continue;
-            double *dd = d + row * n, eps = mu[a] * 1e-9;
-            int idle = 0;
-            for (i64 j = 0; j < k; j++) {
-                probe[j] = (local[j] > 0.0) ? local[j] : eps;
-                idle |= !(local[j] > 0.0);
-            }
-            if (idle) queue_row(law, probe, law_phi, k, mu[a], q_probe, &s);
-            for (i64 j = 0; j < k; j++)
-                dd[cols[j]] += (local[j] > 0.0) ? q[j] / local[j]
-                                                : q_probe[j] / eps;
+        } else {
+            quiet = 0;
         }
     }
-    free(work);
-    scratch_free(&s);
+    free(b);
+    observe_scratch_free(&o);
     return status;
 }
 
@@ -1104,6 +1295,14 @@ def _configure(lib: ctypes.CDLL) -> None:
         + [ctypes.c_int, _P, ctypes.c_int, _P]  # law, law_phi, measure, phi
         + [_P, _P, _P])                       # path_latency, b, d
     lib.observe_batch.restype = ctypes.c_int
+    lib.run_loop.argtypes = (
+        [_P, _I, _D, _I, _D]                  # hist, max_steps, tol,
+                                              # settle, limit
+        + [_I, _I, _P, _P, _P]                # n, n_gw, gw_ptr, members, mu
+        + [ctypes.c_int, _P, ctypes.c_int, _P]  # law, law_phi, measure, phi
+        + [_P, _P, _P, _P, _P])               # path_latency, codes,
+                                              # params, changes, steps
+    lib.run_loop.restype = ctypes.c_int
     lib.fifo_enter.argtypes = (
         [_I, _I, _I, _D, _I, _D, _I]          # dims, horizon, now, seq
         + [_P] * 3                            # latency, mu_scale, cap

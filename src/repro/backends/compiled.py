@@ -1,7 +1,7 @@
 """Compiled-kernel tier selection and dispatch.
 
 The C extension (:mod:`repro.backends._cext`, built at first use when a
-C compiler exists) serves three hot paths:
+C compiler exists) serves four hot paths:
 
 * the Fair Share sorted prefix-sum laws — queue lengths (unweighted
   and weighted), cumulative loads and the individual congestion
@@ -17,6 +17,9 @@ C compiler exists) serves three hot paths:
   measure, signal, bottleneck MAX and sojourns in one call, for the
   schemes it serves; None sends the caller to the numpy loop, as
   above.
+* :meth:`~repro.core.dynamics.FlowControlSystem.run`'s whole step
+  loop (:func:`run_loop`) for the schemes the observe stage serves and
+  the six built-in rules; None sends ``run`` to its Python loop.
 * the FIFO event loop (:func:`fifo_lib`).
 
 :func:`tier` names the live tier: ``cext`` when the C library has
@@ -31,6 +34,7 @@ Observability: :func:`metrics` carries per-phase
 
 from __future__ import annotations
 
+import ctypes
 from typing import Optional
 
 import numpy as np
@@ -39,7 +43,7 @@ from . import _cext
 
 __all__ = ["tier", "fs_available", "fifo_lib", "metrics",
            "fs_queue_batch", "fs_loads_batch", "ind_congestion_batch",
-           "observe_batch", "warmup"]
+           "observe_batch", "run_loop", "warmup"]
 
 _METRICS = None
 
@@ -171,3 +175,52 @@ def observe_batch(rates: np.ndarray, plan,
                          b.ctypes.data, None if d is None else d.ctypes.data):
         return None
     return b, d
+
+
+def _check_buffer(name: str, a, dtype, shape) -> None:
+    """Raise ValueError unless ``a`` is a writeable C-contiguous array
+    of ``dtype`` and ``shape`` (``None`` matches any length)."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype
+            and a.flags.c_contiguous and a.flags.writeable
+            and a.ndim == len(shape)
+            and all(want is None or got == want
+                    for got, want in zip(a.shape, shape))):
+        raise ValueError(f"{name} must be a writeable C-contiguous "
+                         f"{np.dtype(dtype).name} array of shape {shape}")
+
+
+def run_loop(history: np.ndarray, plan, with_delays: bool,
+             codes: np.ndarray, params: np.ndarray, tol: float,
+             settle: int, limit: float,
+             changes: Optional[np.ndarray] = None) -> Optional[tuple]:
+    """:meth:`~repro.core.dynamics.FlowControlSystem.run`'s step loop in
+    one C call, from the state in row 0 of ``history``, a
+    ``(max_steps + 1, N)`` buffer it fills row by row.
+
+    ``plan`` is the scheme's observe plan (see :func:`observe_batch`),
+    ``codes`` the ``(N,)`` ``RULE_*`` codes and ``params`` the ``(N,
+    3)`` rule parameters; ``changes``, when given, receives each step's
+    largest rate change.  Returns ``(status, steps)``, with ``status``
+    one of ``ST_CONVERGED``, ``ST_DIVERGED`` and ``ST_DONE`` (the
+    budget spent), or None when the C tier has not built or the run
+    left the kernel's domain; the caller then runs its Python loop."""
+    lib = _cext.load()
+    if lib is None:
+        return None
+    n = plan.n
+    _check_buffer("history", history, np.float64, (None, n))
+    _check_buffer("codes", codes, np.int64, (n,))
+    _check_buffer("params", params, np.float64, (n, 3))
+    max_steps = history.shape[0] - 1
+    if changes is not None:
+        _check_buffer("changes", changes, np.float64, (max_steps,))
+    steps = ctypes.c_longlong(0)
+    status = lib.run_loop(
+        history.ctypes.data, max_steps, float(tol), int(settle),
+        float(limit), n, *plan.args, plan.latency if with_delays else None,
+        codes.ctypes.data, params.ctypes.data,
+        None if changes is None else changes.ctypes.data,
+        ctypes.byref(steps))
+    if status not in (_cext.ST_CONVERGED, _cext.ST_DIVERGED, _cext.ST_DONE):
+        return None
+    return status, steps.value

@@ -425,7 +425,7 @@ class AsynchronousRunner:
         sweep = self.schedule.steps_per_sweep(n)
         if settle is None:
             settle = 2 * sweep + self.signal_delay + 3
-        _check_loop(max_steps, settle, max_period)
+        _check_loop(max_steps, settle, max_period, tol)
         buffer = deque([r.copy()] * (self.signal_delay + 1),
                        maxlen=self.signal_delay + 1)
         history = [r.copy()]

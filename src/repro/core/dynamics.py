@@ -31,7 +31,13 @@ A step runs in stages over an ``(M, N)`` batch of rate vectors:
 
 The scalar :meth:`FlowControlSystem.step` is the ``M = 1`` case of
 :meth:`FlowControlSystem.step_batch`, so a scalar run and a member of
-a batched run share every kernel and agree bit for bit.  The public
+a batched run share every kernel and agree bit for bit.  For the
+schemes the C observe kernel serves, the six built-in rules and no
+fault plan, structural plan or controller, :meth:`FlowControlSystem.run`
+runs its whole loop in one C call
+(:func:`repro.backends.compiled.run_loop`) that transcribes these
+stages and ``run``'s tests; its Python loop is the fallback and the
+reference the tests hold it to, byte for byte.  The public
 steps validate their input; the runners validate the initial state
 once and then step validated arrays, because the divergence check and
 the clip already keep every next state finite and nonnegative.
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -57,13 +64,14 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..backends import _cext, compiled
 from ..errors import ConvergenceError, RateVectorError, SweepError
 from ..faults import FaultEvent, FaultPlan
 from ..observability import RunRecord, emit_run_record, is_collecting
 from .delays import round_trip_delays
 from .math_utils import (as_rate_matrix, as_rate_vector, clip_nonnegative,
                          sup_norm)
-from .ratecontrol import RateAdjustment, RcpSourceRule
+from .ratecontrol import RateAdjustment, RcpSourceRule, _loop_rule
 from .rcp import RcpController
 from .service import ServiceDiscipline
 from .signals import FeedbackScheme, FeedbackStyle, SignalFunction
@@ -566,10 +574,10 @@ class FlowControlSystem:
         a limit cycle of period ``<= max_period`` is searched for in the
         trajectory tail; finding one yields OSCILLATING, otherwise
         UNDECIDED.  Any non-finite or absurdly large rate yields
-        DIVERGED immediately.  ``max_steps`` must be an int >= 0 and
-        ``settle`` and ``max_period`` ints >= 1, or
-        :class:`~repro.errors.SweepError` is raised; every runner
-        checks the same way.
+        DIVERGED immediately.  ``max_steps`` must be an int >= 0,
+        ``settle`` and ``max_period`` ints >= 1 and ``tol`` a finite
+        real >= 0, or :class:`~repro.errors.SweepError` is raised;
+        every runner checks the same way.
 
         ``telemetry=None`` (the default) records a
         :class:`~repro.observability.RunRecord` — per-iteration
@@ -599,7 +607,7 @@ class FlowControlSystem:
         composes with a router-side controller.
         """
         r = as_rate_vector(initial, n=self.network.num_connections)
-        _check_loop(max_steps, settle, max_period)
+        _check_loop(max_steps, settle, max_period, tol)
         self._check_plans(faults, structural)
         ctrl = (self._bank.initial_state()
                 if self._bank is not None else None)
@@ -645,7 +653,20 @@ class FlowControlSystem:
             return (structural_state.events
                     if structural_state is not None else None)
 
-        for step_count in range(1, max_steps + 1):
+        # The whole loop is one C call for the runs the kernel serves;
+        # the Python loop below is the fallback and the reference.
+        first = 1
+        if ctrl is None and fault_state is None and structural_state is None:
+            done = self._run_compiled(history, tol, settle, limit, rec)
+            if done is not None:
+                outcome, steps, step_seconds = done
+                if outcome is not None:
+                    return Trajectory(trimmed(steps), outcome,
+                                      1 if outcome is Outcome.CONVERGED
+                                      else None, steps,
+                                      telemetry=finish(outcome, steps))
+                first = max_steps + 1  # the budget is spent
+        for step_count in range(first, max_steps + 1):
             if rec is not None:
                 t0 = time.perf_counter()
             if ctrl is not None:
@@ -707,6 +728,53 @@ class FlowControlSystem:
                           telemetry=finish(Outcome.UNDECIDED, max_steps),
                           fault_events=fault_events(),
                           structural_events=structural_events())
+
+    def _run_compiled(self, history, tol, settle, limit, rec):
+        """:meth:`run`'s step loop as one C call
+        (:func:`repro.backends.compiled.run_loop`), filling ``history``
+        from its row 0 and streaming the steps into ``rec``.
+
+        Returns ``(outcome, steps, seconds)``, with ``outcome`` None
+        when the budget was spent, or None when the kernel does not
+        serve this system (no observe plan, or a rule outside the rule
+        table) or handed the run back; :meth:`run` then runs its
+        Python loop from step 1.  The rule parameters are read here,
+        at every run, because rules are mutable.
+        """
+        plan = self.scheme._plan
+        if plan is None:
+            return None
+        n = history.shape[1]
+        codes = np.empty(n, dtype=np.int64)
+        params = np.zeros((n, 3))
+        for rule, cols in self._rule_groups:
+            entry = _loop_rule(rule)
+            if entry is None:
+                return None
+            code, values = entry
+            codes[cols] = code
+            params[cols, :len(values)] = values
+        changes = np.empty(history.shape[0] - 1) if rec is not None else None
+        t0 = time.perf_counter()
+        done = compiled.run_loop(history, plan, self._reads_delay, codes,
+                                 params, tol, settle, limit, changes)
+        seconds = time.perf_counter() - t0
+        if done is None:
+            return None
+        status, steps = done
+        outcome = {_cext.ST_CONVERGED: Outcome.CONVERGED,
+                   _cext.ST_DIVERGED: Outcome.DIVERGED}.get(status)
+        if rec is not None:
+            ordinary = steps if outcome is None else steps - 1
+            for change in changes[:ordinary].tolist():
+                rec.observe_iteration(change, 1, 0, 0)
+            if outcome is Outcome.CONVERGED:
+                rec.observe_iteration(float(changes[steps - 1]), 0, 1, 0)
+                rec.observe_mask_event(steps, 0, "converged")
+            elif outcome is Outcome.DIVERGED:
+                rec.observe_iteration(math.inf, 0, 0, 1)
+                rec.observe_mask_event(steps, 0, "diverged")
+        return outcome, steps, seconds
 
     def run_ensemble(self, initials, max_steps: int = 20000,
                      tol: float = 1e-10, settle: int = 5,
@@ -829,7 +897,7 @@ class FlowControlSystem:
         are the asynchronous engine's clock gate and feedback delay:
         ``None`` and 0 are the synchronous map.
         """
-        _check_loop(max_steps, settle, max_period)
+        _check_loop(max_steps, settle, max_period, tol)
         if history is None:
             history = "tail"
         elif history not in HISTORY_POLICIES:
@@ -1050,10 +1118,11 @@ class FlowControlSystem:
         return traj.final
 
 
-def _check_loop(max_steps, settle, max_period) -> None:
+def _check_loop(max_steps, settle, max_period, tol) -> None:
     """Raise :class:`~repro.errors.SweepError` unless ``max_steps`` is
-    an int >= 0 and ``settle`` and ``max_period`` are ints >= 1
-    (``settle`` may also be an int array, one count per member)."""
+    an int >= 0, ``settle`` and ``max_period`` are ints >= 1
+    (``settle`` may also be an int array, one count per member) and
+    ``tol`` is a finite real >= 0."""
     for name, value, low in (("max_steps", max_steps, 0),
                              ("settle", settle, 1),
                              ("max_period", max_period, 1)):
@@ -1061,6 +1130,9 @@ def _check_loop(max_steps, settle, max_period) -> None:
         if arr.dtype.kind not in "iu" or np.any(arr < low):
             raise SweepError(
                 f"{name} must be an int >= {low}, got {value!r}")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol)
+            and tol >= 0):
+        raise SweepError(f"tol must be a finite real >= 0, got {tol!r}")
 
 
 def _merged_events(states) -> Optional[list]:

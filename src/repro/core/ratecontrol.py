@@ -59,6 +59,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy import optimize
 
+from ..backends import _cext
 from ..errors import NotTimeScaleInvariantError, RateVectorError
 
 __all__ = [
@@ -391,6 +392,34 @@ class RcpSourceRule(RateAdjustment):
 
     def __repr__(self):
         return "RcpSourceRule()"
+
+
+#: The rules the compiled run loop transcribes
+#: (:func:`repro.backends.compiled.run_loop`): rule type -> its code on
+#: the C side and the attributes its ``delta_batch`` reads, in the
+#: kernel's parameter order.  Keyed by exact type, so a subclass keeps
+#: its overrides.
+_LOOP_RULES = {
+    TargetRule: (_cext.RULE_TARGET, ("eta", "beta")),
+    ProportionalTargetRule: (_cext.RULE_PROPORTIONAL_TARGET,
+                             ("eta", "beta")),
+    DecbitRateRule: (_cext.RULE_DECBIT_RATE, ("eta", "beta")),
+    DecbitWindowRule: (_cext.RULE_DECBIT_WINDOW, ("eta", "beta")),
+    BinaryAimdRule: (_cext.RULE_BINARY_AIMD,
+                     ("increase", "decrease", "threshold")),
+    TcpLikeRule: (_cext.RULE_TCP_LIKE, ("increase", "decrease", "threshold")),
+}
+
+
+def _loop_rule(rule: RateAdjustment) -> Optional[tuple]:
+    """``(code, parameters)`` of ``rule`` for the compiled run loop, or
+    None when the loop does not transcribe its type.  The parameters
+    are read at each call: rules are mutable."""
+    entry = _LOOP_RULES.get(type(rule))
+    if entry is None:
+        return None
+    code, names = entry
+    return code, [float(getattr(rule, name)) for name in names]
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .core.dynamics import FlowControlSystem
 from .core.fairshare import FairShare, _sorted_queues
 from .core.fifo import Fifo
 from .core.ratecontrol import (DecbitRateRule, ProportionalTargetRule,
-                               TargetRule)
+                               TargetRule, TcpLikeRule)
 from .core.signals import (FeedbackScheme, FeedbackStyle,
                            LinearSaturating, PowerSaturating)
 from .core.topology import parking_lot, single_gateway
@@ -72,6 +72,32 @@ def _numpy_loop(scheme, rates, with_delays: bool) -> tuple:
         return scheme._observe(rates, with_delays)
     finally:
         scheme._plan = plan
+
+
+def _python_loop(system, initial, **kwargs):
+    """``run`` on its Python loop: the compiled run loop unavailable."""
+    from .backends import compiled
+    loop, compiled.run_loop = compiled.run_loop, lambda *args: None
+    try:
+        return system.run(initial, **kwargs)
+    finally:
+        compiled.run_loop = loop
+
+
+def _same_run(a, b) -> bool:
+    """Two trajectories agree bit for bit, run records (bar the
+    timings) included."""
+    records = [None if t.telemetry is None else
+               (t.telemetry.residuals, t.telemetry.active_members,
+                t.telemetry.converged_counts, t.telemetry.diverged_counts,
+                t.telemetry.mask_events, t.telemetry.outcome_counts,
+                t.telemetry.steps, list(t.telemetry.phase_seconds))
+               for t in (a, b)]
+    return (a.history.tobytes() == b.history.tobytes()
+            and a.history.shape == b.history.shape
+            and (a.outcome, a.period, a.steps) == (b.outcome, b.period,
+                                                   b.steps)
+            and records[0] == records[1])
 
 
 def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
@@ -286,8 +312,8 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
 
     from .backends import _cext
     from .backends import compiled as compiled_kernels
-    print("compiled kernels: the C Fair Share, observe-stage and FIFO "
-          "kernels "
+    print("compiled kernels: the C Fair Share, observe-stage, run-loop "
+          "and FIFO kernels "
           + ("built" if compiled_kernels.fs_available()
              else f"did not build ({_cext.load_error()})"))
     big = rng.uniform(0.0, 0.5, size=(4, 96))
@@ -328,6 +354,28 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
                     ok &= got is not None and all(
                         _bits(a) == _bits(b) for a, b in zip(got, want))
         _check("compiled observe stage is bit-identical to the numpy loop",
+               ok, failures)
+    if not compiled_kernels.fs_available():
+        _check("compiled run loop unavailable (Python loop ok)", True,
+               failures)
+    else:
+        n = lot.num_connections
+        rules = [TargetRule(eta=0.1, beta=0.5), TcpLikeRule()]
+        ok = True
+        for discipline in (Fifo(), FairShare()):
+            for style in FeedbackStyle:
+                loop_system = FlowControlSystem(lot, discipline,
+                                                LinearSaturating(),
+                                                (rules * n)[:n], style=style)
+                for x0 in probes[:2]:
+                    ok &= _same_run(loop_system.run(x0, max_steps=300),
+                                    _python_loop(loop_system, x0,
+                                                 max_steps=300))
+        ok &= _same_run(loop_system.run(probes[2], max_steps=300,
+                                        telemetry=True),
+                        _python_loop(loop_system, probes[2], max_steps=300,
+                                     telemetry=True))
+        _check("compiled run loop is bit-identical to the Python loop",
                ok, failures)
 
     print("scenario fuzzing smoke:")

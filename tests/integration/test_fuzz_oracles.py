@@ -175,10 +175,11 @@ class TestEveryOracleFires:
 
     def test_ensemble_equivalence_catches_scalar_only_mutation(
             self, monkeypatch):
-        # ``run`` advances through the one-row stepper ``_step_row`` and
-        # ``run_ensemble`` through the batch stepper ``_step_rows``; the
-        # two share every kernel, so the mutant sits on the one thing
-        # only the scalar run sees: the one-row stepper's output.
+        # With the C tier masked, ``run`` advances through the one-row
+        # stepper ``_step_row`` and ``run_ensemble`` through the batch
+        # stepper ``_step_rows``; the two share every kernel, so the
+        # mutant sits on the one thing only the scalar run sees: the
+        # one-row stepper's output.
         from repro.core.dynamics import FlowControlSystem
         orig = FlowControlSystem._step_row
 
@@ -187,7 +188,27 @@ class TestEveryOracleFires:
             out[-1] += 1e-6
             return out
 
+        monkeypatch.setattr(_cext, "load", lambda: None)
         monkeypatch.setattr(FlowControlSystem, "_step_row", broken)
+        fails = failing_oracles(spec_of(), ["ensemble-equivalence"])
+        assert fails == ("ensemble-equivalence",)
+
+    @pytest.mark.skipif(not compiled.fs_available(),
+                        reason="no compiled run loop")
+    def test_ensemble_equivalence_catches_run_loop_mutation(
+            self, monkeypatch):
+        # The C-path twin: ``run`` runs its whole loop in
+        # ``compiled.run_loop``, so the mutant perturbs the last row
+        # the kernel writes.
+        orig = compiled.run_loop
+
+        def broken(history, *args, **kwargs):
+            out = orig(history, *args, **kwargs)
+            if out is not None:
+                history[out[1], -1] += 1e-6
+            return out
+
+        monkeypatch.setattr(compiled, "run_loop", broken)
         fails = failing_oracles(spec_of(), ["ensemble-equivalence"])
         assert fails == ("ensemble-equivalence",)
 

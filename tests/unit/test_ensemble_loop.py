@@ -152,7 +152,8 @@ RUNNERS = {
 }
 
 BAD = [("settle", 0), ("settle", -1), ("settle", 1.5), ("settle", True),
-       ("max_steps", -1), ("max_steps", 2.0), ("max_period", 0)]
+       ("max_steps", -1), ("max_steps", 2.0), ("max_period", 0),
+       ("tol", math.nan), ("tol", -1.0), ("tol", math.inf)]
 
 
 class TestLoopParameters:
@@ -163,6 +164,10 @@ class TestLoopParameters:
                                                   value):
         with pytest.raises(SweepError, match=name):
             RUNNERS[runner](_system(), **{name: value})
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_zero_tol_is_valid(self, runner):
+        RUNNERS[runner](_system(), tol=0.0, max_steps=20)
 
     @pytest.mark.parametrize("delay", [1.5, -1, "1"])
     def test_delay_must_be_a_nonnegative_int(self, delay):

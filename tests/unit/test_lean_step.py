@@ -257,14 +257,35 @@ class TestDelaysRequestedOnlyWhenRead(_StepPaths):
         steps = self._exercise(system)
         assert kernel_calls == [False] * steps
 
+    @pytest.fixture
+    def loop_calls(self, monkeypatch):
+        calls = []
+        orig = compiled.run_loop
+
+        def counting(history, plan, with_delays, *args):
+            calls.append(with_delays)
+            return orig(history, plan, with_delays, *args)
+
+        monkeypatch.setattr(compiled, "run_loop", counting)
+        return calls
+
     @pytest.mark.parametrize("reader", [TcpLikeRule, DecbitWindowRule,
                                         _Recording],
                              ids=["tcp-like", "decbit-window", "custom"])
-    def test_requested_every_step_when_read(self, kernel_calls, reader):
+    def test_requested_every_step_when_read(self, kernel_calls, loop_calls,
+                                            reader):
         system = _mixed(parking_lot(3, cross_per_hop=2),
                         (TargetRule(eta=0.05, beta=0.5), reader()))
         steps = self._exercise(system)
-        assert kernel_calls == [True] * steps
+        # The built-in readers' run leg is one compiled run loop call,
+        # which asks for the delays for all its steps; a custom rule's
+        # run steps through the observe kernel.
+        if reader is _Recording:
+            assert loop_calls == []
+            assert kernel_calls == [True] * steps
+        else:
+            assert loop_calls == [True]
+            assert kernel_calls == [True] * (steps - self.STEPS)
 
     def test_asynchronous_runner_still_requests_delays(self, kernel_calls):
         system = _mixed(single_gateway(3), (TargetRule(eta=0.05),))

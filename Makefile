@@ -54,13 +54,14 @@ compiled-quick:
 suite-smoke:
 	$(PYTHON) benchmarks/suite/run.py --smoke
 
-# Result digests of every benchmark unit, seeds 1 and 2, of 15 fixed
-# trajectory-engine cases (the last four: Fair Share individual feedback
+# Result digests of every benchmark unit, seeds 1 and 2, of 16 fixed
+# trajectory-engine cases (the last five: Fair Share individual feedback
 # at N = 96 from equal and perturbed rates, weighted Fair Share with
 # unequal weights at N = 4 and 70, Fair Share on a parking lot with
 # delay-reading rules, a zero-rate start and a capacity degradation,
-# and scalar runs under a mix of all six built-in rules, the runs the
-# compiled run loop serves),
+# scalar runs under a mix of all six built-in rules, and asynchronous
+# ensembles under uniform, bursty and drifting clocks, the blocks the
+# compiled ensemble loop serves or hands back),
 # and of 23 seeded
 # packet-simulator cases on engine="auto" and engine="legacy" (~1 min;
 # the two lines of a packet case must agree).  A change that must not move any result prints the

@@ -11,7 +11,7 @@ artifact rows, ensemble finals and steps, oracle verdicts or packet
 rate histories).
 
 The units leave paths of the trajectory engine unexercised, so an
-``engine`` section follows: fifteen fixed, seeded cases, one line
+``engine`` section follows: sixteen fixed, seeded cases, one line
 each::
 
     engine <case> <digest>
@@ -31,8 +31,12 @@ rules see the zero-rate probe and a capacity-degraded view (one-shot
 and blocked ensembles and scalar runs); and scalar runs on a parking
 lot under a per-connection mix of all six built-in rules (FIFO and
 Fair Share, both feedback styles, a zero-rate start, a diverging run,
-a zero-step budget and a run whose record is hashed), the runs the
-compiled run loop serves.  Each digest hashes finals,
+a zero-step budget and a run whose record is hashed), the runs ``run``
+hands to the compiled ensemble loop; and asynchronous ensembles under
+uniform and bursty clocks (delays 0 and 2, full and no history,
+per-member settle counts, blocks of 2), beside one under a drifting
+clock, which the Python loop runs, and one-member runs, the blocks the
+compiled ensemble loop serves.  Each digest hashes finals,
 steps, outcomes, periods, the retained histories and the run record's
 mask events and per-iteration series.
 
@@ -75,8 +79,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 import workloads  # noqa: E402
 from repro.chaos import CapacityDegradation, StructuralFaultPlan  # noqa
 from repro.core.asynchronous import (  # noqa: E402
-    AsynchronousRunner, BernoulliSchedule, ClockSchedule, RateMixClock,
-    RoundRobinSchedule, run_async_ensemble)
+    AsynchronousRunner, BernoulliSchedule, BurstyClock, ClockSchedule,
+    DriftingClock, RateMixClock, RoundRobinSchedule, UniformClock,
+    run_async_ensemble)
 from repro.core.dynamics import FlowControlSystem  # noqa: E402
 from repro.core.fairshare import FairShare  # noqa: E402
 from repro.core.fifo import Fifo  # noqa: E402
@@ -332,6 +337,38 @@ def _run_loop():
     return _hash(*out)
 
 
+def _ensemble_loop():
+    """Asynchronous ensembles the compiled ensemble loop serves, under
+    uniform and bursty clocks at delays 0 and 2 with full and no
+    history, per-member settle counts and blocks of 2; one under a
+    drifting clock, which the Python loop runs; and one-member runs,
+    one under ``collect()``."""
+    out = []
+    system, initials = _tcp_mixed()
+    settle = np.array([4, 9, 6, 12, 5])
+    clocks = (UniformClock(0.7, seed=8), BurstyClock(0.9, 0.2, 8, seed=8))
+    for clock in clocks:
+        for tau, history in ((0, "full"), (2, "none")):
+            out.append(run_async_ensemble(
+                system, initials, schedule=ClockSchedule(clock),
+                signal_delay=tau, max_steps=500, tol=1e-9, settle=settle,
+                history=history, block_size=2, telemetry=True))
+    drifting = ClockSchedule(DriftingClock(0.5, 0.25, 32, seed=8))
+    out.append(run_async_ensemble(system, initials, schedule=drifting,
+                                  signal_delay=1, max_steps=500,
+                                  history="full", telemetry=True))
+    fs, fs_initials = _fair_share()
+    for clock in clocks:
+        out.append(run_async_ensemble(fs, fs_initials[:1],
+                                      schedule=ClockSchedule(clock),
+                                      signal_delay=3, max_steps=800))
+    with collect():
+        out.append(run_async_ensemble(fs, fs_initials[1:2],
+                                      schedule=ClockSchedule(clocks[1]),
+                                      max_steps=800, history="full"))
+    return _hash(*out)
+
+
 def _async_runner():
     out = []
     for system, initials in (_fair_share(), _tcp_mixed()):
@@ -358,6 +395,7 @@ ENGINE_CASES = {
     "weighted-fair-share": _weighted_fair_share,
     "fair-share-delays": _fair_share_delays,
     "run-loop": _run_loop,
+    "ensemble-loop": _ensemble_loop,
 }
 
 

@@ -291,7 +291,7 @@ def main(argv=None):
                         + compiled_report))
     ensemble = fresh["ensemble"]
     print(f"       ensemble serial side: Python loop "
-          f"{ensemble['serial_s']}s (gated), C run loop "
+          f"{ensemble['serial_s']}s (gated), C ensemble loop "
           f"{ensemble['serial_run_loop_s']}s")
     if compiled_notice:
         print(f"[SKIP] {compiled_notice}")

@@ -13,9 +13,9 @@ Four kernel families live in the library:
 * ``fs_queue_batch`` / ``fs_loads_batch`` / ``ind_congestion_batch``
   — the Fair Share sorted prefix-sum laws, loop twins of
   :mod:`repro.backends._fs_python` (see that module's bit-identity
-  notes; the C side adds a stable argsort — bottom-up mergesort for
-  short rows, LSD radix on order-preserving integer keys for long
-  ones — which yields the same permutation as
+  notes; the C side adds a stable argsort — insertion-sorted runs
+  merged bottom-up for short rows, LSD radix on order-preserving
+  integer keys for long ones — which yields the same permutation as
   ``np.argsort(kind="stable")`` because the stable ascending
   permutation is unique; the key transform collapses ``-0.0`` onto
   ``+0.0`` so the radix tie classes match IEEE comparison ties).
@@ -40,16 +40,22 @@ Four kernel families live in the library:
   arithmetic in its order, and returns ``ST_DOMAIN`` on a NaN,
   negative or infinite rate or a NaN or negative measure, so the
   numpy loop then runs (and raises where it raises).  Its per-row
-  body, ``observe_row``, is shared with the run loop.
-* ``run_loop`` — :meth:`~repro.core.dynamics.FlowControlSystem.run`'s
-  whole step loop on one trajectory: per step ``observe_row``, each
-  connection's rule (one of the six built-in rules, by ``RULE_*``
-  code), ``apply_batch``'s and ``clip_nonnegative``'s ``np.maximum``,
-  and ``run``'s divergence and convergence tests, writing each state
-  into ``run``'s history buffer.  It returns ``ST_CONVERGED``,
-  ``ST_DIVERGED`` or ``ST_DONE`` (budget spent) with the step count,
-  or ``ST_DOMAIN`` where the observe row does or a delay-reading rule
-  sees ``d <= 0``, so ``run``'s Python loop then runs from step 1.
+  body, ``observe_row``, is shared with the ensemble loop.
+* ``ensemble_loop`` — the loop of
+  :meth:`~repro.core.dynamics.FlowControlSystem._run_block` (which
+  ``run_ensemble`` and ``run_async_ensemble`` share, and of which
+  ``run`` is the ``M = 1`` case) on a whole member block, member after
+  member: per step ``observe_row`` on the stale row, each connection's
+  rule (one of the six built-in rules, by ``RULE_*`` code),
+  ``apply_batch``'s and ``clip_nonnegative``'s ``np.maximum``, the
+  clock gate (``GATE_*``: round-robin, or coins drawn from a C
+  transcription of ``np.random.default_rng([seed, step]).random(n)``,
+  also exported as ``coin_stream`` and ``gate_masks``), and the
+  divergence and convergence tests, writing each member's delay ring,
+  tail and full-history rows, its final state, step count and status,
+  and per-step telemetry aggregates.  It returns ``ST_DOMAIN`` where
+  the observe row does or a delay-reading rule sees ``d <= 0``, so the
+  Python loop then runs the block from step 1.
 * the FIFO event loop — a C transcription of
   ``FastEngine._run_fifo`` driven through a resume trampoline:
   ``fifo_enter`` copies the event heap, packet pool, and queue chains
@@ -87,6 +93,7 @@ __all__ = [
     "MEASURE_AGGREGATE", "MEASURE_INDIVIDUAL", "MEASURE_WEIGHTED",
     "RULE_TARGET", "RULE_PROPORTIONAL_TARGET", "RULE_DECBIT_RATE",
     "RULE_DECBIT_WINDOW", "RULE_BINARY_AIMD", "RULE_TCP_LIKE",
+    "GATE_NONE", "GATE_ROUND_ROBIN", "GATE_COINS",
 ]
 
 # Status codes shared with the C side.
@@ -105,13 +112,19 @@ MEASURE_AGGREGATE = 0
 MEASURE_INDIVIDUAL = 1
 MEASURE_WEIGHTED = 2
 
-# Rule codes of run_loop (see repro.core.ratecontrol's rule table).
+# Rule codes of ensemble_loop (see repro.core.ratecontrol's rule table).
 RULE_TARGET = 0
 RULE_PROPORTIONAL_TARGET = 1
 RULE_DECBIT_RATE = 2
 RULE_DECBIT_WINDOW = 3
 RULE_BINARY_AIMD = 4
 RULE_TCP_LIKE = 5
+
+# Clock-gate codes of ensemble_loop (see repro.core.asynchronous's gate
+# table).
+GATE_NONE = 0
+GATE_ROUND_ROBIN = 1
+GATE_COINS = 2
 
 _SOURCE = r"""
 #include <stdlib.h>
@@ -138,14 +151,30 @@ typedef uint64_t u64;
 /* Fair Share sorted prefix-sum kernels                               */
 /* ------------------------------------------------------------------ */
 
-/* Stable ascending argsort (bottom-up mergesort on an index array).
- * Stability + ascending order determine the permutation uniquely, so
- * this matches numpy's kind="stable" argsort exactly. */
+/* Runs of this many entries are insertion-sorted before the merges. */
+#define SORT_RUN 8
+
+/* Stable ascending argsort (insertion-sorted runs of SORT_RUN, then a
+ * bottom-up mergesort on an index array).  Stability + ascending order
+ * determine the permutation uniquely, so this matches numpy's
+ * kind="stable" argsort exactly. */
 static void stable_argsort(const double *v, i64 n, i64 *idx, i64 *tmp)
 {
     i64 *src = idx, *dst = tmp, width;
-    for (i64 i = 0; i < n; i++) idx[i] = i;
-    for (width = 1; width < n; width *= 2) {
+    for (i64 lo = 0; lo < n; lo += SORT_RUN) {
+        i64 hi = lo + SORT_RUN < n ? lo + SORT_RUN : n;
+        for (i64 i = lo; i < hi; i++) {
+            /* an entry moves left past strictly larger ones only */
+            i64 j = i;
+            double x = v[i];
+            while (j > lo && v[idx[j - 1]] > x) {
+                idx[j] = idx[j - 1];
+                j--;
+            }
+            idx[j] = i;
+        }
+    }
+    for (width = SORT_RUN; width < n; width *= 2) {
         for (i64 lo = 0; lo < n; lo += 2 * width) {
             i64 mid = lo + width, hi = lo + 2 * width;
             if (mid > n) mid = n;
@@ -213,8 +242,10 @@ static void radix_argsort(const double *v, i64 n, i64 *idx, i64 *tmp,
 }
 
 /* Radix wins once the row is long enough to amortise its 8 counting
- * passes; below that the branchy mergesort is cheaper. */
-#define RADIX_MIN_N 48
+ * passes; below that the mergesort is cheaper.  Measured per Fair
+ * Share row (DESIGN.md, section 13): the mergesort is faster up to
+ * width 80 on every kind of row, radix from 112 on all but tied rows. */
+#define RADIX_MIN_N 112
 
 static void sort_row(const double *v, i64 n, i64 *idx, i64 *tmp,
                      u64 *keys, u64 *keys_tmp)
@@ -588,7 +619,175 @@ int observe_batch(const double *rates, i64 m, i64 n, i64 n_gw,
 }
 
 /* ------------------------------------------------------------------ */
-/* The run loop: FlowControlSystem.run's step loop on one trajectory   */
+/* The clock gate: numpy's default_rng([seed, step]).random(n) coins   */
+/* ------------------------------------------------------------------ */
+
+typedef uint32_t u32;
+typedef unsigned __int128 u128;
+
+/* numpy's SeedSequence constants (pool of 4 words). */
+#define SS_INIT_A 0x43b0d7e5U
+#define SS_MULT_A 0x931e8875U
+#define SS_INIT_B 0x8b51f9ddU
+#define SS_MULT_B 0x58f38dedU
+#define SS_MIX_MULT_L 0xca01f9ddU
+#define SS_MIX_MULT_R 0x4973f715U
+
+static inline u32 ss_hashmix(u32 value, u32 *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    value ^= value >> 16;
+    return value;
+}
+
+static inline u32 ss_mix(u32 x, u32 y)
+{
+    u32 result = SS_MIX_MULT_L * x - SS_MIX_MULT_R * y;
+    result ^= result >> 16;
+    return result;
+}
+
+#define PCG_MULT (((u128)2549297995355413924ULL << 64) \
+                  + 4865540595714422341ULL)
+
+typedef struct { u128 state, inc; } Pcg64;
+
+static inline void pcg_step(Pcg64 *g)
+{
+    g->state = g->state * PCG_MULT + g->inc;
+}
+
+/* PCG64's XSL-RR output after one step. */
+static inline u64 pcg_next64(Pcg64 *g)
+{
+    pcg_step(g);
+    u64 x = (u64)(g->state >> 64) ^ (u64)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static inline double pcg_double(Pcg64 *g)
+{
+    return (double)(pcg_next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* np.random.default_rng(entropy) for entropy words ent[0..len): the
+ * SeedSequence pool mix (with the extra loop for words past the
+ * fourth), its generate_state(4, uint64), and PCG64's seeding. */
+static void pcg_seed(Pcg64 *g, const u32 *ent, i64 len)
+{
+    u32 pool[4], hc = SS_INIT_A, hb = SS_INIT_B, st[8];
+    for (int i = 0; i < 4; i++)
+        pool[i] = ss_hashmix(i < len ? ent[i] : 0U, &hc);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &hc));
+    for (i64 src = 4; src < len; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = ss_mix(pool[dst], ss_hashmix(ent[src], &hc));
+    for (int i = 0; i < 8; i++) {
+        u32 v = pool[i % 4] ^ hb;
+        hb *= SS_MULT_B;
+        v *= hb;
+        st[i] = v ^ (v >> 16);
+    }
+    u64 w[4];
+    for (int k = 0; k < 4; k++)
+        w[k] = (u64)st[2 * k] | ((u64)st[2 * k + 1] << 32);
+    g->state = 0;
+    g->inc = ((((u128)w[2] << 64) | w[3]) << 1) | 1U;
+    pcg_step(g);
+    g->state += ((u128)w[0] << 64) | w[1];
+    pcg_step(g);
+}
+
+/* Append the little-endian 32-bit words of v (one word for 0) to ent
+ * at len; returns the new length. */
+static i64 push_words(u32 *ent, i64 len, u64 v)
+{
+    do {
+        ent[len++] = (u32)v;
+        v >>= 32;
+    } while (v);
+    return len;
+}
+
+/* default_rng([seed, step]).random(n) into out, with the seed given as
+ * its n_seed entropy words (at most 8). */
+int coin_stream(const u32 *seed, i64 n_seed, u64 step, i64 n, double *out)
+{
+    u32 ent[10];
+    if (n_seed < 1 || n_seed > 8) return ST_DOMAIN;
+    memcpy(ent, seed, (size_t)n_seed * sizeof(u32));
+    Pcg64 g;
+    pcg_seed(&g, ent, push_words(ent, n_seed, step));
+    for (i64 i = 0; i < n; i++) out[i] = pcg_double(&g);
+    return ST_DONE;
+}
+
+#define GATE_NONE 0
+#define GATE_ROUND_ROBIN 1
+#define GATE_COINS 2
+
+/* A shared schedule's gate: no gate, round-robin, or coins, where
+ * source i ticks at schedule step t when u_i < its threshold, u being
+ * default_rng([seed, t]).random(n).  The threshold is on[i], or with
+ * off not NULL (a bursty clock) off[i] in the odd bursts, those with
+ * ((t + offsets[i]) / burst_len) % 2 == 1. */
+typedef struct {
+    int code;
+    const u32 *seed;
+    i64 n_seed, burst_len;
+    const double *on, *off;
+    const i64 *offsets;
+} GatePlan;
+
+/* The plans gate_row can draw with: a coin gate needs one to eight seed
+ * words and its thresholds, and a bursty one a burst length >= 1. */
+static int gate_valid(const GatePlan *g)
+{
+    if (g->code == GATE_COINS && (g->n_seed < 1 || g->n_seed > 8 || !g->on))
+        return 0;
+    return !(g->off && g->burst_len < 1);
+}
+
+static void gate_row(const GatePlan *g, i64 t, i64 n, unsigned char *mask)
+{
+    if (g->code != GATE_COINS) {
+        for (i64 i = 0; i < n; i++)
+            mask[i] = g->code == GATE_NONE || i == t % n;
+        return;
+    }
+    u32 ent[10];
+    memcpy(ent, g->seed, (size_t)g->n_seed * sizeof(u32));
+    Pcg64 rng;
+    pcg_seed(&rng, ent, push_words(ent, g->n_seed, (u64)t));
+    for (i64 i = 0; i < n; i++) {
+        double u = pcg_double(&rng), thr = g->on[i];
+        if (g->off && ((t + g->offsets[i]) / g->burst_len) % 2)
+            thr = g->off[i];
+        mask[i] = u < thr;
+    }
+}
+
+/* The masks of schedule steps t0 .. t0 + steps - 1 into out, row by
+ * row (what the ensemble loop gates with). */
+int gate_masks(int code, const u32 *seed, i64 n_seed, const double *on,
+               const double *off, const i64 *offsets, i64 burst_len,
+               i64 t0, i64 steps, i64 n, unsigned char *out)
+{
+    GatePlan g = {code, seed, n_seed, burst_len, on, off, offsets};
+    if (!gate_valid(&g)) return ST_DOMAIN;
+    for (i64 k = 0; k < steps; k++)
+        gate_row(&g, t0 + k, n, out + k * n);
+    return ST_DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* The ensemble loop: FlowControlSystem._run_block on a member block    */
 /* ------------------------------------------------------------------ */
 
 #define ST_CONVERGED 7
@@ -649,71 +848,129 @@ static int decide_row(const double *rr, const double *bb, const double *dd,
     return ST_DONE;
 }
 
-/* FlowControlSystem.run's loop from the state in row 0 of hist, a
- * (max_steps + 1, n) buffer: each step observes row step - 1, decides
- * and clips into row step, then runs run's tests.  The step diverges
- * when !(peak <= limit), with peak the row maximum (NaN when any entry
- * is NaN); otherwise it is quiet when change <= tol * max(1, peak),
- * with change the largest |r_next - r|, and settle quiet steps in a
- * row converge.  changes, when not NULL, receives each step's change
- * (the diverging step's is left unwritten).  Returns ST_CONVERGED or
- * ST_DIVERGED with the step count in *steps, ST_DONE when the budget
- * is spent, or ST_DOMAIN (the Python loop then runs, and raises where
- * it raises) or ST_OOM. */
-int run_loop(double *hist, i64 max_steps, double tol, i64 settle,
-             double limit, i64 n, i64 n_gw, const i64 *gw_ptr,
-             const i64 *members, const double *mu, int law,
-             const double *law_phi, int measure, const double *phi,
-             const double *path_latency, const i64 *codes,
-             const double *params, double *changes, i64 *steps)
+/* The largest mask table a block caches: a shared schedule's mask
+ * depends only on the step, so members after the first reuse it. */
+#define MASK_CACHE_MAX ((i64)1 << 24)
+
+/* FlowControlSystem._run_block on m members of n connections, member
+ * by member (members are independent, so the order does not change a
+ * bit).  Each member starts from its row of r0 and at each step
+ * observes its stale row (ring slot step % (tau + 1), or the current
+ * row at tau = 0), decides, gates (a source whose clock does not tick
+ * keeps its rate: np.where(mask, new, r)), clips, and writes the ring
+ * slot, the tail row step % tcap of its (tcap, n) block of tail and the
+ * row step of its (max_steps + 1, n) block of full (either may be NULL;
+ * row 0 is the caller's).  The member diverges when !(peak <= limit),
+ * with peak the row maximum (NaN when any entry is NaN); a step is
+ * quiet when change <= tol * max(1, peak), with change the largest
+ * |r_next - r|; settle[k] quiet steps in a row converge it unless it
+ * diverged.  Its last state, step count and status (ST_CONVERGED,
+ * ST_DIVERGED, or ST_DONE for a spent budget) go to finals, steps and
+ * status.  agg, when not NULL, receives at each step the largest
+ * change among the members still running after it (inf when none is).
+ * Returns ST_DONE, or ST_DOMAIN where observe_row or decide_row does
+ * (the caller then runs the block on the Python loop, from step 1), or
+ * ST_OOM. */
+int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
+                  double tol, const i64 *settle, double limit, i64 tau,
+                  i64 n_gw, const i64 *gw_ptr, const i64 *members,
+                  const double *mu, int law, const double *law_phi,
+                  int measure, const double *phi, const double *path_latency,
+                  const i64 *codes, const double *params,
+                  int gate, const u32 *seed, i64 n_seed, const double *on,
+                  const double *off, const i64 *offsets, i64 burst_len,
+                  double *finals, i64 *steps, i64 *status,
+                  double *tail, i64 tcap, double *full, double *agg)
 {
     ObservePlan p = {n, n_gw, gw_ptr, members, mu, law, measure,
                      law_phi, phi, path_latency};
+    GatePlan g = {gate, seed, n_seed, burst_len, on, off, offsets};
+    if (!gate_valid(&g)) return ST_DOMAIN;
     ObserveScratch o;
     if (!observe_scratch_alloc(&o, &p)) return ST_OOM;
-    double *b = (double *)malloc(2 * (size_t)n * sizeof(double));
-    if (!b) {
-        observe_scratch_free(&o);
-        return ST_OOM;
+    /* cur, next, b, d, then the tau + 1 ring rows */
+    double *work = (double *)malloc((size_t)(5 + tau) * n * sizeof(double));
+    unsigned char *mask = (unsigned char *)malloc((size_t)n + 1);
+    int use_cache = gate == GATE_COINS && m > 1
+                    && max_steps * n <= MASK_CACHE_MAX;
+    unsigned char *cache = NULL, *cached = NULL;
+    if (use_cache) {
+        cache = (unsigned char *)malloc((size_t)(max_steps * n) + 1);
+        cached = (unsigned char *)calloc((size_t)max_steps + 1, 1);
     }
-    double *d = b + n;
-    i64 quiet = 0;
-    int status = ST_DONE;
-    *steps = max_steps;
-    for (i64 step = 1; step <= max_steps; step++) {
-        const double *r = hist + (step - 1) * n;
-        double *next = hist + step * n;
-        status = observe_row(r, &p, b, d, &o);
-        if (status == ST_DONE)
-            status = decide_row(r, b, d, n, codes, params, next);
-        if (status != ST_DONE) break;
-        double peak = next[0];
-        for (i64 i = 1; i < n && !isnan(peak); i++)
-            peak = (next[i] > peak || isnan(next[i])) ? next[i] : peak;
-        if (!(peak <= limit)) {
-            status = ST_DIVERGED;
-            *steps = step;
-            break;
-        }
-        double change = 0.0;
-        for (i64 i = 0; i < n; i++) {
-            double x = fabs(next[i] - r[i]);
-            if (x > change) change = x;
-        }
-        if (changes) changes[step - 1] = change;
-        if (change <= tol * (peak > 1.0 ? peak : 1.0)) {
-            if (++quiet >= settle) {
-                status = ST_CONVERGED;
-                *steps = step;
+    int status_all = ST_DONE;
+    if (!work || !mask || (use_cache && (!cache || !cached))) {
+        status_all = ST_OOM;
+        goto out;
+    }
+    double *b = work + 2 * n, *d = work + 3 * n, *ring = work + 4 * n;
+    if (agg)
+        for (i64 s = 0; s < max_steps; s++) agg[s] = -1.0;
+    for (i64 k = 0; k < m; k++) {
+        double *cur = work, *next = work + n;
+        double *ktail = tail ? tail + k * tcap * n : NULL;
+        double *kfull = full ? full + k * (max_steps + 1) * n : NULL;
+        i64 quiet = 0, done_at = max_steps;
+        int outcome = ST_DONE;
+        memcpy(cur, r0 + k * n, (size_t)n * sizeof(double));
+        for (i64 s = 0; tau && s <= tau; s++)
+            memcpy(ring + s * n, cur, (size_t)n * sizeof(double));
+        for (i64 step = 1; step <= max_steps; step++) {
+            double *slot = tau ? ring + (step % (tau + 1)) * n : cur;
+            status_all = observe_row(slot, &p, b, d, &o);
+            if (status_all == ST_DONE)
+                status_all = decide_row(cur, b, d, n, codes, params, next);
+            if (status_all != ST_DONE) goto out;
+            if (gate != GATE_NONE) {
+                unsigned char *mk = mask;
+                if (cache) {
+                    mk = cache + (step - 1) * n;
+                    if (!cached[step - 1]) {
+                        gate_row(&g, step - 1, n, mk);
+                        cached[step - 1] = 1;
+                    }
+                } else {
+                    gate_row(&g, step - 1, n, mk);
+                }
+                for (i64 i = 0; i < n; i++)
+                    if (!mk[i]) next[i] = np_maximum(cur[i], 0.0);
+            }
+            if (tau) memcpy(slot, next, (size_t)n * sizeof(double));
+            if (ktail)
+                memcpy(ktail + (step % tcap) * n, next,
+                       (size_t)n * sizeof(double));
+            if (kfull)
+                memcpy(kfull + step * n, next, (size_t)n * sizeof(double));
+            double peak = next[0], change = 0.0;
+            for (i64 i = 1; i < n && !isnan(peak); i++)
+                peak = (next[i] > peak || isnan(next[i])) ? next[i] : peak;
+            for (i64 i = 0; i < n; i++) {
+                double x = fabs(next[i] - cur[i]);
+                if (x > change) change = x;
+            }
+            int diverged = !(peak <= limit);
+            if (change <= tol * (peak > 1.0 ? peak : 1.0)) quiet++;
+            else quiet = 0;
+            double *sw = cur; cur = next; next = sw;
+            if (diverged || quiet >= settle[k]) {
+                outcome = diverged ? ST_DIVERGED : ST_CONVERGED;
+                done_at = step;
                 break;
             }
-        } else {
-            quiet = 0;
+            if (agg && change > agg[step - 1]) agg[step - 1] = change;
         }
+        memcpy(finals + k * n, cur, (size_t)n * sizeof(double));
+        steps[k] = done_at;
+        status[k] = outcome;
     }
-    free(b);
+    if (agg)
+        for (i64 s = 0; s < max_steps; s++)
+            if (agg[s] < 0.0) agg[s] = INFINITY;
+    status_all = ST_DONE;
+out:
+    free(cache); free(cached); free(mask); free(work);
     observe_scratch_free(&o);
-    return status;
+    return status_all;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1295,14 +1552,22 @@ def _configure(lib: ctypes.CDLL) -> None:
         + [ctypes.c_int, _P, ctypes.c_int, _P]  # law, law_phi, measure, phi
         + [_P, _P, _P])                       # path_latency, b, d
     lib.observe_batch.restype = ctypes.c_int
-    lib.run_loop.argtypes = (
-        [_P, _I, _D, _I, _D]                  # hist, max_steps, tol,
-                                              # settle, limit
-        + [_I, _I, _P, _P, _P]                # n, n_gw, gw_ptr, members, mu
+    lib.coin_stream.argtypes = [_P, _I, ctypes.c_uint64, _I, _P]
+    lib.coin_stream.restype = ctypes.c_int
+    lib.gate_masks.argtypes = (
+        [ctypes.c_int, _P, _I, _P, _P, _P, _I]  # the gate
+        + [_I, _I, _I, _P])                   # t0, steps, n, out
+    lib.gate_masks.restype = ctypes.c_int
+    lib.ensemble_loop.argtypes = (
+        [_P, _I, _I, _I, _D, _P, _D, _I]      # r0, m, n, max_steps, tol,
+                                              # settle, limit, tau
+        + [_I, _P, _P, _P]                    # n_gw, gw_ptr, members, mu
         + [ctypes.c_int, _P, ctypes.c_int, _P]  # law, law_phi, measure, phi
-        + [_P, _P, _P, _P, _P])               # path_latency, codes,
-                                              # params, changes, steps
-    lib.run_loop.restype = ctypes.c_int
+        + [_P, _P, _P]                        # path_latency, codes, params
+        + [ctypes.c_int, _P, _I, _P, _P, _P, _I]  # the gate
+        + [_P, _P, _P, _P, _I, _P, _P])       # finals, steps, status,
+                                              # tail, tcap, full, agg
+    lib.ensemble_loop.restype = ctypes.c_int
     lib.fifo_enter.argtypes = (
         [_I, _I, _I, _D, _I, _D, _I]          # dims, horizon, now, seq
         + [_P] * 3                            # latency, mu_scale, cap

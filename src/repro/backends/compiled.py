@@ -17,9 +17,11 @@ C compiler exists) serves four hot paths:
   measure, signal, bottleneck MAX and sojourns in one call, for the
   schemes it serves; None sends the caller to the numpy loop, as
   above.
-* :meth:`~repro.core.dynamics.FlowControlSystem.run`'s whole step
-  loop (:func:`run_loop`) for the schemes the observe stage serves and
-  the six built-in rules; None sends ``run`` to its Python loop.
+* the trajectory loop (:func:`ensemble_loop`): a whole member block of
+  the ensemble loop that ``run_ensemble``, ``run_async_ensemble`` and,
+  at ``M = 1``, ``run`` share, with the clock gate (:class:`Gate`), for
+  the schemes the observe stage serves and the six built-in rules;
+  None sends the caller to its Python loop.
 * the FIFO event loop (:func:`fifo_lib`).
 
 :func:`tier` names the live tier: ``cext`` when the C library has
@@ -34,8 +36,7 @@ Observability: :func:`metrics` carries per-phase
 
 from __future__ import annotations
 
-import ctypes
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,7 +44,8 @@ from . import _cext
 
 __all__ = ["tier", "fs_available", "fifo_lib", "metrics",
            "fs_queue_batch", "fs_loads_batch", "ind_congestion_batch",
-           "observe_batch", "run_loop", "warmup"]
+           "observe_batch", "Gate", "NO_GATE", "ensemble_loop",
+           "coin_stream", "gate_masks", "warmup"]
 
 _METRICS = None
 
@@ -189,38 +191,120 @@ def _check_buffer(name: str, a, dtype, shape) -> None:
                          f"{np.dtype(dtype).name} array of shape {shape}")
 
 
-def run_loop(history: np.ndarray, plan, with_delays: bool,
-             codes: np.ndarray, params: np.ndarray, tol: float,
-             settle: int, limit: float,
-             changes: Optional[np.ndarray] = None) -> Optional[tuple]:
-    """:meth:`~repro.core.dynamics.FlowControlSystem.run`'s step loop in
-    one C call, from the state in row 0 of ``history``, a
-    ``(max_steps + 1, N)`` buffer it fills row by row.
+class Gate(NamedTuple):
+    """A clock gate of :func:`ensemble_loop`: ``code`` is one of
+    ``GATE_NONE``, ``GATE_ROUND_ROBIN`` (source ``(step - 1) % n``
+    ticks) and ``GATE_COINS``, where source ``i`` ticks at step ``t``
+    (schedule step ``t - 1``) when ``u_i < on[i]``, with ``u =
+    default_rng([seed, t - 1]).random(n)``; for a bursty clock ``off``
+    replaces ``on`` in the odd bursts, those with ``(t - 1 + offsets[i])
+    // burst_len`` odd.  ``seed`` holds the seed's little-endian 32-bit
+    entropy words (one word for 0; at most eight)."""
 
-    ``plan`` is the scheme's observe plan (see :func:`observe_batch`),
-    ``codes`` the ``(N,)`` ``RULE_*`` codes and ``params`` the ``(N,
-    3)`` rule parameters; ``changes``, when given, receives each step's
-    largest rate change.  Returns ``(status, steps)``, with ``status``
-    one of ``ST_CONVERGED``, ``ST_DIVERGED`` and ``ST_DONE`` (the
-    budget spent), or None when the C tier has not built or the run
-    left the kernel's domain; the caller then runs its Python loop."""
+    code: int
+    seed: Optional[np.ndarray] = None
+    on: Optional[np.ndarray] = None
+    off: Optional[np.ndarray] = None
+    offsets: Optional[np.ndarray] = None
+    burst_len: int = 1
+
+    def args(self) -> tuple:
+        """The gate's arguments of the C entry points."""
+        def addr(a):
+            return None if a is None else a.ctypes.data
+        return (self.code, addr(self.seed),
+                0 if self.seed is None else self.seed.shape[0],
+                addr(self.on), addr(self.off), addr(self.offsets),
+                self.burst_len)
+
+
+#: No clock gate: every source updates at every step.
+NO_GATE = Gate(_cext.GATE_NONE)
+
+
+def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
+                  settle: np.ndarray, limit: float, plan, with_delays: bool,
+                  codes: np.ndarray, params: np.ndarray, tau: int = 0,
+                  gate: Gate = NO_GATE, tail: Optional[np.ndarray] = None,
+                  full: Optional[np.ndarray] = None,
+                  agg: Optional[np.ndarray] = None) -> Optional[tuple]:
+    """The ensemble loop on an ``(M, N)`` member block in one C call.
+
+    Each member iterates from its row of ``initials`` for at most
+    ``max_steps`` steps under the scheme's observe ``plan``, the
+    ``(N,)`` ``RULE_*`` ``codes`` and ``(N, 3)`` rule ``params``, the
+    signal delay ``tau`` and the clock ``gate``, until it diverges past
+    ``limit`` or ``settle[m]`` quiet steps (change ``<= tol * max(1,
+    peak)``) converge it.  ``tail`` (``(M, tcap, N)``, rolling) and
+    ``full`` (``(M, max_steps + 1, N)``) receive each member's states
+    after row 0, which is the caller's; ``agg`` (``(max_steps,)``)
+    receives, per step, the largest change among the members still
+    running after it (inf when none is).
+
+    Returns ``(finals, steps, status)``, with ``status`` per member one
+    of ``ST_CONVERGED``, ``ST_DIVERGED`` and ``ST_DONE`` (the budget
+    spent), or None when the C tier has not built or a member left the
+    kernel's domain; the caller then runs the block on its Python loop,
+    and nothing the kernel wrote into the buffers counts."""
     lib = _cext.load()
     if lib is None:
         return None
-    n = plan.n
-    _check_buffer("history", history, np.float64, (None, n))
+    r0 = np.ascontiguousarray(initials, dtype=np.float64)
+    m, n = r0.shape
+    if n != plan.n:
+        raise ValueError(f"need an (M, {plan.n}) batch, got {r0.shape}")
+    settle = np.ascontiguousarray(np.broadcast_to(settle, (m,)),
+                                  dtype=np.int64)
     _check_buffer("codes", codes, np.int64, (n,))
     _check_buffer("params", params, np.float64, (n, 3))
-    max_steps = history.shape[0] - 1
-    if changes is not None:
-        _check_buffer("changes", changes, np.float64, (max_steps,))
-    steps = ctypes.c_longlong(0)
-    status = lib.run_loop(
-        history.ctypes.data, max_steps, float(tol), int(settle),
-        float(limit), n, *plan.args, plan.latency if with_delays else None,
-        codes.ctypes.data, params.ctypes.data,
-        None if changes is None else changes.ctypes.data,
-        ctypes.byref(steps))
-    if status not in (_cext.ST_CONVERGED, _cext.ST_DIVERGED, _cext.ST_DONE):
+    tcap = 0
+    if tail is not None:
+        _check_buffer("tail", tail, np.float64, (m, None, n))
+        tcap = tail.shape[1]
+    if full is not None:
+        _check_buffer("full", full, np.float64, (m, max_steps + 1, n))
+    if agg is not None:
+        _check_buffer("agg", agg, np.float64, (max_steps,))
+    finals = np.empty_like(r0)
+    steps = np.empty(m, dtype=np.int64)
+    status = np.empty(m, dtype=np.int64)
+    if lib.ensemble_loop(
+            r0.ctypes.data, m, n, max_steps, float(tol),
+            settle.ctypes.data, float(limit), tau, *plan.args,
+            plan.latency if with_delays else None, codes.ctypes.data,
+            params.ctypes.data, *gate.args(), finals.ctypes.data,
+            steps.ctypes.data, status.ctypes.data,
+            None if tail is None else tail.ctypes.data, tcap,
+            None if full is None else full.ctypes.data,
+            None if agg is None else agg.ctypes.data):
         return None
-    return status, steps.value
+    return finals, steps, status
+
+
+def coin_stream(seed: np.ndarray, step: int, n: int) -> Optional[np.ndarray]:
+    """``np.random.default_rng([seed, step]).random(n)`` from the C
+    transcription the clock gate draws with; ``seed`` is the seed's
+    entropy words (see :class:`Gate`).  None when the C tier has not
+    built."""
+    lib = _cext.load()
+    if lib is None:
+        return None
+    out = np.empty(n)
+    if lib.coin_stream(seed.ctypes.data, seed.shape[0], step, n,
+                       out.ctypes.data):
+        raise ValueError(f"need 1 to 8 seed words, got {seed.shape[0]}")
+    return out
+
+
+def gate_masks(gate: Gate, t0: int, steps: int,
+               n: int) -> Optional[np.ndarray]:
+    """The ``(steps, n)`` masks of ``gate`` at schedule steps ``t0,
+    t0 + 1, ...``, as :func:`ensemble_loop` gates with them; None when
+    the C tier has not built."""
+    lib = _cext.load()
+    if lib is None:
+        return None
+    out = np.empty((steps, n), dtype=np.bool_)
+    if lib.gate_masks(*gate.args(), t0, steps, n, out.ctypes.data):
+        raise ValueError(f"gate outside the kernel's domain: {gate}")
+    return out

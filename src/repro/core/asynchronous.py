@@ -42,6 +42,8 @@ ensemble under one schedule (or one schedule per member) through the
 synchronous ensemble loop of :mod:`repro.core.dynamics`, with a clock
 gate and a delayed-signal ring buffer switched on, and member ``m``
 reproduces the scalar :class:`AsynchronousRunner` path bit-exactly.
+A shared schedule the gate table (``_GATES``) serves runs that loop
+in one C call per member block, coins and all.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ..backends import _cext, compiled
 from ..errors import RateVectorError, SweepError
 from .dynamics import EnsembleResult, FlowControlSystem, Outcome, \
     Trajectory, _check_loop, _detect_period
@@ -132,7 +135,7 @@ class BernoulliSchedule(UpdateSchedule):
             raise RateVectorError(
                 f"update probability must lie in (0, 1], got {p!r}")
         self.p = float(p)
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
 
     def participants(self, step, n):
         rng = np.random.default_rng([self.seed, int(step)])
@@ -140,6 +143,15 @@ class BernoulliSchedule(UpdateSchedule):
 
     def steps_per_sweep(self, n):
         return max(1, int(round(1.0 / self.p)))
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int; :class:`~repro.errors.RateVectorError` unless
+    it is an integer >= 0 (``default_rng`` takes no other seed)."""
+    if isinstance(seed, (bool, np.bool_)) or \
+            not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise RateVectorError(f"seed must be an int >= 0, got {seed!r}")
+    return int(seed)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +185,7 @@ class ClockModel(abc.ABC):
     kind: str = "clock"
 
     def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self._source_draws: dict = {}
 
     @abc.abstractmethod
@@ -478,6 +490,78 @@ class AsynchronousRunner:
 # ----------------------------------------------------------------------
 # the batched asynchronous engine
 # ----------------------------------------------------------------------
+def _coin_gate(seed, on, off=None, offsets=None,
+               burst_len: int = 1) -> Optional[compiled.Gate]:
+    """A coin gate drawing ``default_rng([seed, step]).random(n)``, or
+    None for a seed outside the kernel's domain (``default_rng`` raises
+    on it, or it has more than eight 32-bit words)."""
+    try:
+        seed = _check_seed(seed)
+    except RateVectorError:
+        return None
+    words = []
+    while True:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+        if not seed:
+            break
+    if len(words) > 8:
+        return None
+
+    def vector(a, dtype):
+        return None if a is None else np.ascontiguousarray(a, dtype=dtype)
+
+    return compiled.Gate(_cext.GATE_COINS, np.array(words, dtype=np.uint32),
+                         vector(on, np.float64), vector(off, np.float64),
+                         vector(offsets, np.int64), burst_len)
+
+
+def _bursty_gate(clock: BurstyClock, n: int) -> Optional[compiled.Gate]:
+    burst_len = clock.burst_len
+    if isinstance(burst_len, bool) or \
+            not isinstance(burst_len, (int, np.integer)) or burst_len < 1:
+        return None
+    return _coin_gate(clock.seed, np.full(n, clock.on_rate),
+                      np.full(n, clock.off_rate), clock._offsets(n),
+                      int(burst_len))
+
+
+#: The clocks the ensemble kernel's coin gate transcribes: clock type ->
+#: its gate for n sources.  Keyed by exact type, so a subclass keeps its
+#: overrides.  DriftingClock is absent: numpy's float64 ``sin`` has no
+#: C twin known to match it bit for bit.
+_CLOCK_GATES = {
+    UniformClock: lambda clock, n: _coin_gate(clock.seed,
+                                              clock.tick_rates(0, n)),
+    RateMixClock: lambda clock, n: _coin_gate(clock.seed,
+                                              clock.tick_rates(0, n)),
+    BurstyClock: _bursty_gate,
+}
+
+#: The shared schedules the ensemble kernel gates with: schedule type ->
+#: its gate for n sources (see :class:`repro.backends.compiled.Gate`),
+#: None when the kernel does not serve the instance.  Keyed by exact
+#: type, like the rule table of :mod:`repro.core.ratecontrol`.
+_GATES = {
+    SynchronousSchedule: lambda schedule, n: compiled.NO_GATE,
+    RoundRobinSchedule: lambda schedule, n: compiled.Gate(
+        _cext.GATE_ROUND_ROBIN),
+    BernoulliSchedule: lambda schedule, n: _coin_gate(
+        schedule.seed, np.full(n, schedule.p)),
+    ClockSchedule: lambda schedule, n: (
+        _CLOCK_GATES[type(schedule.clock)](schedule.clock, n)
+        if type(schedule.clock) in _CLOCK_GATES else None),
+}
+
+
+def _loop_gate(schedule: UpdateSchedule, n: int) -> Optional[compiled.Gate]:
+    """The ensemble kernel's gate for a shared ``schedule`` of ``n``
+    sources, or None when the kernel does not serve it.  Its parameters
+    are read here, at every call, because schedules are mutable."""
+    build = _GATES.get(type(schedule))
+    return None if build is None else build(schedule, n)
+
+
 def run_async_ensemble(system: FlowControlSystem, initials,
                        schedule: Union[UpdateSchedule,
                                        Sequence[UpdateSchedule],
@@ -544,6 +628,7 @@ def run_async_ensemble(system: FlowControlSystem, initials,
 
         if settle is None:
             settle = 2 * shared.steps_per_sweep(n) + tau + 3
+        loop_gate = _loop_gate(shared, n)
     else:
         schedules = list(schedule)
         if len(schedules) != m_total:
@@ -563,9 +648,10 @@ def run_async_ensemble(system: FlowControlSystem, initials,
         if settle is None:
             settle = np.array([2 * s.steps_per_sweep(n) + tau + 3
                                for s in schedules], dtype=int)
+        loop_gate = None
     return system._run_batch("async_ensemble", r0, max_steps, tol, settle,
                              max_period, telemetry, block_size, history,
-                             gate=gate, tau=tau)
+                             gate=gate, tau=tau, loop_gate=loop_gate)
 
 
 def _check_delay(signal_delay) -> int:

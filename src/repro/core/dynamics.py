@@ -32,12 +32,14 @@ A step runs in stages over an ``(M, N)`` batch of rate vectors:
 The scalar :meth:`FlowControlSystem.step` is the ``M = 1`` case of
 :meth:`FlowControlSystem.step_batch`, so a scalar run and a member of
 a batched run share every kernel and agree bit for bit.  For the
-schemes the C observe kernel serves, the six built-in rules and no
-fault plan, structural plan or controller, :meth:`FlowControlSystem.run`
-runs its whole loop in one C call
-(:func:`repro.backends.compiled.run_loop`) that transcribes these
-stages and ``run``'s tests; its Python loop is the fallback and the
-reference the tests hold it to, byte for byte.  The public
+schemes the C observe kernel serves, the six built-in rules, the
+built-in clock gates and no fault plan, structural plan or controller,
+each block of the ensemble loop runs in one C call
+(:func:`repro.backends.compiled.ensemble_loop`) that transcribes these
+stages and the loop's tests member by member, and
+:meth:`FlowControlSystem.run` is its ``M = 1`` call; the Python loops
+are the fallback and the reference the tests hold it to, byte for
+byte.  The public
 steps validate their input; the runners validate the initial state
 once and then step validated arrays, because the divergence check and
 the clip already keep every next state finite and nonnegative.
@@ -653,13 +655,29 @@ class FlowControlSystem:
             return (structural_state.events
                     if structural_state is not None else None)
 
-        # The whole loop is one C call for the runs the kernel serves;
-        # the Python loop below is the fallback and the reference.
+        # The whole loop is the ensemble kernel's M = 1 call for the
+        # runs it serves, with history as the member's full history; the
+        # Python loop below is the fallback and the reference.
         first = 1
         if ctrl is None and fault_state is None and structural_state is None:
-            done = self._run_compiled(history, tol, settle, limit, rec)
+            agg = np.empty(max_steps) if rec is not None else None
+            t0 = time.perf_counter()
+            done = self._run_kernel(r[None], max_steps, tol, settle,
+                                    full=history[None], agg=agg)
             if done is not None:
-                outcome, steps, step_seconds = done
+                step_seconds = time.perf_counter() - t0
+                steps, status = int(done[1][0]), done[2]
+                outcome = _KERNEL_OUTCOMES.get(int(status[0]))
+                if rec is not None:
+                    series = _kernel_series(agg, done[1], status)
+                    if outcome is Outcome.CONVERGED:
+                        # agg reads inf where no member runs on; run
+                        # records the converging step's own change.
+                        series[0][-1] = abs(history[steps]
+                                            - history[steps - 1]).max()
+                    rec.observe_iterations(*series)
+                    if outcome is not None:
+                        rec.observe_mask_event(steps, 0, outcome.value)
                 if outcome is not None:
                     return Trajectory(trimmed(steps), outcome,
                                       1 if outcome is Outcome.CONVERGED
@@ -729,22 +747,18 @@ class FlowControlSystem:
                           fault_events=fault_events(),
                           structural_events=structural_events())
 
-    def _run_compiled(self, history, tol, settle, limit, rec):
-        """:meth:`run`'s step loop as one C call
-        (:func:`repro.backends.compiled.run_loop`), filling ``history``
-        from its row 0 and streaming the steps into ``rec``.
-
-        Returns ``(outcome, steps, seconds)``, with ``outcome`` None
-        when the budget was spent, or None when the kernel does not
-        serve this system (no observe plan, or a rule outside the rule
-        table) or handed the run back; :meth:`run` then runs its
-        Python loop from step 1.  The rule parameters are read here,
-        at every run, because rules are mutable.
-        """
+    def _run_kernel(self, initials, max_steps, tol, settle, tau=0,
+                    gate=compiled.NO_GATE, tail=None, full=None, agg=None):
+        """The ensemble loop on the member block ``initials`` in one C
+        call (:func:`repro.backends.compiled.ensemble_loop`): ``(finals,
+        steps, status)``, or None when the kernel does not serve this
+        system (a controller, no observe plan, or a rule outside the
+        rule table) or handed the block back.  The rule parameters are
+        read here, at every call, because rules are mutable."""
         plan = self.scheme._plan
-        if plan is None:
+        if plan is None or self._bank is not None:
             return None
-        n = history.shape[1]
+        n = self.network.num_connections
         codes = np.empty(n, dtype=np.int64)
         params = np.zeros((n, 3))
         for rule, cols in self._rule_groups:
@@ -754,27 +768,11 @@ class FlowControlSystem:
             code, values = entry
             codes[cols] = code
             params[cols, :len(values)] = values
-        changes = np.empty(history.shape[0] - 1) if rec is not None else None
-        t0 = time.perf_counter()
-        done = compiled.run_loop(history, plan, self._reads_delay, codes,
-                                 params, tol, settle, limit, changes)
-        seconds = time.perf_counter() - t0
-        if done is None:
-            return None
-        status, steps = done
-        outcome = {_cext.ST_CONVERGED: Outcome.CONVERGED,
-                   _cext.ST_DIVERGED: Outcome.DIVERGED}.get(status)
-        if rec is not None:
-            ordinary = steps if outcome is None else steps - 1
-            for change in changes[:ordinary].tolist():
-                rec.observe_iteration(change, 1, 0, 0)
-            if outcome is Outcome.CONVERGED:
-                rec.observe_iteration(float(changes[steps - 1]), 0, 1, 0)
-                rec.observe_mask_event(steps, 0, "converged")
-            elif outcome is Outcome.DIVERGED:
-                rec.observe_iteration(math.inf, 0, 0, 1)
-                rec.observe_mask_event(steps, 0, "diverged")
-        return outcome, steps, seconds
+        return compiled.ensemble_loop(
+            initials, max_steps, tol, settle,
+            self.DIVERGENCE_FACTOR * self._mu_max, plan, self._reads_delay,
+            codes, params, tau=tau, gate=gate, tail=tail, full=full,
+            agg=agg)
 
     def run_ensemble(self, initials, max_steps: int = 20000,
                      tol: float = 1e-10, settle: int = 5,
@@ -883,8 +881,8 @@ class FlowControlSystem:
 
     def _run_batch(self, kind, r0, max_steps, tol, settle, max_period,
                    telemetry, block_size, history, fault_states=None,
-                   structural_states=None, gate=None,
-                   tau: int = 0) -> EnsembleResult:
+                   structural_states=None, gate=None, tau: int = 0,
+                   loop_gate=compiled.NO_GATE) -> EnsembleResult:
         """The ensemble loop both ensemble runners share.
 
         Evolves the validated ``(M, N)`` batch ``r0`` block by block and
@@ -895,7 +893,10 @@ class FlowControlSystem:
         ``gate`` (``gate(step, members) -> mask``, an ``(N,)`` mask
         shared by the rows or an ``(M_active, N)`` stack) and ``tau``
         are the asynchronous engine's clock gate and feedback delay:
-        ``None`` and 0 are the synchronous map.
+        ``None`` and 0 are the synchronous map.  ``loop_gate`` is the
+        same gate as the ensemble kernel runs it
+        (:class:`repro.backends.compiled.Gate`), or None when the kernel
+        does not serve it.
         """
         _check_loop(max_steps, settle, max_period, tol)
         if history is None:
@@ -929,7 +930,7 @@ class FlowControlSystem:
             self._run_block(res, base, min(base + block, m_total),
                             max_steps, tol, settle, max_period,
                             fault_states, structural_states, gate, tau,
-                            mask_events, timings, totals)
+                            loop_gate, mask_events, timings, totals)
 
         # Members finish in (step, member) order on the one-shot path;
         # blocked execution discovers the same events block by block,
@@ -955,7 +956,7 @@ class FlowControlSystem:
 
     def _run_block(self, res, base, end, max_steps, tol, settle,
                    max_period, fault_states, structural_states, gate, tau,
-                   mask_events, timings, totals):
+                   loop_gate, mask_events, timings, totals):
         """Evolve members ``base:end`` of ``res.initials``; write ``res``
         in place.
 
@@ -966,29 +967,61 @@ class FlowControlSystem:
         settle counts and the gate's ``members`` argument are indexed
         by absolute member, so blocked streams match the one-shot path
         exactly.
+
+        Without fault or structural states the whole block is one call
+        of the ensemble kernel when it serves the system and
+        ``loop_gate`` (see :meth:`_run_kernel`); the Python loop below
+        is the fallback, run from step 1 on fresh buffers when the
+        kernel hands the block back, and the reference.
         """
         rec = res.telemetry
-        mb = end - base
         r0 = res.initials[base:end]
+        settle = settle[base:end]
+        # Rolling tail for period detection: _detect_period probes lags
+        # up to max_period over a window of 3 * max_period, so the last
+        # 4 * max_period states suffice.
+        tcap = min(4 * max_period, max_steps + 1)
+        if (fault_states is None and structural_states is None
+                and loop_gate is not None):
+            tail, full = _block_buffers(res.history_policy, r0, max_steps,
+                                        tcap)
+            agg = np.empty(max_steps) if rec is not None else None
+            t0 = time.perf_counter()
+            done = self._run_kernel(r0, max_steps, tol, settle, tau,
+                                    loop_gate, tail, full, agg)
+            if done is not None:
+                finals, steps, status = done
+                if rec is not None:
+                    timings["step"] += time.perf_counter() - t0
+                    t0 = time.perf_counter()
+                    residuals, active, conv, div = _kernel_series(
+                        agg, steps, status)
+                    rec.observe_iterations(residuals, active,
+                                           conv + totals["converged"],
+                                           div + totals["diverged"])
+                res.finals[base:end] = finals
+                res.steps[base:end] = steps
+                for k in np.flatnonzero(status != _cext.ST_DONE).tolist():
+                    outcome = _KERNEL_OUTCOMES[int(status[k])]
+                    self._mark(res, base + k, outcome, totals)
+                    mask_events.append((int(steps[k]), base + k,
+                                        outcome.value))
+                if rec is not None:
+                    timings["classify"] += time.perf_counter() - t0
+                spent = np.flatnonzero(status == _cext.ST_DONE)
+                if spent.size:
+                    _classify_spent(res, base, spent, tail, max_steps,
+                                    max_period, tol, rec, timings, totals)
+                _keep_histories(res, base, full)
+                return
+        mb = end - base
         n = r0.shape[1]
         limit = self.DIVERGENCE_FACTOR * self._mu_max
         block_states = (fault_states[base:end]
                         if fault_states is not None else None)
         block_structural = (structural_states[base:end]
                             if structural_states is not None else None)
-        settle = settle[base:end]
-        # Rolling tail for period detection: _detect_period probes lags
-        # up to max_period over a window of 3 * max_period, so the last
-        # 4 * max_period states suffice.
-        tcap = min(4 * max_period, max_steps + 1)
-        tail = None
-        if res.history_policy != "none":
-            tail = np.zeros((mb, tcap, n), dtype=float)
-            tail[:, 0] = r0
-        full = None
-        if res.history_policy == "full":
-            full = np.empty((mb, max_steps + 1, n))
-            full[:, 0] = r0
+        tail, full = _block_buffers(res.history_policy, r0, max_steps, tcap)
         quiet = np.zeros(mb, dtype=int)
 
         idx = np.arange(mb)           # block members still iterating
@@ -1046,16 +1079,10 @@ class FlowControlSystem:
                 res.steps[base + done_members] = step_count
                 for m, is_div in zip(done_members, diverged[done]):
                     member = base + int(m)
-                    if is_div:
-                        res.outcomes[member] = Outcome.DIVERGED
-                        totals["diverged"] += 1
-                    else:
-                        res.outcomes[member] = Outcome.CONVERGED
-                        res.periods[member] = 1
-                        totals["converged"] += 1
-                    mask_events.append(
-                        (step_count, member,
-                         "diverged" if is_div else "converged"))
+                    outcome = (Outcome.DIVERGED if is_div
+                               else Outcome.CONVERGED)
+                    self._mark(res, member, outcome, totals)
+                    mask_events.append((step_count, member, outcome.value))
                 keep = ~done
                 idx = idx[keep]
                 r = r_next[keep]
@@ -1082,32 +1109,19 @@ class FlowControlSystem:
                                           totals["diverged"])
                     timings["classify"] += time.perf_counter() - t0
         else:
-            # Members that exhausted the step budget: reconstruct the
-            # ordered tail from the ring buffer and look for a cycle
-            # (skipped — UNDECIDED — under history="none").
             res.finals[base + idx] = r
             res.steps[base + idx] = max_steps
-            if tail is not None:
-                if rec is not None:
-                    t0 = time.perf_counter()
-                start = ((max_steps + 1) % tcap
-                         if max_steps + 1 > tcap else 0)
-                for m in idx:
-                    ordered = np.roll(tail[m], -start, axis=0)
-                    period = _detect_period(ordered, max_period, tol,
-                                            total_len=max_steps + 1)
-                    if period is not None:
-                        res.outcomes[base + m] = Outcome.OSCILLATING
-                        res.periods[base + m] = period
-                if rec is not None:
-                    timings["period"] += time.perf_counter() - t0
-                    totals["period_ran"] += 1
+            _classify_spent(res, base, idx, tail, max_steps, max_period,
+                            tol, rec, timings, totals)
+        _keep_histories(res, base, full)
 
-        if full is not None:
-            # Views, not copies: each member's trajectory window into
-            # the block buffer (see EnsembleResult.histories).
-            for m in range(mb):
-                res.histories[base + m] = full[m, :res.steps[base + m] + 1]
+    @staticmethod
+    def _mark(res, member, outcome, totals) -> None:
+        """Record that ``member`` converged or diverged."""
+        res.outcomes[member] = outcome
+        if outcome is Outcome.CONVERGED:
+            res.periods[member] = 1
+        totals[outcome.value] += 1
 
     def solve(self, initial: Sequence[float], **kwargs) -> np.ndarray:
         """Run to convergence and return the steady state; raise otherwise."""
@@ -1145,6 +1159,75 @@ def _merged_events(states) -> Optional[list]:
     return events
 
 
+#: The ensemble kernel's member statuses that end a run early.
+_KERNEL_OUTCOMES = {_cext.ST_CONVERGED: Outcome.CONVERGED,
+                    _cext.ST_DIVERGED: Outcome.DIVERGED}
+
+
+def _kernel_series(agg, steps, status) -> tuple:
+    """A kernel block's per-step record series, steps 1 to the last
+    one any member took: the residuals ``agg``, the members still
+    running after each step, and the block's cumulative converged and
+    diverged counts."""
+    last = int(steps.max(initial=0))
+    conv, div = (np.cumsum(np.bincount(steps[status == code],
+                                       minlength=last + 1))[1:]
+                 for code in (_cext.ST_CONVERGED, _cext.ST_DIVERGED))
+    return agg[:last], steps.size - conv - div, conv, div
+
+
+def _block_buffers(policy: str, r0, max_steps: int, tcap: int) -> tuple:
+    """A block's rolling tail and full history buffers under the
+    history ``policy`` (None where it keeps none), row 0 the initial
+    states."""
+    mb, n = r0.shape
+    tail = full = None
+    if policy != "none":
+        tail = np.zeros((mb, tcap, n), dtype=float)
+        tail[:, 0] = r0
+    if policy == "full":
+        full = np.empty((mb, max_steps + 1, n))
+        full[:, 0] = r0
+    return tail, full
+
+
+def _classify_spent(res, base, idx, tail, max_steps, max_period, tol, rec,
+                    timings, totals) -> None:
+    """Block members ``idx`` spent the step budget: reconstruct each
+    ordered tail from the ring buffer and look for a cycle (skipped —
+    UNDECIDED — under history="none")."""
+    if tail is None:
+        return
+    if rec is not None:
+        t0 = time.perf_counter()
+    _, tcap, n = tail.shape
+    start = (max_steps + 1) % tcap if max_steps + 1 > tcap else 0
+    # Up to 256 kB of tails at a time (a view of one member's when it
+    # is larger) keeps the temporaries small.
+    chunk = max(1, (1 << 15) // (tcap * n))
+    for lo in range(0, len(idx), chunk):
+        members = idx[lo:lo + chunk]
+        tails = tail[members] if chunk > 1 else tail[members[0]][None]
+        periods = _detect_periods(tails, max_period, tol,
+                                  total_len=max_steps + 1, start=start)
+        for m, period in zip(members, periods):
+            if period is not None:
+                res.outcomes[base + m] = Outcome.OSCILLATING
+                res.periods[base + m] = period
+    if rec is not None:
+        timings["period"] += time.perf_counter() - t0
+        totals["period_ran"] += 1
+
+
+def _keep_histories(res, base, full) -> None:
+    """Views, not copies: each member's trajectory window into the
+    block buffer (see EnsembleResult.histories)."""
+    if full is None:
+        return
+    for m in range(full.shape[0]):
+        res.histories[base + m] = full[m, :res.steps[base + m] + 1]
+
+
 def _resolve_block_size(block_size, m_total: int) -> int:
     """Validate ``block_size`` and clamp it to the ensemble size."""
     if block_size is None:
@@ -1168,19 +1251,51 @@ def _detect_period(history: np.ndarray, max_period: int, tol: float,
                    total_len: int = None) -> Optional[int]:
     """Smallest period ``p >= 2`` such that the tail repeats with lag p.
 
-    ``history`` may be just the trajectory tail (at least the last
-    ``4 * max_period`` states); pass ``total_len`` as the true number of
-    recorded states so the window-length guard matches the full-history
-    behaviour.
+    Lag ``p`` is tested over a window of the last ``3 p`` states
+    against the ``3 p`` before them, within ``1e3 * tol`` times the
+    window's scale ``max(1, |state|_inf)``; lags run up to
+    ``max_period`` while ``4 p`` states exist.  ``history`` may be just
+    the trajectory tail (at least the last ``4 * max_period`` states);
+    pass ``total_len`` as the true number of recorded states so the
+    window-length guard matches the full-history behaviour.
     """
-    steps = history.shape[0] if total_len is None else total_len
-    for p in range(2, max_period + 1):
-        window = 3 * p
-        if steps < window + p:
-            return None
-        recent = history[-window:]
-        lagged = history[-window - p:-p]
-        scale = max(1.0, float(np.max(np.abs(recent))))
-        if np.max(np.abs(recent - lagged)) <= 1e3 * tol * scale:
-            return p
-    return None
+    return _detect_periods(history[None], max_period, tol, total_len)[0]
+
+
+def _detect_periods(histories: np.ndarray, max_period: int, tol: float,
+                    total_len: int = None,
+                    start: int = 0) -> List[Optional[int]]:
+    """:func:`_detect_period` of each ``(T, N)`` history in a ``(K, T,
+    N)`` stack, whose rows are in time order from row ``start`` on,
+    wrapping around (a rolling tail's ring)."""
+    steps = histories.shape[1] if total_len is None else total_len
+    last = min(max_period, steps // 4)
+    if last < 2:
+        return [None] * histories.shape[0]
+    if start == 0:
+        histories = histories[:, -4 * last:]
+    rows = histories.shape[1]
+    # The physical rows of the last 4 * last states, oldest first.
+    order = (np.arange(rows - 4 * last, rows) + start) % rows
+    lags = np.arange(2, last + 1)
+    # Each window's scale from a suffix maximum of the row norms, and
+    # its last row's lag difference, which alone rejects most lags:
+    # maxima are exact, so every verdict is the one a lag-by-lag scan
+    # of whole windows reaches.
+    norms = np.maximum(histories.max(axis=2),
+                       -histories.min(axis=2))[:, order]
+    suffix = np.maximum.accumulate(norms[:, ::-1], axis=1)[:, ::-1]
+    bounds = 1e3 * tol * np.fmax(1.0, suffix[:, 4 * last - 3 * lags])
+    newest = histories[:, order[-1]]
+    ends = np.abs(newest[:, None] - histories[:, order[-1 - lags]]).max(axis=2)
+    periods = []
+    for history, bound, candidates in zip(histories, bounds, ends <= bounds):
+        period = None
+        for p in lags[candidates].tolist():
+            diff = np.abs(history[order[-3 * p:]]
+                          - history[order[-4 * p:-p]]).max()
+            if diff <= bound[p - 2]:
+                period = p
+                break
+        periods.append(period)
+    return periods

@@ -394,11 +394,11 @@ class RcpSourceRule(RateAdjustment):
         return "RcpSourceRule()"
 
 
-#: The rules the compiled run loop transcribes
-#: (:func:`repro.backends.compiled.run_loop`): rule type -> its code on
-#: the C side and the attributes its ``delta_batch`` reads, in the
-#: kernel's parameter order.  Keyed by exact type, so a subclass keeps
-#: its overrides.
+#: The rules the compiled ensemble loop transcribes
+#: (:func:`repro.backends.compiled.ensemble_loop`): rule type -> its
+#: code on the C side and the attributes its ``delta_batch`` reads, in
+#: the kernel's parameter order.  Keyed by exact type, so a subclass
+#: keeps its overrides.
 _LOOP_RULES = {
     TargetRule: (_cext.RULE_TARGET, ("eta", "beta")),
     ProportionalTargetRule: (_cext.RULE_PROPORTIONAL_TARGET,
@@ -412,9 +412,9 @@ _LOOP_RULES = {
 
 
 def _loop_rule(rule: RateAdjustment) -> Optional[tuple]:
-    """``(code, parameters)`` of ``rule`` for the compiled run loop, or
-    None when the loop does not transcribe its type.  The parameters
-    are read at each call: rules are mutable."""
+    """``(code, parameters)`` of ``rule`` for the compiled ensemble
+    loop, or None when the loop does not transcribe its type.  The
+    parameters are read at each call: rules are mutable."""
     entry = _LOOP_RULES.get(type(rule))
     if entry is None:
         return None

@@ -40,12 +40,15 @@ def run_f8_heterogeneity(beta_greedy: float = 0.6,
                TargetRule(eta=eta, beta=beta_meek)],
         style=FeedbackStyle.AGGREGATE)
 
-    r = np.array([0.2, 0.2])
-    rows = [(0, float(r[0]), float(r[1]))]
-    for step in range(1, steps + 1):
-        r = system.step(r)
-        if step % sample_every == 0:
-            rows.append((step, float(r[0]), float(r[1])))
+    # One run at tol = 0 stops only on an exact fixed point, which the
+    # map then keeps forever, so the final state pads the history out
+    # to the full step count.
+    traj = system.run(np.array([0.2, 0.2]), max_steps=steps, tol=0.0)
+    sampled = np.minimum(np.arange(0, steps + 1, sample_every), traj.steps)
+    rows = [(int(step), float(r[0]), float(r[1]))
+            for step, r in zip(range(0, steps + 1, sample_every),
+                               traj.history[sampled])]
+    r = traj.final
 
     # The greedy connection alone should sit at its own target load.
     expected_greedy = signal.steady_state_utilisation(beta_greedy)

@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 __all__ = ["RUN_RECORD_SCHEMA", "RunRecord", "SweepRecord",
            "validate_run_record", "json_safe_float"]
 
@@ -114,6 +116,16 @@ class RunRecord:
         self.active_members.append(int(active))
         self.converged_counts.append(int(converged))
         self.diverged_counts.append(int(diverged))
+
+    def observe_iterations(self, residuals, active, converged,
+                           diverged) -> None:
+        """:meth:`observe_iteration` for each entry of four equally
+        long arrays, in order."""
+        self.residuals.extend(np.asarray(residuals, dtype=float).tolist())
+        self.active_members.extend(np.asarray(active, dtype=int).tolist())
+        self.converged_counts.extend(
+            np.asarray(converged, dtype=int).tolist())
+        self.diverged_counts.extend(np.asarray(diverged, dtype=int).tolist())
 
     def observe_mask_event(self, step: int, member: int,
                            outcome: str) -> None:

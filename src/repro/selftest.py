@@ -74,30 +74,45 @@ def _numpy_loop(scheme, rates, with_delays: bool) -> tuple:
         scheme._plan = plan
 
 
-def _python_loop(system, initial, **kwargs):
-    """``run`` on its Python loop: the compiled run loop unavailable."""
+def _python_loop(runner, *args, **kwargs):
+    """``runner(*args, **kwargs)`` on the Python loop: the compiled
+    ensemble loop unavailable."""
     from .backends import compiled
-    loop, compiled.run_loop = compiled.run_loop, lambda *args: None
+    loop, compiled.ensemble_loop = compiled.ensemble_loop, lambda *a, **k: None
     try:
-        return system.run(initial, **kwargs)
+        return runner(*args, **kwargs)
     finally:
-        compiled.run_loop = loop
+        compiled.ensemble_loop = loop
+
+
+def _record(rec):
+    """A run record's fields bar the timings (phase names kept)."""
+    return None if rec is None else (
+        rec.residuals, rec.active_members, rec.converged_counts,
+        rec.diverged_counts, rec.mask_events, rec.outcome_counts,
+        rec.steps, list(rec.phase_seconds))
 
 
 def _same_run(a, b) -> bool:
     """Two trajectories agree bit for bit, run records (bar the
     timings) included."""
-    records = [None if t.telemetry is None else
-               (t.telemetry.residuals, t.telemetry.active_members,
-                t.telemetry.converged_counts, t.telemetry.diverged_counts,
-                t.telemetry.mask_events, t.telemetry.outcome_counts,
-                t.telemetry.steps, list(t.telemetry.phase_seconds))
-               for t in (a, b)]
     return (a.history.tobytes() == b.history.tobytes()
             and a.history.shape == b.history.shape
             and (a.outcome, a.period, a.steps) == (b.outcome, b.period,
                                                    b.steps)
-            and records[0] == records[1])
+            and _record(a.telemetry) == _record(b.telemetry))
+
+
+def _same_ensemble(a, b) -> bool:
+    """Two ensemble results agree bit for bit, retained histories and
+    run records (bar the timings) included."""
+    histories = [None if r.histories is None else
+                 [h.tobytes() for h in r.histories] for r in (a, b)]
+    return (a.finals.tobytes() == b.finals.tobytes()
+            and (a.outcomes, a.periods) == (b.outcomes, b.periods)
+            and bool(np.array_equal(a.steps, b.steps))
+            and histories[0] == histories[1]
+            and _record(a.telemetry) == _record(b.telemetry))
 
 
 def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
@@ -312,8 +327,8 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
 
     from .backends import _cext
     from .backends import compiled as compiled_kernels
-    print("compiled kernels: the C Fair Share, observe-stage, run-loop "
-          "and FIFO kernels "
+    print("compiled kernels: the C Fair Share, observe-stage, ensemble-"
+          "loop and FIFO kernels "
           + ("built" if compiled_kernels.fs_available()
              else f"did not build ({_cext.load_error()})"))
     big = rng.uniform(0.0, 0.5, size=(4, 96))
@@ -356,7 +371,7 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
         _check("compiled observe stage is bit-identical to the numpy loop",
                ok, failures)
     if not compiled_kernels.fs_available():
-        _check("compiled run loop unavailable (Python loop ok)", True,
+        _check("compiled ensemble loop unavailable (Python loop ok)", True,
                failures)
     else:
         n = lot.num_connections
@@ -369,14 +384,28 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
                                                 (rules * n)[:n], style=style)
                 for x0 in probes[:2]:
                     ok &= _same_run(loop_system.run(x0, max_steps=300),
-                                    _python_loop(loop_system, x0,
+                                    _python_loop(loop_system.run, x0,
                                                  max_steps=300))
         ok &= _same_run(loop_system.run(probes[2], max_steps=300,
                                         telemetry=True),
-                        _python_loop(loop_system, probes[2], max_steps=300,
-                                     telemetry=True))
-        _check("compiled run loop is bit-identical to the Python loop",
-               ok, failures)
+                        _python_loop(loop_system.run, probes[2],
+                                     max_steps=300, telemetry=True))
+        kwargs = dict(max_steps=300, block_size=3, history="full",
+                      telemetry=True)
+        ok &= _same_ensemble(
+            loop_system.run_ensemble(probes, **kwargs),
+            _python_loop(loop_system.run_ensemble, probes, **kwargs))
+        from .core.asynchronous import BurstyClock
+        for clock in (RateMixClock(0.25, 1.0, 0.5, seed=5),
+                      BurstyClock(0.9, 0.2, 8, seed=5)):
+            kwargs = dict(schedule=ClockSchedule(clock), signal_delay=2,
+                          max_steps=300, tol=1e-11)
+            ok &= _same_ensemble(
+                run_async_ensemble(loop_system, probes, **kwargs),
+                _python_loop(run_async_ensemble, loop_system, probes,
+                             **kwargs))
+        _check("compiled ensemble loop is bit-identical to the Python "
+               "loop", ok, failures)
 
     print("scenario fuzzing smoke:")
     from .scenarios import generate, run_scenario

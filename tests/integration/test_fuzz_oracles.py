@@ -29,6 +29,19 @@ from repro.scenarios.oracles import ScenarioContext, run_oracle
 from repro.simulation.network_sim import NetworkSimulation
 
 
+def _use_kernel_mutant(monkeypatch, tmp_path, original, mutated):
+    """Build the C library with ``original`` replaced by ``mutated``
+    into ``tmp_path`` and load it for the rest of the test."""
+    assert _cext._SOURCE.count(original) == 1
+    monkeypatch.setattr(_cext, "_SOURCE",
+                        _cext._SOURCE.replace(original, mutated))
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
+    for name, fresh in (("_LOADED", False), ("_LIB", None), ("_ERR", None),
+                        ("_BUILD_SECONDS", 0.0), ("_FROM_CACHE", False)):
+        monkeypatch.setattr(_cext, name, fresh)
+    assert _cext.load() is not None, _cext.load_error()
+
+
 def spec_of(n=3, discipline="fair-share", style="individual",
             rule=None, mu=1.0, fault_plan=None, name="bad", seed=5,
             weights=None):
@@ -194,30 +207,50 @@ class TestEveryOracleFires:
         assert fails == ("ensemble-equivalence",)
 
     @pytest.mark.skipif(not compiled.fs_available(),
-                        reason="no compiled run loop")
+                        reason="no compiled ensemble loop")
     def test_ensemble_equivalence_catches_run_loop_mutation(
             self, monkeypatch):
-        # The C-path twin: ``run`` runs its whole loop in
-        # ``compiled.run_loop``, so the mutant perturbs the last row
-        # the kernel writes.
-        orig = compiled.run_loop
+        # The C-path twin: ``run`` is the compiled ensemble loop's
+        # one-member call with its history as the full history, so the
+        # mutant perturbs the last row that call writes, which the
+        # ensemble's blocks never see.
+        orig = compiled.ensemble_loop
 
-        def broken(history, *args, **kwargs):
-            out = orig(history, *args, **kwargs)
-            if out is not None:
-                history[out[1], -1] += 1e-6
+        def broken(initials, *args, full=None, **kwargs):
+            out = orig(initials, *args, full=full, **kwargs)
+            if out is not None and full is not None \
+                    and initials.shape[0] == 1:
+                full[0, out[1][0], -1] += 1e-6
             return out
 
-        monkeypatch.setattr(compiled, "run_loop", broken)
+        monkeypatch.setattr(compiled, "ensemble_loop", broken)
         fails = failing_oracles(spec_of(), ["ensemble-equivalence"])
         assert fails == ("ensemble-equivalence",)
+
+    @pytest.mark.skipif(not compiled.fs_available(),
+                        reason="no compiled ensemble loop")
+    def test_a_shared_kernel_mutant_is_caught_off_the_kernel(
+            self, monkeypatch, tmp_path):
+        # ``run`` and ``run_ensemble`` share the compiled ensemble loop,
+        # so ensemble-equivalence compares the kernel with itself and
+        # cannot see a mutant in it: here, members converging one quiet
+        # step late.  async-batch-equivalence, whose scalar side is the
+        # per-connection AsynchronousRunner, catches it on a pinned
+        # clocked scenario of the seed-7 stream.
+        spec = generate(7, 21)[20]
+        names = ["ensemble-equivalence", "async-batch-equivalence"]
+        assert failing_oracles(spec, names) == ()
+        _use_kernel_mutant(monkeypatch, tmp_path,
+                           "quiet >= settle[k]", "quiet > settle[k]")
+        assert failing_oracles(spec, names) == ("async-batch-equivalence",)
 
     def test_blocked_equivalence_catches_row_position_dependence(
             self, monkeypatch):
         # A kernel that leaks the batch-row *position* into the result
         # is invisible to the one-shot run alone, but blocked execution
         # re-bases each member's row index — the differential fires.
-        # ``run_ensemble`` advances through the batch stepper.
+        # With the compiled ensemble loop unavailable, ``run_ensemble``
+        # advances through the batch stepper.
         from repro.core.dynamics import FlowControlSystem
         orig = FlowControlSystem._step_rows
 
@@ -225,7 +258,24 @@ class TestEveryOracleFires:
             out = np.array(orig(self, r, *args), dtype=float)
             return out + 1e-6 * np.arange(out.shape[0])[:, None]
 
-        monkeypatch.setattr(FlowControlSystem, "_step_rows", broken)
+        with monkeypatch.context() as m:
+            m.setattr(compiled, "ensemble_loop", lambda *a, **k: None)
+            m.setattr(FlowControlSystem, "_step_rows", broken)
+            fails = failing_oracles(spec_of(), ["blocked-equivalence"])
+        assert fails == ("blocked-equivalence",)
+        if not compiled.fs_available():
+            return
+        # The C-path twin: the compiled loop's finals shifted by their
+        # row in the block.
+        loop = compiled.ensemble_loop
+
+        def leaky(*args, **kwargs):
+            out = loop(*args, **kwargs)
+            if out is not None:
+                out[0][:] += 1e-6 * np.arange(out[0].shape[0])[:, None]
+            return out
+
+        monkeypatch.setattr(compiled, "ensemble_loop", leaky)
         fails = failing_oracles(spec_of(), ["blocked-equivalence"])
         assert fails == ("blocked-equivalence",)
 
@@ -556,6 +606,8 @@ class TestAsyncOracles:
         # (its seventh positional argument), so the synchronous
         # reference still converges to the true fixed point, but every
         # async trajectory drifts off it.
+        # With the compiled ensemble loop unavailable, the async runs
+        # advance through the batch stepper.
         from repro.core.dynamics import FlowControlSystem
         orig = FlowControlSystem._step_rows
 
@@ -564,7 +616,24 @@ class TestAsyncOracles:
             gated = len(args) > 5 and args[5] is not None
             return out + 1e-4 if gated else out
 
-        monkeypatch.setattr(FlowControlSystem, "_step_rows", biased)
+        with monkeypatch.context() as m:
+            m.setattr(compiled, "ensemble_loop", lambda *a, **k: None)
+            m.setattr(FlowControlSystem, "_step_rows", biased)
+            fails = failing_oracles(self.clocked_spec(),
+                                    ["async-fixed-point"])
+        assert fails == ("async-fixed-point",)
+        if not compiled.fs_available():
+            return
+        # The C-path twin: the compiled loop's gated blocks drift.
+        loop = compiled.ensemble_loop
+
+        def drifting(*args, gate=compiled.NO_GATE, **kwargs):
+            out = loop(*args, gate=gate, **kwargs)
+            if out is not None and gate.code != _cext.GATE_NONE:
+                out[0][:] += 1e-4
+            return out
+
+        monkeypatch.setattr(compiled, "ensemble_loop", drifting)
         fails = failing_oracles(self.clocked_spec(),
                                 ["async-fixed-point"])
         assert fails == ("async-fixed-point",)
@@ -572,14 +641,32 @@ class TestAsyncOracles:
     def test_async_batch_equivalence_catches_batch_only_mutation(
             self, monkeypatch):
         # Skew apply_batch alone: the scalar runner goes through
-        # rule.apply, so only the batched async path moves.
+        # rule.apply, so only the batched async path moves (on its
+        # Python loop, the compiled ensemble loop unavailable).
         from repro.core.ratecontrol import RateAdjustment
         orig = RateAdjustment.apply_batch
 
         def skewed(self, rates, signals, delays, **kw):
             return orig(self, rates, signals, delays, **kw) + 1e-9
 
-        monkeypatch.setattr(RateAdjustment, "apply_batch", skewed)
+        with monkeypatch.context() as m:
+            m.setattr(compiled, "ensemble_loop", lambda *a, **k: None)
+            m.setattr(RateAdjustment, "apply_batch", skewed)
+            fails = failing_oracles(self.clocked_spec(),
+                                    ["async-batch-equivalence"])
+        assert fails == ("async-batch-equivalence",)
+        if not compiled.fs_available():
+            return
+        # The C-path twin: the compiled loop's finals skewed.
+        loop = compiled.ensemble_loop
+
+        def skewed_loop(*args, **kwargs):
+            out = loop(*args, **kwargs)
+            if out is not None:
+                out[0][:] += 1e-9
+            return out
+
+        monkeypatch.setattr(compiled, "ensemble_loop", skewed_loop)
         fails = failing_oracles(self.clocked_spec(),
                                 ["async-batch-equivalence"])
         assert fails == ("async-batch-equivalence",)

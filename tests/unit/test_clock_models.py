@@ -6,8 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.asynchronous import (CLOCK_KINDS, BurstyClock,
-                                     ClockSchedule, DriftingClock,
+from repro.core.asynchronous import (CLOCK_KINDS, BernoulliSchedule,
+                                     BurstyClock, ClockSchedule,
+                                     DriftingClock,
                                      RateMixClock, SynchronousSchedule,
                                      UniformClock, clock_model)
 from repro.errors import FaultError, RateVectorError, ScenarioError
@@ -106,6 +107,25 @@ class TestClockModels:
             BurstyClock(on_rate=0.2, off_rate=0.5)
         with pytest.raises(RateVectorError):
             BurstyClock(burst_len=0)
+
+    @pytest.mark.parametrize("seed", [-1, -3, 2.5, 2.0, True, False,
+                                      None, "7", np.float64(3.0)])
+    def test_seeds_must_be_nonnegative_ints(self, seed):
+        # default_rng takes no other seed: a bad one must fail at
+        # construction, not at the first mask in the middle of a run,
+        # and floats and bools must not pass as ints.
+        with pytest.raises(RateVectorError, match="seed"):
+            BernoulliSchedule(0.5, seed=seed)
+        for kind in CLOCK_KINDS:
+            with pytest.raises(RateVectorError, match="seed"):
+                clock_model(kind, seed=seed)
+        with pytest.raises(ScenarioError, match="seed"):
+            ClockSpec("mix", {"seed": seed}).build()
+
+    def test_integer_seeds_are_kept(self):
+        for seed in (0, 7, np.int64(9), 2**64 + 7):
+            assert BernoulliSchedule(0.5, seed=seed).seed == seed
+            assert type(RateMixClock(seed=seed).seed) is int
 
     def test_factory_kinds(self):
         assert set(CLOCK_KINDS) == {"uniform", "mix", "drifting",

@@ -125,3 +125,68 @@ class TestObservables:
     def test_style_property(self):
         assert _system(style=FeedbackStyle.AGGREGATE).style is \
             FeedbackStyle.AGGREGATE
+
+
+def _scan_periods(history, max_period, tol, total_len=None):
+    """The plain lag-by-lag search ``_detect_period`` must agree with."""
+    steps = history.shape[0] if total_len is None else total_len
+    for p in range(2, max_period + 1):
+        if steps < 4 * p:
+            return None
+        recent, lagged = history[-3 * p:], history[-4 * p:-p]
+        scale = max(1.0, float(np.max(np.abs(recent))))
+        if np.max(np.abs(recent - lagged)) <= 1e3 * tol * scale:
+            return p
+    return None
+
+
+class TestPeriodSearch:
+    def _histories(self, seed=0, count=600):
+        rng = np.random.default_rng(seed)
+        for trial in range(count):
+            rows, n = int(rng.integers(1, 200)), int(rng.integers(1, 5))
+            if trial % 4 == 0:
+                h = rng.uniform(0.0, 2.0, (rows, n))
+            else:
+                p = int(rng.integers(1, 30))
+                h = np.tile(rng.uniform(0.0, 3.0, (p, n)),
+                            (rows // p + 1, 1))[:rows]
+                if trial % 4 == 2:
+                    h = h + rng.normal(0.0, 1e-9, h.shape)
+                elif trial % 8 == 3:
+                    h[int(rng.integers(rows))] += 1e-3
+                elif trial % 8 == 7:
+                    h[-1, 0] = np.nan
+            yield h
+
+    def test_agrees_with_the_lag_by_lag_scan(self):
+        from repro.core.dynamics import _detect_period
+        found = 0
+        for h in self._histories():
+            for max_period in (1, 2, 5, 64):
+                for tol in (0.0, 1e-10, 1e-6):
+                    want = _scan_periods(h, max_period, tol)
+                    assert _detect_period(h, max_period, tol) == want
+                    found += want is not None
+        assert found > 100
+
+    def test_reads_a_rolling_tail_in_place(self):
+        # A tail ring whose oldest state sits at row ``start``, as the
+        # ensemble loop keeps it, with the true history longer.
+        from repro.core.dynamics import _detect_periods
+        rng = np.random.default_rng(1)
+        for trial in range(300):
+            max_period = int(rng.integers(1, 12))
+            rows, n = 4 * max_period, int(rng.integers(1, 4))
+            p = int(rng.integers(1, 20))
+            h = np.tile(rng.uniform(0.0, 3.0, (p, n)),
+                        (rows // p + 1, 1))[:rows]
+            if trial % 3 == 0:
+                h = rng.uniform(0.0, 2.0, (rows, n))
+            start = int(rng.integers(rows))
+            ring = np.roll(h, start, axis=0)
+            total = rows + int(rng.integers(0, 40))
+            for tol in (0.0, 1e-6):
+                got = _detect_periods(ring[None], max_period, tol,
+                                      total_len=total, start=start)
+                assert got == [_scan_periods(h, max_period, tol, total)]

@@ -260,13 +260,13 @@ class TestDelaysRequestedOnlyWhenRead(_StepPaths):
     @pytest.fixture
     def loop_calls(self, monkeypatch):
         calls = []
-        orig = compiled.run_loop
+        orig = compiled.ensemble_loop
 
-        def counting(history, plan, with_delays, *args):
-            calls.append(with_delays)
-            return orig(history, plan, with_delays, *args)
+        def counting(*args, **kwargs):
+            calls.append(args[6])  # with_delays
+            return orig(*args, **kwargs)
 
-        monkeypatch.setattr(compiled, "run_loop", counting)
+        monkeypatch.setattr(compiled, "ensemble_loop", counting)
         return calls
 
     @pytest.mark.parametrize("reader", [TcpLikeRule, DecbitWindowRule,
@@ -277,15 +277,16 @@ class TestDelaysRequestedOnlyWhenRead(_StepPaths):
         system = _mixed(parking_lot(3, cross_per_hop=2),
                         (TargetRule(eta=0.05, beta=0.5), reader()))
         steps = self._exercise(system)
-        # The built-in readers' run leg is one compiled run loop call,
-        # which asks for the delays for all its steps; a custom rule's
-        # run steps through the observe kernel.
+        # The built-in readers' run and ensemble legs are one compiled
+        # ensemble loop call each, which asks for the delays for all
+        # its steps; a custom rule's legs step through the observe
+        # kernel.
         if reader is _Recording:
             assert loop_calls == []
             assert kernel_calls == [True] * steps
         else:
-            assert loop_calls == [True]
-            assert kernel_calls == [True] * (steps - self.STEPS)
+            assert loop_calls == [True] * 3
+            assert kernel_calls == [True] * (steps - 3 * self.STEPS)
 
     def test_asynchronous_runner_still_requests_delays(self, kernel_calls):
         system = _mixed(single_gateway(3), (TargetRule(eta=0.05),))

@@ -1,13 +1,16 @@
-"""The compiled run loop.
+"""``run`` as the ensemble kernel's ``M = 1`` call.
 
 ``FlowControlSystem.run`` runs its whole step loop in one C call,
-``compiled.run_loop``, when the scheme has an observe plan (FIFO, Fair
-Share or weighted Fair Share under ``LinearSaturating``), every rule is
-one of the six built-in rule types and no fault plan, structural plan
-or controller is active.  It must give the Python loop's bits — the
-history, outcome, period, step count and run record — against ``run``
-with ``compiled.run_loop`` unavailable and against ``run`` with the
-whole C tier masked.  Every other run takes the Python loop.
+``compiled.ensemble_loop`` on a one-member block whose full history is
+``run``'s history buffer, when the scheme has an observe plan (FIFO,
+Fair Share or weighted Fair Share under ``LinearSaturating``), every
+rule is one of the six built-in rule types and no fault plan,
+structural plan or controller is active.  It must give the Python
+loop's bits — the history, outcome, period, step count and run record
+— against ``run`` with ``compiled.ensemble_loop`` unavailable and
+against ``run`` with the whole C tier masked.  Every other run takes
+the Python loop.  ``test_compiled_ensemble_loop.py`` holds the
+ensemble runners to the same contract.
 """
 
 import dataclasses
@@ -114,11 +117,11 @@ def _fingerprint(traj):
 
 
 def _legs(monkeypatch, system, x0, **kwargs):
-    """``run`` on the C loop, with ``compiled.run_loop`` unavailable,
-    and with the whole C tier masked."""
+    """``run`` on the C loop, with ``compiled.ensemble_loop``
+    unavailable, and with the whole C tier masked."""
     fast = system.run(x0, **kwargs)
     with monkeypatch.context() as m:
-        m.setattr(compiled, "run_loop", lambda *args, **kw: None)
+        m.setattr(compiled, "ensemble_loop", lambda *args, **kw: None)
         python = system.run(x0, **kwargs)
         m.setattr(_cext, "load", lambda: None)
         numpy_only = system.run(x0, **kwargs)
@@ -134,15 +137,15 @@ def _assert_identical(monkeypatch, system, x0, **kwargs):
 
 @pytest.fixture
 def loop_calls(monkeypatch):
-    """What each ``compiled.run_loop`` call returned."""
+    """What each ``compiled.ensemble_loop`` call returned."""
     calls = []
-    orig = compiled.run_loop
+    orig = compiled.ensemble_loop
 
     def spy(*args, **kwargs):
         calls.append(orig(*args, **kwargs))
         return calls[-1]
 
-    monkeypatch.setattr(compiled, "run_loop", spy)
+    monkeypatch.setattr(compiled, "ensemble_loop", spy)
     return calls
 
 
@@ -281,14 +284,17 @@ class TestDispatch:
         assert loop_calls == []
 
     def test_other_runners_do_not_use_it(self, loop_calls):
+        # The steppers and the per-connection reference runner; the
+        # ensemble runners are the kernel's other callers.
         system = self._system()
         x0 = self._x0()
         system.step(x0)
         system.step_batch(x0[None])
-        system.run_ensemble(x0[None], max_steps=20)
-        run_async_ensemble(system, x0[None], max_steps=20)
         AsynchronousRunner(system).run(x0, max_steps=20)
         assert loop_calls == []
+        system.run_ensemble(x0[None], max_steps=20)
+        run_async_ensemble(system, x0[None], max_steps=20)
+        assert len(loop_calls) == 2 and None not in loop_calls
 
     def test_delay_domain_hands_back_to_the_python_loop(self, loop_calls):
         # At mu = 1e30 a rate of 1e-300 has a load that underflows to
@@ -320,31 +326,35 @@ class TestParametersAreReadPerRun:
 
 
 class TestWrapper:
-    def test_rejects_mismatched_buffers(self):
+    def _args(self, n):
         system = SYSTEMS["target"]
+        return (system.scheme._plan, False, np.zeros(n, dtype=np.int64),
+                np.zeros((n, 3)))
+
+    def test_rejects_mismatched_buffers(self):
         n = LOT.num_connections
-        plan = system.scheme._plan
-        codes = np.zeros(n, dtype=np.int64)
-        params = np.zeros((n, 3))
-        history = np.zeros((5, n))
+        plan, delays, codes, params = self._args(n)
+        x0 = np.full((2, n), 0.1)
         bad = [
-            (np.zeros((5, n + 1)), codes, params, None),
-            (np.zeros((5, n), dtype=np.float32), codes, params, None),
-            (np.zeros((n, 5)).T, codes, params, None),
-            (history, codes.astype(np.int32), params, None),
-            (history, codes, np.zeros((n, 2)), None),
-            (history, codes, params, np.zeros(5)),
+            dict(initials=np.zeros((2, n + 1))),
+            dict(codes=codes.astype(np.int32)),
+            dict(params=np.zeros((n, 2))),
+            dict(full=np.zeros((2, 5, n))),
+            dict(full=np.zeros((2, 6, n), dtype=np.float32)),
+            dict(tail=np.zeros((2, n, 4)).transpose(0, 2, 1)),
+            dict(tail=np.zeros((1, 4, n))),
+            dict(agg=np.zeros(4)),
         ]
-        for hist, c, p, changes in bad:
+        for case in bad:
+            args = dict(initials=x0, codes=codes, params=params)
+            args.update(case)
             with pytest.raises(ValueError):
-                compiled.run_loop(hist, plan, False, c, p, 0.0, 5, 1e6,
-                                  changes)
+                compiled.ensemble_loop(
+                    args.pop("initials"), 5, 0.0, 5, 1e6, plan, delays,
+                    args.pop("codes"), args.pop("params"), **args)
 
     def test_unavailable_without_the_c_tier(self, monkeypatch):
-        system = SYSTEMS["target"]
         n = LOT.num_connections
         monkeypatch.setattr(_cext, "load", lambda: None)
-        assert compiled.run_loop(
-            np.zeros((5, n)), system.scheme._plan, False,
-            np.zeros(n, dtype=np.int64), np.zeros((n, 3)), 0.0, 5,
-            1e6) is None
+        assert compiled.ensemble_loop(np.zeros((1, n)), 5, 0.0, 5, 1e6,
+                                      *self._args(n)) is None

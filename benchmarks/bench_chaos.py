@@ -11,10 +11,12 @@ it, and stays cheap when you do.  Two gated numbers:
   the finals are verified bit-identical before any number is reported;
 * **active ensemble** — ``run_ensemble`` over ``M`` members under a
   periodic jittered :class:`~repro.chaos.CapacityDegradation` +
-  :class:`~repro.chaos.GatewayBlackhole` plan vs the clean ensemble on
-  the Python loop (the compiled ensemble loop, which does not serve
-  structural plans, is masked on the clean side and its throughput
-  printed beside it).
+  :class:`~repro.chaos.GatewayBlackhole` plan vs the clean ensemble,
+  both on the Python loop: the compiled ensemble loop is masked on
+  both sides, so the ratio compares the two loops its floors were
+  recorded on, and the loop's clean and structural throughputs
+  (``clean_kernel_msteps_per_s``, ``chaos_kernel_msteps_per_s``) are
+  printed beside it.
   Per-step window resolution and the per-damage-signature view cache
   must keep the overhead bounded.  Before timing, a sample of members
   is verified bit-identical to scalar ``run(..., structural=plan,
@@ -143,36 +145,40 @@ def bench_active_ensemble(n=32, members=48, max_steps=400,
                 f"structural ensemble member {m} differs from its "
                 f"scalar replay")
 
-    # The clean side runs with the compiled ensemble loop unavailable:
-    # it does not serve structural plans, so the ratio compares the two
-    # Python loops, as the floors were recorded.  The clean kernel's
-    # throughput is reported beside it.
+    # Both sides run with the compiled ensemble loop unavailable, so the
+    # ratio compares the two Python loops, as the floors were recorded.
+    # The loop's clean and structural throughputs are reported beside.
     ratios = []
     t_clean = t_chaos = 0.0
     loop = compiled.ensemble_loop
-    for _ in range(pairs):
-        compiled.ensemble_loop = lambda *args, **kw: None
-        try:
+    compiled.ensemble_loop = lambda *args, **kw: None
+    try:
+        for _ in range(pairs):
             t0 = time.perf_counter()
             system.run_ensemble(r0, **kwargs)
             t_clean = time.perf_counter() - t0
-        finally:
-            compiled.ensemble_loop = loop
-        t0 = time.perf_counter()
-        system.run_ensemble(r0, structural=plan, **kwargs)
-        t_chaos = time.perf_counter() - t0
-        ratios.append(t_clean / t_chaos)
+            t0 = time.perf_counter()
+            system.run_ensemble(r0, structural=plan, **kwargs)
+            t_chaos = time.perf_counter() - t0
+            ratios.append(t_clean / t_chaos)
+    finally:
+        compiled.ensemble_loop = loop
     ratios.sort()
-    t0 = time.perf_counter()
-    system.run_ensemble(r0, **kwargs)
-    t_kernel = time.perf_counter() - t0
+    t_kernel = {}
+    for side, extra in (("clean", {}), ("chaos", {"structural": plan})):
+        t0 = time.perf_counter()
+        system.run_ensemble(r0, **kwargs, **extra)
+        t_kernel[side] = time.perf_counter() - t0
     member_steps = members * max_steps
     n_events = len(ens.structural_events) if ens.structural_events else 0
     return {"n": n, "members": members, "max_steps": max_steps,
             "pairs": pairs, "structural_events": n_events,
             "clean_msteps_per_s": round(member_steps / t_clean),
-            "clean_kernel_msteps_per_s": round(member_steps / t_kernel),
+            "clean_kernel_msteps_per_s": round(member_steps
+                                               / t_kernel["clean"]),
             "chaos_msteps_per_s": round(member_steps / t_chaos),
+            "chaos_kernel_msteps_per_s": round(member_steps
+                                               / t_kernel["chaos"]),
             "pair_ratios": [round(r, 2) for r in ratios],
             "speedup": round(ratios[len(ratios) // 2], 2)}
 
@@ -208,7 +214,8 @@ def main(argv=None):
           f"{empty['speedup']}x of clean throughput")
     print(f"active ensemble: chaos {active['chaos_msteps_per_s']} vs "
           f"clean {active['clean_msteps_per_s']} member-steps/s "
-          f"(compiled loop {active['clean_kernel_msteps_per_s']}), "
+          f"(compiled loop: chaos {active['chaos_kernel_msteps_per_s']}, "
+          f"clean {active['clean_kernel_msteps_per_s']}), "
           f"{active['structural_events']} transitions -> "
           f"{active['speedup']}x of clean throughput")
 

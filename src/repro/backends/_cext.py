@@ -45,8 +45,12 @@ Four kernel families live in the library:
   :meth:`~repro.core.dynamics.FlowControlSystem._run_block` (which
   ``run_ensemble`` and ``run_async_ensemble`` share, and of which
   ``run`` is the ``M = 1`` case) on a whole member block, member after
-  member: per step ``observe_row`` on the stale row, each connection's
-  rule (one of the six built-in rules, by ``RULE_*`` code),
+  member: per step ``observe_row`` on the stale row (on a structural
+  plan's damaged view, then ``b = 1`` behind a blackhole), the fault
+  injectors (``FI_*`` codes, each member with its own true-signal ring,
+  delivered vector and numpy-identical PCG64 stream, also exported as
+  ``stream_draws``, and events logged to growable ``EventLog`` s), each
+  connection's rule (one of the six built-in rules, by ``RULE_*`` code),
   ``apply_batch``'s and ``clip_nonnegative``'s ``np.maximum``, the
   clock gate (``GATE_*``: round-robin, or coins drawn from a C
   transcription of ``np.random.default_rng([seed, step]).random(n)``,
@@ -93,7 +97,8 @@ __all__ = [
     "MEASURE_AGGREGATE", "MEASURE_INDIVIDUAL", "MEASURE_WEIGHTED",
     "RULE_TARGET", "RULE_PROPORTIONAL_TARGET", "RULE_DECBIT_RATE",
     "RULE_DECBIT_WINDOW", "RULE_BINARY_AIMD", "RULE_TCP_LIKE",
-    "GATE_NONE", "GATE_ROUND_ROBIN", "GATE_COINS",
+    "GATE_NONE", "GATE_ROUND_ROBIN", "GATE_COINS", "SI_DEGRADE",
+    "SI_BLACKHOLE", "SI_RESTORE", "EventLog", "Perturb",
 ]
 
 # Status codes shared with the C side.
@@ -125,6 +130,12 @@ RULE_TCP_LIKE = 5
 GATE_NONE = 0
 GATE_ROUND_ROBIN = 1
 GATE_COINS = 2
+
+# Structural injector and event kinds of ensemble_loop's perturbation
+# (see repro.chaos.structural); a fault injector's code is its stage.
+SI_DEGRADE = 0
+SI_BLACKHOLE = 1
+SI_RESTORE = 2
 
 _SOURCE = r"""
 #include <stdlib.h>
@@ -848,6 +859,353 @@ static int decide_row(const double *rr, const double *bb, const double *dd,
     return ST_DONE;
 }
 
+/* ------------------------------------------------------------------ */
+/* The perturb stages: structural damage and signal-path faults        */
+/* ------------------------------------------------------------------ */
+
+/* Fault injector codes (their stage numbers) and structural kinds. */
+#define FI_SKEW 0
+#define FI_DELAY 1
+#define FI_OUTAGE 2
+#define FI_LOSS 3
+#define FI_NOISE 4
+#define FI_QUANTISE 5
+#define SI_DEGRADE 0
+#define SI_BLACKHOLE 1
+#define SI_RESTORE 2
+
+/* A growable event log: four integers (step, member, index, kind) and
+ * a detail per event.  The caller frees it with event_log_free. */
+typedef struct {
+    i64 len, cap;
+    i64 *ints;
+    double *detail;
+} EventLog;
+
+void event_log_free(EventLog *log)
+{
+    free(log->ints);
+    free(log->detail);
+    log->ints = NULL;
+    log->detail = NULL;
+    log->len = log->cap = 0;
+}
+
+/* Returns 0 when memory runs out. */
+static int log_event(EventLog *log, i64 step, i64 member, i64 index,
+                     i64 kind, double detail)
+{
+    if (log->len == log->cap) {
+        i64 cap = log->cap ? 2 * log->cap : 256;
+        i64 *ints = (i64 *)realloc(log->ints, (size_t)cap * 4 * sizeof(i64));
+        if (!ints) return 0;
+        log->ints = ints;
+        double *det = (double *)realloc(log->detail,
+                                        (size_t)cap * sizeof(double));
+        if (!det) return 0;
+        log->detail = det;
+        log->cap = cap;
+    }
+    i64 *e = log->ints + 4 * log->len;
+    e[0] = step;
+    e[1] = member;
+    e[2] = index;
+    e[3] = kind;
+    log->detail[log->len++] = detail;
+    return 1;
+}
+
+/* A numpy Generator(PCG64) stream: the bit generator and the spare
+ * upper half of the last 64-bit output a 32-bit draw split (numpy's
+ * has_uint32 / uinteger), which the next 32-bit draw takes first, also
+ * across calls and across random() draws, which never touch it. */
+typedef struct {
+    Pcg64 g;
+    int has_half;
+    u32 half;
+} Stream;
+
+static inline u32 stream_next32(Stream *s)
+{
+    if (s->has_half) {
+        s->has_half = 0;
+        return s->half;
+    }
+    u64 x = pcg_next64(&s->g);
+    s->has_half = 1;
+    s->half = (u32)(x >> 32);
+    return (u32)x;
+}
+
+/* One draw of Generator.integers(0, rng + 1) for 1 <= rng < 2**32 - 1:
+ * Lemire's multiply-and-reject on 32-bit draws, as numpy's
+ * buffered_bounded_lemire_uint32. */
+static u32 stream_bounded(Stream *s, u32 rng)
+{
+    u32 excl = rng + 1;
+    u64 m = (u64)stream_next32(s) * excl;
+    u32 left = (u32)m;
+    if (left < excl) {
+        u32 threshold = (UINT32_MAX - rng) % excl;
+        while (left < threshold) {
+            m = (u64)stream_next32(s) * excl;
+            left = (u32)m;
+        }
+    }
+    return (u32)(m >> 32);
+}
+
+/* A scheduled window (GatewayOutage.active, the structural windows):
+ * steps start .. start + duration - 1, repeating every period steps
+ * (period 0: once). */
+static int window_active(i64 step, i64 start, i64 duration, i64 period)
+{
+    i64 offset = step - start;
+    if (offset < 0) return 0;
+    return (period ? offset % period : offset) < duration;
+}
+
+/* The perturb stages of ensemble_loop.  A structural plan of n_si
+ * injectors in plan order (si: gateway, SI_ kind, duration, period per
+ * injector; si_factor; si_start: each member's n_si window starts) and
+ * a fault plan of n_fi injectors in stage order (fi: FI_ code, three
+ * integer parameters, and the offset into fi_sets and length of its
+ * connection list, length -1 for every connection; fi_real: two real
+ * parameters), with cap rows of true-signal history and per member
+ * n_skew rows of n start-time skew lags and a stream of six words (the
+ * PCG64 state's high and low halves, the increment's, has_uint32 and
+ * uinteger).  Events go to flog and slog. */
+typedef struct {
+    i64 n_si;
+    const i64 *si;
+    const double *si_factor;
+    const i64 *si_start;
+    i64 n_fi, cap, n_skew;
+    const i64 *fi;
+    const double *fi_real;
+    const i64 *fi_sets;
+    const i64 *skew;
+    const u64 *streams;
+    EventLog flog, slog;
+} Perturb;
+
+/* One member's perturbation state: its view of the observe plan (the
+ * service rates below), the active windows, the true-signal ring of
+ * cap rows (count recorded so far), the delivered vector, its stream,
+ * and draw buffers. */
+typedef struct {
+    Perturb *pt;
+    const ObservePlan *base;
+    ObservePlan view;
+    double *mu, *fac, *hist, *delivered, *draws, *noise;
+    unsigned char *active;
+    Stream rng;
+    i64 count;
+} PerturbWork;
+
+static void perturb_free(PerturbWork *w)
+{
+    free(w->mu);
+    free(w->active);
+}
+
+/* Returns 0, with nothing left allocated, when memory runs out. */
+static int perturb_alloc(PerturbWork *w, Perturb *pt, const ObservePlan *p)
+{
+    i64 n = p->n, n_gw = p->n_gw;
+    w->pt = pt;
+    w->base = p;
+    w->view = *p;
+    w->mu = (double *)malloc(
+        (size_t)(2 * n_gw + (pt->cap + 3) * n + 1) * sizeof(double));
+    w->active = (unsigned char *)malloc((size_t)pt->n_si + 1);
+    if (!w->mu || !w->active) {
+        perturb_free(w);
+        return 0;
+    }
+    w->fac = w->mu + n_gw;
+    w->hist = w->fac + n_gw;
+    w->delivered = w->hist + pt->cap * n;
+    w->draws = w->delivered + n;
+    w->noise = w->draws + n;
+    w->view.mu = w->mu;
+    return 1;
+}
+
+/* Member k starts: intact rates, no window open, no signal delivered
+ * (zeros), no history, and its stream as the caller started it. */
+static void perturb_start(PerturbWork *w, i64 k)
+{
+    const u64 *s = w->pt->streams;
+    memcpy(w->mu, w->base->mu, (size_t)w->base->n_gw * sizeof(double));
+    memset(w->active, 0, (size_t)w->pt->n_si + 1);
+    for (i64 i = 0; i < w->base->n; i++) w->delivered[i] = 0.0;
+    w->count = 0;
+    if (!s) return;
+    s += 6 * k;
+    w->rng.g.state = ((u128)s[0] << 64) | s[1];
+    w->rng.g.inc = ((u128)s[2] << 64) | s[3];
+    w->rng.has_half = (int)s[4];
+    w->rng.half = (u32)s[5];
+}
+
+/* The structural stage of member k at step (StructuralFaultState.
+ * resolve): each window that opens or closes logs its event, in plan
+ * order, and when one did the view's service rates become each
+ * gateway's mu times the product of its open degradations' factors in
+ * plan order (Network.with_mu_factors).  Returns 0 when memory runs
+ * out. */
+static int resolve_view(PerturbWork *w, i64 k, i64 step)
+{
+    Perturb *pt = w->pt;
+    i64 n_gw = w->base->n_gw;
+    int changed = 0;
+    for (i64 j = 0; j < pt->n_si; j++) {
+        const i64 *s = pt->si + 4 * j;
+        int on = window_active(step, pt->si_start[k * pt->n_si + j],
+                               s[2], s[3]);
+        if (on == w->active[j]) continue;
+        changed = 1;
+        w->active[j] = (unsigned char)on;
+        if (!log_event(&pt->slog, step, k, j, on ? s[1] : SI_RESTORE,
+                       on ? pt->si_factor[j] : 1.0))
+            return 0;
+    }
+    if (!changed) return 1;
+    for (i64 a = 0; a < n_gw; a++) w->fac[a] = 1.0;
+    for (i64 j = 0; j < pt->n_si; j++)
+        if (w->active[j] && pt->si[4 * j + 1] == SI_DEGRADE)
+            w->fac[pt->si[4 * j]] *= pt->si_factor[j];
+    for (i64 a = 0; a < n_gw; a++) w->mu[a] = w->base->mu[a] * w->fac[a];
+    return 1;
+}
+
+/* The perturb stage of member k at step on its observed signals b:
+ * b = 1 on every connection through a blackholed gateway, then
+ * FaultState.apply: the true signals enter the history and each fault
+ * injector rewrites b in stage order, drawing from the member's stream
+ * as numpy does (n doubles per loss, 2n per noise, n bounded integers
+ * per jittered delay) and logging each event; b is then the delivered
+ * vector.  Returns 0 when memory runs out. */
+static int perturb_signals(PerturbWork *w, i64 k, i64 step, double *b)
+{
+    Perturb *pt = w->pt;
+    const ObservePlan *p = w->base;
+    i64 n = p->n, cap = pt->cap;
+    for (i64 j = 0; j < pt->n_si; j++) {
+        if (!w->active[j] || pt->si[4 * j + 1] != SI_BLACKHOLE) continue;
+        i64 a = pt->si[4 * j];
+        for (i64 c = p->gw_ptr[a]; c < p->gw_ptr[a + 1]; c++)
+            b[p->members[c]] = 1.0;
+    }
+    if (!pt->n_fi) return 1;
+    memcpy(w->hist + (w->count % cap) * n, b, (size_t)n * sizeof(double));
+    w->count++;
+    i64 avail = (w->count < cap ? w->count : cap) - 1;
+    for (i64 f = 0; f < pt->n_fi; f++) {
+        const i64 *fi = pt->fi + 6 * f;
+        const i64 *set = fi[5] < 0 ? NULL : pt->fi_sets + fi[4];
+        i64 len = fi[5] < 0 ? n : fi[5];
+        double rate = pt->fi_real[2 * f];
+        switch (fi[0]) {
+        case FI_SKEW:
+        case FI_DELAY: {
+            const i64 *lags = fi[0] == FI_SKEW
+                ? pt->skew + (k * pt->n_skew + fi[1]) * n : NULL;
+            for (i64 i = 0; i < n; i++) {
+                i64 lag = lags ? lags[i] : fi[1];
+                if (fi[0] == FI_DELAY && fi[2])
+                    lag += stream_bounded(&w->rng, (u32)fi[2]);
+                if (lag > avail) lag = avail;
+                if (lag <= 0) continue;
+                b[i] = w->hist[((w->count - 1 - lag) % cap) * n + i];
+                if (!log_event(&pt->flog, step, k, i, fi[0], (double)lag))
+                    return 0;
+            }
+            break;
+        }
+        case FI_OUTAGE:
+            if (!window_active(step, fi[1], fi[2], fi[3])) break;
+            for (i64 x = 0; x < len; x++) {
+                i64 i = set ? set[x] : x;
+                b[i] = w->delivered[i];
+                if (!log_event(&pt->flog, step, k, i, FI_OUTAGE, b[i]))
+                    return 0;
+            }
+            break;
+        case FI_LOSS:
+            for (i64 i = 0; i < n; i++) w->draws[i] = pcg_double(&w->rng.g);
+            for (i64 x = 0; x < len; x++) {
+                i64 i = set ? set[x] : x;
+                if (w->draws[i] < rate) {
+                    b[i] = w->delivered[i];
+                    if (!log_event(&pt->flog, step, k, i, FI_LOSS, b[i]))
+                        return 0;
+                }
+            }
+            break;
+        case FI_NOISE: {
+            /* Generator.uniform(-amp, amp): low + (high - low) * u */
+            double amp = pt->fi_real[2 * f + 1], low = -amp;
+            double range = amp - low;
+            for (i64 i = 0; i < n; i++) w->draws[i] = pcg_double(&w->rng.g);
+            for (i64 i = 0; i < n; i++)
+                w->noise[i] = low + range * pcg_double(&w->rng.g);
+            for (i64 i = 0; i < n; i++) {
+                if (!(w->draws[i] < rate)) continue;
+                double old = b[i], v = old + w->noise[i];
+                v = v > 0.0 ? v : 0.0;  /* min(1.0, max(0.0, v)) */
+                v = v < 1.0 ? v : 1.0;
+                b[i] = v;
+                if (!log_event(&pt->flog, step, k, i, FI_NOISE, v - old))
+                    return 0;
+            }
+            break;
+        }
+        default: { /* FI_QUANTISE: round half to even onto levels - 1 */
+            double grid = (double)fi[1];
+            for (i64 i = 0; i < n; i++) {
+                double q = nearbyint(b[i] * grid) / grid;
+                if (q == b[i]) continue;
+                if (!log_event(&pt->flog, step, k, i, FI_QUANTISE, q - b[i]))
+                    return 0;
+                b[i] = q;
+            }
+        }
+        }
+    }
+    memcpy(w->delivered, b, (size_t)n * sizeof(double));
+    return 1;
+}
+
+/* Draws from a stream of six words (see Perturb) into out, one call of
+ * n draws per op in ops: 0 for random(n), -1 for uniform(-amp, amp, n)
+ * and k >= 1 for integers(0, k + 1, n), as the perturb stage draws
+ * them; the stream's words afterwards go to stream.  Returns ST_DOMAIN
+ * for an op below -1 or of 2**32 - 1 or more. */
+int stream_draws(u64 *stream, const i64 *ops, i64 n_ops, i64 n, double amp,
+                 double *out)
+{
+    Stream s = {{((u128)stream[0] << 64) | stream[1],
+                 ((u128)stream[2] << 64) | stream[3]},
+                (int)stream[4], (u32)stream[5]};
+    for (i64 c = 0; c < n_ops; c++)
+        if (ops[c] < -1 || ops[c] >= (i64)UINT32_MAX) return ST_DOMAIN;
+    for (i64 c = 0; c < n_ops; c++, out += n)
+        for (i64 i = 0; i < n; i++) {
+            if (ops[c] == 0) out[i] = pcg_double(&s.g);
+            else if (ops[c] > 0) out[i] = stream_bounded(&s, (u32)ops[c]);
+            else out[i] = -amp + (amp - -amp) * pcg_double(&s.g);
+        }
+    stream[0] = (u64)(s.g.state >> 64);
+    stream[1] = (u64)s.g.state;
+    stream[2] = (u64)(s.g.inc >> 64);
+    stream[3] = (u64)s.g.inc;
+    stream[4] = (u64)s.has_half;
+    stream[5] = s.half;
+    return ST_DONE;
+}
+
 /* The largest mask table a block caches: a shared schedule's mask
  * depends only on the step, so members after the first reuse it. */
 #define MASK_CACHE_MAX ((i64)1 << 24)
@@ -856,7 +1214,9 @@ static int decide_row(const double *rr, const double *bb, const double *dd,
  * by member (members are independent, so the order does not change a
  * bit).  Each member starts from its row of r0 and at each step
  * observes its stale row (ring slot step % (tau + 1), or the current
- * row at tau = 0), decides, gates (a source whose clock does not tick
+ * row at tau = 0) on its structural view, perturbs the signals, when
+ * pt is not NULL (see Perturb: a member's events carry its position k
+ * in the block), decides, gates (a source whose clock does not tick
  * keeps its rate: np.where(mask, new, r)), clips, and writes the ring
  * slot, the tail row step % tcap of its (tcap, n) block of tail and the
  * row step of its (max_steps + 1, n) block of full (either may be NULL;
@@ -880,7 +1240,8 @@ int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
                   int gate, const u32 *seed, i64 n_seed, const double *on,
                   const double *off, const i64 *offsets, i64 burst_len,
                   double *finals, i64 *steps, i64 *status,
-                  double *tail, i64 tcap, double *full, double *agg)
+                  double *tail, i64 tcap, double *full, double *agg,
+                  Perturb *pt)
 {
     ObservePlan p = {n, n_gw, gw_ptr, members, mu, law, measure,
                      law_phi, phi, path_latency};
@@ -888,6 +1249,12 @@ int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
     if (!gate_valid(&g)) return ST_DOMAIN;
     ObserveScratch o;
     if (!observe_scratch_alloc(&o, &p)) return ST_OOM;
+    PerturbWork w;
+    if (pt && !perturb_alloc(&w, pt, &p)) {
+        observe_scratch_free(&o);
+        return ST_OOM;
+    }
+    const ObservePlan *view = pt ? &w.view : &p;
     /* cur, next, b, d, then the tau + 1 ring rows */
     double *work = (double *)malloc((size_t)(5 + tau) * n * sizeof(double));
     unsigned char *mask = (unsigned char *)malloc((size_t)n + 1);
@@ -915,9 +1282,17 @@ int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
         memcpy(cur, r0 + k * n, (size_t)n * sizeof(double));
         for (i64 s = 0; tau && s <= tau; s++)
             memcpy(ring + s * n, cur, (size_t)n * sizeof(double));
+        if (pt) perturb_start(&w, k);
         for (i64 step = 1; step <= max_steps; step++) {
             double *slot = tau ? ring + (step % (tau + 1)) * n : cur;
-            status_all = observe_row(slot, &p, b, d, &o);
+            if (pt && !resolve_view(&w, k, step)) {
+                status_all = ST_OOM;
+                goto out;
+            }
+            status_all = observe_row(slot, view, b, d, &o);
+            if (status_all == ST_DONE && pt
+                    && !perturb_signals(&w, k, step, b))
+                status_all = ST_OOM;
             if (status_all == ST_DONE)
                 status_all = decide_row(cur, b, d, n, codes, params, next);
             if (status_all != ST_DONE) goto out;
@@ -970,6 +1345,7 @@ int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
 out:
     free(cache); free(cached); free(mask); free(work);
     observe_scratch_free(&o);
+    if (pt) perturb_free(&w);
     return status_all;
 }
 
@@ -1539,6 +1915,25 @@ _D = ctypes.c_double
 _P = ctypes.c_void_p
 
 
+class EventLog(ctypes.Structure):
+    """The C ``EventLog``: ``len`` events of four int64s (step, member,
+    index, kind) at ``ints`` and a double at ``detail``, in buffers the
+    library allocates; ``event_log_free`` releases them."""
+
+    _fields_ = [("len", _I), ("cap", _I), ("ints", _P), ("detail", _P)]
+
+
+class Perturb(ctypes.Structure):
+    """The C ``Perturb``: the structural and fault plans of a member
+    block, as ``ensemble_loop`` reads them, and its two event logs."""
+
+    _fields_ = [("n_si", _I), ("si", _P), ("si_factor", _P),
+                ("si_start", _P), ("n_fi", _I), ("cap", _I),
+                ("n_skew", _I), ("fi", _P), ("fi_real", _P),
+                ("fi_sets", _P), ("skew", _P), ("streams", _P),
+                ("flog", EventLog), ("slog", EventLog)]
+
+
 def _configure(lib: ctypes.CDLL) -> None:
     lib.fs_queue_batch.argtypes = [_P, _P, _I, _I, _D, _P]
     lib.fs_queue_batch.restype = ctypes.c_int
@@ -1565,9 +1960,14 @@ def _configure(lib: ctypes.CDLL) -> None:
         + [ctypes.c_int, _P, ctypes.c_int, _P]  # law, law_phi, measure, phi
         + [_P, _P, _P]                        # path_latency, codes, params
         + [ctypes.c_int, _P, _I, _P, _P, _P, _I]  # the gate
-        + [_P, _P, _P, _P, _I, _P, _P])       # finals, steps, status,
+        + [_P, _P, _P, _P, _I, _P, _P]        # finals, steps, status,
                                               # tail, tcap, full, agg
+        + [ctypes.POINTER(Perturb)])          # the perturbation or NULL
     lib.ensemble_loop.restype = ctypes.c_int
+    lib.stream_draws.argtypes = [_P, _P, _I, _I, _D, _P]
+    lib.stream_draws.restype = ctypes.c_int
+    lib.event_log_free.argtypes = [ctypes.POINTER(EventLog)]
+    lib.event_log_free.restype = None
     lib.fifo_enter.argtypes = (
         [_I, _I, _I, _D, _I, _D, _I]          # dims, horizon, now, seq
         + [_P] * 3                            # latency, mu_scale, cap

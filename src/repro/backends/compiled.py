@@ -19,9 +19,10 @@ C compiler exists) serves four hot paths:
   above.
 * the trajectory loop (:func:`ensemble_loop`): a whole member block of
   the ensemble loop that ``run_ensemble``, ``run_async_ensemble`` and,
-  at ``M = 1``, ``run`` share, with the clock gate (:class:`Gate`), for
-  the schemes the observe stage serves and the six built-in rules;
-  None sends the caller to its Python loop.
+  at ``M = 1``, ``run`` share, with the clock gate (:class:`Gate`) and
+  the fault and structural plans (:class:`Perturbation`), for the
+  schemes the observe stage serves and the six built-in rules; None
+  sends the caller to its Python loop.
 * the FIFO event loop (:func:`fifo_lib`).
 
 :func:`tier` names the live tier: ``cext`` when the C library has
@@ -36,6 +37,7 @@ Observability: :func:`metrics` carries per-phase
 
 from __future__ import annotations
 
+import ctypes
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -44,8 +46,9 @@ from . import _cext
 
 __all__ = ["tier", "fs_available", "fifo_lib", "metrics",
            "fs_queue_batch", "fs_loads_batch", "ind_congestion_batch",
-           "observe_batch", "Gate", "NO_GATE", "ensemble_loop",
-           "coin_stream", "gate_masks", "warmup"]
+           "observe_batch", "Gate", "NO_GATE", "Perturbation",
+           "ensemble_loop", "coin_stream", "gate_masks", "stream_draws",
+           "stream_words", "warmup"]
 
 _METRICS = None
 
@@ -222,18 +225,105 @@ class Gate(NamedTuple):
 NO_GATE = Gate(_cext.GATE_NONE)
 
 
+def _int64s(a, shape) -> np.ndarray:
+    """``a`` as a C-contiguous int64 array of ``shape``."""
+    return np.ascontiguousarray(a, dtype=np.int64).reshape(shape)
+
+
+class Perturbation:
+    """The structural and fault plans of a member block as
+    :func:`ensemble_loop` runs them, between the observe and decide
+    stages.
+
+    ``structural`` is ``(si, factors, starts)``: per injector in plan
+    order its gateway's index in the CSR, its kind (``SI_DEGRADE`` or
+    ``SI_BLACKHOLE``), window duration and period (0 for a single
+    window), its factor (0.0 for a blackhole), and each member's window
+    starts, ``(M, J)``.  ``faults`` is ``(fi, reals, sets, cap, skew,
+    streams)``: per injector in stage order its code (its stage), three
+    integer parameters (skew: its row in ``skew``; delay: delay and
+    jitter; outage: start, duration, period; quantisation: levels - 1)
+    and the offset into ``sets`` and the length of its connection list
+    (-1 for every connection), two real parameters (loss and noise
+    rate, noise amplitude), the rows of true-signal history ``cap``,
+    each member's ``(n_skew, N)`` skew lags and the six words of its
+    PCG64 stream (state and increment as high and low halves,
+    ``has_uint32``, ``uinteger``).  Either may be None.
+
+    After each call :attr:`fault_log` and :attr:`structural_log` hold
+    the events the block logged, member after member and each member's
+    in step order: an ``(E, 4)`` int64 array of (step, position in the
+    block, index, kind) rows, the index a connection or an injector and
+    the kind an injector's stage or an ``SI_*`` kind, and the ``(E,)``
+    details."""
+
+    def __init__(self, faults=None, structural=None):
+        self._c = _cext.Perturb()
+        self._arrays = []
+        if structural is not None:
+            si, factors, starts = structural
+            si = _int64s(si, (-1, 4))
+            self._c.n_si = si.shape[0]
+            self._c.si = self._keep(si)
+            self._c.si_factor = self._keep(np.ascontiguousarray(
+                factors, dtype=np.float64))
+            self._c.si_start = self._keep(_int64s(starts,
+                                                  (-1, si.shape[0])))
+            self.n_members = len(starts)
+        self._c.cap = 1
+        if faults is not None:
+            fi, reals, sets, cap, skew, streams = faults
+            fi = _int64s(fi, (-1, 6))
+            skew = np.ascontiguousarray(skew, dtype=np.int64)
+            self._c.n_fi = fi.shape[0]
+            self._c.cap = cap
+            self._c.n_skew = skew.shape[1]
+            self._c.fi = self._keep(fi)
+            self._c.fi_real = self._keep(np.ascontiguousarray(
+                reals, dtype=np.float64))
+            self._c.fi_sets = self._keep(_int64s(sets, (-1,)))
+            self._c.skew = self._keep(skew)
+            self._c.streams = self._keep(np.ascontiguousarray(
+                streams, dtype=np.uint64))
+            self.n_members = len(streams)
+        self.fault_log = self.structural_log = None
+
+    def _keep(self, a: np.ndarray) -> int:
+        self._arrays.append(a)
+        return a.ctypes.data
+
+    def _take_logs(self, lib) -> None:
+        """Copy the two logs out of the library's buffers and free
+        them."""
+        logs = []
+        for log in (self._c.flog, self._c.slog):
+            ints = np.empty((log.len, 4), dtype=np.int64)
+            detail = np.empty(log.len)
+            if log.len:
+                ctypes.memmove(ints.ctypes.data, log.ints, ints.nbytes)
+                ctypes.memmove(detail.ctypes.data, log.detail,
+                               detail.nbytes)
+            lib.event_log_free(ctypes.byref(log))
+            logs.append((ints, detail))
+        self.fault_log, self.structural_log = logs
+
+
 def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
                   settle: np.ndarray, limit: float, plan, with_delays: bool,
                   codes: np.ndarray, params: np.ndarray, tau: int = 0,
                   gate: Gate = NO_GATE, tail: Optional[np.ndarray] = None,
                   full: Optional[np.ndarray] = None,
-                  agg: Optional[np.ndarray] = None) -> Optional[tuple]:
+                  agg: Optional[np.ndarray] = None,
+                  perturb: Optional[Perturbation] = None
+                  ) -> Optional[tuple]:
     """The ensemble loop on an ``(M, N)`` member block in one C call.
 
     Each member iterates from its row of ``initials`` for at most
     ``max_steps`` steps under the scheme's observe ``plan``, the
     ``(N,)`` ``RULE_*`` ``codes`` and ``(N, 3)`` rule ``params``, the
-    signal delay ``tau`` and the clock ``gate``, until it diverges past
+    signal delay ``tau``, the structural and fault plans of
+    ``perturb`` (whose logs then hold the block's events) and the clock
+    ``gate``, until it diverges past
     ``limit`` or ``settle[m]`` quiet steps (change ``<= tol * max(1,
     peak)``) converge it.  ``tail`` (``(M, tcap, N)``, rolling) and
     ``full`` (``(M, max_steps + 1, N)``) receive each member's states
@@ -265,10 +355,13 @@ def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
         _check_buffer("full", full, np.float64, (m, max_steps + 1, n))
     if agg is not None:
         _check_buffer("agg", agg, np.float64, (max_steps,))
+    if perturb is not None and perturb.n_members != m:
+        raise ValueError(f"the perturbation has {perturb.n_members} "
+                         f"members, the block {m}")
     finals = np.empty_like(r0)
     steps = np.empty(m, dtype=np.int64)
     status = np.empty(m, dtype=np.int64)
-    if lib.ensemble_loop(
+    code = lib.ensemble_loop(
             r0.ctypes.data, m, n, max_steps, float(tol),
             settle.ctypes.data, float(limit), tau, *plan.args,
             plan.latency if with_delays else None, codes.ctypes.data,
@@ -276,7 +369,11 @@ def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
             steps.ctypes.data, status.ctypes.data,
             None if tail is None else tail.ctypes.data, tcap,
             None if full is None else full.ctypes.data,
-            None if agg is None else agg.ctypes.data):
+            None if agg is None else agg.ctypes.data,
+            None if perturb is None else ctypes.byref(perturb._c))
+    if perturb is not None:
+        perturb._take_logs(lib)
+    if code:
         return None
     return finals, steps, status
 
@@ -293,6 +390,35 @@ def coin_stream(seed: np.ndarray, step: int, n: int) -> Optional[np.ndarray]:
     if lib.coin_stream(seed.ctypes.data, seed.shape[0], step, n,
                        out.ctypes.data):
         raise ValueError(f"need 1 to 8 seed words, got {seed.shape[0]}")
+    return out
+
+
+def stream_words(state: dict) -> np.ndarray:
+    """The six words of a PCG64 ``bit_generator.state`` as
+    :class:`Perturbation` takes a member's stream."""
+    pcg, low = state["state"], 2**64 - 1
+    return np.array([pcg["state"] >> 64, pcg["state"] & low,
+                     pcg["inc"] >> 64, pcg["inc"] & low,
+                     state["has_uint32"], state["uinteger"]],
+                    dtype=np.uint64)
+
+
+def stream_draws(words: np.ndarray, ops, n: int,
+                 amplitude: float = 1.0) -> Optional[np.ndarray]:
+    """The ``(len(ops), n)`` draws the perturb stage takes from a stream
+    of six ``words`` (:func:`stream_words`), one row per op: 0 for
+    ``random(n)``, -1 for ``uniform(-amplitude, amplitude, n)`` and
+    ``k >= 1`` for ``integers(0, k + 1, n)``; ``words`` then hold the
+    stream after them.  None when the C tier has not built."""
+    lib = _cext.load()
+    if lib is None:
+        return None
+    _check_buffer("words", words, np.uint64, (6,))
+    ops = np.ascontiguousarray(ops, dtype=np.int64)
+    out = np.empty((ops.shape[0], n))
+    if lib.stream_draws(words.ctypes.data, ops.ctypes.data, ops.shape[0],
+                        n, float(amplitude), out.ctypes.data):
+        raise ValueError(f"ops outside the stream's domain: {ops}")
     return out
 
 

@@ -42,6 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..backends import _cext
 from ..errors import ChaosError
 
 __all__ = ["StructuralEvent", "StructuralInjector", "CapacityDegradation",
@@ -225,6 +226,10 @@ class StructuralFaultPlan:
                 "injectors": [inj.to_dict() for inj in self.injectors]}
 
 
+#: The kinds of the events the ensemble kernel logs, by ``SI_*`` kind.
+LOOP_KINDS = ("degrade", "blackhole", "restore")
+
+
 class _ResolvedView(NamedTuple):
     """The world one step sees: a (possibly degraded) network and
     scheme, plus the blackholed connection index array.  ``key`` is a
@@ -341,3 +346,44 @@ class StructuralFaultState:
             self._active_prev = active
             self._last_step = step
         return self._build(active)
+
+
+def _loop_structural(states: List[StructuralFaultState], max_steps: int):
+    """A block's structural states as the ensemble kernel's
+    ``structural`` arrays (see
+    :class:`repro.backends.compiled.Perturbation`), or None when the
+    kernel does not serve them: an injector that is not one of the two
+    built-in types, a gateway whose degradations multiply its service
+    rate down to zero (the degraded network raises), or three or more
+    degradations of one gateway two of which share a factor (the view
+    cache keys on the sorted factors, so which order their product is
+    taken in would depend on which windows opened first).
+
+    The states are one plan's, started for one system; each member's
+    window starts are copied, clamped to ``max_steps + 1`` like the
+    window bounds, past which they act alike."""
+    first = states[0]
+    network, clamp = first._network, max_steps + 1
+    names = network.csr.gateway_names
+    si, factors, degraded = [], [], {}
+    for inj in first.plan.injectors:
+        if type(inj) is CapacityDegradation:
+            kind, factor = _cext.SI_DEGRADE, float(inj.factor)
+            degraded.setdefault(inj.gateway, []).append(factor)
+        elif type(inj) is GatewayBlackhole:
+            kind, factor = _cext.SI_BLACKHOLE, 0.0
+        else:
+            return None
+        si.append((names.index(inj.gateway), kind,
+                   min(inj.duration, clamp), min(inj.period or 0, clamp)))
+        factors.append(factor)
+    for gateway, fs in degraded.items():
+        product = 1.0
+        for f in fs:
+            product *= f
+        if not network.mu(gateway) * product > 0.0 or \
+                (len(fs) >= 3 and len(set(fs)) < len(fs)):
+            return None
+    starts = [[min(start, clamp) for start in state._starts]
+              for state in states]
+    return si, factors, starts

@@ -212,14 +212,16 @@ class ClockModel(abc.ABC):
         return total * total / (n * float(np.sum(rates * rates)))
 
     def _source_uniform(self, n: int) -> np.ndarray:
-        """``u_i = default_rng([seed, i]).random()`` — cached per n."""
-        got = self._source_draws.get(n)
+        """``u_i = default_rng([seed, i]).random()`` — cached per
+        ``(seed, n)``, so a changed ``seed`` draws afresh."""
+        key = (self.seed, n)
+        got = self._source_draws.get(key)
         if got is None:
             got = np.array([
                 np.random.default_rng([self.seed, i]).random()
                 for i in range(n)
             ])
-            self._source_draws[n] = got
+            self._source_draws[key] = got
         return got
 
 

@@ -33,10 +33,11 @@ The scalar :meth:`FlowControlSystem.step` is the ``M = 1`` case of
 :meth:`FlowControlSystem.step_batch`, so a scalar run and a member of
 a batched run share every kernel and agree bit for bit.  For the
 schemes the C observe kernel serves, the six built-in rules, the
-built-in clock gates and no fault plan, structural plan or controller,
-each block of the ensemble loop runs in one C call
+built-in clock gates, built-in fault and structural injectors and no
+controller, each block of the ensemble loop runs in one C call
 (:func:`repro.backends.compiled.ensemble_loop`) that transcribes these
-stages and the loop's tests member by member, and
+stages, the structural view and the fault perturbation included, and
+the loop's tests member by member, and
 :meth:`FlowControlSystem.run` is its ``M = 1`` call; the Python loops
 are the fallback and the reference the tests hold it to, byte for
 byte.  The public
@@ -57,6 +58,7 @@ oracles check the engine against, is
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 import time
@@ -69,6 +71,7 @@ import numpy as np
 from ..backends import _cext, compiled
 from ..errors import ConvergenceError, RateVectorError, SweepError
 from ..faults import FaultEvent, FaultPlan
+from ..faults.plan import LOOP_KINDS, _loop_faults
 from ..observability import RunRecord, emit_run_record, is_collecting
 from .delays import round_trip_delays
 from .math_utils import (as_rate_matrix, as_rate_vector, clip_nonnegative,
@@ -637,36 +640,41 @@ class FlowControlSystem:
                 return history
             return history[:steps + 1].copy()
 
+        # The events so far: the states record them on the Python loop.
+        events = [None if state is None else state.events
+                  for state in (fault_state, structural_state)]
+
         def finish(outcome: Outcome, steps: int) -> Optional[RunRecord]:
             if rec is None:
                 return None
-            if fault_state is not None:
-                for event in fault_state.events:
-                    rec.observe_fault_event(*event)
+            for event in events[0] or ():
+                rec.observe_fault_event(*event)
             rec.add_phase("step", step_seconds)
             rec.finish(steps, {outcome.value: 1})
             emit_run_record(rec)
             return rec
 
         def fault_events() -> Optional[List[FaultEvent]]:
-            return fault_state.events if fault_state is not None else None
+            return events[0]
 
         def structural_events() -> Optional[list]:
-            return (structural_state.events
-                    if structural_state is not None else None)
+            return events[1]
 
         # The whole loop is the ensemble kernel's M = 1 call for the
         # runs it serves, with history as the member's full history; the
         # Python loop below is the fallback and the reference.
         first = 1
-        if ctrl is None and fault_state is None and structural_state is None:
+        if ctrl is None:
             agg = np.empty(max_steps) if rec is not None else None
             t0 = time.perf_counter()
-            done = self._run_kernel(r[None], max_steps, tol, settle,
-                                    full=history[None], agg=agg)
+            done = self._run_kernel(
+                r[None], max_steps, tol, settle, full=history[None],
+                agg=agg, faults=_listed(fault_state),
+                structural=_listed(structural_state))
             if done is not None:
                 step_seconds = time.perf_counter() - t0
                 steps, status = int(done[1][0]), done[2]
+                events[:] = done[3:]
                 outcome = _KERNEL_OUTCOMES.get(int(status[0]))
                 if rec is not None:
                     series = _kernel_series(agg, done[1], status)
@@ -682,7 +690,9 @@ class FlowControlSystem:
                     return Trajectory(trimmed(steps), outcome,
                                       1 if outcome is Outcome.CONVERGED
                                       else None, steps,
-                                      telemetry=finish(outcome, steps))
+                                      telemetry=finish(outcome, steps),
+                                      fault_events=fault_events(),
+                                      structural_events=structural_events())
                 first = max_steps + 1  # the budget is spent
         for step_count in range(first, max_steps + 1):
             if rec is not None:
@@ -748,13 +758,19 @@ class FlowControlSystem:
                           structural_events=structural_events())
 
     def _run_kernel(self, initials, max_steps, tol, settle, tau=0,
-                    gate=compiled.NO_GATE, tail=None, full=None, agg=None):
+                    gate=compiled.NO_GATE, tail=None, full=None, agg=None,
+                    faults=None, structural=None):
         """The ensemble loop on the member block ``initials`` in one C
         call (:func:`repro.backends.compiled.ensemble_loop`): ``(finals,
-        steps, status)``, or None when the kernel does not serve this
-        system (a controller, no observe plan, or a rule outside the
-        rule table) or handed the block back.  The rule parameters are
-        read here, at every call, because rules are mutable."""
+        steps, status, fault_events, structural_events)``, the events
+        being what the block's fault and structural states (None
+        without a plan) would have recorded, each list in (step,
+        member) order, or None.  None when the kernel does not serve
+        this system or its plans (a controller, no observe plan, a rule
+        outside the rule table, an injector it does not transcribe) or
+        handed the block back; the states are untouched either way.
+        The rule parameters are read here, at every call, because rules
+        are mutable."""
         plan = self.scheme._plan
         if plan is None or self._bank is not None:
             return None
@@ -768,11 +784,19 @@ class FlowControlSystem:
             code, values = entry
             codes[cols] = code
             params[cols, :len(values)] = values
-        return compiled.ensemble_loop(
+        perturb = None
+        if faults is not None or structural is not None:
+            perturb = _perturbation(faults, structural, max_steps)
+            if perturb is None:
+                return None
+        done = compiled.ensemble_loop(
             initials, max_steps, tol, settle,
             self.DIVERGENCE_FACTOR * self._mu_max, plan, self._reads_delay,
             codes, params, tau=tau, gate=gate, tail=tail, full=full,
-            agg=agg)
+            agg=agg, perturb=perturb)
+        if done is None:
+            return None
+        return (*done, *_kernel_events(perturb, faults, structural))
 
     def run_ensemble(self, initials, max_steps: int = 20000,
                      tol: float = 1e-10, settle: int = 5,
@@ -924,20 +948,24 @@ class FlowControlSystem:
             telemetry=rec, history_policy=history, block_size=blocked)
         settle = np.broadcast_to(settle, (m_total,))
         mask_events: List[tuple] = []
+        # Each block's fault and structural events, None without states.
+        event_blocks = tuple(None if states is None else []
+                             for states in (fault_states, structural_states))
         timings = {"step": 0.0, "classify": 0.0, "period": 0.0}
         totals = {"converged": 0, "diverged": 0, "period_ran": 0}
         for base in range(0, m_total, block):
             self._run_block(res, base, min(base + block, m_total),
                             max_steps, tol, settle, max_period,
                             fault_states, structural_states, gate, tau,
-                            loop_gate, mask_events, timings, totals)
+                            loop_gate, mask_events, event_blocks, timings,
+                            totals)
 
         # Members finish in (step, member) order on the one-shot path;
         # blocked execution discovers the same events block by block,
         # so a (stable) sort restores the identical ordering.
         mask_events.sort(key=lambda e: (e[0], e[1]))
-        res.fault_events = _merged_events(fault_states)
-        res.structural_events = _merged_events(structural_states)
+        res.fault_events, res.structural_events = map(_merged_events,
+                                                      event_blocks)
         if rec is not None:
             for step_count, member, outcome in mask_events:
                 rec.observe_mask_event(step_count, member, outcome)
@@ -956,41 +984,48 @@ class FlowControlSystem:
 
     def _run_block(self, res, base, end, max_steps, tol, settle,
                    max_period, fault_states, structural_states, gate, tau,
-                   loop_gate, mask_events, timings, totals):
+                   loop_gate, mask_events, event_blocks, timings, totals):
         """Evolve members ``base:end`` of ``res.initials``; write ``res``
         in place.
 
         One block of :meth:`_run_batch`: the per-step loop, masking,
         and period detection over a contiguous member slice, writing
-        into ``res`` at absolute member indices and appending ``(step,
-        member, kind)`` mask events.  Fault and structural states, the
-        settle counts and the gate's ``members`` argument are indexed
-        by absolute member, so blocked streams match the one-shot path
+        into ``res`` at absolute member indices, appending ``(step,
+        member, kind)`` mask events and the block's fault and
+        structural events, each block's in (step, member) order, to
+        ``event_blocks``.  Fault and structural states, the settle
+        counts and the gate's ``members`` argument are indexed by
+        absolute member, so blocked streams match the one-shot path
         exactly.
 
-        Without fault or structural states the whole block is one call
-        of the ensemble kernel when it serves the system and
-        ``loop_gate`` (see :meth:`_run_kernel`); the Python loop below
-        is the fallback, run from step 1 on fresh buffers when the
+        The whole block is one call of the ensemble kernel when it
+        serves the system, its plans and ``loop_gate`` (see
+        :meth:`_run_kernel`); the Python loop below is the fallback,
+        run from step 1 on fresh buffers and untouched states when the
         kernel hands the block back, and the reference.
         """
         rec = res.telemetry
         r0 = res.initials[base:end]
         settle = settle[base:end]
+        block_states = (fault_states[base:end]
+                        if fault_states is not None else None)
+        block_structural = (structural_states[base:end]
+                            if structural_states is not None else None)
         # Rolling tail for period detection: _detect_period probes lags
         # up to max_period over a window of 3 * max_period, so the last
         # 4 * max_period states suffice.
         tcap = min(4 * max_period, max_steps + 1)
-        if (fault_states is None and structural_states is None
-                and loop_gate is not None):
+        if loop_gate is not None:
             tail, full = _block_buffers(res.history_policy, r0, max_steps,
                                         tcap)
             agg = np.empty(max_steps) if rec is not None else None
             t0 = time.perf_counter()
             done = self._run_kernel(r0, max_steps, tol, settle, tau,
-                                    loop_gate, tail, full, agg)
+                                    loop_gate, tail, full, agg,
+                                    block_states, block_structural)
             if done is not None:
-                finals, steps, status = done
+                finals, steps, status = done[:3]
+                _add_events(event_blocks, done[3:])
                 if rec is not None:
                     timings["step"] += time.perf_counter() - t0
                     t0 = time.perf_counter()
@@ -1017,10 +1052,6 @@ class FlowControlSystem:
         mb = end - base
         n = r0.shape[1]
         limit = self.DIVERGENCE_FACTOR * self._mu_max
-        block_states = (fault_states[base:end]
-                        if fault_states is not None else None)
-        block_structural = (structural_states[base:end]
-                            if structural_states is not None else None)
         tail, full = _block_buffers(res.history_policy, r0, max_steps, tcap)
         quiet = np.zeros(mb, dtype=int)
 
@@ -1113,6 +1144,8 @@ class FlowControlSystem:
             res.steps[base + idx] = max_steps
             _classify_spent(res, base, idx, tail, max_steps, max_period,
                             tol, rec, timings, totals)
+        _add_events(event_blocks, (_recorded_events(block_states),
+                                   _recorded_events(block_structural)))
         _keep_histories(res, base, full)
 
     @staticmethod
@@ -1149,12 +1182,92 @@ def _check_loop(max_steps, settle, max_period, tol) -> None:
         raise SweepError(f"tol must be a finite real >= 0, got {tol!r}")
 
 
-def _merged_events(states) -> Optional[list]:
+def _listed(state) -> Optional[list]:
+    """A run's one state as a block's list of states; None stays."""
+    return None if state is None else [state]
+
+
+def _recorded_events(states) -> Optional[list]:
     """Every per-member state's events in (step, member) order, or
     ``None`` when there are no states."""
     if states is None:
         return None
     events = [event for state in states for event in state.events]
+    events.sort(key=lambda e: (e.step, e.member))
+    return events
+
+
+def _perturbation(faults, structural, max_steps: int):
+    """A block's fault and structural states (either may be None) as
+    the kernel's :class:`repro.backends.compiled.Perturbation`, or None
+    when it does not serve them."""
+    from ..chaos.structural import _loop_structural
+    arrays = []
+    for states, translate in ((faults, _loop_faults),
+                              (structural, _loop_structural)):
+        got = None if states is None else translate(states, max_steps)
+        if states is not None and got is None:
+            return None
+        arrays.append(got)
+    return compiled.Perturbation(*arrays)
+
+
+def _kernel_events(perturb, faults, structural) -> tuple:
+    """The fault and structural events a kernel call logged, as the
+    states would have recorded them (None for a state list that is
+    None)."""
+    if perturb is None:
+        return None, None
+    from ..chaos.structural import LOOP_KINDS as STRUCTURAL_KINDS
+    from ..chaos.structural import StructuralEvent
+    members = np.array([state.member for state in faults or structural])
+    return (None if faults is None else _logged_events(
+                FaultEvent, perturb.fault_log, members, None, LOOP_KINDS),
+            None if structural is None else _logged_events(
+                StructuralEvent, perturb.structural_log, members,
+                [inj.gateway for inj in structural[0].plan.injectors],
+                STRUCTURAL_KINDS))
+
+
+def _logged_events(cls, log, members, indices, kinds) -> list:
+    """A kernel event log (see :class:`repro.backends.compiled.
+    Perturbation`) as ``cls`` tuples ``(step, member, index, kind,
+    detail)`` in (step, member) order, as the states would have
+    recorded them: ``members`` maps block positions to member numbers,
+    ``kinds`` kind codes to names and ``indices``, when not None, index
+    codes to labels.  The log holds each member's events in step order,
+    member after member, so a stable sort on (step, member) keeps each
+    step's events in the order the stages logged them."""
+    ints, detail = log
+    if members.size > 1:
+        order = np.lexsort((ints[:, 1], ints[:, 0]))
+        ints, detail = ints[order], detail[order]
+    index = ints[:, 2].tolist()
+    if indices is not None:
+        index = [indices[k] for k in index]
+    kinds = [kinds[k] for k in ints[:, 3].tolist()]
+    return list(map(tuple.__new__, itertools.repeat(cls), zip(
+        ints[:, 0].tolist(), members[ints[:, 1]].tolist(), index, kinds,
+        detail.tolist())))
+
+
+def _add_events(blocks, events) -> None:
+    """Append a block's fault and structural events to ``blocks``."""
+    for block, got in zip(blocks, events):
+        if block is not None:
+            block.append(got)
+
+
+def _merged_events(blocks) -> Optional[list]:
+    """The blocks' events, each block's in (step, member) order, as one
+    list in that order, or ``None`` when there are no states.  Blocks
+    hold consecutive members, so a stable sort of their concatenation
+    is the one-shot order."""
+    if blocks is None:
+        return None
+    if len(blocks) == 1:
+        return blocks[0]
+    events = [event for block in blocks for event in block]
     events.sort(key=lambda e: (e.step, e.member))
     return events
 

@@ -23,12 +23,19 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..backends.compiled import stream_words
 from ..errors import FaultError
 from .injectors import (ClockSkew, ExtraDelay, FaultInjector,
                         GatewayOutage, SignalLoss, SignalNoise,
                         SignalQuantisation)
 
 __all__ = ["FaultEvent", "FaultPlan", "FaultState"]
+
+#: The injectors the ensemble kernel transcribes, by ``FI_*`` code (each
+#: one's stage), and the kinds of the events it logs, by the same code.
+_LOOP_TYPES = (ClockSkew, ExtraDelay, GatewayOutage, SignalLoss,
+               SignalNoise, SignalQuantisation)
+LOOP_KINDS = tuple(cls.kind for cls in _LOOP_TYPES)
 
 
 class FaultEvent(NamedTuple):
@@ -279,3 +286,63 @@ class FaultState:
                 self._event(step, i, inj.kind, float(q - observed[i]))
                 observed[i] = q
         return observed
+
+
+def _loop_faults(states: List[FaultState], max_steps: int):
+    """A block's fault states as the ensemble kernel's ``faults``
+    arrays (see :class:`repro.backends.compiled.Perturbation`), or None
+    when the kernel does not serve them: an injector that is not one of
+    the six built-in types, a loss connection out of range (``apply``
+    raises), a jitter of ``2**32 - 1`` or more (numpy draws those
+    otherwise) or more than ``2**53 + 1`` quantisation levels.
+
+    The states are one plan's, started for one network; each member's
+    skew lags and stream state are copied, not advanced.  A lag, delay
+    or window bound past ``max_steps + 1`` acts as ``max_steps + 1``,
+    so it is clamped there, and so is the history."""
+    first = states[0]
+    n, clamp = first.n, max_steps + 1
+    fi, reals, sets, skews = [], [], [], []
+    for inj in first._stages:
+        if type(inj) not in _LOOP_TYPES:
+            return None
+        code = inj.stage
+        row, real, members = [code, 0, 0, 0], [0.0, 0.0], None
+        if code == ClockSkew.stage:
+            row[1] = len(skews)
+            skews.append(inj)
+        elif code == ExtraDelay.stage:
+            if inj.jitter >= 2**32 - 1:
+                return None
+            row[1:3] = min(inj.delay, clamp), inj.jitter
+        elif code == GatewayOutage.stage:
+            row[1:] = (min(inj.start, clamp), min(inj.duration, clamp),
+                       min(inj.period or 0, clamp))
+            members = first._outage_masks.get(inj)
+        elif code == SignalLoss.stage:
+            members = inj.connections
+            if members is not None and any(i >= n for i in members):
+                return None
+            real[0] = float(inj.rate)
+        elif code == SignalNoise.stage:
+            real = [float(inj.rate), float(inj.amplitude)]
+        else:
+            if inj.levels - 1 > 2**53:
+                return None
+            row[1] = inj.levels - 1
+        offset = sum(len(s) for s in sets)
+        if members is None:
+            row += [offset, -1]
+        else:
+            sets.append(np.asarray(members, dtype=np.int64))
+            row += [offset, len(sets[-1])]
+        fi.append(row)
+        reals.append(real)
+    skew = np.zeros((len(states), len(skews), n), dtype=np.int64)
+    streams = np.empty((len(states), 6), dtype=np.uint64)
+    for m, state in enumerate(states):
+        for row, inj in enumerate(skews):
+            np.minimum(state._skew_lags[inj], clamp, out=skew[m, row])
+        streams[m] = stream_words(state.rng.bit_generator.state)
+    return (fi, reals, np.concatenate(sets) if sets else [],
+            min(first._history_cap, clamp), skew, streams)

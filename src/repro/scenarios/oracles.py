@@ -704,10 +704,30 @@ def check_steady_signal(ctx: ScenarioContext) -> OracleResult:
         f"connections (tol {SIGNAL_TOL:.0e})")
 
 
+def _step_replay(system, initial, steps: int, faults=None,
+                 structural=None) -> tuple:
+    """``steps`` calls of ``system.step`` from ``initial`` under freshly
+    started plans: the Python perturb stages, off the ensemble kernel
+    that ``run`` and ``run_ensemble`` share.  Returns the history and
+    the fault and structural events (None without a plan)."""
+    fstate = (None if faults is None
+              else faults.start(network=system.network))
+    sstate = None if structural is None else structural.start(system)
+    history = [np.asarray(initial, dtype=float)]
+    for k in range(1, steps + 1):
+        history.append(system.step(history[-1], faults=fstate,
+                                   step_index=k, structural=sstate))
+    return (np.array(history), fstate and fstate.events,
+            sstate and sstate.events)
+
+
 def check_fault_determinism(ctx: ScenarioContext) -> OracleResult:
     """Seeded fault *and structural* plans are deterministic and the
     empty plans are bit-identical no-ops; ensemble members replay the
-    scalar faulted runs exactly, for both plan families."""
+    scalar faulted runs exactly, for both plan families, and a step by
+    step replay on the Python stages gives the faulted and the damaged
+    run's history and events (``run`` and ``run_ensemble`` share one
+    kernel, so only this replay checks it off the kernel)."""
     spec = ctx.spec
     if spec.fault_plan is None and spec.structural_plan is None:
         return OracleResult("fault-determinism", False, True,
@@ -734,6 +754,13 @@ def check_fault_determinism(ctx: ScenarioContext) -> OracleResult:
                 "fault-determinism", True, False,
                 "two runs of the same seeded plan inject different "
                 "events")
+        history, events, _ = _step_replay(system, initial, first.steps,
+                                          faults=spec.build_fault_plan())
+        if not np.array_equal(first.history, history) \
+                or first.fault_events != events:
+            return OracleResult(
+                "fault-determinism", True, False,
+                "the faulted run differs from its step-by-step replay")
         plain = system.run(initial, max_steps=budget, tol=spec.tol)
         empty = system.run(initial, max_steps=budget, tol=spec.tol,
                            faults=FaultPlan())
@@ -772,6 +799,14 @@ def check_fault_determinism(ctx: ScenarioContext) -> OracleResult:
                 "fault-determinism", True, False,
                 "two runs of the same structural plan record "
                 "different transitions")
+        history, _, events = _step_replay(
+            system, initial, first.steps,
+            structural=spec.build_structural_plan())
+        if not np.array_equal(first.history, history) \
+                or first.structural_events != events:
+            return OracleResult(
+                "fault-determinism", True, False,
+                "the damaged run differs from its step-by-step replay")
         plain = system.run(initial, max_steps=budget, tol=spec.tol)
         empty = system.run(initial, max_steps=budget, tol=spec.tol,
                            structural=StructuralFaultPlan())

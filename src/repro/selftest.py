@@ -115,6 +115,37 @@ def _same_ensemble(a, b) -> bool:
             and _record(a.telemetry) == _record(b.telemetry))
 
 
+def _perturbed_matches(lot, probes) -> bool:
+    """A faulted, damaged ``run_ensemble`` under telemetry (all six
+    fault injectors, both structural kinds) gives the Python loop's
+    finals, steps and fault and structural events."""
+    from .chaos import (CapacityDegradation, GatewayBlackhole,
+                        StructuralFaultPlan)
+    from .faults import (ClockSkew, ExtraDelay, FaultPlan, GatewayOutage,
+                         SignalLoss, SignalNoise, SignalQuantisation)
+    g = lot.gateway_names
+    faults = FaultPlan((ClockSkew(max_lag=3), ExtraDelay(delay=1, jitter=2),
+                        GatewayOutage(start=5, duration=4, period=20,
+                                      gateway=g[0]),
+                        SignalLoss(rate=0.2), SignalNoise(rate=0.3),
+                        SignalQuantisation(levels=9)), seed=4)
+    damage = StructuralFaultPlan((
+        CapacityDegradation(g[1], factor=0.6, start=10, duration=30,
+                            jitter=3),
+        GatewayBlackhole(g[2], start=50, duration=10)), seed=4)
+    system = FlowControlSystem(lot, Fifo(), LinearSaturating(),
+                               TargetRule(eta=0.1, beta=0.5))
+    kwargs = dict(max_steps=200, tol=0.0, telemetry=True, faults=faults,
+                  structural=damage)
+    got = system.run_ensemble(probes, **kwargs)
+    want = _python_loop(system.run_ensemble, probes, **kwargs)
+    return (got.finals.tobytes() == want.finals.tobytes()
+            and bool(np.array_equal(got.steps, want.steps))
+            and got.fault_events == want.fault_events
+            and got.structural_events == want.structural_events
+            and bool(got.fault_events) and bool(got.structural_events))
+
+
 def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
     """Run every smoke check; return True when all pass.
 
@@ -406,6 +437,13 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
                              **kwargs))
         _check("compiled ensemble loop is bit-identical to the Python "
                "loop", ok, failures)
+    if not compiled_kernels.fs_available():
+        _check("compiled perturb stages unavailable (Python loop ok)", True,
+               failures)
+    else:
+        _check("faulted, damaged ensemble loop matches the Python loop "
+               "(finals and both event lists)",
+               _perturbed_matches(lot, probes), failures)
 
     print("scenario fuzzing smoke:")
     from .scenarios import generate, run_scenario

@@ -22,6 +22,7 @@ from repro.observability.artifacts import validate_artifact
 from repro.scenarios import (ClockSpec, ConnectionSpec, ControllerSpec,
                              FaultPlanSpec, GatewaySpec, InjectorSpec,
                              RuleSpec, ScenarioSpec, SignalSpec,
+                             StructuralInjectorSpec, StructuralPlanSpec,
                              failing_oracles, fuzz, generate,
                              run_scenario, shrink)
 from repro.scenarios import oracles
@@ -243,6 +244,45 @@ class TestEveryOracleFires:
         _use_kernel_mutant(monkeypatch, tmp_path,
                            "quiet >= settle[k]", "quiet > settle[k]")
         assert failing_oracles(spec, names) == ("async-batch-equivalence",)
+
+    @pytest.mark.skipif(not compiled.fs_available(),
+                        reason="no compiled ensemble loop")
+    @pytest.mark.parametrize("mutant", ["loss-test", "outage-window",
+                                        "degraded-gateway"])
+    def test_a_perturb_stage_mutant_is_caught_off_the_kernel(
+            self, monkeypatch, tmp_path, mutant):
+        # ``run`` and ``run_ensemble`` share the kernel's perturb
+        # stages, so only fault-determinism's step-by-step replay on the
+        # Python stages can see a mutant in them.
+        if mutant == "loss-test":
+            # A loss rate equal to connection 1's first draw: only the
+            # strict test keeps its signal at step 1.
+            rate = float(np.random.default_rng([3, 0]).random(3)[1])
+            spec = spec_of(fault_plan=FaultPlanSpec(seed=3, injectors=(
+                InjectorSpec("loss", {"rate": rate}),)))
+            original = "if (w->draws[i] < rate) {"
+            mutated = "if (w->draws[i] <= rate) {"
+        elif mutant == "outage-window":
+            spec = spec_of(fault_plan=FaultPlanSpec(seed=3, injectors=(
+                InjectorSpec("outage", {"start": 5, "duration": 3}),)))
+            original = "window_active(step, fi[1]"
+            mutated = "window_active(step + 1, fi[1]"
+        else:
+            spec = dataclasses.replace(
+                spec_of(),
+                gateways=(GatewaySpec("g0", 1.0), GatewaySpec("g1", 1.0)),
+                connections=(ConnectionSpec("c0", ("g0",)),
+                             ConnectionSpec("c1", ("g0", "g1")),
+                             ConnectionSpec("c2", ("g1",))),
+                structural_plan=StructuralPlanSpec(seed=1, injectors=(
+                    StructuralInjectorSpec("degrade", {
+                        "gateway": "g0", "factor": 0.5, "start": 3,
+                        "duration": 10}),)))
+            original = "w->fac[pt->si[4 * j]] *= "
+            mutated = "w->fac[(pt->si[4 * j] + 1) % n_gw] *= "
+        assert failing_oracles(spec) == ()
+        _use_kernel_mutant(monkeypatch, tmp_path, original, mutated)
+        assert failing_oracles(spec) == ("fault-determinism",)
 
     def test_blocked_equivalence_catches_row_position_dependence(
             self, monkeypatch):

@@ -6,11 +6,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.asynchronous import (CLOCK_KINDS, BernoulliSchedule,
-                                     BurstyClock, ClockSchedule,
-                                     DriftingClock,
+from repro.core.asynchronous import (CLOCK_KINDS, AsynchronousRunner,
+                                     BernoulliSchedule, BurstyClock,
+                                     ClockSchedule, DriftingClock,
                                      RateMixClock, SynchronousSchedule,
-                                     UniformClock, clock_model)
+                                     UniformClock, clock_model,
+                                     run_async_ensemble)
+from repro.core.dynamics import FlowControlSystem
+from repro.core.fairshare import FairShare
+from repro.core.ratecontrol import TargetRule
+from repro.core.signals import FeedbackStyle, LinearSaturating
+from repro.core.topology import single_gateway
 from repro.errors import FaultError, RateVectorError, ScenarioError
 from repro.faults import ClockSkew, FaultPlan, parse_fault_spec
 from repro.scenarios import (ClockSpec, ConnectionSpec, ControllerSpec,
@@ -126,6 +132,45 @@ class TestClockModels:
         for seed in (0, 7, np.int64(9), 2**64 + 7):
             assert BernoulliSchedule(0.5, seed=seed).seed == seed
             assert type(RateMixClock(seed=seed).seed) is int
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: RateMixClock(0.25, 1.0, 0.5, seed=seed),
+        lambda seed: DriftingClock(0.5, 0.3, 32, seed=seed),
+        lambda seed: BurstyClock(0.9, 0.15, 8, seed=seed),
+    ], ids=["mix", "drifting", "bursty"])
+    def test_a_changed_seed_redraws_the_source_clocks(self, make):
+        clock = make(1)
+        clock.tick_rates(0, 12)
+        clock.seed = 2
+        for step in (0, 5, 17):
+            assert np.array_equal(clock.tick_rates(step, 12),
+                                  make(2).tick_rates(step, 12))
+
+    @pytest.mark.parametrize("runner", ["scalar", "ensemble"])
+    def test_a_changed_seed_reaches_the_runners(self, runner):
+        # The per-connection AsynchronousRunner and the ensemble loop,
+        # whose compiled gate reads the clock's per-source rates.
+        system = FlowControlSystem(single_gateway(12), FairShare(),
+                                   LinearSaturating(),
+                                   TargetRule(eta=0.1, beta=0.5),
+                                   style=FeedbackStyle.INDIVIDUAL)
+        x0 = np.linspace(0.01, 0.07, 12)
+
+        def run(clock):
+            schedule = ClockSchedule(clock)
+            if runner == "scalar":
+                return AsynchronousRunner(system, schedule).run(
+                    x0, max_steps=150, tol=0.0).final
+            return run_async_ensemble(system, x0[None], schedule=schedule,
+                                      max_steps=150, tol=0.0).finals[0]
+
+        clock = RateMixClock(0.25, 1.0, 0.5, seed=1)
+        first = run(clock)
+        clock.seed = 2
+        again = run(clock)
+        assert np.array_equal(again,
+                              run(RateMixClock(0.25, 1.0, 0.5, seed=2)))
+        assert not np.array_equal(again, first)
 
     def test_factory_kinds(self):
         assert set(CLOCK_KINDS) == {"uniform", "mix", "drifting",

@@ -3,11 +3,13 @@
 Each block of the ensemble loop that ``run_ensemble`` and
 ``run_async_ensemble`` share is one C call, ``compiled.ensemble_loop``,
 when the scheme has an observe plan, every rule is one of the six
-built-in rule types, no fault plan, structural plan or controller is
-active, and the clock gate is none, round-robin or one of the coin
-schedules the kernel transcribes.  It must give the Python loop's bits
-— finals, outcomes, steps, periods, retained histories and every run
-record field bar the timings — against the loop with
+built-in rule types, every fault and structural injector is a built-in
+type, no controller is active, and the clock gate is none, round-robin
+or one of the coin schedules the kernel transcribes
+(``test_perturbed_kernel.py`` holds the plans to this contract).  It
+must give the Python loop's bits — finals, outcomes, steps, periods,
+retained histories and every run record field bar the timings —
+against the loop with
 ``compiled.ensemble_loop`` unavailable and with the whole C tier
 masked.  ``test_run_loop.py`` holds ``run``, its ``M = 1`` call, to the
 same contract.
@@ -40,7 +42,8 @@ from repro.core.steadystate import fair_steady_state
 from repro.core.topology import parking_lot, single_gateway
 from repro.core.weighted import WeightedFairShare
 from repro.errors import RateVectorError
-from repro.faults import FaultPlan, SignalLoss
+from repro.chaos.structural import StructuralFaultState
+from repro.faults import FaultPlan, FaultState, SignalLoss
 
 pytestmark = pytest.mark.skipif(
     not compiled.fs_available(),
@@ -336,6 +339,26 @@ class _Custom(RateAdjustment):
         return 0.01 * (0.5 - signal)
 
 
+class _Loss(SignalLoss):
+    """An injector subclass: the Python stages apply it."""
+
+
+class _Degradation(CapacityDegradation):
+    """A structural-injector subclass: the Python stages apply it."""
+
+
+def _plan(case):
+    """The fault or structural plan of a dispatch ``case``."""
+    if case.startswith("fault"):
+        loss = _Loss if case == "fault-subclass" else SignalLoss
+        return {"faults": FaultPlan((loss(rate=0.3),), seed=1)}
+    cut = (_Degradation if case == "structural-subclass"
+           else CapacityDegradation)
+    return {"structural": StructuralFaultPlan(
+        (cut(LOT.gateway_names[0], factor=0.5, start=5, duration=10),),
+        seed=1)}
+
+
 class TestDispatch:
     @pytest.fixture
     def participants(self, monkeypatch):
@@ -366,19 +389,25 @@ class TestDispatch:
                            structural=StructuralFaultPlan())
         assert len(loop_calls) == 1 and loop_calls[0] is not None
 
+    @pytest.mark.parametrize("case", ["faults", "structural"])
+    def test_plans_are_served(self, monkeypatch, loop_calls, case):
+        # The kernel runs the perturb stages: no Python stage is called.
+        for cls, name in ((FaultState, "apply"),
+                          (StructuralFaultState, "resolve")):
+            monkeypatch.setattr(cls, name, None)
+        MIXED.run_ensemble(_starts(N, m=3), max_steps=60, block_size=2,
+                           **_plan(case))
+        assert len(loop_calls) == 2 and None not in loop_calls
+
     @pytest.mark.parametrize("case", [
-        "faults", "structural", "rcp", "power-signal", "custom-rule",
-        "target-subclass", "per-member", "drifting", "custom-schedule",
-        "schedule-subclass", "clock-subclass"])
+        "fault-subclass", "structural-subclass", "rcp", "power-signal",
+        "custom-rule", "target-subclass", "per-member", "drifting",
+        "custom-schedule", "schedule-subclass", "clock-subclass"])
     def test_not_served(self, loop_calls, case):
         x0 = _starts(N, m=2)
         system, kwargs, schedule = MIXED, {}, None
-        if case == "faults":
-            kwargs["faults"] = FaultPlan((SignalLoss(rate=0.3),), seed=1)
-        elif case == "structural":
-            kwargs["structural"] = StructuralFaultPlan(
-                (CapacityDegradation(LOT.gateway_names[0], factor=0.5,
-                                     start=5, duration=10),), seed=1)
+        if case in ("fault-subclass", "structural-subclass"):
+            kwargs = _plan(case)
         elif case == "rcp":
             system = FlowControlSystem(
                 LOT, Fifo(), SIGNAL, RcpSourceRule(), style=IND,

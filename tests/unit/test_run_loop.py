@@ -4,13 +4,13 @@
 ``compiled.ensemble_loop`` on a one-member block whose full history is
 ``run``'s history buffer, when the scheme has an observe plan (FIFO,
 Fair Share or weighted Fair Share under ``LinearSaturating``), every
-rule is one of the six built-in rule types and no fault plan,
-structural plan or controller is active.  It must give the Python
-loop's bits — the history, outcome, period, step count and run record
-— against ``run`` with ``compiled.ensemble_loop`` unavailable and
-against ``run`` with the whole C tier masked.  Every other run takes
-the Python loop.  ``test_compiled_ensemble_loop.py`` holds the
-ensemble runners to the same contract.
+rule is one of the six built-in rule types, every fault and structural
+injector is a built-in type and no controller is active.  It must give
+the Python loop's bits — the history, outcome, period, step count and
+run record — against ``run`` with ``compiled.ensemble_loop``
+unavailable and against ``run`` with the whole C tier masked.  Every
+other run takes the Python loop.  ``test_compiled_ensemble_loop.py``
+holds the ensemble runners to the same contract.
 """
 
 import dataclasses
@@ -35,7 +35,8 @@ from repro.core.steadystate import fair_steady_state
 from repro.core.topology import parking_lot, single_gateway
 from repro.core.weighted import WeightedFairShare
 from repro.errors import RateVectorError
-from repro.faults import FaultPlan, SignalLoss
+from repro.chaos.structural import StructuralFaultState
+from repro.faults import FaultPlan, FaultState, SignalLoss
 
 pytestmark = pytest.mark.skipif(
     not compiled.fs_available(),
@@ -256,9 +257,35 @@ class TestDispatch:
         def delta_batch(self, rates, signals, delays):
             return 2.0 * super().delta_batch(rates, signals, delays)
 
+    class _Loss(SignalLoss):
+        """An injector subclass: the Python stages apply it."""
+
+    class _Degradation(CapacityDegradation):
+        """A structural-injector subclass: the Python stages apply it."""
+
+    def _plan(self, case):
+        """The fault or structural plan of a dispatch ``case``."""
+        if case.startswith("fault"):
+            loss = self._Loss if case == "fault-subclass" else SignalLoss
+            return {"faults": FaultPlan((loss(rate=0.3),), seed=1)}
+        cut = (self._Degradation if case == "structural-subclass"
+               else CapacityDegradation)
+        return {"structural": StructuralFaultPlan(
+            (cut(LOT.gateway_names[0], factor=0.5, start=5, duration=10),),
+            seed=1)}
+
+    @pytest.mark.parametrize("case", ["faults", "structural"])
+    def test_plans_are_served(self, monkeypatch, loop_calls, case):
+        # The kernel runs the perturb stages: no Python stage is called.
+        for cls, name in ((FaultState, "apply"),
+                          (StructuralFaultState, "resolve")):
+            monkeypatch.setattr(cls, name, None)
+        self._system().run(self._x0(), max_steps=50, **self._plan(case))
+        assert len(loop_calls) == 1 and loop_calls[0] is not None
+
     @pytest.mark.parametrize("case", [
-        "faults", "structural", "rcp", "power-signal", "custom-rule",
-        "target-subclass"])
+        "fault-subclass", "structural-subclass", "rcp", "power-signal",
+        "custom-rule", "target-subclass"])
     def test_not_served(self, loop_calls, case):
         n = LOT.num_connections
         kwargs = {}
@@ -274,12 +301,7 @@ class TestDispatch:
             system = self._system([self._Target()] * n)
         else:
             system = self._system()
-            if case == "faults":
-                kwargs["faults"] = FaultPlan((SignalLoss(rate=0.3),), seed=1)
-            else:
-                kwargs["structural"] = StructuralFaultPlan(
-                    (CapacityDegradation(LOT.gateway_names[0], factor=0.5,
-                                         start=5, duration=10),), seed=1)
+            kwargs = self._plan(case)
         system.run(self._x0(), max_steps=30, **kwargs)
         assert loop_calls == []
 

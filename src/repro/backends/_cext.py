@@ -57,7 +57,11 @@ Four kernel families live in the library:
   also exported as ``coin_stream`` and ``gate_masks``), and the
   divergence and convergence tests, writing each member's delay ring,
   tail and full-history rows, its final state, step count and status,
-  and per-step telemetry aggregates.  It returns ``ST_DOMAIN`` where
+  and per-step telemetry aggregates.  Under a router-side controller
+  (``Control``, an :class:`~repro.core.rcp.RcpBank`) each member
+  carries its own advertised rates, and ``control_row`` (the gateway
+  update, the path minimum and the clip) replaces the observe, perturb
+  and decide stages.  It returns ``ST_DOMAIN`` where
   the observe row does or a delay-reading rule sees ``d <= 0``, so the
   Python loop then runs the block from step 1.
 * the FIFO event loop — a C transcription of
@@ -98,7 +102,7 @@ __all__ = [
     "RULE_TARGET", "RULE_PROPORTIONAL_TARGET", "RULE_DECBIT_RATE",
     "RULE_DECBIT_WINDOW", "RULE_BINARY_AIMD", "RULE_TCP_LIKE",
     "GATE_NONE", "GATE_ROUND_ROBIN", "GATE_COINS", "SI_DEGRADE",
-    "SI_BLACKHOLE", "SI_RESTORE", "EventLog", "Perturb",
+    "SI_BLACKHOLE", "SI_RESTORE", "EventLog", "Perturb", "Control",
 ]
 
 # Status codes shared with the C side.
@@ -860,6 +864,75 @@ static int decide_row(const double *rr, const double *bb, const double *dd,
 }
 
 /* ------------------------------------------------------------------ */
+/* The router-side controller: RcpBank.update, then advertised         */
+/* ------------------------------------------------------------------ */
+
+/* np.clip on floats: np.minimum(np.maximum(x, lo), hi), where a NaN in
+ * either operand wins. */
+static inline double np_clip(double x, double lo, double hi)
+{
+    x = (isnan(x) || x > lo) ? x : lo;
+    return (isnan(x) || x < hi) ? x : hi;
+}
+
+/* An RcpBank as ensemble_loop runs it in place of the observe, perturb
+ * and decide stages: n_gw gateways, the connections through each
+ * (gw_ptr, members, in Gamma(a) order) and the gateways on each route
+ * (route_ptr, routes), the service rates mu and the advertised-rate
+ * floors, the gains alpha and beta, the factor envelope [factor_min,
+ * factor_max] and the initial advertised rates state0, which every
+ * member starts from. */
+typedef struct {
+    i64 n_gw;
+    const i64 *gw_ptr, *members, *route_ptr, *routes;
+    const double *mu, *floor, *state0;
+    double alpha, beta, factor_min, factor_max;
+} Control;
+
+/* One controlled step of the row rr of n rates
+ * (FlowControlSystem._controlled_row), operation for operation: each
+ * gateway's load y, summed left to right over its connections
+ * (RcpBank._loads, 0 where none crosses it), advances its advertised
+ * rate in state (RcpBank._advance: the gain, the queue term
+ * x / max(spare, 1e-12), 1e12 when saturated, only when beta > 0,
+ * then the clipped factor and the clipped rate); then each connection
+ * adopts the smallest advertised rate on its route (advertised) and
+ * the clip at zero (clip_nonnegative) writes it to out. */
+static void control_row(const Control *c, const double *rr, i64 n,
+                        double *state, double *out)
+{
+    for (i64 a = 0; a < c->n_gw; a++) {
+        const i64 *cols = c->members + c->gw_ptr[a];
+        i64 k = c->gw_ptr[a + 1] - c->gw_ptr[a];
+        double y = 0.0;
+        if (k) {
+            y = rr[cols[0]];
+            for (i64 j = 1; j < k; j++) y += rr[cols[j]];
+        }
+        double x = y / c->mu[a];
+        double gain = c->alpha * (1.0 - x);
+        if (c->beta > 0.0) {
+            double spare = 1.0 - x;
+            double queue = spare > 1e-12 ? x / np_maximum(spare, 1e-12)
+                                         : 1e12;
+            gain = gain - c->beta * queue;
+        }
+        double factor = np_clip(1.0 + gain, c->factor_min, c->factor_max);
+        state[a] = np_clip(state[a] * factor, c->floor[a], c->mu[a]);
+    }
+    for (i64 i = 0; i < n; i++) {
+        const i64 *route = c->routes + c->route_ptr[i];
+        i64 len = c->route_ptr[i + 1] - c->route_ptr[i];
+        double v = state[route[0]];
+        for (i64 j = 1; j < len; j++) {
+            double s = state[route[j]];
+            v = (v < s || isnan(v)) ? v : s;
+        }
+        out[i] = np_maximum(v, 0.0);
+    }
+}
+
+/* ------------------------------------------------------------------ */
 /* The perturb stages: structural damage and signal-path faults        */
 /* ------------------------------------------------------------------ */
 
@@ -1228,6 +1301,10 @@ int stream_draws(u64 *stream, const i64 *ops, i64 n_ops, i64 n, double amp,
  * ST_DIVERGED, or ST_DONE for a spent budget) go to finals, steps and
  * status.  agg, when not NULL, receives at each step the largest
  * change among the members still running after it (inf when none is).
+ * With ctl not NULL (and pt NULL) each member also carries its own
+ * n_gw advertised rates, from ctl->state0, and a step is control_row
+ * on its current row in place of observe, perturb and decide; the
+ * observe plan and the rule table are then not read.
  * Returns ST_DONE, or ST_DOMAIN where observe_row or decide_row does
  * (the caller then runs the block on the Python loop, from step 1), or
  * ST_OOM. */
@@ -1241,7 +1318,7 @@ int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
                   const double *off, const i64 *offsets, i64 burst_len,
                   double *finals, i64 *steps, i64 *status,
                   double *tail, i64 tcap, double *full, double *agg,
-                  Perturb *pt)
+                  Perturb *pt, const Control *ctl)
 {
     ObservePlan p = {n, n_gw, gw_ptr, members, mu, law, measure,
                      law_phi, phi, path_latency};
@@ -1255,8 +1332,11 @@ int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
         return ST_OOM;
     }
     const ObservePlan *view = pt ? &w.view : &p;
-    /* cur, next, b, d, then the tau + 1 ring rows */
-    double *work = (double *)malloc((size_t)(5 + tau) * n * sizeof(double));
+    /* cur, next, b, d, then the tau + 1 ring rows, then the advertised
+     * rates */
+    i64 n_state = ctl ? ctl->n_gw : 0;
+    double *work = (double *)malloc(
+        ((size_t)(5 + tau) * n + n_state) * sizeof(double));
     unsigned char *mask = (unsigned char *)malloc((size_t)n + 1);
     int use_cache = gate == GATE_COINS && m > 1
                     && max_steps * n <= MASK_CACHE_MAX;
@@ -1271,6 +1351,7 @@ int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
         goto out;
     }
     double *b = work + 2 * n, *d = work + 3 * n, *ring = work + 4 * n;
+    double *state = ring + (tau + 1) * n;
     if (agg)
         for (i64 s = 0; s < max_steps; s++) agg[s] = -1.0;
     for (i64 k = 0; k < m; k++) {
@@ -1283,19 +1364,26 @@ int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
         for (i64 s = 0; tau && s <= tau; s++)
             memcpy(ring + s * n, cur, (size_t)n * sizeof(double));
         if (pt) perturb_start(&w, k);
+        if (ctl)
+            memcpy(state, ctl->state0, (size_t)n_state * sizeof(double));
         for (i64 step = 1; step <= max_steps; step++) {
             double *slot = tau ? ring + (step % (tau + 1)) * n : cur;
-            if (pt && !resolve_view(&w, k, step)) {
-                status_all = ST_OOM;
-                goto out;
+            if (ctl) {
+                control_row(ctl, cur, n, state, next);
+            } else {
+                if (pt && !resolve_view(&w, k, step)) {
+                    status_all = ST_OOM;
+                    goto out;
+                }
+                status_all = observe_row(slot, view, b, d, &o);
+                if (status_all == ST_DONE && pt
+                        && !perturb_signals(&w, k, step, b))
+                    status_all = ST_OOM;
+                if (status_all == ST_DONE)
+                    status_all = decide_row(cur, b, d, n, codes, params,
+                                            next);
+                if (status_all != ST_DONE) goto out;
             }
-            status_all = observe_row(slot, view, b, d, &o);
-            if (status_all == ST_DONE && pt
-                    && !perturb_signals(&w, k, step, b))
-                status_all = ST_OOM;
-            if (status_all == ST_DONE)
-                status_all = decide_row(cur, b, d, n, codes, params, next);
-            if (status_all != ST_DONE) goto out;
             if (gate != GATE_NONE) {
                 unsigned char *mk = mask;
                 if (cache) {
@@ -1934,6 +2022,17 @@ class Perturb(ctypes.Structure):
                 ("flog", EventLog), ("slog", EventLog)]
 
 
+class Control(ctypes.Structure):
+    """The C ``Control``: a router-side controller's index arrays,
+    service rates, floors and initial state, as ``ensemble_loop`` reads
+    them, and its gains and factor envelope."""
+
+    _fields_ = [("n_gw", _I), ("gw_ptr", _P), ("members", _P),
+                ("route_ptr", _P), ("routes", _P), ("mu", _P),
+                ("floor", _P), ("state0", _P), ("alpha", _D),
+                ("beta", _D), ("factor_min", _D), ("factor_max", _D)]
+
+
 def _configure(lib: ctypes.CDLL) -> None:
     lib.fs_queue_batch.argtypes = [_P, _P, _I, _I, _D, _P]
     lib.fs_queue_batch.restype = ctypes.c_int
@@ -1962,7 +2061,8 @@ def _configure(lib: ctypes.CDLL) -> None:
         + [ctypes.c_int, _P, _I, _P, _P, _P, _I]  # the gate
         + [_P, _P, _P, _P, _I, _P, _P]        # finals, steps, status,
                                               # tail, tcap, full, agg
-        + [ctypes.POINTER(Perturb)])          # the perturbation or NULL
+        + [ctypes.POINTER(Perturb)]           # the perturbation or NULL
+        + [ctypes.POINTER(Control)])          # the controller or NULL
     lib.ensemble_loop.restype = ctypes.c_int
     lib.stream_draws.argtypes = [_P, _P, _I, _I, _D, _P]
     lib.stream_draws.restype = ctypes.c_int

@@ -21,8 +21,9 @@ C compiler exists) serves four hot paths:
   the ensemble loop that ``run_ensemble``, ``run_async_ensemble`` and,
   at ``M = 1``, ``run`` share, with the clock gate (:class:`Gate`) and
   the fault and structural plans (:class:`Perturbation`), for the
-  schemes the observe stage serves and the six built-in rules; None
-  sends the caller to its Python loop.
+  schemes the observe stage serves and the six built-in rules, or
+  under a router-side controller (:class:`Control`); None sends the
+  caller to its Python loop.
 * the FIFO event loop (:func:`fifo_lib`).
 
 :func:`tier` names the live tier: ``cext`` when the C library has
@@ -47,8 +48,8 @@ from . import _cext
 __all__ = ["tier", "fs_available", "fifo_lib", "metrics",
            "fs_queue_batch", "fs_loads_batch", "ind_congestion_batch",
            "observe_batch", "Gate", "NO_GATE", "Perturbation",
-           "ensemble_loop", "coin_stream", "gate_masks", "stream_draws",
-           "stream_words", "warmup"]
+           "Control", "ensemble_loop", "coin_stream", "gate_masks",
+           "stream_draws", "stream_words", "warmup"]
 
 _METRICS = None
 
@@ -308,13 +309,54 @@ class Perturbation:
         self.fault_log, self.structural_log = logs
 
 
+class Control:
+    """A router-side controller (an :class:`~repro.core.rcp.RcpBank`)
+    as :func:`ensemble_loop` runs it in place of the observe, perturb
+    and decide stages.
+
+    ``arrays`` are the bank's gateway member CSR (``gw_ptr``,
+    ``members``), its route CSR (``route_ptr``, ``routes``), both int64,
+    and its ``(G,)`` service rates and advertised-rate floors; ``state``
+    is the ``(G,)`` initial advertised rates every member starts from,
+    ``alpha`` and ``beta`` the gains and ``[factor_min, factor_max]``
+    the envelope of the update factor."""
+
+    def __init__(self, arrays, state, alpha: float, beta: float,
+                 factor_min: float, factor_max: float):
+        gw_ptr, members, route_ptr, routes, mu, floor = arrays
+        g = mu.shape[0]
+        self._state = np.ascontiguousarray(state, dtype=np.float64)
+        for name, a, dtype, shape in (
+                ("gw_ptr", gw_ptr, np.int64, (g + 1,)),
+                ("members", members, np.int64, (gw_ptr[-1],)),
+                ("route_ptr", route_ptr, np.int64, (None,)),
+                ("routes", routes, np.int64, (route_ptr[-1],)),
+                ("mu", mu, np.float64, (g,)),
+                ("floor", floor, np.float64, (g,)),
+                ("state", self._state, np.float64, (g,))):
+            _check_buffer(name, a, dtype, shape)
+        self.n = route_ptr.shape[0] - 1
+        self._arrays = arrays
+        self._c = _cext.Control(
+            mu.shape[0], gw_ptr.ctypes.data, members.ctypes.data,
+            route_ptr.ctypes.data, routes.ctypes.data, mu.ctypes.data,
+            floor.ctypes.data, self._state.ctypes.data, float(alpha),
+            float(beta), float(factor_min), float(factor_max))
+
+
+#: The observe plan, delay flag, rule codes and parameters of a
+#: controlled call, which the kernel does not read.
+_NO_STAGES = (0, None, None, None, 0, None, 0, None, None, None, None)
+
+
 def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
                   settle: np.ndarray, limit: float, plan, with_delays: bool,
                   codes: np.ndarray, params: np.ndarray, tau: int = 0,
                   gate: Gate = NO_GATE, tail: Optional[np.ndarray] = None,
                   full: Optional[np.ndarray] = None,
                   agg: Optional[np.ndarray] = None,
-                  perturb: Optional[Perturbation] = None
+                  perturb: Optional[Perturbation] = None,
+                  control: Optional[Control] = None
                   ) -> Optional[tuple]:
     """The ensemble loop on an ``(M, N)`` member block in one C call.
 
@@ -323,7 +365,10 @@ def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
     ``(N,)`` ``RULE_*`` ``codes`` and ``(N, 3)`` rule ``params``, the
     signal delay ``tau``, the structural and fault plans of
     ``perturb`` (whose logs then hold the block's events) and the clock
-    ``gate``, until it diverges past
+    ``gate``, or, when ``control`` is given, under that router-side
+    controller alone (``plan``, ``with_delays``, ``codes`` and
+    ``params`` are then not read and may be None), until it diverges
+    past
     ``limit`` or ``settle[m]`` quiet steps (change ``<= tol * max(1,
     peak)``) converge it.  ``tail`` (``(M, tcap, N)``, rolling) and
     ``full`` (``(M, max_steps + 1, N)``) receive each member's states
@@ -341,12 +386,18 @@ def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
         return None
     r0 = np.ascontiguousarray(initials, dtype=np.float64)
     m, n = r0.shape
-    if n != plan.n:
-        raise ValueError(f"need an (M, {plan.n}) batch, got {r0.shape}")
+    width = plan.n if control is None else control.n
+    if n != width:
+        raise ValueError(f"need an (M, {width}) batch, got {r0.shape}")
     settle = np.ascontiguousarray(np.broadcast_to(settle, (m,)),
                                   dtype=np.int64)
-    _check_buffer("codes", codes, np.int64, (n,))
-    _check_buffer("params", params, np.float64, (n, 3))
+    if control is None:
+        _check_buffer("codes", codes, np.int64, (n,))
+        _check_buffer("params", params, np.float64, (n, 3))
+        stages = (*plan.args, plan.latency if with_delays else None,
+                  codes.ctypes.data, params.ctypes.data)
+    else:
+        stages = _NO_STAGES
     tcap = 0
     if tail is not None:
         _check_buffer("tail", tail, np.float64, (m, None, n))
@@ -363,14 +414,13 @@ def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
     status = np.empty(m, dtype=np.int64)
     code = lib.ensemble_loop(
             r0.ctypes.data, m, n, max_steps, float(tol),
-            settle.ctypes.data, float(limit), tau, *plan.args,
-            plan.latency if with_delays else None, codes.ctypes.data,
-            params.ctypes.data, *gate.args(), finals.ctypes.data,
-            steps.ctypes.data, status.ctypes.data,
+            settle.ctypes.data, float(limit), tau, *stages, *gate.args(),
+            finals.ctypes.data, steps.ctypes.data, status.ctypes.data,
             None if tail is None else tail.ctypes.data, tcap,
             None if full is None else full.ctypes.data,
             None if agg is None else agg.ctypes.data,
-            None if perturb is None else ctypes.byref(perturb._c))
+            None if perturb is None else ctypes.byref(perturb._c),
+            None if control is None else ctypes.byref(control._c))
     if perturb is not None:
         perturb._take_logs(lib)
     if code:

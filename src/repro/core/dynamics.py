@@ -33,11 +33,13 @@ The scalar :meth:`FlowControlSystem.step` is the ``M = 1`` case of
 :meth:`FlowControlSystem.step_batch`, so a scalar run and a member of
 a batched run share every kernel and agree bit for bit.  For the
 schemes the C observe kernel serves, the six built-in rules, the
-built-in clock gates, built-in fault and structural injectors and no
-controller, each block of the ensemble loop runs in one C call
+built-in clock gates and built-in fault and structural injectors, and
+for a router-side :class:`~repro.core.rcp.RcpController` (whose bank
+then replaces observe, perturb and decide, on any scheme), each block
+of the ensemble loop runs in one C call
 (:func:`repro.backends.compiled.ensemble_loop`) that transcribes these
-stages, the structural view and the fault perturbation included, and
-the loop's tests member by member, and
+stages, the structural view, the fault perturbation and the controller
+included, and the loop's tests member by member, and
 :meth:`FlowControlSystem.run` is its ``M = 1`` call; the Python loops
 are the fallback and the reference the tests hold it to, byte for
 byte.  The public
@@ -58,6 +60,7 @@ oracles check the engine against, is
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import numbers
@@ -77,7 +80,7 @@ from .delays import round_trip_delays
 from .math_utils import (as_rate_matrix, as_rate_vector, clip_nonnegative,
                          sup_norm)
 from .ratecontrol import RateAdjustment, RcpSourceRule, _loop_rule
-from .rcp import RcpController
+from .rcp import RcpController, _loop_control
 from .service import ServiceDiscipline
 from .signals import FeedbackScheme, FeedbackStyle, SignalFunction
 from .topology import Network
@@ -124,6 +127,32 @@ def ensemble_buffer_bytes(n_members: int, n_connections: int,
     return base + tail + full
 
 
+class _Events:
+    """An event-list field of :class:`Trajectory` and
+    :class:`EnsembleResult` (a dataclass field with a descriptor
+    default, whose own default is None).  It holds a list, None, or the
+    pending list a kernel call left, a function that builds it, which
+    the first read calls and keeps the list of, so the tuples of events
+    no caller reads are never made."""
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None
+        value = obj.__dict__[self._name] = _built(obj.__dict__[self._name])
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._name] = value
+
+
+def _built(events):
+    """``events`` as a list (or None): a pending list is built."""
+    return events() if callable(events) else events
+
+
 class Outcome(enum.Enum):
     """How a trajectory of the iterated map ended."""
 
@@ -148,13 +177,14 @@ class Trajectory:
             run when telemetry was collected, otherwise ``None``.
         fault_events: the :class:`~repro.faults.FaultEvent` s a
             non-empty :class:`~repro.faults.FaultPlan` injected, in
-            step order; ``None`` for fault-free runs.
+            step order; ``None`` for fault-free runs.  A run on the
+            ensemble kernel builds the list at its first read.
         structural_events: the
             :class:`~repro.chaos.structural.StructuralEvent` window
             transitions a non-empty
             :class:`~repro.chaos.structural.StructuralFaultPlan`
             produced, in step order; ``None`` for structurally clean
-            runs.
+            runs.  Built at the first read, as ``fault_events``.
     """
 
     history: np.ndarray
@@ -162,8 +192,8 @@ class Trajectory:
     period: Optional[int]
     steps: int
     telemetry: Optional[RunRecord] = None
-    fault_events: Optional[List[FaultEvent]] = None
-    structural_events: Optional[list] = None
+    fault_events: Optional[List[FaultEvent]] = _Events()
+    structural_events: Optional[list] = _Events()
 
     @property
     def initial(self) -> np.ndarray:
@@ -203,11 +233,13 @@ class EnsembleResult:
         fault_events: the :class:`~repro.faults.FaultEvent` s a
             non-empty :class:`~repro.faults.FaultPlan` injected across
             all members, ordered by (step, member); ``None`` for
-            fault-free runs.
+            fault-free runs.  Blocks the ensemble kernel ran keep their
+            event logs as arrays until the first read builds the list.
         structural_events: the
             :class:`~repro.chaos.structural.StructuralEvent` window
             transitions across all members, ordered by (step, member);
-            ``None`` for structurally clean runs.
+            ``None`` for structurally clean runs.  Built at the first
+            read, as ``fault_events``.
         history_policy: the history retention policy the run used
             (``"full"``, ``"tail"``, or ``"none"``).
         block_size: the member block size when the ensemble was run
@@ -221,8 +253,8 @@ class EnsembleResult:
     initials: np.ndarray
     histories: Optional[List[np.ndarray]] = None
     telemetry: Optional[RunRecord] = None
-    fault_events: Optional[List[FaultEvent]] = None
-    structural_events: Optional[list] = None
+    fault_events: Optional[List[FaultEvent]] = _Events()
+    structural_events: Optional[list] = _Events()
     history_policy: str = "tail"
     block_size: Optional[int] = None
 
@@ -521,13 +553,15 @@ class FlowControlSystem:
         ``self.bank.initial_state()``).  Returns ``(r_next,
         state_next)`` — gateways observe the offered rates, advance
         their advertised rates, and every source adopts the path
-        minimum.
+        minimum.  A state that is not a finite ``(G,)`` vector raises
+        :class:`~repro.errors.RateVectorError`.
         """
         if self._bank is None:
             raise RateVectorError(
                 "system has no controller; use step")
         return self._controlled_row(
-            as_rate_vector(rates, n=self.network.num_connections), state)
+            as_rate_vector(rates, n=self.network.num_connections),
+            _controller_state(state, (self._bank.num_gateways,)))
 
     def _controlled_row(self, r, state) -> tuple:
         """:meth:`step_controlled` on a validated rate vector."""
@@ -539,12 +573,16 @@ class FlowControlSystem:
                               state: np.ndarray) -> tuple:
         """Batched :meth:`step_controlled` over ``(M, N)`` rates and
         ``(M, G)`` controller state; row ``m`` is bit-identical to the
-        scalar path."""
+        scalar path.  A state that is not a finite ``(M, G)`` array
+        with one row per rate row raises
+        :class:`~repro.errors.RateVectorError`."""
         if self._bank is None:
             raise RateVectorError(
                 "system has no controller; use step_batch")
+        r = as_rate_matrix(rates, n=self.network.num_connections)
         return self._controlled_rows(
-            as_rate_matrix(rates, n=self.network.num_connections), state)
+            r, _controller_state(state,
+                                 (r.shape[0], self._bank.num_gateways)))
 
     def _controlled_rows(self, r, state) -> tuple:
         """:meth:`step_controlled_batch` on a validated batch."""
@@ -647,6 +685,9 @@ class FlowControlSystem:
         def finish(outcome: Outcome, steps: int) -> Optional[RunRecord]:
             if rec is None:
                 return None
+            # The record reads every event: build the list once, for
+            # the trajectory too.
+            events[0] = _built(events[0])
             for event in events[0] or ():
                 rec.observe_fault_event(*event)
             rec.add_phase("step", step_seconds)
@@ -664,36 +705,35 @@ class FlowControlSystem:
         # runs it serves, with history as the member's full history; the
         # Python loop below is the fallback and the reference.
         first = 1
-        if ctrl is None:
-            agg = np.empty(max_steps) if rec is not None else None
-            t0 = time.perf_counter()
-            done = self._run_kernel(
-                r[None], max_steps, tol, settle, full=history[None],
-                agg=agg, faults=_listed(fault_state),
-                structural=_listed(structural_state))
-            if done is not None:
-                step_seconds = time.perf_counter() - t0
-                steps, status = int(done[1][0]), done[2]
-                events[:] = done[3:]
-                outcome = _KERNEL_OUTCOMES.get(int(status[0]))
-                if rec is not None:
-                    series = _kernel_series(agg, done[1], status)
-                    if outcome is Outcome.CONVERGED:
-                        # agg reads inf where no member runs on; run
-                        # records the converging step's own change.
-                        series[0][-1] = abs(history[steps]
-                                            - history[steps - 1]).max()
-                    rec.observe_iterations(*series)
-                    if outcome is not None:
-                        rec.observe_mask_event(steps, 0, outcome.value)
+        agg = np.empty(max_steps) if rec is not None else None
+        t0 = time.perf_counter()
+        done = self._run_kernel(
+            r[None], max_steps, tol, settle, full=history[None], agg=agg,
+            faults=_listed(fault_state),
+            structural=_listed(structural_state))
+        if done is not None:
+            step_seconds = time.perf_counter() - t0
+            steps, status = int(done[1][0]), done[2]
+            events[:] = done[3:]
+            outcome = _KERNEL_OUTCOMES.get(int(status[0]))
+            if rec is not None:
+                series = _kernel_series(agg, done[1], status)
+                if outcome is Outcome.CONVERGED:
+                    # agg reads inf where no member runs on; run
+                    # records the converging step's own change.
+                    series[0][-1] = abs(history[steps]
+                                        - history[steps - 1]).max()
+                rec.observe_iterations(*series)
                 if outcome is not None:
-                    return Trajectory(trimmed(steps), outcome,
-                                      1 if outcome is Outcome.CONVERGED
-                                      else None, steps,
-                                      telemetry=finish(outcome, steps),
-                                      fault_events=fault_events(),
-                                      structural_events=structural_events())
-                first = max_steps + 1  # the budget is spent
+                    rec.observe_mask_event(steps, 0, outcome.value)
+            if outcome is not None:
+                return Trajectory(trimmed(steps), outcome,
+                                  1 if outcome is Outcome.CONVERGED
+                                  else None, steps,
+                                  telemetry=finish(outcome, steps),
+                                  fault_events=fault_events(),
+                                  structural_events=structural_events())
+            first = max_steps + 1  # the budget is spent
         for step_count in range(first, max_steps + 1):
             if rec is not None:
                 t0 = time.perf_counter()
@@ -764,36 +804,46 @@ class FlowControlSystem:
         call (:func:`repro.backends.compiled.ensemble_loop`): ``(finals,
         steps, status, fault_events, structural_events)``, the events
         being what the block's fault and structural states (None
-        without a plan) would have recorded, each list in (step,
-        member) order, or None.  None when the kernel does not serve
-        this system or its plans (a controller, no observe plan, a rule
-        outside the rule table, an injector it does not transcribe) or
-        handed the block back; the states are untouched either way.
-        The rule parameters are read here, at every call, because rules
-        are mutable."""
-        plan = self.scheme._plan
-        if plan is None or self._bank is not None:
-            return None
-        n = self.network.num_connections
-        codes = np.empty(n, dtype=np.int64)
-        params = np.zeros((n, 3))
-        for rule, cols in self._rule_groups:
-            entry = _loop_rule(rule)
-            if entry is None:
+        without a plan) would have recorded, each in (step, member)
+        order and built at its first read (see :class:`_Events`), or
+        None.  None when the kernel does not serve this system or its
+        plans (no observe plan, a rule outside the rule table, an
+        injector it does not transcribe, a controller, bank or source
+        rule of a subclass) or handed the block back; the states are
+        untouched either way.  A controlled system needs no observe
+        plan: the kernel runs its bank
+        (:func:`repro.core.rcp._loop_control`) in place of the observe,
+        perturb and decide stages.  The rule parameters and the
+        controller's gains and initial state are read here, at every
+        call, because rules and controllers are mutable."""
+        plan = codes = params = perturb = control = None
+        if self._bank is not None:
+            control = _loop_control(self._bank, self.rules)
+            if control is None:
                 return None
-            code, values = entry
-            codes[cols] = code
-            params[cols, :len(values)] = values
-        perturb = None
-        if faults is not None or structural is not None:
-            perturb = _perturbation(faults, structural, max_steps)
-            if perturb is None:
+        else:
+            plan = self.scheme._plan
+            if plan is None:
                 return None
+            n = self.network.num_connections
+            codes = np.empty(n, dtype=np.int64)
+            params = np.zeros((n, 3))
+            for rule, cols in self._rule_groups:
+                entry = _loop_rule(rule)
+                if entry is None:
+                    return None
+                code, values = entry
+                codes[cols] = code
+                params[cols, :len(values)] = values
+            if faults is not None or structural is not None:
+                perturb = _perturbation(faults, structural, max_steps)
+                if perturb is None:
+                    return None
         done = compiled.ensemble_loop(
             initials, max_steps, tol, settle,
             self.DIVERGENCE_FACTOR * self._mu_max, plan, self._reads_delay,
             codes, params, tau=tau, gate=gate, tail=tail, full=full,
-            agg=agg, perturb=perturb)
+            agg=agg, perturb=perturb, control=control)
         if done is None:
             return None
         return (*done, *_kernel_events(perturb, faults, structural))
@@ -1182,6 +1232,26 @@ def _check_loop(max_steps, settle, max_period, tol) -> None:
         raise SweepError(f"tol must be a finite real >= 0, got {tol!r}")
 
 
+def _controller_state(state, shape: tuple) -> np.ndarray:
+    """``state`` as a float array; raise
+    :class:`~repro.errors.RateVectorError` unless it is finite and of
+    ``shape``."""
+    try:
+        s = np.asarray(state, dtype=float)
+    except (TypeError, ValueError):
+        s = None
+    if s is None or s.shape != shape:
+        got = "not numeric" if s is None else f"shape {s.shape}"
+        raise RateVectorError(
+            f"controller state must be a finite array of shape {shape}, "
+            f"got {got}")
+    if not np.isfinite(s).all():
+        raise RateVectorError(
+            f"controller state must be a finite array of shape {shape}, "
+            f"got a non-finite entry")
+    return s
+
+
 def _listed(state) -> Optional[list]:
     """A run's one state as a block's list of states; None stays."""
     return None if state is None else [state]
@@ -1213,18 +1283,20 @@ def _perturbation(faults, structural, max_steps: int):
 
 
 def _kernel_events(perturb, faults, structural) -> tuple:
-    """The fault and structural events a kernel call logged, as the
-    states would have recorded them (None for a state list that is
-    None)."""
+    """The fault and structural events a kernel call logged, pending
+    until read (see :class:`_Events`), as the states would have
+    recorded them (None for a state list that is None)."""
     if perturb is None:
         return None, None
     from ..chaos.structural import LOOP_KINDS as STRUCTURAL_KINDS
     from ..chaos.structural import StructuralEvent
     members = np.array([state.member for state in faults or structural])
-    return (None if faults is None else _logged_events(
-                FaultEvent, perturb.fault_log, members, None, LOOP_KINDS),
-            None if structural is None else _logged_events(
-                StructuralEvent, perturb.structural_log, members,
+    return (None if faults is None else functools.partial(
+                _logged_events, FaultEvent, perturb.fault_log, members,
+                None, LOOP_KINDS),
+            None if structural is None else functools.partial(
+                _logged_events, StructuralEvent, perturb.structural_log,
+                members,
                 [inj.gateway for inj in structural[0].plan.injectors],
                 STRUCTURAL_KINDS))
 
@@ -1258,16 +1330,22 @@ def _add_events(blocks, events) -> None:
             block.append(got)
 
 
-def _merged_events(blocks) -> Optional[list]:
+def _merged_events(blocks):
     """The blocks' events, each block's in (step, member) order, as one
-    list in that order, or ``None`` when there are no states.  Blocks
-    hold consecutive members, so a stable sort of their concatenation
-    is the one-shot order."""
+    list in that order, pending until read (see :class:`_Events`), or
+    ``None`` when there are no states.  Blocks hold consecutive
+    members, so a stable sort of their concatenation is the one-shot
+    order."""
     if blocks is None:
         return None
     if len(blocks) == 1:
         return blocks[0]
-    events = [event for block in blocks for event in block]
+    return functools.partial(_merge_blocks, blocks)
+
+
+def _merge_blocks(blocks) -> list:
+    """:func:`_merged_events`'s list, built."""
+    events = [event for block in blocks for event in _built(block)]
     events.sort(key=lambda e: (e.step, e.member))
     return events
 

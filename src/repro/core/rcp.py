@@ -61,8 +61,10 @@ from typing import Dict, Optional
 import numpy as np
 from scipy import optimize
 
+from ..backends import compiled
 from ..errors import RateVectorError
 from .fairness import max_min_allocation
+from .ratecontrol import RcpSourceRule
 from .topology import Network
 
 __all__ = ["RcpController", "RcpBank"]
@@ -160,7 +162,10 @@ class RcpBank:
     order.  :meth:`update` and :meth:`update_batch` use identical
     ufunc sequences over identical index arrays, so a batched row is
     bit-for-bit the scalar trajectory — the same contract the rule
-    engine's ``step``/``step_batch`` pair keeps.
+    engine's ``step``/``step_batch`` pair keeps.  The ensemble kernel
+    runs a transcription of :meth:`update` and :meth:`advertised` for
+    ``run`` and ``run_ensemble`` (see :func:`_loop_control`); these
+    methods are its fallback and its reference.
     """
 
     def __init__(self, network: Network, controller: RcpController):
@@ -175,6 +180,13 @@ class RcpBank:
         self._routes = [np.asarray(csr.route(i), dtype=np.intp)
                         for i in range(network.num_connections)]
         self._floor = R_MIN_FRACTION * self._mu
+        # The same member and route lists as flat CSR arrays, with the
+        # service rates and floors: what the ensemble kernel reads.
+        self._loop_arrays = tuple(
+            np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
+                (csr.gw_ptr, np.int64), (csr.gw_members, np.int64),
+                (csr.route_ptr, np.int64), (csr.route_gateways, np.int64),
+                (self._mu, float), (self._floor, float)))
 
     @property
     def num_gateways(self) -> int:
@@ -267,3 +279,20 @@ class RcpBank:
     def predicted_allocation(self) -> np.ndarray:
         """The max-min fair allocation of the effective capacities."""
         return max_min_allocation(self.network, self.effective_capacities())
+
+
+def _loop_control(bank: RcpBank, rules) -> Optional[compiled.Control]:
+    """``bank`` as the ensemble kernel runs it
+    (:class:`repro.backends.compiled.Control`), or None when the kernel
+    does not transcribe it: only an exact :class:`RcpBank` of an exact
+    :class:`RcpController` with exact
+    :class:`~repro.core.ratecontrol.RcpSourceRule` sources, so a
+    subclass keeps its overrides.  The initial state and the gains are
+    read at each call: controllers are mutable."""
+    if (type(bank) is not RcpBank
+            or type(bank.controller) is not RcpController
+            or any(type(rule) is not RcpSourceRule for rule in rules)):
+        return None
+    ctl = bank.controller
+    return compiled.Control(bank._loop_arrays, bank.initial_state(),
+                            ctl.alpha, ctl.beta, FACTOR_MIN, FACTOR_MAX)

@@ -13,7 +13,9 @@ a whole scenario family:
                          equal to <= 1e-12)
 ``ensemble-equivalence`` ``run_ensemble`` member vs scalar ``run``
                          (the ``M = 1`` batch; contract: equal to
-                         <= 1e-12)
+                         <= 1e-12); a controlled ``run`` vs its
+                         step-by-step ``step_controlled`` replay
+                         (bit-identical)
 ``blocked-equivalence``  ``run_ensemble`` with ``block_size < M`` vs
                          the one-shot run (bit-identical)
 ``kernel-equivalence``   legacy vs fast packet kernels (bit-identical)
@@ -300,8 +302,24 @@ def check_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
         f"{m_probes} probes (tol {BATCH_TOL:.0e})")
 
 
+def _controlled_replay(system, initial, steps: int) -> np.ndarray:
+    """``steps`` calls of ``system.step_controlled`` from ``initial``
+    and the bank's initial state: the Python controller, off the
+    ensemble kernel that ``run`` and ``run_ensemble`` share.  Returns
+    the history."""
+    state = system.bank.initial_state()
+    history = [np.asarray(initial, dtype=float)]
+    for _ in range(steps):
+        rates, state = system.step_controlled(history[-1], state)
+        history.append(rates)
+    return np.array(history)
+
+
 def check_ensemble_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """``run_ensemble`` members reproduce scalar ``run`` exactly."""
+    """``run_ensemble`` members reproduce scalar ``run`` exactly.  A
+    controlled ``run`` must also equal its step-by-step replay through
+    ``step_controlled`` bit for bit: ``run`` and ``run_ensemble`` share
+    one kernel, so only this replay checks the controller off it."""
     budget = min(ctx.spec.max_steps, 600)
     initials = ctx.probes[:2]
     ens = ctx.system.run_ensemble(initials, max_steps=budget,
@@ -309,6 +327,13 @@ def check_ensemble_equivalence(ctx: ScenarioContext) -> OracleResult:
     for m in range(len(ens)):
         traj = ctx.system.run(initials[m], max_steps=budget,
                               tol=ctx.spec.tol)
+        if ctx.system.controlled and not np.array_equal(
+                traj.history,
+                _controlled_replay(ctx.system, initials[m], traj.steps)):
+            return OracleResult(
+                "ensemble-equivalence", True, False,
+                f"member {m}: the controlled run differs from its "
+                f"step-by-step replay")
         if ens.outcomes[m] is not traj.outcome:
             return OracleResult(
                 "ensemble-equivalence", True, False,

@@ -146,6 +146,23 @@ def _perturbed_matches(lot, probes) -> bool:
             and bool(got.fault_events) and bool(got.structural_events))
 
 
+def _controlled_matches(lot, probes) -> bool:
+    """A controlled ``run_ensemble`` under telemetry gives the Python
+    loop's finals, steps and run record (bar the timings)."""
+    from .core.ratecontrol import RcpSourceRule
+    from .core.rcp import RcpController
+    system = FlowControlSystem(lot, Fifo(), LinearSaturating(),
+                               RcpSourceRule(),
+                               controller=RcpController(alpha=0.7,
+                                                        beta=0.1))
+    kwargs = dict(max_steps=300, block_size=3, telemetry=True)
+    got = system.run_ensemble(probes, **kwargs)
+    want = _python_loop(system.run_ensemble, probes, **kwargs)
+    return (got.finals.tobytes() == want.finals.tobytes()
+            and bool(np.array_equal(got.steps, want.steps))
+            and _record(got.telemetry) == _record(want.telemetry))
+
+
 def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
     """Run every smoke check; return True when all pass.
 
@@ -444,6 +461,13 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
         _check("faulted, damaged ensemble loop matches the Python loop "
                "(finals and both event lists)",
                _perturbed_matches(lot, probes), failures)
+    if not compiled_kernels.fs_available():
+        _check("compiled controller unavailable (Python loop ok)", True,
+               failures)
+    else:
+        _check("controlled ensemble loop matches the Python loop "
+               "(finals, steps and record)",
+               _controlled_matches(lot, probes), failures)
 
     print("scenario fuzzing smoke:")
     from .scenarios import generate, run_scenario

@@ -608,6 +608,26 @@ class TestControllerZooOracles:
         assert failing_oracles(spec, ["batch-equivalence"]) == \
             ("batch-equivalence",)
 
+    @pytest.mark.skipif(not compiled.fs_available(),
+                        reason="no compiled ensemble loop")
+    def test_a_controller_kernel_mutant_is_caught_off_the_kernel(
+            self, monkeypatch):
+        # ``run`` and ``run_ensemble`` share the kernel's controlled
+        # step, and batch-equivalence checks the Python bank's single
+        # steps, so only ensemble-equivalence's step-by-step replay
+        # through ``step_controlled`` sees a mutant both share: here
+        # the kernel's wrapper swaps alpha and beta.
+        spec = self.rcp_spec()
+        names = ["ensemble-equivalence", "batch-equivalence"]
+        assert failing_oracles(spec, names) == ()
+        orig = compiled.Control
+
+        def swapped(arrays, state, alpha, beta, *envelope):
+            return orig(arrays, state, beta, alpha, *envelope)
+
+        monkeypatch.setattr(compiled, "Control", swapped)
+        assert failing_oracles(spec, names) == ("ensemble-equivalence",)
+
 
 class TestAsyncOracles:
     """The 16th/17th oracles: each fires on its known-bad mutation and

@@ -4,9 +4,11 @@ Each block of the ensemble loop that ``run_ensemble`` and
 ``run_async_ensemble`` share is one C call, ``compiled.ensemble_loop``,
 when the scheme has an observe plan, every rule is one of the six
 built-in rule types, every fault and structural injector is a built-in
-type, no controller is active, and the clock gate is none, round-robin
-or one of the coin schedules the kernel transcribes
-(``test_perturbed_kernel.py`` holds the plans to this contract).  It
+type, and the clock gate is none, round-robin or one of the coin
+schedules the kernel transcribes, or when an exact ``RcpController``
+drives the system (``test_perturbed_kernel.py`` and
+``test_controlled_kernel.py`` hold the plans and the controller to
+this contract).  It
 must give the Python loop's bits — finals, outcomes, steps, periods,
 retained histories and every run record field bar the timings —
 against the loop with
@@ -399,8 +401,17 @@ class TestDispatch:
                            **_plan(case))
         assert len(loop_calls) == 2 and None not in loop_calls
 
+    def test_controller_is_served(self, loop_calls):
+        # The kernel runs the bank: test_controlled_kernel.py holds it
+        # to the Python loop.
+        system = FlowControlSystem(
+            LOT, Fifo(), SIGNAL, RcpSourceRule(), style=IND,
+            controller=RcpController(alpha=0.5, beta=0.05))
+        system.run_ensemble(_starts(N, m=3), max_steps=30, block_size=2)
+        assert len(loop_calls) == 2 and None not in loop_calls
+
     @pytest.mark.parametrize("case", [
-        "fault-subclass", "structural-subclass", "rcp", "power-signal",
+        "fault-subclass", "structural-subclass", "power-signal",
         "custom-rule", "target-subclass", "per-member", "drifting",
         "custom-schedule", "schedule-subclass", "clock-subclass"])
     def test_not_served(self, loop_calls, case):
@@ -408,10 +419,6 @@ class TestDispatch:
         system, kwargs, schedule = MIXED, {}, None
         if case in ("fault-subclass", "structural-subclass"):
             kwargs = _plan(case)
-        elif case == "rcp":
-            system = FlowControlSystem(
-                LOT, Fifo(), SIGNAL, RcpSourceRule(), style=IND,
-                controller=RcpController(alpha=0.5, beta=0.05))
         elif case == "power-signal":
             system = FlowControlSystem(LOT, Fifo(), PowerSaturating(p=2.0),
                                        _mix(N), style=IND)

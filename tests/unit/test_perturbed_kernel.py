@@ -15,11 +15,13 @@ unavailable.  (That loop observes in C as the kernel does;
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.backends import compiled
+from repro.core import dynamics
 from repro.chaos import (CapacityDegradation, GatewayBlackhole,
                          StructuralFaultPlan)
 from repro.core.dynamics import FlowControlSystem, Outcome
@@ -337,6 +339,91 @@ class TestBitIdentical:
                 m.setattr(compiled, "ensemble_loop", spent)
                 got = run()
             assert _fingerprint(got) == _fingerprint(want)
+
+
+class TestEventsBuiltOnRead:
+    """A kernel run keeps its event logs as arrays; the first read of
+    ``fault_events`` or ``structural_events`` builds the list the
+    Python loop returns."""
+
+    PLAN = FaultPlan((INJECTORS["loss"], INJECTORS["outage"]), seed=7)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every ``_logged_events`` call: one per built block log."""
+        calls = []
+        orig = dynamics._logged_events
+
+        def counting(*args):
+            calls.append(args[0])
+            return orig(*args)
+
+        monkeypatch.setattr(dynamics, "_logged_events", counting)
+        return calls
+
+    def _runs(self, block_size=None):
+        x0 = _starts(N)
+        kwargs = dict(max_steps=120, tol=1e-9, faults=self.PLAN,
+                      structural=DAMAGE)
+        return (lambda: FIFO.run_ensemble(x0, block_size=block_size,
+                                          **kwargs),
+                lambda: FIFO.run(x0[1], fault_member=1, **kwargs))
+
+    @pytest.mark.parametrize("block_size", [None, 2])
+    def test_the_first_read_is_the_python_loops_list(
+            self, monkeypatch, builds, block_size):
+        for run in self._runs(block_size):
+            got = run()
+            assert builds == []
+            with monkeypatch.context() as m:
+                m.setattr(compiled, "ensemble_loop", lambda *a, **k: None)
+                want = run()
+            for name in ("fault_events", "structural_events"):
+                events = getattr(got, name)
+                assert type(events) is list and events
+                assert events == getattr(want, name)
+                assert len(events) == len(getattr(want, name))
+                assert getattr(got, name) is events  # built once
+            assert len(builds) == (2 if block_size is None or
+                                   not hasattr(got, "finals") else 6)
+            builds.clear()
+
+    def test_unread_events_are_never_built(self, builds):
+        for run in self._runs(2):
+            run()
+        assert builds == []
+
+    def test_a_pending_list_pickles(self):
+        # Results cross process boundaries (sweep workers) unread.
+        for run in self._runs(2):
+            got = run()
+            copy = pickle.loads(pickle.dumps(got))
+            assert copy.fault_events == got.fault_events
+            assert copy.structural_events == got.structural_events
+
+    def test_runs_without_plans_read_none(self, builds):
+        x0 = _starts(N)
+        res = FIFO.run_ensemble(x0, max_steps=50, faults=FaultPlan(),
+                                structural=StructuralFaultPlan())
+        traj = FIFO.run(x0[0], max_steps=50)
+        for got in (res, traj):
+            assert got.fault_events is None
+            assert got.structural_events is None
+        assert builds == []
+
+    def test_telemetry_records_every_event(self, builds):
+        # The record reads every event at once, and the result keeps
+        # the list it built.
+        x0 = _starts(N)
+        res = FIFO.run_ensemble(x0, max_steps=120, tol=1e-9,
+                                faults=self.PLAN, telemetry=True)
+        traj = FIFO.run(x0[0], max_steps=120, faults=self.PLAN,
+                        telemetry=True)
+        assert len(builds) == 2
+        for got in (res, traj):
+            assert got.telemetry.fault_events == [
+                tuple(e) for e in got.fault_events] != []
+        assert len(builds) == 2
 
 
 class TestStream:

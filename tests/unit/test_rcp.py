@@ -11,7 +11,7 @@ from repro.core.fifo import Fifo
 from repro.core.ratecontrol import RcpSourceRule, TargetRule
 from repro.core.rcp import RcpBank, RcpController
 from repro.core.signals import FeedbackStyle, LinearSaturating
-from repro.core.topology import parking_lot, single_gateway
+from repro.core.topology import parking_lot, random_network, single_gateway
 from repro.errors import RateVectorError, SweepError
 from repro.scenarios import FaultPlanSpec, InjectorSpec
 
@@ -139,6 +139,25 @@ class TestControlledSystemGuards:
             system.step(np.array([0.1, 0.1]))
         with pytest.raises(RateVectorError):
             system.step_batch(np.array([[0.1, 0.1]]))
+
+    @pytest.mark.parametrize("state", [
+        np.array([0.1]), np.array([0.1, np.nan, 0.1]), np.ones(4)],
+        ids=["broadcast", "nan", "wrong-length"])
+    def test_step_controlled_requires_a_finite_state_per_gateway(
+            self, state):
+        system = controlled(random_network(3, 6, 2))
+        assert system.bank.num_gateways == 3
+        with pytest.raises(RateVectorError, match=r"shape \(3,\)"):
+            system.step_controlled(np.full(6, 0.1), state)
+
+    @pytest.mark.parametrize("state", [
+        np.ones((1, 3)), np.full((2, 3), np.inf), np.ones(3)],
+        ids=["too-few-rows", "inf", "one-row"])
+    def test_step_controlled_batch_requires_a_row_per_rate_row(
+            self, state):
+        system = controlled(random_network(3, 6, 2))
+        with pytest.raises(RateVectorError, match=r"shape \(2, 3\)"):
+            system.step_controlled_batch(np.full((2, 6), 0.1), state)
 
     def test_faults_and_controller_are_mutually_exclusive(self):
         system = controlled(single_gateway(2))

@@ -4,8 +4,9 @@
 ``compiled.ensemble_loop`` on a one-member block whose full history is
 ``run``'s history buffer, when the scheme has an observe plan (FIFO,
 Fair Share or weighted Fair Share under ``LinearSaturating``), every
-rule is one of the six built-in rule types, every fault and structural
-injector is a built-in type and no controller is active.  It must give
+rule is one of the six built-in rule types and every fault and
+structural injector is a built-in type, or when an exact
+``RcpController`` drives the system.  It must give
 the Python loop's bits — the history, outcome, period, step count and
 run record — against ``run`` with ``compiled.ensemble_loop``
 unavailable and against ``run`` with the whole C tier masked.  Every
@@ -283,17 +284,22 @@ class TestDispatch:
         self._system().run(self._x0(), max_steps=50, **self._plan(case))
         assert len(loop_calls) == 1 and loop_calls[0] is not None
 
+    def test_controller_is_served(self, loop_calls):
+        # The kernel runs the bank: test_controlled_kernel.py holds it
+        # to the Python loop.
+        system = self._system([RcpSourceRule()] * LOT.num_connections,
+                              controller=RcpController(alpha=0.5,
+                                                       beta=0.05))
+        system.run(self._x0(), max_steps=30)
+        assert len(loop_calls) == 1 and loop_calls[0] is not None
+
     @pytest.mark.parametrize("case", [
-        "fault-subclass", "structural-subclass", "rcp", "power-signal",
+        "fault-subclass", "structural-subclass", "power-signal",
         "custom-rule", "target-subclass"])
     def test_not_served(self, loop_calls, case):
         n = LOT.num_connections
         kwargs = {}
-        if case == "rcp":
-            system = self._system(
-                [RcpSourceRule()] * n,
-                controller=RcpController(alpha=0.5, beta=0.05))
-        elif case == "power-signal":
+        if case == "power-signal":
             system = self._system(signal=PowerSaturating(p=2.0))
         elif case == "custom-rule":
             system = self._system(_mix(n - 1) + [self._Custom()])

@@ -889,15 +889,15 @@ typedef struct {
     double alpha, beta, factor_min, factor_max;
 } Control;
 
-/* One controlled step of the row rr of n rates
- * (FlowControlSystem._controlled_row), operation for operation: each
+/* One controlled step of the row rr of n rates (one row of
+ * FlowControlSystem._controlled_rows), operation for operation: each
  * gateway's load y, summed left to right over its connections
  * (RcpBank._loads, 0 where none crosses it), advances its advertised
  * rate in state (RcpBank._advance: the gain, the queue term
  * x / max(spare, 1e-12), 1e12 when saturated, only when beta > 0,
  * then the clipped factor and the clipped rate); then each connection
- * adopts the smallest advertised rate on its route (advertised) and
- * the clip at zero (clip_nonnegative) writes it to out. */
+ * adopts the smallest advertised rate on its route (advertised_batch)
+ * and the clip at zero (clip_nonnegative) writes it to out. */
 static void control_row(const Control *c, const double *rr, i64 n,
                         double *state, double *out)
 {

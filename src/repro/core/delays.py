@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import RateVectorError
-from .math_utils import as_rate_vector, pick_kernel
+from .math_utils import as_rate_vector
 from .service import ServiceDiscipline
 from .topology import Network
 
@@ -39,31 +39,15 @@ def per_gateway_delays(network: Network, discipline: ServiceDiscipline,
 
 
 def round_trip_delays(network: Network, discipline: ServiceDiscipline,
-                      rates: np.ndarray,
-                      method: str = "auto") -> np.ndarray:
+                      rates: np.ndarray) -> np.ndarray:
     """``d_i = L_i + sum over the path of the gateway sojourn times``.
 
     Entries are ``inf`` where any gateway on the path is overloaded for
-    that connection.
-
-    ``method``: ``"dense"`` walks each connection's route through the
-    per-gateway sojourn vectors (the reference path, CSR-addressed so
-    it never rescans ``Gamma(a)``); ``"sparse"`` runs the vector as a
-    one-row batch through :func:`round_trip_delays_batch`; ``"auto"``
-    (default) switches to sparse at ``N >= SPARSE_MIN_N``.
+    that connection.  A one-row call of :func:`round_trip_delays_batch`,
+    so a connection's sojourns are added in gateway order.
     """
     r = as_rate_vector(rates, n=network.num_connections)
-    if pick_kernel(method, r.shape[0]) == "sparse":
-        return round_trip_delays_batch(network, discipline, r[None, :])[0]
-    sojourns = per_gateway_delays(network, discipline, r)
-    csr = network.csr
-    d = np.zeros(network.num_connections, dtype=float)
-    for i in range(network.num_connections):
-        total = network.path_latency(i)
-        for a, pos in zip(csr.route(i), csr.positions(i)):
-            total += float(sojourns[csr.gateway_names[a]][pos])
-        d[i] = total
-    return d
+    return round_trip_delays_batch(network, discipline, r[None, :])[0]
 
 
 def round_trip_delays_batch(network: Network,

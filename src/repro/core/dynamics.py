@@ -29,32 +29,36 @@ A step runs in stages over an ``(M, N)`` batch of rate vectors:
    tick keeps its rate;
 5. *clip* — the truncation at zero.
 
-The scalar :meth:`FlowControlSystem.step` is the ``M = 1`` case of
-:meth:`FlowControlSystem.step_batch`, so a scalar run and a member of
-a batched run share every kernel and agree bit for bit.  For the
-schemes the C observe kernel serves, the six built-in rules, the
-built-in clock gates and built-in fault and structural injectors, and
-for a router-side :class:`~repro.core.rcp.RcpController` (whose bank
-then replaces observe, perturb and decide, on any scheme), each block
-of the ensemble loop runs in one C call
+Every single-vector entry point is the ``M = 1`` call of its batch
+path: :meth:`FlowControlSystem.step` and
+:meth:`FlowControlSystem.step_controlled` run one row through the
+stages of :meth:`FlowControlSystem.step_batch` and
+:meth:`FlowControlSystem.step_controlled_batch`, and
+:meth:`FlowControlSystem.run` is a one-member
+:meth:`FlowControlSystem.run_ensemble` whose history is the member's
+full history, so a scalar run and a member of a batched run take one
+code path and agree bit for bit.  That path is one loop, which all
+three runners share: :meth:`FlowControlSystem.run_ensemble` iterates
+the batch and masks out members that converge or diverge, so finished
+trajectories stop costing work; the synchronous map is its case with
+no clock gate and no feedback delay, and
+:func:`repro.core.asynchronous.run_async_ensemble` passes a gate and a
+delay.  For the schemes the C observe kernel serves, the six built-in
+rules, the built-in clock gates and built-in fault and structural
+injectors, and for a router-side :class:`~repro.core.rcp.RcpController`
+(whose bank then replaces observe, perturb and decide, on any scheme),
+each block of the loop runs in one C call
 (:func:`repro.backends.compiled.ensemble_loop`) that transcribes these
 stages, the structural view, the fault perturbation and the controller
-included, and the loop's tests member by member, and
-:meth:`FlowControlSystem.run` is its ``M = 1`` call; the Python loops
-are the fallback and the reference the tests hold it to, byte for
-byte.  The public
-steps validate their input; the runners validate the initial state
-once and then step validated arrays, because the divergence check and
-the clip already keep every next state finite and nonnegative.
-:meth:`FlowControlSystem.run_ensemble` iterates the batch and masks out
-members that converge or diverge, so finished trajectories stop costing
-work; row ``m`` reproduces ``run(initials[m])`` exactly.  Both
-ensemble runners share one blocked loop: the synchronous map is its
-case with no clock gate and no feedback delay, and
-:func:`repro.core.asynchronous.run_async_ensemble` passes a gate and a
-delay.  The independent per-connection reference map, which the fuzz
-oracles check the engine against, is
-:func:`repro.scenarios.oracles.reference_step`.
+included, and the loop's tests member by member; the Python loop is
+the fallback and the reference the tests hold it to, byte for byte.
+The public steps validate their input; the runners validate the
+initial state once and then step validated arrays, because the
+divergence check and the clip already keep every next state finite and
+nonnegative.  The independent per-connection reference map, which the
+fuzz oracles check the engine against, is
+:func:`repro.scenarios.oracles.reference_step` (and
+:func:`repro.scenarios.oracles.reference_controlled_step` for RCP).
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ from .delays import round_trip_delays
 from .math_utils import (as_rate_matrix, as_rate_vector, clip_nonnegative,
                          sup_norm)
 from .ratecontrol import RateAdjustment, RcpSourceRule, _loop_rule
-from .rcp import RcpController, _loop_control
+from .rcp import RcpController, _controller_state, _loop_control
 from .service import ServiceDiscipline
 from .signals import FeedbackScheme, FeedbackStyle, SignalFunction
 from .topology import Network
@@ -103,9 +107,10 @@ def ensemble_buffer_bytes(n_members: int, n_connections: int,
     """Bytes of trajectory buffers ``run_ensemble`` preallocates.
 
     Covers the dominant allocations — the ``(M, tcap, N)`` rolling tail
-    (``tcap = min(4 * max_period, max_steps + 1)``), the
-    ``(M, max_steps + 1, N)`` full-history buffer under
-    ``history="full"``, and the ``(M, N)`` finals / initial copies —
+    (``tcap = min(4 * max_period, max_steps + 1)``) under
+    ``history="tail"``, the ``(M, max_steps + 1, N)`` full-history
+    buffer, which holds the tail, under ``history="full"``, and the
+    ``(M, N)`` finals / initial copies —
     not the transient per-step working set, which scales with
     ``block_size * N`` rather than M.  Use it to choose a ``block_size``
     before committing to a million-member run: the tail and full
@@ -117,14 +122,12 @@ def ensemble_buffer_bytes(n_members: int, n_connections: int,
             f"history must be one of {HISTORY_POLICIES}, got {history!r}")
     itemsize = np.dtype(float).itemsize
     base = 2 * n_members * n_connections * itemsize  # finals + initials
-    tcap = min(4 * max_period, max_steps + 1)
     if history == "none":
         return base
-    tail = n_members * tcap * n_connections * itemsize
+    rows = max_steps + 1
     if history == "tail":
-        return base + tail
-    full = n_members * (max_steps + 1) * n_connections * itemsize
-    return base + tail + full
+        rows = min(4 * max_period, rows)
+    return base + n_members * rows * n_connections * itemsize
 
 
 class _Events:
@@ -286,7 +289,13 @@ class EnsembleResult:
 
 
 class FlowControlSystem:
-    """A complete feedback flow control configuration and its dynamics."""
+    """A complete feedback flow control configuration and its dynamics.
+
+    The batch methods — :meth:`step_batch`,
+    :meth:`step_controlled_batch` and :meth:`run_ensemble` — are the
+    engine; :meth:`step`, :meth:`step_controlled` and :meth:`run` are
+    their one-row calls.
+    """
 
     #: Rates larger than ``DIVERGENCE_FACTOR * max(mu)`` mark divergence.
     DIVERGENCE_FACTOR = 1e6
@@ -426,21 +435,9 @@ class FlowControlSystem:
         if self._bank is not None:
             raise RateVectorError(
                 "system is controller-driven; use step_controlled")
-        return self._step_row(
-            as_rate_vector(rates, n=self.network.num_connections),
-            faults, step_index, structural)
-
-    def _step_row(self, r, faults=None, step_index: int = 1,
-                  structural=None) -> np.ndarray:
-        """:meth:`step` on a validated ``(N,)`` rate vector (what
-        :meth:`run` iterates)."""
-        rows = r[None, :]
-        views = (None if structural is None
-                 else [structural.resolve(step_index)])
-        b, d = self._observe(rows, views)
-        if faults is not None:
-            b[0] = faults.apply(step_index, b[0])
-        return clip_nonnegative(self._decide(rows, b, d))[0]
+        r = as_rate_vector(rates, n=self.network.num_connections)
+        return self._step_rows(r[None], _listed(faults), None, step_index,
+                               _listed(structural))[0]
 
     def step_batch(self, rates: np.ndarray, faults=None, members=None,
                    step_index: int = 1, structural=None) -> np.ndarray:
@@ -553,21 +550,17 @@ class FlowControlSystem:
         ``self.bank.initial_state()``).  Returns ``(r_next,
         state_next)`` — gateways observe the offered rates, advance
         their advertised rates, and every source adopts the path
-        minimum.  A state that is not a finite ``(G,)`` vector raises
+        minimum.  A one-row call of :meth:`step_controlled_batch`.  A
+        state that is not a finite ``(G,)`` vector raises
         :class:`~repro.errors.RateVectorError`.
         """
         if self._bank is None:
             raise RateVectorError(
                 "system has no controller; use step")
-        return self._controlled_row(
-            as_rate_vector(rates, n=self.network.num_connections),
-            _controller_state(state, (self._bank.num_gateways,)))
-
-    def _controlled_row(self, r, state) -> tuple:
-        """:meth:`step_controlled` on a validated rate vector."""
-        state_next = self._bank.update(r, state)
-        return clip_nonnegative(self._bank.advertised(state_next)), \
-            state_next
+        r = as_rate_vector(rates, n=self.network.num_connections)
+        s = _controller_state(state, (self._bank.num_gateways,))
+        r_next, state_next = self._controlled_rows(r[None], s[None])
+        return r_next[0], state_next[0]
 
     def step_controlled_batch(self, rates: np.ndarray,
                               state: np.ndarray) -> tuple:
@@ -579,13 +572,12 @@ class FlowControlSystem:
         if self._bank is None:
             raise RateVectorError(
                 "system has no controller; use step_batch")
-        r = as_rate_matrix(rates, n=self.network.num_connections)
         return self._controlled_rows(
-            r, _controller_state(state,
-                                 (r.shape[0], self._bank.num_gateways)))
+            as_rate_matrix(rates, n=self.network.num_connections), state)
 
     def _controlled_rows(self, r, state) -> tuple:
-        """:meth:`step_controlled_batch` on a validated batch."""
+        """:meth:`step_controlled_batch` on a validated batch (the bank
+        checks the state)."""
         state_next = self._bank.update_batch(r, state)
         return clip_nonnegative(self._bank.advertised_batch(state_next)), \
             state_next
@@ -620,11 +612,14 @@ class FlowControlSystem:
         DIVERGED immediately.  ``max_steps`` must be an int >= 0,
         ``settle`` and ``max_period`` ints >= 1 and ``tol`` a finite
         real >= 0, or :class:`~repro.errors.SweepError` is raised;
-        every runner checks the same way.
+        every runner checks the same way.  The run is the one-member
+        call of the ensemble loop (see :meth:`run_ensemble`) with the
+        member's full history as its history.
 
         ``telemetry=None`` (the default) records a
-        :class:`~repro.observability.RunRecord` — per-iteration
-        residuals, mask events, wall time per phase — exactly when an
+        :class:`~repro.observability.RunRecord` of kind ``"run"`` —
+        per-iteration residuals, mask events, wall time per phase of
+        the ensemble loop — exactly when an
         :func:`~repro.observability.collect` session is active; pass
         ``True``/``False`` to force it on or off.  The record is
         attached to the returned trajectory and emitted to any active
@@ -650,152 +645,23 @@ class FlowControlSystem:
         composes with a router-side controller.
         """
         r = as_rate_vector(initial, n=self.network.num_connections)
-        _check_loop(max_steps, settle, max_period, tol)
-        self._check_plans(faults, structural)
-        ctrl = (self._bank.initial_state()
-                if self._bank is not None else None)
-        fault_state = (faults.start(network=self.network,
-                                    member=fault_member)
-                       if faults is not None else None)
-        structural_state = (structural.start(self, member=fault_member)
-                            if structural is not None else None)
-        if telemetry is None:
-            telemetry = is_collecting()
-        rec = RunRecord.begin("run", 1, r.shape[0], max_steps, tol,
-                              settle) if telemetry else None
-        step_seconds = 0.0
-        # Preallocate the whole history buffer.  When the step budget
-        # was fully used the buffer is returned as-is (no duplicate);
-        # an early exit trims with a copy so the trajectory does not
-        # pin max_steps worth of memory through a view.
-        history = np.empty((max_steps + 1, r.shape[0]), dtype=float)
-        history[0] = r
-        quiet = 0
-        limit = self.DIVERGENCE_FACTOR * self._mu_max
-
-        def trimmed(steps: int) -> np.ndarray:
-            if steps == max_steps:
-                return history
-            return history[:steps + 1].copy()
-
-        # The events so far: the states record them on the Python loop.
-        events = [None if state is None else state.events
-                  for state in (fault_state, structural_state)]
-
-        def finish(outcome: Outcome, steps: int) -> Optional[RunRecord]:
-            if rec is None:
-                return None
-            # The record reads every event: build the list once, for
-            # the trajectory too.
-            events[0] = _built(events[0])
-            for event in events[0] or ():
-                rec.observe_fault_event(*event)
-            rec.add_phase("step", step_seconds)
-            rec.finish(steps, {outcome.value: 1})
-            emit_run_record(rec)
-            return rec
-
-        def fault_events() -> Optional[List[FaultEvent]]:
-            return events[0]
-
-        def structural_events() -> Optional[list]:
-            return events[1]
-
-        # The whole loop is the ensemble kernel's M = 1 call for the
-        # runs it serves, with history as the member's full history; the
-        # Python loop below is the fallback and the reference.
-        first = 1
-        agg = np.empty(max_steps) if rec is not None else None
-        t0 = time.perf_counter()
-        done = self._run_kernel(
-            r[None], max_steps, tol, settle, full=history[None], agg=agg,
-            faults=_listed(fault_state),
-            structural=_listed(structural_state))
-        if done is not None:
-            step_seconds = time.perf_counter() - t0
-            steps, status = int(done[1][0]), done[2]
-            events[:] = done[3:]
-            outcome = _KERNEL_OUTCOMES.get(int(status[0]))
-            if rec is not None:
-                series = _kernel_series(agg, done[1], status)
-                if outcome is Outcome.CONVERGED:
-                    # agg reads inf where no member runs on; run
-                    # records the converging step's own change.
-                    series[0][-1] = abs(history[steps]
-                                        - history[steps - 1]).max()
-                rec.observe_iterations(*series)
-                if outcome is not None:
-                    rec.observe_mask_event(steps, 0, outcome.value)
-            if outcome is not None:
-                return Trajectory(trimmed(steps), outcome,
-                                  1 if outcome is Outcome.CONVERGED
-                                  else None, steps,
-                                  telemetry=finish(outcome, steps),
-                                  fault_events=fault_events(),
-                                  structural_events=structural_events())
-            first = max_steps + 1  # the budget is spent
-        for step_count in range(first, max_steps + 1):
-            if rec is not None:
-                t0 = time.perf_counter()
-            if ctrl is not None:
-                r_next, ctrl = self._controlled_row(r, ctrl)
-            else:
-                r_next = self._step_row(r, fault_state, step_count,
-                                        structural_state)
-            if rec is not None:
-                step_seconds += time.perf_counter() - t0
-            history[step_count] = r_next
-            # r_next is clipped, so its largest entry is NaN, +inf or
-            # above the limit exactly when the state diverged; the same
-            # peak is the convergence scale.  The ndarray methods skip
-            # np.max's dispatch, which costs more than a small reduction.
-            peak = float(r_next.max())
-            if not peak <= limit:
-                if rec is not None:
-                    rec.observe_iteration(math.inf, 0, 0, 1)
-                    rec.observe_mask_event(step_count, 0, "diverged")
-                return Trajectory(trimmed(step_count), Outcome.DIVERGED,
-                                  None, step_count,
-                                  telemetry=finish(Outcome.DIVERGED,
-                                                   step_count),
-                                  fault_events=fault_events(),
-                                  structural_events=structural_events())
-            change = float(abs(r_next - r).max())
-            settled = False
-            if change <= tol * max(1.0, peak):
-                quiet += 1
-                settled = quiet >= settle
-            else:
-                quiet = 0
-            if rec is not None:
-                rec.observe_iteration(change, 0 if settled else 1,
-                                      1 if settled else 0, 0)
-            if settled:
-                if rec is not None:
-                    rec.observe_mask_event(step_count, 0, "converged")
-                return Trajectory(trimmed(step_count),
-                                  Outcome.CONVERGED, 1, step_count,
-                                  telemetry=finish(Outcome.CONVERGED,
-                                                   step_count),
-                                  fault_events=fault_events(),
-                                  structural_events=structural_events())
-            r = r_next
-        if rec is not None:
-            t0 = time.perf_counter()
-        period = _detect_period(history, max_period, tol)
-        if rec is not None:
-            rec.add_phase("period_detection", time.perf_counter() - t0)
-        if period is not None:
-            return Trajectory(history, Outcome.OSCILLATING, period,
-                              max_steps,
-                              telemetry=finish(Outcome.OSCILLATING,
-                                               max_steps),
-                              fault_events=fault_events(),
-                              structural_events=structural_events())
-        return Trajectory(history, Outcome.UNDECIDED, None, max_steps,
-                          telemetry=finish(Outcome.UNDECIDED, max_steps),
-                          fault_events=fault_events(),
-                          structural_events=structural_events())
+        res = self._run_batch("run", r[None], max_steps, tol, settle,
+                              max_period, telemetry, None, "full",
+                              *self._start(faults, structural,
+                                           [fault_member]))
+        steps = int(res.steps[0])
+        history = res.histories[0]
+        if steps < max_steps:
+            # An early exit trims with a copy, so the trajectory does
+            # not pin max_steps worth of memory through a view; a spent
+            # budget keeps the block buffer itself.
+            history = history.copy()
+        # The event lists as the loop left them: pending until read.
+        events = vars(res)
+        return Trajectory(history, res.outcomes[0], res.periods[0], steps,
+                          telemetry=res.telemetry,
+                          fault_events=events["fault_events"],
+                          structural_events=events["structural_events"])
 
     def _run_kernel(self, initials, max_steps, tol, settle, tau=0,
                     gate=compiled.NO_GATE, tail=None, full=None, agg=None,
@@ -921,37 +787,38 @@ class FlowControlSystem:
         bit-identical.
         """
         r0 = as_rate_matrix(initials, n=self.network.num_connections)
-        self._check_plans(faults, structural)
-        members = range(r0.shape[0])
-        fault_states = None
-        if faults is not None and not faults.empty:
-            fault_states = [faults.start(network=self.network, member=m)
-                            for m in members]
-        structural_states = None
-        if structural is not None and not structural.empty:
-            structural_states = [structural.start(self, member=m)
-                                 for m in members]
         return self._run_batch("ensemble", r0, max_steps, tol, settle,
                                max_period, telemetry, block_size, history,
-                               fault_states, structural_states)
+                               *self._start(faults, structural,
+                                            range(r0.shape[0])))
 
-    def _check_plans(self, faults, structural) -> None:
-        """Refuse non-empty fault and structural plans on a
-        controller-driven system: both act on the per-source signal
-        path that router-side control replaces."""
-        if self._bank is None:
-            return
-        if faults is not None and not faults.empty:
+    def _start(self, faults, structural, members) -> tuple:
+        """The fault and structural states of ``members`` (absolute
+        member numbers), each list None for an absent or empty plan.
+
+        A controller-driven system refuses non-empty plans: both act on
+        the per-source signal path that router-side control replaces.
+        """
+        if faults is not None and faults.empty:
+            faults = None
+        if structural is not None and structural.empty:
+            structural = None
+        if self._bank is not None and faults is not None:
             raise SweepError(
                 "fault plans perturb the per-source signal path, which "
                 "controller-driven systems do not read; faults with a "
                 "controller are not supported")
-        if structural is not None and not structural.empty:
+        if self._bank is not None and structural is not None:
             raise SweepError(
                 "structural fault plans damage the per-source "
                 "signal/delay path, which controller-driven systems "
                 "replace with router-side state; structural faults "
                 "with a controller are not supported")
+        return (None if faults is None else
+                [faults.start(network=self.network, member=m)
+                 for m in members],
+                None if structural is None else
+                [structural.start(self, member=m) for m in members])
 
     def _run_batch(self, kind, r0, max_steps, tol, settle, max_period,
                    telemetry, block_size, history, fault_states=None,
@@ -1017,6 +884,11 @@ class FlowControlSystem:
         res.fault_events, res.structural_events = map(_merged_events,
                                                       event_blocks)
         if rec is not None:
+            if kind == "run" and res.outcomes[0] is Outcome.CONVERGED:
+                # A run records its converging step's own change, where
+                # an ensemble has no member left to take the largest of.
+                last = res.histories[0][-2:]
+                rec.residuals[-1] = float(abs(last[1] - last[0]).max())
             for step_count, member, outcome in mask_events:
                 rec.observe_mask_event(step_count, member, outcome)
             for event in res.fault_events or ():
@@ -1095,18 +967,20 @@ class FlowControlSystem:
                     timings["classify"] += time.perf_counter() - t0
                 spent = np.flatnonzero(status == _cext.ST_DONE)
                 if spent.size:
-                    _classify_spent(res, base, spent, tail, max_steps,
-                                    max_period, tol, rec, timings, totals)
+                    _classify_spent(res, base, spent,
+                                    tail if full is None else full,
+                                    max_steps, max_period, tol, rec, timings,
+                                    totals)
                 _keep_histories(res, base, full)
                 return
         mb = end - base
-        n = r0.shape[1]
         limit = self.DIVERGENCE_FACTOR * self._mu_max
         tail, full = _block_buffers(res.history_policy, r0, max_steps, tcap)
-        quiet = np.zeros(mb, dtype=int)
-
         idx = np.arange(mb)           # block members still iterating
         r = r0.copy()                 # their current states, compressed
+        # Their quiet-step counts; the settle counts are compressed
+        # with them.
+        quiet = np.zeros(mb, dtype=int)
         # Controller state rides alongside r and is masked with it, so
         # finished members stop paying for gateway updates too.
         ctrl = (self._bank.initial_state_batch(mb)
@@ -1142,19 +1016,20 @@ class FlowControlSystem:
             if full is not None:
                 full[idx, step_count] = r_next
 
-            with np.errstate(invalid="ignore"):
-                # One reduction for the divergence test and the scale,
-                # as in run: the rows are clipped.
-                peak = np.max(r_next, axis=1)
-                diverged = ~(peak <= limit)
-                change = np.max(np.abs(r_next - r), axis=1)
-                within = change <= tol * np.maximum(1.0, peak)
-            quiet_next = np.where(within, quiet[idx] + 1, 0)
-            quiet[idx] = quiet_next
-            converged = (quiet_next >= settle[idx]) & ~diverged
-            done = diverged | converged
+            # One reduction for the divergence test and the scale: the
+            # rows are clipped, so a row's largest entry is NaN, +inf or
+            # above the limit exactly when it diverged, and the rows of
+            # r are finite, so no step of the test warns.  The ndarray
+            # methods skip np.max's dispatch, which costs more than a
+            # small reduction.
+            peak = r_next.max(axis=1)
+            diverged = ~(peak <= limit)
+            change = abs(r_next - r).max(axis=1)
+            within = change <= tol * np.maximum(1.0, peak)
+            quiet = np.where(within, quiet + 1, 0)
+            done = diverged | (quiet >= settle)
 
-            if np.any(done):
+            if done.any():
                 done_members = idx[done]
                 res.finals[base + done_members] = r_next[done]
                 res.steps[base + done_members] = step_count
@@ -1167,6 +1042,8 @@ class FlowControlSystem:
                 keep = ~done
                 idx = idx[keep]
                 r = r_next[keep]
+                quiet = quiet[keep]
+                settle = settle[keep]
                 if ctrl is not None:
                     ctrl = ctrl[keep]
                 if ring is not None:
@@ -1184,7 +1061,7 @@ class FlowControlSystem:
             else:
                 r = r_next
                 if rec is not None:
-                    rec.observe_iteration(float(np.max(change)),
+                    rec.observe_iteration(float(change.max()),
                                           int(idx.size),
                                           totals["converged"],
                                           totals["diverged"])
@@ -1192,8 +1069,8 @@ class FlowControlSystem:
         else:
             res.finals[base + idx] = r
             res.steps[base + idx] = max_steps
-            _classify_spent(res, base, idx, tail, max_steps, max_period,
-                            tol, rec, timings, totals)
+            _classify_spent(res, base, idx, tail if full is None else full,
+                            max_steps, max_period, tol, rec, timings, totals)
         _add_events(event_blocks, (_recorded_events(block_states),
                                    _recorded_events(block_structural)))
         _keep_histories(res, base, full)
@@ -1230,26 +1107,6 @@ def _check_loop(max_steps, settle, max_period, tol) -> None:
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol)
             and tol >= 0):
         raise SweepError(f"tol must be a finite real >= 0, got {tol!r}")
-
-
-def _controller_state(state, shape: tuple) -> np.ndarray:
-    """``state`` as a float array; raise
-    :class:`~repro.errors.RateVectorError` unless it is finite and of
-    ``shape``."""
-    try:
-        s = np.asarray(state, dtype=float)
-    except (TypeError, ValueError):
-        s = None
-    if s is None or s.shape != shape:
-        got = "not numeric" if s is None else f"shape {s.shape}"
-        raise RateVectorError(
-            f"controller state must be a finite array of shape {shape}, "
-            f"got {got}")
-    if not np.isfinite(s).all():
-        raise RateVectorError(
-            f"controller state must be a finite array of shape {shape}, "
-            f"got a non-finite entry")
-    return s
 
 
 def _listed(state) -> Optional[list]:
@@ -1369,14 +1226,15 @@ def _kernel_series(agg, steps, status) -> tuple:
 
 def _block_buffers(policy: str, r0, max_steps: int, tcap: int) -> tuple:
     """A block's rolling tail and full history buffers under the
-    history ``policy`` (None where it keeps none), row 0 the initial
-    states."""
+    history ``policy``, row 0 the initial states: the tail under
+    ``"tail"``, the full history alone under ``"full"`` (it holds the
+    tail), neither under ``"none"``; None where there is none."""
     mb, n = r0.shape
     tail = full = None
-    if policy != "none":
+    if policy == "tail":
         tail = np.zeros((mb, tcap, n), dtype=float)
         tail[:, 0] = r0
-    if policy == "full":
+    elif policy == "full":
         full = np.empty((mb, max_steps + 1, n))
         full[:, 0] = r0
     return tail, full
@@ -1385,8 +1243,9 @@ def _block_buffers(policy: str, r0, max_steps: int, tcap: int) -> tuple:
 def _classify_spent(res, base, idx, tail, max_steps, max_period, tol, rec,
                     timings, totals) -> None:
     """Block members ``idx`` spent the step budget: reconstruct each
-    ordered tail from the ring buffer and look for a cycle (skipped —
-    UNDECIDED — under history="none")."""
+    ordered tail from the ring buffer ``tail`` (or the full history, a
+    ring that never wraps) and look for a cycle (skipped — UNDECIDED —
+    under history="none")."""
     if tail is None:
         return
     if rec is not None:

@@ -34,34 +34,7 @@ __all__ = [
     "is_close_vector",
     "clip_nonnegative",
     "row_sums",
-    "SPARSE_MIN_N",
-    "pick_kernel",
 ]
-
-#: Connection count at which the route walks of
-#: :meth:`~repro.core.signals.FeedbackScheme.signals` and
-#: :func:`~repro.core.delays.round_trip_delays` stop walking each
-#: connection's route through per-gateway vectors and run the vector as
-#: a one-row batch through the CSR kernels instead.  The queue laws and
-#: congestion measures do not switch: they run one kernel at every size.
-SPARSE_MIN_N = 64
-
-
-def pick_kernel(method: str, n: int) -> str:
-    """Resolve a route-walk ``method`` to ``"dense"`` or ``"sparse"``.
-
-    ``"auto"`` switches to the sparse one-row-batch path at
-    ``n >= SPARSE_MIN_N`` and keeps the dense per-connection walk
-    below; passing the kernel name explicitly forces it, which is how
-    the equivalence tests compare the two.
-    """
-    if method == "auto":
-        return "sparse" if n >= SPARSE_MIN_N else "dense"
-    if method not in ("dense", "sparse"):
-        raise RateVectorError(
-            f"method must be 'auto', 'dense' or 'sparse', "
-            f"got {method!r}")
-    return method
 
 
 def g(x):

@@ -159,13 +159,16 @@ class RcpBank:
 
     The state is the vector of advertised rates ``R``, shape ``(G,)``
     scalar / ``(M, G)`` batched, in :attr:`TopologyCSR.gateway_names`
-    order.  :meth:`update` and :meth:`update_batch` use identical
-    ufunc sequences over identical index arrays, so a batched row is
-    bit-for-bit the scalar trajectory — the same contract the rule
-    engine's ``step``/``step_batch`` pair keeps.  The ensemble kernel
-    runs a transcription of :meth:`update` and :meth:`advertised` for
-    ``run`` and ``run_ensemble`` (see :func:`_loop_control`); these
-    methods are its fallback and its reference.
+    order.  :meth:`update` and :meth:`advertised` are one-row calls of
+    :meth:`update_batch` and :meth:`advertised_batch`, so a batched row
+    is bit-for-bit the scalar trajectory — the same contract the rule
+    engine's ``step``/``step_batch`` pair keeps.  Every method checks
+    the state it is given and raises
+    :class:`~repro.errors.RateVectorError` naming the shape it needs.
+    The ensemble kernel runs a transcription of :meth:`update_batch`
+    and :meth:`advertised_batch` for ``run`` and ``run_ensemble`` (see
+    :func:`_loop_control`); these methods are its fallback and its
+    reference.
     """
 
     def __init__(self, network: Network, controller: RcpController):
@@ -229,17 +232,22 @@ class RcpBank:
         return out
 
     def update(self, rates: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """One gateway update from a ``(N,)`` rate vector."""
-        r = np.asarray(rates, dtype=float)
-        return self._advance(self._loads(r),
-                             np.asarray(state, dtype=float))
+        """One gateway update from a ``(N,)`` rate vector and a finite
+        ``(G,)`` state: a one-row call of :meth:`update_batch`."""
+        s = _controller_state(state, (self.num_gateways,))
+        return self.update_batch(np.asarray(rates, dtype=float)[None],
+                                 s[None])[0]
 
     def update_batch(self, rates: np.ndarray,
                      state: np.ndarray) -> np.ndarray:
-        """One gateway update per row of a ``(M, N)`` rate batch."""
+        """One gateway update per row of a ``(M, N)`` rate batch, from a
+        finite ``(M, G)`` state with one row per rate row."""
         r = np.asarray(rates, dtype=float)
-        return self._advance(self._loads(r),
-                             np.asarray(state, dtype=float))
+        if r.ndim != 2:
+            raise RateVectorError(
+                f"rate batch must be 2-D, got shape {r.shape}")
+        s = _controller_state(state, (r.shape[0], self.num_gateways))
+        return self._advance(self._loads(r), s)
 
     def _advance(self, y: np.ndarray, state: np.ndarray) -> np.ndarray:
         ctl = self.controller
@@ -256,13 +264,16 @@ class RcpBank:
         return np.clip(state * factor, self._floor, self._mu)
 
     def advertised(self, state: np.ndarray) -> np.ndarray:
-        """Source rates ``r_i = min over gamma(i) of R^a``, ``(N,)``."""
-        s = np.asarray(state, dtype=float)
-        return np.array([s[route].min() for route in self._routes])
+        """Source rates ``r_i = min over gamma(i) of R^a``, ``(N,)``,
+        from a finite ``(G,)`` state: a one-row call of
+        :meth:`advertised_batch`."""
+        s = _controller_state(state, (self.num_gateways,))
+        return self.advertised_batch(s[None])[0]
 
     def advertised_batch(self, state: np.ndarray) -> np.ndarray:
-        """Per-row advertised rates from ``(M, G)`` state, ``(M, N)``."""
-        s = np.asarray(state, dtype=float)
+        """Per-row advertised rates from a finite ``(M, G)`` state,
+        ``(M, N)``."""
+        s = _controller_state(state, (None, self.num_gateways))
         return np.stack([s[:, route].min(axis=1)
                          for route in self._routes], axis=-1)
 
@@ -279,6 +290,26 @@ class RcpBank:
     def predicted_allocation(self) -> np.ndarray:
         """The max-min fair allocation of the effective capacities."""
         return max_min_allocation(self.network, self.effective_capacities())
+
+
+def _controller_state(state, shape: tuple) -> np.ndarray:
+    """``state`` as a float array; raise
+    :class:`~repro.errors.RateVectorError` unless it is finite and of
+    ``shape``, where a None length (shown as ``M``) matches any."""
+    try:
+        s = np.asarray(state, dtype=float)
+    except (TypeError, ValueError):
+        s = None
+    if s is None or s.ndim != len(shape) or any(
+            k not in (None, got) for k, got in zip(shape, s.shape)):
+        got = "not numeric" if s is None else f"shape {s.shape}"
+    elif not np.isfinite(s).all():
+        got = "a non-finite entry"
+    else:
+        return s
+    raise RateVectorError(
+        f"controller state must be a finite array of shape "
+        f"{str(shape).replace('None', 'M')}, got {got}")
 
 
 def _loop_control(bank: RcpBank, rules) -> Optional[compiled.Control]:

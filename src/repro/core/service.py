@@ -91,30 +91,16 @@ class ServiceDiscipline(abc.ABC):
 
         ``delay_i = Q_i / r_i``; a connection with zero rate experiences
         the delay it *would* see on its next packet, which we approximate
-        by the limit ``r_i -> 0`` computed with a tiny probe rate.
+        by the limit ``r_i -> 0`` computed with a tiny probe rate.  A
+        one-row call of :meth:`delays_batch`.
         """
         r = as_rate_vector(rates)
-        _check_mu(mu)
-        q = self.queue_lengths(r, mu)
-        out = np.empty_like(q)
-        positive = r > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[positive] = q[positive] / r[positive]
-        if np.any(~positive):
-            probe = r.copy()
-            eps = mu * 1e-9
-            probe[~positive] = eps
-            q_probe = self.queue_lengths(probe, mu)
-            out[~positive] = q_probe[~positive] / eps
-        return out
+        return self.delays_batch(r[None, :], mu)[0]
 
     def delays_batch(self, rates: np.ndarray, mu: float) -> np.ndarray:
         """Batched per-packet sojourn times: row ``m`` equals
-        ``delays(rates[m], mu)``.
-
-        Mirrors :meth:`delays` exactly, including the tiny-probe-rate
-        treatment of zero-rate connections.
-        """
+        ``delays(rates[m], mu)``, zero-rate connections included
+        (:meth:`sojourns_batch`)."""
         r = np.asarray(rates, dtype=float)
         if r.ndim != 2:
             raise RateVectorError(

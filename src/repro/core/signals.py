@@ -35,7 +35,7 @@ from ..backends import _cext, compiled
 from ..errors import RateVectorError
 from .fairshare import FairShare
 from .fifo import Fifo
-from .math_utils import as_rate_vector, pick_kernel, row_sums, run_ends
+from .math_utils import as_rate_vector, row_sums, run_ends
 from .service import ServiceDiscipline, _check_mu
 from .topology import Network
 from .weighted import WeightedFairShare, _check_weights
@@ -510,38 +510,19 @@ class FeedbackScheme:
         return out
 
     # -- per-connection quantities ------------------------------------
-    def signals(self, rates: np.ndarray,
-                method: str = "auto") -> np.ndarray:
-        """Bottleneck signals ``b_i = max_{a in gamma(i)} b^a_i``.
-
-        ``method``: ``"dense"`` walks each connection's route through
-        the per-gateway signal vectors (the reference path, now
-        CSR-addressed so it never rescans ``Gamma(a)``); ``"sparse"``
-        runs the vector as a one-row batch through
-        :meth:`signals_batch` — same gather/scatter kernels the
-        ensemble engine uses; ``"auto"`` (default) switches to sparse
-        at ``N >= SPARSE_MIN_N``.
-        """
+    def signals(self, rates: np.ndarray) -> np.ndarray:
+        """Bottleneck signals ``b_i = max_{a in gamma(i)} b^a_i``: a
+        one-row call of :meth:`signals_batch`."""
         r = as_rate_vector(rates, n=self.network.num_connections)
-        if pick_kernel(method, r.shape[0]) == "sparse":
-            return self.signals_batch(r[None, :])[0]
-        local = self.local_signals(r)
-        csr = self.network.csr
-        b = np.zeros(self.network.num_connections, dtype=float)
-        for i in range(b.shape[0]):
-            best = 0.0
-            for a, pos in zip(csr.route(i), csr.positions(i)):
-                best = max(best, float(local[csr.gateway_names[a]][pos]))
-            b[i] = best
-        return b
+        return self.signals_batch(r[None, :])[0]
 
     def signals_batch(self, rates: np.ndarray) -> np.ndarray:
         """Bottleneck signals for an ``(M, N)`` batch of rate vectors.
 
-        Row ``m`` of the result equals ``signals(rates[m])`` up to
-        summation order; every stage — queue laws, congestion measures,
-        signal function, the MAX over gateways — is evaluated once per
-        gateway for the whole batch instead of once per ensemble member.
+        Row ``m`` of the result equals ``signals(rates[m])``; every
+        stage — queue laws, congestion measures, signal function, the
+        MAX over gateways — is evaluated once per gateway for the whole
+        batch instead of once per ensemble member.
         """
         return self._observe(rates, with_delays=False)[0]
 

@@ -9,13 +9,15 @@ a whole scenario family:
                          plain scalar laws (the Fair Share recursion,
                          the weighted class loop, a min-broadcast
                          congestion measure) with a
-                         per-connection ``rule.apply`` (contract:
+                         per-connection ``rule.apply``, or
+                         ``step_controlled_batch`` rows vs
+                         :func:`reference_controlled_step`, RCP's
+                         update law in scalar arithmetic (contract:
                          equal to <= 1e-12)
 ``ensemble-equivalence`` ``run_ensemble`` member vs scalar ``run``
-                         (the ``M = 1`` batch; contract: equal to
-                         <= 1e-12); a controlled ``run`` vs its
-                         step-by-step ``step_controlled`` replay
-                         (bit-identical)
+                         (its ``M = 1`` call; bit-identical); a
+                         controlled ``run`` vs its step-by-step
+                         ``step_controlled`` replay (bit-identical)
 ``blocked-equivalence``  ``run_ensemble`` with ``block_size < M`` vs
                          the one-shot run (bit-identical)
 ``kernel-equivalence``   legacy vs fast packet kernels (bit-identical)
@@ -97,13 +99,15 @@ __all__ = [
     "OracleResult",
     "ScenarioContext",
     "ORACLES",
+    "reference_observe",
     "reference_step",
+    "reference_controlled_step",
     "oracle_names",
     "run_oracle",
     "run_all_oracles",
 ]
 
-#: Vectorisation contract: batch rows match the scalar path to 1e-12.
+#: Vectorisation contract: batch rows match the plain reference to 1e-12.
 BATCH_TOL = 1e-12
 #: Fixed-point residual / refiner agreement, relative to the rate scale.
 FIXED_POINT_TOL = 1e-6
@@ -220,21 +224,21 @@ def _reference_queues(discipline, rates: np.ndarray,
     return discipline.queue_lengths(rates, mu)
 
 
-def reference_step(system: FlowControlSystem, rates) -> np.ndarray:
-    """One clean step of the map along plain scalar laws.
+def reference_observe(scheme, rates) -> tuple:
+    """The observe stage of one rate vector along plain scalar laws:
+    the bottleneck signals and round-trip delays ``(b, d)``.
 
     One loop over the gateways evaluates each gateway's queue law once
     (:func:`_reference_queues`) and derives from it the congestion
     measure — the total, the weighted law, or the O(n^2) min-broadcast
     ``C_i = sum_k min(Q_k, Q_i)`` — the signals ``B(C)``, their MAX
     over the route, and the Little's-law sojourns ``Q_i / r_i``, with
-    the tiny-probe-rate limit for zero-rate connections.  Every
-    connection then applies its own ``rule.apply``.  The engine shares
-    none of this code, so ``step_batch`` against it is a true
-    differential.
+    the tiny-probe-rate limit for zero-rate connections.  The engine
+    shares none of this code, so its observe stage against this is a
+    true differential.
     """
     r = np.asarray(rates, dtype=float)
-    scheme, net = system.scheme, system.network
+    net = scheme.network
     csr = net.csr
     b = np.zeros_like(r)
     d = np.array(csr.path_latency, dtype=float)
@@ -243,7 +247,7 @@ def reference_step(system: FlowControlSystem, rates) -> np.ndarray:
         if cols.size == 0:
             continue
         local, mu = r[cols], net.mu(gname)
-        q = _reference_queues(system.discipline, local, mu)
+        q = _reference_queues(scheme.discipline, local, mu)
         if scheme.style is FeedbackStyle.AGGREGATE:
             c = np.full(q.shape, float(np.sum(q)))
         elif scheme.weights is not None:
@@ -258,13 +262,55 @@ def reference_step(system: FlowControlSystem, rates) -> np.ndarray:
             sojourn = q / local
         if idle.any():
             eps = mu * 1e-9
-            probe = _reference_queues(system.discipline,
+            probe = _reference_queues(scheme.discipline,
                                       np.where(idle, eps, local), mu)
             sojourn[idle] = probe[idle] / eps
         d[cols] += sojourn
+    return b, d
+
+
+def reference_step(system: FlowControlSystem, rates) -> np.ndarray:
+    """One clean step of the map along plain scalar laws:
+    :func:`reference_observe`, then every connection's own
+    ``rule.apply`` and the clip at zero."""
+    r = np.asarray(rates, dtype=float)
+    b, d = reference_observe(system.scheme, r)
     new = np.array([rule.apply(float(r[i]), float(b[i]), float(d[i]))
                     for i, rule in enumerate(system.rules)])
     return np.maximum(new, 0.0)
+
+
+def reference_controlled_step(system: FlowControlSystem, rates,
+                              state) -> tuple:
+    """One controlled step along Voice et al.'s RCP update law, in plain
+    scalar arithmetic: ``(rates_next, state_next)``.
+
+    Per gateway, the member loads summed left to right give the
+    utilisation ``x = y / mu``, and the advertised rate becomes
+    ``clip(R * clip(1 + alpha (1 - x) - beta x / (1 - x), 1/2, 2),
+    1e-6 mu, mu)``, the queue term read as ``1e12`` once
+    ``1 - x <= 1e-12``; every source then adopts the smallest
+    advertised rate on its path.  It shares no code with
+    :class:`~repro.core.rcp.RcpBank`.
+    """
+    ctl, net = system.controller, system.network
+    csr = net.csr
+    r = [float(v) for v in rates]
+    state_next = []
+    for a, gname in enumerate(csr.gateway_names):
+        mu = net.mu(gname)
+        load = 0.0
+        for i in csr.members(a):
+            load += r[i]
+        x = load / mu
+        queue = 1e12 if 1.0 - x <= 1e-12 else x / (1.0 - x)
+        factor = min(max(1.0 + ctl.alpha * (1.0 - x) - ctl.beta * queue,
+                         0.5), 2.0)
+        state_next.append(min(max(float(state[a]) * factor, 1e-6 * mu),
+                              mu))
+    rates_next = [max(min(state_next[a] for a in csr.route(i)), 0.0)
+                  for i in range(net.num_connections)]
+    return np.array(rates_next), np.array(state_next)
 
 
 def check_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
@@ -272,9 +318,10 @@ def check_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
     to :data:`BATCH_TOL`.
 
     Controller-driven systems check the controlled pair instead —
-    ``step_controlled_batch`` rows against scalar ``step_controlled``
-    from the bank's initial state — covering both the advertised rates
-    and the per-gateway controller state."""
+    ``step_controlled_batch`` rows against
+    :func:`reference_controlled_step` from the bank's initial state —
+    covering both the advertised rates and the per-gateway controller
+    state."""
     m_probes = ctx.probes.shape[0]
     if ctx.system.controlled:
         state0 = ctx.system.bank.initial_state()
@@ -282,13 +329,13 @@ def check_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
             ctx.probes, ctx.system.bank.initial_state_batch(m_probes))
         worst = 0.0
         for m in range(m_probes):
-            scalar, state = ctx.system.step_controlled(
-                ctx.probes[m], state0)
-            worst = max(worst, float(np.max(np.abs(batch[m] - scalar))),
+            rates, state = reference_controlled_step(
+                ctx.system, ctx.probes[m], state0)
+            worst = max(worst, float(np.max(np.abs(batch[m] - rates))),
                         float(np.max(np.abs(states[m] - state))))
         return OracleResult(
             "batch-equivalence", True, worst <= BATCH_TOL,
-            f"max |controlled batch - scalar| = {worst:.3e} over "
+            f"max |step_controlled_batch - reference| = {worst:.3e} over "
             f"{m_probes} probes, rates and controller state "
             f"(tol {BATCH_TOL:.0e})")
     batch = ctx.system.step_batch(ctx.probes)
@@ -316,10 +363,11 @@ def _controlled_replay(system, initial, steps: int) -> np.ndarray:
 
 
 def check_ensemble_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """``run_ensemble`` members reproduce scalar ``run`` exactly.  A
-    controlled ``run`` must also equal its step-by-step replay through
-    ``step_controlled`` bit for bit: ``run`` and ``run_ensemble`` share
-    one kernel, so only this replay checks the controller off it."""
+    """``run_ensemble`` members reproduce scalar ``run``, the ensemble
+    loop's ``M = 1`` call, bit for bit.  A controlled ``run`` must also
+    equal its step-by-step replay through ``step_controlled`` bit for
+    bit: ``run`` and ``run_ensemble`` share one kernel, so only this
+    replay checks the controller off it."""
     budget = min(ctx.spec.max_steps, 600)
     initials = ctx.probes[:2]
     ens = ctx.system.run_ensemble(initials, max_steps=budget,
@@ -344,12 +392,12 @@ def check_ensemble_equivalence(ctx: ScenarioContext) -> OracleResult:
                 "ensemble-equivalence", True, False,
                 f"member {m}: ensemble steps {int(ens.steps[m])} != "
                 f"scalar {traj.steps}")
-        diff = float(np.max(np.abs(ens.finals[m] - traj.final)))
-        if diff > BATCH_TOL:
+        if not np.array_equal(ens.finals[m], traj.final):
+            diff = float(np.max(np.abs(ens.finals[m] - traj.final)))
             return OracleResult(
                 "ensemble-equivalence", True, False,
                 f"member {m}: final states differ by {diff:.3e} "
-                f"(tol {BATCH_TOL:.0e})")
+                f"(bit-identity required)")
     return OracleResult(
         "ensemble-equivalence", True, True,
         f"{len(ens)} members match scalar runs ({budget}-step budget)")

@@ -189,21 +189,22 @@ class TestEveryOracleFires:
 
     def test_ensemble_equivalence_catches_scalar_only_mutation(
             self, monkeypatch):
-        # With the C tier masked, ``run`` advances through the one-row
-        # stepper ``_step_row`` and ``run_ensemble`` through the batch
-        # stepper ``_step_rows``; the two share every kernel, so the
-        # mutant sits on the one thing only the scalar run sees: the
-        # one-row stepper's output.
+        # With the C tier masked, ``run`` and ``run_ensemble`` both
+        # advance through the batch stepper ``_step_rows``; ``run`` is
+        # its one-row call from the first step, the two-member ensemble
+        # only once a member has finished.  The mutant sits on what
+        # only a one-row batch sees.
         from repro.core.dynamics import FlowControlSystem
-        orig = FlowControlSystem._step_row
+        orig = FlowControlSystem._step_rows
 
-        def broken(self, r, *args):
-            out = np.array(orig(self, r, *args), dtype=float)
-            out[-1] += 1e-6
+        def broken(self, r, *args, **kwargs):
+            out = orig(self, r, *args, **kwargs)
+            if out.shape[0] == 1:
+                out[0, -1] += 1e-6
             return out
 
         monkeypatch.setattr(_cext, "load", lambda: None)
-        monkeypatch.setattr(FlowControlSystem, "_step_row", broken)
+        monkeypatch.setattr(FlowControlSystem, "_step_rows", broken)
         fails = failing_oracles(spec_of(), ["ensemble-equivalence"])
         assert fails == ("ensemble-equivalence",)
 

@@ -15,7 +15,6 @@ from repro.core.fairshare import (FairShare, _sorted_loads, _sorted_queues,
                                   cumulative_loads,
                                   fair_share_queues_recursive)
 from repro.core.fifo import Fifo
-from repro.core.math_utils import SPARSE_MIN_N, pick_kernel
 from repro.core.ratecontrol import TargetRule, TcpLikeRule
 from repro.core.service import PreemptivePriority
 from repro.core.signals import (FeedbackScheme, FeedbackStyle,
@@ -426,40 +425,19 @@ class TestCompiledObserveStage:
 
 
 class TestPickKernelBoundary:
-    """The route-walk switch of ``FeedbackScheme.signals`` and
-    ``round_trip_delays`` flips at exactly SPARSE_MIN_N whether or not
-    the C tier has built; the Fair Share laws have no switch and give
-    the same bits on both sides of it."""
+    """The route walks of ``FeedbackScheme.signals`` and
+    ``round_trip_delays`` once switched kernels at 64 connections; no
+    law switches there now, and the Fair Share law gives the same bits
+    on both sides of that size, with the C tier and without it."""
 
-    def test_boundary_names_default_backend(self):
-        assert pick_kernel("auto", SPARSE_MIN_N - 1) == "dense"
-        assert pick_kernel("auto", SPARSE_MIN_N) == "sparse"
-        assert pick_kernel("auto", SPARSE_MIN_N + 1) == "sparse"
-
-    def test_boundary_names_compiled_backend(self, monkeypatch):
-        # The switch does not consult the compiled tier: masking the C
-        # library leaves it where it was.
-        monkeypatch.setattr(_cext, "load", lambda: None)
-        assert compiled.tier() == "python"
-        assert pick_kernel("auto", SPARSE_MIN_N - 1) == "dense"
-        assert pick_kernel("auto", SPARSE_MIN_N) == "sparse"
-        assert pick_kernel("auto", SPARSE_MIN_N + 1) == "sparse"
-
-    def test_unknown_method_lists_the_choices(self):
-        with pytest.raises(RateVectorError) as exc:
-            pick_kernel("compiled", 10)
-        assert "'dense'" in str(exc.value)
-        assert "'sparse'" in str(exc.value)
-
-    @pytest.mark.parametrize("n", [SPARSE_MIN_N - 1, SPARSE_MIN_N,
-                                   SPARSE_MIN_N + 1])
+    @pytest.mark.parametrize("n", [63, 64, 65])
     def test_bit_identity_across_the_switch(self, n, monkeypatch):
         # Dyadic rates (k/32n with dyadic n-scaling is exact in
         # binary64) make any kernel discrepancy a hard bit flip
         # rather than harmless noise.  The contract pinned here: on
-        # either side of the route-walk switch the scalar law is the
-        # one-row numpy sorted pipeline bit for bit, with the C tier
-        # and without it, and within float tolerance of the recursion.
+        # either side of that size the scalar law is the one-row numpy
+        # sorted pipeline bit for bit, with the C tier and without it,
+        # and within float tolerance of the recursion.
         rng = np.random.default_rng(31)
         rates = rng.integers(0, 32, size=n) / (32.0 * n)
         want = _sorted_queues(rates[None, :], 1.0)[0]

@@ -186,7 +186,8 @@ class TestEngineTelemetry:
         assert rec.steps == traj.steps
         assert len(rec.residuals) == traj.steps
         assert rec.outcome_counts == {traj.outcome.value: 1}
-        assert "step" in rec.phase_seconds
+        # run is the ensemble loop's one-member call, with its phases.
+        assert set(rec.phase_seconds) == {"step_batch", "classify"}
         assert validate_run_record(rec.to_dict()) == []
 
     def test_ensemble_record_counts_and_masks(self):

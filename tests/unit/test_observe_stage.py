@@ -23,7 +23,7 @@ from repro.core.delays import round_trip_delays_batch
 from repro.core.dynamics import FlowControlSystem
 from repro.core.fairshare import FairShare
 from repro.core.fifo import Fifo
-from repro.core.math_utils import SPARSE_MIN_N, row_sums
+from repro.core.math_utils import row_sums
 from repro.core.ratecontrol import ProportionalTargetRule, TargetRule
 from repro.core.service import PreemptivePriority
 from repro.core.signals import (FeedbackScheme, FeedbackStyle,
@@ -47,7 +47,7 @@ def _rates(n, rng, m=8, scale=0.3):
 
 def _cases():
     phi = np.array([1.0, 2.0, 0.5, 3.0, 1.5, 1.0])
-    big = SPARSE_MIN_N + 6
+    big = 70
     yield "fifo-ind", parking_lot(3, cross_per_hop=3), Fifo(), IND, None
     yield "fifo-agg", parking_lot(3, cross_per_hop=3), Fifo(), AGG, None
     yield "fs-small-ind", random_network(3, 20, 4), FairShare(), IND, None

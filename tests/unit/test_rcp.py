@@ -118,6 +118,40 @@ class TestRcpBankBatch:
             assert np.array_equal(ens.finals[m], traj.final)
 
 
+class TestBankStateContract:
+    """The bank checks the controller state it is given, whoever calls
+    it: a one-row call needs a finite ``(G,)`` state, a batch call a
+    finite ``(M, G)`` state with one row per rate row."""
+
+    @pytest.fixture
+    def bank(self):
+        bank = RcpController().bind(random_network(3, 6, 2))
+        assert bank.num_gateways == 3
+        return bank
+
+    @pytest.mark.parametrize("state", [
+        np.array([0.1]), np.ones(4), np.array([0.1, np.nan, 0.1])],
+        ids=["broadcast", "wrong-length", "nan"])
+    def test_one_row_calls_need_a_finite_state_per_gateway(
+            self, bank, state):
+        with pytest.raises(RateVectorError, match=r"shape \(3,\)"):
+            bank.update(np.full(6, 0.1), state)
+        with pytest.raises(RateVectorError, match=r"shape \(3,\)"):
+            bank.advertised(state)
+
+    @pytest.mark.parametrize("state", [
+        np.full((2, 1), 0.1), np.ones((2, 4)), np.full((2, 3), np.nan),
+        np.ones((1, 3)), np.ones(3)],
+        ids=["broadcast", "wrong-length", "nan", "too-few-rows",
+             "one-row"])
+    def test_batch_calls_need_a_finite_row_per_rate_row(self, bank, state):
+        with pytest.raises(RateVectorError, match=r"shape \(2, 3\)"):
+            bank.update_batch(np.full((2, 6), 0.1), state)
+        if state.shape[0] == 2:
+            with pytest.raises(RateVectorError, match=r"shape \(M, 3\)"):
+                bank.advertised_batch(state)
+
+
 class TestControlledSystemGuards:
     def test_rcp_source_rule_requires_controller(self):
         with pytest.raises(RateVectorError):

@@ -4,10 +4,11 @@ The CSR index arrays (:class:`~repro.core.topology.TopologyCSR`) are a
 *layout* change, not a semantic one: every lookup they answer must be
 bit-identical to the historical ``gamma(i)``/``Gamma(a)`` scans.  The
 Fair Share law and the congestion measure run one sorted O(n log n)
-kernel at every size; it may differ from the plain O(n^2) laws only
-in floating-point summation order (<= 1e-12 relative).  The route
-walks of ``signals`` and ``round_trip_delays`` switch to one-row
-batches at ``SPARSE_MIN_N``.
+kernel at every size; it may differ from the plain, dense O(n^2) laws
+only in floating-point summation order (<= 1e-12 relative).
+``signals`` and ``round_trip_delays`` are one-row calls of their batch
+forms at every N, and both are held to the dense per-gateway reference
+:func:`~repro.scenarios.oracles.reference_observe`.
 """
 
 import math
@@ -20,13 +21,12 @@ from repro.core.fairshare import (FairShare, cumulative_loads,
                                   cumulative_loads_batch,
                                   fair_share_queues_recursive)
 from repro.core.fifo import Fifo
-from repro.core.math_utils import SPARSE_MIN_N, pick_kernel
 from repro.core.signals import (FeedbackScheme, FeedbackStyle,
                                 LinearSaturating, individual_congestion,
                                 individual_congestion_batch)
 from repro.core.topology import (TopologyCSR, parking_lot, random_network,
                                  single_gateway)
-from repro.errors import RateVectorError
+from repro.scenarios.oracles import reference_observe
 
 NETWORKS = [
     ("single-gateway", single_gateway(5, mu=1.0)),
@@ -88,22 +88,8 @@ def dense_congestion(queues):
     return np.minimum(queues[None, :], queues[:, None]).sum(axis=1)
 
 
-class TestKernelSelection:
-    def test_auto_switches_at_threshold(self):
-        assert pick_kernel("auto", SPARSE_MIN_N - 1) == "dense"
-        assert pick_kernel("auto", SPARSE_MIN_N) == "sparse"
-
-    def test_forced_methods_pass_through(self):
-        assert pick_kernel("dense", 10**6) == "dense"
-        assert pick_kernel("sparse", 2) == "sparse"
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(RateVectorError, match="method"):
-            pick_kernel("fast", 10)
-
-
 class TestSortedKernels:
-    @pytest.mark.parametrize("n", [3, 17, SPARSE_MIN_N, 257])
+    @pytest.mark.parametrize("n", [3, 17, 64, 257])
     def test_cumulative_loads_dense_vs_sorted(self, n):
         rng = np.random.default_rng(n)
         rates = rng.uniform(0.0, 0.4, size=n)
@@ -113,7 +99,7 @@ class TestSortedKernels:
         np.testing.assert_allclose(fast, dense_loads(rates, 1.1),
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 17, SPARSE_MIN_N, 257])
+    @pytest.mark.parametrize("n", [3, 17, 64, 257])
     def test_cumulative_loads_batch_dense_vs_sorted(self, n):
         rng = np.random.default_rng(100 + n)
         rates = rng.uniform(0.0, 0.4, size=(5, n))
@@ -122,7 +108,7 @@ class TestSortedKernels:
             np.testing.assert_allclose(fast[m], dense_loads(rates[m], 0.9),
                                        rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 17, SPARSE_MIN_N, 257])
+    @pytest.mark.parametrize("n", [3, 17, 64, 257])
     def test_individual_congestion_dense_vs_sorted(self, n):
         rng = np.random.default_rng(200 + n)
         queues = rng.uniform(0.0, 5.0, size=n)
@@ -131,7 +117,7 @@ class TestSortedKernels:
         np.testing.assert_allclose(fast, dense_congestion(queues),
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 17, SPARSE_MIN_N, 257])
+    @pytest.mark.parametrize("n", [3, 17, 64, 257])
     def test_queue_law_matches_recursion(self, n):
         # The engine's law against the paper's recursion, with ties,
         # an idle connection and an overloaded tail.
@@ -164,11 +150,11 @@ class TestSortedKernels:
         batch = individual_congestion_batch(queues[None, :])[0]
         assert np.array_equal(batch, fast)
 
-    @pytest.mark.parametrize("n", [SPARSE_MIN_N - 1, SPARSE_MIN_N,
-                                   SPARSE_MIN_N + 1])
+    @pytest.mark.parametrize("n", [63, 64, 65])
     def test_fair_share_scalar_batch_identity_across_threshold(self, n):
-        # Scalar and batch switch kernels at the same n, so the
-        # bit-identity contract holds on both sides of the boundary.
+        # The scalar law is a one-row batch at every n, so the
+        # bit-identity contract holds around the size where the route
+        # walks once switched kernels.
         rng = np.random.default_rng(300 + n)
         rates = rng.uniform(0.0, 1.5 / n, size=n)
         fs = FairShare()
@@ -177,21 +163,29 @@ class TestSortedKernels:
         assert np.array_equal(scalar, batch)
 
 
+def _assert_reference(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 class TestSparseAddressing:
+    """``signals``, ``signals_batch``, ``round_trip_delays`` and
+    ``round_trip_delays_batch`` against the dense per-gateway reference
+    :func:`~repro.scenarios.oracles.reference_observe`."""
+
     @pytest.mark.parametrize("style", [FeedbackStyle.INDIVIDUAL,
                                        FeedbackStyle.AGGREGATE])
     def test_signals_dense_vs_sparse(self, style):
-        # The route walk's scalar laws are one-row calls of the batch
-        # laws, so the two paths agree bit for bit.
         net = random_network(6, 40, seed=13)
         rng = np.random.default_rng(17)
         rates = rng.uniform(0.0, 0.05, size=net.num_connections)
         for discipline in (Fifo(), FairShare()):
             scheme = FeedbackScheme(net, discipline, LinearSaturating(),
                                     style)
-            dense = scheme.signals(rates, method="dense")
-            sparse = scheme.signals(rates, method="sparse")
-            assert np.array_equal(sparse, dense), discipline
+            got = scheme.signals(rates)
+            _assert_reference(got, reference_observe(scheme, rates)[0])
+            # The one-row call is that row of the batch, bit for bit.
+            assert np.array_equal(got, scheme.signals_batch(
+                rates[None, :])[0]), discipline
 
     def test_signals_batch_rows_match_dense(self):
         net = random_network(5, 24, seed=3)
@@ -202,41 +196,36 @@ class TestSparseAddressing:
                                     FeedbackStyle.INDIVIDUAL)
             out = scheme.signals_batch(batch)
             for m in range(batch.shape[0]):
-                assert np.array_equal(
-                    out[m], scheme.signals(batch[m], method="dense")), \
-                    (discipline, m)
+                _assert_reference(out[m],
+                                  reference_observe(scheme, batch[m])[0])
 
     def test_delays_dense_vs_sparse(self):
         net = random_network(6, 40, seed=13)
         rng = np.random.default_rng(29)
         rates = rng.uniform(0.0, 0.05, size=net.num_connections)
-        dense = round_trip_delays(net, Fifo(), rates, method="dense")
-        sparse = round_trip_delays(net, Fifo(), rates, method="sparse")
-        np.testing.assert_allclose(sparse, dense, rtol=1e-12,
-                                   atol=1e-12)
+        scheme = FeedbackScheme(net, Fifo(), LinearSaturating(),
+                                FeedbackStyle.INDIVIDUAL)
+        got = round_trip_delays(net, Fifo(), rates)
+        _assert_reference(got, reference_observe(scheme, rates)[1])
+        assert np.array_equal(got, round_trip_delays_batch(
+            net, Fifo(), rates[None, :])[0])
 
     def test_delays_batch_rows_match_dense(self):
         net = parking_lot(3, mu=1.2, latency=0.3)
         rng = np.random.default_rng(31)
         batch = rng.uniform(0.0, 0.2, size=(5, net.num_connections))
+        scheme = FeedbackScheme(net, FairShare(), LinearSaturating(),
+                                FeedbackStyle.INDIVIDUAL)
         out = round_trip_delays_batch(net, FairShare(), batch)
         for m in range(batch.shape[0]):
-            np.testing.assert_allclose(
-                out[m],
-                round_trip_delays(net, FairShare(), batch[m],
-                                  method="dense"),
-                rtol=1e-12, atol=1e-12)
+            _assert_reference(out[m], reference_observe(scheme, batch[m])[1])
 
     def test_large_n_auto_path_matches_dense_reference(self):
-        # Above the threshold "auto" takes the sparse/sorted route;
-        # the dense reference is still available by forcing it.
-        n = SPARSE_MIN_N * 2
+        n = 128
         net = single_gateway(n, mu=float(n))
         scheme = FeedbackScheme(net, FairShare(), LinearSaturating(),
                                 FeedbackStyle.INDIVIDUAL)
         rng = np.random.default_rng(37)
         rates = rng.uniform(0.0, 0.5, size=n)
-        np.testing.assert_allclose(
-            scheme.signals(rates),
-            scheme.signals(rates, method="dense"),
-            rtol=1e-12, atol=1e-12)
+        _assert_reference(scheme.signals(rates),
+                          reference_observe(scheme, rates)[0])

@@ -1,16 +1,16 @@
 """Heterogeneous-clock asynchronous engine benchmarks.
 
 Standalone (not collected by pytest): times the batched
-``run_async_ensemble`` against the member-by-member scalar
-:class:`~repro.core.asynchronous.AsynchronousRunner` loop it must
-reproduce bit-identically.  Two gated numbers:
+``run_async_ensemble`` against the member-by-member per-connection
+loop it must reproduce bit-identically,
+:func:`~repro.scenarios.oracles.reference_run`.  Two gated numbers:
 
 * **clock ensemble** — a 256-member ensemble under a slow/fast
   :class:`~repro.core.asynchronous.RateMixClock` schedule with a
-  2-step signal delay, batched vs the scalar Python loop.  A sample of
-  members is verified bit-identical (finals, outcomes, steps) before
-  any number is reported — the same contract the
-  ``async-batch-equivalence`` oracle asserts per-scenario;
+  2-step signal delay, batched vs the per-connection Python loop.  A
+  sample of members is verified bit-identical (finals, outcomes,
+  steps) before any number is reported — the same contract the
+  ``loop-equivalence`` oracle asserts per-scenario;
 * **delay ring overhead** — the same batched ensemble at ``tau = 8``
   vs ``tau = 0``.  The delayed-signal ring buffer is a slot write plus
   a slot read per step, so a deep delay line must keep most of the
@@ -33,13 +33,14 @@ import time
 
 import numpy as np
 
-from repro.core.asynchronous import (AsynchronousRunner, ClockSchedule,
-                                     RateMixClock, run_async_ensemble)
+from repro.core.asynchronous import (ClockSchedule, RateMixClock,
+                                     run_async_ensemble)
 from repro.core.dynamics import FlowControlSystem
 from repro.core.fairshare import FairShare
 from repro.core.ratecontrol import TargetRule
 from repro.core.signals import FeedbackStyle, LinearSaturating
 from repro.core.topology import single_gateway
+from repro.scenarios.oracles import reference_run
 
 #: Full-scale floors (the committed BENCH_async.json targets): the
 #: batched engine replaces a per-member Python loop with per-step
@@ -66,7 +67,8 @@ def _schedule(seed=3):
 
 def bench_async_ensemble(members=256, n=16, steps=400, tau=2,
                          verify_members=4, seed=7):
-    """Batched clocked ensemble vs the scalar per-member Python loop.
+    """Batched clocked ensemble vs the per-member, per-connection
+    Python loop.
 
     ``tol=0`` keeps every member running the full step budget so both
     sides do identical amounts of dynamics work.
@@ -80,19 +82,20 @@ def bench_async_ensemble(members=256, n=16, steps=400, tau=2,
     run_async_ensemble(system, starts[:2], **kwargs)  # warm-up
 
     ens = run_async_ensemble(system, starts, **kwargs)
-    runner = AsynchronousRunner(system, sched, signal_delay=tau)
     for m in range(0, members, max(1, members // verify_members)):
-        traj = runner.run(starts[m], max_steps=steps, tol=0.0)
+        traj = reference_run(system, starts[m], sched, tau,
+                             max_steps=steps, tol=0.0)
         if ens.outcomes[m] is not traj.outcome \
                 or int(ens.steps[m]) != traj.steps \
                 or not np.array_equal(ens.finals[m], traj.final):
             raise AssertionError(
-                f"async ensemble member {m} differs from its scalar "
-                f"replay")
+                f"async ensemble member {m} differs from "
+                f"reference_run")
 
     t0 = time.perf_counter()
     for m in range(members):
-        runner.run(starts[m], max_steps=steps, tol=0.0)
+        reference_run(system, starts[m], sched, tau, max_steps=steps,
+                      tol=0.0)
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -124,13 +127,13 @@ def bench_delay_ring(members=256, n=16, steps=400, tau=8,
 
     batched(tau)  # warm-up
     ens = batched(tau)
-    runner = AsynchronousRunner(system, sched, signal_delay=tau)
     for m in range(0, members, max(1, members // verify_members)):
-        traj = runner.run(starts[m], max_steps=steps, tol=0.0)
+        traj = reference_run(system, starts[m], sched, tau,
+                             max_steps=steps, tol=0.0)
         if not np.array_equal(ens.finals[m], traj.final):
             raise AssertionError(
-                f"delayed ensemble member {m} differs from its scalar "
-                f"replay")
+                f"delayed ensemble member {m} differs from "
+                f"reference_run")
 
     t0 = time.perf_counter()
     batched(0)

@@ -37,30 +37,30 @@ Determinism contract: every built-in schedule's participation mask is
 a **pure function of (seed, step)** — no schedule object carries
 mutable stream state — so scalar runs, batched ensembles, and blocked
 ensembles all see identical masks regardless of call history.  The
-batched engine, :func:`run_async_ensemble`, evolves an ``(M, N)``
-ensemble under one schedule (or one schedule per member) through the
+engine, :func:`run_async_ensemble`, evolves an ``(M, N)`` ensemble
+under one schedule (or one schedule per member) through the
 synchronous ensemble loop of :mod:`repro.core.dynamics`, with a clock
-gate and a delayed-signal ring buffer switched on, and member ``m``
-reproduces the scalar :class:`AsynchronousRunner` path bit-exactly.
-A shared schedule the gate table (``_GATES``) serves runs that loop
-in one C call per member block, coins and all.
+gate and a delayed-signal ring buffer switched on;
+:meth:`AsynchronousRunner.run` is its one-member call.  A shared
+schedule the gate table (``_GATES``) serves runs that loop in one C
+call per member block, coins and all.  The plain per-connection
+reference the tests and the ``loop-equivalence`` oracle hold both to,
+bit for bit, is :func:`repro.scenarios.oracles.reference_run`.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from collections import deque
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ..backends import _cext, compiled
 from ..errors import RateVectorError, SweepError
-from .dynamics import EnsembleResult, FlowControlSystem, Outcome, \
-    Trajectory, _check_loop, _detect_period
-from .math_utils import as_rate_matrix, as_rate_vector, clip_nonnegative, \
-    sup_norm
+from .dynamics import EnsembleResult, FlowControlSystem, Trajectory, \
+    _one_trajectory
+from .math_utils import as_rate_matrix, as_rate_vector
 
 __all__ = [
     "UpdateSchedule",
@@ -412,14 +412,18 @@ class AsynchronousRunner:
     At step ``t`` the scheduled connections apply their rule to the
     signals and delays computed from the rate vector of step
     ``t - signal_delay`` (0 = the current model); unscheduled
-    connections hold their rates.
+    connections hold their rates.  A run is the one-member call of
+    :func:`run_async_ensemble`, as :meth:`FlowControlSystem.run` is of
+    :meth:`FlowControlSystem.run_ensemble`.  ``schedule`` and
+    ``signal_delay`` are checked here, as the ensemble checks them.
     """
 
     def __init__(self, system: FlowControlSystem,
                  schedule: Optional[UpdateSchedule] = None,
                  signal_delay: int = 0):
         self.system = system
-        self.schedule = schedule or SynchronousSchedule()
+        self.schedule = (SynchronousSchedule() if schedule is None
+                         else _check_schedule((schedule,))[0])
         self.signal_delay = _check_delay(signal_delay)
 
     def run(self, initial: Sequence[float], max_steps: int = 20000,
@@ -427,61 +431,20 @@ class AsynchronousRunner:
             max_period: int = 64) -> Trajectory:
         """Iterate; convergence requires a full quiet *sweep*.
 
-        ``settle`` defaults to ``2 * steps_per_sweep + signal_delay``
+        ``settle`` defaults to ``2 * steps_per_sweep + signal_delay + 3``
         quiet steps: a round-robin run must stay quiet for whole
         sweeps, and a delayed run must stay quiet longer than the
         delay pipeline (otherwise a stale congestion spike still in
         the buffer could pin the rates just long enough to fake a
-        fixed point).
+        fixed point).  The trajectory is member 0 of
+        ``run_async_ensemble(system, [initial], ..., history="full")``,
+        with its record when telemetry is collected; a controller-driven
+        system raises :class:`~repro.errors.SweepError`, as there.
         """
-        n = self.system.network.num_connections
-        r = as_rate_vector(initial, n=n)
-        sweep = self.schedule.steps_per_sweep(n)
-        if settle is None:
-            settle = 2 * sweep + self.signal_delay + 3
-        _check_loop(max_steps, settle, max_period, tol)
-        buffer = deque([r.copy()] * (self.signal_delay + 1),
-                       maxlen=self.signal_delay + 1)
-        history = [r.copy()]
-        quiet = 0
-        limit = (FlowControlSystem.DIVERGENCE_FACTOR
-                 * max(self.system.network.mu(g)
-                       for g in self.system.network.gateway_names))
-        for step in range(1, max_steps + 1):
-            # The observe stage as a one-row batch: the same kernels as
-            # run_async_ensemble, so members match this runner exactly.
-            # Delays are computed even when no rule reads them: this is
-            # the per-connection reference the async-batch-equivalence
-            # oracle checks the batched engine against.
-            b, d = self.system.scheme.observe_batch(buffer[0][None, :])
-            b, d = b[0], d[0]
-            mask = self.schedule.participants(step - 1, n)
-            r_next = r.copy()
-            for i in np.nonzero(mask)[0]:
-                rule = self.system.rules[i]
-                r_next[i] = rule.apply(float(r[i]), float(b[i]),
-                                       float(d[i]))
-            r_next = clip_nonnegative(r_next)
-            history.append(r_next.copy())
-            buffer.append(r_next.copy())
-            if not np.all(np.isfinite(r_next)) or np.any(r_next > limit):
-                return Trajectory(np.array(history), Outcome.DIVERGED,
-                                  None, step)
-            change = sup_norm(r_next, r)
-            scale = max(1.0, float(np.max(r_next)))
-            if change <= tol * scale:
-                quiet += 1
-                if quiet >= settle:
-                    return Trajectory(np.array(history),
-                                      Outcome.CONVERGED, 1, step)
-            else:
-                quiet = 0
-            r = r_next
-        arr = np.array(history)
-        period = _detect_period(arr, max_period, tol)
-        if period is not None:
-            return Trajectory(arr, Outcome.OSCILLATING, period, max_steps)
-        return Trajectory(arr, Outcome.UNDECIDED, None, max_steps)
+        r = as_rate_vector(initial, n=self.system.network.num_connections)
+        return _one_trajectory(run_async_ensemble(
+            self.system, r[None], self.schedule, self.signal_delay,
+            max_steps, tol, settle, max_period, history="full"), max_steps)
 
     def is_steady_state(self, rates: Sequence[float],
                         tol: float = 1e-9) -> bool:
@@ -577,30 +540,31 @@ def run_async_ensemble(system: FlowControlSystem, initials,
                        history: Optional[str] = None) -> EnsembleResult:
     """Evolve an ``(M, N)`` ensemble under asynchronous updates.
 
-    The batched counterpart of :class:`AsynchronousRunner`, and the
-    ensemble loop of :meth:`FlowControlSystem.run_ensemble` with two
-    more stages switched on: the observe stage reads the rate vectors
-    ``signal_delay`` steps in the past (a ``(tau + 1, M, N)`` ring
-    buffer), and a clock gate keeps the rates of the sources whose
+    The ensemble loop of :meth:`FlowControlSystem.run_ensemble` with
+    two more stages switched on: the observe stage reads the rate
+    vectors ``signal_delay`` steps in the past (a ``(tau + 1, M, N)``
+    ring buffer), and a clock gate keeps the rates of the sources whose
     clock does not tick, after the rule groups' ``apply_batch`` has
     decided every column.  Signals, and delays when a rule reads them
     (:attr:`~repro.core.ratecontrol.RateAdjustment.reads_delay`), come
-    from the same kernels as the synchronous map.  Member ``m``
-    reproduces
-    ``AsynchronousRunner(system, schedule, signal_delay)
-    .run(initials[m], ...)`` bit-exactly in finals, outcomes, steps,
-    and periods.
+    from the same kernels as the synchronous map.
+    :meth:`AsynchronousRunner.run` is its one-member call, and member
+    ``m`` equals :func:`repro.scenarios.oracles.reference_run` of
+    ``initials[m]`` under the same schedule and delay, the plain
+    per-connection loop, bit for bit in history, final, outcome, steps
+    and period.
 
     ``schedule`` is one :class:`UpdateSchedule` shared by every member
-    (default: synchronous), or a length-M sequence giving each member
-    its own schedule — per-member masks are stacked into an ``(M, N)``
-    participation matrix each step.  Schedules must keep
+    (default: synchronous), or a length-M list or tuple giving each
+    member its own schedule — per-member masks are stacked into an
+    ``(M, N)`` participation matrix each step; anything else raises
+    :class:`~repro.errors.SweepError`.  Schedules must keep
     ``participants`` a pure function of ``(step, n)`` (all built-ins
     do); stateful schedules would break blocked bit-identity.
 
     ``settle=None`` resolves per member to
-    ``2 * steps_per_sweep + signal_delay + 3`` quiet steps, matching
-    the scalar runner's full-quiet-sweep contract.
+    ``2 * steps_per_sweep + signal_delay + 3`` quiet steps: a full
+    quiet sweep (see :meth:`AsynchronousRunner.run`).
 
     ``history`` / ``block_size`` / ``telemetry`` follow
     :meth:`FlowControlSystem.run_ensemble` exactly: the same retention
@@ -614,6 +578,7 @@ def run_async_ensemble(system: FlowControlSystem, initials,
     have nothing to schedule there.
     """
     tau = _check_delay(signal_delay)
+    schedule = _check_schedule(schedule)
     if system.controlled:
         raise SweepError(
             "run_async_ensemble drives source-side update schedules; "
@@ -637,11 +602,6 @@ def run_async_ensemble(system: FlowControlSystem, initials,
             raise SweepError(
                 f"need one schedule per member: got {len(schedules)} "
                 f"schedules for M={m_total}")
-        for s in schedules:
-            if not isinstance(s, UpdateSchedule):
-                raise SweepError(
-                    f"per-member schedules must be UpdateSchedules, "
-                    f"got {s!r}")
 
         def gate(step, members):
             return np.stack([schedules[m].participants(step - 1, n)
@@ -654,6 +614,24 @@ def run_async_ensemble(system: FlowControlSystem, initials,
     return system._run_batch("async_ensemble", r0, max_steps, tol, settle,
                              max_period, telemetry, block_size, history,
                              gate=gate, tau=tau, loop_gate=loop_gate)
+
+
+def _check_schedule(schedule):
+    """``schedule`` if it is None, an :class:`UpdateSchedule` or a list
+    or tuple of them; :class:`~repro.errors.SweepError` naming the type
+    of anything else (a :class:`ClockModel` is pointed to
+    :class:`ClockSchedule`)."""
+    if schedule is None or isinstance(schedule, UpdateSchedule):
+        return schedule
+    items = schedule if isinstance(schedule, (list, tuple)) else [schedule]
+    for item in items:
+        if not isinstance(item, UpdateSchedule):
+            hint = (f"; wrap it as ClockSchedule({type(item).__name__}"
+                    f"(...))" if isinstance(item, ClockModel) else "")
+            raise SweepError(
+                f"schedule must be an UpdateSchedule, a list or tuple of "
+                f"them, or None; got {type(item).__name__}{hint}")
+    return schedule
 
 
 def _check_delay(signal_delay) -> int:

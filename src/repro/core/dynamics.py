@@ -41,10 +41,11 @@ code path and agree bit for bit.  That path is one loop, which all
 three runners share: :meth:`FlowControlSystem.run_ensemble` iterates
 the batch and masks out members that converge or diverge, so finished
 trajectories stop costing work; the synchronous map is its case with
-no clock gate and no feedback delay, and
+no clock gate and no feedback delay;
 :func:`repro.core.asynchronous.run_async_ensemble` passes a gate and a
-delay.  For the schemes the C observe kernel serves, the six built-in
-rules, the built-in clock gates and built-in fault and structural
+delay, and :class:`~repro.core.asynchronous.AsynchronousRunner` is its
+one-member call.  For the schemes the C observe kernel serves, the six
+built-in rules, the built-in clock gates and built-in fault and structural
 injectors, and for a router-side :class:`~repro.core.rcp.RcpController`
 (whose bank then replaces observe, perturb and decide, on any scheme),
 each block of the loop runs in one C call
@@ -55,10 +56,13 @@ the fallback and the reference the tests hold it to, byte for byte.
 The public steps validate their input; the runners validate the
 initial state once and then step validated arrays, because the
 divergence check and the clip already keep every next state finite and
-nonnegative.  The independent per-connection reference map, which the
-fuzz oracles check the engine against, is
-:func:`repro.scenarios.oracles.reference_step` (and
-:func:`repro.scenarios.oracles.reference_controlled_step` for RCP).
+nonnegative.  The independent per-connection references the fuzz
+oracles check the engine against are
+:func:`repro.scenarios.oracles.reference_step` for one step (and
+:func:`repro.scenarios.oracles.reference_controlled_step` for RCP),
+along plain scalar laws, and
+:func:`repro.scenarios.oracles.reference_run` for a whole run of the
+loop, bit for bit, on the Python perturb stages and controller.
 """
 
 from __future__ import annotations
@@ -645,23 +649,11 @@ class FlowControlSystem:
         composes with a router-side controller.
         """
         r = as_rate_vector(initial, n=self.network.num_connections)
-        res = self._run_batch("run", r[None], max_steps, tol, settle,
-                              max_period, telemetry, None, "full",
-                              *self._start(faults, structural,
-                                           [fault_member]))
-        steps = int(res.steps[0])
-        history = res.histories[0]
-        if steps < max_steps:
-            # An early exit trims with a copy, so the trajectory does
-            # not pin max_steps worth of memory through a view; a spent
-            # budget keeps the block buffer itself.
-            history = history.copy()
-        # The event lists as the loop left them: pending until read.
-        events = vars(res)
-        return Trajectory(history, res.outcomes[0], res.periods[0], steps,
-                          telemetry=res.telemetry,
-                          fault_events=events["fault_events"],
-                          structural_events=events["structural_events"])
+        return _one_trajectory(
+            self._run_batch("run", r[None], max_steps, tol, settle,
+                            max_period, telemetry, None, "full",
+                            *self._start(faults, structural,
+                                         [fault_member])), max_steps)
 
     def _run_kernel(self, initials, max_steps, tol, settle, tau=0,
                     gate=compiled.NO_GATE, tail=None, full=None, agg=None,
@@ -987,7 +979,7 @@ class FlowControlSystem:
                 if self._bank is not None else None)
         # Delayed-feedback ring, tau > 0 only: slot s % (tau + 1) holds
         # the state of time s and every slot starts at the initial
-        # condition (the scalar runner's pre-filled deque), so the slot
+        # condition (reference_run's pre-filled deque), so the slot
         # step t is about to overwrite holds the tau-stale state the
         # observe stage reads.  Rows are compressed alongside r.  At
         # tau = 0 that slot would always equal r.
@@ -1107,6 +1099,27 @@ def _check_loop(max_steps, settle, max_period, tol) -> None:
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol)
             and tol >= 0):
         raise SweepError(f"tol must be a finite real >= 0, got {tol!r}")
+
+
+def _one_trajectory(res: EnsembleResult, max_steps: int) -> Trajectory:
+    """The one member of a ``history="full"`` result as a
+    :class:`Trajectory`, with its record and event lists: how ``run``
+    and :meth:`AsynchronousRunner.run
+    <repro.core.asynchronous.AsynchronousRunner.run>` wrap their
+    one-member call."""
+    steps = int(res.steps[0])
+    history = res.histories[0]
+    if steps < max_steps:
+        # An early exit trims with a copy, so the trajectory does not
+        # pin max_steps worth of memory through a view; a spent budget
+        # keeps the block buffer itself.
+        history = history.copy()
+    # The event lists as the loop left them: pending until read.
+    events = vars(res)
+    return Trajectory(history, res.outcomes[0], res.periods[0], steps,
+                      telemetry=res.telemetry,
+                      fault_events=events["fault_events"],
+                      structural_events=events["structural_events"])
 
 
 def _listed(state) -> Optional[list]:

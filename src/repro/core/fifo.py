@@ -36,6 +36,8 @@ def _fifo_queues(rates, mu: float) -> np.ndarray:
     # batch it rides in (see row_sums).
     rho_total = row_sums(rho)[:, None]
     overloaded = rho_total >= 1.0
+    if not overloaded.any():  # no division by zero to silence or replace
+        return rho / (1.0 - rho_total)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = rho / (1.0 - rho_total)
     return np.where(overloaded, np.where(rho > 0, math.inf, 0.0), q)

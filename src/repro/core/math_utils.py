@@ -191,7 +191,7 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     """
     if values.shape[-1] == 0:
         return np.zeros(values.shape[:-1], dtype=float)
-    return np.cumsum(values, axis=-1)[..., -1]
+    return values.cumsum(axis=-1)[..., -1]
 
 
 def clip_nonnegative(vec: np.ndarray) -> np.ndarray:

@@ -97,6 +97,14 @@ class RateAdjustment(abc.ABC):
     #: computes delays only when some rule of a system reads them.
     reads_delay: bool = True
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A subclass that overrides delta but inherits a vectorised
+        # delta_batch would run its parent's law on every batch path;
+        # it gets the loop over its own delta instead.
+        if "delta" in vars(cls) and "delta_batch" not in vars(cls):
+            cls.delta_batch = RateAdjustment.delta_batch
+
     @abc.abstractmethod
     def delta(self, rate: float, signal: float, delay: float) -> float:
         """The adjustment ``f(r_i, b_i, d_i)`` (may be negative)."""

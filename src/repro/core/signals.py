@@ -144,8 +144,11 @@ class LinearSaturating(SignalFunction):
 
     def apply_batch(self, congestion):
         c = _check_congestion_batch(congestion)
+        saturated = np.isinf(c)
+        if not saturated.any():  # no inf / inf to silence or replace
+            return c / (c + 1.0)
         with np.errstate(invalid="ignore"):
-            return np.where(np.isinf(c), 1.0, c / (c + 1.0))
+            return np.where(saturated, 1.0, c / (c + 1.0))
 
     def congestion_for(self, signal):
         b = _check_signal(signal)
@@ -181,8 +184,11 @@ class PowerSaturating(SignalFunction):
 
     def apply_batch(self, congestion):
         c = _check_congestion_batch(congestion)
+        saturated = np.isinf(c)
+        if not saturated.any():
+            return (c / (c + 1.0)) ** self.p
         with np.errstate(invalid="ignore"):
-            return np.where(np.isinf(c), 1.0, (c / (c + 1.0)) ** self.p)
+            return np.where(saturated, 1.0, (c / (c + 1.0)) ** self.p)
 
     def congestion_for(self, signal):
         b = _check_signal(signal)

@@ -22,7 +22,7 @@ analyses — not arbitrary noise:
 * **clocks** — a minority of non-controller scenarios carry a
   heterogeneous update clock (:class:`~repro.scenarios.spec.ClockSpec`
   — slow/fast mixes, drifting, bursty, plus a small signal delay),
-  exercised by the async fixed-point and scalar-vs-batch oracles.
+  exercised by the async fixed-point and loop-equivalence oracles.
 
 Determinism contract: ``generate_spec(seed, i)`` depends only on
 ``(seed, i)`` — it seeds a fresh ``np.random.default_rng([seed, i])``

@@ -14,12 +14,13 @@ a whole scenario family:
                          :func:`reference_controlled_step`, RCP's
                          update law in scalar arithmetic (contract:
                          equal to <= 1e-12)
-``ensemble-equivalence`` ``run_ensemble`` member vs scalar ``run``
-                         (its ``M = 1`` call; bit-identical); a
-                         controlled ``run`` vs its step-by-step
-                         ``step_controlled`` replay (bit-identical)
-``blocked-equivalence``  ``run_ensemble`` with ``block_size < M`` vs
-                         the one-shot run (bit-identical)
+``loop-equivalence``     the scenario's runner (``run_async_ensemble``
+                         and ``AsynchronousRunner`` under its clock,
+                         ``run_ensemble`` and ``run`` without one) in
+                         blocks of two and at ``M = 1`` vs
+                         :func:`reference_run`, the plain
+                         per-connection loop on the Python perturb
+                         stages and controller (bit-identical)
 ``kernel-equivalence``   legacy vs fast packet kernels (bit-identical)
 ``compiled-equivalence`` fast vs compiled (runtime-built C) FIFO
                          kernels (bit-identical; not-applicable when
@@ -37,7 +38,8 @@ a whole scenario family:
 ``steady-signal``        Theorems 1/3: at a steady state every active
                          TSI connection sees exactly its target signal
 ``fault-determinism``    seeded fault *and structural* plans replay
-                         bit-identically; the empty plans are
+                         bit-identically, and as
+                         :func:`reference_run`; the empty plans are
                          bit-identical no-ops
 ``rcp-stability``        Voice et al.: RCP with stability factor
                          ``s < 2`` converges globally to the max-min
@@ -53,9 +55,6 @@ a whole scenario family:
 ``async-fixed-point``    a synchronous fixed point is invariant under
                          every update schedule and signal delay — the
                          async engine started *at* it must stay on it
-``async-batch-equivalence`` ``run_async_ensemble`` members reproduce
-                         the scalar :class:`AsynchronousRunner`
-                         bit-identically under the scenario's clock
 ================== ====================================================
 
 Oracles *never* raise on a violation — a violation is data (an
@@ -73,6 +72,7 @@ the kernels) and the numerical realities of the theorem checks
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -82,16 +82,17 @@ from ..chaos.monitor import check_robustness_floor
 from ..chaos.structural import StructuralFaultPlan
 from ..core.asynchronous import (AsynchronousRunner, BernoulliSchedule,
                                  RoundRobinSchedule, run_async_ensemble)
-from ..core.dynamics import FlowControlSystem, Outcome, Trajectory
+from ..core.dynamics import (FlowControlSystem, Outcome, Trajectory,
+                             _detect_period)
 from ..core.fairshare import FairShare, fair_share_queues_recursive
-from ..core.math_utils import sup_norm
+from ..core.math_utils import as_rate_vector, sup_norm
 from ..core.robustness import reservation_floor_heterogeneous
 from ..core.signals import FeedbackStyle, weighted_individual_congestion
 from ..core.stability import jacobian, spectral_radius
 from ..core.steadystate import is_aggregate_steady_state, refine
 from ..core.weighted import (WeightedFairShare,
                              weighted_fair_share_queues_recursive)
-from ..errors import ConvergenceError, OracleError
+from ..errors import ConvergenceError, OracleError, SweepError
 from ..faults import FaultPlan
 from .spec import ScenarioSpec
 
@@ -102,6 +103,7 @@ __all__ = [
     "reference_observe",
     "reference_step",
     "reference_controlled_step",
+    "reference_run",
     "oracle_names",
     "run_oracle",
     "run_all_oracles",
@@ -349,58 +351,152 @@ def check_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
         f"{m_probes} probes (tol {BATCH_TOL:.0e})")
 
 
-def _controlled_replay(system, initial, steps: int) -> np.ndarray:
-    """``steps`` calls of ``system.step_controlled`` from ``initial``
-    and the bank's initial state: the Python controller, off the
-    ensemble kernel that ``run`` and ``run_ensemble`` share.  Returns
-    the history."""
-    state = system.bank.initial_state()
-    history = [np.asarray(initial, dtype=float)]
-    for _ in range(steps):
-        rates, state = system.step_controlled(history[-1], state)
-        history.append(rates)
-    return np.array(history)
+def reference_run(system: FlowControlSystem, initial, schedule=None,
+                  signal_delay: int = 0, max_steps: int = 20000,
+                  tol: float = 1e-10, settle: Optional[int] = None,
+                  max_period: int = 64,
+                  faults: Optional[FaultPlan] = None,
+                  structural: Optional[StructuralFaultPlan] = None
+                  ) -> Trajectory:
+    """One run of the ensemble loop, the plain per-connection way: the
+    reference that ``run``, ``run_ensemble``, ``run_async_ensemble``
+    and :class:`~repro.core.asynchronous.AsynchronousRunner` answer to
+    bit for bit, with their parameters.
+
+    Each step observes the rate vector of ``signal_delay`` steps before
+    with ``scheme.observe_batch`` (on the resolved structural view,
+    ``b = 1`` behind a blackhole), perturbs the signals with the
+    Python ``FaultState.apply``, lets each connection the schedule
+    picks apply its own ``rule.apply``, and clips at zero; a
+    controller-driven system steps its Python bank through
+    ``step_controlled`` instead.  The rates are plain floats between
+    the stages.  A non-finite rate or one above ``DIVERGENCE_FACTOR *
+    max(mu)`` ends the run DIVERGED, ``settle`` quiet steps end it
+    CONVERGED (``None`` is ``2 * steps_per_sweep + signal_delay + 3``,
+    ``run``'s 5 for the synchronous map), and a spent budget is
+    OSCILLATING or UNDECIDED by the period search.  The trajectory
+    carries the plans' events.
+    """
+    n = system.network.num_connections
+    r = as_rate_vector(initial, n=n).tolist()
+    if system.controlled and (schedule is not None or signal_delay):
+        raise SweepError("controller-driven systems have no source clock "
+                         "or signal delay")
+    if settle is None:
+        sweep = 1 if schedule is None else schedule.steps_per_sweep(n)
+        settle = 2 * sweep + signal_delay + 3
+    fstate = None if faults is None else faults.start(network=system.network)
+    sstate = None if structural is None else structural.start(system)
+    ctrl = system.bank.initial_state() if system.controlled else None
+    stale = deque([r] * (signal_delay + 1), maxlen=signal_delay + 1)
+    history = [r]
+    rules, everyone = system.rules, range(n)
+    limit = FlowControlSystem.DIVERGENCE_FACTOR * max(
+        system.network.mu(g) for g in system.network.gateway_names)
+    quiet, outcome, period = 0, None, None
+    for step in range(1, max_steps + 1):
+        if ctrl is not None:
+            r_next, ctrl = system.step_controlled(np.array(r), ctrl)
+            r_next = r_next.tolist()
+        else:
+            view = None if sstate is None else sstate.resolve(step)
+            scheme = system.scheme if view is None else view.scheme
+            b, d = scheme.observe_batch(np.array([stale[0]]))
+            b = b[0]
+            if view is not None:
+                b[view.blackholed] = 1.0
+            if fstate is not None:
+                b = fstate.apply(step, b)
+            who = everyone if schedule is None else np.flatnonzero(
+                schedule.participants(step - 1, n)).tolist()
+            signals, delays = b.tolist(), d[0].tolist()
+            r_next = r.copy()
+            for i in who:
+                r_next[i] = rules[i].apply(r[i], signals[i], delays[i])
+            # np.maximum(x, 0.0): NaN stays, -0.0 and below become 0.0.
+            r_next = [x if x > 0.0 or x != x else 0.0 for x in r_next]
+        history.append(r_next)
+        stale.append(r_next)
+        if not all(x <= limit for x in r_next):  # NaN fails it too
+            outcome = Outcome.DIVERGED
+            break
+        if max(abs(x - y) for x, y in zip(r_next, r)) \
+                <= tol * max(1.0, max(r_next)):
+            quiet += 1
+            if quiet >= settle:
+                outcome, period = Outcome.CONVERGED, 1
+                break
+        else:
+            quiet = 0
+        r = r_next
+    history = np.array(history)
+    if outcome is None:
+        period = _detect_period(history, max_period, tol)
+        outcome = Outcome.UNDECIDED if period is None else Outcome.OSCILLATING
+    return Trajectory(history, outcome, period, history.shape[0] - 1,
+                      fault_events=None if fstate is None else fstate.events,
+                      structural_events=(None if sstate is None
+                                         else sstate.events))
 
 
-def check_ensemble_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """``run_ensemble`` members reproduce scalar ``run``, the ensemble
-    loop's ``M = 1`` call, bit for bit.  A controlled ``run`` must also
-    equal its step-by-step replay through ``step_controlled`` bit for
-    bit: ``run`` and ``run_ensemble`` share one kernel, so only this
-    replay checks the controller off it."""
-    budget = min(ctx.spec.max_steps, 600)
-    initials = ctx.probes[:2]
-    ens = ctx.system.run_ensemble(initials, max_steps=budget,
-                                  tol=ctx.spec.tol)
-    for m in range(len(ens)):
-        traj = ctx.system.run(initials[m], max_steps=budget,
-                              tol=ctx.spec.tol)
-        if ctx.system.controlled and not np.array_equal(
-                traj.history,
-                _controlled_replay(ctx.system, initials[m], traj.steps)):
-            return OracleResult(
-                "ensemble-equivalence", True, False,
-                f"member {m}: the controlled run differs from its "
-                f"step-by-step replay")
-        if ens.outcomes[m] is not traj.outcome:
-            return OracleResult(
-                "ensemble-equivalence", True, False,
-                f"member {m}: ensemble outcome "
-                f"{ens.outcomes[m].value} != scalar {traj.outcome.value}")
-        if int(ens.steps[m]) != traj.steps:
-            return OracleResult(
-                "ensemble-equivalence", True, False,
-                f"member {m}: ensemble steps {int(ens.steps[m])} != "
-                f"scalar {traj.steps}")
-        if not np.array_equal(ens.finals[m], traj.final):
-            diff = float(np.max(np.abs(ens.finals[m] - traj.final)))
-            return OracleResult(
-                "ensemble-equivalence", True, False,
-                f"member {m}: final states differ by {diff:.3e} "
-                f"(bit-identity required)")
+def _bits(a) -> tuple:
+    """An array's shape and bytes: equal exactly when bit-identical."""
+    return a.shape, a.tobytes()
+
+
+def check_loop_equivalence(ctx: ScenarioContext) -> OracleResult:
+    """The ensemble loop answers to :func:`reference_run`, bit for bit.
+
+    The scenario's runner — ``run_async_ensemble`` and
+    :class:`~repro.core.asynchronous.AsynchronousRunner` under its clock
+    and delay (400-step budget), ``run_ensemble`` and ``run`` without
+    one (600 steps) — runs the four probes in blocks of two with full
+    histories, and probe 0 as its ``M = 1`` call.  That call and
+    blocked members 0 and 3 must equal :func:`reference_run` of probes
+    0 and 3 in history (bytes and shape), final, outcome, steps and
+    period.  Member 3 sits at row 1 of the second block, so a leak of
+    the row position or a slip in a later block's member offset shows;
+    and since one kernel serves both engine calls, only the reference
+    sees a mutant in it.  No theorem hypothesis applies, so neither
+    does a skip.
+    """
+    spec, system, probes = ctx.spec, ctx.system, ctx.probes
+    budget = min(spec.max_steps, 600 if spec.clock is None else 400)
+    kwargs = dict(max_steps=budget, tol=spec.tol)
+    if spec.clock is None:
+        schedule, tau, label = None, 0, "synchronous"
+        blocked = system.run_ensemble(probes, block_size=2,
+                                      history="full", **kwargs)
+        single = system.run(probes[0], **kwargs)
+    else:
+        schedule, tau = spec.clock.schedule(), spec.clock.signal_delay
+        label = f"{spec.clock.kind} clock, delay {tau}"
+        blocked = run_async_ensemble(system, probes, schedule, tau,
+                                     block_size=2, history="full", **kwargs)
+        single = AsynchronousRunner(system, schedule, tau).run(probes[0],
+                                                               **kwargs)
+    refs = {m: reference_run(system, probes[m], schedule, tau, **kwargs)
+            for m in (0, 3)}
+    runs = [("the M = 1 call", single, single.final, refs[0])]
+    runs += [(f"blocked member {m}", blocked.trajectory(m),
+              blocked.finals[m], refs[m]) for m in (0, 3)]
+    for name, traj, final, ref in runs:
+        for field, got, want in (
+                ("history", _bits(traj.history), _bits(ref.history)),
+                ("final", _bits(final), _bits(ref.final)),
+                ("outcome", traj.outcome.value, ref.outcome.value),
+                ("steps", traj.steps, ref.steps),
+                ("period", traj.period, ref.period)):
+            if got != want:
+                shown = "" if field in ("history", "final") \
+                    else f": {got} != {want}"
+                return OracleResult(
+                    "loop-equivalence", True, False,
+                    f"{name}: {field} differs from reference_run{shown}")
     return OracleResult(
-        "ensemble-equivalence", True, True,
-        f"{len(ens)} members match scalar runs ({budget}-step budget)")
+        "loop-equivalence", True, True,
+        f"the M = 1 call and blocked members 0 and 3 bit-identical to "
+        f"reference_run ({label}, {budget}-step budget)")
 
 
 def check_kernel_equivalence(ctx: ScenarioContext) -> OracleResult:
@@ -777,30 +873,14 @@ def check_steady_signal(ctx: ScenarioContext) -> OracleResult:
         f"connections (tol {SIGNAL_TOL:.0e})")
 
 
-def _step_replay(system, initial, steps: int, faults=None,
-                 structural=None) -> tuple:
-    """``steps`` calls of ``system.step`` from ``initial`` under freshly
-    started plans: the Python perturb stages, off the ensemble kernel
-    that ``run`` and ``run_ensemble`` share.  Returns the history and
-    the fault and structural events (None without a plan)."""
-    fstate = (None if faults is None
-              else faults.start(network=system.network))
-    sstate = None if structural is None else structural.start(system)
-    history = [np.asarray(initial, dtype=float)]
-    for k in range(1, steps + 1):
-        history.append(system.step(history[-1], faults=fstate,
-                                   step_index=k, structural=sstate))
-    return (np.array(history), fstate and fstate.events,
-            sstate and sstate.events)
-
-
 def check_fault_determinism(ctx: ScenarioContext) -> OracleResult:
     """Seeded fault *and structural* plans are deterministic and the
     empty plans are bit-identical no-ops; ensemble members replay the
-    scalar faulted runs exactly, for both plan families, and a step by
-    step replay on the Python stages gives the faulted and the damaged
-    run's history and events (``run`` and ``run_ensemble`` share one
-    kernel, so only this replay checks it off the kernel)."""
+    scalar faulted runs exactly, for both plan families, and
+    :func:`reference_run`, on the Python perturb stages, gives the
+    faulted and the damaged run's history and events (``run`` and
+    ``run_ensemble`` share one kernel, so only the reference checks its
+    perturb stages off it)."""
     spec = ctx.spec
     if spec.fault_plan is None and spec.structural_plan is None:
         return OracleResult("fault-determinism", False, True,
@@ -827,13 +907,13 @@ def check_fault_determinism(ctx: ScenarioContext) -> OracleResult:
                 "fault-determinism", True, False,
                 "two runs of the same seeded plan inject different "
                 "events")
-        history, events, _ = _step_replay(system, initial, first.steps,
-                                          faults=spec.build_fault_plan())
-        if not np.array_equal(first.history, history) \
-                or first.fault_events != events:
+        ref = reference_run(system, initial, max_steps=budget,
+                            tol=spec.tol, faults=spec.build_fault_plan())
+        if not np.array_equal(first.history, ref.history) \
+                or first.fault_events != ref.fault_events:
             return OracleResult(
                 "fault-determinism", True, False,
-                "the faulted run differs from its step-by-step replay")
+                "the faulted run differs from reference_run")
         plain = system.run(initial, max_steps=budget, tol=spec.tol)
         empty = system.run(initial, max_steps=budget, tol=spec.tol,
                            faults=FaultPlan())
@@ -872,14 +952,14 @@ def check_fault_determinism(ctx: ScenarioContext) -> OracleResult:
                 "fault-determinism", True, False,
                 "two runs of the same structural plan record "
                 "different transitions")
-        history, _, events = _step_replay(
-            system, initial, first.steps,
-            structural=spec.build_structural_plan())
-        if not np.array_equal(first.history, history) \
-                or first.structural_events != events:
+        ref = reference_run(system, initial, max_steps=budget,
+                            tol=spec.tol,
+                            structural=spec.build_structural_plan())
+        if not np.array_equal(first.history, ref.history) \
+                or first.structural_events != ref.structural_events:
             return OracleResult(
                 "fault-determinism", True, False,
-                "the damaged run differs from its step-by-step replay")
+                "the damaged run differs from reference_run")
         plain = system.run(initial, max_steps=budget, tol=spec.tol)
         empty = system.run(initial, max_steps=budget, tol=spec.tol,
                            structural=StructuralFaultPlan())
@@ -907,55 +987,6 @@ def check_fault_determinism(ctx: ScenarioContext) -> OracleResult:
         "fault-determinism", True, True,
         f"plans replay identically; {n_signal} signal events, "
         f"{n_struct} structural transitions over {budget} steps")
-
-
-def check_blocked_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """Blocked execution is invisible: ``run_ensemble`` with
-    ``block_size < M`` reproduces the one-shot run bit for bit.
-
-    Members are row-independent through ``step_batch``, so chunking the
-    member axis must change nothing — finals, outcomes, steps, periods,
-    and the retained histories all have to match exactly.  Any
-    batch-row-position dependence in a kernel (a reduction over the
-    member axis leaking across rows) breaks this and is caught here.
-    """
-    budget = min(ctx.spec.max_steps, 400)
-    initials = ctx.probes
-    kwargs = dict(max_steps=budget, tol=ctx.spec.tol, history="full")
-    blocked = ctx.system.run_ensemble(initials, block_size=2, **kwargs)
-    oneshot = ctx.system.run_ensemble(initials, **kwargs)
-    if not np.array_equal(blocked.finals, oneshot.finals):
-        worst = float(np.max(np.abs(blocked.finals - oneshot.finals)))
-        return OracleResult(
-            "blocked-equivalence", True, False,
-            f"finals differ between block_size=2 and one-shot "
-            f"(max |diff| = {worst:.3e})")
-    if blocked.outcomes != oneshot.outcomes:
-        return OracleResult(
-            "blocked-equivalence", True, False,
-            "outcome classification differs between blocked and "
-            "one-shot execution")
-    if not np.array_equal(blocked.steps, oneshot.steps):
-        return OracleResult(
-            "blocked-equivalence", True, False,
-            "per-member step counts differ between blocked and "
-            "one-shot execution")
-    if blocked.periods != oneshot.periods:
-        return OracleResult(
-            "blocked-equivalence", True, False,
-            "detected periods differ between blocked and one-shot "
-            "execution")
-    for m in range(len(blocked)):
-        if not np.array_equal(blocked.histories[m],
-                              oneshot.histories[m]):
-            return OracleResult(
-                "blocked-equivalence", True, False,
-                f"member {m}: retained history differs between "
-                f"blocked and one-shot execution")
-    return OracleResult(
-        "blocked-equivalence", True, True,
-        f"{len(blocked)} members bit-identical in blocks of "
-        f"{blocked.block_size} ({budget}-step budget)")
 
 
 def check_rcp_stability(ctx: ScenarioContext) -> OracleResult:
@@ -1164,55 +1195,10 @@ def check_async_fixed_point(ctx: ScenarioContext) -> OracleResult:
         f"(max drift {worst:.3e})")
 
 
-def check_async_batch_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """``run_async_ensemble`` members reproduce the scalar
-    :class:`AsynchronousRunner` bit-identically — finals, outcomes,
-    and step counts — under the scenario's clock schedule and delay."""
-    spec = ctx.spec
-    if spec.clock is None:
-        return OracleResult("async-batch-equivalence", False, True,
-                            "scenario carries no clock")
-    why = _chaotic(spec)
-    if why:
-        return OracleResult("async-batch-equivalence", False, True, why)
-    budget = min(spec.max_steps, 400)
-    initials = ctx.probes[:2]
-    sched = spec.clock.schedule()
-    tau = spec.clock.signal_delay
-    ens = run_async_ensemble(ctx.system, initials, schedule=sched,
-                             signal_delay=tau, max_steps=budget,
-                             tol=spec.tol)
-    runner = AsynchronousRunner(ctx.system, sched, signal_delay=tau)
-    for m in range(len(ens)):
-        traj = runner.run(initials[m], max_steps=budget, tol=spec.tol)
-        if ens.outcomes[m] is not traj.outcome:
-            return OracleResult(
-                "async-batch-equivalence", True, False,
-                f"member {m}: ensemble outcome {ens.outcomes[m].value} "
-                f"!= scalar {traj.outcome.value}")
-        if int(ens.steps[m]) != traj.steps:
-            return OracleResult(
-                "async-batch-equivalence", True, False,
-                f"member {m}: ensemble steps {int(ens.steps[m])} != "
-                f"scalar {traj.steps}")
-        if not np.array_equal(ens.finals[m], traj.final):
-            diff = float(np.max(np.abs(ens.finals[m] - traj.final)))
-            return OracleResult(
-                "async-batch-equivalence", True, False,
-                f"member {m}: final states differ by {diff:.3e} "
-                f"(contract is bit-identity)")
-    return OracleResult(
-        "async-batch-equivalence", True, True,
-        f"{len(ens)} members bit-identical to the scalar runner "
-        f"under the {spec.clock.kind} clock, delay {tau} "
-        f"({budget}-step budget)")
-
-
 #: The oracle catalogue, in evaluation order.
 ORACLES: Dict[str, Callable[[ScenarioContext], OracleResult]] = {
     "batch-equivalence": check_batch_equivalence,
-    "ensemble-equivalence": check_ensemble_equivalence,
-    "blocked-equivalence": check_blocked_equivalence,
+    "loop-equivalence": check_loop_equivalence,
     "kernel-equivalence": check_kernel_equivalence,
     "compiled-equivalence": check_compiled_equivalence,
     "fixed-point": check_fixed_point,
@@ -1226,7 +1212,6 @@ ORACLES: Dict[str, Callable[[ScenarioContext], OracleResult]] = {
     "tcp-oscillation": check_tcp_oscillation,
     "adversarial-floor": check_adversarial_floor,
     "async-fixed-point": check_async_fixed_point,
-    "async-batch-equivalence": check_async_batch_equivalence,
 }
 
 

@@ -381,11 +381,12 @@ class ClockSpec:
     .ClockModel` kind plus its parameters, and the feedback staleness
     ``signal_delay``.
 
-    The async oracles build it into a
+    The oracles build it into a
     :class:`~repro.core.asynchronous.ClockSchedule` (via
-    :meth:`schedule`) and run the scenario's system through both the
-    scalar :class:`~repro.core.asynchronous.AsynchronousRunner` and the
-    batched :func:`~repro.core.asynchronous.run_async_ensemble`.
+    :meth:`schedule`) and run the scenario's system through
+    :func:`~repro.core.asynchronous.run_async_ensemble`, its ``M = 1``
+    call :class:`~repro.core.asynchronous.AsynchronousRunner` and the
+    plain reference :func:`~repro.scenarios.oracles.reference_run`.
     """
 
     kind: str = "uniform"
@@ -663,7 +664,7 @@ class ScenarioSpec:
             fault-determinism oracle; excluded by ``controller``.
         clock: optional heterogeneous update clock
             (:class:`ClockSpec`), exercised by the async fixed-point
-            and scalar-vs-batch oracles; excluded by ``controller``
+            and loop-equivalence oracles; excluded by ``controller``
             (gateway-driven systems have no per-source clock).
     """
 

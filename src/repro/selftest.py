@@ -7,8 +7,8 @@ runner) is compared against its scalar counterpart on small
 configurations, to 1e-12, plus a fault-injection smoke (empty plan is
 a no-op, seeded plan replays identically, checkpoint/resume
 round-trips), an asynchronous-engine smoke (clocked batched ensemble
-bit-identical to the scalar runner, fixed point invariant under a
-delayed round-robin schedule) and a scenario-fuzzing smoke
+bit-identical to the per-connection ``reference_run``, fixed point
+invariant under a delayed round-robin schedule) and a scenario-fuzzing smoke
 (deterministic generation,
 exact JSON round-trip, a handful of generated scenarios through the
 full oracle catalogue).  Exit code 0 means everything agreed, and the
@@ -345,22 +345,23 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
            floor.holds, failures)
 
     print("asynchronous engine smoke:")
-    from .core.asynchronous import (AsynchronousRunner, ClockSchedule,
-                                    RateMixClock, RoundRobinSchedule,
-                                    run_async_ensemble)
+    from .core.asynchronous import (ClockSchedule, RateMixClock,
+                                    RoundRobinSchedule, run_async_ensemble)
+    from .scenarios.oracles import reference_run
     sched = ClockSchedule(RateMixClock(0.25, 1.0, 0.5, seed=5))
     async_budget = 400 if quick else 1200
     aens = run_async_ensemble(system, starts[:4], schedule=sched,
                               signal_delay=2, max_steps=async_budget,
                               tol=1e-11)
-    runner = AsynchronousRunner(system, sched, signal_delay=2)
     ok = True
     for m in range(len(aens)):
-        traj = runner.run(starts[m], max_steps=async_budget, tol=1e-11)
+        traj = reference_run(system, starts[m], sched, 2,
+                             max_steps=async_budget, tol=1e-11)
         ok &= (aens.outcomes[m] is traj.outcome
                and int(aens.steps[m]) == traj.steps
                and bool(np.array_equal(aens.finals[m], traj.final)))
-    _check("clocked ensemble is bit-identical to the scalar runner",
+    _check("clocked ensemble is bit-identical to the per-connection "
+           "reference_run",
            ok, failures)
     settled = system.run(starts[0], max_steps=max_steps, tol=1e-11)
     held = run_async_ensemble(system, settled.final[None, :],

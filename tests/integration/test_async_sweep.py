@@ -1,17 +1,18 @@
 """Acceptance sweep for the batched asynchronous engine: across 100+
 generated scenarios, every ``run_async_ensemble`` member reproduces the
-scalar :class:`AsynchronousRunner` bit-identically — finals, outcomes,
+per-connection ``reference_run`` bit-identically — finals, outcomes,
 and step counts — over the full schedule family and a range of delays."""
 
 import numpy as np
 
-from repro.core.asynchronous import (AsynchronousRunner, BernoulliSchedule,
+from repro.core.asynchronous import (BernoulliSchedule,
                                      BurstyClock, ClockSchedule,
                                      DriftingClock, RateMixClock,
                                      RoundRobinSchedule,
                                      SynchronousSchedule,
                                      run_async_ensemble)
 from repro.scenarios import generate
+from repro.scenarios.oracles import reference_run
 
 
 def _schedule_for(index, spec):
@@ -43,10 +44,9 @@ class TestAsyncScalarVsBatchSweep:
             ens = run_async_ensemble(system, initials, schedule=sched,
                                      signal_delay=tau, max_steps=budget,
                                      tol=spec.tol)
-            runner = AsynchronousRunner(system, sched, signal_delay=tau)
             for m in range(len(ens)):
-                traj = runner.run(initials[m], max_steps=budget,
-                                  tol=spec.tol)
+                traj = reference_run(system, initials[m], sched, tau,
+                                     max_steps=budget, tol=spec.tol)
                 assert ens.outcomes[m] is traj.outcome, (
                     f"{spec.name}: member {m} outcome "
                     f"{ens.outcomes[m].value} != {traj.outcome.value}")

@@ -191,9 +191,10 @@ class TestEveryOracleFires:
             self, monkeypatch):
         # With the C tier masked, ``run`` and ``run_ensemble`` both
         # advance through the batch stepper ``_step_rows``; ``run`` is
-        # its one-row call from the first step, the two-member ensemble
-        # only once a member has finished.  The mutant sits on what
-        # only a one-row batch sees.
+        # its one-row call from the first step, a blocked member only
+        # once its block partner has finished.  The mutant sits on what
+        # only a one-row batch sees, and reference_run, which steps
+        # connection by connection, never calls the stepper.
         from repro.core.dynamics import FlowControlSystem
         orig = FlowControlSystem._step_rows
 
@@ -205,8 +206,8 @@ class TestEveryOracleFires:
 
         monkeypatch.setattr(_cext, "load", lambda: None)
         monkeypatch.setattr(FlowControlSystem, "_step_rows", broken)
-        fails = failing_oracles(spec_of(), ["ensemble-equivalence"])
-        assert fails == ("ensemble-equivalence",)
+        fails = failing_oracles(spec_of(), ["loop-equivalence"])
+        assert fails == ("loop-equivalence",)
 
     @pytest.mark.skipif(not compiled.fs_available(),
                         reason="no compiled ensemble loop")
@@ -226,25 +227,24 @@ class TestEveryOracleFires:
             return out
 
         monkeypatch.setattr(compiled, "ensemble_loop", broken)
-        fails = failing_oracles(spec_of(), ["ensemble-equivalence"])
-        assert fails == ("ensemble-equivalence",)
+        fails = failing_oracles(spec_of(), ["loop-equivalence"])
+        assert fails == ("loop-equivalence",)
 
     @pytest.mark.skipif(not compiled.fs_available(),
                         reason="no compiled ensemble loop")
     def test_a_shared_kernel_mutant_is_caught_off_the_kernel(
             self, monkeypatch, tmp_path):
-        # ``run`` and ``run_ensemble`` share the compiled ensemble loop,
-        # so ensemble-equivalence compares the kernel with itself and
-        # cannot see a mutant in it: here, members converging one quiet
-        # step late.  async-batch-equivalence, whose scalar side is the
-        # per-connection AsynchronousRunner, catches it on a pinned
-        # clocked scenario of the seed-7 stream.
+        # Both engine sides of loop-equivalence, the blocked ensemble
+        # and its M = 1 call, run on the compiled ensemble loop, so
+        # they share a mutant in it: here, members converging one quiet
+        # step late.  reference_run, the per-connection loop, catches
+        # it on a pinned clocked scenario of the seed-7 stream.
         spec = generate(7, 21)[20]
-        names = ["ensemble-equivalence", "async-batch-equivalence"]
+        names = ["loop-equivalence"]
         assert failing_oracles(spec, names) == ()
         _use_kernel_mutant(monkeypatch, tmp_path,
                            "quiet >= settle[k]", "quiet > settle[k]")
-        assert failing_oracles(spec, names) == ("async-batch-equivalence",)
+        assert failing_oracles(spec, names) == ("loop-equivalence",)
 
     @pytest.mark.skipif(not compiled.fs_available(),
                         reason="no compiled ensemble loop")
@@ -253,8 +253,9 @@ class TestEveryOracleFires:
     def test_a_perturb_stage_mutant_is_caught_off_the_kernel(
             self, monkeypatch, tmp_path, mutant):
         # ``run`` and ``run_ensemble`` share the kernel's perturb
-        # stages, so only fault-determinism's step-by-step replay on the
-        # Python stages can see a mutant in them.
+        # stages, so only fault-determinism's reference_run, on the
+        # Python stages, can see a mutant in them (loop-equivalence
+        # runs no plans).
         if mutant == "loss-test":
             # A loss rate equal to connection 1's first draw: only the
             # strict test keeps its signal at step 1.
@@ -288,10 +289,10 @@ class TestEveryOracleFires:
     def test_blocked_equivalence_catches_row_position_dependence(
             self, monkeypatch):
         # A kernel that leaks the batch-row *position* into the result
-        # is invisible to the one-shot run alone, but blocked execution
-        # re-bases each member's row index — the differential fires.
-        # With the compiled ensemble loop unavailable, ``run_ensemble``
-        # advances through the batch stepper.
+        # leaves member 0 and the M = 1 call alone, but member 3 sits at
+        # row 1 of its block — the differential fires.  With the
+        # compiled ensemble loop unavailable, ``run_ensemble`` advances
+        # through the batch stepper.
         from repro.core.dynamics import FlowControlSystem
         orig = FlowControlSystem._step_rows
 
@@ -302,8 +303,8 @@ class TestEveryOracleFires:
         with monkeypatch.context() as m:
             m.setattr(compiled, "ensemble_loop", lambda *a, **k: None)
             m.setattr(FlowControlSystem, "_step_rows", broken)
-            fails = failing_oracles(spec_of(), ["blocked-equivalence"])
-        assert fails == ("blocked-equivalence",)
+            fails = failing_oracles(spec_of(), ["loop-equivalence"])
+        assert fails == ("loop-equivalence",)
         if not compiled.fs_available():
             return
         # The C-path twin: the compiled loop's finals shifted by their
@@ -317,8 +318,26 @@ class TestEveryOracleFires:
             return out
 
         monkeypatch.setattr(compiled, "ensemble_loop", leaky)
-        fails = failing_oracles(spec_of(), ["blocked-equivalence"])
-        assert fails == ("blocked-equivalence",)
+        fails = failing_oracles(spec_of(), ["loop-equivalence"])
+        assert fails == ("loop-equivalence",)
+
+    def test_loop_equivalence_checks_a_later_block(self, monkeypatch):
+        # A slip in a later block's member offset: the second block
+        # files its two histories under each other's members.  The
+        # first block and the M = 1 call are untouched, so only a
+        # reference held to a member of the second block sees it.
+        from repro.core.dynamics import FlowControlSystem
+        orig = FlowControlSystem._run_block
+
+        def slipped(self, res, base, end, *args):
+            orig(self, res, base, end, *args)
+            if base > 0 and res.histories is not None:
+                res.histories[base:end] = res.histories[base:end][::-1]
+
+        assert failing_oracles(spec_of(), ["loop-equivalence"]) == ()
+        monkeypatch.setattr(FlowControlSystem, "_run_block", slipped)
+        fails = failing_oracles(spec_of(), ["loop-equivalence"])
+        assert fails == ("loop-equivalence",)
 
     def test_kernel_equivalence_catches_engine_skew(self, monkeypatch):
         orig = NetworkSimulation.throughput
@@ -615,11 +634,11 @@ class TestControllerZooOracles:
             self, monkeypatch):
         # ``run`` and ``run_ensemble`` share the kernel's controlled
         # step, and batch-equivalence checks the Python bank's single
-        # steps, so only ensemble-equivalence's step-by-step replay
-        # through ``step_controlled`` sees a mutant both share: here
-        # the kernel's wrapper swaps alpha and beta.
+        # steps, so only loop-equivalence's reference_run, which steps
+        # the Python bank through ``step_controlled``, sees a mutant
+        # both share: here the kernel's wrapper swaps alpha and beta.
         spec = self.rcp_spec()
-        names = ["ensemble-equivalence", "batch-equivalence"]
+        names = ["loop-equivalence", "batch-equivalence"]
         assert failing_oracles(spec, names) == ()
         orig = compiled.Control
 
@@ -627,12 +646,13 @@ class TestControllerZooOracles:
             return orig(arrays, state, beta, alpha, *envelope)
 
         monkeypatch.setattr(compiled, "Control", swapped)
-        assert failing_oracles(spec, names) == ("ensemble-equivalence",)
+        assert failing_oracles(spec, names) == ("loop-equivalence",)
 
 
 class TestAsyncOracles:
-    """The 16th/17th oracles: each fires on its known-bad mutation and
-    passes on the honest clocked scenario."""
+    """The 15th oracle and loop-equivalence's clocked side: each fires
+    on its known-bad mutation and passes on the honest clocked
+    scenario."""
 
     def clocked_spec(self, kind="mix", params=None, signal_delay=1):
         params = params if params is not None else {"slow_rate": 0.3,
@@ -643,10 +663,14 @@ class TestAsyncOracles:
 
     def test_async_oracles_inapplicable_without_clock(self):
         ctx = ScenarioContext(spec_of())
-        for name in ("async-fixed-point", "async-batch-equivalence"):
-            res = run_oracle(name, ctx)
-            assert not res.applicable
-            assert "no clock" in res.detail
+        res = run_oracle("async-fixed-point", ctx)
+        assert not res.applicable
+        assert "no clock" in res.detail
+        # loop-equivalence applies everywhere: without a clock it holds
+        # run_ensemble and run to the reference.
+        res = run_oracle("loop-equivalence", ctx)
+        assert res.applicable and res.passed
+        assert "synchronous" in res.detail
 
     def test_async_fixed_point_passes_on_honest_scenario(self):
         res = run_oracle("async-fixed-point",
@@ -655,10 +679,11 @@ class TestAsyncOracles:
         assert "fixed point held" in res.detail
 
     def test_async_batch_equivalence_passes_on_honest_scenario(self):
-        res = run_oracle("async-batch-equivalence",
+        res = run_oracle("loop-equivalence",
                          ScenarioContext(self.clocked_spec()))
         assert res.applicable and res.passed
         assert "bit-identical" in res.detail
+        assert "mix clock, delay 1" in res.detail
 
     def test_async_fixed_point_catches_drifting_steady_state(
             self, monkeypatch):
@@ -701,8 +726,8 @@ class TestAsyncOracles:
 
     def test_async_batch_equivalence_catches_batch_only_mutation(
             self, monkeypatch):
-        # Skew apply_batch alone: the scalar runner goes through
-        # rule.apply, so only the batched async path moves (on its
+        # Skew apply_batch alone: reference_run goes through
+        # rule.apply, so only the engine's async path moves (on its
         # Python loop, the compiled ensemble loop unavailable).
         from repro.core.ratecontrol import RateAdjustment
         orig = RateAdjustment.apply_batch
@@ -714,8 +739,8 @@ class TestAsyncOracles:
             m.setattr(compiled, "ensemble_loop", lambda *a, **k: None)
             m.setattr(RateAdjustment, "apply_batch", skewed)
             fails = failing_oracles(self.clocked_spec(),
-                                    ["async-batch-equivalence"])
-        assert fails == ("async-batch-equivalence",)
+                                    ["loop-equivalence"])
+        assert fails == ("loop-equivalence",)
         if not compiled.fs_available():
             return
         # The C-path twin: the compiled loop's finals skewed.
@@ -729,8 +754,8 @@ class TestAsyncOracles:
 
         monkeypatch.setattr(compiled, "ensemble_loop", skewed_loop)
         fails = failing_oracles(self.clocked_spec(),
-                                ["async-batch-equivalence"])
-        assert fails == ("async-batch-equivalence",)
+                                ["loop-equivalence"])
+        assert fails == ("loop-equivalence",)
 
     def test_async_oracles_green_on_seed_scenarios(self):
         # Every generated clocked scenario passes both oracles.
@@ -739,7 +764,7 @@ class TestAsyncOracles:
             if spec.clock is None:
                 continue
             fails = failing_oracles(
-                spec, ["async-fixed-point", "async-batch-equivalence"])
+                spec, ["async-fixed-point", "loop-equivalence"])
             assert fails == (), f"{spec.name}: {fails}"
             checked += 1
         assert checked >= 3

@@ -5,7 +5,7 @@ delay, and the blocked/recording contracts shared with run_ensemble."""
 import numpy as np
 import pytest
 
-from repro.core.asynchronous import (AsynchronousRunner, BernoulliSchedule,
+from repro.core.asynchronous import (BernoulliSchedule,
                                      BurstyClock, ClockSchedule,
                                      RateMixClock, RoundRobinSchedule,
                                      SynchronousSchedule,
@@ -20,6 +20,7 @@ from repro.core.steadystate import fair_steady_state
 from repro.core.topology import single_gateway
 from repro.errors import RateVectorError, SweepError
 from repro.observability.record import validate_run_record
+from repro.scenarios.oracles import reference_run
 
 
 def _individual(n, eta=0.5, mu=1.0):
@@ -59,9 +60,9 @@ class TestScalarEquivalence:
         initials = _initials(4)
         ens = run_async_ensemble(system, initials, schedule=sched,
                                  signal_delay=tau, max_steps=600)
-        runner = AsynchronousRunner(system, sched, signal_delay=tau)
         for m in range(len(ens)):
-            traj = runner.run(initials[m], max_steps=600)
+            traj = reference_run(system, initials[m], sched, tau,
+                                 max_steps=600)
             assert ens.outcomes[m] is traj.outcome
             assert int(ens.steps[m]) == traj.steps
             assert np.array_equal(ens.finals[m], traj.final)
@@ -73,9 +74,9 @@ class TestScalarEquivalence:
         ens = run_async_ensemble(system, initials, schedule=sched,
                                  signal_delay=1, max_steps=300,
                                  history="full")
-        runner = AsynchronousRunner(system, sched, signal_delay=1)
         for m in range(len(ens)):
-            traj = runner.run(initials[m], max_steps=300)
+            traj = reference_run(system, initials[m], sched, 1,
+                                 max_steps=300)
             assert np.array_equal(ens.histories[m], traj.history)
 
     def test_per_member_schedules(self):
@@ -86,8 +87,8 @@ class TestScalarEquivalence:
         ens = run_async_ensemble(system, initials, schedule=per_member,
                                  max_steps=600)
         for m, sched in enumerate(per_member):
-            traj = AsynchronousRunner(system, sched).run(initials[m],
-                                                         max_steps=600)
+            traj = reference_run(system, initials[m], sched,
+                                 max_steps=600)
             assert ens.outcomes[m] is traj.outcome
             assert np.array_equal(ens.finals[m], traj.final)
 
@@ -223,9 +224,9 @@ class TestRingBufferBoundaries:
                                  history="full")
         assert ens.outcomes[0] is Outcome.UNDECIDED
         assert np.array_equal(ens.histories[0], expected)
-        # And the scalar runner agrees bit-exactly.
-        traj = AsynchronousRunner(system, signal_delay=tau).run(
-            r0, max_steps=steps)
+        # And the per-connection reference agrees bit-exactly.
+        traj = reference_run(system, r0, signal_delay=tau,
+                             max_steps=steps)
         assert np.array_equal(traj.history, expected)
 
 

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from repro.core.asynchronous import (AsynchronousRunner, BernoulliSchedule,
-                                     RoundRobinSchedule,
-                                     SynchronousSchedule)
+                                     ClockSchedule, DriftingClock,
+                                     RateMixClock, RoundRobinSchedule,
+                                     SynchronousSchedule,
+                                     run_async_ensemble)
 from repro.core.dynamics import FlowControlSystem, Outcome
 from repro.core.fairshare import FairShare
 from repro.core.fifo import Fifo
-from repro.core.ratecontrol import TargetRule
+from repro.core.ratecontrol import RcpSourceRule, TargetRule
+from repro.core.rcp import RcpController
 from repro.core.signals import FeedbackStyle, LinearSaturating
 from repro.core.steadystate import fair_steady_state
 from repro.core.topology import single_gateway
-from repro.errors import RateVectorError
+from repro.errors import RateVectorError, SweepError
+from repro.observability import collect
 
 
 def _aggregate(n, eta=0.3):
@@ -132,6 +136,81 @@ class TestAsynchronousRunner:
         traj = AsynchronousRunner(system).run(np.array([0.1, 0.1]),
                                               max_steps=200)
         assert traj.outcome is Outcome.DIVERGED
+
+    def test_a_controller_is_refused(self):
+        # The runner used to run a controller-driven system as the
+        # identity map and report it CONVERGED.
+        system = FlowControlSystem(
+            single_gateway(3), Fifo(), LinearSaturating(),
+            RcpSourceRule(), controller=RcpController(alpha=0.5, beta=0.05))
+        with pytest.raises(SweepError, match="controller-driven"):
+            AsynchronousRunner(system).run(np.array([0.1, 0.2, 0.3]))
+
+
+class TestScheduleIsChecked:
+    """The ensemble takes None, an UpdateSchedule, or a list or tuple
+    of them, and the runner None or one schedule; anything else is a
+    SweepError naming its type, at the runner's construction and at
+    the ensemble's call alike."""
+
+    X0 = np.array([0.1, 0.2, 0.3])
+
+    def test_a_clock_model_points_to_clock_schedule(self):
+        with pytest.raises(SweepError, match="RateMixClock.*ClockSchedule"):
+            run_async_ensemble(_aggregate(3), self.X0[None],
+                               schedule=RateMixClock())
+        with pytest.raises(SweepError, match="RateMixClock.*ClockSchedule"):
+            AsynchronousRunner(_aggregate(3), RateMixClock())
+
+    def test_a_string_is_not_a_list_of_schedules(self):
+        with pytest.raises(SweepError, match="got str"):
+            run_async_ensemble(_aggregate(3), self.X0[None],
+                               schedule="rr")
+
+    def test_a_false_value_is_not_the_synchronous_schedule(self):
+        with pytest.raises(SweepError, match="got int"):
+            AsynchronousRunner(_aggregate(3), 0)
+
+    def test_the_runner_takes_one_schedule(self):
+        with pytest.raises(SweepError, match="got list"):
+            AsynchronousRunner(_aggregate(3), [SynchronousSchedule()] * 2)
+
+
+class TestRunnerIsTheOneMemberEnsemble:
+    """``AsynchronousRunner.run`` is ``run_async_ensemble``'s M = 1 call
+    with its full history, on a clock the ensemble kernel serves and on
+    one it hands to the Python loop."""
+
+    CLOCKS = {"mix": lambda: RateMixClock(0.25, 1.0, 0.5, seed=3),
+              "drifting": lambda: DriftingClock(0.5, 0.3, 16, seed=3)}
+
+    @pytest.mark.parametrize("clock", CLOCKS)
+    @pytest.mark.parametrize("tau", [0, 3])
+    @pytest.mark.parametrize("budget", [0, 1, 7, 400])
+    def test_bit_identical(self, clock, tau, budget):
+        system = FlowControlSystem(single_gateway(4), FairShare(),
+                                   LinearSaturating(),
+                                   TargetRule(eta=0.2, beta=0.5),
+                                   style=FeedbackStyle.INDIVIDUAL)
+        x0 = np.array([0.05, 0.1, 0.15, 0.2])
+        schedule = ClockSchedule(self.CLOCKS[clock]())
+        traj = AsynchronousRunner(system, schedule, tau).run(
+            x0, max_steps=budget)
+        ens = run_async_ensemble(system, x0[None], schedule, tau,
+                                 max_steps=budget, history="full")
+        assert traj.history.shape == ens.histories[0].shape
+        assert traj.history.tobytes() == ens.histories[0].tobytes()
+        assert (traj.outcome, traj.steps, traj.period) == \
+            (ens.outcomes[0], int(ens.steps[0]), ens.periods[0])
+
+    def test_leaves_one_record(self):
+        with collect() as session:
+            traj = AsynchronousRunner(
+                _aggregate(3), BernoulliSchedule(0.5, seed=1)).run(
+                np.array([0.1, 0.2, 0.3]), max_steps=50)
+        (rec,) = session.run_records
+        assert rec.kind == "async_ensemble"
+        assert traj.telemetry is rec
 
 
 class TestBernoulliDeterminism:

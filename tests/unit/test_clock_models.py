@@ -6,12 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.asynchronous import (CLOCK_KINDS, AsynchronousRunner,
-                                     BernoulliSchedule, BurstyClock,
-                                     ClockSchedule, DriftingClock,
-                                     RateMixClock, SynchronousSchedule,
-                                     UniformClock, clock_model,
-                                     run_async_ensemble)
+from repro.core.asynchronous import (CLOCK_KINDS, BernoulliSchedule,
+                                     BurstyClock, ClockSchedule,
+                                     DriftingClock, RateMixClock,
+                                     SynchronousSchedule, UniformClock,
+                                     clock_model, run_async_ensemble)
 from repro.core.dynamics import FlowControlSystem
 from repro.core.fairshare import FairShare
 from repro.core.ratecontrol import TargetRule
@@ -22,6 +21,7 @@ from repro.faults import ClockSkew, FaultPlan, parse_fault_spec
 from repro.scenarios import (ClockSpec, ConnectionSpec, ControllerSpec,
                              GatewaySpec, RuleSpec, ScenarioSpec,
                              SignalSpec, generate)
+from repro.scenarios.oracles import reference_run
 
 ALL_MODELS = [
     UniformClock(rate=0.6, seed=3),
@@ -148,7 +148,7 @@ class TestClockModels:
 
     @pytest.mark.parametrize("runner", ["scalar", "ensemble"])
     def test_a_changed_seed_reaches_the_runners(self, runner):
-        # The per-connection AsynchronousRunner and the ensemble loop,
+        # The per-connection reference_run and the ensemble loop,
         # whose compiled gate reads the clock's per-source rates.
         system = FlowControlSystem(single_gateway(12), FairShare(),
                                    LinearSaturating(),
@@ -159,8 +159,8 @@ class TestClockModels:
         def run(clock):
             schedule = ClockSchedule(clock)
             if runner == "scalar":
-                return AsynchronousRunner(system, schedule).run(
-                    x0, max_steps=150, tol=0.0).final
+                return reference_run(system, x0, schedule, max_steps=150,
+                                     tol=0.0).final
             return run_async_ensemble(system, x0[None], schedule=schedule,
                                       max_steps=150, tol=0.0).finals[0]
 

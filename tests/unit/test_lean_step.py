@@ -16,8 +16,7 @@ import repro.core.math_utils as math_utils
 from repro.backends import _cext, compiled
 from repro.chaos import (BlasterRule, CapacityDegradation, GatewayBlackhole,
                          StructuralFaultPlan)
-from repro.core.asynchronous import (AsynchronousRunner, BernoulliSchedule,
-                                     run_async_ensemble)
+from repro.core.asynchronous import BernoulliSchedule, run_async_ensemble
 from repro.core.delays import round_trip_delays_batch
 from repro.core.dynamics import FlowControlSystem, Outcome
 from repro.core.fairshare import FairShare
@@ -30,6 +29,7 @@ from repro.core.rcp import RcpController
 from repro.core.signals import FeedbackStyle, LinearSaturating
 from repro.core.topology import parking_lot, single_gateway
 from repro.faults import FaultPlan, SignalLoss
+from repro.scenarios.oracles import reference_run
 
 SIGNAL = LinearSaturating()
 IND = FeedbackStyle.INDIVIDUAL
@@ -220,11 +220,11 @@ class TestDelaysOnlyWhenRead(_StepPaths):
             system.step(np.full(3, 0.1))
 
     def test_asynchronous_runner_still_observes_delays(self, sojourns):
-        # The per-connection reference of async-batch-equivalence keeps
-        # the full observe stage.
+        # reference_run, the per-connection reference of the runners,
+        # keeps the full observe stage.
         system = _mixed(single_gateway(3), (TargetRule(eta=0.05),))
-        AsynchronousRunner(system).run(np.full(3, 0.1),
-                                       max_steps=self.STEPS, tol=0.0)
+        reference_run(system, np.full(3, 0.1), max_steps=self.STEPS,
+                      tol=0.0)
         assert len(sojourns) == self.STEPS
 
 
@@ -290,8 +290,8 @@ class TestDelaysRequestedOnlyWhenRead(_StepPaths):
 
     def test_asynchronous_runner_still_requests_delays(self, kernel_calls):
         system = _mixed(single_gateway(3), (TargetRule(eta=0.05),))
-        AsynchronousRunner(system).run(np.full(3, 0.1),
-                                       max_steps=self.STEPS, tol=0.0)
+        reference_run(system, np.full(3, 0.1), max_steps=self.STEPS,
+                      tol=0.0)
         assert kernel_calls == [True] * self.STEPS
 
 

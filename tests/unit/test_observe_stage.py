@@ -17,8 +17,7 @@ import pytest
 from repro.backends import _cext, compiled
 from repro.chaos import (CapacityDegradation, GatewayBlackhole,
                          StructuralFaultPlan)
-from repro.core.asynchronous import (AsynchronousRunner, BernoulliSchedule,
-                                     run_async_ensemble)
+from repro.core.asynchronous import BernoulliSchedule, run_async_ensemble
 from repro.core.delays import round_trip_delays_batch
 from repro.core.dynamics import FlowControlSystem
 from repro.core.fairshare import FairShare
@@ -32,6 +31,7 @@ from repro.core.signals import (FeedbackScheme, FeedbackStyle,
                                 weighted_individual_congestion_batch)
 from repro.core.topology import parking_lot, random_network, single_gateway
 from repro.core.weighted import WeightedFairShare
+from repro.scenarios.oracles import reference_run
 
 SIGNAL = LinearSaturating()
 AGG, IND = FeedbackStyle.AGGREGATE, FeedbackStyle.INDIVIDUAL
@@ -223,10 +223,11 @@ class TestOneQueueLawCallPerGateway:
         assert all(shape[0] == 6 for shape in counted)
 
     def test_asynchronous_runner(self, counted):
+        # The per-connection reference of the asynchronous runner.
         system = self._system()
-        traj = AsynchronousRunner(system, BernoulliSchedule(0.5, seed=1),
-                                  signal_delay=1).run(
-            self._start(system)[0], max_steps=self.STEPS, tol=0.0)
+        traj = reference_run(system, self._start(system)[0],
+                             BernoulliSchedule(0.5, seed=1), 1,
+                             max_steps=self.STEPS, tol=0.0)
         assert traj.steps == self.STEPS
         assert len(counted) == self.STEPS * system.network.num_gateways
 
@@ -262,11 +263,11 @@ class TestOneObserveKernelCallPerStep(TestOneQueueLawCallPerGateway):
 
     def test_asynchronous_runner(self, counted):
         system = self._system()
-        traj = AsynchronousRunner(system, BernoulliSchedule(0.5, seed=1),
-                                  signal_delay=1).run(
-            self._start(system)[0], max_steps=self.STEPS, tol=0.0)
+        traj = reference_run(system, self._start(system)[0],
+                             BernoulliSchedule(0.5, seed=1), 1,
+                             max_steps=self.STEPS, tol=0.0)
         assert traj.steps == self.STEPS
-        # The scalar asynchronous runner always observes the delays.
+        # The per-connection reference always observes the delays.
         assert counted == [(1, True)] * self.STEPS
 
     def test_run_async_ensemble(self, counted, monkeypatch):

@@ -263,6 +263,18 @@ class TestBaseDeltaBatchFallback:
                                       np.empty(0))
         assert out.shape == (0,)
 
+    def test_an_overridden_delta_reaches_the_batch_path(self):
+        # A subclass overriding delta alone used to inherit its parent's
+        # vectorised law on every batch path.
+        class Doubled(TargetRule):
+            def delta(self, rate, signal, delay):
+                return 2.0 * super().delta(rate, signal, delay)
+
+        rule = Doubled(eta=0.1, beta=0.5)
+        b = np.linspace(0, 1, 4)
+        assert np.array_equal(rule.delta_batch(np.ones(4), b, None),
+                              [rule.delta(1.0, float(x), None) for x in b])
+
     def test_non_contiguous_inputs(self):
         rule = self.rule()
         r = np.arange(8.0)[::2]

@@ -312,17 +312,17 @@ class TestDispatch:
         assert loop_calls == []
 
     def test_other_runners_do_not_use_it(self, loop_calls):
-        # The steppers and the per-connection reference runner; the
-        # ensemble runners are the kernel's other callers.
+        # The steppers; the ensemble runners and the asynchronous
+        # runner, their M = 1 call, are the kernel's other callers.
         system = self._system()
         x0 = self._x0()
         system.step(x0)
         system.step_batch(x0[None])
-        AsynchronousRunner(system).run(x0, max_steps=20)
         assert loop_calls == []
         system.run_ensemble(x0[None], max_steps=20)
         run_async_ensemble(system, x0[None], max_steps=20)
-        assert len(loop_calls) == 2 and None not in loop_calls
+        AsynchronousRunner(system).run(x0, max_steps=20)
+        assert len(loop_calls) == 3 and None not in loop_calls
 
     def test_delay_domain_hands_back_to_the_python_loop(self, loop_calls):
         # At mu = 1e30 a rate of 1e-300 has a load that underflows to

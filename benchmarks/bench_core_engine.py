@@ -95,10 +95,18 @@ def bench_quadratic_sweep(points=400, transient=2000, keep=256, seed=17):
                                      transient=transient, keep=keep)
     t_vectorised = time.perf_counter() - t0
 
+    # The generic path takes math.log of each slope and the sweep
+    # np.log, so exponents agree to 1e-12, not bit for bit.
     for pt, gpt in zip(vectorised, generic):
         if not np.array_equal(pt.attractor, gpt.attractor):
             raise AssertionError(
                 f"sweep attractor at a={pt.parameter} disagrees")
+        if pt.classification.regime is not gpt.classification.regime:
+            raise AssertionError(
+                f"sweep regime at a={pt.parameter} disagrees")
+        if not abs(pt.lyapunov - gpt.lyapunov) <= 1e-12:
+            raise AssertionError(
+                f"sweep Lyapunov exponent at a={pt.parameter} disagrees")
     return {"points": points, "transient": transient, "keep": keep,
             "generic_s": round(t_generic, 4),
             "vectorised_s": round(t_vectorised, 4),

@@ -16,8 +16,7 @@ import numpy as np
 from ..errors import RateVectorError
 from .classify import OrbitClass, classify_tail
 from .lyapunov import lyapunov_exponent
-from .maps import (QuadraticRateMap, orbit_tail, quadratic_lyapunov_exponents,
-                   quadratic_orbit_tails)
+from .maps import _grid_orbit, orbit_tail
 
 __all__ = ["BifurcationPoint", "bifurcation_diagram",
            "quadratic_map_sweep"]
@@ -97,27 +96,28 @@ def quadratic_map_sweep(gains: Sequence[float], beta: float = 0.25,
     ``truncate=False`` to study the untruncated map, whose chaotic band
     survives instead of collapsing onto boundary cycles through 0.
 
-    The whole gain grid is iterated as one array (see
-    :func:`~repro.analysis.maps.quadratic_orbit_tails`), so the sweep
-    costs one vectorised update per step rather than one Python call
-    per (gain, step) pair; each point's attractor, classification, and
-    Lyapunov exponent match the generic :func:`bifurcation_diagram`
-    driven by :class:`~repro.analysis.maps.QuadraticRateMap`.
+    The whole gain grid is iterated as one array, once: each point's
+    attractor is the orbit's steps ``transient + 1 .. transient + keep``
+    and its Lyapunov exponent the mean log-slope from step
+    ``transient // 4`` over ``transient`` steps, both read from that one
+    orbit (see :func:`~repro.analysis.maps.quadratic_orbit_tails` and
+    :func:`~repro.analysis.maps.quadratic_lyapunov_exponents`, whose
+    outputs they equal bit for bit).  So the sweep costs one vectorised
+    update per step rather than one Python call per (gain, step) pair;
+    each point's attractor and classification match the generic
+    :func:`bifurcation_diagram` driven by
+    :class:`~repro.analysis.maps.QuadraticRateMap`, and its Lyapunov
+    exponent matches up to the last bits (``np.log`` here,
+    ``math.log`` there).
     """
     if keep < 3 * max_period:
         raise RateVectorError(
             f"keep={keep} too small for max_period={max_period}")
-    # Validates the grid (and each gain) exactly as constructing the
-    # per-point QuadraticRateMap would.
-    tails = quadratic_orbit_tails(gains, beta=beta, x0=x0,
-                                  transient=transient, keep=keep,
-                                  truncate=truncate)
-    lams = quadratic_lyapunov_exponents(gains, beta=beta, x0=x0,
-                                        steps=transient,
-                                        discard=transient // 4,
-                                        truncate=truncate)
+    gains, tails, lams = _grid_orbit(gains, beta, x0, truncate,
+                                     tail=(transient, keep),
+                                     average=(transient // 4, transient))
     points = []
-    for i, a in enumerate(np.asarray(list(gains), dtype=float)):
+    for i, a in enumerate(gains):
         cls = classify_tail(tails[i], max_period=max_period)
         points.append(BifurcationPoint(parameter=float(a),
                                        attractor=tails[i],

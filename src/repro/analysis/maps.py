@@ -169,44 +169,118 @@ def _validate_gains(gains, beta: float) -> np.ndarray:
     return arr
 
 
+#: Orbit steps the grid functions hold at once.  The finiteness check,
+#: the tail copy and the log-slopes run once per block, so memory grows
+#: with the block and ``keep``, never with the transient.
+_BLOCK = 256
+
+
+def _grid_orbit(gains, beta: float, x0: float, truncate: bool,
+                tail=None, average=None):
+    """Iterate ``x <- x + a (beta - x^2)`` over a whole gain grid once.
+
+    One vectorised update per step (not one Python call per (gain,
+    step) pair), read in blocks of :data:`_BLOCK` steps.  ``tail =
+    (transient, keep)`` asks for the states at steps ``transient + 1
+    .. transient + keep`` (led by ``x0`` when ``transient == 0``);
+    ``average = (discard, steps)`` for the mean log-slope at the
+    states of steps ``discard .. discard + steps - 1``.  The orbit runs
+    as far as the longer of the two needs.  Returns ``(a, tails,
+    exponents)`` with ``None`` for an output not asked for.
+
+    Under this map a non-finite state stays non-finite (``inf`` maps to
+    ``nan``, ``nan`` and ``-inf`` to themselves, and after ``x0`` no
+    clamped state is ``-inf``), so one check per block finds the first
+    step where any gain diverged, and the lowest such gain.  Each block's
+    log-slopes fold into the running total row by row in step order,
+    the order of a per-step ``total += log_slope``.
+    """
+    from .lyapunov import _SLOPE_FLOOR
+
+    a = _validate_gains(gains, beta)
+    end = 0
+    if tail is not None:
+        transient, keep = tail
+        tail_end = transient + keep
+        if tail_end < 1:
+            raise RateVectorError(f"steps must be >= 1, got {tail_end!r}")
+        if not 0 <= transient <= tail_end:
+            raise RateVectorError(
+                f"discard must lie in [0, steps], got {transient!r}")
+        lead = 1 if transient == 0 else 0
+        tails = np.empty((a.size, keep + lead), dtype=float)
+        tails[:, :lead] = float(x0)
+        end = tail_end
+    if average is not None:
+        discard, steps = average
+        if steps < 1:
+            raise RateVectorError(f"steps must be >= 1, got {steps!r}")
+        if discard < 0:
+            raise RateVectorError(f"discard must be >= 0, got {discard!r}")
+        total = np.zeros(a.size, dtype=float)
+        end = max(end, discard + steps)
+
+    # The update ``x + a * (beta - x * x)`` (then ``max(0, .)``) with
+    # array operands and in-place products, the same operations on the
+    # same values: IEEE products and sums commute.
+    betas = np.full(a.size, beta, dtype=float)
+    zeros = np.zeros(a.size, dtype=float)
+    x = np.full(a.size, float(x0))
+    done = 0                       # the step of ``x``
+    while done < end:
+        size = min(_BLOCK, end - done)
+        rows = [x]
+        for _ in range(size):
+            image = betas - x * x
+            image *= a
+            image += x
+            x = np.maximum(zeros, image) if truncate else image
+            rows.append(x)
+        block = np.array(rows)     # the states of steps done .. done+size
+        finite = np.isfinite(block[1:])
+        if not finite.all():
+            j, bad = divmod(int(np.flatnonzero(~finite)[0]), a.size)
+            k = done + 1 + j
+            if tail is not None and k <= tail_end:
+                raise RateVectorError(
+                    f"orbit diverged to {block[1 + j, bad]!r} at step {k} "
+                    f"(gain a={a[bad]!r})")
+            stage = "transient" if k <= discard else "averaging"
+            raise RateVectorError(f"orbit diverged during {stage}")
+        if tail is not None:
+            lo, hi = max(done, transient), min(done + size, tail_end)
+            if lo < hi:
+                tails[:, lead + lo - transient:lead + hi - transient] = \
+                    block[1 + lo - done:1 + hi - done].T
+        if average is not None:
+            lo, hi = max(done, discard), min(done + size, discard + steps)
+            if lo < hi:
+                xs = block[lo - done:hi - done]
+                slope = 1.0 - 2.0 * a * xs
+                if truncate:
+                    slope[xs + a * (beta - xs * xs) < 0.0] = 0.0
+                logs = np.log(np.maximum(np.abs(slope), _SLOPE_FLOOR))
+                logs[0] += total
+                total = np.add.accumulate(logs, axis=0)[-1]
+        done += size
+    return (a, tails if tail is not None else None,
+            total / steps if average is not None else None)
+
+
 def quadratic_orbit_tails(gains, beta: float, x0: float,
                           transient: int = 2000, keep: int = 200,
                           truncate: bool = True) -> np.ndarray:
     """Attractor tails of ``x <- x + a (beta - x^2)`` for a whole gain
     grid at once.
 
-    Iterates the entire grid as one array — one vectorised update per
-    step instead of one Python call per (gain, step) pair.  Row ``i`` of
-    the result equals ``orbit_tail(QuadraticRateMap(gains[i], beta,
-    truncate), x0, transient, keep)``, including the ``transient == 0``
-    convention of returning ``keep + 1`` samples led by ``x0``.
+    Iterates the entire grid as one array (:func:`_grid_orbit`).  Row
+    ``i`` of the result equals ``orbit_tail(QuadraticRateMap(gains[i],
+    beta, truncate), x0, transient, keep)``, including the
+    ``transient == 0`` convention of returning ``keep + 1`` samples led
+    by ``x0``.
     """
-    a = _validate_gains(gains, beta)
-    steps = transient + keep
-    if steps < 1:
-        raise RateVectorError(f"steps must be >= 1, got {steps!r}")
-    if not 0 <= transient <= steps:
-        raise RateVectorError(
-            f"discard must lie in [0, steps], got {transient!r}")
-    n_keep = keep + (1 if transient == 0 else 0)
-    out = np.empty((a.size, n_keep), dtype=float)
-    col = 0
-    x = np.full(a.size, float(x0))
-    if transient == 0:
-        out[:, col] = x
-        col += 1
-    for k in range(1, steps + 1):
-        image = x + a * (beta - x * x)
-        x = np.maximum(0.0, image) if truncate else image
-        if not np.all(np.isfinite(x)):
-            bad = int(np.flatnonzero(~np.isfinite(x))[0])
-            raise RateVectorError(
-                f"orbit diverged to {x[bad]!r} at step {k} "
-                f"(gain a={a[bad]!r})")
-        if k > transient:
-            out[:, col] = x
-            col += 1
-    return out
+    return _grid_orbit(gains, beta, x0, truncate,
+                       tail=(transient, keep))[1]
 
 
 def quadratic_lyapunov_exponents(gains, beta: float, x0: float,
@@ -217,33 +291,8 @@ def quadratic_lyapunov_exponents(gains, beta: float, x0: float,
 
     Entry ``i`` equals ``lyapunov_exponent(map_i, map_i.derivative, x0,
     steps, discard)`` for ``map_i = QuadraticRateMap(gains[i], beta,
-    truncate)``.
+    truncate)``, up to the last bits: this takes ``np.log`` of the
+    slopes where the scalar path takes ``math.log``.
     """
-    from .lyapunov import _SLOPE_FLOOR
-
-    a = _validate_gains(gains, beta)
-    if steps < 1:
-        raise RateVectorError(f"steps must be >= 1, got {steps!r}")
-    if discard < 0:
-        raise RateVectorError(f"discard must be >= 0, got {discard!r}")
-
-    def advance(x):
-        image = x + a * (beta - x * x)
-        return np.maximum(0.0, image) if truncate else image
-
-    x = np.full(a.size, float(x0))
-    for _ in range(discard):
-        x = advance(x)
-        if not np.all(np.isfinite(x)):
-            raise RateVectorError("orbit diverged during transient")
-    total = np.zeros(a.size, dtype=float)
-    for _ in range(steps):
-        slope = 1.0 - 2.0 * a * x
-        if truncate:
-            image = x + a * (beta - x * x)
-            slope = np.where(image < 0.0, 0.0, slope)
-        total += np.log(np.maximum(np.abs(slope), _SLOPE_FLOOR))
-        x = advance(x)
-        if not np.all(np.isfinite(x)):
-            raise RateVectorError("orbit diverged during averaging")
-    return total / steps
+    return _grid_orbit(gains, beta, x0, truncate,
+                       average=(discard, steps))[2]

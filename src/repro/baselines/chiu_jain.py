@@ -14,13 +14,14 @@ fairness convergence so the F11 experiment can quote it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..core.fairness import jain_index
-from ..core.math_utils import as_rate_vector
+from ..core.math_utils import as_rate_vector, numpy_sum
 from ..errors import RateVectorError
 
 __all__ = ["AimdResult", "run_chiu_jain"]
@@ -36,7 +37,7 @@ class AimdResult:
     @property
     def fairness_trajectory(self) -> np.ndarray:
         """Jain index at every step — non-decreasing under AIMD."""
-        return np.array([jain_index(row) for row in self.rates])
+        return jain_index(self.rates)
 
     def mean_total(self, tail: int) -> float:
         """Average total load over the last ``tail`` steps."""
@@ -61,21 +62,30 @@ def run_chiu_jain(initial_rates: Sequence[float], goal: float,
         multiplicative: the decrease factor ``0 < b < 1``.
     """
     r = as_rate_vector(initial_rates)
-    if goal <= 0:
-        raise RateVectorError(f"goal must be positive, got {goal!r}")
-    if additive <= 0:
-        raise RateVectorError(f"additive step must be positive")
+    # Python floats below, so a numpy scalar must not set the precision.
+    goal, additive = float(goal), float(additive)
+    multiplicative = float(multiplicative)
+    if not (math.isfinite(goal) and goal > 0):
+        raise RateVectorError(
+            f"goal must be finite and positive, got {goal!r}")
+    if not (math.isfinite(additive) and additive > 0):
+        raise RateVectorError(
+            f"additive step must be finite and positive, got {additive!r}")
     if not 0.0 < multiplicative < 1.0:
-        raise RateVectorError("decrease factor must lie in (0, 1)")
-    history = [r.copy()]
+        raise RateVectorError(
+            f"decrease factor must lie in (0, 1), got {multiplicative!r}")
+    # Python floats: at a handful of sources a numpy call costs more
+    # than its arithmetic; ``numpy_sum`` keeps ``np.sum``'s bits.
+    rates = r.tolist()
+    history = [rates]
     feedback = []
     for _ in range(steps):
-        overloaded = float(np.sum(r)) > goal
+        overloaded = numpy_sum(rates) > goal
         if overloaded:
-            r = r * multiplicative
+            rates = [x * multiplicative for x in rates]
         else:
-            r = r + additive
-        history.append(r.copy())
+            rates = [x + additive for x in rates]
+        history.append(rates)
         feedback.append(1.0 if overloaded else 0.0)
-    return AimdResult(rates=np.asarray(history),
-                      feedback=np.asarray(feedback))
+    return AimdResult(rates=np.asarray(history, dtype=float),
+                      feedback=np.asarray(feedback, dtype=float))

@@ -17,12 +17,12 @@ operating point linearly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..core.delays import round_trip_delays
 from ..core.fifo import Fifo
 from ..core.math_utils import as_rate_vector
 from ..core.service import ServiceDiscipline
@@ -61,48 +61,80 @@ def run_decbit_windows(network: Network,
     the congestion bit of source ``i`` is set when the aggregate queue
     at any gateway on its path reaches ``queue_threshold``; windows then
     move by ``+increase`` or ``* decrease``.
+
+    Each gateway's queue law is evaluated once per step, at the step's
+    rates: its total gives the step's congestion bits, and its
+    Little's-law sojourns ``Q_i / r_i`` plus the path latencies give
+    the next step's round-trip delays, as
+    :func:`~repro.core.delays.round_trip_delays` adds them.
     """
     if discipline is None:
         discipline = Fifo()
     w = as_rate_vector(initial_windows, n=network.num_connections)
     if np.any(w <= 0):
         raise RateVectorError("initial windows must be positive")
+    if not (math.isfinite(queue_threshold) and queue_threshold >= 0):
+        raise RateVectorError(f"queue_threshold must be finite and "
+                              f"nonnegative, got {queue_threshold!r}")
+    if not 0.0 < decrease < 1.0:
+        raise RateVectorError(
+            f"decrease must lie in (0, 1), got {decrease!r}")
+    if not (math.isfinite(increase) and increase > 0):
+        raise RateVectorError(
+            f"increase must be finite and positive, got {increase!r}")
+    if not (math.isfinite(min_window) and min_window > 0):
+        raise RateVectorError(
+            f"min_window must be finite and positive, got {min_window!r}")
     n = network.num_connections
+    csr = network.csr
+    gateways = [(csr.members(a), network.mu(gname))
+                for a, gname in enumerate(csr.gateway_names)
+                if csr.members(a).size]
+
+    def queue_laws(rates):
+        """Each gateway's local rates (a one-row batch) and queues."""
+        laws = []
+        for cols, mu in gateways:
+            local = rates[None, cols]
+            laws.append((local, discipline.queue_lengths_batch(local, mu)))
+        return laws
+
     # Bootstrap delays from the empty network (latency + 1/mu).
     rates = np.array([
         min(network.mu(g) for g in network.gamma(i)) * 0.01
         for i in range(n)])
-    windows_hist = [w.copy()]
-    rates_hist = [rates.copy()]
+    windows_hist = [w]
+    rates_hist = [rates]
     bits_hist = []
+    laws = queue_laws(rates)
     for _ in range(steps):
-        d = round_trip_delays(network, discipline, rates)
-        d = np.where(np.isfinite(d), d, np.max(d[np.isfinite(d)])
-                     if np.any(np.isfinite(d)) else 1.0)
+        d = csr.path_latency.copy()
+        for (cols, mu), (local, queues) in zip(gateways, laws):
+            d[cols] += discipline.sojourns_batch(local, queues, mu)[0]
+        finite = np.isfinite(d)
+        if not finite.all():
+            d = np.where(finite, d, np.max(d[finite]) if finite.any()
+                         else 1.0)
         d = np.maximum(d, 1e-9)
         rates = w / d
         # Keep the substrate in its stable regime: cap utilisation just
         # below 1 so the FIFO law stays finite (a real gateway would be
         # dropping packets here, which the window model cannot see).
-        for gname in network.gateway_names:
-            local = list(network.connections_at(gname))
-            load = float(np.sum(rates[local]))
-            cap = 0.98 * network.mu(gname)
+        for cols, mu in gateways:
+            load = float(rates[cols].sum())
+            cap = 0.98 * mu
             if load > cap:
-                rates[local] *= cap / load
+                rates[cols] *= cap / load
+        laws = queue_laws(rates)
         bits = np.zeros(n)
-        for i in range(n):
-            congested = any(
-                float(np.sum(discipline.queue_lengths(
-                    network.local_rates(g, rates), network.mu(g))))
-                >= queue_threshold
-                for g in network.gamma(i))
-            bits[i] = 1.0 if congested else 0.0
+        for (cols, _), (_, queues) in zip(gateways, laws):
+            if float(queues[0].sum()) >= queue_threshold:
+                bits[cols] = 1.0
         w = np.where(bits > 0.5, np.maximum(w * decrease, min_window),
                      w + increase)
-        windows_hist.append(w.copy())
-        rates_hist.append(rates.copy())
-        bits_hist.append(bits.copy())
+        windows_hist.append(w)
+        rates_hist.append(rates)
+        bits_hist.append(bits)
     return DecbitWindowResult(
         windows=np.asarray(windows_hist),
         rates=np.asarray(rates_hist),

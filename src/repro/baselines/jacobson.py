@@ -17,12 +17,13 @@ window trajectories feed the F11 experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..core.math_utils import as_rate_vector
+from ..core.math_utils import as_rate_vector, numpy_sum
 from ..errors import RateVectorError
 
 __all__ = ["TahoeResult", "run_tahoe"]
@@ -64,21 +65,29 @@ def run_tahoe(initial_windows: Sequence[float], pipe: float,
     w = as_rate_vector(initial_windows)
     if np.any(w <= 0):
         raise RateVectorError("initial windows must be positive")
-    if pipe <= 0:
-        raise RateVectorError(f"pipe size must be positive, got {pipe!r}")
-    ssthresh = np.full(w.shape[0], pipe / 2.0)
-    history = [w.copy()]
+    pipe = float(pipe)
+    if not (math.isfinite(pipe) and pipe > 0):
+        raise RateVectorError(
+            f"pipe must be finite and positive, got {pipe!r}")
+    # Python floats: at two to a dozen connections a numpy call costs
+    # more than its arithmetic.  ``max``/``min`` agree with
+    # ``np.maximum``/``np.minimum`` on the finite windows the checks
+    # above admit, and ``numpy_sum`` adds as ``np.sum`` does, so the
+    # windows carry numpy's bits.
+    windows = w.tolist()
+    ssthresh = [pipe / 2.0] * len(windows)
+    history = [windows]
     losses = []
     for _ in range(steps):
-        if float(np.sum(w)) > pipe:
-            ssthresh = np.maximum(w / 2.0, 1.0)
-            w = w / 2.0 if reno else np.ones_like(w)
+        if numpy_sum(windows) > pipe:
+            ssthresh = [max(x / 2.0, 1.0) for x in windows]
+            windows = ([x / 2.0 for x in windows] if reno
+                       else [1.0] * len(windows))
             losses.append(1.0)
         else:
-            in_slow_start = w < ssthresh
-            w = np.where(in_slow_start, np.minimum(2.0 * w, ssthresh),
-                         w + 1.0)
+            windows = [min(2.0 * x, s) if x < s else x + 1.0
+                       for x, s in zip(windows, ssthresh)]
             losses.append(0.0)
-        history.append(w.copy())
-    return TahoeResult(windows=np.asarray(history),
-                       losses=np.asarray(losses))
+        history.append(windows)
+    return TahoeResult(windows=np.asarray(history, dtype=float),
+                       losses=np.asarray(losses, dtype=float))

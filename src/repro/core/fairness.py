@@ -15,12 +15,13 @@ max-min fair allocation with per-gateway capacities ``rho_ss * mu^a``
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import RateVectorError, TopologyError
-from .math_utils import as_rate_vector
+from .math_utils import as_rate_vector, validate_rates
 from .signals import FeedbackScheme
 from .topology import Network
 
@@ -56,19 +57,45 @@ def unfairness(scheme: FeedbackScheme, rates: Sequence[float]) -> float:
     return worst
 
 
-def jain_index(rates: Sequence[float]) -> float:
+def jain_index(rates: Sequence[float]) -> float | np.ndarray:
     """Jain's fairness index ``(sum r)^2 / (N sum r^2)`` in ``(0, 1]``.
 
     1 means perfectly equal rates; ``1/N`` means one connection holds
     everything.  A convenient scalar summary for the manifold and
     heterogeneity experiments (it is not the paper's fairness
     criterion, which is :func:`is_fair`).
+
+    ``rates`` is one rate vector, which gives a float, or a 2-D batch
+    whose rows are scored at once, which gives an array; a vector is
+    the batch's one-row call.  Rows are summed C-ordered, which adds
+    each row as ``np.sum`` adds it alone, so a row scores the same bits
+    in any batch.  An all-zero row scores 1.  The index is
+    scale-invariant, so a row whose sum of squares leaves the normal
+    float range (it underflows, or the squared total overflows) is
+    scored divided by its largest rate.
     """
-    r = as_rate_vector(rates)
-    total = float(np.sum(r))
-    if total == 0.0:
-        return 1.0
-    return total * total / (r.shape[0] * float(np.sum(r * r)))
+    r = np.array(rates if isinstance(rates, np.ndarray) else list(rates),
+                 dtype=float, order="C")
+    one_row = r.ndim == 1
+    if one_row:
+        r = r[None]
+    if r.ndim != 2:
+        raise RateVectorError(
+            f"rates must be a vector or a 2-D batch, got shape {r.shape}")
+    validate_rates(r)
+    with np.errstate(over="ignore"):
+        totals = r.sum(axis=1)
+        squares = (r * r).sum(axis=1)
+        far = (totals != 0.0) & ~((squares >= sys.float_info.min)
+                                  & (totals * totals < math.inf))
+        if far.any():
+            scaled = r[far] / r[far].max(axis=1, keepdims=True)
+            totals[far] = scaled.sum(axis=1)
+            squares[far] = (scaled * scaled).sum(axis=1)
+    out = np.ones(r.shape[0])
+    busy = totals != 0.0
+    out[busy] = totals[busy] * totals[busy] / (r.shape[1] * squares[busy])
+    return float(out[0]) if one_row else out
 
 
 def max_min_allocation(network: Network,

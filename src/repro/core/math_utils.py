@@ -34,6 +34,7 @@ __all__ = [
     "is_close_vector",
     "clip_nonnegative",
     "row_sums",
+    "numpy_sum",
 ]
 
 
@@ -192,6 +193,23 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     if values.shape[-1] == 0:
         return np.zeros(values.shape[:-1], dtype=float)
     return values.cumsum(axis=-1)[..., -1]
+
+
+def numpy_sum(values: Sequence[float]) -> float:
+    """``float(np.sum(values))`` for a list of Python floats, bit for bit.
+
+    numpy adds fewer than 8 terms one by one onto 0.0, left to right,
+    and 8 or more with 8 pairwise accumulators.  Short lists take that
+    fold here, skipping the array conversion; Python's own ``sum`` will
+    not do, as it compensates its rounding from Python 3.12 on.  Long
+    lists take numpy's own sum.
+    """
+    if len(values) < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    return float(np.sum(values))
 
 
 def clip_nonnegative(vec: np.ndarray) -> np.ndarray:

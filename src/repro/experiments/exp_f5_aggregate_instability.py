@@ -35,8 +35,9 @@ def _f5_point(args):
     """One sweep point: stability analysis + perturbed run at one N.
 
     Module-level (not a closure) so :func:`repro.parallel.sweep` can
-    ship it to a process pool; the perturbation noise is drawn by the
-    caller so results do not depend on worker scheduling.
+    ship it to a process pool when the caller asks for workers; the
+    perturbation noise is drawn by the caller so results do not depend
+    on worker scheduling.
     """
     n, eta, beta, rho_ss, noise, perturbation, threshold = args
     signal = LinearSaturating()
@@ -71,11 +72,17 @@ def run_f5_aggregate_instability(eta: float = 0.3, beta: float = 0.5,
                                  n_values=(2, 4, 6, 8, 12, 20),
                                  perturbation: float = 1e-3,
                                  seed: int = 3,
-                                 workers: int = None) -> ExperimentResult:
+                                 workers: int = 1) -> ExperimentResult:
     """Sweep the number of connections at a shared gateway.
 
-    The per-N points are independent, so the sweep runs through
-    :func:`repro.parallel.sweep` (``workers=1`` forces serial).
+    The per-N points are independent and go through
+    :func:`repro.parallel.sweep`.  They run serially by default: each
+    point is one Jacobian and one kernel-served ``run``, a few ms, so a
+    process pool costs more than it saves at every size the registry
+    and the benchmark run (2-core host, median of 7 calls, pool ->
+    serial: 52 -> 8 ms at ``n_values=(2, 4, 8, 12)``, 54 -> 14 ms at
+    the defaults).  Pass ``workers`` (``None`` for one per core) to fan
+    the points out.
     """
     signal = LinearSaturating()
     rho_ss = signal.steady_state_utilisation(beta)

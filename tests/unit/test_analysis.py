@@ -1,6 +1,7 @@
 """Unit tests for the iterated-map analysis toolkit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,3 +249,174 @@ class TestVectorizedQuadraticGrid:
             quadratic_orbit_tails([1.0], beta=-1.0, x0=0.1)
         with pytest.raises(RateVectorError):
             quadratic_lyapunov_exponents([1.0], beta=0.25, x0=0.1, steps=0)
+
+
+def _stepwise_tails(gains, beta, x0, transient, keep, truncate):
+    """The per-step grid loop the blocked orbit replaced, transcribed."""
+    a = np.asarray(gains, dtype=float)
+    out = np.empty((a.size, keep + (1 if transient == 0 else 0)))
+    col = 0
+    x = np.full(a.size, float(x0))
+    if transient == 0:
+        out[:, col] = x
+        col += 1
+    for k in range(1, transient + keep + 1):
+        image = x + a * (beta - x * x)
+        x = np.maximum(0.0, image) if truncate else image
+        if not np.all(np.isfinite(x)):
+            bad = int(np.flatnonzero(~np.isfinite(x))[0])
+            raise RateVectorError(
+                f"orbit diverged to {x[bad]!r} at step {k} "
+                f"(gain a={a[bad]!r})")
+        if k > transient:
+            out[:, col] = x
+            col += 1
+    return out
+
+
+def _stepwise_lyapunov(gains, beta, x0, steps, discard, truncate):
+    """The per-step grid Lyapunov loop, transcribed."""
+    from repro.analysis.lyapunov import _SLOPE_FLOOR
+    a = np.asarray(gains, dtype=float)
+
+    def advance(x):
+        image = x + a * (beta - x * x)
+        return np.maximum(0.0, image) if truncate else image
+
+    x = np.full(a.size, float(x0))
+    for _ in range(discard):
+        x = advance(x)
+        if not np.all(np.isfinite(x)):
+            raise RateVectorError("orbit diverged during transient")
+    total = np.zeros(a.size)
+    for _ in range(steps):
+        slope = 1.0 - 2.0 * a * x
+        if truncate:
+            image = x + a * (beta - x * x)
+            slope = np.where(image < 0.0, 0.0, slope)
+        total += np.log(np.maximum(np.abs(slope), _SLOPE_FLOOR))
+        x = advance(x)
+        if not np.all(np.isfinite(x)):
+            raise RateVectorError("orbit diverged during averaging")
+    return total / steps
+
+
+def _message(fn, *args):
+    with pytest.raises(RateVectorError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestOneOrbitSweep:
+    """The grid functions read one blocked orbit; they must give the
+    per-step loops' bits, and the sweep both outputs of one orbit."""
+
+    GAINS = [0.5, 1.0, 1.5, 1.9, 2.3, 2.45, 2.52, 2.58, 2.62, 2.9]
+
+    @pytest.mark.parametrize("truncate", [True, False])
+    @pytest.mark.parametrize("transient,keep", [
+        (0, 5), (1, 1), (255, 1), (256, 256), (700, 64), (3000, 256)])
+    def test_tails_equal_stepwise_loop(self, truncate, transient, keep):
+        got = quadratic_orbit_tails(self.GAINS, 0.25, 0.4, transient,
+                                    keep, truncate)
+        want = _stepwise_tails(self.GAINS, 0.25, 0.4, transient, keep,
+                               truncate)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("truncate", [True, False])
+    @pytest.mark.parametrize("steps,discard", [
+        (1, 0), (300, 0), (256, 256), (1000, 250), (3000, 750)])
+    def test_lyapunov_equal_stepwise_loop(self, truncate, steps, discard):
+        got = quadratic_lyapunov_exponents(self.GAINS, 0.25, 0.4, steps,
+                                           discard, truncate)
+        want = _stepwise_lyapunov(self.GAINS, 0.25, 0.4, steps, discard,
+                                  truncate)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("truncate", [True, False])
+    @pytest.mark.parametrize("transient,keep", [
+        # keep shorter and longer than transient // 4
+        (1000, 192), (1000, 256), (3000, 256), (500, 300)])
+    def test_sweep_equals_both_grid_functions(self, truncate, transient,
+                                              keep):
+        pts = quadratic_map_sweep(self.GAINS, beta=0.25, x0=0.4,
+                                  transient=transient, keep=keep,
+                                  truncate=truncate)
+        tails = quadratic_orbit_tails(self.GAINS, 0.25, 0.4, transient,
+                                      keep, truncate)
+        lams = quadratic_lyapunov_exponents(self.GAINS, 0.25, 0.4,
+                                            transient, transient // 4,
+                                            truncate)
+        for i, pt in enumerate(pts):
+            assert pt.parameter == self.GAINS[i]
+            assert np.array_equal(pt.attractor, tails[i])
+            assert pt.lyapunov == lams[i]
+
+    def test_sweep_with_zero_transient_raises_as_before(self):
+        # The exponent averages over ``transient`` steps, so a sweep
+        # needs at least one.
+        with pytest.raises(RateVectorError, match="steps must be >= 1, "
+                                                  "got 0"):
+            quadratic_map_sweep(self.GAINS, transient=0, keep=256)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid:RuntimeWarning")
+    def test_diverging_orbit_messages(self):
+        # x0 = 10 escapes the untruncated map within a few steps.
+        gains = [0.5, 1.0]
+        tail_msg = _message(quadratic_orbit_tails, gains, 0.25, 10.0, 50,
+                            10, False)
+        assert tail_msg == _message(_stepwise_tails, gains, 0.25, 10.0,
+                                    50, 10, False)
+        assert "at step" in tail_msg and "gain a=" in tail_msg
+        for discard, stage in ((50, "transient"), (0, "averaging")):
+            msg = _message(quadratic_lyapunov_exponents, gains, 0.25,
+                           10.0, 100, discard, False)
+            assert msg == _message(_stepwise_lyapunov, gains, 0.25, 10.0,
+                                   100, discard, False)
+            assert msg == f"orbit diverged during {stage}"
+        assert _message(quadratic_map_sweep, gains, 0.25, 10.0, 1000, 256,
+                        False) == _message(_stepwise_tails, gains, 0.25,
+                                           10.0, 1000, 256, False)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid:RuntimeWarning")
+    def test_divergence_stage_boundary(self):
+        # The first non-finite step k ends the transient when discard
+        # is k, and falls in the averaging when discard is k - 1.
+        gains = [0.5, 1.0]
+        msg = _message(_stepwise_tails, gains, 0.25, 10.0, 100, 1, False)
+        k = int(re.search(r"at step (\d+) ", msg).group(1))
+        for discard, stage in ((k, "transient"), (k - 1, "averaging")):
+            want = _message(_stepwise_lyapunov, gains, 0.25, 10.0, 50,
+                            discard, False)
+            assert want == f"orbit diverged during {stage}"
+            assert _message(quadratic_lyapunov_exponents, gains, 0.25,
+                            10.0, 50, discard, False) == want
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid:RuntimeWarning")
+    def test_late_escape_found_in_a_later_block(self):
+        # Just past the boundary crisis the untruncated orbit wanders
+        # for hundreds of steps before escaping: a = 3.00003 goes at
+        # step ~219, a = 3.00012 at ~355, so the first block finds the
+        # first and the second block alone holds the other.
+        gains = [1.0, 3.00012, 3.00003]
+        msg = _message(quadratic_orbit_tails, gains, 0.25, 0.4, 1000, 10,
+                       False)
+        assert msg == _message(_stepwise_tails, gains, 0.25, 0.4, 1000,
+                               10, False)
+        assert "3.00003" in msg
+        late = [3.00012]
+        msg = _message(quadratic_orbit_tails, late, 0.25, 0.4, 300, 100,
+                       False)
+        assert msg == _message(_stepwise_tails, late, 0.25, 0.4, 300,
+                               100, False)
+        # Past the sweep's tail but inside its exponent's window, the
+        # sweep raises the exponent's message.
+        want = _message(_stepwise_lyapunov, late, 0.25, 0.4, 320, 80,
+                        False)
+        assert want == "orbit diverged during averaging"
+        assert _message(quadratic_map_sweep, late, 0.25, 0.4, 320, 24,
+                        False, 8) == want

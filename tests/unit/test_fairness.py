@@ -1,5 +1,7 @@
 """Unit tests for fairness predicates and max-min allocation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,50 @@ class TestJainIndex:
     def test_scale_invariant(self):
         r = np.array([0.1, 0.4, 0.2])
         assert jain_index(r) == pytest.approx(jain_index(10 * r))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 12, 100, 1000])
+    def test_vector_and_batch_rows_match_scalar_formula(self, n):
+        # The scalar formula is the one-vector loop the batch replaced.
+        def scalar(row):
+            total = float(np.sum(row))
+            if total == 0.0:
+                return 1.0
+            return total * total / (row.shape[0] * float(np.sum(row * row)))
+
+        rng = np.random.default_rng(n)
+        rows = rng.uniform(0, 10, (40, n)) * 10.0 ** rng.uniform(-8, 8,
+                                                                (40, n))
+        rows[0] = 0.0
+        want = np.array([scalar(row) for row in rows])
+        assert np.array_equal(jain_index(rows), want)
+        assert np.array_equal(jain_index(np.asfortranarray(rows)), want)
+        assert np.array_equal(jain_index(rows[::-1])[::-1], want)
+        for row, expected in zip(rows, want):
+            got = jain_index(row)
+            assert type(got) is float and got == expected
+
+    def test_tiny_and_huge_rates_score_as_their_scaled_rows(self):
+        rows = np.array([[1e-200, 1e-200], [1e-200, 0.0], [5e-324, 0.0],
+                         [1e200, 1e200], [1e308, 1e308], [0.3, 0.6]])
+        want = [1.0, 0.5, 0.5, 1.0, 1.0, jain_index([0.3, 0.6])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(jain_index(rows)) == want
+            assert [jain_index(row) for row in rows] == want
+            # Squares in the subnormal range keep only a few digits.
+            assert jain_index([1e-160, 1.234567e-161]) == pytest.approx(
+                jain_index([1.0, 0.1234567]), rel=1e-12)
+
+    def test_empty_vector_and_batch(self):
+        assert jain_index([]) == 1.0
+        assert jain_index(np.zeros((3, 0))).tolist() == [1.0] * 3
+        assert jain_index(np.zeros((0, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2, 2)), [[0.1, -0.1]],
+                                     [0.1, float("nan")]])
+    def test_rejects_what_is_not_a_rate_vector_or_batch(self, bad):
+        with pytest.raises(RateVectorError):
+            jain_index(bad)
 
 
 class TestMaxMinAllocation:

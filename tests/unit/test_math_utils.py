@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.math_utils import (as_rate_vector, clip_nonnegative, g,
                                    g_inverse, inverse_permutation,
-                                   is_close_vector, pairs, relative_error,
-                                   sorted_order, sup_norm)
+                                   is_close_vector, numpy_sum, pairs,
+                                   relative_error, sorted_order, sup_norm)
 from repro.errors import RateVectorError
 
 
@@ -141,3 +141,25 @@ class TestNorms:
 
     def test_pairs(self):
         assert list(pairs([1, 2, 3])) == [(1, 2), (1, 3), (2, 3)]
+
+
+class TestNumpySum:
+    @pytest.mark.parametrize("n", range(0, 20))
+    def test_bits_of_np_sum(self, n):
+        # Below 8 terms numpy folds left to right; from 8 it keeps 8
+        # pairwise accumulators, which a left-to-right fold does not
+        # match.
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            values = (rng.uniform(0, 10, n)
+                      * 10.0 ** rng.uniform(-8, 8, n)).tolist()
+            total = numpy_sum(values)
+            assert type(total) is float
+            assert total == float(np.sum(values))
+
+    def test_short_lists_are_not_compensated(self):
+        # A compensated sum (math.fsum, and Python's sum from 3.12 on)
+        # keeps the two small terms that numpy's fold rounds away.
+        values = [1.0, 1e-16, 1e-16]
+        assert math.fsum(values) == 1.0000000000000002
+        assert numpy_sum(values) == float(np.sum(values)) == 1.0

@@ -69,3 +69,37 @@ class TestDelays:
     def test_abstract_base_not_instantiable(self):
         with pytest.raises(TypeError):
             ServiceDiscipline()
+
+
+class TestSojourns:
+    """``sojourns_batch`` divides without ``np.errstate`` only when every
+    rate is positive and finite; the bits and warnings stay the plain
+    guarded division's."""
+
+    @staticmethod
+    def _guarded(disc, rates, queues, mu):
+        positive = rates > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = queues / rates
+        if not positive.all():
+            probe = rates.copy()
+            probe[~positive] = mu * 1e-9
+            q_probe = disc.queue_lengths_batch(probe, mu)
+            out[~positive] = q_probe[~positive] / (mu * 1e-9)
+        return out
+
+    @pytest.mark.parametrize("row", [[0.2, 0.4], [0.0, 0.4], [0.5, 0.6],
+                                     [0.2, math.inf], [0.2, math.nan],
+                                     [1e-300, 0.3], []])
+    def test_same_bits_and_no_warning(self, row):
+        from repro.core.fifo import Fifo
+        disc = Fifo()
+        rates = np.array([row], dtype=float).reshape(1, len(row))
+        with np.errstate(divide="ignore", invalid="ignore",
+                         over="ignore"):
+            queues = disc.queue_lengths_batch(rates, 1.0)
+        with np.errstate(over="ignore"):
+            want = self._guarded(disc, rates, queues, 1.0)
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            got = disc.sojourns_batch(rates, queues, 1.0)
+        assert np.array_equal(got, want, equal_nan=True)

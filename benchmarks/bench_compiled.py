@@ -3,10 +3,11 @@
 Standalone (not collected by pytest): times the compiled hot paths
 against the fastest pre-existing implementations on
 
-* the FIFO closed-loop workload from ``bench_sim_kernel.py`` —
-  ``engine="compiled"`` (the runtime-built C event loop) vs
-  ``engine="fast"`` (the numpy struct-of-arrays kernel, the previous
-  champion), in events/sec,
+* ``bench_sim_kernel.py``'s closed-loop workload under FIFO and
+  under Fair Share — ``engine="auto"`` (the runtime-built C
+  event loop) vs ``engine="fast"`` (the Python loops of the
+  struct-of-arrays kernel), in events/sec, plus the C loop's fixed
+  cost per call, in µs per 1-unit ``run_until``,
 * the Fair Share queue-law microbench — the compiled
   ``fs_queue_batch`` kernel vs the numpy ``sorted`` pipeline on a
   ``(64, 512)`` rate batch,
@@ -19,20 +20,21 @@ Methodology matches ``bench_sim_kernel.py``: every speedup is the
 both implementations alike.  Compilation cost is kept out of the
 measured runs — :func:`repro.backends.compiled.warmup` builds (or
 cache-loads) the C library up front, and the per-phase Timer spans
-(``compile.cext`` vs ``run.fifo``) are recorded in the provenance block
-so the JSON separates C-build warmup from steady-state throughput.
+(``compile.cext`` vs ``run.packet``) are recorded in the provenance
+block so the JSON separates C-build warmup from steady-state
+throughput.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_compiled.py [--quick]
 
-The acceptance targets are >= 3x events/sec over the fast kernel on
-the FIFO closed loop and >= 2x on the Fair Share queue-law microbench
-(quick mode shrinks the closed loop, runs the queue law at full shape
-with fewer repetitions, and judges against the lower
-``QUICK_TARGETS``).  When the C library cannot be built at all (no C
-compiler) the benchmark prints a notice and exits 0 — the compiled
-tier is optional by contract.
+The acceptance targets are the ``TARGETS`` speedups over the fast
+kernel on the two closed loops and over the numpy pipeline on the Fair
+Share queue-law microbench (quick mode shrinks the closed loops, runs
+the queue law at full shape with fewer repetitions, and judges against
+the lower ``QUICK_TARGETS``).  When the C library cannot be built at
+all (no C compiler) the benchmark prints a notice and exits 0 — the
+compiled tier is optional by contract.
 """
 
 import argparse
@@ -43,34 +45,52 @@ import time
 
 import numpy as np
 
-from bench_sim_kernel import _fifo_run
+from bench_sim_kernel import _closed_loop_run, _simulation
 
 from repro.backends import compiled
 from repro.core.fairshare import _sorted_queues
 
 #: Full-scale minimum speedups (the committed BENCH_compiled.json
-#: targets): compiled C event loop vs the numpy fast kernel, and the
-#: compiled Fair Share queue law vs the numpy sorted pipeline.
-TARGETS = {"compiled_fifo_speedup_min": 3.0,
+#: targets): the compiled C event loop vs the Python loops of the fast
+#: kernel on the FIFO and Fair Share closed loops, and the compiled
+#: Fair Share queue law vs the numpy sorted pipeline.
+TARGETS = {"compiled_fifo_speedup_min": 6.0,
+           "compiled_fair_share_speedup_min": 8.0,
            "fs_queue_law_speedup_min": 2.0}
 
-#: Quick-mode floors: small workloads amortise less per-call overhead
-#: (the compiled engine pays a python<->C marshalling toll per
-#: ``run_for`` window), so the speedups shrink for reasons unrelated
+#: Quick-mode floors: small workloads amortise less of the per-call
+#: costs on both sides, so the speedups shrink for reasons unrelated
 #: to regressions.
-QUICK_TARGETS = {"compiled_fifo_speedup_min": 2.0,
+QUICK_TARGETS = {"compiled_fifo_speedup_min": 4.0,
+                 "compiled_fair_share_speedup_min": 5.0,
                  "fs_queue_law_speedup_min": 1.5}
 
 
-def bench_compiled_fifo(pairs=7, horizon=20000.0, intervals=20):
-    """Paired fast/compiled events-per-second on the FIFO closed-loop
-    workload (same workload the fast-vs-legacy benchmark uses)."""
+def _call_cost_us(engine, disc, calls):
+    """µs per ``run_for(1.0)`` after a 10-unit warm-up: what one call
+    costs beyond its ~2.4 events."""
+    sim = _simulation(engine, disc)
+    sim.run_for(10.0)
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        sim.run_for(1.0)
+    return (time.perf_counter() - t0) / calls * 1e6
+
+
+def bench_compiled_loop(disc, pairs=7, horizon=20000.0, intervals=20,
+                        calls=2000):
+    """Paired fast/compiled events-per-second on the closed-loop
+    workload of ``disc``, and each side's cost per 1-unit call."""
     ratios = []
     fast_rate = compiled_rate = 0.0
+    fast_us, compiled_us = [], []
     for p in range(pairs):
-        ev_f, t_f, stats_f = _fifo_run("fast", horizon, intervals)
-        ev_c, t_c, stats_c = _fifo_run("compiled", horizon, intervals)
+        ev_f, t_f, stats_f = _closed_loop_run("fast", horizon, intervals,
+                                              disc)
+        ev_c, t_c, stats_c = _closed_loop_run("auto", horizon, intervals,
+                                              disc)
         if p == 0:
+            assert _simulation("auto", disc).engine == "compiled"
             assert ev_f == ev_c, "engines processed different event counts"
             assert np.array_equal(stats_f[0], stats_c[0]), \
                 "mean queues differ between engines"
@@ -79,11 +99,16 @@ def bench_compiled_fifo(pairs=7, horizon=20000.0, intervals=20):
         fast_rate = ev_f / t_f
         compiled_rate = ev_c / t_c
         ratios.append(compiled_rate / fast_rate)
+        fast_us.append(_call_cost_us("fast", disc, calls))
+        compiled_us.append(_call_cost_us("auto", disc, calls))
     return {"pairs": pairs, "horizon": horizon, "intervals": intervals,
             "fast_events_per_s": round(fast_rate),
             "compiled_events_per_s": round(compiled_rate),
             "pair_ratios": [round(r, 2) for r in sorted(ratios)],
-            "speedup": round(statistics.median(ratios), 2)}
+            "speedup": round(statistics.median(ratios), 2),
+            "fast_us_per_call": round(statistics.median(fast_us), 2),
+            "compiled_us_per_call": round(statistics.median(compiled_us),
+                                          2)}
 
 
 def bench_fs_queue_law(pairs=7, members=64, n=512, reps=30, seed=5):
@@ -124,8 +149,8 @@ def provenance():
     """The kernel tier plus the per-phase compile/run Timer spans."""
     timers = compiled.metrics().snapshot()["timers"]
     return {"kernel_tier": compiled.tier(),
-            "fifo_engine": ("cext" if compiled.fifo_lib() is not None
-                            else "python"),
+            "packet_engine": ("cext" if compiled.packet_lib() is not None
+                              else "python"),
             "timers": {name: {"total_seconds": round(t["total_seconds"],
                                                      4),
                               "count": t["count"]}
@@ -135,16 +160,20 @@ def provenance():
 def run_benchmarks(quick=False):
     compiled.warmup()
     if quick:
-        fifo = bench_compiled_fifo(pairs=3, horizon=4000.0, intervals=8)
+        loops = {disc: bench_compiled_loop(disc, pairs=3, horizon=4000.0,
+                                           intervals=8, calls=300)
+                 for disc in ("fifo", "fair-share")}
         # The full (64, 512) shape with fewer pairs and reps: a smaller
         # batch mostly times the numpy pipeline's fixed per-call cost,
         # not the queue law the compiled kernel replaces.
         fs = bench_fs_queue_law(pairs=3, members=64, n=512, reps=5)
     else:
-        fifo = bench_compiled_fifo()
+        loops = {disc: bench_compiled_loop(disc)
+                 for disc in ("fifo", "fair-share")}
         fs = bench_fs_queue_law()
-    return {"compiled_fifo": fifo, "fs_queue_law": fs,
-            "provenance": provenance()}
+    return {"compiled_fifo": loops["fifo"],
+            "compiled_fair_share": loops["fair-share"],
+            "fs_queue_law": fs, "provenance": provenance()}
 
 
 def compiled_tier_available() -> bool:
@@ -170,20 +199,25 @@ def main(argv=None):
 
     results = run_benchmarks(quick=args.quick)
     fifo, fs = results["compiled_fifo"], results["fs_queue_law"]
+    fair = results["compiled_fair_share"]
     prov = results["provenance"]
-    print(f"fifo loop   : fast {fifo['fast_events_per_s']} ev/s, "
-          f"compiled {fifo['compiled_events_per_s']} ev/s -> "
-          f"{fifo['speedup']}x (median of {fifo['pairs']} pairs)")
+    for label, loop in (("fifo loop   ", fifo), ("fs loop     ", fair)):
+        print(f"{label}: fast {loop['fast_events_per_s']} ev/s, "
+              f"compiled {loop['compiled_events_per_s']} ev/s -> "
+              f"{loop['speedup']}x (median of {loop['pairs']} pairs); "
+              f"per 1-unit call: fast {loop['fast_us_per_call']} us, "
+              f"compiled {loop['compiled_us_per_call']} us")
     print(f"fs queue law: sorted {fs['sorted_s']}s, compiled "
           f"{fs['compiled_s']}s for {fs['reps']} reps on "
           f"({fs['members']}, {fs['n']}) -> {fs['speedup']}x")
     spans = ", ".join(f"{name} {t['total_seconds']}s/{t['count']}"
                       for name, t in sorted(prov["timers"].items()))
-    print(f"provenance  : tier {prov['kernel_tier']}, fifo engine "
-          f"{prov['fifo_engine']}, timers: {spans or 'none'}")
+    print(f"provenance  : tier {prov['kernel_tier']}, packet engine "
+          f"{prov['packet_engine']}, timers: {spans or 'none'}")
 
     targets = QUICK_TARGETS if args.quick else TARGETS
     ok = (fifo["speedup"] >= targets["compiled_fifo_speedup_min"]
+          and fair["speedup"] >= targets["compiled_fair_share_speedup_min"]
           and fs["speedup"] >= targets["fs_queue_law_speedup_min"])
     results["targets"] = dict(TARGETS)
     results["quick_targets"] = dict(QUICK_TARGETS)

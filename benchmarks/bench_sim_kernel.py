@@ -60,19 +60,27 @@ QUICK_TARGETS = {"fifo_events_speedup_min": 3.0,
                  "warm_start_savings_min": 1.2}
 
 
-def _fifo_run(engine, horizon, intervals, seed=11):
-    """One FIFO closed-loop-style run: simulate ``intervals`` control
+_RATES = np.array([0.2, 0.2, 0.25, 0.15])
+
+
+def _simulation(engine, disc="fifo", seed=11):
+    """The closed-loop workload's simulation: four sources through one
+    gateway with latency 0.5."""
+    net = single_gateway(4, mu=1.0).with_latencies({"g0": 0.5})
+    return NetworkSimulation(net, discipline_kind=disc, seed=seed,
+                             initial_rates=_RATES, engine=engine)
+
+
+def _closed_loop_run(engine, horizon, intervals, disc="fifo"):
+    """One closed-loop-style run: simulate ``intervals`` control
     windows with a rate update between each (what the closed loop
     does), returning (events, seconds, statistics snapshot)."""
-    net = single_gateway(4, mu=1.0).with_latencies({"g0": 0.5})
-    rates = np.array([0.2, 0.2, 0.25, 0.15])
-    sim = NetworkSimulation(net, discipline_kind="fifo", seed=seed,
-                            initial_rates=rates, engine=engine)
+    sim = _simulation(engine, disc)
     window = horizon / intervals
     t0 = time.perf_counter()
     for k in range(intervals):
         sim.run_for(window)
-        sim.set_rates(rates * (1.0 + 0.1 * ((k % 3) - 1)))
+        sim.set_rates(_RATES * (1.0 + 0.1 * ((k % 3) - 1)))
     elapsed = time.perf_counter() - t0
     stats = (sim.mean_queue_lengths()["g0"], sim.throughput(),
              sim.events_processed)
@@ -84,8 +92,8 @@ def bench_fifo_kernel(pairs=7, horizon=20000.0, intervals=20):
     ratios = []
     legacy_rate = fast_rate = 0.0
     for p in range(pairs):
-        ev_l, t_l, stats_l = _fifo_run("legacy", horizon, intervals)
-        ev_f, t_f, stats_f = _fifo_run("fast", horizon, intervals)
+        ev_l, t_l, stats_l = _closed_loop_run("legacy", horizon, intervals)
+        ev_f, t_f, stats_f = _closed_loop_run("fast", horizon, intervals)
         if p == 0:
             assert ev_l == ev_f, "engines processed different event counts"
             assert np.array_equal(stats_l[0], stats_f[0]), \
@@ -118,7 +126,9 @@ def _rows_equal(rows_a, rows_b):
 
 def bench_f12(pairs=3, horizon=30000.0, warmup=3000.0, loop_steps=50,
               loop_interval=400.0):
-    """Paired end-to-end timings of the F12 experiment."""
+    """Paired end-to-end timings of the F12 experiment, legacy engine
+    against the fast kernel's Python loops (``engine="fast"``; the C
+    loop that ``"auto"`` runs is ``bench_compiled.py``'s)."""
     kwargs = dict(horizon=horizon, warmup=warmup, loop_steps=loop_steps,
                   loop_interval=loop_interval)
     ratios = []
@@ -128,7 +138,7 @@ def bench_f12(pairs=3, horizon=30000.0, warmup=3000.0, loop_steps=50,
         legacy = run_f12_sim_validation(engine="legacy", **kwargs)
         t_legacy = time.perf_counter() - t0
         t0 = time.perf_counter()
-        fast = run_f12_sim_validation(engine="auto", **kwargs)
+        fast = run_f12_sim_validation(engine="fast", **kwargs)
         t_fast = time.perf_counter() - t0
         if p == 0 and not _rows_equal(legacy.rows, fast.rows):
             raise AssertionError("F12 rows differ between engines")

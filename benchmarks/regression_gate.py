@@ -97,6 +97,7 @@ GATED_ASYNC = [("async_ensemble", "async_ensemble_speedup_min"),
 #: environment (no C compiler): the tier is optional by contract, so
 #: its absence must not fail CI on a bare install.
 GATED_COMPILED = [("compiled_fifo", "compiled_fifo_speedup_min"),
+                  ("compiled_fair_share", "compiled_fair_share_speedup_min"),
                   ("fs_queue_law", "fs_queue_law_speedup_min")]
 
 

@@ -1,8 +1,9 @@
 """The compiled kernel tier.
 
 The engine runs on numpy.  Four hot paths also have a runtime-built C
-library (:mod:`repro.backends._cext`): the FIFO event loop in
-:mod:`repro.simulation.kernel`, the Fair Share sorted prefix-sum laws
+library (:mod:`repro.backends._cext`): the packet event loop of
+:mod:`repro.simulation.kernel` (FIFO, Fair Share, fixed priority), the
+Fair Share sorted prefix-sum laws
 in :mod:`repro.core.fairshare` / :mod:`repro.core.signals`, the
 observe stage of :class:`~repro.core.signals.FeedbackScheme`, and the
 step loop of :meth:`~repro.core.dynamics.FlowControlSystem.run`.

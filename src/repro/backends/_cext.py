@@ -64,17 +64,20 @@ Four kernel families live in the library:
   and decide stages.  It returns ``ST_DOMAIN`` where
   the observe row does or a delay-reading rule sees ``d <= 0``, so the
   Python loop then runs the block from step 1.
-* the FIFO event loop — a C transcription of
-  ``FastEngine._run_fifo`` driven through a resume trampoline:
-  ``fifo_enter`` copies the event heap, packet pool, and queue chains
-  into C-owned growable arrays (fixed-size per-gateway/per-connection
-  state stays in caller-owned numpy buffers mutated in place);
-  ``fifo_run`` executes events until the horizon, returning
-  ``REFILL`` *before* any event whose random draws would exhaust a
-  variate block, so Python can refill the
-  :class:`~repro.simulation.rng.VariateBuffer` (keeping the generator
-  objects — and hence the exact bitstream — on the Python side) and
-  resume; ``fifo_extract`` hands the heap/pool/queues back.
+* the packet event loop — a C transcription of
+  ``FastEngine._run_fifo`` (FIFO, with its burst and eager-sink
+  branches) and ``FastEngine._run_general`` (Fair Share and fixed
+  priority: one queue chain per gateway and class, thinning walks and
+  preemptive resume) that lives as long as its engine:
+  ``packet_new`` keeps pointers to the engine's numpy arrays (the
+  constants, the per-gateway and per-connection state the Python side
+  reads, the Fair Share tables and the variate rows) and owns the event
+  heap, packet pool and queue chains; ``packet_resample`` adopts new
+  rates; ``packet_run`` executes events until the horizon, returning
+  ``ST_REFILL`` *before* any event whose draws would exhaust a variate
+  row, so Python refills that row in place (the generator objects, and
+  hence the exact bitstream, stay on the Python side) and resumes;
+  after ``ST_NONFINITE``, ``packet_bad_time`` reads the refused time.
 
 Float discipline: compiled with ``-ffp-contract=off -fno-fast-math``
 so no FMA contraction or reassociation — every arithmetic operation
@@ -97,7 +100,8 @@ from typing import Optional
 __all__ = [
     "load", "load_error", "build_seconds",
     "ST_DONE", "ST_REFILL", "ST_MAX_EVENTS", "ST_IDLE_SERVER",
-    "ST_OOM", "ST_CONVERGED", "ST_DIVERGED", "LAW_FIFO", "LAW_FAIR_SHARE",
+    "ST_OOM", "ST_CONVERGED", "ST_DIVERGED", "ST_NONFINITE", "D_FIFO",
+    "D_FAIR_SHARE", "D_PRIORITY", "LAW_FIFO", "LAW_FAIR_SHARE",
     "MEASURE_AGGREGATE", "MEASURE_INDIVIDUAL", "MEASURE_WEIGHTED",
     "RULE_TARGET", "RULE_PROPORTIONAL_TARGET", "RULE_DECBIT_RATE",
     "RULE_DECBIT_WINDOW", "RULE_BINARY_AIMD", "RULE_TCP_LIKE",
@@ -113,6 +117,12 @@ ST_IDLE_SERVER = 4
 ST_OOM = 5
 ST_CONVERGED = 7
 ST_DIVERGED = 8
+ST_NONFINITE = 9
+
+# Discipline codes of the packet event loop.
+D_FIFO = 0
+D_FAIR_SHARE = 1
+D_PRIORITY = 2
 
 # Queue-law and congestion-measure codes of observe_batch.
 LAW_FIFO = 0
@@ -1438,45 +1448,51 @@ out:
 }
 
 /* ------------------------------------------------------------------ */
-/* FIFO event loop (transcription of FastEngine._run_fifo)            */
+/* Packet event loop (FastEngine._run_fifo and _run_general)          */
 /* ------------------------------------------------------------------ */
 
+#define ST_NONFINITE 9
+
+#define D_FIFO 0
+#define D_FAIR_SHARE 1
+#define D_PRIORITY 2
+
+/* One simulation's loop state, alive for the engine's lifetime.
+ * Variate rows: service:{g} at g, arrival:c{i} at n_gw + i and, under
+ * Fair Share, thinning:{g} at n_gw + n_conn + g. */
 typedef struct {
-    /* dimensions / horizon */
-    i64 n_gw, n_conn, block;
-    double t_end;
-    i64 max_events;
-    /* borrowed fixed-size state (numpy-owned, mutated in place) */
-    const double *latency, *mu_scale, *scale;
+    i64 n_gw, n_conn, block, disc;
+    /* borrowed constants (numpy-owned) */
+    const double *latency, *mu_scale;
     const i64 *buffer_cap, *pos_flat, *first_hop;
-    const i64 *gw_ptr, *path_ptr, *path_arr;
-    i64 *serving, *in_sys;
-    const i64 *arr_epoch;
+    const i64 *gw_ptr, *path_ptr, *path_arr, *fs_ptr;
+    /* borrowed state, shared with Python (numpy-owned) */
+    double *scale;
+    i64 *arr_epoch, *serving, *in_sys;
     double *st_last, *st_integral;
     i64 *st_count, *st_arrivals, *st_departures, *st_drops;
     i64 *e2e_delivered;
     double *e2e_delay;
-    i64 *q_head, *q_tail;
+    const double *fs_widths, *fs_total;
+    const i64 *fs_fallback;
     double *rng_vals;
     i64 *rng_idx;
-    /* C-owned growable state */
+    i64 *regs; /* [events processed this run, stream to refill] */
+    /* owned: servers, queue chains per (gateway, class), heap, pool */
+    double *completion_time;
+    i64 *comp_epoch, *q_head, *q_tail;
     double *h_time;
     i64 *h_seq, *h_kind, *h_a, *h_b;
     i64 heap_len, heap_cap;
-    i64 *p_conn;
-    double *p_created;
-    i64 *p_hop;
-    double *p_rem;
-    i64 pool_len, pool_cap;
-    i64 *p_free;
-    i64 free_len;
-    i64 *q_next;
-    /* loop registers */
+    i64 *p_conn, *p_hop, *p_klass, *p_next, *p_free;
+    double *p_created, *p_rem;
+    i64 pool_len, pool_cap, free_len;
     double now;
-    i64 seq, processed, need_stream;
-} FifoState;
+    double bad_time; /* the non-finite time push_checked refused */
+    i64 seq;
+} PacketState;
 
-static int heap_reserve(FifoState *s, i64 need)
+static int heap_reserve(PacketState *s, i64 need)
 {
     if (need <= s->heap_cap) return 1;
     i64 cap = s->heap_cap > 0 ? s->heap_cap : 16;
@@ -1495,42 +1511,36 @@ static int heap_reserve(FifoState *s, i64 need)
     return 1;
 }
 
-static int pool_reserve(FifoState *s, i64 need)
+static int pool_reserve(PacketState *s, i64 need)
 {
     if (need <= s->pool_cap) return 1;
     i64 cap = s->pool_cap > 0 ? s->pool_cap : 16;
     while (cap < need) cap *= 2;
-    i64 *pc = (i64 *)realloc(s->p_conn, (size_t)cap * sizeof(i64));
-    if (!pc) return 0;
-    s->p_conn = pc;
-    double *pd = (double *)realloc(s->p_created,
-                                   (size_t)cap * sizeof(double));
-    if (!pd) return 0;
-    s->p_created = pd;
-    i64 *ph = (i64 *)realloc(s->p_hop, (size_t)cap * sizeof(i64));
-    if (!ph) return 0;
-    s->p_hop = ph;
-    double *pr = (double *)realloc(s->p_rem,
-                                   (size_t)cap * sizeof(double));
-    if (!pr) return 0;
-    s->p_rem = pr;
-    i64 *pf = (i64 *)realloc(s->p_free, (size_t)cap * sizeof(i64));
-    if (!pf) return 0;
-    s->p_free = pf;
-    i64 *qn = (i64 *)realloc(s->q_next, (size_t)cap * sizeof(i64));
-    if (!qn) return 0;
-    s->q_next = qn;
+    i64 **ints[5] = {&s->p_conn, &s->p_hop, &s->p_klass, &s->p_next,
+                     &s->p_free};
+    for (int c = 0; c < 5; c++) {
+        i64 *p = (i64 *)realloc(*ints[c], (size_t)cap * sizeof(i64));
+        if (!p) return 0;
+        *ints[c] = p;
+    }
+    double **reals[2] = {&s->p_created, &s->p_rem};
+    for (int c = 0; c < 2; c++) {
+        double *p = (double *)realloc(*reals[c],
+                                      (size_t)cap * sizeof(double));
+        if (!p) return 0;
+        *reals[c] = p;
+    }
     s->pool_cap = cap;
     return 1;
 }
 
 /* Entries are totally ordered by (time, seq): seq is unique, so any
- * valid binary min-heap pops them in the same order python's heapq
- * pops its (time, seq, -1, kind, ...) tuples. */
-static int heap_push(FifoState *s, double t, i64 sq, i64 kind,
-                     i64 a, i64 b)
+ * valid binary min-heap pops them in the order python's heapq pops
+ * its (time, seq, kind, a, b) tuples. */
+static int heap_push(PacketState *s, double t, i64 kind, i64 a, i64 b)
 {
     if (!heap_reserve(s, s->heap_len + 1)) return 0;
+    i64 sq = s->seq++;
     i64 i = s->heap_len++;
     while (i > 0) {
         i64 up = (i - 1) >> 1;
@@ -1552,7 +1562,18 @@ static int heap_push(FifoState *s, double t, i64 sq, i64 kind,
     return 1;
 }
 
-static void heap_pop(FifoState *s)
+/* The general path pushes through EventCalendar.push, which refuses a
+ * non-finite time; the FIFO loop pushes unchecked. */
+static int push_checked(PacketState *s, double t, i64 kind, i64 a, i64 b)
+{
+    if (!isfinite(t)) {
+        s->bad_time = t;
+        return ST_NONFINITE;
+    }
+    return heap_push(s, t, kind, a, b) ? ST_DONE : ST_OOM;
+}
+
+static void heap_pop(PacketState *s)
 {
     i64 n = --s->heap_len;
     if (n == 0) return;
@@ -1587,264 +1608,448 @@ static void heap_pop(FifoState *s)
     s->h_b[i] = b;
 }
 
-/* A packet reaches gateway g: drop check, service draw, statistics,
- * enqueue-or-serve.  Mirrors the inlined arrive block of _run_fifo
- * statement for statement.  Returns 0 on allocation failure. */
-static int arrive(FifoState *s, i64 g, i64 pid, i64 conn, double now)
+/* The next variate of a stream; the preflight guarantees one is left. */
+static double take(PacketState *s, i64 stream)
 {
-    i64 base = s->gw_ptr[g];
-    if (s->in_sys[g] >= s->buffer_cap[g]) {
-        double dt = now - s->st_last[g];
-        if (dt > 0.0) {
-            i64 nloc = s->gw_ptr[g + 1] - base;
+    i64 i = s->rng_idx[stream];
+    s->rng_idx[stream] = i + 1;
+    return s->rng_vals[stream * s->block + i];
+}
+
+/* KernelGatewayStats.accumulate: integrate the per-connection counts
+ * at g up to now.  All counts are zero when g is empty. */
+static void accumulate(PacketState *s, i64 g, double now)
+{
+    double dt = now - s->st_last[g];
+    if (dt > 0.0) {
+        if (s->in_sys[g]) {
+            i64 base = s->gw_ptr[g], nloc = s->gw_ptr[g + 1] - base;
             for (i64 j = 0; j < nloc; j++) {
                 i64 c = s->st_count[base + j];
                 if (c) s->st_integral[base + j] += (double)c * dt;
             }
-            s->st_last[g] = now;
         }
-        s->st_drops[base + s->pos_flat[g * s->n_conn + conn]] += 1;
-        s->p_free[s->free_len++] = pid;
-    } else {
-        i64 i = s->rng_idx[g]; /* capacity guaranteed by preflight */
-        s->rng_idx[g] = i + 1;
-        s->p_rem[pid] = s->mu_scale[g] * s->rng_vals[g * s->block + i];
-        double dt = now - s->st_last[g];
-        if (dt > 0.0) {
-            if (s->in_sys[g]) { /* all counts zero when empty */
-                i64 nloc = s->gw_ptr[g + 1] - base;
-                for (i64 j = 0; j < nloc; j++) {
-                    i64 c = s->st_count[base + j];
-                    if (c) s->st_integral[base + j] += (double)c * dt;
-                }
-            }
-            s->st_last[g] = now;
-        }
-        i64 pos = base + s->pos_flat[g * s->n_conn + conn];
-        s->st_count[pos] += 1;
-        s->st_arrivals[pos] += 1;
-        s->in_sys[g] += 1;
-        if (s->serving[g] < 0) {
-            s->serving[g] = pid;
-            if (!heap_push(s, now + s->p_rem[pid], s->seq++,
-                           K_COMPLETE, g, -1))
-                return 0;
-        } else {
-            s->q_next[pid] = -1;
-            if (s->q_tail[g] < 0) s->q_head[g] = pid;
-            else s->q_next[s->q_tail[g]] = pid;
-            s->q_tail[g] = pid;
-        }
+        s->st_last[g] = now;
     }
+}
+
+/* Queue chain q: FIFO has one per gateway, the class disciplines one
+ * per (gateway, class) at gw_ptr[g] + class. */
+static i64 queue_of(const PacketState *s, i64 g, i64 klass)
+{
+    return s->disc == D_FIFO ? g : s->gw_ptr[g] + klass;
+}
+
+static void queue_append(PacketState *s, i64 q, i64 pid)
+{
+    s->p_next[pid] = -1;
+    if (s->q_tail[q] < 0) s->q_head[q] = pid;
+    else s->p_next[s->q_tail[q]] = pid;
+    s->q_tail[q] = pid;
+}
+
+static void queue_appendleft(PacketState *s, i64 q, i64 pid)
+{
+    s->p_next[pid] = s->q_head[q];
+    s->q_head[q] = pid;
+    if (s->q_tail[q] < 0) s->q_tail[q] = pid;
+}
+
+static i64 queue_popleft(PacketState *s, i64 q)
+{
+    i64 pid = s->q_head[q];
+    if (pid >= 0) {
+        s->q_head[q] = s->p_next[pid];
+        if (s->q_head[q] < 0) s->q_tail[q] = -1;
+    }
+    return pid;
+}
+
+/* Whether a packet admitted at g draws a thinning uniform. */
+static int thins(const PacketState *s, i64 g, i64 conn)
+{
+    return s->disc == D_FAIR_SHARE &&
+           s->fs_fallback[s->gw_ptr[g] + s->pos_flat[g * s->n_conn + conn]]
+               >= 0;
+}
+
+/* The drop check, service draw and arrival statistics that open both
+ * loops' arrive blocks.  Returns 0 when the full gateway refused the
+ * packet (drop before any draw). */
+static int admit(PacketState *s, i64 g, i64 pid, i64 pos, double now)
+{
+    if (s->in_sys[g] >= s->buffer_cap[g]) {
+        accumulate(s, g, now);
+        s->st_drops[pos] += 1;
+        s->p_free[s->free_len++] = pid;
+        return 0;
+    }
+    s->p_rem[pid] = s->mu_scale[g] * take(s, g);
+    accumulate(s, g, now);
+    s->st_count[pos] += 1;
+    s->st_arrivals[pos] += 1;
+    s->in_sys[g] += 1;
     return 1;
 }
 
-i64 fifo_run(void *handle)
+/* The inlined arrive block of _run_fifo: admit, then serve or
+ * enqueue. */
+static int arrive_fifo(PacketState *s, i64 g, i64 pid, i64 conn,
+                       double now)
 {
-    FifoState *s = (FifoState *)handle;
+    i64 pos = s->gw_ptr[g] + s->pos_flat[g * s->n_conn + conn];
+    if (!admit(s, g, pid, pos, now)) return ST_DONE;
+    if (s->serving[g] < 0) {
+        s->serving[g] = pid;
+        if (!heap_push(s, now + s->p_rem[pid], K_COMPLETE, g,
+                       s->comp_epoch[g]))
+            return ST_OOM;
+    } else {
+        queue_append(s, g, pid);
+    }
+    return ST_DONE;
+}
+
+/* FastEngine._start_next for the class disciplines: serve the head of
+ * the best non-empty class. */
+static int start_next(PacketState *s, i64 g, double now)
+{
+    i64 pid = -1;
+    for (i64 q = s->gw_ptr[g]; q < s->gw_ptr[g + 1]; q++) {
+        if (s->q_head[q] >= 0) {
+            pid = queue_popleft(s, q);
+            break;
+        }
+    }
+    if (pid < 0) {
+        s->serving[g] = -1;
+        return ST_DONE;
+    }
+    s->serving[g] = pid;
+    double t = now + s->p_rem[pid];
+    s->completion_time[g] = t;
+    return push_checked(s, t, K_COMPLETE, g, s->comp_epoch[g]);
+}
+
+/* FastEngine._arrive for the class disciplines: admit, classify,
+ * enqueue, then start or preempt. */
+static int arrive_class(PacketState *s, i64 g, i64 pid, i64 conn,
+                        double now)
+{
+    i64 local = s->pos_flat[g * s->n_conn + conn];
+    i64 pos = s->gw_ptr[g] + local;
+    if (!admit(s, g, pid, pos, now)) return ST_DONE;
+    i64 klass;
+    if (s->disc == D_FAIR_SHARE) {
+        i64 fallback = s->fs_fallback[pos];
+        if (fallback < 0) {
+            klass = 0;
+        } else {
+            i64 nloc = s->gw_ptr[g + 1] - s->gw_ptr[g];
+            const double *widths = s->fs_widths + s->fs_ptr[g]
+                                   + local * nloc;
+            double u = take(s, s->n_gw + s->n_conn + g) * s->fs_total[pos];
+            double acc = 0.0;
+            klass = fallback;
+            for (i64 k = 0; k < nloc; k++) {
+                acc += widths[k];
+                if (u <= acc) {
+                    klass = k;
+                    break;
+                }
+            }
+        }
+    } else {
+        klass = local;
+    }
+    s->p_klass[pid] = klass;
+    queue_append(s, queue_of(s, g, klass), pid);
+    i64 serving = s->serving[g];
+    if (serving < 0) return start_next(s, g, now);
+    if (klass < s->p_klass[serving]) {
+        /* Preemptive resume: bank the unserved remainder (as python's
+         * max(x, 0.0)), invalidate the stale completion, push the
+         * victim back at the front of its class, serve the best head. */
+        double x = s->completion_time[g] - now;
+        s->p_rem[serving] = (0.0 > x) ? 0.0 : x;
+        s->comp_epoch[g] += 1;
+        queue_appendleft(s, queue_of(s, g, s->p_klass[serving]), serving);
+        s->serving[g] = -1;
+        return start_next(s, g, now);
+    }
+    return ST_DONE;
+}
+
+static int arrive(PacketState *s, i64 g, i64 pid, i64 conn, double now)
+{
+    return s->disc == D_FIFO ? arrive_fifo(s, g, pid, conn, now)
+                             : arrive_class(s, g, pid, conn, now);
+}
+
+/* FastEngine._complete for the class disciplines. */
+static int complete_class(PacketState *s, i64 g, double now)
+{
+    i64 pid = s->serving[g];
+    if (pid < 0) return ST_IDLE_SERVER;
+    s->serving[g] = -1;
+    i64 conn = s->p_conn[pid];
+    i64 pos = s->gw_ptr[g] + s->pos_flat[g * s->n_conn + conn];
+    accumulate(s, g, now);
+    s->st_count[pos] -= 1;
+    s->st_departures[pos] += 1;
+    s->in_sys[g] -= 1;
+    i64 next_hop = s->p_hop[pid] + 1;
+    int st;
+    if (next_hop < s->path_ptr[conn + 1] - s->path_ptr[conn])
+        st = push_checked(s, now + s->latency[g], K_HANDOFF, pid,
+                          next_hop);
+    else
+        st = push_checked(s, now + s->latency[g], K_SINK, pid, 0);
+    if (st != ST_DONE) return st;
+    return start_next(s, g, now);
+}
+
+/* The FIFO completion with _run_fifo's eager sink and burst branches:
+ * absorb the departure chain at g while the next completion strictly
+ * precedes every pending event. */
+static int complete_fifo(PacketState *s, i64 g, double now, double t_end,
+                         i64 max_events, i64 *processed)
+{
+    i64 base = s->gw_ptr[g];
+    double lat = s->latency[g];
     for (;;) {
-        if (s->heap_len == 0) return ST_DONE;
+        i64 pid = s->serving[g];
+        if (pid < 0) return ST_IDLE_SERVER;
+        i64 conn = s->p_conn[pid];
+        accumulate(s, g, now);
+        i64 pos = base + s->pos_flat[g * s->n_conn + conn];
+        s->st_count[pos] -= 1;
+        s->st_departures[pos] += 1;
+        s->in_sys[g] -= 1;
+        i64 h = s->p_hop[pid] + 1;
+        double t = now + lat;
+        if (h < s->path_ptr[conn + 1] - s->path_ptr[conn]) {
+            if (!heap_push(s, t, K_HANDOFF, pid, h)) return ST_OOM;
+        } else if (t <= t_end) {
+            /* eager sink delivery */
+            s->e2e_delivered[conn] += 1;
+            s->e2e_delay[conn] += t - s->p_created[pid];
+            s->p_free[s->free_len++] = pid;
+            *processed += 1;
+        } else {
+            if (!heap_push(s, t, K_SINK, pid, 0)) return ST_OOM;
+        }
+        i64 nxt = queue_popleft(s, g);
+        if (nxt < 0) {
+            s->serving[g] = -1;
+            return ST_DONE;
+        }
+        s->serving[g] = nxt;
+        double t_next = now + s->p_rem[nxt];
+        if (t_next <= t_end && *processed < max_events) {
+            if (s->heap_len == 0 || t_next < s->h_time[0]) {
+                now = t_next;
+                s->now = now;
+                *processed += 1;
+                continue;
+            }
+        }
+        if (!heap_push(s, t_next, K_COMPLETE, g, s->comp_epoch[g]))
+            return ST_OOM;
+        return ST_DONE;
+    }
+}
+
+/* Whether admitting a packet at g would exhaust a variate row; if so
+ * names the row in regs[1]. */
+static int needs_refill(PacketState *s, i64 g, i64 conn)
+{
+    if (s->in_sys[g] >= s->buffer_cap[g]) return 0; /* a drop draws none */
+    if (s->rng_idx[g] >= s->block) {
+        s->regs[1] = g;
+        return 1;
+    }
+    i64 thin = s->n_gw + s->n_conn + g;
+    if (thins(s, g, conn) && s->rng_idx[thin] >= s->block) {
+        s->regs[1] = thin;
+        return 1;
+    }
+    return 0;
+}
+
+/* Run events until t_end.  Returns ST_REFILL *before* any event whose
+ * draws would exhaust a variate row (row regs[1]), so Python refills
+ * it in place and calls again; an early refill never changes which
+ * variate is the k-th draw of a stream.  regs[0] counts the events
+ * processed since Python last zeroed it. */
+i64 packet_run(void *handle, double t_end, i64 max_events)
+{
+    PacketState *s = (PacketState *)handle;
+    i64 processed = s->regs[0];
+    int st = ST_DONE;
+    for (;;) {
+        if (s->heap_len == 0 || s->h_time[0] > t_end) break;
         double time = s->h_time[0];
-        if (time > s->t_end) return ST_DONE;
         i64 kind = s->h_kind[0];
         i64 a = s->h_a[0];
-        i64 b0 = s->h_b[0];
+        i64 b = s->h_b[0];
 
-        /* Preflight: yield for a refill *before* popping any event
-         * whose draws would exhaust a variate block, and reserve pool
-         * growth, so an event never stops half-committed.  An early
-         * refill never changes which variate is the k-th draw of a
-         * stream, so the bitstream is untouched. */
-        if (kind == K_EMIT) {
-            if (b0 == s->arr_epoch[a]) {
-                i64 g = s->first_hop[a];
-                if (s->in_sys[g] < s->buffer_cap[g] &&
-                    s->rng_idx[g] >= s->block) {
-                    s->need_stream = g;
-                    return ST_REFILL;
-                }
-                if (s->rng_idx[s->n_gw + a] >= s->block) {
-                    s->need_stream = s->n_gw + a;
-                    return ST_REFILL;
-                }
-                if (s->free_len == 0 &&
-                    !pool_reserve(s, s->pool_len + 1))
-                    return ST_OOM;
+        /* Preflight: yield for a refill and reserve pool growth before
+         * popping, so an event never stops half-committed. */
+        if (kind == K_EMIT && b == s->arr_epoch[a]) {
+            if (needs_refill(s, s->first_hop[a], a)) {
+                st = ST_REFILL;
+                break;
+            }
+            if (s->rng_idx[s->n_gw + a] >= s->block) {
+                s->regs[1] = s->n_gw + a;
+                st = ST_REFILL;
+                break;
+            }
+            if (s->free_len == 0 && !pool_reserve(s, s->pool_len + 1)) {
+                st = ST_OOM;
+                break;
             }
         } else if (kind == K_HANDOFF) {
             i64 conn = s->p_conn[a];
-            i64 g = s->path_arr[s->path_ptr[conn] + b0];
-            if (s->in_sys[g] < s->buffer_cap[g] &&
-                s->rng_idx[g] >= s->block) {
-                s->need_stream = g;
-                return ST_REFILL;
+            if (needs_refill(s, s->path_arr[s->path_ptr[conn] + b], conn)) {
+                st = ST_REFILL;
+                break;
             }
         }
 
         heap_pop(s);
+        /* A rate change or a preemption bumped the epoch: skip the
+         * stale event uncounted. */
+        if ((kind == K_EMIT && b != s->arr_epoch[a]) ||
+            (kind == K_COMPLETE && b != s->comp_epoch[a]))
+            continue;
+        double now = time;
+        s->now = now;
+        processed += 1;
 
         if (kind == K_EMIT) {
             i64 conn = a;
-            if (b0 != s->arr_epoch[conn])
-                continue; /* arrival cancelled by a rate change */
-            double now = time;
-            s->now = now;
-            s->processed += 1;
-            i64 pid;
-            if (s->free_len > 0) {
-                pid = s->p_free[--s->free_len];
-            } else {
-                pid = s->pool_len++;
-                s->p_rem[pid] = 0.0;
-            }
+            i64 pid = s->free_len > 0 ? s->p_free[--s->free_len]
+                                      : s->pool_len++;
             s->p_conn[pid] = conn;
             s->p_created[pid] = now;
             s->p_hop[pid] = 0;
-            i64 g = s->first_hop[conn];
-            if (!arrive(s, g, pid, conn, now)) return ST_OOM;
-            /* schedule the next arrival (epoch-validated payload) */
-            i64 stream = s->n_gw + conn;
-            i64 i = s->rng_idx[stream];
-            s->rng_idx[stream] = i + 1;
-            double gap = s->scale[conn] *
-                         s->rng_vals[stream * s->block + i];
-            if (!heap_push(s, now + gap, s->seq++, K_EMIT, conn,
-                           s->arr_epoch[conn]))
-                return ST_OOM;
-
-        } else if (kind == K_COMPLETE) {
-            double now = time;
-            s->now = now;
-            s->processed += 1;
-            i64 g = a;
-            i64 base = s->gw_ptr[g];
-            i64 nloc = s->gw_ptr[g + 1] - base;
-            double lat = s->latency[g];
-            for (;;) {
-                i64 pid = s->serving[g];
-                if (pid < 0) return ST_IDLE_SERVER;
-                i64 conn = s->p_conn[pid];
-                double dt = now - s->st_last[g];
-                if (dt > 0.0) {
-                    for (i64 j = 0; j < nloc; j++) {
-                        i64 c = s->st_count[base + j];
-                        if (c)
-                            s->st_integral[base + j] += (double)c * dt;
-                    }
-                    s->st_last[g] = now;
-                }
-                i64 pos = base + s->pos_flat[g * s->n_conn + conn];
-                s->st_count[pos] -= 1;
-                s->st_departures[pos] += 1;
-                s->in_sys[g] -= 1;
-                i64 h = s->p_hop[pid] + 1;
-                double t = now + lat;
-                i64 plen = s->path_ptr[conn + 1] - s->path_ptr[conn];
-                if (h < plen) {
-                    if (!heap_push(s, t, s->seq++, K_HANDOFF, pid, h))
-                        return ST_OOM;
-                } else if (t <= s->t_end) {
-                    /* eager sink delivery */
-                    s->e2e_delivered[conn] += 1;
-                    s->e2e_delay[conn] += t - s->p_created[pid];
-                    s->p_free[s->free_len++] = pid;
-                    s->processed += 1;
-                } else {
-                    if (!heap_push(s, t, s->seq++, K_SINK, pid, -1))
-                        return ST_OOM;
-                }
-                i64 nxt = s->q_head[g];
-                if (nxt < 0) {
-                    s->serving[g] = -1;
-                    break;
-                }
-                s->q_head[g] = s->q_next[nxt];
-                if (s->q_head[g] < 0) s->q_tail[g] = -1;
-                s->serving[g] = nxt;
-                double t_next = now + s->p_rem[nxt];
-                /* burst: absorb the next completion without heap
-                 * traffic when it strictly precedes every pending
-                 * event */
-                if (t_next <= s->t_end &&
-                    s->processed < s->max_events) {
-                    if (s->heap_len == 0 || t_next < s->h_time[0]) {
-                        now = t_next;
-                        s->now = now;
-                        s->processed += 1;
-                        continue;
-                    }
-                }
-                if (!heap_push(s, t_next, s->seq++, K_COMPLETE, g, -1))
-                    return ST_OOM;
-                break;
+            s->p_rem[pid] = 0.0;
+            s->p_klass[pid] = 0;
+            st = arrive(s, s->first_hop[conn], pid, conn, now);
+            /* A live arrival's source has a positive rate: the next
+             * one is always drawn. */
+            if (st == ST_DONE) {
+                double gap = s->scale[conn] * take(s, s->n_gw + conn);
+                if (s->disc == D_FIFO)
+                    st = heap_push(s, now + gap, K_EMIT, conn,
+                                   s->arr_epoch[conn]) ? ST_DONE : ST_OOM;
+                else
+                    st = push_checked(s, now + gap, K_EMIT, conn,
+                                      s->arr_epoch[conn]);
             }
-
+        } else if (kind == K_COMPLETE) {
+            st = s->disc == D_FIFO
+                     ? complete_fifo(s, a, now, t_end, max_events,
+                                     &processed)
+                     : complete_class(s, a, now);
         } else if (kind == K_HANDOFF) {
-            double now = time;
-            s->now = now;
-            s->processed += 1;
-            i64 pid = a;
-            i64 conn = s->p_conn[pid];
-            s->p_hop[pid] = b0;
-            i64 g = s->path_arr[s->path_ptr[conn] + b0];
-            if (!arrive(s, g, pid, conn, now)) return ST_OOM;
-
+            i64 conn = s->p_conn[a];
+            s->p_hop[a] = b;
+            st = arrive(s, s->path_arr[s->path_ptr[conn] + b], a, conn,
+                        now);
         } else { /* K_SINK */
-            double now = time;
-            s->now = now;
-            s->processed += 1;
-            i64 pid = a;
-            i64 conn = s->p_conn[pid];
+            i64 conn = s->p_conn[a];
             s->e2e_delivered[conn] += 1;
-            s->e2e_delay[conn] += now - s->p_created[pid];
-            s->p_free[s->free_len++] = pid;
+            s->e2e_delay[conn] += now - s->p_created[a];
+            s->p_free[s->free_len++] = a;
         }
-
-        if (s->processed > s->max_events) return ST_MAX_EVENTS;
+        if (st != ST_DONE) break;
+        if (processed > max_events) {
+            st = ST_MAX_EVENTS;
+            break;
+        }
     }
+    s->regs[0] = processed;
+    return st;
 }
 
-void *fifo_enter(
-    i64 n_gw, i64 n_conn, i64 block, double t_end, i64 max_events,
-    double now, i64 seq,
-    double *latency, double *mu_scale, i64 *buffer_cap,
-    i64 *pos_flat, i64 *first_hop,
-    i64 *gw_ptr, i64 *path_ptr, i64 *path_arr,
-    i64 *serving, i64 *in_sys, i64 *arr_epoch,
-    double *st_last, double *st_integral,
-    i64 *st_count, i64 *st_arrivals, i64 *st_departures,
-    i64 *st_drops,
-    i64 *e2e_delivered, double *e2e_delay,
-    i64 *q_head, i64 *q_tail, i64 *q_next_in,
-    double *scale, double *rng_vals, i64 *rng_idx,
-    double *h_time, i64 *h_seq, i64 *h_kind, i64 *h_a, i64 *h_b,
-    i64 heap_len,
-    i64 *p_conn, double *p_created, i64 *p_hop, double *p_rem,
-    i64 pool_len, i64 *p_free, i64 free_len)
+/* FastEngine.resample_arrivals: adopt the rates, invalidate every
+ * pending arrival and draw each live source's next one, in connection
+ * order.  The caller refills the exhausted arrival rows first. */
+i64 packet_resample(void *handle, double now, const double *rates)
 {
-    FifoState *s = (FifoState *)calloc(1, sizeof(FifoState));
+    PacketState *s = (PacketState *)handle;
+    for (i64 i = 0; i < s->n_conn; i++) {
+        double r = rates[i];
+        s->scale[i] = r > 0.0 ? 1.0 / r : 0.0;
+        s->arr_epoch[i] += 1;
+        if (s->scale[i] <= 0.0) continue;
+        double gap = s->scale[i] * take(s, s->n_gw + i);
+        int st = push_checked(s, now + gap, K_EMIT, i, s->arr_epoch[i]);
+        if (st != ST_DONE) return st;
+    }
+    return ST_DONE;
+}
+
+double packet_now(void *handle) { return ((PacketState *)handle)->now; }
+
+double packet_bad_time(void *handle)
+{
+    return ((PacketState *)handle)->bad_time;
+}
+
+void packet_free(void *handle)
+{
+    PacketState *s = (PacketState *)handle;
+    if (!s) return;
+    free(s->completion_time); free(s->comp_epoch);
+    free(s->q_head); free(s->q_tail);
+    free(s->h_time); free(s->h_seq); free(s->h_kind);
+    free(s->h_a); free(s->h_b);
+    free(s->p_conn); free(s->p_hop); free(s->p_klass);
+    free(s->p_next); free(s->p_free);
+    free(s->p_created); free(s->p_rem);
+    free(s);
+}
+
+/* A new loop state over the caller's arrays (see PacketState); every
+ * server idle, every queue, the heap and the pool empty.  NULL when
+ * out of memory. */
+void *packet_new(
+    i64 n_gw, i64 n_conn, i64 block, i64 disc,
+    const double *latency, const double *mu_scale,
+    const i64 *buffer_cap, const i64 *pos_flat, const i64 *first_hop,
+    const i64 *gw_ptr, const i64 *path_ptr, const i64 *path_arr,
+    const i64 *fs_ptr,
+    double *scale, i64 *arr_epoch, i64 *serving, i64 *in_sys,
+    double *st_last, double *st_integral,
+    i64 *st_count, i64 *st_arrivals, i64 *st_departures, i64 *st_drops,
+    i64 *e2e_delivered, double *e2e_delay,
+    const double *fs_widths, const double *fs_total,
+    const i64 *fs_fallback,
+    double *rng_vals, i64 *rng_idx, i64 *regs)
+{
+    PacketState *s = (PacketState *)calloc(1, sizeof(PacketState));
     if (!s) return NULL;
     s->n_gw = n_gw;
     s->n_conn = n_conn;
     s->block = block;
-    s->t_end = t_end;
-    s->max_events = max_events;
-    s->now = now;
-    s->seq = seq;
-    s->processed = 0;
-    s->need_stream = -1;
+    s->disc = disc;
     s->latency = latency;
     s->mu_scale = mu_scale;
-    s->scale = scale;
     s->buffer_cap = buffer_cap;
     s->pos_flat = pos_flat;
     s->first_hop = first_hop;
     s->gw_ptr = gw_ptr;
     s->path_ptr = path_ptr;
     s->path_arr = path_arr;
+    s->fs_ptr = fs_ptr;
+    s->scale = scale;
+    s->arr_epoch = arr_epoch;
     s->serving = serving;
     s->in_sys = in_sys;
-    s->arr_epoch = arr_epoch;
     s->st_last = st_last;
     s->st_integral = st_integral;
     s->st_count = st_count;
@@ -1853,90 +2058,24 @@ void *fifo_enter(
     s->st_drops = st_drops;
     s->e2e_delivered = e2e_delivered;
     s->e2e_delay = e2e_delay;
-    s->q_head = q_head;
-    s->q_tail = q_tail;
+    s->fs_widths = fs_widths;
+    s->fs_total = fs_total;
+    s->fs_fallback = fs_fallback;
     s->rng_vals = rng_vals;
     s->rng_idx = rng_idx;
-    if (!heap_reserve(s, heap_len > 16 ? heap_len : 16) ||
-        !pool_reserve(s, pool_len > 16 ? pool_len : 16)) {
-        free(s->h_time); free(s->h_seq); free(s->h_kind);
-        free(s->h_a); free(s->h_b);
-        free(s->p_conn); free(s->p_created); free(s->p_hop);
-        free(s->p_rem); free(s->p_free); free(s->q_next);
-        free(s);
+    s->regs = regs;
+    i64 n_queues = disc == D_FIFO ? n_gw : gw_ptr[n_gw];
+    s->completion_time = (double *)calloc((size_t)n_gw + 1, sizeof(double));
+    s->comp_epoch = (i64 *)calloc((size_t)n_gw + 1, sizeof(i64));
+    s->q_head = (i64 *)malloc(((size_t)n_queues + 1) * sizeof(i64));
+    s->q_tail = (i64 *)malloc(((size_t)n_queues + 1) * sizeof(i64));
+    if (!s->completion_time || !s->comp_epoch || !s->q_head ||
+        !s->q_tail || !heap_reserve(s, 16) || !pool_reserve(s, 16)) {
+        packet_free(s);
         return NULL;
     }
-    s->heap_len = heap_len;
-    memcpy(s->h_time, h_time, (size_t)heap_len * sizeof(double));
-    memcpy(s->h_seq, h_seq, (size_t)heap_len * sizeof(i64));
-    memcpy(s->h_kind, h_kind, (size_t)heap_len * sizeof(i64));
-    memcpy(s->h_a, h_a, (size_t)heap_len * sizeof(i64));
-    memcpy(s->h_b, h_b, (size_t)heap_len * sizeof(i64));
-    s->pool_len = pool_len;
-    memcpy(s->p_conn, p_conn, (size_t)pool_len * sizeof(i64));
-    memcpy(s->p_created, p_created, (size_t)pool_len * sizeof(double));
-    memcpy(s->p_hop, p_hop, (size_t)pool_len * sizeof(i64));
-    memcpy(s->p_rem, p_rem, (size_t)pool_len * sizeof(double));
-    memcpy(s->q_next, q_next_in, (size_t)pool_len * sizeof(i64));
-    s->free_len = free_len;
-    memcpy(s->p_free, p_free, (size_t)free_len * sizeof(i64));
+    for (i64 q = 0; q < n_queues; q++) s->q_head[q] = s->q_tail[q] = -1;
     return s;
-}
-
-i64 fifo_need_stream(void *handle)
-{
-    return ((FifoState *)handle)->need_stream;
-}
-
-double fifo_now(void *handle) { return ((FifoState *)handle)->now; }
-i64 fifo_seq(void *handle) { return ((FifoState *)handle)->seq; }
-i64 fifo_processed(void *handle)
-{
-    return ((FifoState *)handle)->processed;
-}
-i64 fifo_heap_len(void *handle)
-{
-    return ((FifoState *)handle)->heap_len;
-}
-i64 fifo_pool_len(void *handle)
-{
-    return ((FifoState *)handle)->pool_len;
-}
-i64 fifo_free_len(void *handle)
-{
-    return ((FifoState *)handle)->free_len;
-}
-
-void fifo_extract(void *handle,
-                  double *h_time, i64 *h_seq, i64 *h_kind, i64 *h_a,
-                  i64 *h_b,
-                  i64 *p_conn, double *p_created, i64 *p_hop,
-                  double *p_rem, i64 *p_free, i64 *q_next)
-{
-    FifoState *s = (FifoState *)handle;
-    memcpy(h_time, s->h_time, (size_t)s->heap_len * sizeof(double));
-    memcpy(h_seq, s->h_seq, (size_t)s->heap_len * sizeof(i64));
-    memcpy(h_kind, s->h_kind, (size_t)s->heap_len * sizeof(i64));
-    memcpy(h_a, s->h_a, (size_t)s->heap_len * sizeof(i64));
-    memcpy(h_b, s->h_b, (size_t)s->heap_len * sizeof(i64));
-    memcpy(p_conn, s->p_conn, (size_t)s->pool_len * sizeof(i64));
-    memcpy(p_created, s->p_created,
-           (size_t)s->pool_len * sizeof(double));
-    memcpy(p_hop, s->p_hop, (size_t)s->pool_len * sizeof(i64));
-    memcpy(p_rem, s->p_rem, (size_t)s->pool_len * sizeof(double));
-    memcpy(p_free, s->p_free, (size_t)s->free_len * sizeof(i64));
-    memcpy(q_next, s->q_next, (size_t)s->pool_len * sizeof(i64));
-}
-
-void fifo_release(void *handle)
-{
-    FifoState *s = (FifoState *)handle;
-    if (!s) return;
-    free(s->h_time); free(s->h_seq); free(s->h_kind);
-    free(s->h_a); free(s->h_b);
-    free(s->p_conn); free(s->p_created); free(s->p_hop);
-    free(s->p_rem); free(s->p_free); free(s->q_next);
-    free(s);
 }
 """
 
@@ -2068,32 +2207,25 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.stream_draws.restype = ctypes.c_int
     lib.event_log_free.argtypes = [ctypes.POINTER(EventLog)]
     lib.event_log_free.restype = None
-    lib.fifo_enter.argtypes = (
-        [_I, _I, _I, _D, _I, _D, _I]          # dims, horizon, now, seq
-        + [_P] * 3                            # latency, mu_scale, cap
-        + [_P] * 2                            # pos_flat, first_hop
-        + [_P] * 3                            # gw_ptr, path_ptr/arr
-        + [_P] * 3                            # serving, in_sys, epoch
-        + [_P] * 2                            # st_last, st_integral
-        + [_P] * 4                            # counts/arr/dep/drops
+    lib.packet_new.argtypes = (
+        [_I, _I, _I, _I]                      # n_gw, n_conn, block, disc
+        + [_P] * 9                            # constants
+        + [_P] * 4                            # scale, epoch, serving, in_sys
+        + [_P] * 6                            # statistics
         + [_P] * 2                            # e2e delivered/delay
-        + [_P] * 3                            # q_head, q_tail, q_next
-        + [_P] * 3                            # scale, rng_vals, rng_idx
-        + [_P] * 5 + [_I]                     # heap columns + len
-        + [_P] * 4 + [_I]                     # pool columns + len
-        + [_P, _I])                           # free stack + len
-    lib.fifo_enter.restype = _P
-    for fn in ("fifo_run", "fifo_need_stream", "fifo_seq",
-               "fifo_processed", "fifo_heap_len", "fifo_pool_len",
-               "fifo_free_len"):
-        getattr(lib, fn).argtypes = [_P]
-        getattr(lib, fn).restype = _I
-    lib.fifo_now.argtypes = [_P]
-    lib.fifo_now.restype = _D
-    lib.fifo_extract.argtypes = [_P] + [_P] * 11
-    lib.fifo_extract.restype = None
-    lib.fifo_release.argtypes = [_P]
-    lib.fifo_release.restype = None
+        + [_P] * 3                            # Fair Share tables
+        + [_P] * 3)                           # rng_vals, rng_idx, regs
+    lib.packet_new.restype = _P
+    lib.packet_run.argtypes = [_P, _D, _I]
+    lib.packet_run.restype = _I
+    lib.packet_resample.argtypes = [_P, _D, _P]
+    lib.packet_resample.restype = _I
+    lib.packet_now.argtypes = [_P]
+    lib.packet_now.restype = _D
+    lib.packet_bad_time.argtypes = [_P]
+    lib.packet_bad_time.restype = _D
+    lib.packet_free.argtypes = [_P]
+    lib.packet_free.restype = None
 
 
 def load() -> Optional[ctypes.CDLL]:

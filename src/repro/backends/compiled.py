@@ -24,15 +24,18 @@ C compiler exists) serves four hot paths:
   schemes the observe stage serves and the six built-in rules, or
   under a router-side controller (:class:`Control`); None sends the
   caller to its Python loop.
-* the FIFO event loop (:func:`fifo_lib`).
+* the packet event loop (:func:`packet_lib`) for FIFO, Fair Share and
+  fixed priority, which ``NetworkSimulation(engine="auto")`` runs
+  whenever the C tier has built and the configuration has no Fair
+  Queueing and no drop-from-longest eviction.
 
 :func:`tier` names the live tier: ``cext`` when the C library has
 built, else ``python``.
 
 Observability: :func:`metrics` carries per-phase
 :class:`~repro.observability.metrics.Timer` spans — ``compile.cext``
-(actual C build time, zero on a cache hit) and ``run.fifo``
-(steady-state time inside the compiled event loop) — so
+(actual C build time, zero on a cache hit) and ``run.packet``
+(steady-state time inside the compiled packet loop) — so
 ``BENCH_compiled.json`` can separate warmup from throughput.
 """
 
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import _cext
 
-__all__ = ["tier", "fs_available", "fifo_lib", "metrics",
+__all__ = ["tier", "fs_available", "packet_lib", "metrics",
            "fs_queue_batch", "fs_loads_batch", "ind_congestion_batch",
            "observe_batch", "Gate", "NO_GATE", "Perturbation",
            "Control", "ensemble_loop", "coin_stream", "gate_masks",
@@ -74,9 +77,9 @@ def fs_available() -> bool:
     return _cext.load() is not None
 
 
-def fifo_lib():
-    """The C library serving the FIFO event loop, or None when it has
-    not built (the pure-python ``_run_fifo`` then runs)."""
+def packet_lib():
+    """The C library serving the packet event loop, or None when it has
+    not built (the Python loops of ``FastEngine`` then run)."""
     return _cext.load()
 
 

@@ -30,49 +30,19 @@ from ..core.robustness import (reservation_floor_heterogeneous,
                                theorem5_condition_batch)
 from ..core.signals import FeedbackStyle, LinearSaturating
 from ..core.topology import single_gateway
-from ..parallel import sweep
 from .base import ExperimentResult
 
 __all__ = ["run_f9_robustness"]
-
-_DISCIPLINES = {"fifo": Fifo, "fair-share": FairShare}
-
-
-def _f9_design(args):
-    """Run one (discipline, feedback style) design to its attractor.
-
-    Module-level so :func:`repro.parallel.sweep` can hand the three
-    designs to a process pool when the caller asks for workers; the
-    discipline and style travel as names and are rebuilt here, keeping
-    the payload trivially picklable.
-    """
-    name, disc_name, style_name, betas, eta, steps = args
-    n = len(betas)
-    network = single_gateway(n, mu=1.0)
-    rules = [TargetRule(eta=eta, beta=b) for b in betas]
-    system = FlowControlSystem(network, _DISCIPLINES[disc_name](),
-                               LinearSaturating(), rules,
-                               style=FeedbackStyle[style_name])
-    traj = system.run(np.full(n, 0.1), max_steps=steps, tol=1e-11)
-    final = (traj.final if traj.outcome is Outcome.CONVERGED
-             else traj.tail(200).mean(axis=0))
-    return name, final, traj.outcome.value
 
 
 def run_f9_robustness(betas=(0.7, 0.6, 0.5, 0.4), eta: float = 0.04,
                       steps: int = 60000,
                       condition_trials: int = 200,
-                      seed: int = 13,
-                      workers: int = 1) -> ExperimentResult:
+                      seed: int = 13) -> ExperimentResult:
     """Heterogeneous greed mix across the three designs.
 
-    The three designs are independent runs and go through
-    :func:`repro.parallel.sweep`, serially by default: each is one
-    kernel-served ``run`` of under a millisecond, so a process pool
-    costs more than it saves (2-core host, median of 7 calls, pool ->
-    serial: 29 -> 1.2 ms at ``steps=20000``, 30 -> 1.9 ms at the
-    defaults).  Pass ``workers`` (``None`` for one per core) to fan
-    them out.  The Theorem 5 spot-check evaluates all random rate
+    Each design is one kernel-served ``run`` of under a millisecond,
+    run in turn.  The Theorem 5 spot-check evaluates all random rate
     vectors with the batched queue laws.
     """
     n = len(betas)
@@ -80,24 +50,27 @@ def run_f9_robustness(betas=(0.7, 0.6, 0.5, 0.4), eta: float = 0.04,
     signal = LinearSaturating()
     rho_vec = np.array([signal.steady_state_utilisation(b) for b in betas])
     floors = reservation_floor_heterogeneous(network, rho_vec)
+    rules = [TargetRule(eta=eta, beta=b) for b in betas]
 
-    configs = (
-        ("aggregate+fifo", "fifo", "AGGREGATE"),
-        ("individual+fifo", "fifo", "INDIVIDUAL"),
-        ("individual+fair-share", "fair-share", "INDIVIDUAL"),
+    designs = (
+        ("aggregate+fifo", Fifo(), FeedbackStyle.AGGREGATE),
+        ("individual+fifo", Fifo(), FeedbackStyle.INDIVIDUAL),
+        ("individual+fair-share", FairShare(), FeedbackStyle.INDIVIDUAL),
     )
-    grid = [(name, disc, style, tuple(betas), eta, steps)
-            for name, disc, style in configs]
     rows = []
     min_ratio = {}
-    for name, final, outcome_value in sweep(_f9_design, grid,
-                                            workers=workers):
+    for name, discipline, style in designs:
+        system = FlowControlSystem(network, discipline, signal, rules,
+                                   style=style)
+        traj = system.run(np.full(n, 0.1), max_steps=steps, tol=1e-11)
+        final = (traj.final if traj.outcome is Outcome.CONVERGED
+                 else traj.tail(200).mean(axis=0))
         ratios = final / floors
         min_ratio[name] = float(np.min(ratios))
         for i in range(n):
             rows.append((name, i, betas[i], float(final[i]),
                          float(floors[i]), float(ratios[i]),
-                         outcome_value))
+                         traj.outcome.value))
 
     rng = np.random.default_rng(seed)
     trial_rates = rng.uniform(0.0, 0.35, size=(condition_trials, n))

@@ -22,9 +22,10 @@ a whole scenario family:
                          per-connection loop on the Python perturb
                          stages and controller (bit-identical)
 ``kernel-equivalence``   legacy vs fast packet kernels (bit-identical)
-``compiled-equivalence`` fast vs compiled (runtime-built C) FIFO
-                         kernels (bit-identical; not-applicable when
-                         no C tier could be built)
+``compiled-equivalence`` Python vs C (runtime-built) packet loops
+                         on FIFO and Fair Share (bit-identical;
+                         not-applicable when no C tier could be
+                         built)
 ``fixed-point``          converged trajectory is a fixed point of the
                          map, and agrees with the damped refiner
 ``tsi``                  Theorem 1: scaling every ``mu`` by ``c``
@@ -553,28 +554,29 @@ def check_kernel_equivalence(ctx: ScenarioContext) -> OracleResult:
 
 
 def check_compiled_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """Compiled vs fast FIFO kernel: bit-identical statistics.
+    """Python vs C packet loop: bit-identical statistics.
 
-    The compiled engine runs ``_run_fifo`` inside the runtime-built C
-    library (:mod:`repro.backends._cext`); its contract is the same
-    bit-identity the fast/legacy pair guarantees — same RNG bitstream,
-    same event order, same float arithmetic.  Applies to FIFO
-    scenarios (the only discipline with a compiled event loop); when
-    no C tier could be built the compiled engine falls back to the
-    Python loop per call, which keeps the check trivially green, so
-    the oracle reports not-applicable instead of a hollow pass.
+    ``engine="auto"`` runs the kernel's event loop inside the
+    runtime-built C library (:mod:`repro.backends._cext`) for the
+    disciplines it serves; its contract is the bit-identity the
+    fast/legacy pair guarantees — same RNG bitstream, same event
+    order, same float arithmetic.  Applies to FIFO and Fair Share
+    scenarios, as ``kernel-equivalence`` does; when no C tier could be
+    built ``auto`` runs the Python loop, which would keep the check
+    trivially green, so the oracle reports not-applicable instead of a
+    hollow pass.
     """
     spec = ctx.spec
-    if spec.discipline != "fifo":
+    if spec.discipline not in ("fifo", "fair-share"):
         return OracleResult(
             "compiled-equivalence", False, True,
-            f"discipline {spec.discipline!r} has no compiled kernel")
+            f"discipline {spec.discipline!r} has no packet simulation")
     from ..backends import compiled
-    if compiled.fifo_lib() is None:
+    if compiled.packet_lib() is None:
         return OracleResult(
             "compiled-equivalence", False, True,
             "no C tier available (no compiler / failed build); the "
-            "compiled engine would just re-run the Python loop")
+            "auto engine would just re-run the Python loop")
     # Local import, as in check_kernel_equivalence.
     from ..simulation.network_sim import NetworkSimulation
 
@@ -585,16 +587,14 @@ def check_compiled_equivalence(ctx: ScenarioContext) -> OracleResult:
         sim.run_for(30.0)
         sim.reset_statistics()
         sim.run_for(120.0)
-        fallbacks = getattr(sim._engine, "fifo_fallbacks", None)
         return {"mql": sim.mean_queue_lengths(),
                 "arr": sim.measured_arrival_rates(),
                 "drop": sim.drop_fractions(),
                 "thr": sim.throughput(),
                 "delay": sim.mean_delays(),
-                "events": sim.events_processed,
-                "fallbacks": fallbacks}
+                "events": sim.events_processed}
 
-    fast, comp = run("fast"), run("compiled")
+    fast, comp = run("fast"), run("auto")
     for key in ("mql", "arr", "drop"):
         for g in fast[key]:
             if not np.array_equal(fast[key][g], comp[key][g]):
@@ -614,8 +614,7 @@ def check_compiled_equivalence(ctx: ScenarioContext) -> OracleResult:
             f"{comp['events']}")
     return OracleResult(
         "compiled-equivalence", True, True,
-        f"bit-identical over {fast['events']} events "
-        f"({comp['fallbacks']} fallbacks)")
+        f"bit-identical over {fast['events']} events")
 
 
 def check_fixed_point(ctx: ScenarioContext) -> OracleResult:

@@ -377,7 +377,7 @@ def run_selftest(quick: bool = False, force_fail: bool = False) -> bool:
     from .backends import _cext
     from .backends import compiled as compiled_kernels
     print("compiled kernels: the C Fair Share, observe-stage, ensemble-"
-          "loop and FIFO kernels "
+          "loop and packet-loop kernels "
           + ("built" if compiled_kernels.fs_available()
              else f"did not build ({_cext.load_error()})"))
     big = rng.uniform(0.0, 0.5, size=(4, 96))

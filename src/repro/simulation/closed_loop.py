@@ -101,8 +101,10 @@ def run_closed_loop(network: Network,
 
     ``engine`` selects the simulation engine (see
     :class:`~repro.simulation.network_sim.NetworkSimulation`):
-    ``"auto"`` runs every configuration on the fast kernel, with
-    trajectories bit-identical to the reference ``"legacy"`` engine.
+    ``"auto"`` runs the kernel's C event loop where it serves the
+    configuration and its Python loops elsewhere, with trajectories
+    bit-identical to ``"fast"`` and to the reference ``"legacy"``
+    engine.
 
     When an :func:`repro.observability.collect` session is active, a
     :class:`~repro.observability.RunRecord` is emitted whose

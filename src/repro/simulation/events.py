@@ -1,18 +1,16 @@
 """Discrete-event calendars.
 
-Two implementations share one semantics — a binary-heap event list with
-lazy cancellation (cancelled events stay in the heap but are skipped
-when popped) and ties in time broken by insertion order, so runs are
-fully deterministic given the random streams:
+Two implementations share one semantics — a binary-heap event list on
+which a cancelled event stays until it surfaces and is then skipped,
+and ties in time broken by insertion order, so runs are fully
+deterministic given the random streams:
 
 * :class:`Scheduler` — the legacy object engine: one Python callback
   closure and one :class:`EventHandle` per event.
-* :class:`EventCalendar` — the fast kernel's struct-of-arrays calendar:
-  events live in parallel ``array`` columns (float time, int kind, two
-  int operands, a liveness flag) indexed by a heap of
-  ``(time, seq, slot)`` tuples, with freed slots recycled through a
-  free-list so steady-state runs allocate O(1) objects.  Dispatch on
-  the integer ``kind`` is the caller's job.
+* :class:`EventCalendar` — the fast kernel's heap of
+  ``(time, seq, kind, a, b)`` tuples; a stale event is recognised by
+  the epoch it carries, not cancelled.  Dispatch on the integer
+  ``kind`` is the caller's job.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from array import array
 from typing import Callable, Optional, Tuple
 
 from ..errors import SimulationError
@@ -123,124 +120,35 @@ class Scheduler:
 
 
 class EventCalendar:
-    """Struct-of-arrays event calendar for the fast simulation kernel.
+    """The fast kernel's event heap.
 
-    Each scheduled event occupies one *slot* across four parallel typed
-    columns — time (``'d'``), kind (``'b'``), and two signed-int
-    operands (``'q'``, e.g. a connection or gateway index and a packet
-    id) — plus a liveness byte.  A binary heap of ``(time, seq, slot)``
-    tuples orders the slots; cancellation just clears the liveness flag
-    and the dead heap entry is discarded when it surfaces.  Popped and
-    cancelled slots go on a free-list, so a long run recycles a small
-    working set of slots instead of allocating per event.
-
-    The fast kernel's FIFO loop additionally pushes events it can never
-    cancel (completions, deliveries) straight onto the heap as
-    self-describing *payload* entries ``(time, seq, -1, kind, a[, b])``
-    — slot ``-1`` marks them, and they skip the slot columns entirely.
-    :meth:`peek_time` and :meth:`pop` understand both forms.
+    Every event is one ``(time, seq, kind, a, b)`` tuple on a binary
+    heap: ``seq`` counts pushes, so ties in time pop in push order, as
+    under the legacy :class:`Scheduler`, and the tuple never compares
+    past it.  The calendar cancels nothing.  The kernel invalidates an
+    event by bumping an epoch that the event carries in ``b``: a
+    source's on a rate change, a gateway's completion epoch on a
+    preemption.  The kernel's loops skip a popped event whose epoch is
+    stale, uncounted, and push to :attr:`_heap` directly.
     """
 
-    __slots__ = ("_time", "_kind", "_a", "_b", "_live",
-                 "_free", "_heap", "_seq")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self):
-        self._time = array("d")
-        self._kind = array("b")
-        self._a = array("q")
-        self._b = array("q")
-        self._live = array("b")
-        self._free: list = []
         self._heap: list = []
         self._seq = 0
 
-    def __len__(self) -> int:
-        """Number of live (pending) slot events.
-
-        Payload entries pushed directly by the kernel are not counted
-        (they have no slot; the kernel never needs this count).
-        """
-        return sum(self._live)
-
-    @property
-    def capacity(self) -> int:
-        """Total slots ever allocated (live + recyclable)."""
-        return len(self._time)
-
-    def schedule(self, time: float, kind: int, a: int = 0,
-                 b: int = 0) -> int:
-        """Schedule an event; returns its slot id (pass to :meth:`cancel`)."""
+    def push(self, time: float, kind: int, a: int, b: int = 0) -> None:
+        """Schedule an event of ``kind`` with operands ``a`` and ``b``."""
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite, got {time!r}")
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._time[slot] = time
-            self._kind[slot] = kind
-            self._a[slot] = a
-            self._b[slot] = b
-            self._live[slot] = 1
-        else:
-            slot = len(self._time)
-            self._time.append(time)
-            self._kind.append(kind)
-            self._a.append(a)
-            self._b.append(b)
-            self._live.append(1)
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, slot))
-        return slot
-
-    def cancel(self, slot: int) -> None:
-        """Cancel the pending event in ``slot``.
-
-        Lazy: the heap entry stays until it surfaces, at which point the
-        slot is recycled.  Only *pending* events may be cancelled —
-        once an event has been popped its slot may already host a new
-        event, so callers must drop their slot references when the
-        event fires (the kernel tracks at most one live slot per
-        source/server and overwrites it on every transition).
-        """
-        self._live[slot] = 0
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if empty.
-
-        Dead heap entries encountered on the way are popped and their
-        slots recycled.
-        """
-        heap = self._heap
-        live = self._live
-        while heap:
-            entry = heap[0]
-            slot = entry[2]
-            if slot < 0 or live[slot]:
-                return entry[0]
-            heapq.heappop(heap)
-            self._free.append(slot)
-        return None
+        heapq.heappush(self._heap, (time, self._seq, kind, a, b))
+        self._seq += 1
 
     def pop(self) -> Optional[Tuple[float, int, int, int]]:
-        """Remove and return the next live event as ``(time, kind, a, b)``.
-
-        Returns ``None`` when no live events remain.  The slot is
-        recycled immediately, so callers must copy out any field they
-        need before scheduling again.
-        """
-        heap = self._heap
-        live = self._live
-        free = self._free
-        while heap:
-            entry = heapq.heappop(heap)
-            slot = entry[2]
-            if slot < 0:  # payload entry: (time, seq, -1, kind, a[, b])
-                return (entry[0], entry[3], entry[4],
-                        entry[5] if len(entry) > 5 else 0)
-            if live[slot]:
-                live[slot] = 0
-                free.append(slot)
-                return (self._time[slot], self._kind[slot],
-                        self._a[slot], self._b[slot])
-            free.append(slot)
-        return None
+        """Remove and return the next event as ``(time, kind, a, b)``,
+        or ``None`` when the heap is empty."""
+        if not self._heap:
+            return None
+        time, _, kind, a, b = heapq.heappop(self._heap)
+        return time, kind, a, b

@@ -3,9 +3,13 @@
 :class:`FastEngine` re-implements the legacy object engine
 (:mod:`repro.simulation.server` + :class:`Scheduler`) on flat data:
 
-* events live in the struct-of-arrays :class:`~repro.simulation.events.
-  EventCalendar` and are dispatched on an integer kind — no callback
-  closures, no :class:`EventHandle` objects;
+* events are ``(time, seq, kind, a, b)`` tuples on the
+  :class:`~repro.simulation.events.EventCalendar` heap, dispatched on
+  an integer kind — no callback closures, no :class:`EventHandle`
+  objects.  Nothing is cancelled: a source arrival carries its
+  source's epoch, which a rate change bumps, and a completion its
+  gateway's completion epoch, which a preemption bumps; the loops skip
+  an event whose epoch is stale, uncounted;
 * packets live in the :class:`~repro.simulation.packet.PacketPool`
   columns and travel as integer ids recycled through a free-list;
 * every random variate comes from a per-stream
@@ -38,7 +42,9 @@ the tie exactly as it would have under the legacy scheduler.
 
 Every configuration ``NetworkSimulation`` accepts runs here; the legacy
 engine (``engine="legacy"``) is kept only as the reference these
-guarantees are tested against.
+guarantees are tested against.  :class:`~repro.simulation.
+kernel_compiled.CompiledEngine` runs the same loops in C for FIFO, Fair
+Share and fixed priority without eviction.
 """
 
 from __future__ import annotations
@@ -62,15 +68,22 @@ __all__ = [
     "KernelServerView",
 ]
 
-# Event kinds (the calendar's integer ``kind`` column).
-_EMIT = 0      # a = connection index
-_COMPLETE = 1  # a = gateway index
+# Event kinds: the ``kind`` of a ``(time, seq, kind, a, b)`` heap entry.
+_EMIT = 0      # a = connection index, b = the source's epoch
+_COMPLETE = 1  # a = gateway index, b = the gateway's completion epoch
 _HANDOFF = 2   # a = packet id, b = next hop index on its path
-_SINK = 3      # a = packet id
+_SINK = 3      # a = packet id, b = 0
 
 #: Disciplines the kernel implements: all four of the legacy engine's.
 _FAST_DISCIPLINES = ("fifo", "fair-share", "fixed-priority",
                      "fair-queueing")
+
+
+def evicts(drop_policy: str, buffer_sizes) -> bool:
+    """Whether an overflow evicts a waiting packet (drop-from-longest
+    with some finite buffer) instead of refusing the newcomer."""
+    return drop_policy == "longest" and any(
+        s is not None for s in buffer_sizes)
 
 
 class KernelGatewayStats:
@@ -281,12 +294,12 @@ class KernelServerView:
 
     @property
     def busy(self) -> bool:
-        return self._engine.serving[self._g] >= 0
+        return bool(self._engine.serving[self._g] >= 0)
 
     @property
     def in_system(self) -> int:
         """Waiting packets plus the one in service."""
-        return self._engine.in_system_count[self._g]
+        return int(self._engine.in_system_count[self._g])
 
 
 class _FairQueueingGateway:
@@ -346,6 +359,33 @@ class _FairQueueingGateway:
             self.finish[:] = [0.0] * len(self.finish)
 
 
+def fair_share_table(local_rates) -> list:
+    """One gateway's Fair Share thinning table, per local position:
+    None (class 0, no uniform drawn) or ``(widths, total, fallback)``.
+
+    Same numpy pipeline as ``FairShareQueue._classify`` — sort,
+    substream widths, total — evaluated once per rate push instead of
+    once per packet, so the per-packet walk sees identical floats.
+    """
+    rates = np.asarray(local_rates, dtype=float)
+    sorted_rates = np.sort(rates)
+    prev = np.concatenate(([0.0], sorted_rates[:-1]))
+    table = []
+    for p in range(rates.shape[0]):
+        own = float(rates[p])
+        if own <= 0.0:
+            table.append(None)
+            continue
+        widths = np.clip(np.minimum(own, sorted_rates) - prev, 0.0, None)
+        total = float(widths.sum())
+        if total <= 0.0:
+            table.append(None)
+            continue
+        table.append(([float(w) for w in widths], total,
+                      int(np.max(np.nonzero(widths)[0]))))
+    return table
+
+
 class FastEngine:
     """Flat-data discrete-event engine behind ``NetworkSimulation``.
 
@@ -401,28 +441,48 @@ class FastEngine:
                            for s in self.buffer_size]
         #: Whether an overflow evicts (drop-from-longest with some
         #: finite buffer) instead of refusing the newcomer.
-        self.evicts = drop_policy == "longest" and any(
-            s is not None for s in self.buffer_size)
+        self.evicts = evicts(drop_policy, self.buffer_size)
 
+        self.now = 0.0
+        self.events_processed = 0
+        # Statistics start; the views read the state _build_state makes.
+        self.st_start = [0.0] * n_gw
+        self.e2e_start = 0.0
+        self._build_state(streams)
+        self.gw_stats = [KernelGatewayStats(self, g) for g in range(n_gw)]
+        self.e2e_stats = KernelEndToEndStats(self)
+        if discipline_kind == "fair-share":
+            self.rebuild_fs_tables(
+                [rates[list(lc)].copy() for lc in self.local_conns])
+        # The first arrivals: the draws and pushes of a rate change.
+        self.resample_arrivals(rates)
+
+    def _build_state(self, streams: RandomStreams) -> None:
+        """The mutable state of the Python loops: queues, servers,
+        buffered random streams, statistics, calendar, pool, sources."""
+        gw_names = self.gw_names
+        n_gw = len(gw_names)
+        n = self.n_conn
         # Queues: one deque per gateway (FIFO), one per priority class
         # (the class-based disciplines never need more classes than
         # local connections), or a finish-tag heap (Fair Queueing).
         self.queues: Optional[List[deque]] = None
         self.cqueues: Optional[List[List[deque]]] = None
         self.fq: Optional[List[_FairQueueingGateway]] = None
-        if discipline_kind == "fifo":
+        if self.discipline_kind == "fifo":
             self.queues = [deque() for _ in gw_names]
-        elif discipline_kind == "fair-queueing":
+        elif self.discipline_kind == "fair-queueing":
             self.fq = [_FairQueueingGateway(len(lc))
                        for lc in self.local_conns]
         else:
             self.cqueues = [[deque() for _ in lc] for lc in self.local_conns]
 
-        # Server state: packet id in service (or -1), its scheduled
-        # completion (calendar slot + absolute time), number in system.
+        # Server state: packet id in service (or -1), the absolute time
+        # of its scheduled completion and the completion epoch that
+        # entry carries (a preemption bumps it), number in system.
         self.serving = [-1] * n_gw
-        self.completion_slot = [-1] * n_gw
         self.completion_time = [0.0] * n_gw
+        self.comp_epoch = [0] * n_gw
         self.in_system_count = [0] * n_gw
 
         # Buffered random streams — same names, hence same bitstreams,
@@ -430,7 +490,7 @@ class FastEngine:
         self.svc_buf = [streams.buffer(f"service:{g}") for g in gw_names]
         self.arr_buf = [streams.buffer(f"arrival:c{i}") for i in range(n)]
         self.thin_buf = ([streams.buffer(f"thinning:{g}") for g in gw_names]
-                         if discipline_kind == "fair-share" else None)
+                         if self.discipline_kind == "fair-share" else None)
         # Prime the exponential buffers: prefetching a block does not
         # change which variate is the k-th draw from a stream, and it
         # lets the hot loop test ``index >= block`` instead of calling
@@ -447,41 +507,22 @@ class FastEngine:
         self.st_departures = [[0] * len(lc) for lc in self.local_conns]
         self.st_drops = [[0] * len(lc) for lc in self.local_conns]
         self.st_last = [0.0] * n_gw
-        self.st_start = [0.0] * n_gw
         self.e2e_delivered = [0] * n
         self.e2e_delay = [0.0] * n
-        self.e2e_start = 0.0
-        self.gw_stats = [KernelGatewayStats(self, g) for g in range(n_gw)]
-        self.e2e_stats = KernelEndToEndStats(self)
 
         self.calendar = EventCalendar()
         self.pool = PacketPool()
-        self.now = 0.0
-        self.events_processed = 0
 
         # Sources: 1/rate (0.0 marks a silent source), per-connection
-        # sequence numbers, and the pending-arrival bookkeeping.  The
-        # class disciplines track the pending calendar slot; FIFO
-        # instead validates arrival payload entries against a
-        # per-connection epoch (bumped on resample), so its hot loop
-        # never touches the slot columns at all.
+        # sequence numbers, and the epoch each pending arrival carries
+        # (a rate change bumps it, so the stale arrival is skipped).
         self.scale = [0.0] * n
         self.seq_counter = [0] * n
-        self.pending_slot = [-1] * n
         self.arr_epoch = [0] * n
 
-        # Fair Share thinning tables, per gateway per local position:
-        # None => class 0 with no uniform consumed, else
-        # (widths, total, fallback_class); rebuilt on rate pushes.
+        # Fair Share thinning tables, per gateway per local position
+        # (see fair_share_table); rebuilt on rate pushes.
         self.fs_tables: List[list] = [[] for _ in gw_names]
-        if discipline_kind == "fair-share":
-            self.rebuild_fs_tables(
-                [rates[list(lc)].copy() for lc in self.local_conns])
-
-        for i in range(n):
-            r = float(rates[i])
-            self.scale[i] = 1.0 / r if r > 0.0 else 0.0
-            self._schedule_next_arrival(i)
 
     # ------------------------------------------------------------------
     # sources & rate pushes
@@ -489,70 +530,30 @@ class FastEngine:
     def _schedule_next_arrival(self, conn: int) -> None:
         scale = self.scale[conn]
         if scale <= 0.0:
-            self.pending_slot[conn] = -1
             return
         gap = self.arr_buf[conn].next_exponential(scale)
-        if self.queues is not None:
-            # FIFO: epoch-validated payload entry (no calendar slot).
-            cal = self.calendar
-            heapq.heappush(cal._heap, (self.now + gap, cal._seq, -1,
-                                       _EMIT, conn, self.arr_epoch[conn]))
-            cal._seq += 1
-        else:
-            self.pending_slot[conn] = self.calendar.schedule(
-                self.now + gap, _EMIT, conn)
+        self.calendar.push(self.now + gap, _EMIT, conn, self.arr_epoch[conn])
 
     def resample_arrivals(self, rates: np.ndarray) -> None:
         """Adopt new sending rates; resample every pending arrival
         (exact for Poisson sources by memorylessness — and the same
-        per-connection draws the legacy engine makes)."""
+        per-connection draws the legacy engine makes).  Bumping a
+        source's epoch invalidates its pending arrival."""
         scale = self.scale
-        cancel = self.calendar.cancel
-        fifo = self.queues is not None
         for i in range(self.n_conn):
             r = float(rates[i])
             scale[i] = 1.0 / r if r > 0.0 else 0.0
-            if fifo:
-                # Invalidate the pending payload arrival: its epoch no
-                # longer matches, so the loop skips it unprocessed.
-                self.arr_epoch[i] += 1
-            else:
-                slot = self.pending_slot[i]
-                if slot >= 0:
-                    cancel(slot)
+            self.arr_epoch[i] += 1
             self._schedule_next_arrival(i)
 
     def rebuild_fs_tables(self,
                           per_gateway_rates: Sequence[np.ndarray]) -> None:
         """Recompute the Fair Share thinning tables from per-gateway
-        local rate vectors (oracle push or measured refresh).
-
-        Same numpy pipeline as ``FairShareQueue._classify`` — sort,
-        substream widths, total — evaluated once per rate push instead
-        of once per packet, so the per-packet walk sees identical
-        floats.
-        """
+        local rate vectors (oracle push or measured refresh)."""
         if self.discipline_kind != "fair-share":
             return
         for g, local_rates in enumerate(per_gateway_rates):
-            rates = np.asarray(local_rates, dtype=float)
-            sorted_rates = np.sort(rates)
-            prev = np.concatenate(([0.0], sorted_rates[:-1]))
-            table = []
-            for p in range(rates.shape[0]):
-                own = float(rates[p])
-                if own <= 0.0:
-                    table.append(None)
-                    continue
-                widths = np.clip(
-                    np.minimum(own, sorted_rates) - prev, 0.0, None)
-                total = float(widths.sum())
-                if total <= 0.0:
-                    table.append(None)
-                    continue
-                table.append(([float(w) for w in widths], total,
-                              int(np.max(np.nonzero(widths)[0]))))
-            self.fs_tables[g] = table
+            self.fs_tables[g] = fair_share_table(local_rates)
 
     # ------------------------------------------------------------------
     # drop-from-longest eviction (overflow only; both loops)
@@ -636,15 +637,14 @@ class FastEngine:
         if serving < 0:
             self._start_next(g, now)
         elif klass < pool.klass[serving]:
-            # Preemptive resume: bank the unserved remainder, cancel
-            # the stale completion, push the victim back at the front
-            # of its class, serve the best head.
+            # Preemptive resume: bank the unserved remainder, make the
+            # pending completion stale, push the victim back at the
+            # front of its class, serve the best head.
             pool.remaining[serving] = max(
                 self.completion_time[g] - now, 0.0)
-            self.calendar.cancel(self.completion_slot[g])
+            self.comp_epoch[g] += 1
             self.cqueues[g][pool.klass[serving]].appendleft(serving)
             self.serving[g] = -1
-            self.completion_slot[g] = -1
             self._start_next(g, now)
 
     def _start_next(self, g: int, now: float) -> None:
@@ -658,12 +658,11 @@ class FastEngine:
                     break
         if pid < 0:
             self.serving[g] = -1
-            self.completion_slot[g] = -1
             return
         self.serving[g] = pid
         t = now + self.pool.remaining[pid]
         self.completion_time[g] = t
-        self.completion_slot[g] = self.calendar.schedule(t, _COMPLETE, g)
+        self.calendar.push(t, _COMPLETE, g, self.comp_epoch[g])
 
     def _emit(self, conn: int, now: float) -> None:
         pid = self.pool.alloc(conn, self.seq_counter[conn], now)
@@ -678,7 +677,6 @@ class FastEngine:
         if pid < 0:
             raise SimulationError("completion event with idle server")
         self.serving[g] = -1
-        self.completion_slot[g] = -1
         conn = pool.conn[pid]
         if self.fq is not None:
             self.fq[g].release(self.local_pos[g][conn], now)
@@ -687,10 +685,10 @@ class FastEngine:
         path = self.paths[conn]
         next_hop = pool.hop[pid] + 1
         if next_hop < len(path):
-            self.calendar.schedule(now + self.latency[g], _HANDOFF,
-                                   pid, next_hop)
+            self.calendar.push(now + self.latency[g], _HANDOFF, pid,
+                               next_hop)
         else:
-            self.calendar.schedule(now + self.latency[g], _SINK, pid)
+            self.calendar.push(now + self.latency[g], _SINK, pid)
         self._start_next(g, now)
 
     # ------------------------------------------------------------------
@@ -710,31 +708,24 @@ class FastEngine:
         self.now = t_end
 
     def _run_general(self, t_end: float, max_events: int) -> None:
-        cal = self.calendar
-        heap = cal._heap
-        live = cal._live
-        free = cal._free
-        ev_kind = cal._kind
-        ev_a = cal._a
-        ev_b = cal._b
+        heap = self.calendar._heap
+        arr_epoch = self.arr_epoch
+        comp_epoch = self.comp_epoch
         pool = self.pool
         heappop = heapq.heappop
         processed = 0
         try:
             while heap:
-                time, _, slot = heap[0]
-                if not live[slot]:
-                    heappop(heap)
-                    free.append(slot)
-                    continue
+                time, _, kind, a, b = heap[0]
                 if time > t_end:
                     break
                 heappop(heap)
-                kind = ev_kind[slot]
-                a = ev_a[slot]
-                b = ev_b[slot]
-                live[slot] = 0
-                free.append(slot)
+                if kind == _EMIT:
+                    if b != arr_epoch[a]:
+                        continue  # arrival cancelled by a rate change
+                elif kind == _COMPLETE:
+                    if b != comp_epoch[a]:
+                        continue  # completion cancelled by a preemption
                 self.now = time
                 processed += 1
                 if kind == _COMPLETE:
@@ -755,21 +746,17 @@ class FastEngine:
         finally:
             self.events_processed += processed
 
-
     def _run_fifo(self, t_end: float, max_events: int) -> None:
         """The FIFO hot loop: every data structure inlined into locals.
 
-        In FIFO mode *every* event rides the heap as a self-describing
-        payload tuple ``(time, seq, -1, kind, a[, b])`` — the slot
-        columns are bypassed entirely.  That is possible because FIFO's
-        only cancellable events are source arrivals, and those are
-        invalidated by bumping the connection's epoch
-        (``resample_arrivals``) rather than by clearing a slot's
-        liveness flag; a stale arrival is skipped, uncounted, when it
-        surfaces.  The burst branch in the COMPLETE case absorbs a
-        departure chain without any heap traffic whenever the next
-        completion strictly precedes every pending event — exactly the
-        events the legacy scheduler would pop next anyway.
+        FIFO never preempts, so its only stale events are source
+        arrivals that a rate change invalidated; they are skipped,
+        uncounted, when they surface, and completions carry the
+        gateway's completion epoch unchecked.  The burst branch in the
+        COMPLETE case absorbs a departure chain without any heap
+        traffic whenever the next completion strictly precedes every
+        pending event — exactly the events the legacy scheduler would
+        pop next anyway.
         """
         cal = self.calendar
         heap = cal._heap
@@ -826,12 +813,12 @@ class FastEngine:
                 if time > t_end:
                     break
                 heappop(heap)
-                kind = entry[3]
-                a = entry[4]
+                kind = entry[2]
+                a = entry[3]
 
                 if kind == _EMIT:
                     conn = a
-                    if entry[5] != arr_epoch[conn]:
+                    if entry[4] != arr_epoch[conn]:
                         continue  # arrival cancelled by a rate change
                     now = time
                     processed += 1
@@ -898,8 +885,8 @@ class FastEngine:
                         in_sys[g] += 1
                         if serving[g] < 0:
                             serving[g] = pid
-                            heappush(heap, (now + p_rem[pid], seq, -1,
-                                            _COMPLETE, g))
+                            heappush(heap, (now + p_rem[pid], seq,
+                                            _COMPLETE, g, 0))
                             seq += 1
                         else:
                             c_q.append(pid)
@@ -914,7 +901,7 @@ class FastEngine:
                         vals = buf._values
                         i = 0
                     buf._index = i + 1
-                    heappush(heap, (now + scale[conn] * vals[i], seq, -1,
+                    heappush(heap, (now + scale[conn] * vals[i], seq,
                                     _EMIT, conn, arr_epoch[conn]))
                     seq += 1
 
@@ -956,7 +943,7 @@ class FastEngine:
                         h = p_hop[pid] + 1
                         t = now + c_lat
                         if h < path_len[conn]:
-                            heappush(heap, (t, seq, -1, _HANDOFF, pid, h))
+                            heappush(heap, (t, seq, _HANDOFF, pid, h))
                             seq += 1
                         elif t <= t_end:
                             # Eager delivery: a sink only touches its
@@ -970,7 +957,7 @@ class FastEngine:
                             p_free.append(pid)
                             processed += 1
                         else:
-                            heappush(heap, (t, seq, -1, _SINK, pid))
+                            heappush(heap, (t, seq, _SINK, pid, 0))
                             seq += 1
                         # next in FIFO order
                         if not c_q:
@@ -987,7 +974,7 @@ class FastEngine:
                                 now = t_next
                                 processed += 1
                                 continue
-                        heappush(heap, (t_next, seq, -1, _COMPLETE, g))
+                        heappush(heap, (t_next, seq, _COMPLETE, g, 0))
                         seq += 1
                         break
 
@@ -996,7 +983,7 @@ class FastEngine:
                     processed += 1
                     pid = a
                     conn = p_conn[pid]
-                    b = entry[5]
+                    b = entry[4]
                     p_hop[pid] = b
                     g = paths[conn][b]
                     if g != cg:
@@ -1045,8 +1032,8 @@ class FastEngine:
                         in_sys[g] += 1
                         if serving[g] < 0:
                             serving[g] = pid
-                            heappush(heap, (now + p_rem[pid], seq, -1,
-                                            _COMPLETE, g))
+                            heappush(heap, (now + p_rem[pid], seq,
+                                            _COMPLETE, g, 0))
                             seq += 1
                         else:
                             c_q.append(pid)

@@ -21,12 +21,16 @@ classes.  Two modes:
 
 Interchangeable engines run the system (``engine=`` selects):
 
-* ``"fast"`` — the :class:`~repro.simulation.kernel.FastEngine` on the
-  struct-of-arrays calendar, pooled packet ids and buffered random
-  streams.  It runs every configuration this class accepts.
-* ``"auto"`` (default) — the same as ``"fast"``.
-* ``"compiled"`` — the fast engine with its FIFO loop in runtime-built
-  C (:class:`~repro.simulation.kernel_compiled.CompiledFifoEngine`).
+* ``"auto"`` (default) — the kernel's event loop in runtime-built C
+  (:class:`~repro.simulation.kernel_compiled.CompiledEngine`) whenever
+  the C tier has built and the configuration is one it serves: FIFO,
+  Fair Share or fixed priority, without drop-from-longest eviction.
+  Otherwise the same as ``"fast"``.  :attr:`engine` names the engine
+  that runs: ``"compiled"`` or ``"fast"``.
+* ``"fast"`` — the :class:`~repro.simulation.kernel.FastEngine`'s
+  Python loops over its event heap, pooled packet ids and buffered
+  random streams.  It runs every configuration this class accepts.
+* ``"compiled"`` — a synonym of ``"auto"``.
 * ``"legacy"`` — the original object engine: callback
   :class:`~repro.simulation.events.Scheduler`, :class:`Packet`
   dataclasses, per-draw numpy crossings.  It is the reference the
@@ -36,6 +40,7 @@ Interchangeable engines run the system (``engine=`` selects):
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -102,23 +107,23 @@ class NetworkSimulation:
                     np.isfinite(self._rates)):
                 raise SimulationError("initial rates must be finite and >= 0")
 
-        self.engine = "fast" if engine == "auto" else engine
-
         # Rates the Fair Share classifier sees, per gateway (local order).
         self._fs_rates: Dict[str, np.ndarray] = {}
         for gname in network.gateway_names:
             local = network.connections_at(gname)
             self._fs_rates[gname] = self._rates[list(local)].copy()
 
-        if self.engine in ("fast", "compiled"):
-            if self.engine == "compiled":
-                # Same construction, compiled FIFO hot loop (with a
-                # per-call fallback to the Python loop when no C tier
-                # could be built or when an overflow may evict).
-                from .kernel_compiled import CompiledFifoEngine
-                engine_cls = CompiledFifoEngine
-            else:
-                engine_cls = FastEngine
+        if engine != "legacy":
+            engine_cls = FastEngine
+            if engine != "fast":
+                from .kernel_compiled import CompiledEngine
+                if CompiledEngine.serves(
+                        discipline_kind, drop_policy,
+                        [buffer_map.get(g) for g in network.gateway_names]):
+                    engine_cls = CompiledEngine
+            #: The engine that runs: "compiled", "fast" or "legacy".
+            self.engine = ("fast" if engine_cls is FastEngine
+                           else "compiled")
             self._engine: Optional[FastEngine] = engine_cls(
                 network, discipline_kind, self.streams, self._rates,
                 buffer_map, drop_policy)
@@ -130,6 +135,7 @@ class NetworkSimulation:
                             for k, g in enumerate(network.gateway_names)}
             return
 
+        self.engine = "legacy"
         self._engine = None
         self.scheduler = Scheduler()
         self.e2e = EndToEndMonitor(n)
@@ -288,7 +294,11 @@ class NetworkSimulation:
         return self.scheduler.events_processed
 
     def run_for(self, duration: float) -> None:
-        """Advance the simulation by ``duration`` time units."""
+        """Advance the simulation by ``duration`` time units (finite and
+        nonnegative)."""
+        if not math.isfinite(duration):
+            raise SimulationError(
+                f"duration must be finite, got {duration!r}")
         if duration < 0:
             raise SimulationError("duration must be nonnegative")
         if self._engine is not None:

@@ -12,13 +12,14 @@ Two draw surfaces share each substream:
   :meth:`RandomStreams.uniform`) used by the legacy object engine; and
 * the batched calls (:meth:`RandomStreams.exponentials`,
   :meth:`RandomStreams.uniforms`) plus the refillable
-  :class:`VariateBuffer` used by the fast kernel, which cross into
-  numpy once per *block* instead of once per variate.
+  :class:`VariateBuffer` used by the fast kernel's Python loop and the
+  :class:`VariateRows` the compiled loop reads, which cross into numpy
+  once per *block* instead of once per variate.
 
 **Buffering contract** (what makes the two surfaces bit-identical): a
 numpy ``Generator`` fills an array with the same bitstream consumption
-as the equivalent sequence of scalar draws, and
-``Generator.exponential(scale)`` equals
+as the equivalent sequence of scalar draws (also when it fills an ``out=``
+row in place), and ``Generator.exponential(scale)`` equals
 ``scale * Generator.standard_exponential()`` exactly.  So the k-th
 variate popped from a buffer equals the k-th scalar draw from the same
 stream — provided each named stream is used for **one draw kind only**
@@ -35,7 +36,7 @@ import numpy as np
 
 from ..errors import SimulationError
 
-__all__ = ["RandomStreams", "VariateBuffer"]
+__all__ = ["RandomStreams", "VariateBuffer", "VariateRows"]
 
 #: Default number of variates drawn per buffer refill.
 _BLOCK = 512
@@ -97,6 +98,38 @@ class VariateBuffer:
             i = 0
         self._index = i + 1
         return self._values[i]
+
+
+class VariateRows:
+    """Variate blocks of several streams as the rows of one ndarray.
+
+    The compiled packet loop reads row ``s`` of :attr:`values` at
+    :attr:`index` ``[s]`` and advances the index itself; when a row is
+    spent it returns to Python, which calls :meth:`refill` to draw the
+    stream's next block into the same row (``Generator.
+    standard_exponential(out=row)`` or ``Generator.random(out=row)``,
+    the bits of a sized draw).  Nothing is copied per call, and each
+    row serves the one draw kind it was built with.  Every row is
+    filled at construction; a row holds ``_BLOCK`` variates.
+    """
+
+    __slots__ = ("values", "index", "_gens", "_exponential")
+
+    def __init__(self, generators, exponential):
+        self._gens = list(generators)
+        self._exponential = [bool(e) for e in exponential]
+        self.values = np.empty((len(self._gens), _BLOCK))
+        self.index = np.zeros(len(self._gens), dtype=np.int64)
+        for s in range(len(self._gens)):
+            self.refill(s)
+
+    def refill(self, s: int) -> None:
+        """Draw stream ``s``'s next block into its row."""
+        if self._exponential[s]:
+            self._gens[s].standard_exponential(out=self.values[s])
+        else:
+            self._gens[s].random(out=self.values[s])
+        self.index[s] = 0
 
 
 def _validate_rate(rate: float) -> float:

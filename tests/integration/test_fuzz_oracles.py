@@ -356,7 +356,7 @@ class TestEveryOracleFires:
     def test_compiled_equivalence_catches_compiled_kernel_skew(
             self, monkeypatch):
         from repro.backends import compiled
-        if compiled.fifo_lib() is None:
+        if compiled.packet_lib() is None:
             pytest.skip("no C tier: the oracle reports not-applicable")
         orig = NetworkSimulation.throughput
 
@@ -375,15 +375,27 @@ class TestEveryOracleFires:
         res = run_oracle("compiled-equivalence",
                          ScenarioContext(spec_of(discipline="fifo")))
         from repro.backends import compiled
-        if compiled.fifo_lib() is None:
+        if compiled.packet_lib() is None:
             assert not res.applicable
         else:
             assert res.applicable and res.passed
             assert "bit-identical" in res.detail
 
-    def test_compiled_equivalence_inapplicable_off_fifo(self):
+    def test_compiled_equivalence_passes_on_healthy_fair_share(self):
         res = run_oracle("compiled-equivalence",
                          ScenarioContext(spec_of()))
+        from repro.backends import compiled
+        if compiled.packet_lib() is None:
+            assert not res.applicable
+        else:
+            assert res.applicable and res.passed
+            assert "bit-identical" in res.detail
+
+    def test_compiled_equivalence_inapplicable_off_packet_disciplines(
+            self):
+        res = run_oracle("compiled-equivalence", ScenarioContext(
+            spec_of(discipline="weighted-fair-share",
+                    weights=(1.0, 2.0, 1.0))))
         assert not res.applicable
 
     def test_fixed_point_catches_non_stationary_final(self):

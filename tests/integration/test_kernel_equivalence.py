@@ -1,7 +1,7 @@
 """Integration tests: the fast struct-of-arrays kernel is bit-identical
-to the legacy object engine.
+to the legacy object engine, and its C event loop to its Python loops.
 
-Configurations of every discipline and drop policy are run on both
+Configurations of every discipline and drop policy are run on the
 engines with the same seed and compared field by field — mean queue
 lengths, measured arrival rates, drop fractions, throughput, delays,
 *and* the processed event count (so the engines agree on the event
@@ -11,6 +11,8 @@ schedule itself, not just on aggregate statistics).
 import numpy as np
 import pytest
 
+import repro.backends._cext
+from repro.backends import compiled
 from repro.core.ratecontrol import TargetRule
 from repro.core.signals import FeedbackStyle, LinearSaturating
 from repro.core.topology import (Connection, Gateway, Network, parking_lot,
@@ -18,13 +20,18 @@ from repro.core.topology import (Connection, Gateway, Network, parking_lot,
 from repro.errors import SimulationError
 from repro.observability import collect, validate_run_record
 from repro.simulation.closed_loop import run_closed_loop
+from repro.simulation.kernel import fair_share_table
 from repro.simulation.network_sim import NetworkSimulation
+from repro.simulation.rng import RandomStreams
+from repro.simulation.validation import validate_single_gateway
 
 RATES4 = [0.2, 0.2, 0.25, 0.15]
 RATE_SEQ = [np.array([0.3, 0.1, 0.2, 0.2]), np.array([0.15, 0.25, 0.2, 0.1])]
 #: Offered load 1.7 on mu = 1: finite buffers overflow often.
 HEAVY4 = [0.5, 0.5, 0.4, 0.3]
 HEAVY_SEQ = [np.array([0.6, 0.3, 0.5, 0.3]), np.array([0.3, 0.6, 0.4, 0.5])]
+#: The engine "auto" picks where the C loop serves the configuration.
+C_ENGINE = "compiled" if compiled.packet_lib() is not None else "fast"
 
 
 def _net4():
@@ -96,9 +103,11 @@ def _assert_engines_agree_dropping(**kw):
 
 
 def _assert_compiled_matches_fast(**kw):
+    """The C loop ("auto") against the Python loops ("fast"); returns
+    the fast engine's statistics."""
     a = _run("fast", **kw)
-    b = _run("compiled", **kw)
-    assert a["engine"] == "fast" and b["engine"] == "compiled"
+    b = _run("auto", **kw)
+    assert a["engine"] == "fast" and b["engine"] == C_ENGINE
     for key in ("mql", "arr", "drop"):
         for g in a[key]:
             assert np.array_equal(a[key][g], b[key][g]), \
@@ -106,6 +115,7 @@ def _assert_compiled_matches_fast(**kw):
     assert np.array_equal(a["thr"], b["thr"])
     assert np.array_equal(a["delay"], b["delay"], equal_nan=True)
     assert a["events"] == b["events"]
+    return a
 
 
 class TestBitIdentity:
@@ -209,11 +219,12 @@ class TestBitIdentity:
 
 
 class TestCompiledEngine:
-    """engine="compiled" (the runtime-built C event loop) against the
-    fast kernel: the same bit-identity contract the fast engine keeps
-    against legacy.  These run with or without a C compiler — when no
-    library could be built the compiled engine transparently executes
-    the python loop, and the contract must hold either way."""
+    """The C event loop (what engine="auto" runs where it serves the
+    configuration) against the fast kernel's Python loops: the same
+    bit-identity contract the fast engine keeps against legacy.  These
+    run with or without a C compiler — when no library could be built
+    "auto" runs the Python loop, and the contract must hold either
+    way."""
 
     def test_fifo_zero_latency(self):
         _assert_compiled_matches_fast(disc="fifo", net=_net4(),
@@ -239,16 +250,102 @@ class TestCompiledEngine:
                                       rate_mode="measured", steps=3,
                                       refresh=True)
 
-    def test_closed_loop_trajectories_identical(self):
-        kw = dict(style=FeedbackStyle.INDIVIDUAL,
-                  discipline_kind="fifo", control_interval=150.0,
-                  n_steps=6, seed=3)
+    @pytest.mark.parametrize("disc", ["fair-share", "fixed-priority"])
+    def test_class_discipline_zero_latency(self, disc):
+        _assert_compiled_matches_fast(disc=disc, net=_net4(), rates=RATES4)
+
+    @pytest.mark.parametrize("disc", ["fair-share", "fixed-priority"])
+    def test_class_discipline_with_latency_and_rate_updates(self, disc):
+        _assert_compiled_matches_fast(disc=disc, net=_net4_latency(),
+                                      rates=RATES4, steps=2,
+                                      rate_seq=RATE_SEQ)
+
+    @pytest.mark.parametrize("disc", ["fair-share", "fixed-priority"])
+    def test_tandem_class_discipline_with_rate_updates(self, disc):
+        _assert_compiled_matches_fast(disc=disc, net=_tandem(),
+                                      rates=RATES4, steps=2,
+                                      rate_seq=RATE_SEQ)
+
+    @pytest.mark.parametrize("disc", ["fair-share", "fixed-priority"])
+    def test_parking_lot_class_discipline_with_rate_updates(self, disc):
+        _assert_compiled_matches_fast(
+            disc=disc, net=_parking_lot(), rates=[0.12] * 7, steps=2,
+            rate_seq=[np.full(7, 0.08), np.linspace(0.05, 0.2, 7)])
+
+    @pytest.mark.parametrize("disc", ["fair-share", "fixed-priority"])
+    def test_class_discipline_finite_buffer_tail_drop(self, disc):
+        out = _assert_compiled_matches_fast(
+            disc=disc, net=_net4_latency(), rates=HEAVY4, buffer_sizes=4,
+            steps=2, rate_seq=HEAVY_SEQ)
+        assert any(d.sum() > 0 for d in out["drop"].values())
+
+    def test_fair_share_measured_with_refresh(self):
+        _assert_compiled_matches_fast(disc="fair-share",
+                                      net=_net4_latency(), rates=RATES4,
+                                      rate_mode="measured", steps=3,
+                                      refresh=True)
+
+    def test_fair_share_measured_tandem_drops_with_refresh(self):
+        _assert_compiled_matches_fast(disc="fair-share", net=_tandem(),
+                                      rates=HEAVY4, buffer_sizes=3,
+                                      rate_mode="measured", steps=3,
+                                      refresh=True, rate_seq=HEAVY_SEQ)
+
+    def test_fair_share_thinning_ties_go_to_the_lower_class(
+            self, monkeypatch):
+        # Every thinning uniform is exactly 0.5 and the rates are
+        # dyadic, so a 0.25 connection's draw u = 0.5 * 0.25 lands
+        # exactly on the first cumulative width 0.125: the walk's
+        # ``u <= acc`` puts it in class 0 on every engine.
+        original = RandomStreams.stream
+
+        class Halves:
+            def random(self, size=None, out=None):
+                if out is not None:
+                    out[:] = 0.5
+                    return out
+                return 0.5 if size is None else np.full(size, 0.5)
+
+        def stream(self, name):
+            if name.startswith("thinning:"):
+                return Halves()
+            return original(self, name)
+
+        monkeypatch.setattr(RandomStreams, "stream", stream)
+        rates = [0.125, 0.25, 0.125, 0.25]
+        widths, total, _ = fair_share_table(rates)[1]
+        assert 0.5 * total == widths[0]
+        legacy = _run("legacy", disc="fair-share", net=_net4_latency(),
+                      rates=rates)
+        out = _assert_compiled_matches_fast(disc="fair-share",
+                                            net=_net4_latency(),
+                                            rates=rates)
+        for key in ("mql", "arr"):
+            assert np.array_equal(legacy[key]["g0"], out[key]["g0"])
+        assert legacy["events"] == out["events"]
+
+    def test_fixed_priority_heavy_load_preempts(self):
+        # Offered load 1.7: higher classes keep arriving at a busy
+        # server, so the run preempts, banks remainders and skips the
+        # stale completions.
+        kw = dict(disc="fixed-priority", net=_net4_latency(), rates=HEAVY4,
+                  steps=2, rate_seq=HEAVY_SEQ, horizon=200.0)
+        _assert_compiled_matches_fast(**kw)
+        sim = NetworkSimulation(_net4_latency(), "fixed-priority", seed=7,
+                                initial_rates=HEAVY4, engine="fast")
+        sim.run_for(200.0)
+        assert sim._engine.comp_epoch[0] >= 20  # preemptions
+
+    @pytest.mark.parametrize("disc", ["fifo", "fair-share",
+                                      "fixed-priority"])
+    def test_closed_loop_trajectories_identical(self, disc):
+        kw = dict(style=FeedbackStyle.INDIVIDUAL, discipline_kind=disc,
+                  control_interval=150.0, n_steps=6, seed=3)
         net = _net4_latency()
         fast = run_closed_loop(net, TargetRule(eta=0.1, beta=0.4),
                                LinearSaturating(), engine="fast", **kw)
         comp = run_closed_loop(net, TargetRule(eta=0.1, beta=0.4),
-                               LinearSaturating(), engine="compiled",
-                               **kw)
+                               LinearSaturating(), engine="auto", **kw)
         assert np.array_equal(fast.rate_history, comp.rate_history)
         assert np.array_equal(fast.signal_history, comp.signal_history)
         assert np.array_equal(fast.final_throughput,
@@ -256,25 +353,37 @@ class TestCompiledEngine:
         assert np.array_equal(fast.final_delays, comp.final_delays,
                               equal_nan=True)
 
+    @pytest.mark.parametrize("disc", ["fifo", "fair-share",
+                                      "fixed-priority"])
+    def test_event_cap_stops_both_loops_alike(self, disc):
+        stopped = []
+        for engine in ("fast", "auto"):
+            sim = NetworkSimulation(_net4_latency(), disc, seed=5,
+                                    initial_rates=HEAVY4, engine=engine)
+            with pytest.raises(SimulationError, match="exceeded 100"):
+                sim._engine.run_until(500.0, max_events=100)
+            stopped.append((sim.events_processed, sim.now))
+        assert stopped[0] == stopped[1]
+        assert stopped[0][0] > 100
+
     def test_fifo_longest_drop_runs_the_python_loop(self):
-        # The C loop has no eviction: each run falls back, and the
-        # results stay those of the fast engine.
-        _assert_compiled_matches_fast(disc="fifo", net=_tandem(),
-                                      rates=HEAVY4, buffer_sizes=3,
-                                      drop_policy="longest", steps=2,
-                                      rate_seq=HEAVY_SEQ)
-        sim = NetworkSimulation(_net4(), discipline_kind="fifo",
-                                initial_rates=HEAVY4, buffer_sizes=4,
-                                drop_policy="longest", engine="compiled")
-        sim.run_for(50.0)
-        sim.run_for(50.0)
-        assert sim._engine.fifo_fallbacks == 2
+        # The C loop has no eviction: such a configuration runs the
+        # Python loop on every engine but legacy.
+        _assert_engines_agree_dropping(disc="fifo", net=_tandem(),
+                                       rates=HEAVY4, buffer_sizes=3,
+                                       drop_policy="longest", steps=2,
+                                       rate_seq=HEAVY_SEQ)
+        for engine in ("auto", "compiled"):
+            sim = NetworkSimulation(_net4(), discipline_kind="fifo",
+                                    initial_rates=HEAVY4, buffer_sizes=4,
+                                    drop_policy="longest", engine=engine)
+            assert sim.engine == "fast"
 
     def test_compiled_engine_is_selectable(self):
         sim = NetworkSimulation(_net4(), discipline_kind="fifo",
                                 initial_rates=RATES4,
                                 engine="compiled")
-        assert sim.engine == "compiled"
+        assert sim.engine == C_ENGINE
 
     def test_forced_compiled_on_unsupported_raises(self):
         with pytest.raises(SimulationError, match="fair-queueing"):
@@ -282,13 +391,32 @@ class TestCompiledEngine:
                               initial_rates=RATES4, buffer_sizes=4,
                               drop_policy="longest", engine="compiled")
 
+    @pytest.mark.parametrize("disc", ["fifo", "fair-share",
+                                      "fixed-priority"])
+    def test_masked_c_tier_runs_the_python_loop(self, disc, monkeypatch):
+        kw = dict(disc=disc, net=_tandem(), rates=RATES4, steps=2,
+                  rate_seq=RATE_SEQ)
+        served = _run("auto", **kw)
+        monkeypatch.setattr(repro.backends._cext, "load", lambda: None)
+        masked = _run("auto", **kw)
+        assert served["engine"] == C_ENGINE and masked["engine"] == "fast"
+        for key in ("mql", "arr", "drop"):
+            for g in served[key]:
+                assert np.array_equal(served[key][g], masked[key][g])
+        assert np.array_equal(served["thr"], masked["thr"])
+        assert np.array_equal(served["delay"], masked["delay"],
+                              equal_nan=True)
+        assert served["events"] == masked["events"]
+
 
 class TestEngineSelection:
-    def test_auto_picks_fast_for_supported_disciplines(self):
+    def test_auto_picks_compiled_for_supported_disciplines(self):
         for disc in ("fifo", "fair-share", "fixed-priority"):
-            sim = NetworkSimulation(_net4(), discipline_kind=disc,
-                                    initial_rates=RATES4)
-            assert sim.engine == "fast"
+            for buffers in (None, 4):
+                sim = NetworkSimulation(_net4(), discipline_kind=disc,
+                                        initial_rates=RATES4,
+                                        buffer_sizes=buffers)
+                assert sim.engine == C_ENGINE
 
     def test_auto_is_fast_for_fair_queueing(self):
         sim = NetworkSimulation(_net4(), discipline_kind="fair-queueing",
@@ -302,12 +430,19 @@ class TestEngineSelection:
                                     drop_policy="longest")
             assert sim.engine == "fast"
 
-    def test_longest_drop_with_infinite_buffers_stays_fast(self):
+    def test_longest_drop_with_infinite_buffers_runs_compiled(self):
         # The eviction policy only matters when some buffer is finite.
         sim = NetworkSimulation(_net4(), discipline_kind="fifo",
                                 initial_rates=RATES4,
-                                drop_policy="longest")
-        assert sim.engine == "fast"
+                                drop_policy="longest",
+                                buffer_sizes={"g0": None})
+        assert sim.engine == C_ENGINE
+
+    def test_fast_and_legacy_are_kept(self):
+        for engine in ("fast", "legacy"):
+            sim = NetworkSimulation(_net4(), discipline_kind="fair-share",
+                                    initial_rates=RATES4, engine=engine)
+            assert sim.engine == engine
 
     def test_forced_fast_on_unsupported_raises(self):
         with pytest.raises(SimulationError, match="fair-queueing"):
@@ -343,6 +478,50 @@ class TestEngineSelection:
         with pytest.raises(SimulationError):
             NetworkSimulation(_net4(), initial_rates=RATES4,
                               engine="turbo")
+
+
+class TestNonFiniteHorizons:
+    """A NaN or infinite duration would never reach the loop's
+    ``time > t_end`` exit; it is refused before any event runs."""
+
+    @pytest.mark.parametrize("engine", ["fast", "compiled", "legacy"])
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_run_for_rejects_non_finite_duration(self, engine, duration):
+        sim = NetworkSimulation(_net4(), discipline_kind="fair-share",
+                                initial_rates=RATES4, engine=engine)
+        sim.run_for(5.0)
+        before = sim.events_processed
+        with pytest.raises(SimulationError, match="finite.*(nan|inf)"):
+            sim.run_for(duration)
+        assert sim.events_processed == before
+        assert sim.now == 5.0
+
+    def test_closed_loop_and_validation_reach_the_check(self):
+        with pytest.raises(SimulationError, match="finite"):
+            run_closed_loop(_net4(), TargetRule(eta=0.1, beta=0.4),
+                            LinearSaturating(),
+                            control_interval=float("nan"), n_steps=2)
+        with pytest.raises(SimulationError, match="finite"):
+            validate_single_gateway(RATES4, 1.0, "fifo",
+                                    horizon=float("nan"), warmup=10.0)
+
+
+class TestNonFiniteEventTimes:
+    """A positive rate whose reciprocal overflows schedules an arrival
+    at ``inf``; every engine refuses it with the same message."""
+
+    @pytest.mark.parametrize("disc", ["fifo", "fair-share",
+                                      "fixed-priority"])
+    def test_every_engine_words_the_refusal_alike(self, disc):
+        messages = set()
+        for engine in ("fast", C_ENGINE, "legacy"):
+            sim = NetworkSimulation(_net4(), discipline_kind=disc,
+                                    initial_rates=RATES4, engine=engine)
+            sim.run_for(5.0)
+            with pytest.raises(SimulationError) as err:
+                sim.set_rates([0.2, 5e-324, 0.25, 0.15])
+            messages.add(str(err.value))
+        assert messages == {"event time must be finite, got inf"}
 
 
 class TestFuzzGeneratedConfigs:

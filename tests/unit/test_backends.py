@@ -29,9 +29,9 @@ from repro.errors import RateVectorError
 needs_compiled_fs = pytest.mark.skipif(
     not compiled.fs_available(),
     reason="no compiled Fair Share tier in this environment")
-needs_fifo_lib = pytest.mark.skipif(
-    compiled.fifo_lib() is None,
-    reason="no C compiler: FIFO event loop runs pure python")
+needs_packet_lib = pytest.mark.skipif(
+    compiled.packet_lib() is None,
+    reason="no C compiler: the packet event loop runs pure python")
 
 
 def fuzz_batches(seed, count=2000):
@@ -457,10 +457,10 @@ class TestObservability:
         # The repository benchmark records both as provenance.
         assert backends.active().name == "numpy"
 
-    @needs_fifo_lib
+    @needs_packet_lib
     def test_fifo_runs_are_timed(self):
         from repro.simulation.network_sim import NetworkSimulation
-        timer = compiled.metrics().timer("run.fifo")
+        timer = compiled.metrics().timer("run.packet")
         before = timer.count
         sim = NetworkSimulation(single_gateway(3, mu=1.0),
                                 discipline_kind="fifo", seed=2,

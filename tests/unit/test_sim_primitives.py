@@ -11,7 +11,7 @@ from repro.simulation.packet import Packet, PacketPool
 from repro.simulation.queues import (FairQueueingQueue, FairShareQueue,
                                      FifoQueue, FixedPriorityQueue,
                                      make_discipline)
-from repro.simulation.rng import RandomStreams, VariateBuffer
+from repro.simulation.rng import RandomStreams, VariateBuffer, VariateRows
 
 
 class TestScheduler:
@@ -84,9 +84,9 @@ class TestScheduler:
 class TestEventCalendar:
     def test_pops_in_time_order(self):
         cal = EventCalendar()
-        cal.schedule(2.0, 1, a=20)
-        cal.schedule(1.0, 0, a=10)
-        cal.schedule(3.0, 2, a=30)
+        cal.push(2.0, 1, a=20)
+        cal.push(1.0, 0, a=10)
+        cal.push(3.0, 2, a=30)
         popped = [cal.pop() for _ in range(3)]
         assert [p[0] for p in popped] == [1.0, 2.0, 3.0]
         assert [p[1] for p in popped] == [0, 1, 2]
@@ -96,49 +96,16 @@ class TestEventCalendar:
     def test_ties_break_by_insertion_order(self):
         cal = EventCalendar()
         for k in range(5):
-            cal.schedule(1.0, 0, a=k)
+            cal.push(1.0, 0, a=k)
         assert [cal.pop()[2] for k in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_cancellation_and_slot_recycling(self):
-        cal = EventCalendar()
-        slot = cal.schedule(1.0, 0, a=1)
-        cal.schedule(2.0, 0, a=2)
-        cal.cancel(slot)
-        assert len(cal) == 1
-        assert cal.peek_time() == 2.0  # recycles the dead slot
-        # The freed slot is reused instead of growing the columns.
-        assert cal.schedule(3.0, 0, a=3) == slot
-        assert cal.capacity == 2
-        assert cal.pop()[2] == 2
-        assert cal.pop()[2] == 3
-
-    def test_long_run_recycles_bounded_slots(self):
-        cal = EventCalendar()
-        for k in range(100):
-            cal.schedule(float(k), 0, a=k)
-            assert cal.pop() == (float(k), 0, k, 0)
-        assert cal.capacity == 1
-
-    def test_payload_entries_interleave_with_slots(self):
-        import heapq
-        cal = EventCalendar()
-        cal.schedule(2.0, 1, a=7, b=8)
-        # The fast kernel pushes never-cancelled events directly as
-        # (time, seq, -1, kind, a[, b]) payload tuples.
-        heapq.heappush(cal._heap, (1.0, 10 ** 9, -1, 3, 42))
-        heapq.heappush(cal._heap, (3.0, 10 ** 9 + 1, -1, 4, 5, 6))
-        assert cal.peek_time() == 1.0
-        assert cal.pop() == (1.0, 3, 42, 0)
-        assert cal.pop() == (2.0, 1, 7, 8)
-        assert cal.pop() == (3.0, 4, 5, 6)
 
     def test_nonfinite_time_rejected(self):
         with pytest.raises(SimulationError):
-            EventCalendar().schedule(float("nan"), 0)
+            EventCalendar().push(float("nan"), 0, 0)
 
     def test_operands_roundtrip(self):
         cal = EventCalendar()
-        cal.schedule(1.0, 5, a=-3, b=2 ** 40)
+        cal.push(1.0, 5, a=-3, b=2 ** 40)
         assert cal.pop() == (1.0, 5, -3, 2 ** 40)
 
 
@@ -203,6 +170,28 @@ class TestVariateBuffer:
         gen = np.random.default_rng(0)
         with pytest.raises(SimulationError):
             VariateBuffer(gen, block=0)
+
+
+class TestVariateRows:
+    def test_rows_refilled_in_place_match_scalar_draws(self):
+        streams = RandomStreams(7)
+        rows = VariateRows([streams.stream("service:g0"),
+                            streams.stream("thinning:g0")],
+                           [True, False])
+        values = rows.values
+        n = 3 * values.shape[1]
+        got_e, got_u = [], []
+        for _ in range(3):
+            got_e += values[0].tolist()
+            got_u += values[1].tolist()
+            rows.refill(0)
+            rows.refill(1)
+        assert rows.values is values  # the same buffer, refilled
+        assert rows.index.tolist() == [0, 0]
+        scalar = RandomStreams(7)
+        assert got_e == [scalar.exponential("service:g0", 1.0)
+                         for _ in range(n)]
+        assert got_u == [scalar.uniform("thinning:g0") for _ in range(n)]
 
 
 class TestRandomStreams:

@@ -3,11 +3,13 @@
 Standalone (not collected by pytest): times the compiled hot paths
 against the fastest pre-existing implementations on
 
-* ``bench_sim_kernel.py``'s closed-loop workload under FIFO and
-  under Fair Share — ``engine="auto"`` (the runtime-built C
-  event loop) vs ``engine="fast"`` (the Python loops of the
-  struct-of-arrays kernel), in events/sec, plus the C loop's fixed
-  cost per call, in µs per 1-unit ``run_until``,
+* ``bench_sim_kernel.py``'s closed-loop workload under FIFO, Fair
+  Share, Fair Queueing, and FIFO with drop-from-longest eviction at a
+  4-packet buffer (which ~12% of arrivals find full) —
+  ``engine="auto"`` (the runtime-built C event loop) vs
+  ``engine="fast"`` (the Python loops of the struct-of-arrays kernel),
+  in events/sec, plus each side's fixed cost per call, in µs per
+  1-unit ``run_until``,
 * the Fair Share queue-law microbench — the compiled
   ``fs_queue_batch`` kernel vs the numpy ``sorted`` pipeline on a
   ``(64, 512)`` rate batch,
@@ -19,17 +21,16 @@ Methodology matches ``bench_sim_kernel.py``: every speedup is the
 **median of per-pair ratios** over interleaved runs so slow spells hit
 both implementations alike.  Compilation cost is kept out of the
 measured runs — :func:`repro.backends.compiled.warmup` builds (or
-cache-loads) the C library up front, and the per-phase Timer spans
-(``compile.cext`` vs ``run.packet``) are recorded in the provenance
-block so the JSON separates C-build warmup from steady-state
-throughput.
+cache-loads) the C library up front, and its ``compile.cext`` Timer
+span (absent on a cache hit) is recorded in the provenance block so
+the JSON separates C-build warmup from steady-state throughput.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_compiled.py [--quick]
 
 The acceptance targets are the ``TARGETS`` speedups over the fast
-kernel on the two closed loops and over the numpy pipeline on the Fair
+kernel on the four closed loops and over the numpy pipeline on the Fair
 Share queue-law microbench (quick mode shrinks the closed loops, runs
 the queue law at full shape with fewer repetitions, and judges against
 the lower ``QUICK_TARGETS``).  When the C library cannot be built at
@@ -50,12 +51,21 @@ from bench_sim_kernel import _closed_loop_run, _simulation
 from repro.backends import compiled
 from repro.core.fairshare import _sorted_queues
 
+#: The closed loops: BENCH_compiled.json key -> (discipline, options).
+LOOPS = {"compiled_fifo": ("fifo", {}),
+         "compiled_fair_share": ("fair-share", {}),
+         "compiled_fair_queueing": ("fair-queueing", {}),
+         "compiled_longest_drop": ("fifo", dict(buffer_sizes=4,
+                                                drop_policy="longest"))}
+
 #: Full-scale minimum speedups (the committed BENCH_compiled.json
 #: targets): the compiled C event loop vs the Python loops of the fast
-#: kernel on the FIFO and Fair Share closed loops, and the compiled
-#: Fair Share queue law vs the numpy sorted pipeline.
+#: kernel on each closed loop, and the compiled Fair Share queue law vs
+#: the numpy sorted pipeline.
 TARGETS = {"compiled_fifo_speedup_min": 6.0,
            "compiled_fair_share_speedup_min": 8.0,
+           "compiled_fair_queueing_speedup_min": 8.0,
+           "compiled_longest_drop_speedup_min": 6.0,
            "fs_queue_law_speedup_min": 2.0}
 
 #: Quick-mode floors: small workloads amortise less of the per-call
@@ -63,13 +73,15 @@ TARGETS = {"compiled_fifo_speedup_min": 6.0,
 #: to regressions.
 QUICK_TARGETS = {"compiled_fifo_speedup_min": 4.0,
                  "compiled_fair_share_speedup_min": 5.0,
+                 "compiled_fair_queueing_speedup_min": 5.0,
+                 "compiled_longest_drop_speedup_min": 4.0,
                  "fs_queue_law_speedup_min": 1.5}
 
 
-def _call_cost_us(engine, disc, calls):
+def _call_cost_us(engine, disc, calls, options):
     """µs per ``run_for(1.0)`` after a 10-unit warm-up: what one call
     costs beyond its ~2.4 events."""
-    sim = _simulation(engine, disc)
+    sim = _simulation(engine, disc, **options)
     sim.run_for(10.0)
     t0 = time.perf_counter()
     for _ in range(calls):
@@ -77,30 +89,37 @@ def _call_cost_us(engine, disc, calls):
     return (time.perf_counter() - t0) / calls * 1e6
 
 
-def bench_compiled_loop(disc, pairs=7, horizon=20000.0, intervals=20,
-                        calls=2000):
+def bench_compiled_loop(disc, options=None, pairs=7, horizon=20000.0,
+                        intervals=20, calls=2000):
     """Paired fast/compiled events-per-second on the closed-loop
-    workload of ``disc``, and each side's cost per 1-unit call."""
+    workload of ``disc`` (``options``: buffer sizes and drop policy),
+    and each side's cost per 1-unit call."""
+    options = dict(options or {})
     ratios = []
     fast_rate = compiled_rate = 0.0
     fast_us, compiled_us = [], []
     for p in range(pairs):
         ev_f, t_f, stats_f = _closed_loop_run("fast", horizon, intervals,
-                                              disc)
+                                              disc, **options)
         ev_c, t_c, stats_c = _closed_loop_run("auto", horizon, intervals,
-                                              disc)
+                                              disc, **options)
         if p == 0:
-            assert _simulation("auto", disc).engine == "compiled"
+            assert _simulation("auto", disc, **options).engine == \
+                "compiled"
             assert ev_f == ev_c, "engines processed different event counts"
             assert np.array_equal(stats_f[0], stats_c[0]), \
                 "mean queues differ between engines"
             assert np.array_equal(stats_f[1], stats_c[1]), \
                 "throughput differs between engines"
+            assert np.array_equal(stats_f[3], stats_c[3]), \
+                "drop fractions differ between engines"
+            if "buffer_sizes" in options:
+                assert stats_c[3].sum() > 0, "the buffer never overflowed"
         fast_rate = ev_f / t_f
         compiled_rate = ev_c / t_c
         ratios.append(compiled_rate / fast_rate)
-        fast_us.append(_call_cost_us("fast", disc, calls))
-        compiled_us.append(_call_cost_us("auto", disc, calls))
+        fast_us.append(_call_cost_us("fast", disc, calls, options))
+        compiled_us.append(_call_cost_us("auto", disc, calls, options))
     return {"pairs": pairs, "horizon": horizon, "intervals": intervals,
             "fast_events_per_s": round(fast_rate),
             "compiled_events_per_s": round(compiled_rate),
@@ -146,7 +165,8 @@ def bench_fs_queue_law(pairs=7, members=64, n=512, reps=30, seed=5):
 
 
 def provenance():
-    """The kernel tier plus the per-phase compile/run Timer spans."""
+    """The kernel tier plus the ``compile.cext`` Timer span (the C
+    build; absent when the library came from the cache)."""
     timers = compiled.metrics().snapshot()["timers"]
     return {"kernel_tier": compiled.tier(),
             "packet_engine": ("cext" if compiled.packet_lib() is not None
@@ -160,20 +180,21 @@ def provenance():
 def run_benchmarks(quick=False):
     compiled.warmup()
     if quick:
-        loops = {disc: bench_compiled_loop(disc, pairs=3, horizon=4000.0,
-                                           intervals=8, calls=300)
-                 for disc in ("fifo", "fair-share")}
+        results = {name: bench_compiled_loop(disc, options, pairs=3,
+                                             horizon=4000.0, intervals=8,
+                                             calls=300)
+                   for name, (disc, options) in LOOPS.items()}
         # The full (64, 512) shape with fewer pairs and reps: a smaller
         # batch mostly times the numpy pipeline's fixed per-call cost,
         # not the queue law the compiled kernel replaces.
-        fs = bench_fs_queue_law(pairs=3, members=64, n=512, reps=5)
+        results["fs_queue_law"] = bench_fs_queue_law(pairs=3, members=64,
+                                                     n=512, reps=5)
     else:
-        loops = {disc: bench_compiled_loop(disc)
-                 for disc in ("fifo", "fair-share")}
-        fs = bench_fs_queue_law()
-    return {"compiled_fifo": loops["fifo"],
-            "compiled_fair_share": loops["fair-share"],
-            "fs_queue_law": fs, "provenance": provenance()}
+        results = {name: bench_compiled_loop(disc, options)
+                   for name, (disc, options) in LOOPS.items()}
+        results["fs_queue_law"] = bench_fs_queue_law()
+    results["provenance"] = provenance()
+    return results
 
 
 def compiled_tier_available() -> bool:
@@ -198,11 +219,12 @@ def main(argv=None):
         return 0
 
     results = run_benchmarks(quick=args.quick)
-    fifo, fs = results["compiled_fifo"], results["fs_queue_law"]
-    fair = results["compiled_fair_share"]
+    fs = results["fs_queue_law"]
     prov = results["provenance"]
-    for label, loop in (("fifo loop   ", fifo), ("fs loop     ", fair)):
-        print(f"{label}: fast {loop['fast_events_per_s']} ev/s, "
+    for name in LOOPS:
+        loop = results[name]
+        print(f"{name[len('compiled_'):]:>12} loop: fast "
+              f"{loop['fast_events_per_s']} ev/s, "
               f"compiled {loop['compiled_events_per_s']} ev/s -> "
               f"{loop['speedup']}x (median of {loop['pairs']} pairs); "
               f"per 1-unit call: fast {loop['fast_us_per_call']} us, "
@@ -216,9 +238,8 @@ def main(argv=None):
           f"{prov['packet_engine']}, timers: {spans or 'none'}")
 
     targets = QUICK_TARGETS if args.quick else TARGETS
-    ok = (fifo["speedup"] >= targets["compiled_fifo_speedup_min"]
-          and fair["speedup"] >= targets["compiled_fair_share_speedup_min"]
-          and fs["speedup"] >= targets["fs_queue_law_speedup_min"])
+    ok = all(results[name]["speedup"] >= targets[f"{name}_speedup_min"]
+             for name in (*LOOPS, "fs_queue_law"))
     results["targets"] = dict(TARGETS)
     results["quick_targets"] = dict(QUICK_TARGETS)
     results["targets_met"] = ok

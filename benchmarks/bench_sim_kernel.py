@@ -63,19 +63,20 @@ QUICK_TARGETS = {"fifo_events_speedup_min": 3.0,
 _RATES = np.array([0.2, 0.2, 0.25, 0.15])
 
 
-def _simulation(engine, disc="fifo", seed=11):
+def _simulation(engine, disc="fifo", seed=11, **options):
     """The closed-loop workload's simulation: four sources through one
-    gateway with latency 0.5."""
+    gateway with latency 0.5 (``options``: buffer sizes and drop
+    policy)."""
     net = single_gateway(4, mu=1.0).with_latencies({"g0": 0.5})
     return NetworkSimulation(net, discipline_kind=disc, seed=seed,
-                             initial_rates=_RATES, engine=engine)
+                             initial_rates=_RATES, engine=engine, **options)
 
 
-def _closed_loop_run(engine, horizon, intervals, disc="fifo"):
+def _closed_loop_run(engine, horizon, intervals, disc="fifo", **options):
     """One closed-loop-style run: simulate ``intervals`` control
     windows with a rate update between each (what the closed loop
     does), returning (events, seconds, statistics snapshot)."""
-    sim = _simulation(engine, disc)
+    sim = _simulation(engine, disc, **options)
     window = horizon / intervals
     t0 = time.perf_counter()
     for k in range(intervals):
@@ -83,7 +84,7 @@ def _closed_loop_run(engine, horizon, intervals, disc="fifo"):
         sim.set_rates(_RATES * (1.0 + 0.1 * ((k % 3) - 1)))
     elapsed = time.perf_counter() - t0
     stats = (sim.mean_queue_lengths()["g0"], sim.throughput(),
-             sim.events_processed)
+             sim.events_processed, sim.drop_fractions()["g0"])
     return sim.events_processed, elapsed, stats
 
 

@@ -98,6 +98,10 @@ GATED_ASYNC = [("async_ensemble", "async_ensemble_speedup_min"),
 #: its absence must not fail CI on a bare install.
 GATED_COMPILED = [("compiled_fifo", "compiled_fifo_speedup_min"),
                   ("compiled_fair_share", "compiled_fair_share_speedup_min"),
+                  ("compiled_fair_queueing",
+                   "compiled_fair_queueing_speedup_min"),
+                  ("compiled_longest_drop",
+                   "compiled_longest_drop_speedup_min"),
                   ("fs_queue_law", "fs_queue_law_speedup_min")]
 
 

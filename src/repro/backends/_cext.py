@@ -68,16 +68,19 @@ Four kernel families live in the library:
   ``FastEngine._run_fifo`` (FIFO, with its burst and eager-sink
   branches) and ``FastEngine._run_general`` (Fair Share and fixed
   priority: one queue chain per gateway and class, thinning walks and
-  preemptive resume) that lives as long as its engine:
+  preemptive resume; Fair Queueing: a finish-tag heap and virtual
+  clock per gateway), with ``FastEngine._evict_longest``'s
+  drop-from-longest eviction, that lives as long as its engine:
   ``packet_new`` keeps pointers to the engine's numpy arrays (the
   constants, the per-gateway and per-connection state the Python side
   reads, the Fair Share tables and the variate rows) and owns the event
-  heap, packet pool and queue chains; ``packet_resample`` adopts new
-  rates; ``packet_run`` executes events until the horizon, returning
-  ``ST_REFILL`` *before* any event whose draws would exhaust a variate
-  row, so Python refills that row in place (the generator objects, and
-  hence the exact bitstream, stay on the Python side) and resumes;
-  after ``ST_NONFINITE``, ``packet_bad_time`` reads the refused time.
+  heap, packet pool, queue chains and Fair Queueing state;
+  ``packet_resample`` adopts new rates; ``packet_run`` executes events
+  until the horizon, returning ``ST_REFILL`` *before* any event whose
+  draws would exhaust a variate row, so Python refills that row in
+  place (the generator objects, and hence the exact bitstream, stay on
+  the Python side) and resumes; after ``ST_NONFINITE``,
+  ``packet_bad_time`` reads the refused time.
 
 Float discipline: compiled with ``-ffp-contract=off -fno-fast-math``
 so no FMA contraction or reassociation — every arithmetic operation
@@ -107,6 +110,7 @@ __all__ = [
     "RULE_DECBIT_WINDOW", "RULE_BINARY_AIMD", "RULE_TCP_LIKE",
     "GATE_NONE", "GATE_ROUND_ROBIN", "GATE_COINS", "SI_DEGRADE",
     "SI_BLACKHOLE", "SI_RESTORE", "EventLog", "Perturb", "Control",
+    "D_FAIR_QUEUEING",
 ]
 
 # Status codes shared with the C side.
@@ -123,6 +127,7 @@ ST_NONFINITE = 9
 D_FIFO = 0
 D_FAIR_SHARE = 1
 D_PRIORITY = 2
+D_FAIR_QUEUEING = 3
 
 # Queue-law and congestion-measure codes of observe_batch.
 LAW_FIFO = 0
@@ -1456,12 +1461,35 @@ out:
 #define D_FIFO 0
 #define D_FAIR_SHARE 1
 #define D_PRIORITY 2
+#define D_FAIR_QUEUEING 3
+
+/* A binary min-heap of (key, seq, kind, a, b) entries.  seq is unique
+ * per heap, so entries are totally ordered by (key, seq) and any valid
+ * binary min-heap pops them in the order python's heapq pops the same
+ * tuples. */
+typedef struct {
+    double *key;
+    i64 *seq, *kind, *a, *b;
+    i64 len, cap;
+} Heap;
+
+/* One gateway's Fair Queueing state (kernel._FairQueueingGateway): a
+ * (finish, counter, pid) heap (the packet id in a), the push counter,
+ * the virtual clock, the time it last advanced and the number of
+ * backlogged positions. */
+typedef struct {
+    Heap heap;
+    i64 counter, active;
+    double virtual_time, last_update;
+} FqGateway;
 
 /* One simulation's loop state, alive for the engine's lifetime.
  * Variate rows: service:{g} at g, arrival:c{i} at n_gw + i and, under
- * Fair Share, thinning:{g} at n_gw + n_conn + g. */
+ * Fair Share, thinning:{g} at n_gw + n_conn + g.  evict: an overflow
+ * evicts from the longest connection (drop-from-longest with a finite
+ * buffer) instead of refusing the newcomer. */
 typedef struct {
-    i64 n_gw, n_conn, block, disc;
+    i64 n_gw, n_conn, block, disc, evict;
     /* borrowed constants (numpy-owned) */
     const double *latency, *mu_scale;
     const i64 *buffer_cap, *pos_flat, *first_hop;
@@ -1478,37 +1506,102 @@ typedef struct {
     double *rng_vals;
     i64 *rng_idx;
     i64 *regs; /* [events processed this run, stream to refill] */
-    /* owned: servers, queue chains per (gateway, class), heap, pool */
+    /* owned: servers, queue chains per (gateway, class), the event
+     * heap (key = time), pool */
     double *completion_time;
     i64 *comp_epoch, *q_head, *q_tail;
-    double *h_time;
-    i64 *h_seq, *h_kind, *h_a, *h_b;
-    i64 heap_len, heap_cap;
+    Heap ev;
     i64 *p_conn, *p_hop, *p_klass, *p_next, *p_free;
     double *p_created, *p_rem;
     i64 pool_len, pool_cap, free_len;
+    /* owned, Fair Queueing only: per gateway, and per local position
+     * (at gw_ptr[g] + position) the last finish tag and the backlog */
+    FqGateway *fq;
+    double *fq_tag;
+    i64 *fq_backlog;
     double now;
     double bad_time; /* the non-finite time push_checked refused */
     i64 seq;
 } PacketState;
 
-static int heap_reserve(PacketState *s, i64 need)
+static int heap_reserve(Heap *h, i64 need)
 {
-    if (need <= s->heap_cap) return 1;
-    i64 cap = s->heap_cap > 0 ? s->heap_cap : 16;
+    if (need <= h->cap) return 1;
+    i64 cap = h->cap > 0 ? h->cap : 16;
     while (cap < need) cap *= 2;
-    double *ht = (double *)realloc(s->h_time,
-                                   (size_t)cap * sizeof(double));
-    if (!ht) return 0;
-    s->h_time = ht;
-    i64 **cols[4] = {&s->h_seq, &s->h_kind, &s->h_a, &s->h_b};
+    double *k = (double *)realloc(h->key, (size_t)cap * sizeof(double));
+    if (!k) return 0;
+    h->key = k;
+    i64 **cols[4] = {&h->seq, &h->kind, &h->a, &h->b};
     for (int c = 0; c < 4; c++) {
         i64 *p = (i64 *)realloc(*cols[c], (size_t)cap * sizeof(i64));
         if (!p) return 0;
         *cols[c] = p;
     }
-    s->heap_cap = cap;
+    h->cap = cap;
     return 1;
+}
+
+static void heap_free(Heap *h)
+{
+    free(h->key); free(h->seq); free(h->kind); free(h->a); free(h->b);
+}
+
+static int heap_insert(Heap *h, double key, i64 seq, i64 kind, i64 a,
+                       i64 b)
+{
+    if (!heap_reserve(h, h->len + 1)) return 0;
+    i64 i = h->len++;
+    while (i > 0) {
+        i64 up = (i - 1) >> 1;
+        if (h->key[up] < key || (h->key[up] == key && h->seq[up] < seq))
+            break;
+        h->key[i] = h->key[up];
+        h->seq[i] = h->seq[up];
+        h->kind[i] = h->kind[up];
+        h->a[i] = h->a[up];
+        h->b[i] = h->b[up];
+        i = up;
+    }
+    h->key[i] = key;
+    h->seq[i] = seq;
+    h->kind[i] = kind;
+    h->a[i] = a;
+    h->b[i] = b;
+    return 1;
+}
+
+/* Drop the smallest entry. */
+static void heap_pop(Heap *h)
+{
+    i64 n = --h->len;
+    if (n == 0) return;
+    double key = h->key[n];
+    i64 sq = h->seq[n], kd = h->kind[n], a = h->a[n], b = h->b[n];
+    i64 i = 0;
+    for (;;) {
+        i64 l = 2 * i + 1;
+        if (l >= n) break;
+        i64 c = l, r = l + 1;
+        if (r < n && (h->key[r] < h->key[l] ||
+                      (h->key[r] == h->key[l] && h->seq[r] < h->seq[l])))
+            c = r;
+        if (h->key[c] < key || (h->key[c] == key && h->seq[c] < sq)) {
+            h->key[i] = h->key[c];
+            h->seq[i] = h->seq[c];
+            h->kind[i] = h->kind[c];
+            h->a[i] = h->a[c];
+            h->b[i] = h->b[c];
+            i = c;
+        } else {
+            break;
+        }
+    }
+    h->key[i] = key;
+    h->seq[i] = sq;
+    h->kind[i] = kd;
+    h->a[i] = a;
+    h->b[i] = b;
 }
 
 static int pool_reserve(PacketState *s, i64 need)
@@ -1534,32 +1627,11 @@ static int pool_reserve(PacketState *s, i64 need)
     return 1;
 }
 
-/* Entries are totally ordered by (time, seq): seq is unique, so any
- * valid binary min-heap pops them in the order python's heapq pops
- * its (time, seq, kind, a, b) tuples. */
+/* An event, ordered by (time, push count) as EventCalendar orders its
+ * (time, seq, kind, a, b) tuples. */
 static int heap_push(PacketState *s, double t, i64 kind, i64 a, i64 b)
 {
-    if (!heap_reserve(s, s->heap_len + 1)) return 0;
-    i64 sq = s->seq++;
-    i64 i = s->heap_len++;
-    while (i > 0) {
-        i64 up = (i - 1) >> 1;
-        if (s->h_time[up] < t ||
-            (s->h_time[up] == t && s->h_seq[up] < sq))
-            break;
-        s->h_time[i] = s->h_time[up];
-        s->h_seq[i] = s->h_seq[up];
-        s->h_kind[i] = s->h_kind[up];
-        s->h_a[i] = s->h_a[up];
-        s->h_b[i] = s->h_b[up];
-        i = up;
-    }
-    s->h_time[i] = t;
-    s->h_seq[i] = sq;
-    s->h_kind[i] = kind;
-    s->h_a[i] = a;
-    s->h_b[i] = b;
-    return 1;
+    return heap_insert(&s->ev, t, s->seq++, kind, a, b);
 }
 
 /* The general path pushes through EventCalendar.push, which refuses a
@@ -1571,41 +1643,6 @@ static int push_checked(PacketState *s, double t, i64 kind, i64 a, i64 b)
         return ST_NONFINITE;
     }
     return heap_push(s, t, kind, a, b) ? ST_DONE : ST_OOM;
-}
-
-static void heap_pop(PacketState *s)
-{
-    i64 n = --s->heap_len;
-    if (n == 0) return;
-    double t = s->h_time[n];
-    i64 sq = s->h_seq[n], kd = s->h_kind[n];
-    i64 a = s->h_a[n], b = s->h_b[n];
-    i64 i = 0;
-    for (;;) {
-        i64 l = 2 * i + 1;
-        if (l >= n) break;
-        i64 c = l, r = l + 1;
-        if (r < n && (s->h_time[r] < s->h_time[l] ||
-                      (s->h_time[r] == s->h_time[l] &&
-                       s->h_seq[r] < s->h_seq[l])))
-            c = r;
-        if (s->h_time[c] < t ||
-            (s->h_time[c] == t && s->h_seq[c] < sq)) {
-            s->h_time[i] = s->h_time[c];
-            s->h_seq[i] = s->h_seq[c];
-            s->h_kind[i] = s->h_kind[c];
-            s->h_a[i] = s->h_a[c];
-            s->h_b[i] = s->h_b[c];
-            i = c;
-        } else {
-            break;
-        }
-    }
-    s->h_time[i] = t;
-    s->h_seq[i] = sq;
-    s->h_kind[i] = kd;
-    s->h_a[i] = a;
-    s->h_b[i] = b;
 }
 
 /* The next variate of a stream; the preflight guarantees one is left. */
@@ -1673,12 +1710,59 @@ static int thins(const PacketState *s, i64 g, i64 conn)
                >= 0;
 }
 
-/* The drop check, service draw and arrival statistics that open both
- * loops' arrive blocks.  Returns 0 when the full gateway refused the
- * packet (drop before any draw). */
+/* FastEngine._evict_longest with KernelGatewayStats.on_evict: at the
+ * full gateway g, the connection with the most packets (ties to the
+ * lowest local position) loses its newest *waiting* packet, searched
+ * lowest-priority class first.  The python walk visits candidates in
+ * that order and takes the first with a waiting packet, which is the
+ * most-occupying position among those with one: one pass over the
+ * queue chains finds it.  Returns 0 when no packet waits; the caller
+ * then refuses the arrival. */
+static int evict_longest(PacketState *s, i64 g, double now)
+{
+    const i64 *local = s->pos_flat + g * s->n_conn;
+    i64 base = s->gw_ptr[g];
+    i64 q_first = queue_of(s, g, 0);
+    i64 q_last = s->disc == D_FIFO ? g : s->gw_ptr[g + 1] - 1;
+    i64 best = -1;
+    for (i64 q = q_first; q <= q_last; q++)
+        for (i64 pid = s->q_head[q]; pid >= 0; pid = s->p_next[pid]) {
+            i64 pos = base + local[s->p_conn[pid]];
+            if (best < 0 || s->st_count[pos] > s->st_count[best] ||
+                (s->st_count[pos] == s->st_count[best] && pos < best))
+                best = pos;
+        }
+    if (best < 0) return 0;
+    for (i64 q = q_last; q >= q_first; q--) {
+        i64 victim = -1, before = -1;
+        for (i64 prev = -1, pid = s->q_head[q]; pid >= 0;
+             prev = pid, pid = s->p_next[pid])
+            if (base + local[s->p_conn[pid]] == best) {
+                victim = pid;
+                before = prev;
+            }
+        if (victim < 0) continue;
+        if (before < 0) s->q_head[q] = s->p_next[victim];
+        else s->p_next[before] = s->p_next[victim];
+        if (s->q_tail[q] == victim) s->q_tail[q] = before;
+        accumulate(s, g, now);
+        s->st_count[best] -= 1;
+        if (s->st_arrivals[best] > 0) s->st_arrivals[best] -= 1;
+        s->st_drops[best] += 1;
+        s->in_sys[g] -= 1;
+        s->p_free[s->free_len++] = victim;
+        return 1;
+    }
+    return 0;
+}
+
+/* The drop check (evicting where the policy does), service draw and
+ * arrival statistics that open both loops' arrive blocks.  Returns 0
+ * when the full gateway refused the packet (drop before any draw). */
 static int admit(PacketState *s, i64 g, i64 pid, i64 pos, double now)
 {
-    if (s->in_sys[g] >= s->buffer_cap[g]) {
+    if (s->in_sys[g] >= s->buffer_cap[g] &&
+        !(s->evict && evict_longest(s, g, now))) {
         accumulate(s, g, now);
         s->st_drops[pos] += 1;
         s->p_free[s->free_len++] = pid;
@@ -1710,15 +1794,72 @@ static int arrive_fifo(PacketState *s, i64 g, i64 pid, i64 conn,
     return ST_DONE;
 }
 
-/* FastEngine._start_next for the class disciplines: serve the head of
- * the best non-empty class. */
+static void fq_advance(FqGateway *f, double now)
+{
+    if (f->active > 0)
+        f->virtual_time += (now - f->last_update) / (double)f->active;
+    f->last_update = now;
+}
+
+/* _FairQueueingGateway.push: stamp pid (local position pos, flat) with
+ * max(V, last finish) + its service time.  0 when out of memory. */
+static int fq_push(PacketState *s, i64 g, i64 pid, i64 pos, double now)
+{
+    FqGateway *f = &s->fq[g];
+    fq_advance(f, now);
+    /* python's max keeps its first argument, V, on a tie */
+    double tag = s->fq_tag[pos];
+    double finish = (tag > f->virtual_time ? tag : f->virtual_time)
+                    + s->p_rem[pid];
+    s->fq_tag[pos] = finish;
+    f->counter += 1;
+    if (!heap_insert(&f->heap, finish, f->counter, 0, pid, 0)) return 0;
+    if (!s->fq_backlog[pos]) f->active += 1;
+    s->fq_backlog[pos] += 1;
+    return 1;
+}
+
+/* _FairQueueingGateway.pop: the packet with the smallest finish tag,
+ * or -1; the clock advances either way. */
+static i64 fq_pop(PacketState *s, i64 g, double now)
+{
+    FqGateway *f = &s->fq[g];
+    fq_advance(f, now);
+    if (f->heap.len == 0) return -1;
+    i64 pid = f->heap.a[0];
+    heap_pop(&f->heap);
+    return pid;
+}
+
+/* _FairQueueingGateway.release: the packet in service at pos (flat)
+ * completed.  A drained gateway starts a new busy period: the clock and
+ * the tags reset, the last-update time does not. */
+static void fq_release(PacketState *s, i64 g, i64 pos, double now)
+{
+    FqGateway *f = &s->fq[g];
+    fq_advance(f, now);
+    s->fq_backlog[pos] -= 1;
+    if (!s->fq_backlog[pos]) f->active -= 1;
+    if (f->heap.len == 0) {
+        f->virtual_time = 0.0;
+        for (i64 j = s->gw_ptr[g]; j < s->gw_ptr[g + 1]; j++)
+            s->fq_tag[j] = 0.0;
+    }
+}
+
+/* FastEngine._start_next for the general path: serve the smallest
+ * finish tag (Fair Queueing) or the head of the best non-empty class. */
 static int start_next(PacketState *s, i64 g, double now)
 {
     i64 pid = -1;
-    for (i64 q = s->gw_ptr[g]; q < s->gw_ptr[g + 1]; q++) {
-        if (s->q_head[q] >= 0) {
-            pid = queue_popleft(s, q);
-            break;
+    if (s->disc == D_FAIR_QUEUEING) {
+        pid = fq_pop(s, g, now);
+    } else {
+        for (i64 q = s->gw_ptr[g]; q < s->gw_ptr[g + 1]; q++) {
+            if (s->q_head[q] >= 0) {
+                pid = queue_popleft(s, q);
+                break;
+            }
         }
     }
     if (pid < 0) {
@@ -1731,14 +1872,19 @@ static int start_next(PacketState *s, i64 g, double now)
     return push_checked(s, t, K_COMPLETE, g, s->comp_epoch[g]);
 }
 
-/* FastEngine._arrive for the class disciplines: admit, classify,
- * enqueue, then start or preempt. */
-static int arrive_class(PacketState *s, i64 g, i64 pid, i64 conn,
-                        double now)
+/* FastEngine._arrive: admit, then push and start if idle (Fair
+ * Queueing, non-preemptive), or classify, enqueue, then start or
+ * preempt (the class disciplines). */
+static int arrive_general(PacketState *s, i64 g, i64 pid, i64 conn,
+                          double now)
 {
     i64 local = s->pos_flat[g * s->n_conn + conn];
     i64 pos = s->gw_ptr[g] + local;
     if (!admit(s, g, pid, pos, now)) return ST_DONE;
+    if (s->disc == D_FAIR_QUEUEING) {
+        if (!fq_push(s, g, pid, pos, now)) return ST_OOM;
+        return s->serving[g] < 0 ? start_next(s, g, now) : ST_DONE;
+    }
     i64 klass;
     if (s->disc == D_FAIR_SHARE) {
         i64 fallback = s->fs_fallback[pos];
@@ -1783,17 +1929,18 @@ static int arrive_class(PacketState *s, i64 g, i64 pid, i64 conn,
 static int arrive(PacketState *s, i64 g, i64 pid, i64 conn, double now)
 {
     return s->disc == D_FIFO ? arrive_fifo(s, g, pid, conn, now)
-                             : arrive_class(s, g, pid, conn, now);
+                             : arrive_general(s, g, pid, conn, now);
 }
 
-/* FastEngine._complete for the class disciplines. */
-static int complete_class(PacketState *s, i64 g, double now)
+/* FastEngine._complete (the general path). */
+static int complete_general(PacketState *s, i64 g, double now)
 {
     i64 pid = s->serving[g];
     if (pid < 0) return ST_IDLE_SERVER;
     s->serving[g] = -1;
     i64 conn = s->p_conn[pid];
     i64 pos = s->gw_ptr[g] + s->pos_flat[g * s->n_conn + conn];
+    if (s->disc == D_FAIR_QUEUEING) fq_release(s, g, pos, now);
     accumulate(s, g, now);
     s->st_count[pos] -= 1;
     s->st_departures[pos] += 1;
@@ -1847,7 +1994,7 @@ static int complete_fifo(PacketState *s, i64 g, double now, double t_end,
         s->serving[g] = nxt;
         double t_next = now + s->p_rem[nxt];
         if (t_next <= t_end && *processed < max_events) {
-            if (s->heap_len == 0 || t_next < s->h_time[0]) {
+            if (s->ev.len == 0 || t_next < s->ev.key[0]) {
                 now = t_next;
                 s->now = now;
                 *processed += 1;
@@ -1864,7 +2011,8 @@ static int complete_fifo(PacketState *s, i64 g, double now, double t_end,
  * names the row in regs[1]. */
 static int needs_refill(PacketState *s, i64 g, i64 conn)
 {
-    if (s->in_sys[g] >= s->buffer_cap[g]) return 0; /* a drop draws none */
+    /* A refusal draws none; a full gateway that evicts still admits. */
+    if (s->in_sys[g] >= s->buffer_cap[g] && !s->evict) return 0;
     if (s->rng_idx[g] >= s->block) {
         s->regs[1] = g;
         return 1;
@@ -1888,11 +2036,11 @@ i64 packet_run(void *handle, double t_end, i64 max_events)
     i64 processed = s->regs[0];
     int st = ST_DONE;
     for (;;) {
-        if (s->heap_len == 0 || s->h_time[0] > t_end) break;
-        double time = s->h_time[0];
-        i64 kind = s->h_kind[0];
-        i64 a = s->h_a[0];
-        i64 b = s->h_b[0];
+        if (s->ev.len == 0 || s->ev.key[0] > t_end) break;
+        double time = s->ev.key[0];
+        i64 kind = s->ev.kind[0];
+        i64 a = s->ev.a[0];
+        i64 b = s->ev.b[0];
 
         /* Preflight: yield for a refill and reserve pool growth before
          * popping, so an event never stops half-committed. */
@@ -1918,7 +2066,7 @@ i64 packet_run(void *handle, double t_end, i64 max_events)
             }
         }
 
-        heap_pop(s);
+        heap_pop(&s->ev);
         /* A rate change or a preemption bumped the epoch: skip the
          * stale event uncounted. */
         if ((kind == K_EMIT && b != s->arr_epoch[a]) ||
@@ -1953,7 +2101,7 @@ i64 packet_run(void *handle, double t_end, i64 max_events)
             st = s->disc == D_FIFO
                      ? complete_fifo(s, a, now, t_end, max_events,
                                      &processed)
-                     : complete_class(s, a, now);
+                     : complete_general(s, a, now);
         } else if (kind == K_HANDOFF) {
             i64 conn = s->p_conn[a];
             s->p_hop[a] = b;
@@ -2006,11 +2154,13 @@ void packet_free(void *handle)
     if (!s) return;
     free(s->completion_time); free(s->comp_epoch);
     free(s->q_head); free(s->q_tail);
-    free(s->h_time); free(s->h_seq); free(s->h_kind);
-    free(s->h_a); free(s->h_b);
+    heap_free(&s->ev);
     free(s->p_conn); free(s->p_hop); free(s->p_klass);
     free(s->p_next); free(s->p_free);
     free(s->p_created); free(s->p_rem);
+    if (s->fq)
+        for (i64 g = 0; g < s->n_gw; g++) heap_free(&s->fq[g].heap);
+    free(s->fq); free(s->fq_tag); free(s->fq_backlog);
     free(s);
 }
 
@@ -2018,7 +2168,7 @@ void packet_free(void *handle)
  * server idle, every queue, the heap and the pool empty.  NULL when
  * out of memory. */
 void *packet_new(
-    i64 n_gw, i64 n_conn, i64 block, i64 disc,
+    i64 n_gw, i64 n_conn, i64 block, i64 disc, i64 evict,
     const double *latency, const double *mu_scale,
     const i64 *buffer_cap, const i64 *pos_flat, const i64 *first_hop,
     const i64 *gw_ptr, const i64 *path_ptr, const i64 *path_arr,
@@ -2037,6 +2187,7 @@ void *packet_new(
     s->n_conn = n_conn;
     s->block = block;
     s->disc = disc;
+    s->evict = evict;
     s->latency = latency;
     s->mu_scale = mu_scale;
     s->buffer_cap = buffer_cap;
@@ -2069,8 +2220,19 @@ void *packet_new(
     s->comp_epoch = (i64 *)calloc((size_t)n_gw + 1, sizeof(i64));
     s->q_head = (i64 *)malloc(((size_t)n_queues + 1) * sizeof(i64));
     s->q_tail = (i64 *)malloc(((size_t)n_queues + 1) * sizeof(i64));
+    if (disc == D_FAIR_QUEUEING) {
+        s->fq = (FqGateway *)calloc((size_t)n_gw + 1, sizeof(FqGateway));
+        s->fq_tag = (double *)calloc((size_t)gw_ptr[n_gw] + 1,
+                                     sizeof(double));
+        s->fq_backlog = (i64 *)calloc((size_t)gw_ptr[n_gw] + 1,
+                                      sizeof(i64));
+        if (!s->fq || !s->fq_tag || !s->fq_backlog) {
+            packet_free(s);
+            return NULL;
+        }
+    }
     if (!s->completion_time || !s->comp_epoch || !s->q_head ||
-        !s->q_tail || !heap_reserve(s, 16) || !pool_reserve(s, 16)) {
+        !s->q_tail || !heap_reserve(&s->ev, 16) || !pool_reserve(s, 16)) {
         packet_free(s);
         return NULL;
     }
@@ -2208,7 +2370,8 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.event_log_free.argtypes = [ctypes.POINTER(EventLog)]
     lib.event_log_free.restype = None
     lib.packet_new.argtypes = (
-        [_I, _I, _I, _I]                      # n_gw, n_conn, block, disc
+        [_I, _I, _I, _I, _I]                  # n_gw, n_conn, block, disc,
+                                              # evict
         + [_P] * 9                            # constants
         + [_P] * 4                            # scale, epoch, serving, in_sys
         + [_P] * 6                            # statistics

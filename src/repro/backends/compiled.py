@@ -24,19 +24,17 @@ C compiler exists) serves four hot paths:
   schemes the observe stage serves and the six built-in rules, or
   under a router-side controller (:class:`Control`); None sends the
   caller to its Python loop.
-* the packet event loop (:func:`packet_lib`) for FIFO, Fair Share and
-  fixed priority, which ``NetworkSimulation(engine="auto")`` runs
-  whenever the C tier has built and the configuration has no Fair
-  Queueing and no drop-from-longest eviction.
+* the packet event loop (:func:`packet_lib`) for every discipline and
+  drop policy, which ``NetworkSimulation(engine="auto")`` runs whenever
+  the C tier has built.
 
 :func:`tier` names the live tier: ``cext`` when the C library has
 built, else ``python``.
 
-Observability: :func:`metrics` carries per-phase
-:class:`~repro.observability.metrics.Timer` spans — ``compile.cext``
-(actual C build time, zero on a cache hit) and ``run.packet``
-(steady-state time inside the compiled packet loop) — so
-``BENCH_compiled.json`` can separate warmup from throughput.
+Observability: :func:`metrics` carries the ``compile.cext``
+:class:`~repro.observability.metrics.Timer` span (actual C build time,
+zero on a cache hit), so ``BENCH_compiled.json`` can separate warmup
+from throughput.
 """
 
 from __future__ import annotations

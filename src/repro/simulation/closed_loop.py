@@ -101,8 +101,8 @@ def run_closed_loop(network: Network,
 
     ``engine`` selects the simulation engine (see
     :class:`~repro.simulation.network_sim.NetworkSimulation`):
-    ``"auto"`` runs the kernel's C event loop where it serves the
-    configuration and its Python loops elsewhere, with trajectories
+    ``"auto"`` runs the kernel's C event loop whenever the C tier has
+    built and its Python loops otherwise, with trajectories
     bit-identical to ``"fast"`` and to the reference ``"legacy"``
     engine.
 

@@ -43,8 +43,8 @@ the tie exactly as it would have under the legacy scheduler.
 Every configuration ``NetworkSimulation`` accepts runs here; the legacy
 engine (``engine="legacy"``) is kept only as the reference these
 guarantees are tested against.  :class:`~repro.simulation.
-kernel_compiled.CompiledEngine` runs the same loops in C for FIFO, Fair
-Share and fixed priority without eviction.
+kernel_compiled.CompiledEngine` runs the same loops in C, for every
+configuration.
 """
 
 from __future__ import annotations
@@ -77,13 +77,6 @@ _SINK = 3      # a = packet id, b = 0
 #: Disciplines the kernel implements: all four of the legacy engine's.
 _FAST_DISCIPLINES = ("fifo", "fair-share", "fixed-priority",
                      "fair-queueing")
-
-
-def evicts(drop_policy: str, buffer_sizes) -> bool:
-    """Whether an overflow evicts a waiting packet (drop-from-longest
-    with some finite buffer) instead of refusing the newcomer."""
-    return drop_policy == "longest" and any(
-        s is not None for s in buffer_sizes)
 
 
 class KernelGatewayStats:
@@ -427,21 +420,18 @@ class FastEngine:
                       for i in range(n)]
         self.first_hop = [p[0] for p in self.paths]
         self.path_len = [len(p) for p in self.paths]
-        self.buffer_size: List[Optional[int]] = []
-        for g in gw_names:
-            size = buffer_map.get(g)
-            if size is not None and size < 1:
-                raise SimulationError(
-                    f"gateway {g!r}: buffer size must be >= 1 (room for "
-                    f"the packet in service), got {size!r}")
-            self.buffer_size.append(size)
-        # Sentinel caps (2**62 ~ infinite) make the hot loop's overflow
-        # test a single integer comparison.
-        self.buffer_cap = [s if s is not None else (1 << 62)
+        # Sizes are None or ints >= 1 (NetworkSimulation validates).
+        self.buffer_size: List[Optional[int]] = [buffer_map.get(g)
+                                                 for g in gw_names]
+        # Sentinel caps (2**62 ~ infinite; no larger size can fill)
+        # make the hot loop's overflow test a single integer comparison
+        # that fits the C loop's int64.
+        self.buffer_cap = [(1 << 62) if s is None else min(s, 1 << 62)
                            for s in self.buffer_size]
         #: Whether an overflow evicts (drop-from-longest with some
         #: finite buffer) instead of refusing the newcomer.
-        self.evicts = evicts(drop_policy, self.buffer_size)
+        self.evicts = drop_policy == "longest" and any(
+            s is not None for s in self.buffer_size)
 
         self.now = 0.0
         self.events_processed = 0
@@ -513,11 +503,10 @@ class FastEngine:
         self.calendar = EventCalendar()
         self.pool = PacketPool()
 
-        # Sources: 1/rate (0.0 marks a silent source), per-connection
-        # sequence numbers, and the epoch each pending arrival carries
-        # (a rate change bumps it, so the stale arrival is skipped).
+        # Sources: 1/rate (0.0 marks a silent source) and the epoch
+        # each pending arrival carries (a rate change bumps it, so the
+        # stale arrival is skipped).
         self.scale = [0.0] * n
-        self.seq_counter = [0] * n
         self.arr_epoch = [0] * n
 
         # Fair Share thinning tables, per gateway per local position
@@ -665,8 +654,7 @@ class FastEngine:
         self.calendar.push(t, _COMPLETE, g, self.comp_epoch[g])
 
     def _emit(self, conn: int, now: float) -> None:
-        pid = self.pool.alloc(conn, self.seq_counter[conn], now)
-        self.seq_counter[conn] += 1
+        pid = self.pool.alloc(conn, now)
         self._arrive(self.first_hop[conn], pid, now)
         self._schedule_next_arrival(conn)
 
@@ -763,7 +751,6 @@ class FastEngine:
         seq = cal._seq
         pool = self.pool
         p_conn = pool.conn
-        p_seq = pool.seq
         p_created = pool.created
         p_hop = pool.hop
         p_rem = pool.remaining
@@ -822,8 +809,7 @@ class FastEngine:
                         continue  # arrival cancelled by a rate change
                     now = time
                     processed += 1
-                    # packet allocation (inlined pool.alloc; the
-                    # diagnostic ``seq`` column is not maintained here)
+                    # packet allocation (inlined pool.alloc)
                     if p_free:
                         pid = p_free.pop()
                         p_conn[pid] = conn
@@ -832,7 +818,6 @@ class FastEngine:
                     else:
                         pid = len(p_conn)
                         p_conn.append(conn)
-                        p_seq.append(0)
                         p_created.append(now)
                         p_hop.append(0)
                         p_rem.append(0.0)

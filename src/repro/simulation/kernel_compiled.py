@@ -2,21 +2,22 @@
 
 :class:`CompiledEngine` is a :class:`~repro.simulation.kernel.
 FastEngine` whose events run inside the runtime-compiled C library
-from :mod:`repro.backends._cext`, for FIFO, Fair Share and fixed
-priority without drop-from-longest eviction (:meth:`CompiledEngine.
-serves`).  ``NetworkSimulation`` picks it for ``engine="auto"`` (and
-its synonym ``"compiled"``) whenever the C tier has built and the
-configuration is one it serves; otherwise the Python loops of
-``FastEngine`` run, with the same bits.
+from :mod:`repro.backends._cext`, for every discipline and drop policy
+``FastEngine`` runs.  ``NetworkSimulation`` picks it for
+``engine="auto"`` (and its synonym ``"compiled"``) whenever the C tier
+has built (:meth:`CompiledEngine.serves`); otherwise the Python loops
+of ``FastEngine`` run, with the same bits.
 
 Bit-identity is by construction, not accident:
 
 * the C loop is a statement-for-statement transcription of
   ``_run_fifo`` for FIFO (same drop-before-draw order, same statistics
-  accumulation order, same eager-sink and burst-absorption branches)
-  and of ``_run_general`` for the class disciplines (same thinning
-  walk, same banked remainder on preemption, same push order), compiled
-  with FMA contraction disabled;
+  accumulation order, same eager-sink and burst-absorption branches),
+  of ``_run_general`` for the class disciplines (same thinning walk,
+  same banked remainder on preemption, same push order) and Fair
+  Queueing (same virtual-clock arithmetic, same finish-tag order), and
+  of ``_evict_longest`` for drop-from-longest, compiled with FMA
+  contraction disabled;
 * heap entries are ordered by the unique key ``(time, seq)``, so any
   valid binary min-heap — python's ``heapq`` array or the C one — pops
   the identical event sequence;
@@ -31,8 +32,9 @@ engine: it keeps pointers to the engine's numpy arrays (constants,
 per-gateway and per-connection state, Fair Share tables, variate rows),
 which the :class:`~repro.simulation.kernel.KernelGatewayStats` and
 :class:`~repro.simulation.kernel.KernelEndToEndStats` views read
-directly, and it owns the event heap, the packet pool and the queue
-chains.  A ``run_until`` is one C call plus one per row refill.
+directly, and it owns the event heap, the packet pool, the queue
+chains and the Fair Queueing heaps and clocks.  A ``run_until`` is one
+C call plus one per row refill.
 """
 
 from __future__ import annotations
@@ -43,26 +45,24 @@ import numpy as np
 
 from ..backends import _cext, compiled
 from ..errors import SimulationError
-from .kernel import FastEngine, evicts, fair_share_table
+from .kernel import FastEngine, fair_share_table
 from .rng import RandomStreams, VariateRows
 
 __all__ = ["CompiledEngine"]
 
 _DISCIPLINES = {"fifo": _cext.D_FIFO, "fair-share": _cext.D_FAIR_SHARE,
-                "fixed-priority": _cext.D_PRIORITY}
+                "fixed-priority": _cext.D_PRIORITY,
+                "fair-queueing": _cext.D_FAIR_QUEUEING}
 
 
 class CompiledEngine(FastEngine):
     """FastEngine with its event loop in compiled C."""
 
     @staticmethod
-    def serves(discipline_kind: str, drop_policy: str,
-               buffer_sizes) -> bool:
-        """Whether the C loop has built and serves this configuration:
-        FIFO, Fair Share or fixed priority, without eviction."""
-        return (discipline_kind in _DISCIPLINES
-                and not evicts(drop_policy, buffer_sizes)
-                and compiled.packet_lib() is not None)
+    def serves() -> bool:
+        """Whether the C loop has built; it serves every configuration
+        ``FastEngine`` runs."""
+        return compiled.packet_lib() is not None
 
     def _build_state(self, streams: RandomStreams) -> None:
         lib = compiled.packet_lib()
@@ -126,7 +126,7 @@ class CompiledEngine(FastEngine):
                  self._rows.values, self._rows.index, self._regs)
         handle = lib.packet_new(
             n_gw, n, self._rows.values.shape[1],
-            _DISCIPLINES[self.discipline_kind],
+            _DISCIPLINES[self.discipline_kind], int(self.evicts),
             *(a.ctypes.data for a in self._consts + state))
         if not handle:
             raise MemoryError("compiled packet loop ran out of memory")
@@ -170,11 +170,10 @@ class CompiledEngine(FastEngine):
         lib, handle, regs, rows = self._lib, self._handle, self._regs, \
             self._rows
         regs[0] = 0
-        with compiled.metrics().timer("run.packet").time():
+        status = lib.packet_run(handle, t_end, max_events)
+        while status == _cext.ST_REFILL:
+            rows.refill(int(regs[1]))
             status = lib.packet_run(handle, t_end, max_events)
-            while status == _cext.ST_REFILL:
-                rows.refill(int(regs[1]))
-                status = lib.packet_run(handle, t_end, max_events)
         self.events_processed += int(regs[0])
         if status != _cext.ST_DONE:
             self.now = lib.packet_now(handle)

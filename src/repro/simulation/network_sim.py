@@ -22,10 +22,9 @@ classes.  Two modes:
 Interchangeable engines run the system (``engine=`` selects):
 
 * ``"auto"`` (default) — the kernel's event loop in runtime-built C
-  (:class:`~repro.simulation.kernel_compiled.CompiledEngine`) whenever
-  the C tier has built and the configuration is one it serves: FIFO,
-  Fair Share or fixed priority, without drop-from-longest eviction.
-  Otherwise the same as ``"fast"``.  :attr:`engine` names the engine
+  (:class:`~repro.simulation.kernel_compiled.CompiledEngine`), for
+  every configuration, whenever the C tier has built; otherwise (no C
+  compiler) the same as ``"fast"``.  :attr:`engine` names the engine
   that runs: ``"compiled"`` or ``"fast"``.
 * ``"fast"`` — the :class:`~repro.simulation.kernel.FastEngine`'s
   Python loops over its event heap, pooled packet ids and buffered
@@ -36,11 +35,18 @@ Interchangeable engines run the system (``engine=`` selects):
   dataclasses, per-draw numpy crossings.  It is the reference the
   others are tested against: same seed ⇒ bit-identical trajectories
   (same draws, same event order, same float arithmetic).
+
+``buffer_sizes`` (None, one size for every gateway, or a dict by
+gateway name) is validated once, for every engine: each size is None
+(infinite) or a whole number >= 1, kept as an ``int``; anything else,
+or an unknown gateway name, raises :class:`~repro.errors.
+SimulationError` naming the gateway and the value.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -56,6 +62,41 @@ from .rng import RandomStreams
 from .server import GatewayServer
 
 __all__ = ["NetworkSimulation"]
+
+
+def _buffer_size(gateway: str, size) -> Optional[int]:
+    """One gateway's buffer size: None (infinite) or a whole number
+    >= 1 (room for the packet in service), as an int."""
+    if size is None:
+        return None
+    if isinstance(size, bool) or not isinstance(size, numbers.Real):
+        whole = False
+    elif isinstance(size, numbers.Integral):
+        whole = size >= 1
+    else:
+        whole = (math.isfinite(size) and float(size).is_integer()
+                 and size >= 1)
+    if not whole:
+        raise SimulationError(
+            f"gateway {gateway!r}: buffer size must be None or a whole "
+            f"number >= 1 (room for the packet in service), got {size!r}")
+    return int(size)
+
+
+def _buffer_map(network: Network, buffer_sizes) -> Dict[str, Optional[int]]:
+    """``buffer_sizes`` (None, one size for every gateway, or a dict by
+    gateway name) as validated sizes by gateway name."""
+    names = list(network.gateway_names)
+    if buffer_sizes is None:
+        return {}
+    if not isinstance(buffer_sizes, dict):
+        return {g: _buffer_size(g, buffer_sizes) for g in names}
+    for g, size in buffer_sizes.items():
+        if g not in names:
+            raise SimulationError(
+                f"buffer_sizes names unknown gateway {g!r} (size "
+                f"{size!r}); the gateways are {names}")
+    return {g: _buffer_size(g, size) for g, size in buffer_sizes.items()}
 
 
 class NetworkSimulation:
@@ -79,11 +120,7 @@ class NetworkSimulation:
             raise SimulationError(
                 f"engine must be 'auto', 'fast', 'compiled' or "
                 f"'legacy', got {engine!r}")
-        if buffer_sizes is None or isinstance(buffer_sizes, dict):
-            buffer_map = dict(buffer_sizes or {})
-        else:
-            buffer_map = {g: int(buffer_sizes)
-                          for g in network.gateway_names}
+        buffer_map = _buffer_map(network, buffer_sizes)
         if (discipline_kind == "fair-queueing" and drop_policy == "longest"
                 and any(v is not None for v in buffer_map.values())):
             raise SimulationError(
@@ -117,9 +154,7 @@ class NetworkSimulation:
             engine_cls = FastEngine
             if engine != "fast":
                 from .kernel_compiled import CompiledEngine
-                if CompiledEngine.serves(
-                        discipline_kind, drop_policy,
-                        [buffer_map.get(g) for g in network.gateway_names]):
+                if CompiledEngine.serves():
                     engine_cls = CompiledEngine
             #: The engine that runs: "compiled", "fast" or "legacy".
             self.engine = ("fast" if engine_cls is FastEngine

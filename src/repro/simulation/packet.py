@@ -51,32 +51,30 @@ class Packet:
 class PacketPool:
     """Struct-of-arrays packet storage with a free-list.
 
-    Columns mirror :class:`Packet`'s fields (``service_time`` is not
-    stored — the kernel only ever needs the preemptive-resume
-    ``remaining``).  :meth:`alloc` hands out a recycled slot when one
-    is free and grows the columns otherwise; :meth:`free` returns a
-    slot once the packet is delivered or dropped.
+    Columns mirror :class:`Packet`'s fields but ``seq`` and
+    ``service_time``: the kernel never reads a sequence number and only
+    needs the preemptive-resume ``remaining``.  :meth:`alloc` hands out
+    a recycled slot when one is free and grows the columns otherwise;
+    :meth:`free` returns a slot once the packet is delivered or
+    dropped.
     """
 
-    __slots__ = ("conn", "seq", "created", "hop", "remaining", "klass",
-                 "_free")
+    __slots__ = ("conn", "created", "hop", "remaining", "klass", "_free")
 
     def __init__(self):
         self.conn: list = []
-        self.seq: list = []
         self.created: list = []
         self.hop: list = []
         self.remaining: list = []
         self.klass: list = []
         self._free: list = []
 
-    def alloc(self, conn: int, seq: int, created: float) -> int:
+    def alloc(self, conn: int, created: float) -> int:
         """A packet id for a fresh packet (hop 0, no service sampled)."""
         free = self._free
         if free:
             pid = free.pop()
             self.conn[pid] = conn
-            self.seq[pid] = seq
             self.created[pid] = created
             self.hop[pid] = 0
             self.remaining[pid] = 0.0
@@ -84,7 +82,6 @@ class PacketPool:
         else:
             pid = len(self.conn)
             self.conn.append(conn)
-            self.seq.append(seq)
             self.created.append(created)
             self.hop.append(0)
             self.remaining.append(0.0)

@@ -13,7 +13,7 @@ import pytest
 
 import repro.backends._cext
 from repro.backends import compiled
-from repro.core.ratecontrol import TargetRule
+from repro.core.ratecontrol import BinaryAimdRule, TargetRule
 from repro.core.signals import FeedbackStyle, LinearSaturating
 from repro.core.topology import (Connection, Gateway, Network, parking_lot,
                                  single_gateway)
@@ -30,8 +30,18 @@ RATE_SEQ = [np.array([0.3, 0.1, 0.2, 0.2]), np.array([0.15, 0.25, 0.2, 0.1])]
 #: Offered load 1.7 on mu = 1: finite buffers overflow often.
 HEAVY4 = [0.5, 0.5, 0.4, 0.3]
 HEAVY_SEQ = [np.array([0.6, 0.3, 0.5, 0.3]), np.array([0.3, 0.6, 0.4, 0.5])]
-#: The engine "auto" picks where the C loop serves the configuration.
+#: The engine "auto" picks: the C loop whenever the C tier has built.
 C_ENGINE = "compiled" if compiled.packet_lib() is not None else "fast"
+#: Every discipline, and drop-from-longest eviction under the three that
+#: can evict: (discipline, buffer sizes, drop policy).
+LOOPS = [pytest.param("fifo", None, "tail", id="fifo"),
+         pytest.param("fair-share", None, "tail", id="fair-share"),
+         pytest.param("fixed-priority", None, "tail", id="fixed-priority"),
+         pytest.param("fair-queueing", None, "tail", id="fair-queueing"),
+         pytest.param("fifo", 3, "longest", id="fifo-longest"),
+         pytest.param("fair-share", 3, "longest", id="fair-share-longest"),
+         pytest.param("fixed-priority", 3, "longest",
+                      id="fixed-priority-longest")]
 
 
 def _net4():
@@ -116,6 +126,13 @@ def _assert_compiled_matches_fast(**kw):
     assert np.array_equal(a["delay"], b["delay"], equal_nan=True)
     assert a["events"] == b["events"]
     return a
+
+
+def _assert_compiled_matches_fast_dropping(**kw):
+    """As :func:`_assert_compiled_matches_fast`, on a run that did
+    overflow."""
+    out = _assert_compiled_matches_fast(**kw)
+    assert any(d.sum() > 0 for d in out["drop"].values())
 
 
 class TestBitIdentity:
@@ -219,8 +236,8 @@ class TestBitIdentity:
 
 
 class TestCompiledEngine:
-    """The C event loop (what engine="auto" runs where it serves the
-    configuration) against the fast kernel's Python loops: the same
+    """The C event loop (what engine="auto" runs whenever the C tier
+    has built) against the fast kernel's Python loops: the same
     bit-identity contract the fast engine keeps against legacy.  These
     run with or without a C compiler — when no library could be built
     "auto" runs the Python loop, and the contract must hold either
@@ -336,16 +353,72 @@ class TestCompiledEngine:
         sim.run_for(200.0)
         assert sim._engine.comp_epoch[0] >= 20  # preemptions
 
+    def test_fair_queueing_with_latency(self):
+        _assert_compiled_matches_fast(disc="fair-queueing",
+                                      net=_net4_latency(), rates=RATES4)
+
+    def test_tandem_fair_queueing_with_rate_updates(self):
+        _assert_compiled_matches_fast(disc="fair-queueing", net=_tandem(),
+                                      rates=RATES4, steps=2,
+                                      rate_seq=RATE_SEQ)
+
+    def test_parking_lot_fair_queueing(self):
+        _assert_compiled_matches_fast(
+            disc="fair-queueing", net=_parking_lot(), rates=[0.12] * 7,
+            steps=2, rate_seq=[np.full(7, 0.08), np.linspace(0.05, 0.2, 7)])
+
+    def test_fair_queueing_finite_buffer_tail_drop(self):
+        _assert_compiled_matches_fast_dropping(
+            disc="fair-queueing", net=_net4_latency(), rates=HEAVY4,
+            buffer_sizes=4, steps=2, rate_seq=HEAVY_SEQ)
+
+    def test_fifo_longest_drop(self):
+        _assert_compiled_matches_fast_dropping(
+            disc="fifo", net=_net4_latency(), rates=HEAVY4, buffer_sizes=4,
+            drop_policy="longest", steps=2, rate_seq=HEAVY_SEQ)
+
+    def test_fair_share_longest_drop_measured_with_refresh(self):
+        _assert_compiled_matches_fast_dropping(
+            disc="fair-share", net=_tandem(), rates=HEAVY4, buffer_sizes=3,
+            drop_policy="longest", rate_mode="measured", steps=3,
+            refresh=True, rate_seq=HEAVY_SEQ)
+
+    def test_fixed_priority_longest_drop_preempts(self):
+        kw = dict(disc="fixed-priority", net=_net4_latency(), rates=HEAVY4,
+                  buffer_sizes=4, drop_policy="longest", steps=2,
+                  rate_seq=HEAVY_SEQ, horizon=200.0)
+        _assert_compiled_matches_fast_dropping(**kw)
+        sim = NetworkSimulation(_net4_latency(), "fixed-priority", seed=7,
+                                initial_rates=HEAVY4, buffer_sizes=4,
+                                drop_policy="longest", engine="fast")
+        sim.run_for(200.0)
+        assert sim._engine.comp_epoch[0] >= 20  # preemptions
+
     @pytest.mark.parametrize("disc", ["fifo", "fair-share",
-                                      "fixed-priority"])
+                                      "fixed-priority", "fair-queueing"])
     def test_closed_loop_trajectories_identical(self, disc):
         kw = dict(style=FeedbackStyle.INDIVIDUAL, discipline_kind=disc,
                   control_interval=150.0, n_steps=6, seed=3)
+        self._closed_loops_agree(TargetRule(eta=0.1, beta=0.4), **kw)
+
+    @pytest.mark.parametrize("disc", ["fifo", "fair-share",
+                                      "fixed-priority"])
+    def test_closed_loop_longest_drop_signal_identical(self, disc):
+        # Drop-based feedback through evicting gateways.
+        self._closed_loops_agree(
+            BinaryAimdRule(increase=0.02, decrease=0.5, threshold=0.02),
+            style=FeedbackStyle.INDIVIDUAL, discipline_kind=disc,
+            initial_rates=HEAVY4, signal_source="drops", buffer_sizes=4,
+            drop_policy="longest", control_interval=150.0, n_steps=6,
+            seed=3)
+
+    @staticmethod
+    def _closed_loops_agree(rule, **kw):
         net = _net4_latency()
-        fast = run_closed_loop(net, TargetRule(eta=0.1, beta=0.4),
-                               LinearSaturating(), engine="fast", **kw)
-        comp = run_closed_loop(net, TargetRule(eta=0.1, beta=0.4),
-                               LinearSaturating(), engine="auto", **kw)
+        fast = run_closed_loop(net, rule, LinearSaturating(),
+                               engine="fast", **kw)
+        comp = run_closed_loop(net, rule, LinearSaturating(),
+                               engine="auto", **kw)
         assert np.array_equal(fast.rate_history, comp.rate_history)
         assert np.array_equal(fast.signal_history, comp.signal_history)
         assert np.array_equal(fast.final_throughput,
@@ -353,31 +426,32 @@ class TestCompiledEngine:
         assert np.array_equal(fast.final_delays, comp.final_delays,
                               equal_nan=True)
 
-    @pytest.mark.parametrize("disc", ["fifo", "fair-share",
-                                      "fixed-priority"])
-    def test_event_cap_stops_both_loops_alike(self, disc):
+    @pytest.mark.parametrize("disc, buffers, drop_policy", LOOPS)
+    def test_event_cap_stops_both_loops_alike(self, disc, buffers,
+                                              drop_policy):
         stopped = []
         for engine in ("fast", "auto"):
             sim = NetworkSimulation(_net4_latency(), disc, seed=5,
-                                    initial_rates=HEAVY4, engine=engine)
+                                    initial_rates=HEAVY4,
+                                    buffer_sizes=buffers,
+                                    drop_policy=drop_policy, engine=engine)
             with pytest.raises(SimulationError, match="exceeded 100"):
                 sim._engine.run_until(500.0, max_events=100)
             stopped.append((sim.events_processed, sim.now))
         assert stopped[0] == stopped[1]
         assert stopped[0][0] > 100
 
-    def test_fifo_longest_drop_runs_the_python_loop(self):
-        # The C loop has no eviction: such a configuration runs the
-        # Python loop on every engine but legacy.
-        _assert_engines_agree_dropping(disc="fifo", net=_tandem(),
-                                       rates=HEAVY4, buffer_sizes=3,
-                                       drop_policy="longest", steps=2,
-                                       rate_seq=HEAVY_SEQ)
+    def test_fifo_longest_drop_runs_the_c_loop(self):
+        # The C loop evicts: such a configuration runs it under "auto"
+        # and "compiled", with the Python loop's bits.
+        _assert_compiled_matches_fast_dropping(
+            disc="fifo", net=_tandem(), rates=HEAVY4, buffer_sizes=3,
+            drop_policy="longest", steps=2, rate_seq=HEAVY_SEQ)
         for engine in ("auto", "compiled"):
             sim = NetworkSimulation(_net4(), discipline_kind="fifo",
                                     initial_rates=HEAVY4, buffer_sizes=4,
                                     drop_policy="longest", engine=engine)
-            assert sim.engine == "fast"
+            assert sim.engine == C_ENGINE
 
     def test_compiled_engine_is_selectable(self):
         sim = NetworkSimulation(_net4(), discipline_kind="fifo",
@@ -391,11 +465,14 @@ class TestCompiledEngine:
                               initial_rates=RATES4, buffer_sizes=4,
                               drop_policy="longest", engine="compiled")
 
-    @pytest.mark.parametrize("disc", ["fifo", "fair-share",
-                                      "fixed-priority"])
-    def test_masked_c_tier_runs_the_python_loop(self, disc, monkeypatch):
-        kw = dict(disc=disc, net=_tandem(), rates=RATES4, steps=2,
-                  rate_seq=RATE_SEQ)
+    @pytest.mark.parametrize("disc, buffers, drop_policy", LOOPS)
+    def test_masked_c_tier_runs_the_python_loop(self, disc, buffers,
+                                                drop_policy, monkeypatch):
+        evicting = drop_policy == "longest"
+        kw = dict(disc=disc, net=_tandem(),
+                  rates=HEAVY4 if evicting else RATES4, steps=2,
+                  rate_seq=HEAVY_SEQ if evicting else RATE_SEQ,
+                  buffer_sizes=buffers, drop_policy=drop_policy)
         served = _run("auto", **kw)
         monkeypatch.setattr(repro.backends._cext, "load", lambda: None)
         masked = _run("auto", **kw)
@@ -418,17 +495,17 @@ class TestEngineSelection:
                                         buffer_sizes=buffers)
                 assert sim.engine == C_ENGINE
 
-    def test_auto_is_fast_for_fair_queueing(self):
+    def test_auto_runs_c_for_fair_queueing(self):
         sim = NetworkSimulation(_net4(), discipline_kind="fair-queueing",
                                 initial_rates=RATES4, buffer_sizes=4)
-        assert sim.engine == "fast"
+        assert sim.engine == C_ENGINE
 
-    def test_auto_is_fast_for_longest_drop(self):
+    def test_auto_runs_c_for_longest_drop(self):
         for disc in ("fifo", "fair-share", "fixed-priority"):
             sim = NetworkSimulation(_net4(), discipline_kind=disc,
                                     initial_rates=RATES4, buffer_sizes=4,
                                     drop_policy="longest")
-            assert sim.engine == "fast"
+            assert sim.engine == C_ENGINE
 
     def test_longest_drop_with_infinite_buffers_runs_compiled(self):
         # The eviction policy only matters when some buffer is finite.
@@ -510,18 +587,180 @@ class TestNonFiniteEventTimes:
     """A positive rate whose reciprocal overflows schedules an arrival
     at ``inf``; every engine refuses it with the same message."""
 
-    @pytest.mark.parametrize("disc", ["fifo", "fair-share",
-                                      "fixed-priority"])
-    def test_every_engine_words_the_refusal_alike(self, disc):
+    @pytest.mark.parametrize("disc, buffers, drop_policy", LOOPS)
+    def test_every_engine_words_the_refusal_alike(self, disc, buffers,
+                                                  drop_policy):
         messages = set()
         for engine in ("fast", C_ENGINE, "legacy"):
             sim = NetworkSimulation(_net4(), discipline_kind=disc,
-                                    initial_rates=RATES4, engine=engine)
+                                    initial_rates=RATES4,
+                                    buffer_sizes=buffers,
+                                    drop_policy=drop_policy, engine=engine)
             sim.run_for(5.0)
             with pytest.raises(SimulationError) as err:
                 sim.set_rates([0.2, 5e-324, 0.25, 0.15])
             messages.add(str(err.value))
         assert messages == {"event time must be finite, got inf"}
+
+
+class _Script:
+    """A generator whose standard exponentials are ``values``, then
+    1e9 forever."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_exponential(self, size=None, out=None):
+        n = size if out is None else out.shape[0]
+        block = [self.values.pop(0) if self.values else 1e9
+                 for _ in range(n)]
+        if out is None:
+            return np.array(block)
+        out[:] = block
+        return out
+
+    def exponential(self, scale=1.0):
+        return scale * self.standard_exponential(1)[0]
+
+
+def _scripted_run(monkeypatch, engine, disc, times, services=(),
+                  **options):
+    """Ten units on one gateway where connection i's packets arrive at
+    the scripted ``times[i]`` (rate 1, so each exponential is a gap)
+    and the gateway's services take ``services`` in turn, then 1e9."""
+    gaps = {f"arrival:c{i}": np.diff([0.0, *t])
+            for i, t in enumerate(times)}
+    original = RandomStreams.stream
+
+    def stream(self, name):
+        if name in gaps:
+            return _Script(gaps[name])
+        if name.startswith("service:"):
+            return _Script(services)
+        return original(self, name)
+
+    monkeypatch.setattr(RandomStreams, "stream", stream)
+    sim = NetworkSimulation(single_gateway(len(times), mu=1.0), disc,
+                            initial_rates=[1.0] * len(times),
+                            engine=engine, **options)
+    assert sim.engine == (C_ENGINE if engine == "auto" else engine)
+    sim.run_for(10.0)
+    return sim
+
+
+@pytest.mark.parametrize("engine", ["fast", "auto", "legacy"])
+def test_fair_queueing_finish_tag_ties_go_to_the_earlier_push(
+        monkeypatch, engine):
+    # Connection 0 serves 2 units from t = 1; connections 1 and 2 each
+    # push a 1-unit packet at t = 1.5, when V = 0.5, so both carry the
+    # finish tag 1.5.  The earlier push (connection 1) is served first.
+    sim = _scripted_run(monkeypatch, engine, "fair-queueing",
+                        [[1.0], [1.5], [1.5]], services=[2.0, 1.0, 1.0])
+    assert list(sim.mean_delays()) == [2.0, 2.5, 3.5]
+
+
+class TestEvictionRules:
+    """The legacy engine's drop-from-longest rules
+    (``test_server.py::TestFiniteBuffer``) on the kernel's Python and C
+    loops, with scripted arrivals; every service takes 1e9, so nothing
+    departs."""
+
+    @pytest.fixture(params=["fast", "auto"])
+    def engine(self, request):
+        return request.param
+
+    @staticmethod
+    def _run(monkeypatch, engine, disc, buffer_size, times):
+        sim = _scripted_run(monkeypatch, engine, disc, times,
+                            buffer_sizes=buffer_size, drop_policy="longest")
+        return sim, sim.monitors["g0"]
+
+    @pytest.mark.parametrize("disc", ["fifo", "fixed-priority"])
+    def test_tie_goes_to_lowest_position(self, monkeypatch, engine, disc):
+        # Connections 2 and 3 hold two packets each when connection 0's
+        # packet overflows the buffer of 4: the tie goes to the lower
+        # local position, so connection 2 loses its newest packet.
+        _, monitor = self._run(monkeypatch, engine, disc, 4,
+                               [[5.0], [], [1.0, 3.0], [2.0, 4.0]])
+        assert list(monitor.drops) == [0, 0, 1, 0]
+        assert list(monitor.occupancy()) == [1, 0, 1, 2]
+
+    @pytest.mark.parametrize("disc", ["fifo", "fixed-priority"])
+    def test_hog_in_service_is_skipped(self, monkeypatch, engine, disc):
+        # Connections 0 and 1 tie at one packet each; connection 0's is
+        # in service, so connection 1 loses its waiting packet.
+        _, monitor = self._run(monkeypatch, engine, disc, 2,
+                               [[1.0], [2.0], [3.0]])
+        assert list(monitor.drops) == [0, 1, 0]
+        assert list(monitor.occupancy()) == [1, 0, 1]
+
+    @pytest.mark.parametrize("disc", ["fifo", "fixed-priority"])
+    def test_arrival_refused_when_nothing_waits(self, monkeypatch, engine,
+                                                disc):
+        # Only the packet in service occupies the gateway: nothing can
+        # be evicted, so the arrival is refused.
+        sim, monitor = self._run(monkeypatch, engine, disc, 1,
+                                 [[1.0], [2.0]])
+        assert list(monitor.drops) == [0, 1]
+        assert sim.servers["g0"].in_system == 1
+
+    @pytest.mark.parametrize("disc", ["fifo", "fixed-priority"])
+    def test_offered_accounting_holds_after_eviction(self, monkeypatch,
+                                                     engine, disc):
+        # Connection 1's packet evicts connection 0's second: three
+        # packets offered, one dropped, and connection 0 offered two.
+        sim, monitor = self._run(monkeypatch, engine, disc, 2,
+                                 [[1.0, 2.0], [3.0]])
+        assert list(monitor.drops) == [1, 0]
+        assert np.array_equal(sim.measured_arrival_rates()["g0"] * 10.0,
+                              [2.0, 1.0])
+        assert monitor.aggregate_drop_fraction() == 1.0 / 3.0
+        assert list(monitor.drop_fractions()) == [0.5, 0.0]
+
+
+class TestBufferSizes:
+    """``NetworkSimulation`` validates ``buffer_sizes`` once, for every
+    engine: each size is None or a whole number >= 1, kept as an int."""
+
+    ENGINES = ["fast", "auto", "legacy"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("sizes, named", [
+        ({"g0": 2.5}, r"'g0'.*2\.5"),
+        ({"g0": float("nan")}, "'g0'.*nan"),
+        ({"g0": float("inf")}, "'g0'.*inf"),
+        ({"g0": True}, "'g0'.*True"),
+        ({"g0": 0}, "'g0'.*0"),
+        ({"gX": 4}, "'gX'.*4"),
+        (2.7, r"'g0'.*2\.7"),
+    ], ids=["fractional", "nan", "inf", "bool", "zero", "unknown-gateway",
+            "fractional-scalar"])
+    def test_invalid_sizes_are_refused(self, engine, sizes, named):
+        with pytest.raises(SimulationError, match=named):
+            NetworkSimulation(single_gateway(2, mu=1.0), "fifo", seed=3,
+                              initial_rates=[0.6, 0.6],
+                              buffer_sizes=sizes, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_whole_sizes_are_kept_as_ints(self, engine):
+        for sizes in ({"g0": 2}, {"g0": 2.0}, 2, np.int64(2),
+                      np.float64(2.0)):
+            sim = NetworkSimulation(single_gateway(2, mu=1.0), "fifo",
+                                    seed=3, initial_rates=[0.6, 0.6],
+                                    buffer_sizes=sizes, engine=engine)
+            size = sim.servers["g0"].buffer_size
+            assert size == 2 and type(size) is int
+            sim.run_for(2000.0)
+            assert sim.events_processed == 5191
+        # A size past the C loop's int64 fills no sooner than infinity.
+        events = []
+        for sizes in (2 ** 70, None):
+            sim = NetworkSimulation(single_gateway(2, mu=1.0), "fifo",
+                                    seed=3, initial_rates=[0.6, 0.6],
+                                    buffer_sizes=sizes, engine=engine)
+            sim.run_for(2000.0)
+            events.append(sim.events_processed)
+        assert events[0] == events[1]
 
 
 class TestFuzzGeneratedConfigs:
@@ -557,15 +796,18 @@ class TestFuzzGeneratedConfigs:
 
     def test_fuzz_multi_gateway_fair_queueing(self, fuzz_specs):
         spec = next(s for s in fuzz_specs if len(s.gateways) > 1)
-        _assert_engines_agree(disc="fair-queueing", net=spec.network(),
-                              rates=list(spec.initial_rates))
+        kw = dict(disc="fair-queueing", net=spec.network(),
+                  rates=list(spec.initial_rates))
+        _assert_engines_agree(**kw)
+        _assert_compiled_matches_fast(**kw)
 
     def test_fuzz_multi_gateway_longest_drop(self, fuzz_specs):
         spec = next(s for s in fuzz_specs if len(s.gateways) > 1)
-        _assert_engines_agree_dropping(
-            disc="fifo", net=spec.network(),
-            rates=list(2.0 * np.asarray(spec.initial_rates)),
-            buffer_sizes=3, drop_policy="longest")
+        kw = dict(disc="fifo", net=spec.network(),
+                  rates=list(2.0 * np.asarray(spec.initial_rates)),
+                  buffer_sizes=3, drop_policy="longest")
+        _assert_engines_agree_dropping(**kw)
+        _assert_compiled_matches_fast_dropping(**kw)
 
 
 class TestClosedLoopEngines:

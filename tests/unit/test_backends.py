@@ -29,9 +29,6 @@ from repro.errors import RateVectorError
 needs_compiled_fs = pytest.mark.skipif(
     not compiled.fs_available(),
     reason="no compiled Fair Share tier in this environment")
-needs_packet_lib = pytest.mark.skipif(
-    compiled.packet_lib() is None,
-    reason="no C compiler: the packet event loop runs pure python")
 
 
 def fuzz_batches(seed, count=2000):
@@ -456,19 +453,6 @@ class TestObservability:
         assert compiled.warmup() in ("cext", "python")
         # The repository benchmark records both as provenance.
         assert backends.active().name == "numpy"
-
-    @needs_packet_lib
-    def test_fifo_runs_are_timed(self):
-        from repro.simulation.network_sim import NetworkSimulation
-        timer = compiled.metrics().timer("run.packet")
-        before = timer.count
-        sim = NetworkSimulation(single_gateway(3, mu=1.0),
-                                discipline_kind="fifo", seed=2,
-                                initial_rates=[0.2, 0.1, 0.15],
-                                engine="compiled")
-        sim.run_for(50.0)
-        assert timer.count > before
-        assert timer.total_seconds >= 0.0
 
     def test_snapshot_shape(self):
         snap = compiled.metrics().snapshot()

@@ -112,9 +112,8 @@ class TestEventCalendar:
 class TestPacketPool:
     def test_alloc_initialises_fields(self):
         pool = PacketPool()
-        pid = pool.alloc(3, 17, 2.5)
+        pid = pool.alloc(3, 2.5)
         assert pool.conn[pid] == 3
-        assert pool.seq[pid] == 17
         assert pool.created[pid] == 2.5
         assert pool.hop[pid] == 0
         assert pool.remaining[pid] == 0.0
@@ -122,11 +121,11 @@ class TestPacketPool:
 
     def test_free_recycles_slot(self):
         pool = PacketPool()
-        pid = pool.alloc(0, 0, 0.0)
+        pid = pool.alloc(0, 0.0)
         pool.hop[pid] = 2
         pool.remaining[pid] = 1.5
         pool.free(pid)
-        again = pool.alloc(1, 1, 1.0)
+        again = pool.alloc(1, 1.0)
         assert again == pid
         # Recycled slots come back fully reset.
         assert pool.hop[again] == 0
@@ -135,7 +134,7 @@ class TestPacketPool:
 
     def test_capacity_and_in_flight(self):
         pool = PacketPool()
-        pids = [pool.alloc(0, k, 0.0) for k in range(4)]
+        pids = [pool.alloc(0, 0.0) for k in range(4)]
         assert pool.capacity == 4
         assert pool.in_flight == 4
         pool.free(pids[1])

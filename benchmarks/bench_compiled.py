@@ -3,13 +3,15 @@
 Standalone (not collected by pytest): times the compiled hot paths
 against the fastest pre-existing implementations on
 
-* ``bench_sim_kernel.py``'s closed-loop workload under FIFO, Fair
-  Share, Fair Queueing, and FIFO with drop-from-longest eviction at a
-  4-packet buffer (which ~12% of arrivals find full) —
-  ``engine="auto"`` (the runtime-built C event loop) vs
-  ``engine="fast"`` (the Python loops of the struct-of-arrays kernel),
-  in events/sec, plus each side's fixed cost per call, in µs per
-  1-unit ``run_until``,
+* a closed-loop workload (four sources through one gateway, a rate
+  change every control window) under FIFO, Fair Share, Fair Queueing,
+  and FIFO with drop-from-longest eviction at a 4-packet buffer (which
+  ~12% of arrivals find full) — ``engine="auto"`` (the runtime-built C
+  event loop) vs ``engine="fast"`` (the Python loops of the
+  struct-of-arrays kernel), in events/sec, plus each side's fixed cost
+  per call, in µs per 1-unit ``run_until``,
+* the F12 experiment end to end (three open-loop queue-law validations
+  and a closed loop) on the same two engines,
 * the Fair Share queue-law microbench — the compiled
   ``fs_queue_batch`` kernel vs the numpy ``sorted`` pipeline on a
   ``(64, 512)`` rate batch,
@@ -17,8 +19,9 @@ against the fastest pre-existing implementations on
 verifies bit-identical outputs on every pair, and writes the numbers
 to ``BENCH_compiled.json``.
 
-Methodology matches ``bench_sim_kernel.py``: every speedup is the
-**median of per-pair ratios** over interleaved runs so slow spells hit
+Every speedup is the **median of per-pair ratios** over interleaved
+runs: the per-event cost of either side swings by 2x+ with machine
+noise, and each ratio compares two adjacent runs, so slow spells hit
 both implementations alike.  Compilation cost is kept out of the
 measured runs — :func:`repro.backends.compiled.warmup` builds (or
 cache-loads) the C library up front, and its ``compile.cext`` Timer
@@ -30,12 +33,13 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/bench_compiled.py [--quick]
 
 The acceptance targets are the ``TARGETS`` speedups over the fast
-kernel on the four closed loops and over the numpy pipeline on the Fair
-Share queue-law microbench (quick mode shrinks the closed loops, runs
-the queue law at full shape with fewer repetitions, and judges against
-the lower ``QUICK_TARGETS``).  When the C library cannot be built at
-all (no C compiler) the benchmark prints a notice and exits 0 — the
-compiled tier is optional by contract.
+kernel on the four closed loops and on F12, and over the numpy pipeline
+on the Fair Share queue-law microbench (quick mode shrinks the closed
+loops and F12, runs the queue law at full shape with fewer
+repetitions, and judges against the lower ``QUICK_TARGETS``).  When
+the C library cannot be built at all (no C compiler) the benchmark
+prints a notice and exits 0 — the compiled tier is optional by
+contract.
 """
 
 import argparse
@@ -46,10 +50,11 @@ import time
 
 import numpy as np
 
-from bench_sim_kernel import _closed_loop_run, _simulation
-
 from repro.backends import compiled
 from repro.core.fairshare import _sorted_queues
+from repro.core.topology import single_gateway
+from repro.experiments.exp_f12_sim_validation import run_f12_sim_validation
+from repro.simulation.network_sim import NetworkSimulation
 
 #: The closed loops: BENCH_compiled.json key -> (discipline, options).
 LOOPS = {"compiled_fifo": ("fifo", {}),
@@ -60,12 +65,13 @@ LOOPS = {"compiled_fifo": ("fifo", {}),
 
 #: Full-scale minimum speedups (the committed BENCH_compiled.json
 #: targets): the compiled C event loop vs the Python loops of the fast
-#: kernel on each closed loop, and the compiled Fair Share queue law vs
-#: the numpy sorted pipeline.
+#: kernel on each closed loop and on F12, and the compiled Fair Share
+#: queue law vs the numpy sorted pipeline.
 TARGETS = {"compiled_fifo_speedup_min": 6.0,
            "compiled_fair_share_speedup_min": 8.0,
            "compiled_fair_queueing_speedup_min": 8.0,
            "compiled_longest_drop_speedup_min": 6.0,
+           "f12_end_to_end_speedup_min": 6.0,
            "fs_queue_law_speedup_min": 2.0}
 
 #: Quick-mode floors: small workloads amortise less of the per-call
@@ -75,7 +81,35 @@ QUICK_TARGETS = {"compiled_fifo_speedup_min": 4.0,
                  "compiled_fair_share_speedup_min": 5.0,
                  "compiled_fair_queueing_speedup_min": 5.0,
                  "compiled_longest_drop_speedup_min": 4.0,
+                 "f12_end_to_end_speedup_min": 3.0,
                  "fs_queue_law_speedup_min": 1.5}
+
+_RATES = np.array([0.2, 0.2, 0.25, 0.15])
+
+
+def _simulation(engine, disc="fifo", seed=11, **options):
+    """The closed-loop workload's simulation: four sources through one
+    gateway with latency 0.5 (``options``: buffer sizes and drop
+    policy)."""
+    net = single_gateway(4, mu=1.0).with_latencies({"g0": 0.5})
+    return NetworkSimulation(net, discipline_kind=disc, seed=seed,
+                             initial_rates=_RATES, engine=engine, **options)
+
+
+def _closed_loop_run(engine, horizon, intervals, disc="fifo", **options):
+    """One closed-loop-style run: simulate ``intervals`` control
+    windows with a rate update between each (what the closed loop
+    does), returning (events, seconds, statistics snapshot)."""
+    sim = _simulation(engine, disc, **options)
+    window = horizon / intervals
+    t0 = time.perf_counter()
+    for k in range(intervals):
+        sim.run_for(window)
+        sim.set_rates(_RATES * (1.0 + 0.1 * ((k % 3) - 1)))
+    elapsed = time.perf_counter() - t0
+    stats = (sim.mean_queue_lengths()["g0"], sim.throughput(),
+             sim.events_processed, sim.drop_fractions()["g0"])
+    return sim.events_processed, elapsed, stats
 
 
 def _call_cost_us(engine, disc, calls, options):
@@ -128,6 +162,45 @@ def bench_compiled_loop(disc, options=None, pairs=7, horizon=20000.0,
             "fast_us_per_call": round(statistics.median(fast_us), 2),
             "compiled_us_per_call": round(statistics.median(compiled_us),
                                           2)}
+
+
+def _rows_equal(rows_a, rows_b):
+    """Cell-wise equality that treats nan == nan (silent connections
+    report nan delays on both engines)."""
+    if len(rows_a) != len(rows_b):
+        return False
+    for row_a, row_b in zip(rows_a, rows_b):
+        for cell_a, cell_b in zip(row_a, row_b):
+            if cell_a != cell_b and not (
+                    isinstance(cell_a, float) and isinstance(cell_b, float)
+                    and np.isnan(cell_a) and np.isnan(cell_b)):
+                return False
+    return True
+
+
+def bench_f12(pairs=5, horizon=30000.0, warmup=3000.0, loop_steps=50,
+              loop_interval=400.0):
+    """Paired fast/compiled end-to-end timings of the F12 experiment;
+    the two engines' rows are checked equal before any timing."""
+    kwargs = dict(horizon=horizon, warmup=warmup, loop_steps=loop_steps,
+                  loop_interval=loop_interval)
+    if not _rows_equal(run_f12_sim_validation(engine="fast", **kwargs).rows,
+                       run_f12_sim_validation(engine="auto", **kwargs).rows):
+        raise AssertionError("F12 rows differ between engines")
+    ratios = []
+    t_fast = t_compiled = 0.0
+    for _ in range(pairs):
+        t0 = time.perf_counter()
+        run_f12_sim_validation(engine="fast", **kwargs)
+        t_fast = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        run_f12_sim_validation(engine="auto", **kwargs)
+        t_compiled = time.perf_counter() - t0
+        ratios.append(t_fast / t_compiled)
+    return {"pairs": pairs, "horizon": horizon, "loop_steps": loop_steps,
+            "fast_s": round(t_fast, 4), "compiled_s": round(t_compiled, 4),
+            "pair_ratios": [round(r, 2) for r in sorted(ratios)],
+            "speedup": round(statistics.median(ratios), 2)}
 
 
 def bench_fs_queue_law(pairs=7, members=64, n=512, reps=30, seed=5):
@@ -184,6 +257,9 @@ def run_benchmarks(quick=False):
                                              horizon=4000.0, intervals=8,
                                              calls=300)
                    for name, (disc, options) in LOOPS.items()}
+        results["f12_end_to_end"] = bench_f12(
+            pairs=3, horizon=4000.0, warmup=400.0, loop_steps=10,
+            loop_interval=200.0)
         # The full (64, 512) shape with fewer pairs and reps: a smaller
         # batch mostly times the numpy pipeline's fixed per-call cost,
         # not the queue law the compiled kernel replaces.
@@ -192,6 +268,7 @@ def run_benchmarks(quick=False):
     else:
         results = {name: bench_compiled_loop(disc, options)
                    for name, (disc, options) in LOOPS.items()}
+        results["f12_end_to_end"] = bench_f12()
         results["fs_queue_law"] = bench_fs_queue_law()
     results["provenance"] = provenance()
     return results
@@ -219,6 +296,7 @@ def main(argv=None):
         return 0
 
     results = run_benchmarks(quick=args.quick)
+    f12 = results["f12_end_to_end"]
     fs = results["fs_queue_law"]
     prov = results["provenance"]
     for name in LOOPS:
@@ -229,6 +307,9 @@ def main(argv=None):
               f"{loop['speedup']}x (median of {loop['pairs']} pairs); "
               f"per 1-unit call: fast {loop['fast_us_per_call']} us, "
               f"compiled {loop['compiled_us_per_call']} us")
+    print(f"f12 end to end: fast {f12['fast_s']}s, compiled "
+          f"{f12['compiled_s']}s -> {f12['speedup']}x (median of "
+          f"{f12['pairs']} pairs)")
     print(f"fs queue law: sorted {fs['sorted_s']}s, compiled "
           f"{fs['compiled_s']}s for {fs['reps']} reps on "
           f"({fs['members']}, {fs['n']}) -> {fs['speedup']}x")
@@ -239,7 +320,7 @@ def main(argv=None):
 
     targets = QUICK_TARGETS if args.quick else TARGETS
     ok = all(results[name]["speedup"] >= targets[f"{name}_speedup_min"]
-             for name in (*LOOPS, "fs_queue_law"))
+             for name in (*LOOPS, "f12_end_to_end", "fs_queue_law"))
     results["targets"] = dict(TARGETS)
     results["quick_targets"] = dict(QUICK_TARGETS)
     results["targets_met"] = ok

@@ -44,7 +44,7 @@ A ``packet`` section follows: seeded open-loop runs of the packet
 simulator, two lines per case::
 
     packet <case> auto <digest>
-    packet <case> legacy <digest>
+    packet <case> fast <digest>
 
 The cases cover FIFO, Fair Share, fixed-priority and Fair Queueing,
 each with tail and longest drop where valid (Fair Queueing cannot
@@ -52,9 +52,10 @@ evict), on a single gateway, a tandem and a parking lot, all with
 finite buffers that overflow; every run changes its rates once
 (``set_rates``), and two Fair Share cases run in measured mode with one
 refresh.  Each digest hashes the event count, mean queues, arrival
-rates, drop fractions, throughput and delays.  Since ``engine="auto"``
-is bit-identical to the reference ``engine="legacy"``, the two lines of
-a case carry the same digest.
+rates, drop fractions, throughput and delays.  ``engine="auto"`` runs
+the C event loop wherever the C tier has built, and it is bit-identical
+to the Python loops of ``engine="fast"``, so the two lines of a case
+carry the same digest.
 
 A change that must not move any result prints the same lines as its
 parent, so ``diff`` of the two outputs is the check.  The script uses
@@ -464,7 +465,7 @@ def main() -> int:
     for name, case in ENGINE_CASES.items():
         print(f"engine {name} {case()}", flush=True)
     for name, kwargs in _packet_cases().items():
-        for engine in ("auto", "legacy"):
+        for engine in ("auto", "fast"):
             print(f"packet {name} {engine} {_packet_run(engine, **kwargs)}",
                   flush=True)
     return 0

@@ -4,7 +4,7 @@ controller zoo's batched paths, the structural chaos layer, and the
 heterogeneous-clock asynchronous engine.
 
 Re-runs the core microbenchmarks (``bench_core_engine.py``), the
-simulation-kernel benchmarks (``bench_sim_kernel.py``), the
+warm-start fixed-point benchmark (``bench_sim_kernel.py``), the
 blocked-vs-one-shot scale benchmarks (``bench_scale.py``), the
 controller benchmarks (``bench_controllers.py``), the chaos-layer
 benchmarks (``bench_chaos.py``), the asynchronous-engine benchmarks
@@ -27,9 +27,9 @@ Two modes:
   recorded machine's number, but never judged more strictly than the
   repo's stated minimum targets.
 * ``--quick`` — much smaller workloads for CI.  Speedups shrink with
-  the workload, so quick mode only enforces the minimum targets (for
-  the kernel benchmarks, the lower ``quick_targets`` recorded in
-  ``BENCH_sim.json``), not the baseline-relative floor.
+  the workload, so quick mode only enforces the minimum targets (the
+  lower ``quick_targets`` recorded in each BENCH file), not the
+  baseline-relative floor.
 
 Run from the repository root::
 
@@ -63,10 +63,8 @@ from bench_sim_kernel import run_benchmarks as run_sim_benchmarks
 GATED = [("ensemble", "ensemble_speedup_min"),
          ("quadratic_sweep", "quadratic_sweep_speedup_min")]
 
-#: The simulation-kernel benchmarks (baseline BENCH_sim.json).
-GATED_SIM = [("fifo_closed_loop", "fifo_events_speedup_min"),
-             ("f12_end_to_end", "f12_speedup_min"),
-             ("warm_start", "warm_start_savings_min")]
+#: The warm-start fixed-point benchmark (baseline BENCH_sim.json).
+GATED_SIM = [("warm_start", "warm_start_savings_min")]
 
 #: The blocked-ensemble scale benchmarks (baseline BENCH_scale.json).
 #: "speedup" holds a ratio in both: one-shot/blocked peak memory and
@@ -102,6 +100,7 @@ GATED_COMPILED = [("compiled_fifo", "compiled_fifo_speedup_min"),
                    "compiled_fair_queueing_speedup_min"),
                   ("compiled_longest_drop",
                    "compiled_longest_drop_speedup_min"),
+                  ("f12_end_to_end", "f12_end_to_end_speedup_min"),
                   ("fs_queue_law", "fs_queue_law_speedup_min")]
 
 
@@ -120,7 +119,7 @@ def compare(baseline, fresh, threshold=0.25, floor_only=False,
             smaller speedups for reasons unrelated to regressions).
         gated: the (baseline key, targets key) pairs to judge —
             :data:`GATED` for the core engine, :data:`GATED_SIM` for
-            the simulation kernel.
+            the warm-start cache, and so on.
 
     Returns:
         ``(ok, report)`` — ``ok`` is True when nothing regressed;
@@ -189,7 +188,7 @@ def main(argv=None):
         "--sim-baseline",
         default=str(Path(__file__).resolve().parent.parent /
                     "BENCH_sim.json"),
-        help="committed kernel baseline JSON (default: repo "
+        help="committed warm-start baseline JSON (default: repo "
              "BENCH_sim.json)")
     parser.add_argument(
         "--scale-baseline",

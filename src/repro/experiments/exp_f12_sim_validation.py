@@ -42,10 +42,10 @@ def run_f12_sim_validation(rates=(0.1, 0.2, 0.25, 0.15), mu: float = 1.0,
 
     ``engine`` selects the simulation engine for both the open-loop
     validations and the closed loop (``"auto"``, the C event loop
-    wherever the C tier has built, ``"fast"``, the kernel's Python
-    loops, or ``"legacy"`` — trajectories are bit-identical either way,
-    only the wall time differs; the kernel benchmark times this
-    experiment end to end).
+    wherever the C tier has built, or ``"fast"``, the kernel's Python
+    loops — trajectories are bit-identical either way, only the wall
+    time differs; ``benchmarks/bench_compiled.py`` times this
+    experiment end to end on both).
     """
     rows = []
     worst = {}

@@ -21,7 +21,6 @@ a whole scenario family:
                          :func:`reference_run`, the plain
                          per-connection loop on the Python perturb
                          stages and controller (bit-identical)
-``kernel-equivalence``   legacy vs fast packet kernels (bit-identical)
 ``compiled-equivalence`` Python vs C (runtime-built) packet loops
                          on FIFO and Fair Share (bit-identical;
                          not-applicable when no C tier could be
@@ -500,71 +499,19 @@ def check_loop_equivalence(ctx: ScenarioContext) -> OracleResult:
         f"reference_run ({label}, {budget}-step budget)")
 
 
-def check_kernel_equivalence(ctx: ScenarioContext) -> OracleResult:
-    """Legacy vs fast packet kernel: bit-identical statistics.
-
-    Applies to the disciplines both engines implement (unweighted fifo
-    and fair-share).  The run is short — equivalence is exact, so a
-    modest event count already has full discriminating power.
-    """
-    spec = ctx.spec
-    if spec.discipline not in ("fifo", "fair-share"):
-        return OracleResult(
-            "kernel-equivalence", False, True,
-            f"discipline {spec.discipline!r} has no fast kernel")
-    # Local import: keeps the scenarios package usable without pulling
-    # the simulation stack until this oracle actually runs.
-    from ..simulation.network_sim import NetworkSimulation
-
-    def run(engine: str) -> dict:
-        sim = NetworkSimulation(
-            spec.network(), discipline_kind=spec.discipline,
-            seed=spec.seed, initial_rates=spec.initial(), engine=engine)
-        sim.run_for(30.0)
-        sim.reset_statistics()
-        sim.run_for(120.0)
-        return {"mql": sim.mean_queue_lengths(),
-                "arr": sim.measured_arrival_rates(),
-                "drop": sim.drop_fractions(),
-                "thr": sim.throughput(),
-                "delay": sim.mean_delays(),
-                "events": sim.events_processed}
-
-    legacy, fast = run("legacy"), run("fast")
-    for key in ("mql", "arr", "drop"):
-        for g in legacy[key]:
-            if not np.array_equal(legacy[key][g], fast[key][g]):
-                return OracleResult(
-                    "kernel-equivalence", True, False,
-                    f"{key}[{g}] differs between engines")
-    if not np.array_equal(legacy["thr"], fast["thr"]):
-        return OracleResult("kernel-equivalence", True, False,
-                            "throughput differs between engines")
-    if not np.array_equal(legacy["delay"], fast["delay"], equal_nan=True):
-        return OracleResult("kernel-equivalence", True, False,
-                            "mean delays differ between engines")
-    if legacy["events"] != fast["events"]:
-        return OracleResult(
-            "kernel-equivalence", True, False,
-            f"event counts differ: legacy {legacy['events']} vs fast "
-            f"{fast['events']}")
-    return OracleResult(
-        "kernel-equivalence", True, True,
-        f"bit-identical over {legacy['events']} events")
-
-
 def check_compiled_equivalence(ctx: ScenarioContext) -> OracleResult:
     """Python vs C packet loop: bit-identical statistics.
 
     ``engine="auto"`` runs the kernel's event loop inside the
-    runtime-built C library (:mod:`repro.backends._cext`) for the
-    disciplines it serves; its contract is the bit-identity the
-    fast/legacy pair guarantees — same RNG bitstream, same event
-    order, same float arithmetic.  Applies to FIFO and Fair Share
-    scenarios, as ``kernel-equivalence`` does; when no C tier could be
-    built ``auto`` runs the Python loop, which would keep the check
-    trivially green, so the oracle reports not-applicable instead of a
-    hollow pass.
+    runtime-built C library (:mod:`repro.backends._cext`); its contract
+    is bit-identity with the kernel's Python loops (``engine="fast"``),
+    which it transcribes — same RNG bitstream, same event order, same
+    float arithmetic.  The run is short: equivalence is exact, so a
+    modest event count already has full discriminating power.  Applies
+    to FIFO and Fair Share scenarios; when no C tier could be built
+    ``auto`` runs the Python loop, which would keep the check trivially
+    green, so the oracle reports not-applicable instead of a hollow
+    pass.
     """
     spec = ctx.spec
     if spec.discipline not in ("fifo", "fair-share"):
@@ -577,7 +524,8 @@ def check_compiled_equivalence(ctx: ScenarioContext) -> OracleResult:
             "compiled-equivalence", False, True,
             "no C tier available (no compiler / failed build); the "
             "auto engine would just re-run the Python loop")
-    # Local import, as in check_kernel_equivalence.
+    # Local import: keeps the scenarios package usable without pulling
+    # the simulation stack until this oracle actually runs.
     from ..simulation.network_sim import NetworkSimulation
 
     def run(engine: str) -> dict:
@@ -1198,7 +1146,6 @@ def check_async_fixed_point(ctx: ScenarioContext) -> OracleResult:
 ORACLES: Dict[str, Callable[[ScenarioContext], OracleResult]] = {
     "batch-equivalence": check_batch_equivalence,
     "loop-equivalence": check_loop_equivalence,
-    "kernel-equivalence": check_kernel_equivalence,
     "compiled-equivalence": check_compiled_equivalence,
     "fixed-point": check_fixed_point,
     "tsi": check_tsi,

@@ -9,23 +9,14 @@ and a closed-loop driver that runs the rate-adjustment rules on
 """
 
 from .closed_loop import ClosedLoopResult, run_closed_loop
-from .events import EventHandle, Scheduler
-from .monitors import EndToEndMonitor, GatewayMonitor
 from .network_sim import NetworkSimulation
-from .packet import Packet
-from .queues import (FairQueueingQueue, FairShareQueue, FifoQueue,
-                     FixedPriorityQueue, SimDiscipline, make_discipline)
 from .rng import RandomStreams
-from .server import GatewayServer
 from .stats import BatchMeansEstimate, batch_means, measure_queue_ci
 from .validation import (QueueValidation, analytic_counterpart,
                          validate_single_gateway)
 
 __all__ = [
-    "Scheduler", "EventHandle", "RandomStreams", "Packet",
-    "SimDiscipline", "FifoQueue", "FixedPriorityQueue", "FairShareQueue",
-    "FairQueueingQueue", "make_discipline",
-    "GatewayMonitor", "EndToEndMonitor", "GatewayServer",
+    "RandomStreams",
     "NetworkSimulation",
     "ClosedLoopResult", "run_closed_loop",
     "QueueValidation", "analytic_counterpart", "validate_single_gateway",

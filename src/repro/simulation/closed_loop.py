@@ -103,8 +103,7 @@ def run_closed_loop(network: Network,
     :class:`~repro.simulation.network_sim.NetworkSimulation`):
     ``"auto"`` runs the kernel's C event loop whenever the C tier has
     built and its Python loops otherwise, with trajectories
-    bit-identical to ``"fast"`` and to the reference ``"legacy"``
-    engine.
+    bit-identical to ``"fast"``.
 
     When an :func:`repro.observability.collect` session is active, a
     :class:`~repro.observability.RunRecord` is emitted whose

@@ -1,12 +1,10 @@
-"""The fast packet-simulation kernel.
+"""The packet-simulation kernel.
 
-:class:`FastEngine` re-implements the legacy object engine
-(:mod:`repro.simulation.server` + :class:`Scheduler`) on flat data:
+:class:`FastEngine` runs the network on flat data:
 
 * events are ``(time, seq, kind, a, b)`` tuples on the
   :class:`~repro.simulation.events.EventCalendar` heap, dispatched on
-  an integer kind — no callback closures, no :class:`EventHandle`
-  objects.  Nothing is cancelled: a source arrival carries its
+  an integer kind.  Nothing is cancelled: a source arrival carries its
   source's epoch, which a rate change bumps, and a completion its
   gateway's completion epoch, which a preemption bumps; the loops skip
   an event whose epoch is stale, uncounted;
@@ -16,35 +14,33 @@
   :class:`~repro.simulation.rng.VariateBuffer`, so the hot loop never
   crosses into numpy one float at a time;
 * statistics accumulate in plain Python lists owned by the engine;
-  :class:`KernelGatewayStats` / :class:`KernelEndToEndStats` are views
-  over them exposing the exact read API of the legacy monitors;
+  :class:`KernelGatewayStats` / :class:`KernelEndToEndStats` are the
+  per-gateway and end-to-end read API over them;
 * a FIFO **burst fast path** (:meth:`FastEngine._run_fifo`, a single
   monolithic loop with the calendar, pool, RNG buffers and statistics
   all inlined into locals) services back-to-back departures at a
   gateway without touching the calendar whenever the next completion
   *strictly* precedes every pending event; ties, the preemptive class
   disciplines and Fair Queueing take the general path;
-* Fair Queueing keeps the legacy virtual clock and finish tags per
-  gateway (:class:`_FairQueueingGateway`), and the drop-from-longest
-  buffer policy evicts through :meth:`FastEngine._evict_longest`,
-  which runs only on overflow.
+* Fair Queueing keeps a virtual clock and finish tags per gateway
+  (:class:`_FairQueueingGateway`), and the drop-from-longest buffer
+  policy evicts through :meth:`FastEngine._evict_longest`, which runs
+  only on overflow.
 
-Correctness bar: given the same seed, the kernel consumes every random
-stream in the same order and performs the same float arithmetic as the
-legacy engine, so trajectories are **bit-identical** — for FIFO, Fair
-Share, fixed-priority and Fair Queueing, under drop-tail and
-drop-from-longest alike (the equivalence tests assert 0 ulp).  The
-burst path is exact, not approximate: when the next completion
-strictly precedes all pending events, the legacy engine would pop that
+The burst path is exact, not approximate: when the next completion
+strictly precedes all pending events, the calendar would pop that
 completion next anyway, and on a tie the kernel falls back to the
-calendar where the fresh completion's later insertion sequence loses
-the tie exactly as it would have under the legacy scheduler.
+calendar, where the fresh completion's later insertion sequence loses
+the tie.  So the two loops give the same event order and the same
+floats.
 
-Every configuration ``NetworkSimulation`` accepts runs here; the legacy
-engine (``engine="legacy"``) is kept only as the reference these
-guarantees are tested against.  :class:`~repro.simulation.
-kernel_compiled.CompiledEngine` runs the same loops in C, for every
-configuration.
+Every configuration ``NetworkSimulation`` accepts runs here.
+:class:`~repro.simulation.kernel_compiled.CompiledEngine` runs the same
+loops in C, for every configuration, with the same bits.  What the two
+loops share (the queueing disciplines, preemptive resume, Fair Share
+thinning, buffer accounting) answers to queueing theory instead: at a
+single gateway the paper's queue laws and M/M/1/K blocking hold
+exactly (``tests/integration/test_queue_laws.py``).
 """
 
 from __future__ import annotations
@@ -74,21 +70,20 @@ _COMPLETE = 1  # a = gateway index, b = the gateway's completion epoch
 _HANDOFF = 2   # a = packet id, b = next hop index on its path
 _SINK = 3      # a = packet id, b = 0
 
-#: Disciplines the kernel implements: all four of the legacy engine's.
+#: Disciplines the kernel implements.
 _FAST_DISCIPLINES = ("fifo", "fair-share", "fixed-priority",
                      "fair-queueing")
 
 
 class KernelGatewayStats:
-    """Monitor-compatible view of one gateway's engine-owned statistics.
+    """One gateway's monitor: a view of its engine-owned statistics.
 
-    Mirrors :class:`~repro.simulation.monitors.GatewayMonitor` method
-    for method — same accumulation formulae evaluated scalar-wise (a
-    loop of ``integral[j] += count[j] * dt`` is bit-identical to the
-    monitor's elementwise ``integral += in_system * dt``), so the fast
-    and legacy engines report identical floats.  The data itself lives
-    in :class:`FastEngine` parallel lists, which the kernel's inlined
-    run loops mutate directly.
+    Per local connection: the time integral of the number in the
+    gateway (waiting plus in service), arrivals, departures and drops
+    since the last reset.  The data itself lives in :class:`FastEngine`
+    parallel lists, which the kernel's inlined run loops mutate
+    directly; the mutation methods here serve the general path and
+    eviction.
     """
 
     __slots__ = ("_e", "_g", "local_conns_", "pos")
@@ -159,7 +154,7 @@ class KernelGatewayStats:
         e.st_start[g] = now
         e.st_last[g] = now
 
-    # -- reads (the GatewayMonitor API) --------------------------------
+    # -- reads --------------------------------------------------------
     def mean_queue_lengths(self, now: float) -> np.ndarray:
         self.accumulate(now)
         e, g = self._e, self._g
@@ -218,12 +213,8 @@ class KernelGatewayStats:
 
 
 class KernelEndToEndStats:
-    """Monitor-compatible view of the engine's end-to-end tallies.
-
-    The :class:`~repro.simulation.monitors.EndToEndMonitor` read API;
-    scalar adds in the kernel are bit-identical to the monitor's
-    elementwise updates.
-    """
+    """The engine's end-to-end tallies: per connection, packets
+    delivered and their summed delays since the last reset."""
 
     __slots__ = ("_e",)
 
@@ -272,7 +263,7 @@ class KernelEndToEndStats:
 
 
 class KernelServerView:
-    """Read-only :class:`GatewayServer`-shaped view of one kernel gateway."""
+    """Read-only view of one kernel gateway's server."""
 
     __slots__ = ("name", "mu", "buffer_size", "drop_policy",
                  "_engine", "_g")
@@ -298,11 +289,13 @@ class KernelServerView:
 class _FairQueueingGateway:
     """One gateway's Fair Queueing state over packet ids.
 
-    :class:`~repro.simulation.queues.FairQueueingQueue` with local
-    positions for connections and an integer count of backlogged
-    positions instead of a recount per call: the same operations in the
-    same order, hence the same floats.  ``backlog`` counts a position's
-    waiting packets plus the one in service.
+    Self-clocked fair queueing with equal weights: a packet's finish
+    tag is ``max(V, last finish tag of its connection) + service``,
+    where the virtual clock ``V`` advances at ``1 / active`` per unit
+    of time while ``active`` connections are backlogged; the server
+    takes the smallest tag (ties to the earlier push) and never
+    preempts.  Connections are local positions, and ``backlog`` counts
+    a position's waiting packets plus the one in service.
     """
 
     __slots__ = ("heap", "counter", "virtual", "last_update", "finish",
@@ -356,9 +349,11 @@ def fair_share_table(local_rates) -> list:
     """One gateway's Fair Share thinning table, per local position:
     None (class 0, no uniform drawn) or ``(widths, total, fallback)``.
 
-    Same numpy pipeline as ``FairShareQueue._classify`` — sort,
-    substream widths, total — evaluated once per rate push instead of
-    once per packet, so the per-packet walk sees identical floats.
+    Connection ``p`` at rate ``r_p`` splits into substreams of widths
+    ``min(r_p, r_(k)) - r_(k-1)`` over the sorted rates ``r_(k)``; a
+    packet joins class ``k`` with probability ``width_k / r_p`` (the
+    walk takes the first ``k`` whose cumulative width reaches ``u *
+    total``).  Evaluated once per rate push instead of once per packet.
     """
     rates = np.asarray(local_rates, dtype=float)
     sorted_rates = np.sort(rates)
@@ -382,10 +377,9 @@ def fair_share_table(local_rates) -> list:
 class FastEngine:
     """Flat-data discrete-event engine behind ``NetworkSimulation``.
 
-    Replicates the legacy engine's event and random-draw order exactly
-    (see the module docstring); everything here is an implementation
-    detail of :class:`~repro.simulation.network_sim.NetworkSimulation`,
-    which owns validation and the public measurement surface.
+    Everything here is an implementation detail of
+    :class:`~repro.simulation.network_sim.NetworkSimulation`, which
+    owns validation and the public measurement surface.
     """
 
     def __init__(self, network: Network, discipline_kind: str,
@@ -475,8 +469,7 @@ class FastEngine:
         self.comp_epoch = [0] * n_gw
         self.in_system_count = [0] * n_gw
 
-        # Buffered random streams — same names, hence same bitstreams,
-        # as the legacy engine's scalar draws.
+        # Buffered random streams, one per named substream.
         self.svc_buf = [streams.buffer(f"service:{g}") for g in gw_names]
         self.arr_buf = [streams.buffer(f"arrival:c{i}") for i in range(n)]
         self.thin_buf = ([streams.buffer(f"thinning:{g}") for g in gw_names]
@@ -490,7 +483,7 @@ class FastEngine:
                 buf._refill("exponential")
 
         # Statistics (engine-owned parallel lists; the Kernel*Stats
-        # views give them the legacy monitors' read API).
+        # views read them).
         self.st_count = [[0] * len(lc) for lc in self.local_conns]
         self.st_integral = [[0.0] * len(lc) for lc in self.local_conns]
         self.st_arrivals = [[0] * len(lc) for lc in self.local_conns]
@@ -525,9 +518,9 @@ class FastEngine:
 
     def resample_arrivals(self, rates: np.ndarray) -> None:
         """Adopt new sending rates; resample every pending arrival
-        (exact for Poisson sources by memorylessness — and the same
-        per-connection draws the legacy engine makes).  Bumping a
-        source's epoch invalidates its pending arrival."""
+        (exact for Poisson sources by memorylessness), one draw per
+        source with a positive rate.  Bumping a source's epoch
+        invalidates its pending arrival."""
         scale = self.scale
         for i in range(self.n_conn):
             r = float(rates[i])
@@ -548,10 +541,9 @@ class FastEngine:
     # drop-from-longest eviction (overflow only; both loops)
     # ------------------------------------------------------------------
     def _evict_longest(self, g: int, now: float) -> bool:
-        """Make room at the full gateway ``g`` as the legacy
-        ``GatewayServer._evict_hog`` does: the connection with the most
-        packets here (ties to the lowest local position) loses its most
-        recent *waiting* packet.  False when no candidate has one; the
+        """Make room at the full gateway ``g``: the connection with the
+        most packets here (ties to the lowest local position) loses its
+        most recent *waiting* packet.  False when no candidate has one; the
         caller then refuses the arrival."""
         counts = self.st_count[g]
         p_conn = self.pool.conn
@@ -580,9 +572,9 @@ class FastEngine:
     # general-path event handlers (class disciplines, Fair Queueing)
     # ------------------------------------------------------------------
     def _arrive(self, g: int, pid: int, now: float) -> None:
-        """A packet reaches gateway ``g`` — the legacy ``arrive`` order:
-        buffer check (evict or drop before any draw), service draw,
-        monitor, enqueue, then start or preempt."""
+        """A packet reaches gateway ``g``: buffer check (evict or drop
+        before any draw), service draw, monitor, enqueue, then start or
+        preempt."""
         pool = self.pool
         conn = pool.conn[pid]
         stats = self.gw_stats[g]
@@ -684,8 +676,8 @@ class FastEngine:
     # ------------------------------------------------------------------
     def run_until(self, t_end: float, max_events: int = 50_000_000) -> None:
         """Process events in time order until ``t_end`` (inclusive);
-        the clock then advances to ``t_end`` exactly like the legacy
-        :meth:`Scheduler.run_until`."""
+        the clock then advances to ``t_end``, so time-weighted
+        statistics integrate the full horizon."""
         if t_end < self.now:
             raise SimulationError(
                 f"t_end {t_end} is before current time {self.now}")
@@ -743,8 +735,8 @@ class FastEngine:
         gateway's completion epoch unchecked.  The burst branch in the
         COMPLETE case absorbs a departure chain without any heap
         traffic whenever the next completion strictly precedes every
-        pending event — exactly the events the legacy scheduler would
-        pop next anyway.
+        pending event — exactly the events the calendar would pop next
+        anyway.
         """
         cal = self.calendar
         heap = cal._heap

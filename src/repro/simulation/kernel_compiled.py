@@ -25,7 +25,7 @@ Bit-identity is by construction, not accident:
   loop reads the :class:`~repro.simulation.rng.VariateRows` rows and
   *yields back to Python* before any event whose draws would exhaust a
   row, so the generator objects (and hence the exact bitstream, shared
-  with the legacy and fast engines) advance only via ``refill``.
+  with the Python loops) advance only via ``refill``.
 
 Nothing is marshalled per call.  The C state lives as long as the
 engine: it keeps pointers to the engine's numpy arrays (constants,

@@ -19,7 +19,7 @@ classes.  Two modes:
   gathered by their own monitors over the previous measurement window
   (what a real router could do).
 
-Interchangeable engines run the system (``engine=`` selects):
+Two engines run the system (``engine=`` selects):
 
 * ``"auto"`` (default) — the kernel's event loop in runtime-built C
   (:class:`~repro.simulation.kernel_compiled.CompiledEngine`), for
@@ -28,16 +28,12 @@ Interchangeable engines run the system (``engine=`` selects):
   that runs: ``"compiled"`` or ``"fast"``.
 * ``"fast"`` — the :class:`~repro.simulation.kernel.FastEngine`'s
   Python loops over its event heap, pooled packet ids and buffered
-  random streams.  It runs every configuration this class accepts.
+  random streams.  It runs every configuration this class accepts,
+  with the C loop's bits: same seed, same trajectory.
 * ``"compiled"`` — a synonym of ``"auto"``.
-* ``"legacy"`` — the original object engine: callback
-  :class:`~repro.simulation.events.Scheduler`, :class:`Packet`
-  dataclasses, per-draw numpy crossings.  It is the reference the
-  others are tested against: same seed ⇒ bit-identical trajectories
-  (same draws, same event order, same float arithmetic).
 
 ``buffer_sizes`` (None, one size for every gateway, or a dict by
-gateway name) is validated once, for every engine: each size is None
+gateway name) is validated once, for either engine: each size is None
 (infinite) or a whole number >= 1, kept as an ``int``; anything else,
 or an unknown gateway name, raises :class:`~repro.errors.
 SimulationError` naming the gateway and the value.
@@ -53,13 +49,8 @@ import numpy as np
 
 from ..core.topology import Network
 from ..errors import SimulationError
-from .events import EventHandle, Scheduler
 from .kernel import FastEngine, KernelServerView
-from .monitors import EndToEndMonitor, GatewayMonitor
-from .packet import Packet
-from .queues import make_discipline
 from .rng import RandomStreams
-from .server import GatewayServer
 
 __all__ = ["NetworkSimulation"]
 
@@ -116,10 +107,10 @@ class NetworkSimulation:
             raise SimulationError(
                 f"drop_policy must be 'tail' or 'longest', "
                 f"got {drop_policy!r}")
-        if engine not in ("auto", "fast", "compiled", "legacy"):
+        if engine not in ("auto", "fast", "compiled"):
             raise SimulationError(
-                f"engine must be 'auto', 'fast', 'compiled' or "
-                f"'legacy', got {engine!r}")
+                f"engine must be 'auto', 'fast' or 'compiled', "
+                f"got {engine!r}")
         buffer_map = _buffer_map(network, buffer_sizes)
         if (discipline_kind == "fair-queueing" and drop_policy == "longest"
                 and any(v is not None for v in buffer_map.values())):
@@ -144,122 +135,20 @@ class NetworkSimulation:
                     np.isfinite(self._rates)):
                 raise SimulationError("initial rates must be finite and >= 0")
 
-        # Rates the Fair Share classifier sees, per gateway (local order).
-        self._fs_rates: Dict[str, np.ndarray] = {}
-        for gname in network.gateway_names:
-            local = network.connections_at(gname)
-            self._fs_rates[gname] = self._rates[list(local)].copy()
-
-        if engine != "legacy":
-            engine_cls = FastEngine
-            if engine != "fast":
-                from .kernel_compiled import CompiledEngine
-                if CompiledEngine.serves():
-                    engine_cls = CompiledEngine
-            #: The engine that runs: "compiled", "fast" or "legacy".
-            self.engine = ("fast" if engine_cls is FastEngine
-                           else "compiled")
-            self._engine: Optional[FastEngine] = engine_cls(
-                network, discipline_kind, self.streams, self._rates,
-                buffer_map, drop_policy)
-            self.scheduler = None
-            self.e2e = self._engine.e2e_stats
-            self.monitors = {g: self._engine.gw_stats[k]
-                             for k, g in enumerate(network.gateway_names)}
-            self.servers = {g: KernelServerView(self._engine, k)
-                            for k, g in enumerate(network.gateway_names)}
-            return
-
-        self.engine = "legacy"
-        self._engine = None
-        self.scheduler = Scheduler()
-        self.e2e = EndToEndMonitor(n)
-        self.monitors: Dict[str, GatewayMonitor] = {}
-        self.servers: Dict[str, GatewayServer] = {}
-
-        for gname in network.gateway_names:
-            local = network.connections_at(gname)
-            monitor = GatewayMonitor(local)
-            self.monitors[gname] = monitor
-            if discipline_kind == "fixed-priority":
-                # Priority by local position: the analytic counterpart is
-                # PreemptivePriority(range(N)) at a single gateway.
-                discipline = make_discipline(
-                    discipline_kind,
-                    class_of_conn={conn: pos
-                                   for pos, conn in enumerate(local)})
-            else:
-                discipline = make_discipline(discipline_kind)
-            discipline.bind(
-                local,
-                rate_provider=self._make_rate_provider(gname),
-                rng=self.streams.stream(f"thinning:{gname}"),
-            )
-            self.servers[gname] = GatewayServer(
-                name=gname,
-                mu=network.mu(gname),
-                discipline=discipline,
-                scheduler=self.scheduler,
-                service_rng=self.streams.stream(f"service:{gname}"),
-                monitor=monitor,
-                forward=self._make_forwarder(gname),
-                buffer_size=buffer_map.get(gname),
-                drop_policy=drop_policy,
-            )
-
-        self._pending: list = [None] * n
-        self._seq = np.zeros(n, dtype=int)
-        for i in range(n):
-            self._schedule_next_arrival(i)
-
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-    def _make_rate_provider(self, gname: str):
-        def provider() -> np.ndarray:
-            return self._fs_rates[gname]
-        return provider
-
-    def _make_forwarder(self, gname: str):
-        latency = self.network.gateway(gname).latency
-
-        def forward(pkt: Packet) -> None:
-            path = self.network.gamma(pkt.conn)
-            next_hop = pkt.hop + 1
-            if next_hop < len(path):
-                def deliver(p=pkt, h=next_hop):
-                    p.hop = h
-                    self.servers[path[h]].arrive(p)
-                self.scheduler.schedule_after(latency, deliver)
-            else:
-                def sink(p=pkt):
-                    self.e2e.on_delivery(p.conn, p.created,
-                                         self.scheduler.now)
-                self.scheduler.schedule_after(latency, sink)
-        return forward
-
-    # ------------------------------------------------------------------
-    # sources
-    # ------------------------------------------------------------------
-    def _schedule_next_arrival(self, conn: int) -> None:
-        rate = float(self._rates[conn])
-        if rate <= 0.0:
-            self._pending[conn] = None
-            return
-        gap = float(self.streams.stream(f"arrival:c{conn}")
-                    .exponential(1.0 / rate))
-
-        def emit():
-            self._emit(conn)
-        self._pending[conn] = self.scheduler.schedule_after(gap, emit)
-
-    def _emit(self, conn: int) -> None:
-        pkt = Packet(conn=conn, seq=int(self._seq[conn]),
-                     created=self.scheduler.now, hop=0)
-        self._seq[conn] += 1
-        first = self.network.gamma(conn)[0]
-        self.servers[first].arrive(pkt)
-        self._schedule_next_arrival(conn)
+        engine_cls = FastEngine
+        if engine != "fast":
+            from .kernel_compiled import CompiledEngine
+            if CompiledEngine.serves():
+                engine_cls = CompiledEngine
+        #: The engine that runs: "compiled" or "fast".
+        self.engine = "fast" if engine_cls is FastEngine else "compiled"
+        self._engine = engine_cls(network, discipline_kind, self.streams,
+                                  self._rates, buffer_map, drop_policy)
+        self.e2e = self._engine.e2e_stats
+        self.monitors = {g: self._engine.gw_stats[k]
+                         for k, g in enumerate(network.gateway_names)}
+        self.servers = {g: KernelServerView(self._engine, k)
+                        for k, g in enumerate(network.gateway_names)}
 
     # ------------------------------------------------------------------
     # control surface
@@ -282,51 +171,34 @@ class NetworkSimulation:
         if np.any(vec < 0) or not np.all(np.isfinite(vec)):
             raise SimulationError("rates must be finite and >= 0")
         self._rates[:] = vec
-        if self._engine is not None:
-            self._engine.resample_arrivals(self._rates)
-        else:
-            for conn in range(vec.shape[0]):
-                pending: Optional[EventHandle] = self._pending[conn]
-                if pending is not None:
-                    pending.cancel()
-                self._schedule_next_arrival(conn)
+        self._engine.resample_arrivals(self._rates)
         if self.rate_mode == "oracle":
             self._push_oracle_rates()
 
     def _push_oracle_rates(self) -> None:
-        for gname in self.network.gateway_names:
-            local = list(self.network.connections_at(gname))
-            self._fs_rates[gname] = self._rates[local].copy()
-        if self._engine is not None:
-            self._engine.rebuild_fs_tables(
-                [self._fs_rates[g] for g in self.network.gateway_names])
+        self._engine.rebuild_fs_tables(
+            [self._rates[list(self.network.connections_at(g))]
+             for g in self.network.gateway_names])
 
     def refresh_measured_rates(self) -> None:
         """In ``measured`` mode: update the Fair Share classifier rates
         from each gateway monitor's arrival-rate estimate."""
         now = self.now
-        for gname, monitor in self.monitors.items():
-            estimate = monitor.arrival_rates(now)
-            self._fs_rates[gname] = estimate
-        if self._engine is not None:
-            self._engine.rebuild_fs_tables(
-                [self._fs_rates[g] for g in self.network.gateway_names])
+        self._engine.rebuild_fs_tables(
+            [self.monitors[g].arrival_rates(now)
+             for g in self.network.gateway_names])
 
     # ------------------------------------------------------------------
     # running & measuring
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        if self._engine is not None:
-            return self._engine.now
-        return self.scheduler.now
+        return self._engine.now
 
     @property
     def events_processed(self) -> int:
-        """Events executed since construction (either engine)."""
-        if self._engine is not None:
-            return self._engine.events_processed
-        return self.scheduler.events_processed
+        """Events executed since construction."""
+        return self._engine.events_processed
 
     def run_for(self, duration: float) -> None:
         """Advance the simulation by ``duration`` time units (finite and
@@ -336,10 +208,7 @@ class NetworkSimulation:
                 f"duration must be finite, got {duration!r}")
         if duration < 0:
             raise SimulationError("duration must be nonnegative")
-        if self._engine is not None:
-            self._engine.run_until(self._engine.now + duration)
-        else:
-            self.scheduler.run_until(self.scheduler.now + duration)
+        self._engine.run_until(self._engine.now + duration)
 
     def reset_statistics(self) -> None:
         """Discard all accumulated statistics (e.g. after warm-up)."""

@@ -6,15 +6,11 @@ from its own named substream spawned from a single root seed, so results
 are reproducible and adding a component never perturbs the draws of the
 others.
 
-Two draw surfaces share each substream:
-
-* the scalar calls (:meth:`RandomStreams.exponential`,
-  :meth:`RandomStreams.uniform`) used by the legacy object engine; and
-* the batched calls (:meth:`RandomStreams.exponentials`,
-  :meth:`RandomStreams.uniforms`) plus the refillable
-  :class:`VariateBuffer` used by the fast kernel's Python loop and the
-  :class:`VariateRows` the compiled loop reads, which cross into numpy
-  once per *block* instead of once per variate.
+The engines draw through two surfaces over each substream: the
+refillable :class:`VariateBuffer` that the fast kernel's Python loops
+pop one variate at a time, and the :class:`VariateRows` the compiled
+loop reads.  Both cross into numpy once per *block* of variates, not
+once per variate.
 
 **Buffering contract** (what makes the two surfaces bit-identical): a
 numpy ``Generator`` fills an array with the same bitstream consumption
@@ -22,7 +18,8 @@ as the equivalent sequence of scalar draws (also when it fills an ``out=``
 row in place), and ``Generator.exponential(scale)`` equals
 ``scale * Generator.standard_exponential()`` exactly.  So the k-th
 variate popped from a buffer equals the k-th scalar draw from the same
-stream — provided each named stream is used for **one draw kind only**
+stream (``stream(name).exponential(scale)`` or ``stream(name).random()``)
+— provided each named stream is used for **one draw kind only**
 (exponential *or* uniform, never both).  The simulator's stream naming
 (``arrival:c{i}``, ``service:{g}``, ``thinning:{g}``) guarantees this.
 """
@@ -132,15 +129,6 @@ class VariateRows:
         self.index[s] = 0
 
 
-def _validate_rate(rate: float) -> float:
-    rate = float(rate)
-    if not rate > 0.0 or rate != rate or rate == float("inf"):
-        raise SimulationError(
-            f"exponential rate must be a finite positive number, "
-            f"got {rate!r}")
-    return rate
-
-
 class RandomStreams:
     """A registry of independent named :class:`numpy.random.Generator` s."""
 
@@ -177,9 +165,9 @@ class RandomStreams:
         """The (cached) :class:`VariateBuffer` over stream ``name``.
 
         The buffer wraps the *same* generator :meth:`stream` returns,
-        so buffered and scalar draws from one stream consume one
-        bitstream; per the buffering contract, do not mix the two
-        surfaces on the same stream within one simulation.
+        so buffered draws and direct draws on the generator consume one
+        bitstream; per the buffering contract, do not mix the two on
+        the same stream within one simulation.
         """
         key = (name, int(block))
         try:
@@ -188,31 +176,3 @@ class RandomStreams:
             buf = VariateBuffer(self.stream(name), block=block)
             self._buffers[key] = buf
             return buf
-
-    def exponential(self, name: str, rate: float) -> float:
-        """One exponential variate with the given rate from stream
-        ``name``.  Raises :class:`~repro.errors.SimulationError` for a
-        non-positive (or non-finite) rate."""
-        rate = _validate_rate(rate)
-        return float(self.stream(name).exponential(1.0 / rate))
-
-    def exponentials(self, name: str, rate: float, n: int) -> np.ndarray:
-        """``n`` exponential variates with the given rate, one numpy
-        call.  Bit-identical to ``n`` successive scalar
-        :meth:`exponential` draws from the same stream."""
-        rate = _validate_rate(rate)
-        if not (isinstance(n, (int, np.integer)) and n >= 0):
-            raise SimulationError(
-                f"draw count must be a nonnegative int, got {n!r}")
-        return self.stream(name).exponential(1.0 / rate, size=int(n))
-
-    def uniform(self, name: str) -> float:
-        """One U(0,1) variate from stream ``name``."""
-        return float(self.stream(name).random())
-
-    def uniforms(self, name: str, n: int) -> np.ndarray:
-        """``n`` U(0,1) variates from stream ``name``, one numpy call."""
-        if not (isinstance(n, (int, np.integer)) and n >= 0):
-            raise SimulationError(
-                f"draw count must be a nonnegative int, got {n!r}")
-        return self.stream(name).random(size=int(n))

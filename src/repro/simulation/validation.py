@@ -112,8 +112,7 @@ class FiniteBufferValidation:
 def validate_finite_buffer(rate: float, mu: float, buffer_size: int,
                            horizon: float = 20000.0,
                            warmup: float = 2000.0,
-                           seed: int = 0,
-                           engine: str = "auto") -> FiniteBufferValidation:
+                           seed: int = 0) -> FiniteBufferValidation:
     """Single connection at a drop-tail gateway vs the M/M/1/K formulas.
 
     Unlike the infinite-buffer validation, overload is allowed: a full
@@ -123,7 +122,7 @@ def validate_finite_buffer(rate: float, mu: float, buffer_size: int,
     network = single_gateway(1, mu=mu)
     sim = NetworkSimulation(network, discipline_kind="fifo", seed=seed,
                             initial_rates=np.array([rate]),
-                            buffer_sizes=buffer_size, engine=engine)
+                            buffer_sizes=buffer_size)
     sim.run_for(warmup)
     sim.reset_statistics()
     sim.run_for(horizon)

@@ -339,20 +339,6 @@ class TestEveryOracleFires:
         fails = failing_oracles(spec_of(), ["loop-equivalence"])
         assert fails == ("loop-equivalence",)
 
-    def test_kernel_equivalence_catches_engine_skew(self, monkeypatch):
-        orig = NetworkSimulation.throughput
-
-        def skewed(self):
-            thr = np.array(orig(self), dtype=float)
-            if self.engine == "fast":
-                thr = thr + 1e-9
-            return thr
-
-        monkeypatch.setattr(NetworkSimulation, "throughput", skewed)
-        fails = failing_oracles(spec_of(discipline="fifo"),
-                                ["kernel-equivalence"])
-        assert fails == ("kernel-equivalence",)
-
     def test_compiled_equivalence_catches_compiled_kernel_skew(
             self, monkeypatch):
         from repro.backends import compiled

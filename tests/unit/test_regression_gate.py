@@ -14,8 +14,8 @@ import pytest
 _BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 sys.path.insert(0, str(_BENCHMARKS))
 
-from regression_gate import (GATED, GATED_ASYNC, GATED_CONTROLLERS,
-                             GATED_SCALE, GATED_SIM,
+from regression_gate import (GATED, GATED_ASYNC, GATED_COMPILED,
+                             GATED_CONTROLLERS, GATED_SCALE, GATED_SIM,
                              _quick_baseline_for_mode,
                              compare, format_report)  # noqa: E402
 
@@ -135,23 +135,31 @@ class TestSimBaseline:
 
     def test_compare_judges_sim_keys(self):
         baseline = {
-            "fifo_closed_loop": {"speedup": 6.0},
-            "f12_end_to_end": {"speedup": 2.5},
             "warm_start": {"speedup": 2.0},
-            "targets": {"fifo_events_speedup_min": 5.0,
-                        "f12_speedup_min": 2.0,
-                        "warm_start_savings_min": 1.5},
+            "targets": {"warm_start_savings_min": 1.5},
         }
-        fresh = {"fifo_closed_loop": {"speedup": 5.5},
-                 "f12_end_to_end": {"speedup": 2.2},
-                 "warm_start": {"speedup": 1.9}}
+        fresh = {"warm_start": {"speedup": 1.9}}
         ok, report = compare(baseline, fresh, gated=GATED_SIM)
         assert ok
         assert [e["name"] for e in report] == \
             [name for name, _ in GATED_SIM]
-        fresh["fifo_closed_loop"]["speedup"] = 4.0
+        fresh["warm_start"]["speedup"] = 1.4
         ok, report = compare(baseline, fresh, gated=GATED_SIM)
         assert not ok
+
+
+class TestCompiledBaseline:
+    def test_baseline_file_has_gated_keys(self):
+        data = json.loads(
+            (_BENCHMARKS.parent / "BENCH_compiled.json").read_text())
+        for name, target_key in GATED_COMPILED:
+            assert "speedup" in data[name]
+            assert target_key in data["targets"]
+            assert data["quick_targets"][target_key] <= \
+                data["targets"][target_key]
+        assert data["targets_met"] is True
+        ok, _ = compare(data, data, gated=GATED_COMPILED)
+        assert ok
 
 
 class TestScaleBaseline:

@@ -1,84 +1,18 @@
-"""Unit tests for the simulator primitives: events, rng, queues,
-monitors."""
+"""Unit tests for the simulator primitives: the event calendar, the
+packet pool, random streams, the gateway monitors, and the order in
+which the FIFO and fixed-priority queues serve (on the packet kernel's
+Python loops and its C loop, with scripted arrivals and services)."""
 
 import numpy as np
 import pytest
 
+from repro.core.topology import single_gateway
 from repro.errors import SimulationError
-from repro.simulation.events import EventCalendar, Scheduler
-from repro.simulation.monitors import EndToEndMonitor, GatewayMonitor
-from repro.simulation.packet import Packet, PacketPool
-from repro.simulation.queues import (FairQueueingQueue, FairShareQueue,
-                                     FifoQueue, FixedPriorityQueue,
-                                     make_discipline)
+from repro.simulation.events import EventCalendar
+from repro.simulation.network_sim import NetworkSimulation
+from repro.simulation.packet import PacketPool
 from repro.simulation.rng import RandomStreams, VariateBuffer, VariateRows
-
-
-class TestScheduler:
-    def test_runs_in_time_order(self):
-        sched = Scheduler()
-        seen = []
-        sched.schedule(2.0, lambda: seen.append("b"))
-        sched.schedule(1.0, lambda: seen.append("a"))
-        sched.run_until(3.0)
-        assert seen == ["a", "b"]
-        assert sched.now == 3.0
-
-    def test_fifo_tie_break(self):
-        sched = Scheduler()
-        seen = []
-        sched.schedule(1.0, lambda: seen.append(1))
-        sched.schedule(1.0, lambda: seen.append(2))
-        sched.run_until(1.0)
-        assert seen == [1, 2]
-
-    def test_cancellation(self):
-        sched = Scheduler()
-        seen = []
-        handle = sched.schedule(1.0, lambda: seen.append("x"))
-        handle.cancel()
-        sched.run_until(2.0)
-        assert seen == []
-
-    def test_schedule_in_past_rejected(self):
-        sched = Scheduler()
-        sched.run_until(5.0)
-        with pytest.raises(SimulationError):
-            sched.schedule(1.0, lambda: None)
-
-    def test_events_can_schedule_events(self):
-        sched = Scheduler()
-        seen = []
-
-        def first():
-            sched.schedule_after(1.0, lambda: seen.append("second"))
-        sched.schedule(1.0, first)
-        sched.run_until(3.0)
-        assert seen == ["second"]
-
-    def test_events_beyond_horizon_kept(self):
-        sched = Scheduler()
-        seen = []
-        sched.schedule(10.0, lambda: seen.append("late"))
-        sched.run_until(5.0)
-        assert seen == []
-        sched.run_until(11.0)
-        assert seen == ["late"]
-
-    def test_peek_time_skips_cancelled(self):
-        sched = Scheduler()
-        h = sched.schedule(1.0, lambda: None)
-        sched.schedule(2.0, lambda: None)
-        h.cancel()
-        assert sched.peek_time() == 2.0
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Scheduler().schedule_after(-1.0, lambda: None)
-
-    def test_nonfinite_time_rejected(self):
-        with pytest.raises(SimulationError):
-            Scheduler().schedule(float("inf"), lambda: None)
+from tests.scripted_gateway import ENGINES, scripted_run, scripted_sim
 
 
 class TestEventCalendar:
@@ -149,14 +83,15 @@ class TestVariateBuffer:
         scalar = RandomStreams(7)
         buf = buffered.buffer("service:g0", block=8)
         got = [buf.next_exponential(2.0) for _ in range(20)]
-        want = [scalar.exponential("service:g0", 0.5) for _ in range(20)]
+        want = [scalar.stream("service:g0").exponential(2.0)
+                for _ in range(20)]
         assert got == want  # bit-identical across the block refills
 
     def test_buffered_uniforms_match_scalar_draws(self):
         buf = RandomStreams(3).buffer("thinning:g0", block=4)
         scalar = RandomStreams(3)
         got = [buf.next_uniform() for _ in range(10)]
-        want = [scalar.uniform("thinning:g0") for _ in range(10)]
+        want = [scalar.stream("thinning:g0").random() for _ in range(10)]
         assert got == want
 
     def test_mixing_draw_kinds_raises(self):
@@ -188,9 +123,10 @@ class TestVariateRows:
         assert rows.values is values  # the same buffer, refilled
         assert rows.index.tolist() == [0, 0]
         scalar = RandomStreams(7)
-        assert got_e == [scalar.exponential("service:g0", 1.0)
+        assert got_e == [scalar.stream("service:g0").exponential(1.0)
                          for _ in range(n)]
-        assert got_u == [scalar.uniform("thinning:g0") for _ in range(n)]
+        assert got_u == [scalar.stream("thinning:g0").random()
+                         for _ in range(n)]
 
 
 class TestRandomStreams:
@@ -213,38 +149,6 @@ class TestRandomStreams:
         b = s.stream("arrival:c2").random(4)
         assert not np.array_equal(a, b)
 
-    def test_exponential_positive(self):
-        s = RandomStreams(0)
-        assert s.exponential("e", 2.0) > 0
-
-    def test_uniform_range(self):
-        s = RandomStreams(0)
-        assert 0.0 <= s.uniform("u") <= 1.0
-
-    def test_nonpositive_rate_rejected(self):
-        s = RandomStreams(0)
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(SimulationError):
-                s.exponential("e", bad)
-            with pytest.raises(SimulationError):
-                s.exponentials("e", bad, 4)
-
-    def test_bad_draw_count_rejected(self):
-        s = RandomStreams(0)
-        with pytest.raises(SimulationError):
-            s.exponentials("e", 1.0, -1)
-        with pytest.raises(SimulationError):
-            s.uniforms("u", 2.5)
-
-    def test_batched_draws_match_scalar_draws(self):
-        batched = RandomStreams(11).exponentials("e", 4.0, 16)
-        scalar = RandomStreams(11)
-        want = [scalar.exponential("e", 4.0) for _ in range(16)]
-        assert batched.tolist() == want
-        scalar_u = RandomStreams(5)
-        assert RandomStreams(5).uniforms("u", 8).tolist() == \
-            [scalar_u.uniform("u") for _ in range(8)]
-
     def test_stream_lookup_is_cached(self):
         s = RandomStreams(0)
         assert s.stream("a") is s.stream("a")
@@ -259,204 +163,107 @@ class TestRandomStreams:
         assert np.array_equal(np.concatenate([first, second]), fresh)
 
 
-def _pkt(conn=0, seq=0, service=1.0):
-    p = Packet(conn=conn, seq=seq, created=0.0)
-    p.service_time = service
-    p.remaining = service
-    return p
-
-
-class TestFifoQueue:
-    def test_fifo_order(self):
-        q = FifoQueue()
-        q.push(_pkt(seq=1), 0.0)
-        q.push(_pkt(seq=2), 0.0)
-        assert q.pop(0.0).seq == 1
-        assert q.pop(0.0).seq == 2
-        assert q.pop(0.0) is None
-
-    def test_requeue_front(self):
-        q = FifoQueue()
-        q.push(_pkt(seq=1), 0.0)
-        p2 = _pkt(seq=2)
-        q.requeue_front(p2)
-        assert q.pop(0.0).seq == 2
-
-    def test_len(self):
-        q = FifoQueue()
-        assert len(q) == 0
-        q.push(_pkt(), 0.0)
-        assert len(q) == 1
-
-    def test_never_preempts(self):
-        q = FifoQueue()
-        assert not q.would_preempt(_pkt(), _pkt())
-
-
-class TestFixedPriorityQueue:
-    def test_higher_class_first(self):
-        q = FixedPriorityQueue({0: 1, 1: 0})
-        q.push(_pkt(conn=0, seq=1), 0.0)
-        q.push(_pkt(conn=1, seq=2), 0.0)
-        assert q.pop(0.0).conn == 1
-
-    def test_preemption_decision(self):
-        q = FixedPriorityQueue({0: 1, 1: 0})
-        low = _pkt(conn=0)
-        q.push(low, 0.0)
-        low = q.pop(0.0)
-        high = _pkt(conn=1)
-        q.push(high, 0.0)
-        high = q.pop(0.0)
-        assert q.would_preempt(low, high)
-        assert not q.would_preempt(high, low)
-
-    def test_unknown_conn_rejected(self):
-        q = FixedPriorityQueue({0: 0})
-        with pytest.raises(SimulationError):
-            q.push(_pkt(conn=5), 0.0)
-
-
-class TestFairShareQueue:
-    def _bound(self, rates):
-        q = FairShareQueue()
-        q.bind(list(range(len(rates))),
-               rate_provider=lambda: np.asarray(rates),
-               rng=np.random.default_rng(0))
-        return q
-
-    def test_smallest_connection_always_top_class(self):
-        q = self._bound([0.1, 0.5, 0.9])
-        for _ in range(20):
-            q.push(_pkt(conn=0), 0.0)
-        # All of connection 0's packets are in class 0.
-        classes = set()
-        while True:
-            pkt = q.pop(0.0)
-            if pkt is None:
-                break
-            classes.add(pkt.priority_class)
-        assert classes == {0}
-
-    def test_largest_connection_spreads_over_classes(self):
-        q = self._bound([0.1, 0.5, 0.9])
-        seen = set()
-        for _ in range(300):
-            pkt = _pkt(conn=2)
-            q.push(pkt, 0.0)
-            seen.add(pkt.priority_class)
-        assert seen == {0, 1, 2}
-
-    def test_thinning_probabilities(self):
-        # widths for conn with rate 0.9 given rates (0.1, 0.5, 0.9):
-        # (0.1, 0.4, 0.4)/0.9.
-        q = self._bound([0.1, 0.5, 0.9])
-        counts = np.zeros(3)
-        trials = 6000
-        for _ in range(trials):
-            pkt = _pkt(conn=2)
-            q.push(pkt, 0.0)
-            counts[pkt.priority_class] += 1
-        freq = counts / trials
-        assert freq[0] == pytest.approx(0.1 / 0.9, abs=0.03)
-        assert freq[1] == pytest.approx(0.4 / 0.9, abs=0.03)
-
-    def test_unbound_raises(self):
-        q = FairShareQueue()
-        with pytest.raises(SimulationError):
-            q.push(_pkt(), 0.0)
-
-    def test_zero_rate_defaults_to_top_class(self):
-        q = self._bound([0.0, 0.5])
-        pkt = _pkt(conn=0)
-        q.push(pkt, 0.0)
-        assert pkt.priority_class == 0
-
-
-class TestFairQueueingQueue:
-    def test_interleaves_flows(self):
-        q = FairQueueingQueue()
-        # Flow 0 dumps a burst; flow 1 sends one packet: flow 1's
-        # packet must not wait behind the whole burst.
-        for k in range(5):
-            q.push(_pkt(conn=0, seq=k, service=1.0), 0.0)
-        q.push(_pkt(conn=1, seq=0, service=1.0), 0.0)
-        order = []
-        while True:
-            pkt = q.pop(0.0)
-            if pkt is None:
-                break
-            order.append((pkt.conn, pkt.seq))
-        pos = order.index((1, 0))
-        assert pos <= 1
-
-    def test_non_preemptive(self):
-        q = FairQueueingQueue()
-        with pytest.raises(SimulationError):
-            q.requeue_front(_pkt())
-
-    def test_len_tracks(self):
-        q = FairQueueingQueue()
-        q.push(_pkt(), 0.0)
-        assert len(q) == 1
-        q.pop(0.0)
-        assert len(q) == 0
-
-
-class TestMakeDiscipline:
-    def test_known_kinds(self):
-        assert isinstance(make_discipline("fifo"), FifoQueue)
-        assert isinstance(make_discipline("fair-share"), FairShareQueue)
-
-    def test_unknown_kind(self):
-        with pytest.raises(SimulationError):
-            make_discipline("lifo")
-
-
 class TestMonitors:
+    """A gateway's monitor (``NetworkSimulation.monitors``) and the
+    end-to-end tallies (``NetworkSimulation.e2e``), driven by hand on a
+    silent simulation."""
+
+    @staticmethod
+    def _sim(n=1):
+        return NetworkSimulation(single_gateway(n, mu=1.0), "fifo")
+
     def test_time_weighted_average(self):
-        m = GatewayMonitor([0])
+        m = self._sim().monitors["g0"]
         m.on_arrival(0, 1.0)    # occupancy 1 from t=1
         m.on_departure(0, 3.0)  # occupancy 0 from t=3
         assert m.mean_queue_lengths(4.0)[0] == pytest.approx(0.5)
 
     def test_reset_discards_history(self):
-        m = GatewayMonitor([0])
+        m = self._sim().monitors["g0"]
         m.on_arrival(0, 0.0)
         m.on_departure(0, 2.0)
         m.reset_statistics(2.0)
         assert m.mean_queue_lengths(4.0)[0] == 0.0
 
     def test_occupancy_preserved_across_reset(self):
-        m = GatewayMonitor([0])
+        m = self._sim().monitors["g0"]
         m.on_arrival(0, 0.0)
         m.reset_statistics(1.0)
         # still in system: from t=1 to t=2 occupancy is 1.
         assert m.mean_queue_lengths(2.0)[0] == pytest.approx(1.0)
 
     def test_underflow_detected(self):
-        m = GatewayMonitor([0])
+        m = self._sim().monitors["g0"]
         with pytest.raises(SimulationError):
             m.on_departure(0, 1.0)
 
     def test_time_reversal_detected(self):
-        m = GatewayMonitor([0])
+        m = self._sim().monitors["g0"]
         m.on_arrival(0, 5.0)
         with pytest.raises(SimulationError):
             m.on_arrival(0, 1.0)
 
     def test_arrival_rates(self):
-        m = GatewayMonitor([0, 1])
+        m = self._sim(2).monitors["g0"]
         for t in (1.0, 2.0, 3.0, 4.0):
             m.on_arrival(0, t)
         assert m.arrival_rates(4.0)[0] == pytest.approx(1.0)
         assert m.arrival_rates(4.0)[1] == 0.0
 
     def test_end_to_end_monitor(self):
-        m = EndToEndMonitor(2)
+        m = self._sim(2).e2e
         m.on_delivery(0, created=1.0, now=3.0)
         m.on_delivery(0, created=2.0, now=3.0)
         assert m.throughput(4.0)[0] == pytest.approx(0.5)
         assert m.mean_delays()[0] == pytest.approx(1.5)
         assert np.isnan(m.mean_delays()[1])
         assert m.delivered[0] == 2
+
+
+class TestFifoQueue:
+    def test_fifo_order(self, monkeypatch):
+        # Connections 2, 1 and 0 arrive at t = 1, 1.5 and 2 and are
+        # served in that order, not by position: connection 2's 3-unit
+        # packet leaves at t = 4, connection 1's at 5, connection 0's
+        # at 6.
+        for engine in ENGINES:
+            with monkeypatch.context() as patch:
+                sim = scripted_run(patch, engine, "fifo",
+                                   [[2.0], [1.5], [1.0]],
+                                   services=[3.0, 1.0, 1.0])
+                assert list(sim.mean_delays()) == [4.0, 3.5, 3.0]
+
+
+class TestFixedPriorityQueue:
+    # Fixed priority ranks connections by position, connection 0 first.
+
+    def test_higher_class_first(self, monkeypatch):
+        # Connection 0's 3-unit packet serves from t = 1 to 4 while
+        # connection 2's packet (t = 1.5) and then connection 1's (t = 2)
+        # wait: at t = 4 connection 1, the higher class, goes first.
+        for engine in ENGINES:
+            with monkeypatch.context() as patch:
+                sim = scripted_run(patch, engine, "fixed-priority",
+                                   [[1.0], [2.0], [1.5]],
+                                   services=[3.0, 1.0, 1.0])
+                assert list(sim.mean_delays()) == [3.0, 3.0, 4.5]
+
+    def test_preemption_decision(self, monkeypatch):
+        # A 3-unit packet serves from t = 1 and a 1-unit packet arrives
+        # at t = 2: connection 0's preempts connection 1's and leaves at
+        # t = 3, while connection 1's waits for connection 0's to leave
+        # at t = 4.
+        for engine in ENGINES:
+            with monkeypatch.context() as patch:
+                sim = scripted_sim(patch, engine, "fixed-priority",
+                                   [[2.0], [1.0]], services=[3.0, 1.0])
+                sim.run_for(3.5)
+                assert list(sim.e2e.delivered) == [1, 0]
+            with monkeypatch.context() as patch:
+                sim = scripted_sim(patch, engine, "fixed-priority",
+                                   [[1.0], [2.0]], services=[3.0, 1.0])
+                sim.run_for(3.5)
+                assert list(sim.e2e.delivered) == [0, 0]
+                assert sim.servers["g0"].in_system == 2
+                sim.run_for(6.5)
+                assert list(sim.mean_delays()) == [3.0, 3.0]

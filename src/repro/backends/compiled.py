@@ -33,8 +33,8 @@ built, else ``python``.
 
 Observability: :func:`metrics` carries the ``compile.cext``
 :class:`~repro.observability.metrics.Timer` span (actual C build time,
-zero on a cache hit), so ``BENCH_compiled.json`` can separate warmup
-from throughput.
+zero on a cache hit), so ``BENCH.json`` can separate warmup from
+throughput.
 """
 
 from __future__ import annotations

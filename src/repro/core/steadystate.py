@@ -211,7 +211,8 @@ class FixedPointCache:
 
     The refined fixed point is independent of the starting guess (the
     solves share one ``tol``), so warm starts change iteration counts,
-    not answers — ``BENCH_sim.json`` records the saving.
+    not answers — ``BENCH.json``'s ``warm_start`` case records the
+    saving.
     """
 
     def __init__(self):

@@ -44,8 +44,8 @@ def run_f12_sim_validation(rates=(0.1, 0.2, 0.25, 0.15), mu: float = 1.0,
     validations and the closed loop (``"auto"``, the C event loop
     wherever the C tier has built, or ``"fast"``, the kernel's Python
     loops — trajectories are bit-identical either way, only the wall
-    time differs; ``benchmarks/bench_compiled.py`` times this
-    experiment end to end on both).
+    time differs; ``benchmarks/bench.py``'s ``f12_end_to_end`` case
+    times this experiment end to end on both).
     """
     rows = []
     worst = {}

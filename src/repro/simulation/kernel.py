@@ -190,26 +190,8 @@ class KernelGatewayStats:
             return 0.0
         return float(sum(e.st_drops[g])) / offered
 
-    @property
-    def local_conns(self) -> List[int]:
-        return list(self.local_conns_)
-
     def occupancy(self) -> np.ndarray:
         return np.array(self._e.st_count[self._g], dtype=int)
-
-    def snapshot(self, now: float) -> Dict[str, object]:
-        e, g = self._e, self._g
-        return {
-            "local_conns": list(self.local_conns_),
-            "mean_queue_lengths": [float(q) for q in
-                                   self.mean_queue_lengths(now)],
-            "arrival_rates": [float(a) for a in self.arrival_rates(now)],
-            "drop_fractions": [float(d) for d in self.drop_fractions()],
-            "drops": [int(d) for d in e.st_drops[g]],
-            "occupancy": [int(c) for c in e.st_count[g]],
-            "aggregate_drop_fraction": self.aggregate_drop_fraction(),
-            "horizon": float(now - e.st_start[g]),
-        }
 
 
 class KernelEndToEndStats:
@@ -250,31 +232,16 @@ class KernelEndToEndStats:
     def delivered(self) -> np.ndarray:
         return np.array(self._e.e2e_delivered, dtype=int)
 
-    def snapshot(self, now: float) -> Dict[str, object]:
-        e = self._e
-        delays = self.mean_delays(now)
-        return {
-            "delivered": [int(d) for d in e.e2e_delivered],
-            "throughput": [float(t) for t in self.throughput(now)],
-            "mean_delays": [None if np.isnan(d) else float(d)
-                            for d in delays],
-            "horizon": float(now - e.e2e_start),
-        }
-
 
 class KernelServerView:
     """Read-only view of one kernel gateway's server."""
 
-    __slots__ = ("name", "mu", "buffer_size", "drop_policy",
-                 "_engine", "_g")
+    __slots__ = ("buffer_size", "_engine", "_g")
 
     def __init__(self, engine: "FastEngine", g: int):
         self._engine = engine
         self._g = g
-        self.name = engine.gw_names[g]
-        self.mu = 1.0 / engine.mu_scale[g]
         self.buffer_size = engine.buffer_size[g]
-        self.drop_policy = engine.drop_policy
 
     @property
     def busy(self) -> bool:

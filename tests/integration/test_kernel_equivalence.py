@@ -340,18 +340,6 @@ class TestCompiledEngine:
                                     drop_policy="longest", engine=engine)
             assert sim.engine == C_ENGINE
 
-    def test_compiled_engine_is_selectable(self):
-        sim = NetworkSimulation(_net4(), discipline_kind="fifo",
-                                initial_rates=RATES4,
-                                engine="compiled")
-        assert sim.engine == C_ENGINE
-
-    def test_forced_compiled_on_unsupported_raises(self):
-        with pytest.raises(SimulationError, match="fair-queueing"):
-            NetworkSimulation(_net4(), discipline_kind="fair-queueing",
-                              initial_rates=RATES4, buffer_sizes=4,
-                              drop_policy="longest", engine="compiled")
-
     @pytest.mark.parametrize("disc, buffers, drop_policy", LOOPS)
     def test_masked_c_tier_runs_the_python_loop(self, disc, buffers,
                                                 drop_policy, monkeypatch):
@@ -375,43 +363,30 @@ class TestCompiledEngine:
 
 class TestEngineSelection:
     def test_auto_picks_compiled_for_supported_disciplines(self):
-        for disc in ("fifo", "fair-share", "fixed-priority"):
-            for buffers in (None, 4):
+        # NetworkSimulation picks its loop without reading the
+        # configuration: every discipline, buffer and drop policy runs
+        # the C loop under "auto" and its synonym "compiled".
+        configs = [(disc, buffers, "tail")
+                   for disc in ("fifo", "fair-share", "fixed-priority",
+                                "fair-queueing")
+                   for buffers in (None, 4)]
+        configs += [(disc, 4, "longest")
+                    for disc in ("fifo", "fair-share", "fixed-priority")]
+        configs.append(("fifo", {"g0": None}, "longest"))
+        for engine in ("auto", "compiled"):
+            for disc, buffers, drop_policy in configs:
                 sim = NetworkSimulation(_net4(), discipline_kind=disc,
                                         initial_rates=RATES4,
-                                        buffer_sizes=buffers)
-                assert sim.engine == C_ENGINE
+                                        buffer_sizes=buffers,
+                                        drop_policy=drop_policy,
+                                        engine=engine)
+                assert sim.engine == C_ENGINE, (engine, disc, buffers,
+                                                drop_policy)
 
-    def test_auto_runs_c_for_fair_queueing(self):
-        sim = NetworkSimulation(_net4(), discipline_kind="fair-queueing",
-                                initial_rates=RATES4, buffer_sizes=4)
-        assert sim.engine == C_ENGINE
-
-    def test_auto_runs_c_for_longest_drop(self):
-        for disc in ("fifo", "fair-share", "fixed-priority"):
-            sim = NetworkSimulation(_net4(), discipline_kind=disc,
-                                    initial_rates=RATES4, buffer_sizes=4,
-                                    drop_policy="longest")
-            assert sim.engine == C_ENGINE
-
-    def test_longest_drop_with_infinite_buffers_runs_compiled(self):
-        # The eviction policy only matters when some buffer is finite.
-        sim = NetworkSimulation(_net4(), discipline_kind="fifo",
-                                initial_rates=RATES4,
-                                drop_policy="longest",
-                                buffer_sizes={"g0": None})
-        assert sim.engine == C_ENGINE
-
-    def test_forced_fast_on_unsupported_raises(self):
-        with pytest.raises(SimulationError, match="fair-queueing"):
-            NetworkSimulation(_net4(), discipline_kind="fair-queueing",
-                              initial_rates=RATES4, buffer_sizes=4,
-                              drop_policy="longest", engine="fast")
-
-    @pytest.mark.parametrize("engine", ["auto", "fast"])
+    @pytest.mark.parametrize("engine", ["auto", "fast", "compiled"])
     def test_fair_queueing_eviction_rejected_at_construction(self, engine):
         # Fair Queueing cannot evict: the configuration fails before
-        # any event runs, on either engine.
+        # any event runs, on every engine.
         with pytest.raises(SimulationError,
                            match="'fair-queueing'.*'longest'"):
             NetworkSimulation(single_gateway(2, mu=1.0), "fair-queueing",

@@ -58,9 +58,10 @@ suite-smoke:
 # scalar runs under a mix of all six built-in rules, and asynchronous
 # ensembles under uniform, bursty and drifting clocks, the blocks the
 # compiled ensemble loop serves or hands back),
-# and of 23 seeded packet-simulator cases on engine="auto" (the C
-# event loop) and engine="fast" (its Python loops) (~1 min; the two
-# lines of a packet case must agree).  A change that must not move any
+# and of 31 seeded packet-simulator cases on engine="auto" (the C
+# event loop) and engine="fast" (its Python loop) (~1 min; the two
+# lines of a packet case must agree, or the script exits 1, naming the
+# case).  A change that must not move any
 # result prints the same lines as its parent: `make digests > after.txt`
 # on both, then `diff`.
 digests:

@@ -48,14 +48,16 @@ simulator, two lines per case::
 
 The cases cover FIFO, Fair Share, fixed-priority and Fair Queueing,
 each with tail and longest drop where valid (Fair Queueing cannot
-evict), on a single gateway, a tandem and a parking lot, all with
-finite buffers that overflow; every run changes its rates once
-(``set_rates``), and two Fair Share cases run in measured mode with one
-refresh.  Each digest hashes the event count, mean queues, arrival
-rates, drop fractions, throughput and delays.  ``engine="auto"`` runs
-the C event loop wherever the C tier has built, and it is bit-identical
-to the Python loops of ``engine="fast"``, so the two lines of a case
-carry the same digest.
+evict), on a single gateway, a tandem and a parking lot, with buffers
+of 4 that overflow; then each discipline with infinite buffers on the
+tandem and the parking lot, offered at most 0.89 of any gateway's
+capacity.  Every run changes its rates once (``set_rates``), and two
+Fair Share cases run in measured mode with one refresh.  Each digest
+hashes the event count, mean queues, arrival rates, drop fractions,
+throughput and delays.  ``engine="auto"`` runs the C event loop
+wherever the C tier has built, and it is bit-identical to the Python
+loop of ``engine="fast"``, so the two lines of a case must carry the
+same digest: the script exits 1, naming the cases, when they do not.
 
 A change that must not move any result prints the same lines as its
 parent, so ``diff`` of the two outputs is the check.  The script uses
@@ -408,12 +410,15 @@ PACKET_TOPOLOGIES = {
 }
 
 
+PACKET_DISCIPLINES = ("fifo", "fair-share", "fixed-priority",
+                      "fair-queueing")
+
+
 def _packet_cases():
-    """case name -> NetworkSimulation keywords (bar engine and seed)."""
+    """case name -> _packet_run keywords (bar engine)."""
     cases = {}
     for topo, build in PACKET_TOPOLOGIES.items():
-        for disc in ("fifo", "fair-share", "fixed-priority",
-                     "fair-queueing"):
+        for disc in PACKET_DISCIPLINES:
             for policy in ("tail", "longest"):
                 if disc == "fair-queueing" and policy == "longest":
                     continue
@@ -425,19 +430,28 @@ def _packet_cases():
             network=tandem(2, 4, mu=1.0, latency=0.5),
             discipline_kind="fair-share", drop_policy=policy,
             rate_mode="measured")
+    # Infinite buffers: a load of 0.7 offers the tandem's gateways 0.7
+    # and the parking lot's at most 0.89, in either rate order.
+    for topo in ("tandem", "parking-lot"):
+        for disc in PACKET_DISCIPLINES:
+            cases[f"{disc}-infinite-{topo}"] = dict(
+                network=PACKET_TOPOLOGIES[topo](), discipline_kind=disc,
+                buffer_sizes=None, load=0.7)
     return cases
 
 
-def _packet_run(engine, network, **kwargs):
-    """Offered load 1.3 at the busiest gateway, buffers of 4, one rate
-    change (and one measured refresh before it); digest of every
-    public statistic and the event count."""
+def _packet_run(engine, network, load=1.3, buffer_sizes=4, **kwargs):
+    """Rates ``load / busiest * linspace(0.6, 1.4)``, ``busiest`` the
+    most connections at one gateway (so 1.3 overflows the buffers of 4),
+    one rate change (and one measured refresh before it); digest of
+    every public statistic and the event count."""
     n = network.num_connections
     busiest = max(len(network.connections_at(g))
                   for g in network.gateway_names)
-    rates = 1.3 / busiest * np.linspace(0.6, 1.4, n)
+    rates = load / busiest * np.linspace(0.6, 1.4, n)
     sim = NetworkSimulation(network, seed=11, initial_rates=rates,
-                            buffer_sizes=4, engine=engine, **kwargs)
+                            buffer_sizes=buffer_sizes, engine=engine,
+                            **kwargs)
     sim.run_for(100.0)
     sim.reset_statistics()
     sim.run_for(1500.0)
@@ -464,10 +478,18 @@ def main() -> int:
                       flush=True)
     for name, case in ENGINE_CASES.items():
         print(f"engine {name} {case()}", flush=True)
+    differ = []
     for name, kwargs in _packet_cases().items():
-        for engine in ("auto", "fast"):
-            print(f"packet {name} {engine} {_packet_run(engine, **kwargs)}",
-                  flush=True)
+        digests = [_packet_run(engine, **kwargs)
+                   for engine in ("auto", "fast")]
+        for engine, digest in zip(("auto", "fast"), digests):
+            print(f"packet {name} {engine} {digest}", flush=True)
+        if digests[0] != digests[1]:
+            differ.append(name)
+    if differ:
+        print(f"auto and fast digests differ: {', '.join(differ)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -65,12 +65,14 @@ Four kernel families live in the library:
   the observe row does or a delay-reading rule sees ``d <= 0``, so the
   Python loop then runs the block from step 1.
 * the packet event loop — a C transcription of
-  ``FastEngine._run_fifo`` (FIFO, with its burst and eager-sink
-  branches) and ``FastEngine._run_general`` (Fair Share and fixed
-  priority: one queue chain per gateway and class, thinning walks and
-  preemptive resume; Fair Queueing: a finish-tag heap and virtual
-  clock per gateway), with ``FastEngine._evict_longest``'s
-  drop-from-longest eviction, that lives as long as its engine:
+  ``FastEngine._run_general`` (Fair Share and fixed priority: one
+  queue chain per gateway and class, thinning walks and preemptive
+  resume; FIFO, their one-class case, in a branch of its own whose
+  completions absorb a gateway's departure chain without heap
+  traffic; Fair Queueing: a finish-tag heap and virtual clock per
+  gateway; every discipline with the sink rule's eager delivery),
+  with ``FastEngine._evict_longest``'s drop-from-longest eviction,
+  that lives as long as its engine:
   ``packet_new`` keeps pointers to the engine's numpy arrays (the
   constants, the per-gateway and per-connection state the Python side
   reads, the Fair Share tables and the variate rows) and owns the event
@@ -1453,7 +1455,7 @@ out:
 }
 
 /* ------------------------------------------------------------------ */
-/* Packet event loop (FastEngine._run_fifo and _run_general)          */
+/* Packet event loop (FastEngine._run_general)                        */
 /* ------------------------------------------------------------------ */
 
 #define ST_NONFINITE 9
@@ -1627,22 +1629,16 @@ static int pool_reserve(PacketState *s, i64 need)
     return 1;
 }
 
-/* An event, ordered by (time, push count) as EventCalendar orders its
- * (time, seq, kind, a, b) tuples. */
-static int heap_push(PacketState *s, double t, i64 kind, i64 a, i64 b)
-{
-    return heap_insert(&s->ev, t, s->seq++, kind, a, b);
-}
-
-/* The general path pushes through EventCalendar.push, which refuses a
- * non-finite time; the FIFO loop pushes unchecked. */
+/* EventCalendar.push: an event, ordered by (time, push count) as the
+ * calendar orders its (time, seq, kind, a, b) tuples; a non-finite time
+ * is refused. */
 static int push_checked(PacketState *s, double t, i64 kind, i64 a, i64 b)
 {
     if (!isfinite(t)) {
         s->bad_time = t;
         return ST_NONFINITE;
     }
-    return heap_push(s, t, kind, a, b) ? ST_DONE : ST_OOM;
+    return heap_insert(&s->ev, t, s->seq++, kind, a, b) ? ST_DONE : ST_OOM;
 }
 
 /* The next variate of a stream; the preflight guarantees one is left. */
@@ -1776,8 +1772,8 @@ static int admit(PacketState *s, i64 g, i64 pid, i64 pos, double now)
     return 1;
 }
 
-/* The inlined arrive block of _run_fifo: admit, then serve or
- * enqueue. */
+/* FastEngine._arrive for FIFO, the one-class case: admit, then serve
+ * or enqueue (an arrival never outranks the packet in service). */
 static int arrive_fifo(PacketState *s, i64 g, i64 pid, i64 conn,
                        double now)
 {
@@ -1785,12 +1781,10 @@ static int arrive_fifo(PacketState *s, i64 g, i64 pid, i64 conn,
     if (!admit(s, g, pid, pos, now)) return ST_DONE;
     if (s->serving[g] < 0) {
         s->serving[g] = pid;
-        if (!heap_push(s, now + s->p_rem[pid], K_COMPLETE, g,
-                       s->comp_epoch[g]))
-            return ST_OOM;
-    } else {
-        queue_append(s, g, pid);
+        return push_checked(s, now + s->p_rem[pid], K_COMPLETE, g,
+                            s->comp_epoch[g]);
     }
+    queue_append(s, g, pid);
     return ST_DONE;
 }
 
@@ -1847,8 +1841,8 @@ static void fq_release(PacketState *s, i64 g, i64 pos, double now)
     }
 }
 
-/* FastEngine._start_next for the general path: serve the smallest
- * finish tag (Fair Queueing) or the head of the best non-empty class. */
+/* FastEngine._start_next: serve the smallest finish tag (Fair
+ * Queueing) or the head of the best non-empty class. */
 static int start_next(PacketState *s, i64 g, double now)
 {
     i64 pid = -1;
@@ -1932,8 +1926,37 @@ static int arrive(PacketState *s, i64 g, i64 pid, i64 conn, double now)
                              : arrive_general(s, g, pid, conn, now);
 }
 
-/* FastEngine._complete (the general path). */
-static int complete_general(PacketState *s, i64 g, double now)
+/* FastEngine._deliver: packet pid reaches its sink at now. */
+static void deliver(PacketState *s, i64 pid, double now)
+{
+    i64 conn = s->p_conn[pid];
+    s->e2e_delivered[conn] += 1;
+    s->e2e_delay[conn] += now - s->p_created[pid];
+    s->p_free[s->free_len++] = pid;
+}
+
+/* FastEngine._complete's forwarding with the sink rule: hand the
+ * packet to its next hop, or deliver it here when its last hop's
+ * delivery is due by t_end (one more event processed), or push its
+ * sink event. */
+static int forward(PacketState *s, i64 g, i64 pid, i64 conn, double now,
+                   double t_end, i64 *processed)
+{
+    i64 next_hop = s->p_hop[pid] + 1;
+    double t = now + s->latency[g];
+    if (next_hop < s->path_ptr[conn + 1] - s->path_ptr[conn])
+        return push_checked(s, t, K_HANDOFF, pid, next_hop);
+    if (t <= t_end) {
+        deliver(s, pid, t);
+        *processed += 1;
+        return ST_DONE;
+    }
+    return push_checked(s, t, K_SINK, pid, 0);
+}
+
+/* FastEngine._complete. */
+static int complete_general(PacketState *s, i64 g, double now, double t_end,
+                            i64 *processed)
 {
     i64 pid = s->serving[g];
     if (pid < 0) return ST_IDLE_SERVER;
@@ -1945,25 +1968,21 @@ static int complete_general(PacketState *s, i64 g, double now)
     s->st_count[pos] -= 1;
     s->st_departures[pos] += 1;
     s->in_sys[g] -= 1;
-    i64 next_hop = s->p_hop[pid] + 1;
-    int st;
-    if (next_hop < s->path_ptr[conn + 1] - s->path_ptr[conn])
-        st = push_checked(s, now + s->latency[g], K_HANDOFF, pid,
-                          next_hop);
-    else
-        st = push_checked(s, now + s->latency[g], K_SINK, pid, 0);
+    int st = forward(s, g, pid, conn, now, t_end, processed);
     if (st != ST_DONE) return st;
     return start_next(s, g, now);
 }
 
-/* The FIFO completion with _run_fifo's eager sink and burst branches:
- * absorb the departure chain at g while the next completion strictly
- * precedes every pending event. */
+/* FastEngine._complete for FIFO, with a burst: absorb the departure
+ * chain at g while the next completion strictly precedes every pending
+ * event (and the event cap allows), which is the completion the heap
+ * would pop next anyway; on a tie the heap decides, where the fresh
+ * completion's later push loses.  Same events, same order, no heap
+ * traffic. */
 static int complete_fifo(PacketState *s, i64 g, double now, double t_end,
                          i64 max_events, i64 *processed)
 {
     i64 base = s->gw_ptr[g];
-    double lat = s->latency[g];
     for (;;) {
         i64 pid = s->serving[g];
         if (pid < 0) return ST_IDLE_SERVER;
@@ -1973,19 +1992,8 @@ static int complete_fifo(PacketState *s, i64 g, double now, double t_end,
         s->st_count[pos] -= 1;
         s->st_departures[pos] += 1;
         s->in_sys[g] -= 1;
-        i64 h = s->p_hop[pid] + 1;
-        double t = now + lat;
-        if (h < s->path_ptr[conn + 1] - s->path_ptr[conn]) {
-            if (!heap_push(s, t, K_HANDOFF, pid, h)) return ST_OOM;
-        } else if (t <= t_end) {
-            /* eager sink delivery */
-            s->e2e_delivered[conn] += 1;
-            s->e2e_delay[conn] += t - s->p_created[pid];
-            s->p_free[s->free_len++] = pid;
-            *processed += 1;
-        } else {
-            if (!heap_push(s, t, K_SINK, pid, 0)) return ST_OOM;
-        }
+        int st = forward(s, g, pid, conn, now, t_end, processed);
+        if (st != ST_DONE) return st;
         i64 nxt = queue_popleft(s, g);
         if (nxt < 0) {
             s->serving[g] = -1;
@@ -2001,9 +2009,7 @@ static int complete_fifo(PacketState *s, i64 g, double now, double t_end,
                 continue;
             }
         }
-        if (!heap_push(s, t_next, K_COMPLETE, g, s->comp_epoch[g]))
-            return ST_OOM;
-        return ST_DONE;
+        return push_checked(s, t_next, K_COMPLETE, g, s->comp_epoch[g]);
     }
 }
 
@@ -2090,28 +2096,21 @@ i64 packet_run(void *handle, double t_end, i64 max_events)
              * one is always drawn. */
             if (st == ST_DONE) {
                 double gap = s->scale[conn] * take(s, s->n_gw + conn);
-                if (s->disc == D_FIFO)
-                    st = heap_push(s, now + gap, K_EMIT, conn,
-                                   s->arr_epoch[conn]) ? ST_DONE : ST_OOM;
-                else
-                    st = push_checked(s, now + gap, K_EMIT, conn,
-                                      s->arr_epoch[conn]);
+                st = push_checked(s, now + gap, K_EMIT, conn,
+                                  s->arr_epoch[conn]);
             }
         } else if (kind == K_COMPLETE) {
             st = s->disc == D_FIFO
                      ? complete_fifo(s, a, now, t_end, max_events,
                                      &processed)
-                     : complete_general(s, a, now);
+                     : complete_general(s, a, now, t_end, &processed);
         } else if (kind == K_HANDOFF) {
             i64 conn = s->p_conn[a];
             s->p_hop[a] = b;
             st = arrive(s, s->path_arr[s->path_ptr[conn] + b], a, conn,
                         now);
         } else { /* K_SINK */
-            i64 conn = s->p_conn[a];
-            s->e2e_delivered[conn] += 1;
-            s->e2e_delay[conn] += now - s->p_created[a];
-            s->p_free[s->free_len++] = a;
+            deliver(s, a, now);
         }
         if (st != ST_DONE) break;
         if (processed > max_events) {

@@ -77,7 +77,7 @@ def fs_available() -> bool:
 
 def packet_lib():
     """The C library serving the packet event loop, or None when it has
-    not built (the Python loops of ``FastEngine`` then run)."""
+    not built (the Python loop of ``FastEngine`` then runs)."""
     return _cext.load()
 
 

@@ -25,20 +25,14 @@ from ..core.stability import (jacobian, transverse_spectral_radius,
                               unilateral_margins, zero_sum_tangent_basis)
 from ..core.steadystate import fair_steady_state
 from ..core.topology import single_gateway
-from ..parallel import sweep
 from .base import ExperimentResult
 
 __all__ = ["run_f5_aggregate_instability"]
 
 
 def _f5_point(args):
-    """One sweep point: stability analysis + perturbed run at one N.
-
-    Module-level (not a closure) so :func:`repro.parallel.sweep` can
-    ship it to a process pool when the caller asks for workers; the
-    perturbation noise is drawn by the caller so results do not depend
-    on worker scheduling.
-    """
+    """One grid point: stability analysis + perturbed run at one N,
+    from the perturbation noise the caller drew."""
     n, eta, beta, rho_ss, noise, perturbation, threshold = args
     signal = LinearSaturating()
     rule = TargetRule(eta=eta, beta=beta)
@@ -71,18 +65,14 @@ def _f5_point(args):
 def run_f5_aggregate_instability(eta: float = 0.3, beta: float = 0.5,
                                  n_values=(2, 4, 6, 8, 12, 20),
                                  perturbation: float = 1e-3,
-                                 seed: int = 3,
-                                 workers: int = 1) -> ExperimentResult:
+                                 seed: int = 3) -> ExperimentResult:
     """Sweep the number of connections at a shared gateway.
 
-    The per-N points are independent and go through
-    :func:`repro.parallel.sweep`.  They run serially by default: each
-    point is one Jacobian and one kernel-served ``run``, a few ms, so a
-    process pool costs more than it saves at every size the registry
-    and the benchmark run (2-core host, median of 7 calls, pool ->
-    serial: 52 -> 8 ms at ``n_values=(2, 4, 8, 12)``, 54 -> 14 ms at
-    the defaults).  Pass ``workers`` (``None`` for one per core) to fan
-    the points out.
+    The per-N points run in turn: each is one Jacobian and one
+    kernel-served ``run``, a few ms, so a process pool costs more than
+    it saves at every size the registry and the benchmark run (2-core
+    host, median of 7 calls, pool -> serial: 52 -> 8 ms at
+    ``n_values=(2, 4, 8, 12)``, 54 -> 14 ms at the defaults).
     """
     signal = LinearSaturating()
     rho_ss = signal.steady_state_utilisation(beta)
@@ -90,7 +80,7 @@ def run_f5_aggregate_instability(eta: float = 0.3, beta: float = 0.5,
     rng = np.random.default_rng(seed)
     grid = [(n, eta, beta, rho_ss, rng.standard_normal(n),
              perturbation, threshold) for n in n_values]
-    points = sweep(_f5_point, grid, workers=workers)
+    points = [_f5_point(args) for args in grid]
 
     rows = [p["row"] for p in points]
     radius_matches = all(p["radius_ok"] for p in points)

@@ -504,7 +504,7 @@ def check_compiled_equivalence(ctx: ScenarioContext) -> OracleResult:
 
     ``engine="auto"`` runs the kernel's event loop inside the
     runtime-built C library (:mod:`repro.backends._cext`); its contract
-    is bit-identity with the kernel's Python loops (``engine="fast"``),
+    is bit-identity with the kernel's Python loop (``engine="fast"``),
     which it transcribes — same RNG bitstream, same event order, same
     float arithmetic.  The run is short: equivalence is exact, so a
     modest event count already has full discriminating power.  Applies

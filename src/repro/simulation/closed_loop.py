@@ -102,7 +102,7 @@ def run_closed_loop(network: Network,
     ``engine`` selects the simulation engine (see
     :class:`~repro.simulation.network_sim.NetworkSimulation`):
     ``"auto"`` runs the kernel's C event loop whenever the C tier has
-    built and its Python loops otherwise, with trajectories
+    built and its Python loop otherwise, with trajectories
     bit-identical to ``"fast"``.
 
     When an :func:`repro.observability.collect` session is active, a

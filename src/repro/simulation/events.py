@@ -24,9 +24,9 @@ class EventCalendar:
     the tuple never compares past it.  The calendar cancels nothing.
     The kernel invalidates an event by bumping an epoch that the event
     carries in ``b``: a source's on a rate change, a gateway's
-    completion epoch on a preemption.  The kernel's loops skip a popped
-    event whose epoch is stale, uncounted, and push to :attr:`_heap`
-    directly.
+    completion epoch on a preemption.  The kernel's Python loop pushes
+    through :meth:`push`, pops from :attr:`_heap` directly and skips a
+    popped event whose epoch is stale, uncounted.
     """
 
     __slots__ = ("_heap", "_seq")

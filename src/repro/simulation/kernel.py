@@ -16,31 +16,32 @@
 * statistics accumulate in plain Python lists owned by the engine;
   :class:`KernelGatewayStats` / :class:`KernelEndToEndStats` are the
   per-gateway and end-to-end read API over them;
-* a FIFO **burst fast path** (:meth:`FastEngine._run_fifo`, a single
-  monolithic loop with the calendar, pool, RNG buffers and statistics
-  all inlined into locals) services back-to-back departures at a
-  gateway without touching the calendar whenever the next completion
-  *strictly* precedes every pending event; ties, the preemptive class
-  disciplines and Fair Queueing take the general path;
-* Fair Queueing keeps a virtual clock and finish tags per gateway
-  (:class:`_FairQueueingGateway`), and the drop-from-longest buffer
-  policy evicts through :meth:`FastEngine._evict_longest`, which runs
-  only on overflow.
-
-The burst path is exact, not approximate: when the next completion
-strictly precedes all pending events, the calendar would pop that
-completion next anyway, and on a tie the kernel falls back to the
-calendar, where the fresh completion's later insertion sequence loses
-the tie.  So the two loops give the same event order and the same
-floats.
+* one event loop, :meth:`FastEngine._run_general`, serves every
+  discipline.  Fair Share and fixed priority keep one queue per
+  priority class and preempt with resume; FIFO is their one-class
+  case (one queue per gateway, so an arrival never outranks the packet
+  in service); Fair Queueing keeps a virtual clock and finish tags per
+  gateway (:class:`_FairQueueingGateway`).  The drop-from-longest
+  buffer policy evicts through :meth:`FastEngine._evict_longest`,
+  which runs only on overflow;
+* the sink rule: a completion that sends its packet off its last hop
+  with the delivery due by the run's horizon (``now + latency <=
+  t_end``) delivers it there, counted as an event, instead of pushing
+  a sink event.  A delivery touches nothing but its connection's
+  end-to-end tallies and the free-list, so no other event sees the
+  difference, and the run ends with the same deliveries.  Only the
+  order of a connection's delay sum can differ from sink-time order:
+  a sink pushed past one run's horizon is added after a packet the
+  next run delivers at its completion.
 
 Every configuration ``NetworkSimulation`` accepts runs here.
 :class:`~repro.simulation.kernel_compiled.CompiledEngine` runs the same
-loops in C, for every configuration, with the same bits.  What the two
+loop in C, for every configuration, with the same bits.  What the two
 loops share (the queueing disciplines, preemptive resume, Fair Share
 thinning, buffer accounting) answers to queueing theory instead: at a
 single gateway the paper's queue laws and M/M/1/K blocking hold
-exactly (``tests/integration/test_queue_laws.py``).
+exactly, and with infinite buffers the four disciplines keep it busy
+over the same intervals (``tests/integration/test_queue_laws.py``).
 """
 
 from __future__ import annotations
@@ -81,9 +82,8 @@ class KernelGatewayStats:
     Per local connection: the time integral of the number in the
     gateway (waiting plus in service), arrivals, departures and drops
     since the last reset.  The data itself lives in :class:`FastEngine`
-    parallel lists, which the kernel's inlined run loops mutate
-    directly; the mutation methods here serve the general path and
-    eviction.
+    parallel lists, which the Python loop mutates through the methods
+    here and the C loop through pointers.
     """
 
     __slots__ = ("_e", "_g", "local_conns_", "pos")
@@ -94,7 +94,7 @@ class KernelGatewayStats:
         self.local_conns_ = list(engine.local_conns[g])
         self.pos = {conn: k for k, conn in enumerate(self.local_conns_)}
 
-    # -- mutation (the generic engine path) ----------------------------
+    # -- mutation (the Python loop) -------------------------------------
     def accumulate(self, now: float) -> None:
         e, g = self._e, self._g
         dt = now - e.st_last[g]
@@ -146,7 +146,8 @@ class KernelGatewayStats:
         self.accumulate(now)
         e, g = self._e, self._g
         n = len(self.local_conns_)
-        # In-place so the engine's hoisted list references stay valid.
+        # In place: under the C loop these rows are views of the arrays
+        # it points to.
         e.st_integral[g][:] = [0.0] * n
         e.st_arrivals[g][:] = [0] * n
         e.st_departures[g][:] = [0] * n
@@ -371,24 +372,14 @@ class FastEngine:
                             for g in gw_names]
         self.local_pos = [{c: p for p, c in enumerate(lc)}
                           for lc in self.local_conns]
-        # Flat connection -> local-position tables (-1 where foreign):
-        # a list index beats a dict hash in the hot loop.
-        self.local_pos_flat = [[pos.get(c, -1) for c in range(n)]
-                               for pos in self.local_pos]
         self.latency = [float(network.gateway(g).latency) for g in gw_names]
         self.mu_scale = [1.0 / float(network.mu(g)) for g in gw_names]
         self.paths = [[gw_index[g] for g in network.gamma(i)]
                       for i in range(n)]
         self.first_hop = [p[0] for p in self.paths]
-        self.path_len = [len(p) for p in self.paths]
         # Sizes are None or ints >= 1 (NetworkSimulation validates).
         self.buffer_size: List[Optional[int]] = [buffer_map.get(g)
                                                  for g in gw_names]
-        # Sentinel caps (2**62 ~ infinite; no larger size can fill)
-        # make the hot loop's overflow test a single integer comparison
-        # that fits the C loop's int64.
-        self.buffer_cap = [(1 << 62) if s is None else min(s, 1 << 62)
-                           for s in self.buffer_size]
         #: Whether an overflow evicts (drop-from-longest with some
         #: finite buffer) instead of refusing the newcomer.
         self.evicts = drop_policy == "longest" and any(
@@ -409,24 +400,23 @@ class FastEngine:
         self.resample_arrivals(rates)
 
     def _build_state(self, streams: RandomStreams) -> None:
-        """The mutable state of the Python loops: queues, servers,
+        """The mutable state of the Python loop: queues, servers,
         buffered random streams, statistics, calendar, pool, sources."""
         gw_names = self.gw_names
         n_gw = len(gw_names)
         n = self.n_conn
-        # Queues: one deque per gateway (FIFO), one per priority class
-        # (the class-based disciplines never need more classes than
+        # Queues: one deque per priority class (FIFO has one class;
+        # Fair Share and fixed priority never need more classes than
         # local connections), or a finish-tag heap (Fair Queueing).
-        self.queues: Optional[List[deque]] = None
         self.cqueues: Optional[List[List[deque]]] = None
         self.fq: Optional[List[_FairQueueingGateway]] = None
-        if self.discipline_kind == "fifo":
-            self.queues = [deque() for _ in gw_names]
-        elif self.discipline_kind == "fair-queueing":
+        if self.discipline_kind == "fair-queueing":
             self.fq = [_FairQueueingGateway(len(lc))
                        for lc in self.local_conns]
         else:
-            self.cqueues = [[deque() for _ in lc] for lc in self.local_conns]
+            fifo = self.discipline_kind == "fifo"
+            self.cqueues = [[deque() for _ in range(1 if fifo else len(lc))]
+                            for lc in self.local_conns]
 
         # Server state: packet id in service (or -1), the absolute time
         # of its scheduled completion and the completion epoch that
@@ -441,13 +431,6 @@ class FastEngine:
         self.arr_buf = [streams.buffer(f"arrival:c{i}") for i in range(n)]
         self.thin_buf = ([streams.buffer(f"thinning:{g}") for g in gw_names]
                          if self.discipline_kind == "fair-share" else None)
-        # Prime the exponential buffers: prefetching a block does not
-        # change which variate is the k-th draw from a stream, and it
-        # lets the hot loop test ``index >= block`` instead of calling
-        # ``len`` on the value list.
-        for buf in self.svc_buf + self.arr_buf:
-            if not buf._values:
-                buf._refill("exponential")
 
         # Statistics (engine-owned parallel lists; the Kernel*Stats
         # views read them).
@@ -505,7 +488,7 @@ class FastEngine:
             self.fs_tables[g] = fair_share_table(local_rates)
 
     # ------------------------------------------------------------------
-    # drop-from-longest eviction (overflow only; both loops)
+    # drop-from-longest eviction (overflow only)
     # ------------------------------------------------------------------
     def _evict_longest(self, g: int, now: float) -> bool:
         """Make room at the full gateway ``g``: the connection with the
@@ -514,10 +497,7 @@ class FastEngine:
         caller then refuses the arrival."""
         counts = self.st_count[g]
         p_conn = self.pool.conn
-        if self.queues is not None:
-            queues = (self.queues[g],)
-        else:  # class disciplines: lowest-priority class first
-            queues = self.cqueues[g][::-1]
+        queues = self.cqueues[g][::-1]  # lowest-priority class first
         # ``sorted`` is stable, also with ``reverse``.
         for pos in sorted(range(len(counts)), key=counts.__getitem__,
                           reverse=True):
@@ -536,7 +516,7 @@ class FastEngine:
         return False
 
     # ------------------------------------------------------------------
-    # general-path event handlers (class disciplines, Fair Queueing)
+    # event handlers
     # ------------------------------------------------------------------
     def _arrive(self, g: int, pid: int, now: float) -> None:
         """A packet reaches gateway ``g``: buffer check (evict or drop
@@ -562,12 +542,12 @@ class FastEngine:
             if self.serving[g] < 0:
                 self._start_next(g, now)
             return
-        # Classify into a priority class.
+        # Classify into a priority class.  FIFO has one, so its
+        # arrivals never preempt.
+        klass = 0
         if self.thin_buf is not None:  # fair-share thinning
             entry = self.fs_tables[g][pos]
-            if entry is None:
-                klass = 0
-            else:
+            if entry is not None:
                 widths, total, fallback = entry
                 u = self.thin_buf[g].next_uniform() * total
                 acc = 0.0
@@ -577,8 +557,8 @@ class FastEngine:
                     if u <= acc:
                         klass = k
                         break
-        else:  # fixed-priority: class = local position
-            klass = pos
+        elif self.discipline_kind == "fixed-priority":
+            klass = pos  # class = local position
         pool.klass[pid] = klass
         self.cqueues[g][klass].append(pid)
         serving = self.serving[g]
@@ -617,8 +597,11 @@ class FastEngine:
         self._arrive(self.first_hop[conn], pid, now)
         self._schedule_next_arrival(conn)
 
-    def _complete(self, g: int, now: float) -> None:
-        """A service completion at gateway ``g`` (general path)."""
+    def _complete(self, g: int, now: float, t_end: float) -> int:
+        """A service completion at gateway ``g``: forward the packet,
+        serve the next.  Returns 1 when the packet left its last hop due
+        by ``t_end`` and was delivered here (the sink rule: one more
+        event processed), else 0."""
         pool = self.pool
         pid = self.serving[g]
         if pid < 0:
@@ -629,17 +612,27 @@ class FastEngine:
             self.fq[g].release(self.local_pos[g][conn], now)
         self.gw_stats[g].on_departure(conn, now)
         self.in_system_count[g] -= 1
-        path = self.paths[conn]
         next_hop = pool.hop[pid] + 1
-        if next_hop < len(path):
-            self.calendar.push(now + self.latency[g], _HANDOFF, pid,
-                               next_hop)
+        t = now + self.latency[g]
+        delivered = 0
+        if next_hop < len(self.paths[conn]):
+            self.calendar.push(t, _HANDOFF, pid, next_hop)
+        elif t <= t_end:
+            self._deliver(pid, t)
+            delivered = 1
         else:
-            self.calendar.push(now + self.latency[g], _SINK, pid)
+            self.calendar.push(t, _SINK, pid)
         self._start_next(g, now)
+        return delivered
+
+    def _deliver(self, pid: int, now: float) -> None:
+        """Packet ``pid`` reaches its sink at ``now``."""
+        pool = self.pool
+        self.e2e_stats.on_delivery(pool.conn[pid], pool.created[pid], now)
+        pool.free(pid)
 
     # ------------------------------------------------------------------
-    # main loops
+    # the event loop
     # ------------------------------------------------------------------
     def run_until(self, t_end: float, max_events: int = 50_000_000) -> None:
         """Process events in time order until ``t_end`` (inclusive);
@@ -648,10 +641,7 @@ class FastEngine:
         if t_end < self.now:
             raise SimulationError(
                 f"t_end {t_end} is before current time {self.now}")
-        if self.queues is not None:
-            self._run_fifo(t_end, max_events)
-        else:
-            self._run_general(t_end, max_events)
+        self._run_general(t_end, max_events)
         self.now = t_end
 
     def _run_general(self, t_end: float, max_events: int) -> None:
@@ -676,326 +666,17 @@ class FastEngine:
                 self.now = time
                 processed += 1
                 if kind == _COMPLETE:
-                    self._complete(a, time)
+                    processed += self._complete(a, time, t_end)
                 elif kind == _EMIT:
                     self._emit(a, time)
                 elif kind == _HANDOFF:
                     pool.hop[a] = b
                     self._arrive(self.paths[pool.conn[a]][b], a, time)
                 else:  # _SINK
-                    self.e2e_stats.on_delivery(pool.conn[a],
-                                               pool.created[a], time)
-                    pool.free(a)
+                    self._deliver(a, time)
                 if processed > max_events:
                     raise SimulationError(
                         f"exceeded {max_events} events before t={t_end}; "
                         f"runaway simulation?")
         finally:
             self.events_processed += processed
-
-    def _run_fifo(self, t_end: float, max_events: int) -> None:
-        """The FIFO hot loop: every data structure inlined into locals.
-
-        FIFO never preempts, so its only stale events are source
-        arrivals that a rate change invalidated; they are skipped,
-        uncounted, when they surface, and completions carry the
-        gateway's completion epoch unchecked.  The burst branch in the
-        COMPLETE case absorbs a departure chain without any heap
-        traffic whenever the next completion strictly precedes every
-        pending event — exactly the events the calendar would pop next
-        anyway.
-        """
-        cal = self.calendar
-        heap = cal._heap
-        seq = cal._seq
-        pool = self.pool
-        p_conn = pool.conn
-        p_created = pool.created
-        p_hop = pool.hop
-        p_rem = pool.remaining
-        p_free = pool._free
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-
-        paths = self.paths
-        path_len = self.path_len
-        first_hop = self.first_hop
-        latency = self.latency
-        mu_scale = self.mu_scale
-        buffer_cap = self.buffer_cap
-        queues = self.queues
-        serving = self.serving
-        in_sys = self.in_system_count
-        svc_buf = self.svc_buf
-        arr_buf = self.arr_buf
-        scale = self.scale
-        arr_epoch = self.arr_epoch
-        pos_flat = self.local_pos_flat
-        st_count = self.st_count
-        st_integral = self.st_integral
-        st_arrivals = self.st_arrivals
-        st_departures = self.st_departures
-        st_drops = self.st_drops
-        st_last = self.st_last
-        e2e_delivered = self.e2e_delivered
-        e2e_delay = self.e2e_delay
-
-        now = self.now
-        processed = 0
-        # One-gateway cache: most events hit the same gateway as their
-        # predecessor (always, on single-gateway topologies), so the
-        # per-gateway structure lookups are reloaded only on a gateway
-        # switch.  ``serving``/``in_sys``/``st_last`` mutate per event
-        # and stay list-indexed.
-        cg = -1
-        c_q = c_cnt = c_integ = c_deps = c_arrs = c_drops = c_pos = None
-        c_svc = None
-        c_lat = c_mu = 0.0
-        c_cap = 0
-        try:
-            while heap:
-                entry = heap[0]
-                time = entry[0]
-                if time > t_end:
-                    break
-                heappop(heap)
-                kind = entry[2]
-                a = entry[3]
-
-                if kind == _EMIT:
-                    conn = a
-                    if entry[4] != arr_epoch[conn]:
-                        continue  # arrival cancelled by a rate change
-                    now = time
-                    processed += 1
-                    # packet allocation (inlined pool.alloc)
-                    if p_free:
-                        pid = p_free.pop()
-                        p_conn[pid] = conn
-                        p_created[pid] = now
-                        p_hop[pid] = 0
-                    else:
-                        pid = len(p_conn)
-                        p_conn.append(conn)
-                        p_created.append(now)
-                        p_hop.append(0)
-                        p_rem.append(0.0)
-                        pool.klass.append(0)
-                    g = first_hop[conn]
-                    if g != cg:
-                        cg = g
-                        c_q = queues[g]
-                        c_lat = latency[g]
-                        c_cnt = st_count[g]
-                        c_integ = st_integral[g]
-                        c_deps = st_departures[g]
-                        c_arrs = st_arrivals[g]
-                        c_drops = st_drops[g]
-                        c_pos = pos_flat[g]
-                        c_svc = svc_buf[g]
-                        c_mu = mu_scale[g]
-                        c_cap = buffer_cap[g]
-                    # --- arrive at g (inlined; on overflow, evict or
-                    # refuse) ---
-                    if in_sys[g] >= c_cap and not (
-                            self.evicts and self._evict_longest(g, now)):
-                        dt = now - st_last[g]
-                        if dt > 0.0:
-                            for j, c in enumerate(c_cnt):
-                                if c:
-                                    c_integ[j] += c * dt
-                            st_last[g] = now
-                        c_drops[c_pos[conn]] += 1
-                        p_free.append(pid)
-                    else:
-                        i = c_svc._index
-                        vals = c_svc._values
-                        if i >= c_svc._block:
-                            c_svc._refill("exponential")
-                            vals = c_svc._values
-                            i = 0
-                        c_svc._index = i + 1
-                        p_rem[pid] = c_mu * vals[i]
-                        dt = now - st_last[g]
-                        if dt > 0.0:
-                            if in_sys[g]:  # all counts zero when empty
-                                for j, c in enumerate(c_cnt):
-                                    if c:
-                                        c_integ[j] += c * dt
-                            st_last[g] = now
-                        pos = c_pos[conn]
-                        c_cnt[pos] += 1
-                        c_arrs[pos] += 1
-                        in_sys[g] += 1
-                        if serving[g] < 0:
-                            serving[g] = pid
-                            heappush(heap, (now + p_rem[pid], seq,
-                                            _COMPLETE, g, 0))
-                            seq += 1
-                        else:
-                            c_q.append(pid)
-                    # --- schedule the next arrival of conn
-                    # (epoch-validated payload; a rate change cancels
-                    # it by bumping the connection's epoch) ---
-                    buf = arr_buf[conn]
-                    i = buf._index
-                    vals = buf._values
-                    if i >= buf._block:
-                        buf._refill("exponential")
-                        vals = buf._values
-                        i = 0
-                    buf._index = i + 1
-                    heappush(heap, (now + scale[conn] * vals[i], seq,
-                                    _EMIT, conn, arr_epoch[conn]))
-                    seq += 1
-
-                elif kind == _COMPLETE:
-                    now = time
-                    processed += 1
-                    g = a
-                    if g != cg:
-                        cg = g
-                        c_q = queues[g]
-                        c_lat = latency[g]
-                        c_cnt = st_count[g]
-                        c_integ = st_integral[g]
-                        c_deps = st_departures[g]
-                        c_arrs = st_arrivals[g]
-                        c_drops = st_drops[g]
-                        c_pos = pos_flat[g]
-                        c_svc = svc_buf[g]
-                        c_mu = mu_scale[g]
-                        c_cap = buffer_cap[g]
-                    while True:
-                        pid = serving[g]
-                        if pid < 0:
-                            raise SimulationError(
-                                "completion event with idle server")
-                        conn = p_conn[pid]
-                        # departure statistics (inlined accumulate)
-                        dt = now - st_last[g]
-                        if dt > 0.0:
-                            for j, c in enumerate(c_cnt):
-                                if c:
-                                    c_integ[j] += c * dt
-                            st_last[g] = now
-                        pos = c_pos[conn]
-                        c_cnt[pos] -= 1
-                        c_deps[pos] += 1
-                        in_sys[g] -= 1
-                        # forward (payload: handoff or sink)
-                        h = p_hop[pid] + 1
-                        t = now + c_lat
-                        if h < path_len[conn]:
-                            heappush(heap, (t, seq, _HANDOFF, pid, h))
-                            seq += 1
-                        elif t <= t_end:
-                            # Eager delivery: a sink only touches its
-                            # connection's end-to-end counters, so it
-                            # commutes with every other event — process
-                            # it here (same timestamp arithmetic, same
-                            # per-connection accumulation order) and
-                            # skip the heap round-trip entirely.
-                            e2e_delivered[conn] += 1
-                            e2e_delay[conn] += t - p_created[pid]
-                            p_free.append(pid)
-                            processed += 1
-                        else:
-                            heappush(heap, (t, seq, _SINK, pid, 0))
-                            seq += 1
-                        # next in FIFO order
-                        if not c_q:
-                            serving[g] = -1
-                            break
-                        nxt = c_q.popleft()
-                        serving[g] = nxt
-                        t_next = now + p_rem[nxt]
-                        # burst: absorb the next completion without
-                        # heap traffic when it strictly precedes every
-                        # pending event.
-                        if t_next <= t_end and processed < max_events:
-                            if not heap or t_next < heap[0][0]:
-                                now = t_next
-                                processed += 1
-                                continue
-                        heappush(heap, (t_next, seq, _COMPLETE, g, 0))
-                        seq += 1
-                        break
-
-                elif kind == _HANDOFF:
-                    now = time
-                    processed += 1
-                    pid = a
-                    conn = p_conn[pid]
-                    b = entry[4]
-                    p_hop[pid] = b
-                    g = paths[conn][b]
-                    if g != cg:
-                        cg = g
-                        c_q = queues[g]
-                        c_lat = latency[g]
-                        c_cnt = st_count[g]
-                        c_integ = st_integral[g]
-                        c_deps = st_departures[g]
-                        c_arrs = st_arrivals[g]
-                        c_drops = st_drops[g]
-                        c_pos = pos_flat[g]
-                        c_svc = svc_buf[g]
-                        c_mu = mu_scale[g]
-                        c_cap = buffer_cap[g]
-                    # --- arrive at g (inlined, same as EMIT's) ---
-                    if in_sys[g] >= c_cap and not (
-                            self.evicts and self._evict_longest(g, now)):
-                        dt = now - st_last[g]
-                        if dt > 0.0:
-                            for j, c in enumerate(c_cnt):
-                                if c:
-                                    c_integ[j] += c * dt
-                            st_last[g] = now
-                        c_drops[c_pos[conn]] += 1
-                        p_free.append(pid)
-                    else:
-                        i = c_svc._index
-                        vals = c_svc._values
-                        if i >= c_svc._block:
-                            c_svc._refill("exponential")
-                            vals = c_svc._values
-                            i = 0
-                        c_svc._index = i + 1
-                        p_rem[pid] = c_mu * vals[i]
-                        dt = now - st_last[g]
-                        if dt > 0.0:
-                            if in_sys[g]:  # all counts zero when empty
-                                for j, c in enumerate(c_cnt):
-                                    if c:
-                                        c_integ[j] += c * dt
-                            st_last[g] = now
-                        pos = c_pos[conn]
-                        c_cnt[pos] += 1
-                        c_arrs[pos] += 1
-                        in_sys[g] += 1
-                        if serving[g] < 0:
-                            serving[g] = pid
-                            heappush(heap, (now + p_rem[pid], seq,
-                                            _COMPLETE, g, 0))
-                            seq += 1
-                        else:
-                            c_q.append(pid)
-
-                else:  # _SINK
-                    now = time
-                    processed += 1
-                    pid = a
-                    conn = p_conn[pid]
-                    e2e_delivered[conn] += 1
-                    e2e_delay[conn] += now - p_created[pid]
-                    p_free.append(pid)
-
-                if processed > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events before t={t_end}; "
-                        f"runaway simulation?")
-        finally:
-            self.now = now
-            self.events_processed += processed
-            cal._seq = seq

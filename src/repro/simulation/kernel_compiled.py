@@ -5,19 +5,22 @@ FastEngine` whose events run inside the runtime-compiled C library
 from :mod:`repro.backends._cext`, for every discipline and drop policy
 ``FastEngine`` runs.  ``NetworkSimulation`` picks it for
 ``engine="auto"`` (and its synonym ``"compiled"``) whenever the C tier
-has built (:meth:`CompiledEngine.serves`); otherwise the Python loops
-of ``FastEngine`` run, with the same bits.
+has built (:meth:`CompiledEngine.serves`); otherwise the Python loop
+of ``FastEngine`` runs, with the same bits.
 
 Bit-identity is by construction, not accident:
 
 * the C loop is a statement-for-statement transcription of
-  ``_run_fifo`` for FIFO (same drop-before-draw order, same statistics
-  accumulation order, same eager-sink and burst-absorption branches),
-  of ``_run_general`` for the class disciplines (same thinning walk,
-  same banked remainder on preemption, same push order) and Fair
-  Queueing (same virtual-clock arithmetic, same finish-tag order), and
-  of ``_evict_longest`` for drop-from-longest, compiled with FMA
-  contraction disabled;
+  ``_run_general`` (same drop-before-draw order, same statistics
+  accumulation order, same sink rule; for the class disciplines the
+  same thinning walk, banked remainder on preemption and push order;
+  for Fair Queueing the same virtual-clock arithmetic and finish-tag
+  order) and of ``_evict_longest`` for drop-from-longest, compiled
+  with FMA contraction disabled.  FIFO, the one-class case, runs in a
+  branch of its own whose completions absorb a gateway's departure
+  chain while the next completion strictly precedes every pending
+  event: the heap would pop exactly those events next, so the branch
+  saves heap traffic and changes no event, count or float;
 * heap entries are ordered by the unique key ``(time, seq)``, so any
   valid binary min-heap — python's ``heapq`` array or the C one — pops
   the identical event sequence;
@@ -25,7 +28,7 @@ Bit-identity is by construction, not accident:
   loop reads the :class:`~repro.simulation.rng.VariateRows` rows and
   *yields back to Python* before any event whose draws would exhaust a
   row, so the generator objects (and hence the exact bitstream, shared
-  with the Python loops) advance only via ``refill``.
+  with the Python loop) advance only via ``refill``.
 
 Nothing is marshalled per call.  The C state lives as long as the
 engine: it keeps pointers to the engine's numpy arrays (constants,
@@ -76,8 +79,15 @@ class CompiledEngine(FastEngine):
         fs_ptr = np.zeros(n_gw + 1, i8)
         fs_ptr[1:] = np.cumsum([k * k for k in sizes])
         path_ptr = np.zeros(n + 1, i8)
-        path_ptr[1:] = np.cumsum(self.path_len)
+        path_ptr[1:] = np.cumsum([len(p) for p in self.paths])
         n_local = int(gw_ptr[-1])
+        # Sentinel caps (2**62 ~ infinite; no larger size can fill)
+        # make the overflow test one int64 comparison.
+        buffer_cap = [(1 << 62) if size is None else min(size, 1 << 62)
+                      for size in self.buffer_size]
+        # Connection -> local position at each gateway, -1 where foreign.
+        pos_flat = [pos.get(c, -1) for pos in self.local_pos
+                    for c in range(n)]
 
         def rows(flat):
             return [flat[gw_ptr[g]:gw_ptr[g + 1]] for g in range(n_gw)]
@@ -115,8 +125,7 @@ class CompiledEngine(FastEngine):
         # Constants, kept alive beside the pointers the C state holds.
         self._consts = (
             np.asarray(self.latency, f8), np.asarray(self.mu_scale, f8),
-            np.asarray(self.buffer_cap, i8),
-            np.asarray(self.local_pos_flat, i8).reshape(-1),
+            np.asarray(buffer_cap, i8), np.asarray(pos_flat, i8),
             np.asarray(self.first_hop, i8), gw_ptr, path_ptr,
             np.asarray([g for p in self.paths for g in p], i8), fs_ptr)
         state = (self.scale, self.arr_epoch, self.serving,

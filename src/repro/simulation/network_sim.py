@@ -27,7 +27,7 @@ Two engines run the system (``engine=`` selects):
   compiler) the same as ``"fast"``.  :attr:`engine` names the engine
   that runs: ``"compiled"`` or ``"fast"``.
 * ``"fast"`` — the :class:`~repro.simulation.kernel.FastEngine`'s
-  Python loops over its event heap, pooled packet ids and buffered
+  Python loop over its event heap, pooled packet ids and buffered
   random streams.  It runs every configuration this class accepts,
   with the C loop's bits: same seed, same trajectory.
 * ``"compiled"`` — a synonym of ``"auto"``.

@@ -1,4 +1,4 @@
-"""Packet storage for the simulator's Python loops.
+"""Packet storage for the simulator's Python loop.
 
 :class:`PacketPool` keeps packet fields in parallel columns indexed by
 an integer packet id, and delivered/dropped ids return to a free-list,

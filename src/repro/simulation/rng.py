@@ -7,8 +7,8 @@ are reproducible and adding a component never perturbs the draws of the
 others.
 
 The engines draw through two surfaces over each substream: the
-refillable :class:`VariateBuffer` that the fast kernel's Python loops
-pop one variate at a time, and the :class:`VariateRows` the compiled
+refillable :class:`VariateBuffer` that the fast kernel's Python loop
+pops one variate at a time, and the :class:`VariateRows` the compiled
 loop reads.  Both cross into numpy once per *block* of variates, not
 once per variate.
 

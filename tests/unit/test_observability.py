@@ -35,6 +35,17 @@ def _square(x):
     return x * x
 
 
+def _run_point(n):
+    """A sweep point that runs one trajectory at ``n`` connections, so
+    it leaves one run record in the active session."""
+    _make_system(n).run(np.full(n, 0.1), max_steps=200)
+    return n
+
+
+#: Grid of :func:`_run_point`, in the order its records must arrive.
+RUN_GRID = [2, 4, 6, 8, 12, 20]
+
+
 class TestMetricsRegistry:
     def test_counter_and_timer(self):
         reg = MetricsRegistry()
@@ -263,32 +274,26 @@ class TestSweepTelemetry:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_run_records_reach_the_session(self, workers):
-        # F5 runs one trajectory per N through a process pool; each
-        # worker's run records travel back with its chunk and merge in
-        # grid order, whatever the worker count.
-        from repro.experiments.exp_f5_aggregate_instability import \
-            run_f5_aggregate_instability
+        # One trajectory per grid point, through a process pool when
+        # workers > 1; each worker's run records travel back with its
+        # chunk and merge in grid order, whatever the worker count.
         with collect() as session:
-            run_f5_aggregate_instability(workers=workers)
-        assert [r.n_connections for r in session.run_records] == \
-            [2, 4, 6, 8, 12, 20]
+            sweep(_run_point, RUN_GRID, workers=workers)
+        assert [r.n_connections for r in session.run_records] == RUN_GRID
 
     def test_salvaged_chunk_records_keep_grid_order(self, monkeypatch):
         # The chunk at grid index 1 fails for a non-retryable
         # infrastructure reason and is salvaged on the calling thread;
         # its record still lands between its neighbours' records.
-        from repro.experiments.exp_f5_aggregate_instability import \
-            run_f5_aggregate_instability
         from tests.unit.test_resilient_sweep import _patched_submit
         _patched_submit(monkeypatch, lambda first, attempt:
                         RuntimeError("does not pickle") if first == 1
                         else None)
         with pytest.warns(RuntimeWarning, match="fell back to serial"):
             with collect() as session:
-                run_f5_aggregate_instability(workers=2)
+                sweep(_run_point, RUN_GRID, workers=2)
         assert session.sweep_records[0].salvaged_chunks == [1]
-        assert [r.n_connections for r in session.run_records] == \
-            [2, 4, 6, 8, 12, 20]
+        assert [r.n_connections for r in session.run_records] == RUN_GRID
 
 
 class TestProvenance:

@@ -10,7 +10,7 @@ test:
 # Tier-1 and the quick gate on a host without a C compiler: PATH holds
 # only the interpreter's own directory (not a pyenv shim) and CC is
 # unset, so the C tier does not build and every path runs on numpy
-# (~4 min; the gate's six C-tier cases skip).
+# (~4 min; the gate's seven C-tier cases skip).
 NOCC_PYTHON = $(shell $(PYTHON) -c 'import sys; print(sys.executable)')
 NOCC = env -u CC PATH=$(dir $(NOCC_PYTHON)) $(NOCC_PYTHON)
 
@@ -23,12 +23,12 @@ selftest:
 
 # The benchmark gate at CI sizes: every case of benchmarks/bench.py,
 # judged by its quick floor (the blocked scale run must also fit its
-# budget).  The six C-tier cases skip with a notice when the C library
+# budget).  The seven C-tier cases skip with a notice when the C library
 # cannot be built (no C compiler), so a bare install stays green.
 gate:
 	$(PYTHON) benchmarks/bench.py --quick
 
-# Seeded, bounded fuzzing sweep (~15 s): 12 deterministic scenarios
+# Seeded, bounded fuzzing sweep (~3 s): 12 deterministic scenarios
 # through the full differential/theorem oracle catalogue.  Runs
 # alongside `gate` in the tier-1 flow; a failing scenario prints its
 # ScenarioSpec JSON for reproduction.
@@ -57,11 +57,13 @@ suite-smoke:
 # delay-reading rules, a zero-rate start and a capacity degradation,
 # scalar runs under a mix of all six built-in rules, and asynchronous
 # ensembles under uniform, bursty and drifting clocks, the blocks the
-# compiled ensemble loop serves or hands back),
+# compiled ensemble loop serves or hands back), of 3 trajectory-engine
+# cases run with the C tier live and again with it masked
+# (PowerSaturating, ExponentialSignal and an adversary mix),
 # and of 31 seeded packet-simulator cases on engine="auto" (the C
-# event loop) and engine="fast" (its Python loop) (~1 min; the two
-# lines of a packet case must agree, or the script exits 1, naming the
-# case).  A change that must not move any
+# event loop) and engine="fast" (its Python loop) (~1.5 min; the two
+# lines of a tier or packet case must agree, or the script exits 1,
+# naming the case).  A change that must not move any
 # result prints the same lines as its parent: `make digests > after.txt`
 # on both, then `diff`.
 digests:

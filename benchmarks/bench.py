@@ -29,8 +29,10 @@ numbers it measured (seconds, events/s, member-steps/s, MB):
 * the compiled (C) tier, skipped with a notice when it has not built:
   four closed packet loops (``engine="auto"``, the C event loop, vs
   ``engine="fast"``, the Python loops), F12 end to end on the same two
-  engines, and ``fs_queue_law`` (the C Fair Share queue law vs the
-  numpy sorted pipeline).
+  engines, ``fs_queue_law`` (the C Fair Share queue law vs the numpy
+  sorted pipeline) and ``nonlinear_signal`` (``PowerSaturating`` and
+  ``ExponentialSignal`` ensembles on the compiled loop vs the numpy
+  tier, the whole C tier masked).
 
 The controller and chaos cases mask the compiled ensemble loop on both
 sides, so they compare the two Python loops their floors were recorded
@@ -70,7 +72,7 @@ import numpy as np
 from repro.analysis.bifurcation import (bifurcation_diagram,
                                         quadratic_map_sweep)
 from repro.analysis.maps import QuadraticRateMap
-from repro.backends import compiled
+from repro.backends import _cext, compiled
 from repro.chaos import (CapacityDegradation, GatewayBlackhole,
                          StructuralFaultPlan)
 from repro.core.asynchronous import (ClockSchedule, RateMixClock,
@@ -82,10 +84,11 @@ from repro.core.math_utils import as_rate_vector
 from repro.core.ratecontrol import (RateAdjustment, RcpSourceRule,
                                     TargetRule, TcpLikeRule)
 from repro.core.rcp import RcpController
-from repro.core.signals import FeedbackStyle, LinearSaturating
+from repro.core.signals import (ExponentialSignal, FeedbackStyle,
+                                LinearSaturating, PowerSaturating)
 from repro.core.steadystate import (FixedPointCache, _damped_solve,
                                     continuation_scan)
-from repro.core.topology import single_gateway
+from repro.core.topology import parking_lot, single_gateway
 from repro.experiments.exp_f12_sim_validation import run_f12_sim_validation
 from repro.observability.provenance import provenance
 from repro.scenarios.oracles import reference_run
@@ -153,6 +156,19 @@ def python_loop():
         yield
     finally:
         compiled.ensemble_loop = loop
+
+
+@contextlib.contextmanager
+def numpy_tier():
+    """Mask the whole C tier, as a test masks ``_cext.load``, so every
+    stage runs on numpy: the observe stage too, which masking
+    :func:`python_loop` alone leaves in C."""
+    load = _cext.load
+    _cext.load = lambda: None
+    try:
+        yield
+    finally:
+        _cext.load = load
 
 
 def _fair_share_system(n, mu=1.0, eta=0.6, beta=0.5, per_connection=False):
@@ -758,6 +774,49 @@ def bench_fs_queue_law(pairs=7, members=64, n=512, reps=30, seed=5):
             "speedup": timing.speedup}
 
 
+def bench_nonlinear_signal(members=64, steps=400, pairs=3, seed=13):
+    """Ensembles under the non-linear signals on the compiled loop vs
+    the numpy tier (:func:`numpy_tier`): ``PowerSaturating(2)`` on
+    FIFO with aggregate feedback and ``ExponentialSignal(1.3)`` on Fair
+    Share with individual feedback, ``parking_lot(3)``, ``tol = 0`` so
+    every member runs every step.  Both sides' member-steps/s and their
+    ratio; the finals are checked equal first."""
+    net = parking_lot(3)
+    systems = [FlowControlSystem(net, disc, signal,
+                                 TargetRule(eta=0.05, beta=0.5), style=style)
+               for signal, disc, style in (
+                   (PowerSaturating(2.0), Fifo(), FeedbackStyle.AGGREGATE),
+                   (ExponentialSignal(1.3), FairShare(),
+                    FeedbackStyle.INDIVIDUAL))]
+    starts = np.random.default_rng(seed).uniform(
+        0.02, 0.3, size=(members, net.num_connections))
+
+    def run():
+        return [system.run_ensemble(starts, max_steps=steps, tol=0.0,
+                                    history="none") for system in systems]
+
+    def masked():
+        with numpy_tier():
+            return run()
+
+    timing = paired(masked, run, pairs)
+    for numpy_res, kernel_res in zip(timing.base_out, timing.new_out):
+        if numpy_res.finals.tobytes() != kernel_res.finals.tobytes():
+            raise AssertionError("the compiled loop's finals differ from "
+                                 "the numpy tier's")
+    member_steps = sum(int(res.steps.sum()) for res in timing.new_out)
+    return {"members": members, "connections": net.num_connections,
+            "max_steps": steps, "pairs": pairs,
+            "member_steps": member_steps,
+            "numpy_s": round(timing.base_s, 4),
+            "compiled_s": round(timing.new_s, 4),
+            "numpy_member_steps_per_s": round(member_steps / timing.base_s),
+            "compiled_member_steps_per_s": round(member_steps
+                                                 / timing.new_s),
+            "pair_ratios": timing.pair_ratios,
+            "speedup": timing.speedup}
+
+
 # ------------------------------------------------------------------
 # The registry and the gate
 # ------------------------------------------------------------------
@@ -820,6 +879,8 @@ CASES = (
     # the queue law the compiled kernel replaces.
     Case("fs_queue_law", bench_fs_queue_law,
          dict(pairs=3, members=64, n=512, reps=5), 2.0, 1.5, needs_c=True),
+    Case("nonlinear_signal", bench_nonlinear_signal,
+         dict(members=32, steps=200, pairs=3), 25.0, 15.0, needs_c=True),
 )
 
 
@@ -862,14 +923,18 @@ def compare(committed, fresh, quick=False):
     report = []
     for case in CASES:
         result = fresh[case.name]
-        base = float(committed["cases"][case.name]["speedup"])
+        entry = committed["cases"].get(case.name)
+        base = None if entry is None else float(entry["speedup"])
         if result is None:
             report.append({"name": case.name, "committed": base,
                            "fresh": None, "floor": None, "ok": True,
                            "skipped": True})
             continue
-        floor = (case.quick_floor if quick
-                 else max(case.floor, base * (1.0 - THRESHOLD)))
+        if quick:
+            floor = case.quick_floor
+        else:  # a new case has no committed number yet
+            floor = max(case.floor, 0.0 if base is None
+                        else base * (1.0 - THRESHOLD))
         ratio = float(result["speedup"])
         report.append({"name": case.name, "committed": base,
                        "fresh": ratio, "floor": round(floor, 2),

@@ -40,6 +40,21 @@ compiled ensemble loop serves.  Each digest hashes finals,
 steps, outcomes, periods, the retained histories and the run record's
 mask events and per-iteration series.
 
+Three more engine cases run twice, two lines each::
+
+    engine <case> cext <digest>
+    engine <case> python <digest>
+
+``power-signal`` (``PowerSaturating(2.202)``), ``exponential-signal``
+(``ExponentialSignal(1.3)``) and ``adversary-mix`` (the blaster, pinned
+and sawtooth adversaries among honest rules) each run ensembles on FIFO
+with aggregate and Fair Share with individual feedback, one-shot and in
+blocks, under a fault plan and a structural plan, and asynchronously
+under a bursty clock at delay 2, and scalar runs; the ``cext`` line
+with the C tier live, the ``python`` line with ``_cext.load`` masked,
+so every stage runs on numpy.  The two lines of a case must carry the
+same digest, or the script exits 1, naming the case.
+
 A ``packet`` section follows: seeded open-loop runs of the packet
 simulator, two lines per case::
 
@@ -80,7 +95,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "suite"))
 
 import workloads  # noqa: E402
-from repro.chaos import CapacityDegradation, StructuralFaultPlan  # noqa
+from repro.backends import _cext  # noqa: E402
+from repro.chaos import (  # noqa: E402
+    BlasterRule, CapacityDegradation, PinnedRateRule, SawtoothRule,
+    StructuralFaultPlan)
 from repro.core.asynchronous import (  # noqa: E402
     AsynchronousRunner, BernoulliSchedule, BurstyClock, ClockSchedule,
     DriftingClock, RateMixClock, RoundRobinSchedule, UniformClock,
@@ -92,7 +110,8 @@ from repro.core.ratecontrol import (  # noqa: E402
     BinaryAimdRule, DecbitRateRule, DecbitWindowRule, ProportionalTargetRule,
     RateAdjustment, RcpSourceRule, TargetRule, TcpLikeRule)
 from repro.core.rcp import RcpController  # noqa: E402
-from repro.core.signals import FeedbackStyle, LinearSaturating  # noqa
+from repro.core.signals import (  # noqa: E402
+    ExponentialSignal, FeedbackStyle, LinearSaturating, PowerSaturating)
 from repro.core.steadystate import fair_steady_state  # noqa: E402
 from repro.core.topology import (  # noqa: E402
     parking_lot, single_gateway, tandem)
@@ -381,6 +400,79 @@ def _async_runner():
     return _hash(*out)
 
 
+def _tier_case(signal, adversaries=False):
+    """Ensembles and runs of a ``TIER_CASES`` case on a parking lot:
+    FIFO with aggregate and Fair Share with individual feedback under
+    ``signal`` and a per-connection rule mix (with the three
+    adversaries when ``adversaries``), from five starts (a zero rate,
+    a blaster at its cap and a sawtooth above its high, an overloaded
+    row): one-shot and blocked ensembles, ensembles under a fault plan
+    and a structural plan, an asynchronous ensemble under a bursty
+    clock at delay 2, and scalar runs."""
+    def case():
+        net = parking_lot(3, cross_per_hop=2)
+        n = net.num_connections
+        honest = (TargetRule(eta=0.05, beta=0.5),
+                  ProportionalTargetRule(eta=0.5, beta=0.5),
+                  DecbitRateRule(), DecbitWindowRule(), BinaryAimdRule(),
+                  TcpLikeRule())
+        rules = honest
+        if adversaries:
+            rules = (honest[0], BlasterRule(increment=0.03, cap=0.1),
+                     honest[3], PinnedRateRule(rate=0.07), honest[5],
+                     SawtoothRule(low=0.03, high=0.1, increase=0.02),
+                     honest[1])
+        mix = [rules[i % len(rules)] for i in range(n)]
+        initials = _rng(9).uniform(0.02, 0.2, size=(5, n))
+        initials[1, 0] = 0.0
+        initials[2, [1, 5]] = (0.1, 0.25)
+        initials[4] = 3.0
+        faults = FaultPlan((SignalLoss(rate=0.3),), seed=4)
+        structural = StructuralFaultPlan((CapacityDegradation(
+            net.gateway_names[1], factor=0.5, start=20, duration=60),),
+            seed=4)
+        out = []
+        for discipline, style in ((Fifo(), FeedbackStyle.AGGREGATE),
+                                  (FairShare(), IND)):
+            system = FlowControlSystem(net, discipline, signal, mix,
+                                       style=style)
+            for block in (None, 2):
+                out.append(system.run_ensemble(
+                    initials, max_steps=400, block_size=block,
+                    history="full", telemetry=True))
+            out.append(system.run_ensemble(initials, max_steps=400,
+                                           faults=faults))
+            out.append(system.run_ensemble(initials, max_steps=400,
+                                           structural=structural))
+            out.append(run_async_ensemble(
+                system, initials,
+                schedule=ClockSchedule(BurstyClock(0.9, 0.2, 8, seed=9)),
+                signal_delay=2, max_steps=400, history="full"))
+            out += [system.run(x0, max_steps=400) for x0 in initials[:3]]
+        return _hash(*out)
+    return case
+
+
+#: case name -> digest function of the cases run on both tiers.
+TIER_CASES = {
+    "power-signal": _tier_case(PowerSaturating(2.202)),
+    "exponential-signal": _tier_case(ExponentialSignal(1.3)),
+    "adversary-mix": _tier_case(SIGNAL, adversaries=True),
+}
+
+
+def _on_both_tiers(case) -> tuple:
+    """``case()`` with the C tier live, then with ``_cext.load``
+    masked."""
+    live = case()
+    load = _cext.load
+    _cext.load = lambda: None
+    try:
+        return live, case()
+    finally:
+        _cext.load = load
+
+
 #: case name -> digest function, in print order.
 ENGINE_CASES = {
     "sync-oneshot": _sync_oneshot,
@@ -479,6 +571,12 @@ def main() -> int:
     for name, case in ENGINE_CASES.items():
         print(f"engine {name} {case()}", flush=True)
     differ = []
+    for name, case in TIER_CASES.items():
+        digests = _on_both_tiers(case)
+        for tier, digest in zip(("cext", "python"), digests):
+            print(f"engine {name} {tier} {digest}", flush=True)
+        if digests[0] != digests[1]:
+            differ.append(name)
     for name, kwargs in _packet_cases().items():
         digests = [_packet_run(engine, **kwargs)
                    for engine in ("auto", "fast")]
@@ -487,7 +585,7 @@ def main() -> int:
         if digests[0] != digests[1]:
             differ.append(name)
     if differ:
-        print(f"auto and fast digests differ: {', '.join(differ)}",
+        print(f"the two digests of a case differ: {', '.join(differ)}",
               file=sys.stderr)
         return 1
     return 0

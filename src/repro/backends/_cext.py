@@ -34,12 +34,16 @@ Four kernel families live in the library:
   :class:`~repro.core.signals.FeedbackScheme` for an ``(M, N)`` batch
   in one call: per non-empty gateway the FIFO, Fair Share or weighted
   Fair Share law, the aggregate, individual or weighted individual
-  measure, ``B(C) = C / (C + 1)``, the MAX scatter and, when asked,
-  the Little's-law sojourns with the zero-rate probe.  It runs the
-  same row functions as the first family and the numpy loop's
-  arithmetic in its order, and returns ``ST_DOMAIN`` on a NaN,
-  negative or infinite rate or a NaN or negative measure, so the
-  numpy loop then runs (and raises where it raises).  Its per-row
+  measure, the signal (``SIGNAL_*``: ``C / (C + 1)``, or libm's
+  ``pow`` and ``exp`` for :class:`~repro.core.signals.PowerSaturating`
+  and :class:`~repro.core.signals.ExponentialSignal`, whose scalar
+  ``__call__`` calls the same libm functions through :mod:`math`), the
+  MAX scatter and, when asked, the Little's-law sojourns with the
+  zero-rate probe.  It runs the same row functions as the first family
+  and the numpy loop's arithmetic in its order, and returns
+  ``ST_DOMAIN`` on a NaN, negative or infinite rate, a NaN or negative
+  measure, or a signal parameter that is not finite and positive, so
+  the numpy loop then runs (and raises where it raises).  Its per-row
   body, ``observe_row``, is shared with the ensemble loop.
 * ``ensemble_loop`` — the loop of
   :meth:`~repro.core.dynamics.FlowControlSystem._run_block` (which
@@ -50,7 +54,8 @@ Four kernel families live in the library:
   injectors (``FI_*`` codes, each member with its own true-signal ring,
   delivered vector and numpy-identical PCG64 stream, also exported as
   ``stream_draws``, and events logged to growable ``EventLog`` s), each
-  connection's rule (one of the six built-in rules, by ``RULE_*`` code),
+  connection's rule (one of the six built-in rules or the three
+  adversaries of :mod:`repro.chaos.adversaries`, by ``RULE_*`` code),
   ``apply_batch``'s and ``clip_nonnegative``'s ``np.maximum``, the
   clock gate (``GATE_*``: round-robin, or coins drawn from a C
   transcription of ``np.random.default_rng([seed, step]).random(n)``,
@@ -108,8 +113,10 @@ __all__ = [
     "ST_OOM", "ST_CONVERGED", "ST_DIVERGED", "ST_NONFINITE", "D_FIFO",
     "D_FAIR_SHARE", "D_PRIORITY", "LAW_FIFO", "LAW_FAIR_SHARE",
     "MEASURE_AGGREGATE", "MEASURE_INDIVIDUAL", "MEASURE_WEIGHTED",
+    "SIGNAL_LINEAR", "SIGNAL_POWER", "SIGNAL_EXPONENTIAL",
     "RULE_TARGET", "RULE_PROPORTIONAL_TARGET", "RULE_DECBIT_RATE",
     "RULE_DECBIT_WINDOW", "RULE_BINARY_AIMD", "RULE_TCP_LIKE",
+    "RULE_BLASTER", "RULE_PINNED", "RULE_SAWTOOTH",
     "GATE_NONE", "GATE_ROUND_ROBIN", "GATE_COINS", "SI_DEGRADE",
     "SI_BLACKHOLE", "SI_RESTORE", "EventLog", "Perturb", "Control",
     "D_FAIR_QUEUEING",
@@ -131,12 +138,16 @@ D_FAIR_SHARE = 1
 D_PRIORITY = 2
 D_FAIR_QUEUEING = 3
 
-# Queue-law and congestion-measure codes of observe_batch.
+# Queue-law, congestion-measure and signal-function codes of
+# observe_batch (see repro.core.signals's signal table).
 LAW_FIFO = 0
 LAW_FAIR_SHARE = 1
 MEASURE_AGGREGATE = 0
 MEASURE_INDIVIDUAL = 1
 MEASURE_WEIGHTED = 2
+SIGNAL_LINEAR = 0
+SIGNAL_POWER = 1
+SIGNAL_EXPONENTIAL = 2
 
 # Rule codes of ensemble_loop (see repro.core.ratecontrol's rule table).
 RULE_TARGET = 0
@@ -145,6 +156,9 @@ RULE_DECBIT_RATE = 2
 RULE_DECBIT_WINDOW = 3
 RULE_BINARY_AIMD = 4
 RULE_TCP_LIKE = 5
+RULE_BLASTER = 6
+RULE_PINNED = 7
+RULE_SAWTOOTH = 8
 
 # Clock-gate codes of ensemble_loop (see repro.core.asynchronous's gate
 # table).
@@ -480,6 +494,9 @@ int ind_congestion_batch(const double *queues, i64 m, i64 n,
 #define MEASURE_AGGREGATE 0
 #define MEASURE_INDIVIDUAL 1
 #define MEASURE_WEIGHTED 2
+#define SIGNAL_LINEAR 0
+#define SIGNAL_POWER 1
+#define SIGNAL_EXPONENTIAL 2
 
 /* The FIFO queue law of one row, as Fifo.queue_lengths_batch: the
  * total load is a strict left fold (row_sums); an overloaded row has
@@ -522,18 +539,41 @@ static void weighted_congestion_row(const double *q, const double *phi,
     }
 }
 
-/* The static arguments of the observe stage for one scheme: the
- * gateway CSR, the service rates, the law (with law_phi the weighted
- * Fair Share weights by local position), the congestion measure (with
- * phi the per-connection weights of the weighted measure) and, when
- * the delays are wanted, the path latencies (NULL otherwise). */
+/* The arguments of the observe stage for one scheme: the gateway
+ * CSR, the service rates, the law (with law_phi the weighted Fair
+ * Share weights by local position), the congestion measure (with phi
+ * the per-connection weights of the weighted measure), the signal
+ * function (with its exponent p or rate constant k in signal_param)
+ * and, when the delays are wanted, the path latencies (NULL
+ * otherwise). */
 typedef struct {
     i64 n, n_gw;
     const i64 *gw_ptr, *members;
     const double *mu;
-    int law, measure;
+    int law, measure, signal;
+    double signal_param;
     const double *law_phi, *phi, *path_latency;
 } ObservePlan;
+
+/* The plans observe_row evaluates: a power or exponential signal needs
+ * a finite positive parameter (a signal function's is mutable). */
+static int plan_valid(const ObservePlan *p)
+{
+    return p->signal == SIGNAL_LINEAR
+           || (p->signal_param > 0.0 && isfinite(p->signal_param));
+}
+
+/* B(c) for a measure c >= 0 as the signal function's scalar __call__
+ * computes it: C / (C + 1), libm's pow(C / (C + 1), p) or
+ * 1 - exp(-k C), and 1 for C = inf. */
+static double signal_of(const ObservePlan *p, double c)
+{
+    if (isinf(c)) return 1.0;
+    if (p->signal == SIGNAL_POWER) return pow(c / (c + 1.0), p->signal_param);
+    if (p->signal == SIGNAL_EXPONENTIAL)
+        return 1.0 - exp(-p->signal_param * c);
+    return c / (c + 1.0);
+}
 
 /* Work arrays of observe_row: the row laws' scratch and five vectors
  * as wide as the widest gateway. */
@@ -571,8 +611,9 @@ static int observe_scratch_alloc(ObserveScratch *o, const ObservePlan *p)
 
 /* The observe stage of one row rr of n rates, gateway by gateway in
  * CSR order: the queue law, the congestion measure, the signal
- * B(C) = C / (C + 1) (1 for C = inf), and the MAX into bb, where the
- * old value stays only when strictly larger (np.maximum(b, s)).  With
+ * (signal_of, once per gateway under aggregate feedback), and the MAX
+ * into bb, where the old value stays only when strictly larger
+ * (np.maximum(b, s)).  With
  * path_latency not NULL it also writes the round-trip delays into dd:
  * the latencies plus each gateway's Little's-law sojourns q / r, and
  * for r <= 0 the probe q_probe / eps with eps = mu * 1e-9 and q_probe
@@ -595,23 +636,27 @@ static int observe_row(const double *rr, const ObservePlan *p,
         if (k == 0) continue;
         for (i64 j = 0; j < k; j++) local[j] = rr[cols[j]];
         queue_row(p->law, local, p->law_phi, k, p->mu[a], q, &o->s);
+        /* c holds the measures, then the signals */
         if (p->measure == MEASURE_AGGREGATE) {
             double total = q[0];
             for (i64 j = 1; j < k; j++) total += q[j];
+            if (!all_queues(&total, 1)) return ST_DOMAIN;
+            total = signal_of(p, total);
             for (i64 j = 0; j < k; j++) c[j] = total;
-        } else if (p->measure == MEASURE_INDIVIDUAL) {
-            /* a NaN or negative queue sends the numpy loop to its own
-             * measure pipeline: hand the row back */
-            if (!all_queues(q, k)) return ST_DOMAIN;
-            ind_congestion_row(q, k, c, &o->s);
         } else {
-            weighted_congestion_row(q, p->phi, cols, k, c);
+            if (p->measure == MEASURE_INDIVIDUAL) {
+                /* a NaN or negative queue sends the numpy loop to its
+                 * own measure pipeline: hand the row back */
+                if (!all_queues(q, k)) return ST_DOMAIN;
+                ind_congestion_row(q, k, c, &o->s);
+            } else {
+                weighted_congestion_row(q, p->phi, cols, k, c);
+            }
+            if (!all_queues(c, k)) return ST_DOMAIN;
+            for (i64 j = 0; j < k; j++) c[j] = signal_of(p, c[j]);
         }
-        if (!all_queues(c, k)) return ST_DOMAIN;
-        for (i64 j = 0; j < k; j++) {
-            double sig = isinf(c[j]) ? 1.0 : c[j] / (c[j] + 1.0);
-            if (!(bb[cols[j]] > sig)) bb[cols[j]] = sig;
-        }
+        for (i64 j = 0; j < k; j++)
+            if (!(bb[cols[j]] > c[j])) bb[cols[j]] = c[j];
         if (!p->path_latency) continue;
         double eps = p->mu[a] * 1e-9;
         int idle = 0;
@@ -631,15 +676,17 @@ static int observe_row(const double *rr, const ObservePlan *p,
 
 /* The observe stage of an (m, n) rate batch, row by row (see
  * observe_row): b and, with path_latency not NULL, d.  Returns
- * ST_DOMAIN on the first row outside the kernel's domain. */
+ * ST_DOMAIN on a plan outside plan_valid or on the first row outside
+ * the kernel's domain. */
 int observe_batch(const double *rates, i64 m, i64 n, i64 n_gw,
                   const i64 *gw_ptr, const i64 *members, const double *mu,
                   int law, const double *law_phi, int measure,
-                  const double *phi, const double *path_latency,
-                  double *b, double *d)
+                  const double *phi, int signal, double signal_param,
+                  const double *path_latency, double *b, double *d)
 {
-    ObservePlan p = {n, n_gw, gw_ptr, members, mu, law, measure,
-                     law_phi, phi, path_latency};
+    ObservePlan p = {n, n_gw, gw_ptr, members, mu, law, measure, signal,
+                     signal_param, law_phi, phi, path_latency};
+    if (!plan_valid(&p)) return ST_DOMAIN;
     ObserveScratch o;
     if (!observe_scratch_alloc(&o, &p)) return ST_OOM;
     int status = ST_DONE;
@@ -831,12 +878,21 @@ int gate_masks(int code, const u32 *seed, i64 n_seed, const double *on,
 #define RULE_DECBIT_WINDOW 3
 #define RULE_BINARY_AIMD 4
 #define RULE_TCP_LIKE 5
+#define RULE_BLASTER 6
+#define RULE_PINNED 7
+#define RULE_SAWTOOTH 8
 
 /* np.maximum on floats: a when a is larger or NaN, else b (so a tie of
  * two zeros takes b's sign, as numpy does). */
 static inline double np_maximum(double a, double b)
 {
     return (a > b || isnan(a)) ? a : b;
+}
+
+/* np.minimum on floats: a when a is smaller or NaN, else b. */
+static inline double np_minimum(double a, double b)
+{
+    return (a < b || isnan(a)) ? a : b;
 }
 
 /* The decide and clip stages of one row: each connection's rule
@@ -870,6 +926,15 @@ static int decide_row(const double *rr, const double *bb, const double *dd,
         }
         case RULE_BINARY_AIMD:
             delta = (b < p[2]) ? p[0] : -p[1] * r;
+            break;
+        case RULE_BLASTER:
+            delta = np_minimum(p[0], p[1] - r);
+            break;
+        case RULE_PINNED:
+            delta = p[0] - r;
+            break;
+        case RULE_SAWTOOTH:
+            delta = (r < p[1]) ? p[2] : p[0] - r;
             break;
         default: /* RULE_TCP_LIKE */
             if (dd[i] <= 0.0) return ST_DOMAIN;
@@ -1329,7 +1394,8 @@ int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
                   double tol, const i64 *settle, double limit, i64 tau,
                   i64 n_gw, const i64 *gw_ptr, const i64 *members,
                   const double *mu, int law, const double *law_phi,
-                  int measure, const double *phi, const double *path_latency,
+                  int measure, const double *phi, int signal,
+                  double signal_param, const double *path_latency,
                   const i64 *codes, const double *params,
                   int gate, const u32 *seed, i64 n_seed, const double *on,
                   const double *off, const i64 *offsets, i64 burst_len,
@@ -1337,10 +1403,10 @@ int ensemble_loop(const double *r0, i64 m, i64 n, i64 max_steps,
                   double *tail, i64 tcap, double *full, double *agg,
                   Perturb *pt, const Control *ctl)
 {
-    ObservePlan p = {n, n_gw, gw_ptr, members, mu, law, measure,
-                     law_phi, phi, path_latency};
+    ObservePlan p = {n, n_gw, gw_ptr, members, mu, law, measure, signal,
+                     signal_param, law_phi, phi, path_latency};
     GatePlan g = {gate, seed, n_seed, burst_len, on, off, offsets};
-    if (!gate_valid(&g)) return ST_DOMAIN;
+    if (!gate_valid(&g) || !plan_valid(&p)) return ST_DOMAIN;
     ObserveScratch o;
     if (!observe_scratch_alloc(&o, &p)) return ST_OOM;
     PerturbWork w;
@@ -2344,6 +2410,7 @@ def _configure(lib: ctypes.CDLL) -> None:
         [_P, _I, _I]                          # rates, m, n
         + [_I, _P, _P, _P]                    # n_gw, gw_ptr, members, mu
         + [ctypes.c_int, _P, ctypes.c_int, _P]  # law, law_phi, measure, phi
+        + [ctypes.c_int, _D]                  # signal, signal_param
         + [_P, _P, _P])                       # path_latency, b, d
     lib.observe_batch.restype = ctypes.c_int
     lib.coin_stream.argtypes = [_P, _I, ctypes.c_uint64, _I, _P]
@@ -2357,6 +2424,7 @@ def _configure(lib: ctypes.CDLL) -> None:
                                               # settle, limit, tau
         + [_I, _P, _P, _P]                    # n_gw, gw_ptr, members, mu
         + [ctypes.c_int, _P, ctypes.c_int, _P]  # law, law_phi, measure, phi
+        + [ctypes.c_int, _D]                  # signal, signal_param
         + [_P, _P, _P]                        # path_latency, codes, params
         + [ctypes.c_int, _P, _I, _P, _P, _P, _I]  # the gate
         + [_P, _P, _P, _P, _I, _P, _P]        # finals, steps, status,

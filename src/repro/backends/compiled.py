@@ -15,15 +15,16 @@ C compiler exists) serves four hot paths:
 * the observe stage of :class:`~repro.core.signals.FeedbackScheme`
   (:func:`observe_batch`): every gateway's queue law, congestion
   measure, signal, bottleneck MAX and sojourns in one call, for the
-  schemes it serves; None sends the caller to the numpy loop, as
-  above.
+  schemes it serves (the three shipped signal functions, evaluated
+  with libm as their scalar ``__call__`` is); None sends the caller
+  to the numpy loop, as above.
 * the trajectory loop (:func:`ensemble_loop`): a whole member block of
   the ensemble loop that ``run_ensemble``, ``run_async_ensemble`` and,
   at ``M = 1``, ``run`` share, with the clock gate (:class:`Gate`) and
   the fault and structural plans (:class:`Perturbation`), for the
-  schemes the observe stage serves and the six built-in rules, or
-  under a router-side controller (:class:`Control`); None sends the
-  caller to its Python loop.
+  schemes the observe stage serves and nine rules (the six built-in
+  rules and the three adversaries), or under a router-side controller
+  (:class:`Control`); None sends the caller to its Python loop.
 * the packet event loop (:func:`packet_lib`) for every discipline and
   drop policy, which ``NetworkSimulation(engine="auto")`` runs whenever
   the C tier has built.
@@ -158,14 +159,15 @@ def observe_batch(rates: np.ndarray, plan,
                   with_delays: bool) -> Optional[tuple]:
     """The observe stage of an ``(M, N)`` rate batch from the C kernel:
     ``(b, d)``, with ``d`` None unless ``with_delays``.  None when the
-    C tier has not built, or when a rate is NaN, negative or infinite
-    or a congestion measure is NaN or negative; the caller then runs
-    the numpy loop.
+    C tier has not built, or when a rate is NaN, negative or infinite,
+    a congestion measure is NaN or negative or the signal's parameter
+    is not finite and positive; the caller then runs the numpy loop.
 
-    ``plan`` holds the kernel's static arguments for one scheme: ``n``
+    ``plan`` holds the kernel's arguments for one scheme: ``n``
     connections, ``args`` (the gateway CSR, service rates, law and
-    measure codes and weights, as addresses) and ``latency`` (the
-    address of the path latencies).
+    measure codes and weights, as addresses, then the signal code and
+    its parameter, read at each access) and ``latency`` (the address
+    of the path latencies).
     :class:`~repro.core.signals.FeedbackScheme` builds it once."""
     lib = _cext.load()
     if lib is None:
@@ -347,7 +349,8 @@ class Control:
 
 #: The observe plan, delay flag, rule codes and parameters of a
 #: controlled call, which the kernel does not read.
-_NO_STAGES = (0, None, None, None, 0, None, 0, None, None, None, None)
+_NO_STAGES = (0, None, None, None, 0, None, 0, None, _cext.SIGNAL_LINEAR,
+              0.0, None, None, None)
 
 
 def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
@@ -363,7 +366,9 @@ def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
 
     Each member iterates from its row of ``initials`` for at most
     ``max_steps`` steps under the scheme's observe ``plan``, the
-    ``(N,)`` ``RULE_*`` ``codes`` and ``(N, 3)`` rule ``params``, the
+    ``(N,)`` ``RULE_*`` ``codes`` (the nine rules of
+    :data:`repro.core.ratecontrol._LOOP_RULES`: the six built-in rules
+    and the three adversaries) and ``(N, 3)`` rule ``params``, the
     signal delay ``tau``, the structural and fault plans of
     ``perturb`` (whose logs then hold the block's events) and the clock
     ``gate``, or, when ``control`` is given, under that router-side

@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.ratecontrol import RateAdjustment
+from ..backends import _cext
+from ..core.ratecontrol import _LOOP_RULES, RateAdjustment
 from ..errors import ChaosError
 
 __all__ = ["AdversaryRule", "BlasterRule", "PinnedRateRule",
@@ -135,6 +136,15 @@ class SawtoothRule(AdversaryRule):
     def __repr__(self):
         return (f"SawtoothRule(low={self.low}, high={self.high}, "
                 f"increase={self.increase})")
+
+
+# The compiled ensemble loop's transcriptions of the three
+# delta_batch laws above (see repro.core.ratecontrol's rule table).
+_LOOP_RULES.update({
+    BlasterRule: (_cext.RULE_BLASTER, ("increment", "cap")),
+    PinnedRateRule: (_cext.RULE_PINNED, ("rate",)),
+    SawtoothRule: (_cext.RULE_SAWTOOTH, ("low", "high", "increase")),
+})
 
 
 def is_adversary(rule: RateAdjustment) -> bool:

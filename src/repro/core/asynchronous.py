@@ -493,8 +493,11 @@ def _bursty_gate(clock: BurstyClock, n: int) -> Optional[compiled.Gate]:
 
 #: The clocks the ensemble kernel's coin gate transcribes: clock type ->
 #: its gate for n sources.  Keyed by exact type, so a subclass keeps its
-#: overrides.  DriftingClock is absent: numpy's float64 ``sin`` has no
-#: C twin known to match it bit for bit.
+#: overrides.  DriftingClock is absent: its rates come from numpy's
+#: ``sin``, whose bits depend on how numpy dispatches the ufunc.  The
+#: route the non-linear signal functions took would serve it:
+#: ``math.sin`` in ``tick_rates`` and libm's ``sin`` in the gate, one
+#: definition in both tiers.
 _CLOCK_GATES = {
     UniformClock: lambda clock, n: _coin_gate(clock.seed,
                                               clock.tick_rates(0, n)),

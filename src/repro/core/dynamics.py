@@ -44,8 +44,9 @@ trajectories stop costing work; the synchronous map is its case with
 no clock gate and no feedback delay;
 :func:`repro.core.asynchronous.run_async_ensemble` passes a gate and a
 delay, and :class:`~repro.core.asynchronous.AsynchronousRunner` is its
-one-member call.  For the schemes the C observe kernel serves, the six
-built-in rules, the built-in clock gates and built-in fault and structural
+one-member call.  For the schemes the C observe kernel serves, the nine
+rules of its rule table (the six built-in rules and the three
+adversaries), the built-in clock gates and built-in fault and structural
 injectors, and for a router-side :class:`~repro.core.rcp.RcpController`
 (whose bank then replaces observe, perturb and decide, on any scheme),
 each block of the loop runs in one C call

@@ -406,7 +406,9 @@ class RcpSourceRule(RateAdjustment):
 #: (:func:`repro.backends.compiled.ensemble_loop`): rule type -> its
 #: code on the C side and the attributes its ``delta_batch`` reads, in
 #: the kernel's parameter order.  Keyed by exact type, so a subclass
-#: keeps its overrides.
+#: keeps its overrides.  The six rules below, and the adversary zoo's
+#: three (:mod:`repro.chaos.adversaries` enters them at its import,
+#: which precedes any instance), nine in all.
 _LOOP_RULES = {
     TargetRule: (_cext.RULE_TARGET, ("eta", "beta")),
     ProportionalTargetRule: (_cext.RULE_PROPORTIONAL_TARGET,

@@ -75,12 +75,16 @@ class SignalFunction(abc.ABC):
         """Elementwise signals for an array of congestion measures.
 
         Equals ``B`` applied entry by entry; the base implementation
-        loops, and the concrete families override it with vectorised
-        arithmetic.  Custom subclasses only need the scalar ``__call__``
-        — infinite measures are mapped straight to 1 here (the
-        ``B(inf) = 1`` contract), so a subclass whose scalar map divides
-        by the measure never sees ``inf`` and cannot leak ``inf - inf``
-        NaNs into the overloaded-gateway signals.
+        loops, and :class:`LinearSaturating` overrides it with
+        vectorised arithmetic (IEEE division rounds the same in numpy
+        and in Python).  The power and exponential families keep this
+        loop: their scalar maps call libm, whose bits numpy's SIMD
+        ``power`` and ``exp`` do not reproduce.  Custom subclasses only
+        need the scalar ``__call__`` — infinite measures are mapped
+        straight to 1 here (the ``B(inf) = 1`` contract), so a subclass
+        whose scalar map divides by the measure never sees ``inf`` and
+        cannot leak ``inf - inf`` NaNs into the overloaded-gateway
+        signals.
         """
         arr = np.asarray(congestion, dtype=float)
         out = np.empty(arr.size, dtype=float)
@@ -177,18 +181,9 @@ class PowerSaturating(SignalFunction):
         c = _check_congestion(congestion)
         if math.isinf(c):
             return 1.0
-        # np.power, not the builtin ** (libm pow): the two differ in the
-        # last ulp for fractional p, and the scalar path must stay
-        # bit-identical to apply_batch for the step/step_batch contract.
-        return float(np.power(c / (c + 1.0), self.p))
-
-    def apply_batch(self, congestion):
-        c = _check_congestion_batch(congestion)
-        saturated = np.isinf(c)
-        if not saturated.any():
-            return (c / (c + 1.0)) ** self.p
-        with np.errstate(invalid="ignore"):
-            return np.where(saturated, 1.0, (c / (c + 1.0)) ** self.p)
+        # libm's pow, the one definition: the batch path loops over
+        # this call and the C observe kernel calls the same pow.
+        return math.pow(c / (c + 1.0), self.p)
 
     def congestion_for(self, signal):
         b = _check_signal(signal)
@@ -215,13 +210,8 @@ class ExponentialSignal(SignalFunction):
         c = _check_congestion(congestion)
         if math.isinf(c):
             return 1.0
-        # np.exp, not math.exp: keeps the scalar path bit-identical to
-        # apply_batch (libm and the numpy ufunc differ in the last ulp).
-        return 1.0 - float(np.exp(-self.k * c))
-
-    def apply_batch(self, congestion):
-        c = _check_congestion_batch(congestion)
-        return 1.0 - np.exp(-self.k * c)
+        # libm's exp, the one definition (see PowerSaturating).
+        return 1.0 - math.exp(-self.k * c)
 
     def congestion_for(self, signal):
         b = _check_signal(signal)
@@ -358,16 +348,28 @@ def _column_index(cols: np.ndarray):
     return cols
 
 
+#: The signal functions the C observe kernel evaluates: exact type ->
+#: its ``SIGNAL_*`` code and the attribute holding its parameter (None
+#: for none).  The kernel calls libm's ``pow`` and ``exp`` as the
+#: scalar ``__call__`` does, so both tiers give the same bits; a
+#: subclass keeps its overrides and the numpy loop.
+_KERNEL_SIGNALS = {
+    LinearSaturating: (_cext.SIGNAL_LINEAR, None),
+    PowerSaturating: (_cext.SIGNAL_POWER, "p"),
+    ExponentialSignal: (_cext.SIGNAL_EXPONENTIAL, "k"),
+}
+
+
 class _ObservePlan:
-    """The static arguments of the C observe kernel for one scheme of
-    ``n`` connections: the gateway CSR, the service rates, the law and
+    """The arguments of the C observe kernel for one scheme of ``n``
+    connections: the gateway CSR, the service rates, the law and
     measure codes with their weights, and the path latencies, each
-    array's pointer taken once.  The plan keeps the arrays alive, and
-    pickles as the arrays, so a copy in another process takes its own
-    pointers."""
+    array's pointer taken once, and the signal function.  The plan
+    keeps the arrays alive, and pickles as the arrays, so a copy in
+    another process takes its own pointers."""
 
     def __init__(self, network: Network, law: int, law_weights,
-                 measure: int, weights, mu):
+                 measure: int, weights, mu, signal_fn: SignalFunction):
         csr = network.csr
         arrays = [
             None if a is None else np.ascontiguousarray(a, dtype=dtype)
@@ -376,19 +378,30 @@ class _ObservePlan:
                              (law_weights, float), (weights, float),
                              (csr.path_latency, float))]
         self.__setstate__((network.num_connections,
-                           len(csr.gateway_names), law, measure, arrays))
+                           len(csr.gateway_names), law, measure, arrays,
+                           signal_fn))
 
     def __getstate__(self):
         return self._state
 
     def __setstate__(self, state):
         self._state = state
-        self.n, n_gw, law, measure, arrays = state
+        self.n, n_gw, law, measure, arrays, self.signal_fn = state
         gw_ptr, members, mu, law_weights, weights, latency = [
             None if a is None else a.ctypes.data for a in arrays]
-        self.args = (n_gw, gw_ptr, members, mu, law, law_weights, measure,
-                     weights)
+        self._static = (n_gw, gw_ptr, members, mu, law, law_weights,
+                        measure, weights)
+        self._signal, self._attr = _KERNEL_SIGNALS[type(self.signal_fn)]
         self.latency = latency
+
+    @property
+    def args(self) -> tuple:
+        """The kernel's plan arguments: the static ones, then the
+        signal's code and parameter, read here at every access because
+        signal functions are mutable."""
+        param = (0.0 if self._attr is None
+                 else float(getattr(self.signal_fn, self._attr)))
+        return (*self._static, self._signal, param)
 
 
 def _observe_plan(network: Network, discipline: ServiceDiscipline,
@@ -398,13 +411,14 @@ def _observe_plan(network: Network, discipline: ServiceDiscipline,
     kernel does not serve it.
 
     It serves the FIFO, Fair Share and weighted Fair Share laws under
-    :class:`LinearSaturating`, with valid service rates.  The checks
-    are on exact types, so a subclass keeps its overrides.  Only
-    ``C / (C + 1)`` runs in C: ``np.power`` and ``np.exp`` differ from
-    libm in the last bit, so the other signal functions keep the numpy
-    loop.
+    the three shipped signal functions (:data:`_KERNEL_SIGNALS`), with
+    valid service rates.  The checks are on exact types, so a subclass
+    keeps its overrides.  libm defines the non-linear signals in both
+    tiers: the kernel calls ``pow`` and ``exp`` as the scalar
+    ``__call__`` does through :mod:`math`, and the numpy loop's
+    ``apply_batch`` loops over that call.
     """
-    if type(signal_fn) is not LinearSaturating:
+    if type(signal_fn) not in _KERNEL_SIGNALS:
         return None
     law_weights = None
     if type(discipline) is Fifo:
@@ -427,7 +441,8 @@ def _observe_plan(network: Network, discipline: ServiceDiscipline,
         measure = _cext.MEASURE_WEIGHTED
     else:
         measure = _cext.MEASURE_INDIVIDUAL
-    return _ObservePlan(network, law, law_weights, measure, weights, mu)
+    return _ObservePlan(network, law, law_weights, measure, weights, mu,
+                        signal_fn)
 
 
 class FeedbackScheme:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -41,11 +40,3 @@ class EventCalendar:
             raise SimulationError(f"event time must be finite, got {time!r}")
         heapq.heappush(self._heap, (time, self._seq, kind, a, b))
         self._seq += 1
-
-    def pop(self) -> Optional[Tuple[float, int, int, int]]:
-        """Remove and return the next event as ``(time, kind, a, b)``,
-        or ``None`` when the heap is empty."""
-        if not self._heap:
-            return None
-        time, _, kind, a, b = heapq.heappop(self._heap)
-        return time, kind, a, b

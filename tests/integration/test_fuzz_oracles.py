@@ -174,10 +174,12 @@ class TestEveryOracleFires:
         orig = compiled.observe_batch
 
         def mutant(rates, plan, with_delays):
-            n_gw, gw_ptr, members, mu, law, _, measure, phi = plan.args
+            (n_gw, gw_ptr, members, mu, law, _, measure, phi, signal,
+             param) = plan.args
             unweighted = SimpleNamespace(
                 n=plan.n, latency=plan.latency,
-                args=(n_gw, gw_ptr, members, mu, law, None, measure, phi))
+                args=(n_gw, gw_ptr, members, mu, law, None, measure, phi,
+                      signal, param))
             return orig(rates, unweighted, with_delays)
 
         spec = spec_of(discipline="weighted-fair-share",

@@ -17,8 +17,9 @@ from repro.core.fairshare import (FairShare, _sorted_loads, _sorted_queues,
 from repro.core.fifo import Fifo
 from repro.core.ratecontrol import TargetRule, TcpLikeRule
 from repro.core.service import PreemptivePriority
-from repro.core.signals import (FeedbackScheme, FeedbackStyle,
-                                LinearSaturating, PowerSaturating,
+from repro.core.signals import (ExponentialSignal, FeedbackScheme,
+                                FeedbackStyle, LinearSaturating,
+                                PowerSaturating,
                                 _individual_sorted,
                                 individual_congestion,
                                 individual_congestion_batch)
@@ -378,6 +379,21 @@ class TestCompiledObserveStage:
                 pytest.raises(RateVectorError):
             weighted.signals_batch(r)
 
+    def test_a_signal_parameter_out_of_domain_takes_the_numpy_loop(self):
+        # Signal functions are mutable: the plan reads p or k at each
+        # call, and the kernel serves only a finite positive one.
+        for signal, attr in ((PowerSaturating(p=2.0), "p"),
+                             (ExponentialSignal(k=1.3), "k")):
+            scheme = FeedbackScheme(single_gateway(3), Fifo(), signal,
+                                    FeedbackStyle.INDIVIDUAL)
+            r = np.array([[0.1, 0.2, 0.3]])
+            for value, served in ((0.5, True), (0.0, False),
+                                  (-1.0, False), (np.nan, False),
+                                  (np.inf, False)):
+                setattr(signal, attr, value)
+                out = compiled.observe_batch(r, scheme._plan, False)
+                assert (out is not None) is served, (signal, value)
+
     def test_rates_must_match_the_plan(self):
         scheme = FeedbackScheme(single_gateway(3), Fifo(),
                                 LinearSaturating(),
@@ -410,15 +426,21 @@ class TestCompiledObserveStage:
         class Linear(LinearSaturating):
             pass
 
+        class Power(PowerSaturating):
+            pass
+
         for discipline, signal in (
-                (Fifo(), PowerSaturating(p=1.5)),
+                (Fifo(), Power(p=1.5)),
                 (PreemptivePriority([1, 0, 3, 2]), LinearSaturating()),
                 (SlowFifo(), LinearSaturating()),
                 (Fifo(), Linear())):
             scheme = FeedbackScheme(net, discipline, signal, ind)
             assert scheme._plan is None, (discipline, signal)
-        assert FeedbackScheme(net, Fifo(), LinearSaturating(),
-                              ind)._plan is not None
+        # The three shipped signal functions, matched by exact type.
+        for signal in (LinearSaturating(), PowerSaturating(p=1.5),
+                       ExponentialSignal(k=0.7)):
+            assert FeedbackScheme(net, Fifo(), signal,
+                                  ind)._plan is not None, signal
 
 
 class TestPickKernelBoundary:

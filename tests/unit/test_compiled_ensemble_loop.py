@@ -3,18 +3,20 @@
 Each block of the ensemble loop that ``run_ensemble`` and
 ``run_async_ensemble`` share is one C call, ``compiled.ensemble_loop``,
 when the scheme has an observe plan, every rule is one of the six
-built-in rule types, every fault and structural injector is a built-in
-type, and the clock gate is none, round-robin or one of the coin
-schedules the kernel transcribes, or when an exact ``RcpController``
-drives the system (``test_perturbed_kernel.py`` and
-``test_controlled_kernel.py`` hold the plans and the controller to
-this contract).  It
+built-in rule types or the three adversaries, every fault and
+structural injector is a built-in type, and the clock gate is none,
+round-robin or one of the coin schedules the kernel transcribes, or
+when an exact ``RcpController`` drives the system
+(``test_perturbed_kernel.py`` and ``test_controlled_kernel.py`` hold
+the plans and the controller to this contract).  It
 must give the Python loop's bits — finals, outcomes, steps, periods,
 retained histories and every run record field bar the timings —
 against the loop with
 ``compiled.ensemble_loop`` unavailable and with the whole C tier
 masked.  ``test_run_loop.py`` holds ``run``, its ``M = 1`` call, to the
-same contract.
+same contract.  ``TestHeldToReferenceRun`` holds the three runners
+under the non-linear signals and the adversaries to ``reference_run``
+on both tiers.
 """
 
 import dataclasses
@@ -23,7 +25,8 @@ import numpy as np
 import pytest
 
 from repro.backends import _cext, compiled
-from repro.chaos import CapacityDegradation, StructuralFaultPlan
+from repro.chaos import (BlasterRule, CapacityDegradation, PinnedRateRule,
+                         SawtoothRule, StructuralFaultPlan)
 from repro.core import asynchronous
 from repro.core.asynchronous import (BernoulliSchedule, BurstyClock,
                                      ClockSchedule, DriftingClock,
@@ -38,20 +41,22 @@ from repro.core.ratecontrol import (BinaryAimdRule, DecbitRateRule,
                                     RateAdjustment, RcpSourceRule,
                                     TargetRule, TcpLikeRule)
 from repro.core.rcp import RcpController
-from repro.core.signals import (FeedbackStyle, LinearSaturating,
-                                PowerSaturating)
+from repro.core.signals import (ExponentialSignal, FeedbackStyle,
+                                LinearSaturating, PowerSaturating)
 from repro.core.steadystate import fair_steady_state
 from repro.core.topology import parking_lot, single_gateway
 from repro.core.weighted import WeightedFairShare
 from repro.errors import RateVectorError
 from repro.chaos.structural import StructuralFaultState
 from repro.faults import FaultPlan, FaultState, SignalLoss
+from repro.scenarios.oracles import reference_run
 
 pytestmark = pytest.mark.skipif(
     not compiled.fs_available(),
     reason="no compiled ensemble loop in this environment")
 
 SIGNAL = LinearSaturating()
+POWER, EXP = PowerSaturating(2.202), ExponentialSignal(1.3)
 AGG, IND = FeedbackStyle.AGGREGATE, FeedbackStyle.INDIVIDUAL
 LOT = parking_lot(3, cross_per_hop=2)
 N = LOT.num_connections
@@ -67,11 +72,18 @@ RULES = {
                                           threshold=0.45),
     "tcp-like": lambda: TcpLikeRule(increase=0.05, decrease=0.15,
                                     threshold=0.45),
+    # The adversaries: _starts draws rates on both sides of the cap
+    # and of high, and its overloaded row starts above both.
+    "blaster": lambda: BlasterRule(increment=0.03, cap=0.1),
+    "pinned": lambda: PinnedRateRule(rate=0.07),
+    "sawtooth": lambda: SawtoothRule(low=0.03, high=0.1, increase=0.02),
 }
 
 
 def _mix(n):
-    """One of each rule, repeated over ``n`` connections."""
+    """The rules in turn over ``n`` connections (the first ``n`` of
+    them when ``n`` is smaller: the parking lot's seven connections
+    run the six built-in rules and a blaster)."""
     rules = [make() for make in RULES.values()]
     return [rules[i % len(rules)] for i in range(n)]
 
@@ -91,6 +103,12 @@ def _systems():
                FlowControlSystem(single_gateway(6), WeightedFairShare(PHI),
                                  SIGNAL, _mix(6), style=style,
                                  weights=weights))
+    # The non-linear signals, which the kernel evaluates with libm.
+    for signal, disc, style in ((POWER, FairShare(), IND),
+                                (EXP, Fifo(), AGG)):
+        yield (f"{type(signal).__name__}-{type(disc).__name__}-"
+               f"{style.value}-mix",
+               FlowControlSystem(LOT, disc, signal, _mix(N), style=style))
 
 
 SYSTEMS = dict(_systems())
@@ -345,6 +363,11 @@ class _Loss(SignalLoss):
     """An injector subclass: the Python stages apply it."""
 
 
+class _Power(PowerSaturating):
+    """A signal-function subclass: the observe kernel has no plan for
+    it."""
+
+
 class _Degradation(CapacityDegradation):
     """A structural-injector subclass: the Python stages apply it."""
 
@@ -420,7 +443,7 @@ class TestDispatch:
         if case in ("fault-subclass", "structural-subclass"):
             kwargs = _plan(case)
         elif case == "power-signal":
-            system = FlowControlSystem(LOT, Fifo(), PowerSaturating(p=2.0),
+            system = FlowControlSystem(LOT, Fifo(), _Power(p=2.0),
                                        _mix(N), style=IND)
         elif case == "custom-rule":
             system = FlowControlSystem(LOT, Fifo(), SIGNAL,
@@ -535,3 +558,107 @@ class TestParametersAreReadPerCall:
         rule.eta = 0.3
         after = _identical(monkeypatch, run)
         assert after.finals.tobytes() != before.finals.tobytes()
+
+    @pytest.mark.parametrize("make,attr,value", [
+        (lambda: PowerSaturating(2.202), "p", 1.5),
+        (lambda: ExponentialSignal(1.3), "k", 0.6)],
+        ids=["power-p", "exponential-k"])
+    def test_a_changed_signal_parameter_reaches_the_kernel(
+            self, monkeypatch, loop_calls, make, attr, value):
+        signal = make()
+        system = FlowControlSystem(LOT, Fifo(), signal,
+                                   TargetRule(eta=0.1, beta=0.45), style=IND)
+        x0 = _starts(N, m=2)
+
+        def run():
+            return system.run_ensemble(x0, max_steps=120, tol=0.0)
+
+        before = run()
+        setattr(signal, attr, value)
+        after = _identical(monkeypatch, run)
+        assert after.finals.tobytes() != before.finals.tobytes()
+        assert len(loop_calls) == 2 and None not in loop_calls
+
+
+def _adversary_mix(n):
+    """The three adversaries among honest rules over ``n``
+    connections."""
+    names = ("target", "blaster", "decbit-window", "pinned", "tcp-like",
+             "sawtooth", "proportional-target")
+    return [RULES[names[i % len(names)]]() for i in range(n)]
+
+
+def _same_run(traj, ref):
+    """``traj`` equals ``reference_run``'s ``ref`` bit for bit."""
+    return ((traj.history.tobytes(), traj.history.shape, traj.outcome,
+             traj.steps, traj.period)
+            == (ref.history.tobytes(), ref.history.shape, ref.outcome,
+                ref.steps, ref.period))
+
+
+class TestHeldToReferenceRun:
+    """``run``, ``run_ensemble`` and ``run_async_ensemble`` under the
+    non-linear signals and under an adversary mix, on the kernel and
+    again with the whole C tier masked, against ``reference_run``: the
+    plain per-connection loop, which shares no code with either tier's
+    loop.  Each run must equal it bit for bit (history, outcome, steps,
+    period, and a run's fault and structural events)."""
+
+    STEPS = 100
+
+    @pytest.fixture(params=["cext", "numpy"])
+    def tier(self, request, monkeypatch):
+        if request.param == "numpy":
+            monkeypatch.setattr(_cext, "load", lambda: None)
+        return request.param
+
+    @staticmethod
+    def _system(case, disc, style):
+        if case == "adversaries":
+            return FlowControlSystem(LOT, disc, SIGNAL, _adversary_mix(N),
+                                     style=style)
+        signal = POWER if case == "power" else EXP
+        return FlowControlSystem(LOT, disc, signal, _mix(N), style=style)
+
+    @staticmethod
+    def _x0():
+        # Row 0 puts the blaster at its cap and the sawtooth at its
+        # high, row 1 above both; row 3 overloads every gateway.
+        x0 = _starts(N, m=4)
+        x0[0, [1, 5]] = 0.1
+        x0[1, [1, 5]] = 0.25
+        return x0
+
+    @pytest.mark.parametrize("disc,style", [(Fifo(), AGG),
+                                            (FairShare(), IND)],
+                             ids=["fifo-aggregate", "fair-share-individual"])
+    @pytest.mark.parametrize("case", ["power", "exponential",
+                                      "adversaries"])
+    def test_the_runners(self, tier, loop_calls, case, disc, style):
+        system, x0 = self._system(case, disc, style), self._x0()
+        for plan in (None, "faults", "structural"):
+            kwargs = {} if plan is None else _plan(plan)
+            ref = reference_run(system, x0[0], max_steps=self.STEPS,
+                                **({} if plan is None else _plan(plan)))
+            traj = system.run(x0[0], max_steps=self.STEPS, **kwargs)
+            assert _same_run(traj, ref), plan
+            assert traj.fault_events == ref.fault_events, plan
+            assert traj.structural_events == ref.structural_events, plan
+            ens = system.run_ensemble(
+                x0, max_steps=self.STEPS, history="full",
+                **({} if plan is None else _plan(plan)))
+            # reference_run starts a plan as member 0's.
+            for m in range(len(x0) if plan is None else 1):
+                want = ref if m == 0 else reference_run(
+                    system, x0[m], max_steps=self.STEPS)
+                assert _same_run(ens.trajectory(m), want), (plan, m)
+        schedule = SCHEDULES["bursty"]()
+        ens = run_async_ensemble(system, x0, schedule=schedule,
+                                 signal_delay=2, max_steps=self.STEPS,
+                                 history="full")
+        for m in range(len(x0)):
+            want = reference_run(system, x0[m], schedule, 2,
+                                 max_steps=self.STEPS)
+            assert _same_run(ens.trajectory(m), want), m
+        assert loop_calls
+        assert all((out is None) == (tier == "numpy") for out in loop_calls)

@@ -287,8 +287,12 @@ class TestDispatch:
 
     def test_no_observe_plan_is_needed(self, loop_calls):
         from repro.core.signals import PowerSaturating
+
+        class Power(PowerSaturating):
+            """A signal-function subclass: no observe plan."""
+
         ctl = RcpController()
-        system = FlowControlSystem(LOT, Fifo(), PowerSaturating(p=2.0),
+        system = FlowControlSystem(LOT, Fifo(), Power(p=2.0),
                                    RcpSourceRule(), controller=ctl)
         assert system.scheme._plan is None
         system.run_ensemble(_starts(N), max_steps=50)

@@ -248,15 +248,6 @@ class TestDelaysRequestedOnlyWhenRead(_StepPaths):
         monkeypatch.setattr(compiled, "observe_batch", counting)
         return calls
 
-    def test_never_requested_when_no_rule_reads_them(self, kernel_calls):
-        system = _mixed(parking_lot(3, cross_per_hop=2),
-                        (TargetRule(eta=0.05, beta=0.5),
-                         ProportionalTargetRule(eta=0.2, beta=0.5),
-                         DecbitRateRule(), BinaryAimdRule(),
-                         BlasterRule(cap=0.2)))
-        steps = self._exercise(system)
-        assert kernel_calls == [False] * steps
-
     @pytest.fixture
     def loop_calls(self, monkeypatch):
         calls = []
@@ -268,6 +259,21 @@ class TestDelaysRequestedOnlyWhenRead(_StepPaths):
 
         monkeypatch.setattr(compiled, "ensemble_loop", counting)
         return calls
+
+    def test_never_requested_when_no_rule_reads_them(self, kernel_calls,
+                                                     loop_calls):
+        system = _mixed(parking_lot(3, cross_per_hop=2),
+                        (TargetRule(eta=0.05, beta=0.5),
+                         ProportionalTargetRule(eta=0.2, beta=0.5),
+                         DecbitRateRule(), BinaryAimdRule(),
+                         BlasterRule(cap=0.2)))
+        steps = self._exercise(system)
+        # Every rule is in the compiled loop's table, the blaster
+        # included: the run and ensemble legs are one compiled ensemble
+        # loop call each, and only the two steps call the observe
+        # kernel.
+        assert loop_calls == [False] * 3
+        assert kernel_calls == [False] * (steps - 3 * self.STEPS)
 
     @pytest.mark.parametrize("reader", [TcpLikeRule, DecbitWindowRule,
                                         _Recording],

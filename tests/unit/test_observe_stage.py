@@ -25,15 +25,17 @@ from repro.core.fifo import Fifo
 from repro.core.math_utils import row_sums
 from repro.core.ratecontrol import ProportionalTargetRule, TargetRule
 from repro.core.service import PreemptivePriority
-from repro.core.signals import (FeedbackScheme, FeedbackStyle,
-                                LinearSaturating, aggregate_congestion,
+from repro.core.signals import (ExponentialSignal, FeedbackScheme,
+                                FeedbackStyle, LinearSaturating,
+                                PowerSaturating, aggregate_congestion,
                                 weighted_individual_congestion,
                                 weighted_individual_congestion_batch)
 from repro.core.topology import parking_lot, random_network, single_gateway
 from repro.core.weighted import WeightedFairShare
-from repro.scenarios.oracles import reference_run
+from repro.scenarios.oracles import reference_observe, reference_run
 
 SIGNAL = LinearSaturating()
+POWER, EXP = PowerSaturating(2.202), ExponentialSignal(1.3)
 AGG, IND = FeedbackStyle.AGGREGATE, FeedbackStyle.INDIVIDUAL
 
 
@@ -48,32 +50,63 @@ def _rates(n, rng, m=8, scale=0.3):
 def _cases():
     phi = np.array([1.0, 2.0, 0.5, 3.0, 1.5, 1.0])
     big = 70
-    yield "fifo-ind", parking_lot(3, cross_per_hop=3), Fifo(), IND, None
-    yield "fifo-agg", parking_lot(3, cross_per_hop=3), Fifo(), AGG, None
-    yield "fs-small-ind", random_network(3, 20, 4), FairShare(), IND, None
-    yield "fs-small-agg", random_network(3, 20, 4), FairShare(), AGG, None
-    yield "fs-large-ind", single_gateway(big), FairShare(), IND, None
-    yield "fs-large-agg", single_gateway(big), FairShare(), AGG, None
+    lot = parking_lot(3, cross_per_hop=3)
+    yield "fifo-ind", lot, Fifo(), IND, None, SIGNAL
+    yield "fifo-agg", lot, Fifo(), AGG, None, SIGNAL
+    yield ("fs-small-ind", random_network(3, 20, 4), FairShare(), IND,
+           None, SIGNAL)
+    yield ("fs-small-agg", random_network(3, 20, 4), FairShare(), AGG,
+           None, SIGNAL)
+    yield "fs-large-ind", single_gateway(big), FairShare(), IND, None, SIGNAL
+    yield "fs-large-agg", single_gateway(big), FairShare(), AGG, None, SIGNAL
     yield ("wfs-weighted", single_gateway(6), WeightedFairShare(phi), IND,
-           phi)
+           phi, SIGNAL)
     yield ("priority-ind", single_gateway(5),
-           PreemptivePriority([2, 0, 4, 1, 3]), IND, None)
+           PreemptivePriority([2, 0, 4, 1, 3]), IND, None, SIGNAL)
     yield ("priority-agg", single_gateway(5),
-           PreemptivePriority([2, 0, 4, 1, 3]), AGG, None)
+           PreemptivePriority([2, 0, 4, 1, 3]), AGG, None, SIGNAL)
+    # The non-linear signals, which the C kernel evaluates with libm.
+    for label, signal in (("power", POWER), ("exp", EXP)):
+        yield f"fifo-agg-{label}", lot, Fifo(), AGG, None, signal
+        yield (f"fs-small-ind-{label}", random_network(3, 20, 4),
+               FairShare(), IND, None, signal)
+        yield (f"wfs-weighted-{label}", single_gateway(6),
+               WeightedFairShare(phi), IND, phi, signal)
+        yield (f"priority-agg-{label}", single_gateway(5),
+               PreemptivePriority([2, 0, 4, 1, 3]), AGG, None, signal)
 
 
 CASES = list(_cases())
 
 
 class TestObserveMatchesSeparatePaths:
-    @pytest.mark.parametrize("name,net,disc,style,weights", CASES,
+    @pytest.mark.parametrize("name,net,disc,style,weights,signal", CASES,
                              ids=[c[0] for c in CASES])
-    def test_bit_identical(self, name, net, disc, style, weights):
-        scheme = FeedbackScheme(net, disc, SIGNAL, style, weights=weights)
+    def test_bit_identical(self, name, net, disc, style, weights, signal):
+        scheme = FeedbackScheme(net, disc, signal, style, weights=weights)
         r = _rates(net.num_connections, np.random.default_rng(1))
         b, d = scheme.observe_batch(r)
         assert np.array_equal(b, scheme.signals_batch(r))
         assert np.array_equal(d, round_trip_delays_batch(net, disc, r))
+
+    @pytest.mark.parametrize("name,net,disc,style,weights,signal", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_both_tiers_meet_the_reference(self, monkeypatch, name, net,
+                                           disc, style, weights, signal):
+        # The C kernel and the numpy loop give the same bits, and both
+        # meet reference_observe, the plain per-gateway scalar laws,
+        # which share no code with either.
+        scheme = FeedbackScheme(net, disc, signal, style, weights=weights)
+        r = _rates(net.num_connections, np.random.default_rng(1))
+        live = scheme.observe_batch(r)
+        monkeypatch.setattr(_cext, "load", lambda: None)
+        masked = scheme.observe_batch(r)
+        for got, want in zip(live, masked):
+            assert got.tobytes() == want.tobytes()
+        for m in range(r.shape[0]):
+            for got, want in zip(live, reference_observe(scheme, r[m])):
+                np.testing.assert_allclose(got[m], want, rtol=1e-12,
+                                           atol=1e-12)
 
     def test_zero_rate_connection_gets_the_probe_delay(self):
         net = single_gateway(4)

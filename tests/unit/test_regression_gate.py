@@ -23,7 +23,8 @@ from repro.backends import compiled  # noqa: E402
 
 COMMITTED = json.loads(bench.BENCH_FILE.read_text())
 C_CASES = ["compiled_fifo", "compiled_fair_share", "compiled_fair_queueing",
-           "compiled_longest_drop", "f12_end_to_end", "fs_queue_law"]
+           "compiled_longest_drop", "f12_end_to_end", "fs_queue_law",
+           "nonlinear_signal"]
 
 #: The two sides of each single-measurement case's ratio, base over new.
 RATIO_PARTS = (("serial_s", "batched_s"), ("generic_s", "vectorised_s"),
@@ -114,6 +115,19 @@ class TestCompare:
         assert not _judge(case.name, case.quick_floor - 0.01,
                           quick=True)["ok"]
 
+    def test_a_new_case_is_judged_by_its_floor(self):
+        # A case with no committed number yet (its first full run).
+        case = _case("nonlinear_signal")
+        base = copy.deepcopy(COMMITTED)
+        del base["cases"][case.name]
+        for ratio, ok in ((case.floor, True), (case.floor - 0.01, False)):
+            fresh = copy.deepcopy(COMMITTED["cases"])
+            fresh[case.name]["speedup"] = ratio
+            _, report = bench.compare(base, fresh)
+            entry = next(e for e in report if e["name"] == case.name)
+            assert entry["ok"] is ok and entry["committed"] is None
+            assert entry["floor"] == case.floor
+
     def test_report_formatting(self):
         fresh = copy.deepcopy(COMMITTED["cases"])
         fresh["ensemble"]["speedup"] = 1.0
@@ -185,6 +199,16 @@ class TestCompiledBaseline:
         assert [c.name for c in bench.CASES if c.needs_c] == C_CASES
         assert COMMITTED["machine"]["kernel_tier"] == "cext"
         _passes_alone(C_CASES)
+
+    def test_nonlinear_signal_records_both_tiers(self):
+        # Absolute member-steps/s of the compiled loop and of the numpy
+        # tier, whose quotient is the last pair's ratio.
+        numbers = COMMITTED["cases"]["nonlinear_signal"]
+        kernel = numbers["compiled_member_steps_per_s"]
+        numpy_tier = numbers["numpy_member_steps_per_s"]
+        assert kernel > numpy_tier > 0
+        assert kernel / numpy_tier == pytest.approx(
+            numbers["numpy_s"] / numbers["compiled_s"], rel=0.01)
 
 
 class TestScaleBaseline:

@@ -3,9 +3,10 @@
 ``FlowControlSystem.run`` runs its whole step loop in one C call,
 ``compiled.ensemble_loop`` on a one-member block whose full history is
 ``run``'s history buffer, when the scheme has an observe plan (FIFO,
-Fair Share or weighted Fair Share under ``LinearSaturating``), every
-rule is one of the six built-in rule types and every fault and
-structural injector is a built-in type, or when an exact
+Fair Share or weighted Fair Share under one of the three shipped signal
+functions), every rule is one of the six built-in rule types or the
+three adversaries and every fault and structural injector is a
+built-in type, or when an exact
 ``RcpController`` drives the system.  It must give
 the Python loop's bits — the history, outcome, period, step count and
 run record — against ``run`` with ``compiled.ensemble_loop``
@@ -261,6 +262,10 @@ class TestDispatch:
     class _Loss(SignalLoss):
         """An injector subclass: the Python stages apply it."""
 
+    class _Power(PowerSaturating):
+        """A signal-function subclass: the observe kernel has no plan
+        for it."""
+
     class _Degradation(CapacityDegradation):
         """A structural-injector subclass: the Python stages apply it."""
 
@@ -300,7 +305,7 @@ class TestDispatch:
         n = LOT.num_connections
         kwargs = {}
         if case == "power-signal":
-            system = self._system(signal=PowerSaturating(p=2.0))
+            system = self._system(signal=self._Power(p=2.0))
         elif case == "custom-rule":
             system = self._system(_mix(n - 1) + [self._Custom()])
         elif case == "target-subclass":

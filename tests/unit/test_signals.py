@@ -66,10 +66,10 @@ class TestSignalFunctions:
                                     PowerSaturating(2.444),
                                     ExponentialSignal(1.3)])
     def test_scalar_is_bit_identical_to_batch(self, fn):
-        # Found by the scenario fuzzer: libm pow/exp (the builtin ** and
-        # math.exp) disagree with numpy's ufuncs in the last ulp, which
-        # let run() and run_ensemble() drift apart under delayed-fault
-        # feedback.  The scalar path must reproduce apply_batch exactly.
+        # Found by the scenario fuzzer: a scalar map and a batch map
+        # that disagree in the last ulp let run() and run_ensemble()
+        # drift apart under delayed-fault feedback.  The scalar path
+        # must reproduce apply_batch exactly.
         cs = np.random.default_rng(3).uniform(0.0, 20.0, 500)
         batch = fn.apply_batch(cs)
         for c, expected in zip(cs, batch):
@@ -80,6 +80,39 @@ class TestSignalFunctions:
         assert out.shape == (0,)
         out2 = signal.apply_batch(np.empty((0, 3)))
         assert out2.shape == (0, 3)
+
+
+class TestLibmDefinitions:
+    """libm defines the non-linear signals: the scalar map is one
+    ``math.pow`` or ``math.exp`` call (which the C observe kernel makes
+    too), and ``apply_batch`` is that map entry by entry."""
+
+    MEASURES = np.concatenate([
+        [0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e12, 1e300],
+        np.random.default_rng(8).uniform(0.0, 20.0, 400),
+        np.random.default_rng(9).exponential(0.05, 200)])
+
+    @pytest.mark.parametrize("p", [2.0, 2.202, 0.5, 1.0, 7.25])
+    def test_power_is_math_pow(self, p):
+        fn = PowerSaturating(p)
+        for c in self.MEASURES.tolist():
+            assert fn(c) == math.pow(c / (c + 1.0), p), (p, c)
+
+    @pytest.mark.parametrize("k", [1.0, 1.3, 0.07, 25.0])
+    def test_exponential_is_math_exp(self, k):
+        fn = ExponentialSignal(k)
+        for c in self.MEASURES.tolist():
+            assert fn(c) == 1.0 - math.exp(-k * c), (k, c)
+
+    @pytest.mark.parametrize("fn", [PowerSaturating(2.202),
+                                    PowerSaturating(2.0),
+                                    ExponentialSignal(1.3)])
+    def test_apply_batch_is_the_scalar_map(self, fn):
+        c = np.append(self.MEASURES, math.inf).reshape(-1, 3)
+        out = fn.apply_batch(c)
+        assert out.shape == c.shape
+        want = [1.0 if math.isinf(x) else fn(x) for x in c.ravel().tolist()]
+        assert out.ravel().tolist() == want
 
 
 class _NaiveSignal(SignalFunction):

@@ -3,6 +3,8 @@ packet pool, random streams, the gateway monitors, and the order in
 which the FIFO and fixed-priority queues serve (on the packet kernel's
 Python loops and its C loop, with scripted arrivals and services)."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -15,23 +17,32 @@ from repro.simulation.rng import RandomStreams, VariateBuffer, VariateRows
 from tests.scripted_gateway import ENGINES, scripted_run, scripted_sim
 
 
+def _pop(cal):
+    """The next event as ``(time, kind, a, b)``, or None: popped from
+    the heap as the kernel's loop pops it."""
+    if not cal._heap:
+        return None
+    time, _, kind, a, b = heapq.heappop(cal._heap)
+    return time, kind, a, b
+
+
 class TestEventCalendar:
     def test_pops_in_time_order(self):
         cal = EventCalendar()
         cal.push(2.0, 1, a=20)
         cal.push(1.0, 0, a=10)
         cal.push(3.0, 2, a=30)
-        popped = [cal.pop() for _ in range(3)]
+        popped = [_pop(cal) for _ in range(3)]
         assert [p[0] for p in popped] == [1.0, 2.0, 3.0]
         assert [p[1] for p in popped] == [0, 1, 2]
         assert [p[2] for p in popped] == [10, 20, 30]
-        assert cal.pop() is None
+        assert _pop(cal) is None
 
     def test_ties_break_by_insertion_order(self):
         cal = EventCalendar()
         for k in range(5):
             cal.push(1.0, 0, a=k)
-        assert [cal.pop()[2] for k in range(5)] == [0, 1, 2, 3, 4]
+        assert [_pop(cal)[2] for k in range(5)] == [0, 1, 2, 3, 4]
 
     def test_nonfinite_time_rejected(self):
         with pytest.raises(SimulationError):
@@ -40,7 +51,7 @@ class TestEventCalendar:
     def test_operands_roundtrip(self):
         cal = EventCalendar()
         cal.push(1.0, 5, a=-3, b=2 ** 40)
-        assert cal.pop() == (1.0, 5, -3, 2 ** 40)
+        assert _pop(cal) == (1.0, 5, -3, 2 ** 40)
 
 
 class TestPacketPool:

@@ -10,7 +10,7 @@ test:
 # Tier-1 and the quick gate on a host without a C compiler: PATH holds
 # only the interpreter's own directory (not a pyenv shim) and CC is
 # unset, so the C tier does not build and every path runs on numpy
-# (~4 min; the gate's seven C-tier cases skip).
+# (~4 min; the gate's eight C-tier cases skip).
 NOCC_PYTHON = $(shell $(PYTHON) -c 'import sys; print(sys.executable)')
 NOCC = env -u CC PATH=$(dir $(NOCC_PYTHON)) $(NOCC_PYTHON)
 
@@ -23,7 +23,7 @@ selftest:
 
 # The benchmark gate at CI sizes: every case of benchmarks/bench.py,
 # judged by its quick floor (the blocked scale run must also fit its
-# budget).  The seven C-tier cases skip with a notice when the C library
+# budget).  The eight C-tier cases skip with a notice when the C library
 # cannot be built (no C compiler), so a bare install stays green.
 gate:
 	$(PYTHON) benchmarks/bench.py --quick

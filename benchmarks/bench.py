@@ -30,9 +30,11 @@ numbers it measured (seconds, events/s, member-steps/s, MB):
   four closed packet loops (``engine="auto"``, the C event loop, vs
   ``engine="fast"``, the Python loops), F12 end to end on the same two
   engines, ``fs_queue_law`` (the C Fair Share queue law vs the numpy
-  sorted pipeline) and ``nonlinear_signal`` (``PowerSaturating`` and
+  sorted pipeline), ``nonlinear_signal`` (``PowerSaturating`` and
   ``ExponentialSignal`` ensembles on the compiled loop vs the numpy
-  tier, the whole C tier masked).
+  tier, the whole C tier masked) and ``observe_dispatch`` (the bare
+  C observe call vs the one-row ``compiled.observe_batch`` around it,
+  a ratio below 1 that rises as the wrapper's dispatch falls).
 
 The controller and chaos cases mask the compiled ensemble loop on both
 sides, so they compare the two Python loops their floors were recorded
@@ -84,8 +86,9 @@ from repro.core.math_utils import as_rate_vector
 from repro.core.ratecontrol import (RateAdjustment, RcpSourceRule,
                                     TargetRule, TcpLikeRule)
 from repro.core.rcp import RcpController
-from repro.core.signals import (ExponentialSignal, FeedbackStyle,
-                                LinearSaturating, PowerSaturating)
+from repro.core.signals import (ExponentialSignal, FeedbackScheme,
+                                FeedbackStyle, LinearSaturating,
+                                PowerSaturating)
 from repro.core.steadystate import (FixedPointCache, _damped_solve,
                                     continuation_scan)
 from repro.core.topology import parking_lot, single_gateway
@@ -817,6 +820,49 @@ def bench_nonlinear_signal(members=64, steps=400, pairs=3, seed=13):
             "speedup": timing.speedup}
 
 
+def bench_observe_dispatch(calls=2000, pairs=21, seed=17):
+    """What a crossing into C costs beside the C work: microseconds
+    per one-row ``compiled.observe_batch`` call with delays (Fair Share,
+    individual feedback, ``parking_lot(3)``), the call
+    :func:`~repro.scenarios.oracles.reference_run` makes every step,
+    against the same ``lib.observe_batch`` call with every address
+    taken once.  The ratio, bare over wrapped, is the share of the
+    wrapped call that the C call itself takes; the outputs are checked
+    equal first."""
+    net = parking_lot(3)
+    plan = FeedbackScheme(net, FairShare(), LinearSaturating(),
+                          FeedbackStyle.INDIVIDUAL)._plan
+    r = np.random.default_rng(seed).uniform(
+        0.02, 0.3, size=(1, net.num_connections))
+    b, d = np.empty_like(r), np.empty_like(r)
+    lib = _cext.load()
+    args = (r.ctypes.data, 1, r.shape[1], *plan.args, plan.latency,
+            b.ctypes.data, d.ctypes.data)
+
+    def bare():
+        for _ in range(calls):
+            lib.observe_batch(*args)
+        return b, d
+
+    def wrapped():
+        for _ in range(calls):
+            out = compiled.observe_batch(r, plan, True)
+        return out
+
+    timing = paired(bare, wrapped, pairs)
+    for got, want in zip(timing.new_out, timing.base_out):
+        if got.tobytes() != want.tobytes():
+            raise AssertionError("observe_batch differs from the bare call")
+    return {"calls": calls, "pairs": pairs,
+            "connections": net.num_connections,
+            "bare_s": round(timing.base_s, 6),
+            "wrapped_s": round(timing.new_s, 6),
+            "bare_us_per_call": round(timing.base_s / calls * 1e6, 3),
+            "wrapped_us_per_call": round(timing.new_s / calls * 1e6, 3),
+            "pair_ratios": timing.pair_ratios,
+            "speedup": timing.speedup}
+
+
 # ------------------------------------------------------------------
 # The registry and the gate
 # ------------------------------------------------------------------
@@ -881,6 +927,8 @@ CASES = (
          dict(pairs=3, members=64, n=512, reps=5), 2.0, 1.5, needs_c=True),
     Case("nonlinear_signal", bench_nonlinear_signal,
          dict(members=32, steps=200, pairs=3), 25.0, 15.0, needs_c=True),
+    Case("observe_dispatch", bench_observe_dispatch,
+         dict(calls=1000, pairs=9), 0.4, 0.4, needs_c=True),
 )
 
 

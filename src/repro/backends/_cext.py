@@ -40,7 +40,9 @@ Four kernel families live in the library:
   ``__call__`` calls the same libm functions through :mod:`math`), the
   MAX scatter and, when asked, the Little's-law sojourns with the
   zero-rate probe.  It runs the same row functions as the first family
-  and the numpy loop's arithmetic in its order, and returns
+  (the individual measure sorting a Fair Share row's queues only when
+  the law's rate order does not already order them) and the numpy
+  loop's arithmetic in its order, and returns
   ``ST_DOMAIN`` on a NaN, negative or infinite rate, a NaN or negative
   measure, or a signal parameter that is not finite and positive, so
   the numpy loop then runs (and raises where it raises).  Its per-row
@@ -406,12 +408,22 @@ static void fs_queue_row(const double *rr, const double *phi, i64 n,
     }
 }
 
-/* The individual congestion measure of one row of n queues. */
+/* The individual congestion measure of one row of n queues.  With
+ * reuse set, s->idx holds the order fs_queue_row just sorted the
+ * same row's rates by, and the queues are sorted only when that order
+ * does not already put them in non-decreasing order.  Exact: the
+ * measure depends only on the sorted sequence of values (a tie run
+ * takes its last rank's value, and equal values add to the same sum in
+ * any order), so any permutation that orders qq gives the stable
+ * sort's bits. */
 static void ind_congestion_row(const double *qq, i64 n, double *oo,
-                               RowScratch *s)
+                               RowScratch *s, int reuse)
 {
-    i64 *idx = s->idx;
-    sort_row(qq, n, idx, s->tmp, s->keys, s->keys_tmp);
+    i64 *idx = s->idx, i = 1;
+    if (reuse)
+        while (i < n && qq[idx[i - 1]] <= qq[idx[i]]) i++;
+    if (!reuse || i < n)
+        sort_row(qq, n, idx, s->tmp, s->keys, s->keys_tmp);
     double prefix = -0.0;   /* the additive identity: a -0.0 row sums
                              * to -0.0, as np.cumsum does */
     for (i64 k = 0; k < n;) {
@@ -480,7 +492,7 @@ int ind_congestion_batch(const double *queues, i64 m, i64 n,
     RowScratch s;
     if (!scratch_alloc(&s, n)) return ST_OOM;
     for (i64 row = 0; row < m; row++)
-        ind_congestion_row(queues + row * n, n, out + row * n, &s);
+        ind_congestion_row(queues + row * n, n, out + row * n, &s, 0);
     scratch_free(&s);
     return ST_DONE;
 }
@@ -648,7 +660,9 @@ static int observe_row(const double *rr, const ObservePlan *p,
                 /* a NaN or negative queue sends the numpy loop to its
                  * own measure pipeline: hand the row back */
                 if (!all_queues(q, k)) return ST_DOMAIN;
-                ind_congestion_row(q, k, c, &o->s);
+                /* the Fair Share law left its rate order in o->s.idx */
+                ind_congestion_row(q, k, c, &o->s,
+                                   p->law == LAW_FAIR_SHARE);
             } else {
                 weighted_congestion_row(q, p->phi, cols, k, c);
             }

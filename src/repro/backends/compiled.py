@@ -93,6 +93,23 @@ def warmup() -> str:
     return t
 
 
+def _addr(a: Optional[np.ndarray]) -> Optional[int]:
+    """The address of array ``a``'s data, as the C entry points take
+    it; None for None.
+
+    Every read of ``a.ctypes.data`` builds numpy's ``_ctypes`` helper
+    object, which costs about three times a ctypes view of the buffer
+    (DESIGN.md, section 13).  The view needs a writeable, non-empty,
+    C-contiguous buffer, so any other array (read-only, zero-size or
+    strided) takes the helper; both give the same address."""
+    if a is None:
+        return None
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
+
+
 # ------------------------------------------------------------------
 # Fair Share kernel dispatch (numpy in / numpy out; None = numpy path)
 # ------------------------------------------------------------------
@@ -117,9 +134,8 @@ def fs_queue_batch(rates: np.ndarray, mu: float,
         if phi.shape != (n,):
             raise ValueError(f"need {n} weights, got shape {phi.shape}")
     out = np.empty_like(r)
-    if lib.fs_queue_batch(r.ctypes.data,
-                          None if phi is None else phi.ctypes.data,
-                          m, n, float(mu), out.ctypes.data):
+    if lib.fs_queue_batch(_addr(r), _addr(phi), m, n, float(mu),
+                          _addr(out)):
         return None
     return out
 
@@ -134,8 +150,7 @@ def fs_loads_batch(sorted_rates: np.ndarray,
     r = np.ascontiguousarray(sorted_rates, dtype=np.float64)
     out = np.empty_like(r)
     m, n = r.shape
-    if lib.fs_loads_batch(r.ctypes.data, m, n, float(mu),
-                          out.ctypes.data):
+    if lib.fs_loads_batch(_addr(r), m, n, float(mu), _addr(out)):
         return None
     return out
 
@@ -150,7 +165,7 @@ def ind_congestion_batch(queues: np.ndarray) -> Optional[np.ndarray]:
     q = np.ascontiguousarray(queues, dtype=np.float64)
     out = np.empty_like(q)
     m, n = q.shape
-    if lib.ind_congestion_batch(q.ctypes.data, m, n, out.ctypes.data):
+    if lib.ind_congestion_batch(_addr(q), m, n, _addr(out)):
         return None
     return out
 
@@ -177,13 +192,15 @@ def observe_batch(rates: np.ndarray, plan,
         raise ValueError(f"need an (M, {plan.n}) rate batch, got shape "
                          f"{r.shape}")
     m, n = r.shape
-    b = np.empty_like(r)
-    d = np.empty_like(r) if with_delays else None
-    if lib.observe_batch(r.ctypes.data, m, n, *plan.args,
+    # b and d are the two planes of one block: one allocation, one
+    # address read.
+    out = np.empty((2 if with_delays else 1, m, n))
+    at = _addr(out)
+    if lib.observe_batch(_addr(r), m, n, *plan.args,
                          plan.latency if with_delays else None,
-                         b.ctypes.data, None if d is None else d.ctypes.data):
+                         at, at + r.nbytes if with_delays else None):
         return None
-    return b, d
+    return out[0], out[1] if with_delays else None
 
 
 def _check_buffer(name: str, a, dtype, shape) -> None:
@@ -217,11 +234,9 @@ class Gate(NamedTuple):
 
     def args(self) -> tuple:
         """The gate's arguments of the C entry points."""
-        def addr(a):
-            return None if a is None else a.ctypes.data
-        return (self.code, addr(self.seed),
+        return (self.code, _addr(self.seed),
                 0 if self.seed is None else self.seed.shape[0],
-                addr(self.on), addr(self.off), addr(self.offsets),
+                _addr(self.on), _addr(self.off), _addr(self.offsets),
                 self.burst_len)
 
 
@@ -294,7 +309,7 @@ class Perturbation:
 
     def _keep(self, a: np.ndarray) -> int:
         self._arrays.append(a)
-        return a.ctypes.data
+        return _addr(a)
 
     def _take_logs(self, lib) -> None:
         """Copy the two logs out of the library's buffers and free
@@ -304,9 +319,8 @@ class Perturbation:
             ints = np.empty((log.len, 4), dtype=np.int64)
             detail = np.empty(log.len)
             if log.len:
-                ctypes.memmove(ints.ctypes.data, log.ints, ints.nbytes)
-                ctypes.memmove(detail.ctypes.data, log.detail,
-                               detail.nbytes)
+                ctypes.memmove(_addr(ints), log.ints, ints.nbytes)
+                ctypes.memmove(_addr(detail), log.detail, detail.nbytes)
             lib.event_log_free(ctypes.byref(log))
             logs.append((ints, detail))
         self.fault_log, self.structural_log = logs
@@ -341,10 +355,10 @@ class Control:
         self.n = route_ptr.shape[0] - 1
         self._arrays = arrays
         self._c = _cext.Control(
-            mu.shape[0], gw_ptr.ctypes.data, members.ctypes.data,
-            route_ptr.ctypes.data, routes.ctypes.data, mu.ctypes.data,
-            floor.ctypes.data, self._state.ctypes.data, float(alpha),
-            float(beta), float(factor_min), float(factor_max))
+            mu.shape[0], _addr(gw_ptr), _addr(members), _addr(route_ptr),
+            _addr(routes), _addr(mu), _addr(floor), _addr(self._state),
+            float(alpha), float(beta), float(factor_min),
+            float(factor_max))
 
 
 #: The observe plan, delay flag, rule codes and parameters of a
@@ -401,7 +415,7 @@ def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
         _check_buffer("codes", codes, np.int64, (n,))
         _check_buffer("params", params, np.float64, (n, 3))
         stages = (*plan.args, plan.latency if with_delays else None,
-                  codes.ctypes.data, params.ctypes.data)
+                  _addr(codes), _addr(params))
     else:
         stages = _NO_STAGES
     tcap = 0
@@ -419,13 +433,10 @@ def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
     steps = np.empty(m, dtype=np.int64)
     status = np.empty(m, dtype=np.int64)
     code = lib.ensemble_loop(
-            r0.ctypes.data, m, n, max_steps, float(tol),
-            settle.ctypes.data, float(limit), tau, *stages, *gate.args(),
-            finals.ctypes.data, steps.ctypes.data, status.ctypes.data,
-            None if tail is None else tail.ctypes.data, tcap,
-            None if full is None else full.ctypes.data,
-            None if agg is None else agg.ctypes.data,
-            None if perturb is None else ctypes.byref(perturb._c),
+            _addr(r0), m, n, max_steps, float(tol), _addr(settle),
+            float(limit), tau, *stages, *gate.args(), _addr(finals),
+            _addr(steps), _addr(status), _addr(tail), tcap, _addr(full),
+            _addr(agg), None if perturb is None else ctypes.byref(perturb._c),
             None if control is None else ctypes.byref(control._c))
     if perturb is not None:
         perturb._take_logs(lib)
@@ -443,8 +454,7 @@ def coin_stream(seed: np.ndarray, step: int, n: int) -> Optional[np.ndarray]:
     if lib is None:
         return None
     out = np.empty(n)
-    if lib.coin_stream(seed.ctypes.data, seed.shape[0], step, n,
-                       out.ctypes.data):
+    if lib.coin_stream(_addr(seed), seed.shape[0], step, n, _addr(out)):
         raise ValueError(f"need 1 to 8 seed words, got {seed.shape[0]}")
     return out
 
@@ -472,8 +482,8 @@ def stream_draws(words: np.ndarray, ops, n: int,
     _check_buffer("words", words, np.uint64, (6,))
     ops = np.ascontiguousarray(ops, dtype=np.int64)
     out = np.empty((ops.shape[0], n))
-    if lib.stream_draws(words.ctypes.data, ops.ctypes.data, ops.shape[0],
-                        n, float(amplitude), out.ctypes.data):
+    if lib.stream_draws(_addr(words), _addr(ops), ops.shape[0], n,
+                        float(amplitude), _addr(out)):
         raise ValueError(f"ops outside the stream's domain: {ops}")
     return out
 
@@ -487,6 +497,6 @@ def gate_masks(gate: Gate, t0: int, steps: int,
     if lib is None:
         return None
     out = np.empty((steps, n), dtype=np.bool_)
-    if lib.gate_masks(*gate.args(), t0, steps, n, out.ctypes.data):
+    if lib.gate_masks(*gate.args(), t0, steps, n, _addr(out)):
         raise ValueError(f"gate outside the kernel's domain: {gate}")
     return out

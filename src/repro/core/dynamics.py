@@ -1093,8 +1093,14 @@ def _check_loop(max_steps, settle, max_period, tol) -> None:
     for name, value, low in (("max_steps", max_steps, 0),
                              ("settle", settle, 1),
                              ("max_period", max_period, 1)):
-        arr = np.asarray(value)
-        if arr.dtype.kind not in "iu" or np.any(arr < low):
+        if type(value) is int:  # not bool; np.asarray's int64 or uint64
+            ok = low <= value < 2**64
+        elif isinstance(value, np.integer):
+            ok = value >= low
+        else:  # an array of per-member counts, or no int at all
+            arr = np.asarray(value)
+            ok = arr.dtype.kind in "iu" and not np.any(arr < low)
+        if not ok:
             raise SweepError(
                 f"{name} must be an int >= {low}, got {value!r}")
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol)

@@ -388,20 +388,22 @@ class _ObservePlan:
         self._state = state
         self.n, n_gw, law, measure, arrays, self.signal_fn = state
         gw_ptr, members, mu, law_weights, weights, latency = [
-            None if a is None else a.ctypes.data for a in arrays]
-        self._static = (n_gw, gw_ptr, members, mu, law, law_weights,
-                        measure, weights)
-        self._signal, self._attr = _KERNEL_SIGNALS[type(self.signal_fn)]
+            compiled._addr(a) for a in arrays]
+        signal, self._attr = _KERNEL_SIGNALS[type(self.signal_fn)]
+        self._args = (n_gw, gw_ptr, members, mu, law, law_weights,
+                      measure, weights, signal, 0.0)
         self.latency = latency
 
     @property
     def args(self) -> tuple:
         """The kernel's plan arguments: the static ones, then the
         signal's code and parameter, read here at every access because
-        signal functions are mutable."""
-        param = (0.0 if self._attr is None
-                 else float(getattr(self.signal_fn, self._attr)))
-        return (*self._static, self._signal, param)
+        signal functions are mutable (0.0 for the linear signal, which
+        has none)."""
+        if self._attr is None:
+            return self._args
+        return (*self._args[:-1],
+                float(getattr(self.signal_fn, self._attr)))
 
 
 def _observe_plan(network: Network, discipline: ServiceDiscipline,

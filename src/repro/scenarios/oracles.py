@@ -439,6 +439,27 @@ def reference_run(system: FlowControlSystem, initial, schedule=None,
                                          else sstate.events))
 
 
+class _DrawnOnce:
+    """A clock schedule whose masks are drawn once and then replayed,
+    so two references under one clock draw each mask once.  Exact,
+    because :class:`~repro.core.asynchronous.UpdateSchedule` requires
+    ``participants`` to be a pure function of ``(step, n)``."""
+
+    def __init__(self, schedule):
+        self._schedule = schedule
+        self._masks = {}
+
+    def participants(self, step: int, n: int) -> np.ndarray:
+        mask = self._masks.get((step, n))
+        if mask is None:
+            mask = self._masks[step, n] = self._schedule.participants(
+                step, n)
+        return mask
+
+    def steps_per_sweep(self, n: int) -> int:
+        return self._schedule.steps_per_sweep(n)
+
+
 def _bits(a) -> tuple:
     """An array's shape and bytes: equal exactly when bit-identical."""
     return a.shape, a.tobytes()
@@ -475,7 +496,9 @@ def check_loop_equivalence(ctx: ScenarioContext) -> OracleResult:
                                      block_size=2, history="full", **kwargs)
         single = AsynchronousRunner(system, schedule, tau).run(probes[0],
                                                                **kwargs)
-    refs = {m: reference_run(system, probes[m], schedule, tau, **kwargs)
+    # The references share the clock's masks; the engine draws its own.
+    drawn = None if schedule is None else _DrawnOnce(schedule)
+    refs = {m: reference_run(system, probes[m], drawn, tau, **kwargs)
             for m in (0, 3)}
     runs = [("the M = 1 call", single, single.final, refs[0])]
     runs += [(f"blocked member {m}", blocked.trajectory(m),

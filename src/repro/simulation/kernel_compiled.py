@@ -136,7 +136,7 @@ class CompiledEngine(FastEngine):
         handle = lib.packet_new(
             n_gw, n, self._rows.values.shape[1],
             _DISCIPLINES[self.discipline_kind], int(self.evicts),
-            *(a.ctypes.data for a in self._consts + state))
+            *(compiled._addr(a) for a in self._consts + state))
         if not handle:
             raise MemoryError("compiled packet loop ran out of memory")
         self._lib = lib
@@ -153,7 +153,7 @@ class CompiledEngine(FastEngine):
             rows.refill(first + int(i))
         rates = np.ascontiguousarray(rates, dtype=np.float64)
         self._check(self._lib.packet_resample(self._handle, self.now,
-                                              rates.ctypes.data))
+                                              compiled._addr(rates)))
 
     def rebuild_fs_tables(self, per_gateway_rates) -> None:
         if self.discipline_kind != "fair-share":

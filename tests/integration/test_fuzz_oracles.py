@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.asynchronous import ClockSchedule
 from repro.core.dynamics import Outcome, Trajectory
 from repro.backends import _cext, compiled
 from repro.core.fairshare import FairShare, cumulative_loads_batch
@@ -684,6 +685,25 @@ class TestAsyncOracles:
         assert res.applicable and res.passed
         assert "bit-identical" in res.detail
         assert "mix clock, delay 1" in res.detail
+
+    @pytest.mark.skipif(not compiled.fs_available(),
+                        reason="no compiled ensemble loop")
+    def test_loop_equivalence_draws_each_mask_once(self, monkeypatch):
+        # The engine side runs the clock in the C gate, so every
+        # participants call comes from the two references, which replay
+        # one draw per step.
+        steps = []
+        orig = ClockSchedule.participants
+
+        def counting(self, step, n):
+            steps.append(step)
+            return orig(self, step, n)
+
+        monkeypatch.setattr(ClockSchedule, "participants", counting)
+        res = run_oracle("loop-equivalence",
+                         ScenarioContext(self.clocked_spec()))
+        assert res.applicable and res.passed
+        assert steps and len(steps) == len(set(steps))
 
     def test_async_fixed_point_catches_drifting_steady_state(
             self, monkeypatch):

@@ -394,6 +394,22 @@ class TestCompiledObserveStage:
                 out = compiled.observe_batch(r, scheme._plan, False)
                 assert (out is not None) is served, (signal, value)
 
+    def test_the_two_planes_do_not_alias(self):
+        # b and d share one block: writing one leaves the other.
+        net = parking_lot(3)
+        scheme = FeedbackScheme(net, FairShare(), LinearSaturating(),
+                                FeedbackStyle.INDIVIDUAL)
+        r = np.random.default_rng(3).uniform(
+            0.01, 0.2, size=(4, net.num_connections))
+        b, d = compiled.observe_batch(r, scheme._plan, True)
+        want_b, want_d = b.copy(), d.copy()
+        b[:] = -1.0
+        assert _bits(d) == _bits(want_d)
+        b[:], d[:] = want_b, -1.0
+        assert _bits(b) == _bits(want_b)
+        alone, none = compiled.observe_batch(r, scheme._plan, False)
+        assert none is None and _bits(alone) == _bits(want_b)
+
     def test_rates_must_match_the_plan(self):
         scheme = FeedbackScheme(single_gateway(3), Fifo(),
                                 LinearSaturating(),
@@ -468,6 +484,22 @@ class TestPickKernelBoundary:
                 FairShare().queue_lengths(rates, mu=1.0), want)
         assert np.allclose(want, fair_share_queues_recursive(rates, 1.0),
                            rtol=1e-12, atol=1e-12)
+
+
+class TestAddresses:
+    """The address the C entry points take equals numpy's own."""
+
+    def test_addr_equals_ctypes_data(self):
+        base = np.arange(12.0)
+        read_only = np.arange(4.0)
+        read_only.flags.writeable = False
+        arrays = [np.zeros(5), np.zeros((2, 3), dtype=np.int64),
+                  np.zeros(3, dtype=np.uint32), np.zeros(4, dtype=np.bool_),
+                  base[3:], base[::2], read_only, np.zeros(0),
+                  np.zeros((0, 3))]
+        for a in arrays:
+            assert compiled._addr(a) == a.ctypes.data, a
+        assert compiled._addr(None) is None
 
 
 class TestObservability:

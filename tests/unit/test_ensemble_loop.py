@@ -152,7 +152,9 @@ RUNNERS = {
 }
 
 BAD = [("settle", 0), ("settle", -1), ("settle", 1.5), ("settle", True),
-       ("max_steps", -1), ("max_steps", 2.0), ("max_period", 0),
+       ("settle", np.array([0])), ("settle", 2**64),
+       ("max_steps", -1), ("max_steps", 2.0), ("max_steps", np.int64(-1)),
+       ("max_period", 0), ("max_period", np.True_),
        ("tol", math.nan), ("tol", -1.0), ("tol", math.inf)]
 
 
@@ -168,6 +170,11 @@ class TestLoopParameters:
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_zero_tol_is_valid(self, runner):
         RUNNERS[runner](_system(), tol=0.0, max_steps=20)
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_numpy_ints_are_valid(self, runner):
+        RUNNERS[runner](_system(), max_steps=np.int64(20),
+                        settle=np.uint8(3), max_period=np.int32(4))
 
     @pytest.mark.parametrize("delay", [1.5, -1, "1"])
     def test_delay_must_be_a_nonnegative_int(self, delay):

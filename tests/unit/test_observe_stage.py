@@ -327,3 +327,47 @@ class TestOneObserveKernelCallPerStep(TestOneQueueLawCallPerGateway):
         states = [damaged, clean, damaged, damaged]
         system.step_batch(self._start(system, m=4), structural=states)
         assert sorted(counted) == [(1, False), (3, False)]
+
+
+def _near_tied_rows(n, rng, m=60):
+    """Fair Share rows of two kinds: well separated rates (even rows),
+    and rates within a few ulps of one another (odd rows), where
+    rounding in the queue law can put the queues out of the rates'
+    order."""
+    rows = rng.uniform(0.01, 0.9 / n, size=(m, n))
+    base = rng.uniform(0.2, 0.95, size=(m, 1)) / n
+    tied = base * (1.0 + 2.0**-52 * rng.integers(-3, 4, size=(m, n)))
+    rows[1::2] = tied[1::2]
+    return rows
+
+
+@needs_observe_kernel
+class TestFairShareRowOrder:
+    """Under individual feedback the C kernel sorts a Fair Share row's
+    queues only when the order its queue law sorted the rates by (the
+    weighted law: the normalised rates ``r / phi``) does not already
+    order them.  On rows of both kinds it gives the numpy loop's bits
+    and meets reference_observe."""
+
+    @pytest.mark.parametrize("phi", [None, [1.0, 2.0, 0.5, 3.0] * 10],
+                             ids=["fair-share", "weighted-law"])
+    def test_rows_of_both_kinds(self, monkeypatch, phi):
+        disc = FairShare() if phi is None else WeightedFairShare(phi)
+        r = _near_tied_rows(40, np.random.default_rng(7))
+        queues = disc.queue_lengths_batch(r, 1.0)
+        order = np.argsort(r if phi is None else r / np.array(phi),
+                           axis=1, kind="stable")
+        ordered = np.all(np.diff(np.take_along_axis(queues, order, axis=1),
+                                 axis=1) >= 0, axis=1)
+        assert ordered.any() and not ordered.all(), ordered.sum()
+        scheme = FeedbackScheme(single_gateway(40), disc, SIGNAL, IND)
+        live = compiled.observe_batch(r, scheme._plan, True)
+        assert live is not None
+        monkeypatch.setattr(_cext, "load", lambda: None)
+        masked = scheme.observe_batch(r)
+        for got, want in zip(live, masked):
+            assert got.tobytes() == want.tobytes()
+        for m in range(r.shape[0]):
+            for got, want in zip(live, reference_observe(scheme, r[m])):
+                np.testing.assert_allclose(got[m], want, rtol=1e-12,
+                                           atol=1e-12)

@@ -24,7 +24,7 @@ from repro.backends import compiled  # noqa: E402
 COMMITTED = json.loads(bench.BENCH_FILE.read_text())
 C_CASES = ["compiled_fifo", "compiled_fair_share", "compiled_fair_queueing",
            "compiled_longest_drop", "f12_end_to_end", "fs_queue_law",
-           "nonlinear_signal"]
+           "nonlinear_signal", "observe_dispatch"]
 
 #: The two sides of each single-measurement case's ratio, base over new.
 RATIO_PARTS = (("serial_s", "batched_s"), ("generic_s", "vectorised_s"),
@@ -209,6 +209,17 @@ class TestCompiledBaseline:
         assert kernel > numpy_tier > 0
         assert kernel / numpy_tier == pytest.approx(
             numbers["numpy_s"] / numbers["compiled_s"], rel=0.01)
+
+    def test_observe_dispatch_records_both_calls(self):
+        # Microseconds per call of the bare C call and of the wrapper
+        # around it, whose quotient is the last pair's ratio; the
+        # wrapper can only add time.
+        numbers = COMMITTED["cases"]["observe_dispatch"]
+        bare = numbers["bare_us_per_call"]
+        wrapped = numbers["wrapped_us_per_call"]
+        assert 0 < bare < wrapped
+        assert bare / wrapped == pytest.approx(
+            numbers["bare_s"] / numbers["wrapped_s"], rel=0.01)
 
 
 class TestScaleBaseline:

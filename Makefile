@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-nocc selftest gate fuzz-quick chaos-quick suite-smoke \
-	digests verify bench
+.PHONY: test test-nocc gate fuzz-quick chaos-quick suite-smoke digests \
+	verify bench
 
 test:
 	$(PYTHON) -m pytest -q
@@ -17,9 +17,6 @@ NOCC = env -u CC PATH=$(dir $(NOCC_PYTHON)) $(NOCC_PYTHON)
 test-nocc:
 	$(NOCC) -m pytest -q
 	$(NOCC) benchmarks/bench.py --quick
-
-selftest:
-	$(PYTHON) -m repro selftest --quick
 
 # The benchmark gate at CI sizes: every case of benchmarks/bench.py,
 # judged by its quick floor (the blocked scale run must also fit its
@@ -69,10 +66,10 @@ suite-smoke:
 digests:
 	$(PYTHON) benchmarks/digests.py
 
-# The tier-1 flow: full test suite, the engine smoke check, the
-# benchmark gate at CI sizes, the bounded fuzzing sweep, the chaos
-# sweep, and the repository benchmark's correctness checks.
-verify: test selftest gate fuzz-quick chaos-quick suite-smoke
+# The tier-1 flow: full test suite, the benchmark gate at CI sizes,
+# the bounded fuzzing sweep, the chaos sweep, and the repository
+# benchmark's correctness checks.
+verify: test gate fuzz-quick chaos-quick suite-smoke
 
 # Every gate case at full size, once: judged against the committed
 # BENCH.json, which is then rewritten unless a C-tier case skipped

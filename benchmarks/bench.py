@@ -4,7 +4,8 @@ and one ``BENCH.json``.
 Each case times a fast path against the path it replaces (or a costly
 option against its clean baseline), checks bit-identity first, and
 reduces to one gated ratio, ``speedup``, recorded beside the absolute
-numbers it measured (seconds, events/s, member-steps/s, MB):
+numbers it measured (seconds, events/s, member-steps/s, MB) and
+stamped with the git revision and UTC time that measured it:
 
 * the batched trajectory engine: ``ensemble`` (``run_ensemble`` vs
   member-by-member ``run``) and ``quadratic_sweep`` (the vectorised
@@ -66,6 +67,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -93,7 +95,7 @@ from repro.core.steadystate import (FixedPointCache, _damped_solve,
                                     continuation_scan)
 from repro.core.topology import parking_lot, single_gateway
 from repro.experiments.exp_f12_sim_validation import run_f12_sim_validation
-from repro.observability.provenance import provenance
+from repro.observability.provenance import git_revision, provenance
 from repro.scenarios.oracles import reference_run
 from repro.simulation.network_sim import NetworkSimulation
 
@@ -934,8 +936,11 @@ CASES = (
 
 def measure(quick=False, cases=CASES):
     """Run each case at its full or quick sizes: name -> numbers, or
-    None for a C-tier case when the tier has not built."""
+    None for a C-tier case when the tier has not built.  Each case's
+    numbers carry what measured them: the checkout's ``git_revision``
+    and the UTC time, ``measured_at``, its run finished."""
     compiled.warmup()  # the C build stays out of every case's timing
+    revision = git_revision()
     fresh = {}
     for case in cases:
         if case.needs_c and compiled.tier() != "cext":
@@ -943,6 +948,8 @@ def measure(quick=False, cases=CASES):
             continue
         result = fresh[case.name] = case.run(**(case.quick if quick
                                                   else {}))
+        result.update(git_revision=revision, measured_at=datetime.now(
+            timezone.utc).isoformat(timespec="seconds"))
         absolutes = ", ".join(
             f"{key} {value}" for key, value in result.items()
             if key.endswith(("_s", "_mb", "_iterations", "_budget"))
@@ -958,7 +965,8 @@ def compare(committed, fresh, quick=False):
     Args:
         committed: the parsed ``BENCH.json``.
         fresh: case name -> numbers (``speedup`` is the ratio), or None
-            for a skipped case.
+            for a skipped case.  The stamps :func:`measure` adds are
+            not read.
         quick: judge by the quick floors alone; otherwise a ratio must
             stay within :data:`THRESHOLD` of its committed value, but is
             never judged more strictly than its floor.

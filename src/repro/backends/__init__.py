@@ -1,20 +1,22 @@
 """The compiled kernel tier.
 
-The engine runs on numpy.  Four hot paths also have a runtime-built C
-library (:mod:`repro.backends._cext`): the packet event loop of
-:mod:`repro.simulation.kernel` (FIFO, Fair Share, fixed priority), the
-Fair Share sorted prefix-sum laws
-in :mod:`repro.core.fairshare` / :mod:`repro.core.signals`, the
-observe stage of :class:`~repro.core.signals.FeedbackScheme`, and the
-step loop of :meth:`~repro.core.dynamics.FlowControlSystem.run`.
+The engine runs on numpy.  Four kernel families also have a
+runtime-built C library (:mod:`repro.backends._cext`): the Fair Share
+sorted prefix-sum laws (the queue law, weighted or not, and the
+individual congestion measure) of :mod:`repro.core.fairshare` and
+:mod:`repro.core.signals`; the observe stage of
+:class:`~repro.core.signals.FeedbackScheme`; the ensemble loop that
+:meth:`~repro.core.dynamics.FlowControlSystem.run_ensemble`,
+:func:`~repro.core.asynchronous.run_async_ensemble` and ``run`` share;
+and the packet event loop of :mod:`repro.simulation.kernel`.
 :mod:`repro.backends.compiled` dispatches to it whenever it has built
 and reports which tier is live.  The C kernels never change results:
-they are bit-identical (same RNG bitstream, same float operation order)
-to the numpy and pure-python engines, which
-``tests/integration/test_kernel_equivalence.py``, ``tests/unit/
-test_backends.py`` and the ``compiled-equivalence`` fuzz oracle check.
-:mod:`repro.backends._fs_python` holds loop twins of the Fair Share
-kernels that the tests diff both implementations against.
+they give the numpy and Python paths' bits (same RNG bitstream, same
+float operation order).  The tests hold both tiers to references that
+share no code with them (the exact Fair Share laws of
+``tests/exact_fair_share.py``, ``reference_run`` for the loops,
+queueing theory for the packet loop) and to each other, and the
+``compiled-equivalence`` fuzz oracle checks them too.
 """
 
 from __future__ import annotations

@@ -10,21 +10,26 @@ the numpy pipelines and the pure-python event loop instead.
 
 Four kernel families live in the library:
 
-* ``fs_queue_batch`` / ``fs_loads_batch`` / ``ind_congestion_batch``
-  — the Fair Share sorted prefix-sum laws, loop twins of
-  :mod:`repro.backends._fs_python` (see that module's bit-identity
-  notes; the C side adds a stable argsort — insertion-sorted runs
-  merged bottom-up for short rows, LSD radix on order-preserving
-  integer keys for long ones — which yields the same permutation as
-  ``np.argsort(kind="stable")`` because the stable ascending
+* ``fs_queue_batch`` / ``ind_congestion_batch`` — the Fair Share
+  sorted prefix-sum laws of :mod:`repro.core.fairshare` and
+  :mod:`repro.core.signals` (``_sorted_queues``,
+  ``_individual_sorted``), operation for operation.  A stable argsort
+  (insertion-sorted runs merged bottom-up for short rows, LSD radix on
+  order-preserving integer keys for long ones) yields the permutation
+  of ``np.argsort(kind="stable")``, because the stable ascending
   permutation is unique; the key transform collapses ``-0.0`` onto
-  ``+0.0`` so the radix tie classes match IEEE comparison ties).
-  ``fs_queue_batch`` also takes an optional weight vector, the
-  weighted law of :class:`~repro.core.weighted.WeightedFairShare`
-  (sorted by ``r / phi``), which has no loop twin: its reference is
-  the weighted numpy pipeline.  The queue law and the individual
-  measure are static row functions, and the batch entry points are
-  loops over them.
+  ``+0.0`` so the radix tie classes match IEEE comparison ties.
+  Running sums replace numpy's sequential ``cumsum`` (the measure's
+  starts at ``-0.0``, the additive identity, as the cumsum does), a
+  literal ``0.0`` is added where the numpy law masks an overloaded
+  class out of its sum, and a run of equal sorted values takes the
+  value at its last rank.  ``fs_queue_batch`` also takes an optional
+  weight vector, the weighted law of
+  :class:`~repro.core.weighted.WeightedFairShare` (sorted by ``r /
+  phi``).  ``tests/exact_fair_share.py`` holds both tiers to the laws
+  in exact arithmetic.  The queue law and the individual measure are
+  static row functions, and the batch entry points are loops over
+  them.
   Each checks its input first and returns a nonzero status, writing
   nothing, on a NaN or negative value (and on an infinite rate or a
   weight that is not finite and positive), so
@@ -54,14 +59,13 @@ Four kernel families live in the library:
   member: per step ``observe_row`` on the stale row (on a structural
   plan's damaged view, then ``b = 1`` behind a blackhole), the fault
   injectors (``FI_*`` codes, each member with its own true-signal ring,
-  delivered vector and numpy-identical PCG64 stream, also exported as
-  ``stream_draws``, and events logged to growable ``EventLog`` s), each
-  connection's rule (one of the six built-in rules or the three
-  adversaries of :mod:`repro.chaos.adversaries`, by ``RULE_*`` code),
-  ``apply_batch``'s and ``clip_nonnegative``'s ``np.maximum``, the
-  clock gate (``GATE_*``: round-robin, or coins drawn from a C
-  transcription of ``np.random.default_rng([seed, step]).random(n)``,
-  also exported as ``coin_stream`` and ``gate_masks``), and the
+  delivered vector and numpy-identical PCG64 stream, and events logged
+  to growable ``EventLog`` s), each connection's rule (one of the six
+  built-in rules or the three adversaries of
+  :mod:`repro.chaos.adversaries`, by ``RULE_*`` code), ``apply_batch``'s
+  and ``clip_nonnegative``'s ``np.maximum``, the clock gate
+  (``GATE_*``: round-robin, or coins drawn from a C transcription of
+  ``np.random.default_rng([seed, step]).random(n)``), and the
   divergence and convergence tests, writing each member's delay ring,
   tail and full-history rows, its final state, step count and status,
   and per-step telemetry aggregates.  Under a router-side controller
@@ -455,27 +459,6 @@ int fs_queue_batch(const double *rates, const double *phi, i64 m, i64 n,
     return ST_DONE;
 }
 
-int fs_loads_batch(const double *sorted_rates, i64 m, i64 n,
-                   double mu, double *out)
-{
-    if (!all_rates(sorted_rates, m * n)) return ST_DOMAIN;
-    for (i64 row = 0; row < m; row++) {
-        const double *rr = sorted_rates + row * n;
-        double *oo = out + row * n;
-        double prefix = 0.0;
-        for (i64 k = 0; k < n;) {
-            i64 end = k;
-            prefix += rr[k];
-            while (end + 1 < n && rr[end + 1] == rr[k])
-                prefix += rr[++end];
-            double load = (prefix + rr[end] * (double)(n - 1 - end)) / mu;
-            for (; k <= end; k++)
-                oo[k] = load;
-        }
-    }
-    return ST_DONE;
-}
-
 /* Queues may be inf, not NaN or negative. */
 static int all_queues(const double *q, i64 len)
 {
@@ -768,7 +751,11 @@ static inline double pcg_double(Pcg64 *g)
 
 /* np.random.default_rng(entropy) for entropy words ent[0..len): the
  * SeedSequence pool mix (with the extra loop for words past the
- * fourth), its generate_state(4, uint64), and PCG64's seeding. */
+ * fourth), its generate_state(4, uint64), and PCG64's seeding.  Kept
+ * out of line, as is stream_bounded: each has one caller, and GCC
+ * inlining them into ensemble_loop made Fair Share ensembles without
+ * a clock or faults about 5% slower (2-core Xeon, GCC 12). */
+__attribute__((noinline))
 static void pcg_seed(Pcg64 *g, const u32 *ent, i64 len)
 {
     u32 pool[4], hc = SS_INIT_A, hb = SS_INIT_B, st[8];
@@ -806,19 +793,6 @@ static i64 push_words(u32 *ent, i64 len, u64 v)
         v >>= 32;
     } while (v);
     return len;
-}
-
-/* default_rng([seed, step]).random(n) into out, with the seed given as
- * its n_seed entropy words (at most 8). */
-int coin_stream(const u32 *seed, i64 n_seed, u64 step, i64 n, double *out)
-{
-    u32 ent[10];
-    if (n_seed < 1 || n_seed > 8) return ST_DOMAIN;
-    memcpy(ent, seed, (size_t)n_seed * sizeof(u32));
-    Pcg64 g;
-    pcg_seed(&g, ent, push_words(ent, n_seed, step));
-    for (i64 i = 0; i < n; i++) out[i] = pcg_double(&g);
-    return ST_DONE;
 }
 
 #define GATE_NONE 0
@@ -864,19 +838,6 @@ static void gate_row(const GatePlan *g, i64 t, i64 n, unsigned char *mask)
             thr = g->off[i];
         mask[i] = u < thr;
     }
-}
-
-/* The masks of schedule steps t0 .. t0 + steps - 1 into out, row by
- * row (what the ensemble loop gates with). */
-int gate_masks(int code, const u32 *seed, i64 n_seed, const double *on,
-               const double *off, const i64 *offsets, i64 burst_len,
-               i64 t0, i64 steps, i64 n, unsigned char *out)
-{
-    GatePlan g = {code, seed, n_seed, burst_len, on, off, offsets};
-    if (!gate_valid(&g)) return ST_DOMAIN;
-    for (i64 k = 0; k < steps; k++)
-        gate_row(&g, t0 + k, n, out + k * n);
-    return ST_DONE;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1108,7 +1069,8 @@ static inline u32 stream_next32(Stream *s)
 
 /* One draw of Generator.integers(0, rng + 1) for 1 <= rng < 2**32 - 1:
  * Lemire's multiply-and-reject on 32-bit draws, as numpy's
- * buffered_bounded_lemire_uint32. */
+ * buffered_bounded_lemire_uint32 (out of line: see pcg_seed). */
+__attribute__((noinline))
 static u32 stream_bounded(Stream *s, u32 rng)
 {
     u32 excl = rng + 1;
@@ -1345,34 +1307,6 @@ static int perturb_signals(PerturbWork *w, i64 k, i64 step, double *b)
     }
     memcpy(w->delivered, b, (size_t)n * sizeof(double));
     return 1;
-}
-
-/* Draws from a stream of six words (see Perturb) into out, one call of
- * n draws per op in ops: 0 for random(n), -1 for uniform(-amp, amp, n)
- * and k >= 1 for integers(0, k + 1, n), as the perturb stage draws
- * them; the stream's words afterwards go to stream.  Returns ST_DOMAIN
- * for an op below -1 or of 2**32 - 1 or more. */
-int stream_draws(u64 *stream, const i64 *ops, i64 n_ops, i64 n, double amp,
-                 double *out)
-{
-    Stream s = {{((u128)stream[0] << 64) | stream[1],
-                 ((u128)stream[2] << 64) | stream[3]},
-                (int)stream[4], (u32)stream[5]};
-    for (i64 c = 0; c < n_ops; c++)
-        if (ops[c] < -1 || ops[c] >= (i64)UINT32_MAX) return ST_DOMAIN;
-    for (i64 c = 0; c < n_ops; c++, out += n)
-        for (i64 i = 0; i < n; i++) {
-            if (ops[c] == 0) out[i] = pcg_double(&s.g);
-            else if (ops[c] > 0) out[i] = stream_bounded(&s, (u32)ops[c]);
-            else out[i] = -amp + (amp - -amp) * pcg_double(&s.g);
-        }
-    stream[0] = (u64)(s.g.state >> 64);
-    stream[1] = (u64)s.g.state;
-    stream[2] = (u64)(s.g.inc >> 64);
-    stream[3] = (u64)s.g.inc;
-    stream[4] = (u64)s.has_half;
-    stream[5] = s.half;
-    return ST_DONE;
 }
 
 /* The largest mask table a block caches: a shared schedule's mask
@@ -2416,8 +2350,6 @@ class Control(ctypes.Structure):
 def _configure(lib: ctypes.CDLL) -> None:
     lib.fs_queue_batch.argtypes = [_P, _P, _I, _I, _D, _P]
     lib.fs_queue_batch.restype = ctypes.c_int
-    lib.fs_loads_batch.argtypes = [_P, _I, _I, _D, _P]
-    lib.fs_loads_batch.restype = ctypes.c_int
     lib.ind_congestion_batch.argtypes = [_P, _I, _I, _P]
     lib.ind_congestion_batch.restype = ctypes.c_int
     lib.observe_batch.argtypes = (
@@ -2427,12 +2359,6 @@ def _configure(lib: ctypes.CDLL) -> None:
         + [ctypes.c_int, _D]                  # signal, signal_param
         + [_P, _P, _P])                       # path_latency, b, d
     lib.observe_batch.restype = ctypes.c_int
-    lib.coin_stream.argtypes = [_P, _I, ctypes.c_uint64, _I, _P]
-    lib.coin_stream.restype = ctypes.c_int
-    lib.gate_masks.argtypes = (
-        [ctypes.c_int, _P, _I, _P, _P, _P, _I]  # the gate
-        + [_I, _I, _I, _P])                   # t0, steps, n, out
-    lib.gate_masks.restype = ctypes.c_int
     lib.ensemble_loop.argtypes = (
         [_P, _I, _I, _I, _D, _P, _D, _I]      # r0, m, n, max_steps, tol,
                                               # settle, limit, tau
@@ -2446,8 +2372,6 @@ def _configure(lib: ctypes.CDLL) -> None:
         + [ctypes.POINTER(Perturb)]           # the perturbation or NULL
         + [ctypes.POINTER(Control)])          # the controller or NULL
     lib.ensemble_loop.restype = ctypes.c_int
-    lib.stream_draws.argtypes = [_P, _P, _I, _I, _D, _P]
-    lib.stream_draws.restype = ctypes.c_int
     lib.event_log_free.argtypes = [ctypes.POINTER(EventLog)]
     lib.event_log_free.restype = None
     lib.packet_new.argtypes = (

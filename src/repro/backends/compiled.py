@@ -4,9 +4,8 @@ The C extension (:mod:`repro.backends._cext`, built at first use when a
 C compiler exists) serves four hot paths:
 
 * the Fair Share sorted prefix-sum laws — queue lengths (unweighted
-  and weighted), cumulative loads and the individual congestion
-  measure.  :func:`fs_queue_batch`,
-  :func:`fs_loads_batch` and :func:`ind_congestion_batch` are the one
+  and weighted) and the individual congestion measure.
+  :func:`fs_queue_batch` and :func:`ind_congestion_batch` are the one
   wrapper between :mod:`repro.core.fairshare` / :mod:`repro.core.signals`
   and the ctypes call.  They run whenever the C tier has built,
   because they give the same bits as the numpy pipeline; they return
@@ -47,11 +46,10 @@ import numpy as np
 
 from . import _cext
 
-__all__ = ["tier", "fs_available", "packet_lib", "metrics",
-           "fs_queue_batch", "fs_loads_batch", "ind_congestion_batch",
-           "observe_batch", "Gate", "NO_GATE", "Perturbation",
-           "Control", "ensemble_loop", "coin_stream", "gate_masks",
-           "stream_draws", "stream_words", "warmup"]
+__all__ = ["tier", "packet_lib", "metrics", "fs_queue_batch",
+           "ind_congestion_batch", "observe_batch", "Gate", "NO_GATE",
+           "Perturbation", "Control", "ensemble_loop", "stream_words",
+           "warmup"]
 
 _METRICS = None
 
@@ -69,11 +67,6 @@ def metrics():
 def tier() -> str:
     """``"cext"`` when the C library has built, else ``"python"``."""
     return "cext" if _cext.load() is not None else "python"
-
-
-def fs_available() -> bool:
-    """The C Fair Share kernels have built."""
-    return _cext.load() is not None
 
 
 def packet_lib():
@@ -136,21 +129,6 @@ def fs_queue_batch(rates: np.ndarray, mu: float,
     out = np.empty_like(r)
     if lib.fs_queue_batch(_addr(r), _addr(phi), m, n, float(mu),
                           _addr(out)):
-        return None
-    return out
-
-
-def fs_loads_batch(sorted_rates: np.ndarray,
-                   mu: float) -> Optional[np.ndarray]:
-    """Cumulative loads over row-sorted rates from the C kernel, or
-    None (as :func:`fs_queue_batch`)."""
-    lib = _cext.load()
-    if lib is None:
-        return None
-    r = np.ascontiguousarray(sorted_rates, dtype=np.float64)
-    out = np.empty_like(r)
-    m, n = r.shape
-    if lib.fs_loads_batch(_addr(r), m, n, float(mu), _addr(out)):
         return None
     return out
 
@@ -233,7 +211,7 @@ class Gate(NamedTuple):
     burst_len: int = 1
 
     def args(self) -> tuple:
-        """The gate's arguments of the C entry points."""
+        """The gate's arguments of the C ``ensemble_loop`` call."""
         return (self.code, _addr(self.seed),
                 0 if self.seed is None else self.seed.shape[0],
                 _addr(self.on), _addr(self.off), _addr(self.offsets),
@@ -445,20 +423,6 @@ def ensemble_loop(initials: np.ndarray, max_steps: int, tol: float,
     return finals, steps, status
 
 
-def coin_stream(seed: np.ndarray, step: int, n: int) -> Optional[np.ndarray]:
-    """``np.random.default_rng([seed, step]).random(n)`` from the C
-    transcription the clock gate draws with; ``seed`` is the seed's
-    entropy words (see :class:`Gate`).  None when the C tier has not
-    built."""
-    lib = _cext.load()
-    if lib is None:
-        return None
-    out = np.empty(n)
-    if lib.coin_stream(_addr(seed), seed.shape[0], step, n, _addr(out)):
-        raise ValueError(f"need 1 to 8 seed words, got {seed.shape[0]}")
-    return out
-
-
 def stream_words(state: dict) -> np.ndarray:
     """The six words of a PCG64 ``bit_generator.state`` as
     :class:`Perturbation` takes a member's stream."""
@@ -468,35 +432,3 @@ def stream_words(state: dict) -> np.ndarray:
                      state["has_uint32"], state["uinteger"]],
                     dtype=np.uint64)
 
-
-def stream_draws(words: np.ndarray, ops, n: int,
-                 amplitude: float = 1.0) -> Optional[np.ndarray]:
-    """The ``(len(ops), n)`` draws the perturb stage takes from a stream
-    of six ``words`` (:func:`stream_words`), one row per op: 0 for
-    ``random(n)``, -1 for ``uniform(-amplitude, amplitude, n)`` and
-    ``k >= 1`` for ``integers(0, k + 1, n)``; ``words`` then hold the
-    stream after them.  None when the C tier has not built."""
-    lib = _cext.load()
-    if lib is None:
-        return None
-    _check_buffer("words", words, np.uint64, (6,))
-    ops = np.ascontiguousarray(ops, dtype=np.int64)
-    out = np.empty((ops.shape[0], n))
-    if lib.stream_draws(_addr(words), _addr(ops), ops.shape[0], n,
-                        float(amplitude), _addr(out)):
-        raise ValueError(f"ops outside the stream's domain: {ops}")
-    return out
-
-
-def gate_masks(gate: Gate, t0: int, steps: int,
-               n: int) -> Optional[np.ndarray]:
-    """The ``(steps, n)`` masks of ``gate`` at schedule steps ``t0,
-    t0 + 1, ...``, as :func:`ensemble_loop` gates with them; None when
-    the C tier has not built."""
-    lib = _cext.load()
-    if lib is None:
-        return None
-    out = np.empty((steps, n), dtype=np.bool_)
-    if lib.gate_masks(*gate.args(), t0, steps, n, _addr(out)):
-        raise ValueError(f"gate outside the kernel's domain: {gate}")
-    return out

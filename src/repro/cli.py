@@ -11,10 +11,6 @@ Commands:
   summary line per artifact, exit nonzero if any shape check fails;
 * ``table1 [--rates r1,r2,...] [--mu MU]`` — regenerate Table 1 for
   custom rates;
-* ``selftest`` — fast smoke check of the batch trajectory engine and
-  the fault/resilience layer (equivalence against the scalar paths, a
-  tiny ensemble, a faulty run, a checkpoint/resume round-trip); exits
-  nonzero when any check fails;
 * ``fuzz [--seed S] [--count K] [--shrink] [--json-dir D]`` — generate
   K deterministic random scenarios and cross-check every engine and
   theorem oracle on each (see :mod:`repro.scenarios`); exits nonzero
@@ -100,13 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated sending rates")
     t1_p.add_argument("--mu", type=float, default=1.5,
                       help="gateway service rate")
-
-    selftest_p = sub.add_parser(
-        "selftest", help="fast batch-engine smoke check (< 30 s)")
-    selftest_p.add_argument("--quick", action="store_true",
-                            help="smaller ensembles (CI-friendly)")
-    selftest_p.add_argument("--force-fail", action="store_true",
-                            help=argparse.SUPPRESS)
 
     fuzz_p = sub.add_parser(
         "fuzz",
@@ -442,10 +431,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_all(args.csv_dir, args.json_dir)
     if args.command == "table1":
         return _cmd_table1(args.rates, args.mu)
-    if args.command == "selftest":
-        from .selftest import main as selftest_main
-        return selftest_main(quick=args.quick,
-                             force_fail=args.force_fail)
     if args.command == "fuzz":
         return _cmd_fuzz(args.seed, args.count, args.shrink,
                          args.json_dir, args.oracles,

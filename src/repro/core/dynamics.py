@@ -402,36 +402,18 @@ class FlowControlSystem:
     # ------------------------------------------------------------------
     # the map
     # ------------------------------------------------------------------
-    def step(self, rates: np.ndarray, faults=None,
-             step_index: int = 1, structural=None) -> np.ndarray:
+    def step(self, rates: np.ndarray) -> np.ndarray:
         """One synchronous application of ``F``.
 
         The scalar step is the ``M = 1`` case of :meth:`step_batch`: the
         vector is validated once and runs as a one-row batch through the
         same stages — observe (signals and delays from one queue-law
-        evaluation per gateway), the fault perturbation, the rule
-        groups' ``apply_batch``, and the clip — so it is bit-identical
-        to the matching row of any ``step_batch`` call.  The
-        per-gateway, per-connection reference path lives in
-        :func:`repro.scenarios.oracles.reference_step`.
-
-        ``faults`` (a :class:`~repro.faults.FaultState`, obtained from
-        :meth:`FaultPlan.start <repro.faults.FaultPlan.start>`)
-        perturbs the signal vector the rules observe at this step;
-        ``step_index`` is the 1-based step number the injectors see.
-        With ``faults=None`` the computation is exactly the fault-free
-        map — no extra work, bit-identical results.
-
-        ``structural`` (a
-        :class:`~repro.chaos.structural.StructuralFaultState`, obtained
-        from :meth:`StructuralFaultPlan.start
-        <repro.chaos.structural.StructuralFaultPlan.start>`) resolves
-        this step against a possibly damaged topology: signals and
-        delays are computed on the degraded network, and connections
-        through a blackholed gateway observe the saturated signal
-        ``b = 1`` *before* any signal-path faults apply.  While no
-        window is active the resolved view is the base network and
-        scheme, so the step is bit-identical to the clean map.
+        evaluation per gateway), the rule groups' ``apply_batch``, and
+        the clip — so it is bit-identical to the matching row of any
+        ``step_batch`` call.  The per-gateway, per-connection reference
+        path lives in :func:`repro.scenarios.oracles.reference_step`.
+        Fault and structural plans act on runs (``run``,
+        ``run_ensemble``), whose loops pass them to the stages.
 
         Controller-driven systems carry per-gateway state the rule map
         knows nothing about; use :meth:`step_controlled` (``run`` /
@@ -441,47 +423,47 @@ class FlowControlSystem:
             raise RateVectorError(
                 "system is controller-driven; use step_controlled")
         r = as_rate_vector(rates, n=self.network.num_connections)
-        return self._step_rows(r[None], _listed(faults), None, step_index,
-                               _listed(structural))[0]
+        return self._step_rows(r[None])[0]
 
-    def step_batch(self, rates: np.ndarray, faults=None, members=None,
-                   step_index: int = 1, structural=None) -> np.ndarray:
+    def step_batch(self, rates: np.ndarray) -> np.ndarray:
         """One synchronous application of ``F`` to a batch of states.
 
         ``rates`` is an ``(M, N)`` array of M independent rate vectors
         (a single vector is promoted to a one-row batch); the result has
         the same shape and satisfies
         ``step_batch(R)[m] == step(R[m])`` for every row.
-
-        ``faults`` is a sequence of per-member
-        :class:`~repro.faults.FaultState` s indexed by *absolute*
-        member number; ``members`` maps each row of ``rates`` to its
-        member number (defaults to row order).  Each row's signal
-        vector is perturbed by its own member state, so fault streams
-        stay aligned with the scalar path even when finished members
-        have been masked out of the batch.
-
-        ``structural`` is likewise a sequence of per-member
-        :class:`~repro.chaos.structural.StructuralFaultState` s indexed
-        by absolute member number.  Rows are grouped by their resolved
-        damage signature and each group's signals and delays are
-        computed on that group's degraded network in one vectorised
-        pass — equal signatures build bit-identical schemes, and every
-        per-row stage is row-independent, so grouping preserves
-        ``step_batch(R)[m] == step(R[m], structural=state_m)`` exactly.
         """
         if self._bank is not None:
             raise RateVectorError(
                 "system is controller-driven; use step_controlled_batch")
         return self._step_rows(
-            as_rate_matrix(rates, n=self.network.num_connections),
-            faults, members, step_index, structural)
+            as_rate_matrix(rates, n=self.network.num_connections))
 
     def _step_rows(self, r, faults=None, members=None,
                    step_index: int = 1, structural=None, stale=None,
                    mask=None) -> np.ndarray:
         """:meth:`step_batch` on a validated ``(M, N)`` batch: the five
         stages the ensemble loop iterates.
+
+        ``faults`` is a sequence of per-member
+        :class:`~repro.faults.FaultState` s indexed by *absolute*
+        member number; ``members`` maps each row of ``r`` to its member
+        number (defaults to row order), and ``step_index`` is the
+        1-based step number the injectors see.  Each row's signal
+        vector is perturbed by its own member state, so fault streams
+        stay aligned when finished members have been masked out of the
+        batch.  ``None`` is exactly the fault-free map.
+
+        ``structural`` is likewise a sequence of per-member
+        :class:`~repro.chaos.structural.StructuralFaultState` s, each
+        resolved at ``step_index``: rows are grouped by their damage
+        signature and each group is observed on its degraded network in
+        one vectorised pass, and connections through a blackholed
+        gateway observe ``b = 1`` *before* any signal-path faults apply
+        (see :meth:`_observe`).  Equal signatures build bit-identical
+        schemes and every stage is row-independent, so a row's result
+        does not depend on the batch around it.  While no window is
+        active the resolved view is the base network and scheme.
 
         ``stale`` is the batch the observe stage reads instead of ``r``
         (the asynchronous engine's ``tau``-step-old states), and
@@ -1127,11 +1109,6 @@ def _one_trajectory(res: EnsembleResult, max_steps: int) -> Trajectory:
                       telemetry=res.telemetry,
                       fault_events=events["fault_events"],
                       structural_events=events["structural_events"])
-
-
-def _listed(state) -> Optional[list]:
-    """A run's one state as a block's list of states; None stays."""
-    return None if state is None else [state]
 
 
 def _recorded_events(states) -> Optional[list]:

@@ -202,9 +202,9 @@ def cumulative_loads_batch(rates: np.ndarray, mu: float,
     result is ``cumulative_loads(rates[m], mu)``.
 
     ``sorted_rates`` (each row sorted increasingly) can be supplied when
-    the caller has already sorted the batch.  The O(M n log n)
-    prefix-sum kernel runs in the C tier when it has built and in the
-    numpy sorted pipeline otherwise; the two give the same bits.
+    the caller has already sorted the batch.  It runs the O(M n log n)
+    numpy sorted prefix-sum pipeline, :func:`_sorted_loads`: no engine
+    stage calls the loads, so they have no C kernel.
     """
     r = np.asarray(rates, dtype=float)
     _check_mu(mu)
@@ -213,9 +213,6 @@ def cumulative_loads_batch(rates: np.ndarray, mu: float,
             f"rate batch must be 2-D, got shape {r.shape}")
     if sorted_rates is None:
         sorted_rates = np.sort(r, axis=1, kind="stable")
-    out = compiled.fs_loads_batch(sorted_rates, mu)
-    if out is not None:
-        return out
     return _sorted_loads(sorted_rates, mu)
 
 

@@ -63,7 +63,8 @@ class SweepError(ReproError):
     """The resilient sweep executor could not complete the grid.
 
     Raised for orchestration-level failures: an incompatible checkpoint
-    directory, or bad resilience parameters (negative retries/timeout).
+    directory, or bad sweep parameters (an unknown executor, negative
+    workers, a chunk size below 1, negative retries/timeout).
     Worker-side failures of the swept function raise the more specific
     :class:`WorkerFunctionError`.
     """

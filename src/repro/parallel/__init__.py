@@ -75,7 +75,7 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from ..chaos.crashpoints import crashpoint
-from ..errors import RateVectorError, SweepError, WorkerFunctionError
+from ..errors import SweepError, WorkerFunctionError
 from ..observability import (SweepRecord, collect, emit_run_record,
                              emit_sweep_record, is_collecting)
 
@@ -347,7 +347,9 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
         WorkerFunctionError: ``fn`` itself raised; the original
             exception is chained and the failing grid index attached.
         SweepError: the checkpoint directory belongs to a different
-            sweep, or the resilience parameters are malformed.
+            sweep, or a parameter is malformed (an unknown
+            ``executor``, ``workers < 0``, ``chunk_size < 1``, or a bad
+            resilience parameter).
 
     When an :func:`repro.observability.collect` session is active, a
     :class:`~repro.observability.SweepRecord` with per-chunk in-worker
@@ -359,13 +361,13 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
     """
     items = list(grid)
     if executor not in ("process", "thread", "serial"):
-        raise RateVectorError(
+        raise SweepError(
             f"executor must be 'process', 'thread', or 'serial', "
             f"got {executor!r}")
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 0:
-        raise RateVectorError(f"workers must be >= 0, got {workers!r}")
+        raise SweepError(f"workers must be >= 0, got {workers!r}")
     if timeout is not None and not timeout > 0:
         raise SweepError(f"timeout must be > 0 seconds, got {timeout!r}")
     if not (isinstance(retries, int) and retries >= 0):
@@ -399,7 +401,7 @@ def sweep(fn: Callable, grid: Sequence, workers: Optional[int] = None,
 
     if chunk_size is not None:
         if chunk_size < 1:
-            raise RateVectorError(
+            raise SweepError(
                 f"chunk_size must be >= 1, got {chunk_size!r}")
         n_chunks = max(1, math.ceil(len(items) / chunk_size))
     else:

@@ -166,7 +166,7 @@ class TestEveryOracleFires:
         fails = failing_oracles(spec, ["batch-equivalence"])
         assert fails == ("batch-equivalence",)
 
-    @pytest.mark.skipif(not compiled.fs_available(),
+    @pytest.mark.skipif(compiled.tier() != "cext",
                         reason="no compiled observe kernel")
     def test_batch_equivalence_catches_observe_kernel_mutation(
             self, monkeypatch):
@@ -212,7 +212,7 @@ class TestEveryOracleFires:
         fails = failing_oracles(spec_of(), ["loop-equivalence"])
         assert fails == ("loop-equivalence",)
 
-    @pytest.mark.skipif(not compiled.fs_available(),
+    @pytest.mark.skipif(compiled.tier() != "cext",
                         reason="no compiled ensemble loop")
     def test_ensemble_equivalence_catches_run_loop_mutation(
             self, monkeypatch):
@@ -233,7 +233,7 @@ class TestEveryOracleFires:
         fails = failing_oracles(spec_of(), ["loop-equivalence"])
         assert fails == ("loop-equivalence",)
 
-    @pytest.mark.skipif(not compiled.fs_available(),
+    @pytest.mark.skipif(compiled.tier() != "cext",
                         reason="no compiled ensemble loop")
     def test_a_shared_kernel_mutant_is_caught_off_the_kernel(
             self, monkeypatch, tmp_path):
@@ -249,7 +249,7 @@ class TestEveryOracleFires:
                            "quiet >= settle[k]", "quiet > settle[k]")
         assert failing_oracles(spec, names) == ("loop-equivalence",)
 
-    @pytest.mark.skipif(not compiled.fs_available(),
+    @pytest.mark.skipif(compiled.tier() != "cext",
                         reason="no compiled ensemble loop")
     @pytest.mark.parametrize("mutant", ["loss-test", "outage-window",
                                         "degraded-gateway"])
@@ -308,7 +308,7 @@ class TestEveryOracleFires:
             m.setattr(FlowControlSystem, "_step_rows", broken)
             fails = failing_oracles(spec_of(), ["loop-equivalence"])
         assert fails == ("loop-equivalence",)
-        if not compiled.fs_available():
+        if compiled.tier() != "cext":
             return
         # The C-path twin: the compiled loop's finals shifted by their
         # row in the block.
@@ -514,6 +514,14 @@ class TestHarnessAndCli:
         out = capsys.readouterr().out
         assert "0 violations" in out
 
+    def test_cli_fuzz_violation_exits_one(self, monkeypatch, capsys):
+        # A failing check reaches the process exit status.
+        from repro.cli import console_main
+        break_reference_law(monkeypatch)
+        assert console_main(["fuzz", "--seed", "7", "--count", "2",
+                             "--oracle", "batch-equivalence"]) == 1
+        assert "0 violations" not in capsys.readouterr().out
+
     def test_cli_fuzz_rejects_bad_budget(self):
         from repro.cli import main
         with pytest.raises(SweepError, match="count must be positive"):
@@ -629,7 +637,7 @@ class TestControllerZooOracles:
         assert failing_oracles(spec, ["batch-equivalence"]) == \
             ("batch-equivalence",)
 
-    @pytest.mark.skipif(not compiled.fs_available(),
+    @pytest.mark.skipif(compiled.tier() != "cext",
                         reason="no compiled ensemble loop")
     def test_a_controller_kernel_mutant_is_caught_off_the_kernel(
             self, monkeypatch):
@@ -686,7 +694,7 @@ class TestAsyncOracles:
         assert "bit-identical" in res.detail
         assert "mix clock, delay 1" in res.detail
 
-    @pytest.mark.skipif(not compiled.fs_available(),
+    @pytest.mark.skipif(compiled.tier() != "cext",
                         reason="no compiled ensemble loop")
     def test_loop_equivalence_draws_each_mask_once(self, monkeypatch):
         # The engine side runs the clock in the C gate, so every
@@ -728,7 +736,7 @@ class TestAsyncOracles:
             fails = failing_oracles(self.clocked_spec(),
                                     ["async-fixed-point"])
         assert fails == ("async-fixed-point",)
-        if not compiled.fs_available():
+        if compiled.tier() != "cext":
             return
         # The C-path twin: the compiled loop's gated blocks drift.
         loop = compiled.ensemble_loop
@@ -761,7 +769,7 @@ class TestAsyncOracles:
             fails = failing_oracles(self.clocked_spec(),
                                     ["loop-equivalence"])
         assert fails == ("loop-equivalence",)
-        if not compiled.fs_available():
+        if compiled.tier() != "cext":
             return
         # The C-path twin: the compiled loop's finals skewed.
         loop = compiled.ensemble_loop

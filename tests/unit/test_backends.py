@@ -1,18 +1,26 @@
-"""Unit tests for repro.backends: the C Fair Share kernels and their
-loop twins against the numpy sorted pipeline, the C observe kernel
+"""Unit tests for repro.backends: the Fair Share laws of both tiers
+against the exact laws of ``tests/exact_fair_share.py``, the C Fair
+Share kernels against the numpy sorted pipeline, the C observe kernel
 against the numpy observe loop, and the compiled tier's timers."""
 
+import ast
+import functools
+import inspect
+import math
 import pickle
+import textwrap
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import backends
-from repro.backends import _cext, _fs_python, compiled
+from repro.backends import _cext, compiled
 from repro.core.asynchronous import BernoulliSchedule, run_async_ensemble
 from repro.core.dynamics import FlowControlSystem
 from repro.core.fairshare import (FairShare, _sorted_loads, _sorted_queues,
-                                  cumulative_loads,
+                                  cumulative_loads, cumulative_loads_batch,
                                   fair_share_queues_recursive)
 from repro.core.fifo import Fifo
 from repro.core.ratecontrol import TargetRule, TcpLikeRule
@@ -26,17 +34,18 @@ from repro.core.signals import (ExponentialSignal, FeedbackScheme,
 from repro.core.topology import parking_lot, random_network, single_gateway
 from repro.core.weighted import WeightedFairShare
 from repro.errors import RateVectorError
+from tests import exact_fair_share as exact
 
 needs_compiled_fs = pytest.mark.skipif(
-    not compiled.fs_available(),
+    compiled.tier() != "cext",
     reason="no compiled Fair Share tier in this environment")
 
 
 def fuzz_batches(seed, count=2000):
-    """Seeded ``(rates, sorted_rates, queues, weights, weighted_rates)``
-    batches, ``N`` from 1 to 130: tied rates, zeros and ``-0.0``,
-    overloaded rows, rows of equal rates, and queue rows with infinite,
-    tied and signed-zero entries.
+    """Seeded ``(rates, queues, weights, weighted_rates)`` batches,
+    ``N`` from 1 to 130: tied rates, zeros and ``-0.0``, overloaded
+    rows, rows of equal rates, and queue rows with infinite, tied and
+    signed-zero entries.
 
     ``weights`` (with ties) and ``weighted_rates`` feed the weighted
     queue law.  ``weighted_rates`` is ``rates``, plus on every third
@@ -70,69 +79,206 @@ def fuzz_batches(seed, count=2000):
             weights = wrng.choice([0.5, 1.0, 2.0], size=n)
             tied = weights * wrng.integers(0, 5, size=(m, n)) / (8.0 * n)
             weighted_rates = np.vstack([rates, tied])
-        yield (rates, np.sort(rates, axis=1, kind="stable"), queues,
-               weights, weighted_rates)
+        yield rates, queues, weights, weighted_rates
 
 
-class TestPythonTwins:
-    """The loop twins diff against the numpy pipeline."""
+def queue_ulps(n, load):
+    """How far, in units in the last place, the float Fair Share law
+    may lie from the exact one for a connection of an ``n``-connection
+    gateway whose class carries ``load``.
 
-    def test_fs_queue_twin_matches_sorted_pipeline(self):
-        rng = np.random.default_rng(11)
-        for m, n in ((1, 5), (3, 17), (2, 80)):
-            rates = rng.uniform(0.0, 2.0 / n, size=(m, n))
-            rates[0, 0] = 0.0
-            want = _sorted_queues(rates, 1.0)
-            out = _fs_python.fs_queue_batch(rates, 1.0,
-                                            np.empty_like(rates))
-            assert np.array_equal(out, want)
+    ``g``'s condition number grows like ``1 / (1 - load)``, and a
+    queue sums up to ``n`` class shares.  Over 3,000 seeded rows (N =
+    2-39, total loads 0.3-0.97, weighted or not) the worst reading was
+    1.7 n / (1 - load), and at most 97 ulps, on either tier; the bound
+    leaves a margin of 3 / 1.7.  The linear signal of the individual
+    measure of those queues stays within 0.6 n / (1 - load) of the
+    exact one."""
+    return 3.0 * n / (1.0 - load)
 
-    def test_fs_queue_twin_overload_rows(self):
-        rates = np.full((2, 70), 0.5)
-        want = _sorted_queues(rates, 1.0)
-        out = _fs_python.fs_queue_batch(rates, 1.0,
-                                        np.empty_like(rates))
-        assert np.array_equal(out, want)
 
-    def test_ind_congestion_twin_matches_sorted_pipeline(self):
-        rng = np.random.default_rng(12)
-        queues = rng.uniform(0.0, 5.0, size=(3, 90))
-        queues[0, 7] = np.inf
-        want = _individual_sorted(queues)
-        out = _fs_python.ind_congestion_batch(queues,
-                                              np.empty_like(queues))
-        assert np.array_equal(out, want)
+def exact_rows(seed, count=100):
+    """Seeded ``(rates, weights)`` rows of one gateway at ``mu = 1``.
 
-    def test_loads_twin_matches_sorted_pipeline(self):
-        rng = np.random.default_rng(13)
-        rates = np.sort(rng.uniform(0.0, 0.01, size=(2, 75)), axis=1)
-        want = _sorted_loads(rates, 1.0)
-        out = _fs_python.fs_loads_batch(rates, 1.0,
-                                        np.empty_like(rates))
-        assert np.array_equal(out, want)
+    ``N`` runs from 2 to 39 at total loads 0.3-0.97.  Every fourth row
+    ties its first third of rates, every fifth sets its first rate to
+    ``-0.0`` (every tenth its last to ``0.0`` too), and every sixth is
+    overloaded (total load 1.2-2.5).  Odd rows carry dyadic weights, so ``r / phi`` ties
+    exactly where rates and weights do, and the others uniform ones.
+    The last row, of 130 connections, crosses the C sort's radix
+    threshold (``RADIX_MIN_N = 112``)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 40)) if k < count - 1 else 130
+        load = rng.uniform(1.2, 2.5) if k % 6 == 5 else rng.uniform(0.3,
+                                                                  0.97)
+        shape = rng.uniform(0.2, 1.0, n)
+        rates = shape / shape.sum() * load
+        if k % 4 == 1:
+            rates[: n // 3 + 1] = rates[0]
+        if k % 5 == 2:
+            rates[0] = -0.0
+            if k % 10 == 2:
+                rates[-1] = 0.0
+        weights = (rng.choice([0.5, 1.0, 2.0, 4.0], n) if k % 2
+                   else rng.uniform(0.2, 3.0, n))
+        yield rates, weights
 
-    def test_twins_match_pipeline_on_fuzz(self):
-        for trial, (rates, srt, queues, _, _) in enumerate(
-                fuzz_batches(41)):
+
+@functools.lru_cache(maxsize=None)
+def exact_cases():
+    """``(rates, weights, queues, loads, signals)`` per row of
+    :func:`exact_rows`, unweighted (weights None) and weighted: the
+    exact queues, class loads and linear signals of the individual
+    measure (None past 39 connections, where the exact measure of the
+    exact queues costs seconds).  A row is left out, weighted and
+    unweighted, when a class load comes within 1% of 1: there the float
+    load can round to the other side of 1, where the law jumps to
+    ``inf``."""
+    cases = []
+    for rates, weights in exact_rows(41):
+        row = []
+        for phi in (None, weights):
+            loads = exact.class_loads(rates, 1.0, phi)
+            queues = exact.queues(rates, 1.0, phi)
+            signals = None if len(rates) > 39 else [
+                exact.linear_signal(c)
+                for c in exact.individual_measure(queues)]
+            row.append((rates, phi, queues, loads, signals))
+        if all(abs(x - 1) > 0.01 for case in row for x in case[3]):
+            cases.extend(row)
+    return cases
+
+
+def on_tier(kernel, c_kernel, numpy_pipeline):
+    """``kernel`` ``"numpy"`` runs the numpy pipeline; ``"live"`` runs
+    the C kernel when the C tier has built (it must serve), else the
+    numpy pipeline."""
+    if kernel == "live" and compiled.tier() == "cext":
+        out = c_kernel()
+        assert out is not None
+        return out
+    return numpy_pipeline()
+
+
+def assert_ties_share_bits(got, keys):
+    """Entries with equal ``keys`` hold one bit pattern in ``got``."""
+    seen = {}
+    for value, key in zip(got.tolist(), keys):
+        assert seen.setdefault(key, value) == value, key
+
+
+class TestExactFairShare:
+    """The Fair Share laws of both tiers against the exact laws of
+    ``tests/exact_fair_share.py``: exact where the law is exact (zero
+    rates, overloaded classes, ties), within a measured ulp bound
+    elsewhere.  ``numpy`` runs the numpy sorted pipelines (and the
+    observe stage's numpy loop, whose laws are the live tier's);
+    ``live`` the C kernels where the C tier has built and the numpy
+    pipelines where it has not, so nothing skips without a
+    compiler."""
+
+    def test_the_reference_is_the_paper_law(self):
+        # The recursion Q_(i) = [g(sigma_i) - sum_{m<i} Q_(m)] / (N - i
+        # + 1) by hand for the rates 0.1, 0.2, 0.05 (as floats), and
+        # conservation
+        # sum_i Q_i = g(sum_i r_i / mu) exactly on every stable row,
+        # weighted or not; equal weights give the unweighted law.
+        r = [Fraction(x) for x in (0.1, 0.2, 0.05)]
+        loads = (3 * r[2], r[2] + 2 * r[0], sum(r))   # in rate order
+        g = [x / (1 - x) for x in loads]
+        smallest = g[0] / 3
+        middle = (g[1] - smallest) / 2
+        largest = g[2] - smallest - middle
+        assert exact.queues([0.1, 0.2, 0.05], 1.0) == [middle, largest,
+                                                        smallest]
+        for rates, phi, queues, _, _ in exact_cases():
+            total = sum(Fraction(r) for r in rates)
+            if total < 1:
+                assert sum(queues) == total / (1 - total)
+            if phi is not None and len(rates) < 12:
+                assert exact.queues(rates, 1.0, np.ones(len(rates))) == \
+                    exact.queues(rates, 1.0)
+
+    @pytest.mark.parametrize("kernel", ["numpy", "live"])
+    def test_queue_law(self, kernel):
+        for rates, phi, want, loads, _ in exact_cases():
+            r = rates[None, :]
+            got = on_tier(kernel,
+                          lambda: compiled.fs_queue_batch(r, 1.0, phi),
+                          lambda: _sorted_queues(r, 1.0, weights=phi))[0]
+            n = len(rates)
+            for i in range(n):
+                if want[i] == 0:    # a zero rate, -0.0 too, gives +0.0
+                    assert got[i] == 0.0 and not np.signbit(got[i]), i
+                elif want[i] == math.inf:
+                    assert got[i] == math.inf, i
+                else:
+                    ulps = exact.ulps(got[i], want[i])
+                    assert ulps <= queue_ulps(n, loads[i]), (n, i, ulps)
+            assert_ties_share_bits(got, zip(rates.tolist(), (
+                [1.0] * n if phi is None else phi.tolist())))
+
+    @pytest.mark.parametrize("kernel", ["numpy", "live"])
+    def test_individual_measure(self, kernel):
+        # A sum of n nonnegative terms and one product: within n + 1
+        # ulps whatever the load (the standard summation bound), exact
+        # at inf and 0 (ulps() requires both), one value per tied queue.
+        for rates, phi, _, _, _ in exact_cases():
+            q = _sorted_queues(rates[None, :], 1.0, weights=phi)
+            got = on_tier(kernel, lambda: compiled.ind_congestion_batch(q),
+                          lambda: _individual_sorted(q))[0]
+            want = exact.individual_measure(q[0])
+            for i, w in enumerate(want):
+                assert exact.ulps(got[i], w) <= len(rates) + 1, i
+            assert_ties_share_bits(got, q[0].tolist())
+
+    def test_cumulative_loads(self):
+        # n additions, one product and one quotient: within n + 2 ulps,
+        # one load per run of tied rates.
+        for rates, phi, _, _, _ in exact_cases():
+            if phi is not None:
+                continue
+            srt = np.sort(rates)[None, :]
+            got = _sorted_loads(srt, 1.0)[0]
             assert np.array_equal(
-                _fs_python.fs_queue_batch(rates, 1.0,
-                                          np.empty_like(rates)),
-                _sorted_queues(rates, 1.0)), trial
-            assert np.array_equal(
-                _fs_python.fs_loads_batch(srt, 1.0, np.empty_like(srt)),
-                _sorted_loads(srt, 1.0)), trial
-            assert np.array_equal(
-                _fs_python.ind_congestion_batch(queues,
-                                                np.empty_like(queues)),
-                _individual_sorted(queues)), trial
+                got, cumulative_loads_batch(rates[None, :], 1.0)[0])
+            want = exact.cumulative_loads(rates, 1.0)
+            for k, w in enumerate(want):
+                assert exact.ulps(got[k], w) <= len(rates) + 2, k
+            assert_ties_share_bits(got, srt[0].tolist())
+
+    @pytest.mark.parametrize("kernel", ["numpy", "live"])
+    def test_observe_signals(self, kernel):
+        # The observe stage on one gateway under Fair Share (weighted
+        # or not) and the individual measure: b = C / (C + 1) of the
+        # exact queues, 1 exactly behind an overloaded class.
+        for rates, phi, _, loads, want in exact_cases():
+            if want is None:
+                continue
+            n = len(rates)
+            law = FairShare() if phi is None else WeightedFairShare(phi)
+            scheme = FeedbackScheme(single_gateway(n), law,
+                                    LinearSaturating(),
+                                    FeedbackStyle.INDIVIDUAL)
+            r = rates[None, :]
+            plan, scheme._plan = scheme._plan, None
+            numpy_b = scheme._observe(r, False)[0]
+            scheme._plan = plan
+            got = on_tier(kernel,
+                          lambda: compiled.observe_batch(r, plan, False),
+                          lambda: (numpy_b,))[0][0]
+            top = max((x for x in loads if x < 1), default=0.0)
+            for i, w in enumerate(want):
+                assert exact.ulps(got[i], w) <= queue_ulps(n, top), i
 
 
 @needs_compiled_fs
 class TestCompiledFairShare:
     def test_queue_law_fuzz_bit_identity(self):
-        # C kernels against the numpy sorted pipeline, all three laws,
-        # the queue law unweighted and weighted.
-        for trial, (rates, srt, queues, weights, wrates) in enumerate(
+        # C kernels against the numpy sorted pipeline, both laws, the
+        # queue law unweighted and weighted.
+        for trial, (rates, queues, weights, wrates) in enumerate(
                 fuzz_batches(21)):
             got = compiled.fs_queue_batch(rates, 1.0)
             assert got is not None
@@ -140,8 +286,6 @@ class TestCompiledFairShare:
             assert np.array_equal(
                 compiled.fs_queue_batch(wrates, 1.0, weights),
                 _sorted_queues(wrates, 1.0, weights=weights)), trial
-            assert np.array_equal(compiled.fs_loads_batch(srt, 1.0),
-                                  _sorted_loads(srt, 1.0)), trial
             assert np.array_equal(compiled.ind_congestion_batch(queues),
                                   _individual_sorted(queues)), trial
 
@@ -184,7 +328,6 @@ class TestCompiledFairShare:
         for row in bad:
             assert compiled.fs_queue_batch(row[None, :], 1.0) is None
             assert compiled.fs_queue_batch(row[None, :], 1.0, phi) is None
-            assert compiled.fs_loads_batch(row[None, :], 1.0) is None
         good = np.array([[0.1, 0.2, 0.3]])
         for weight in (0.0, -1.0, np.nan, np.inf):
             assert compiled.fs_queue_batch(
@@ -484,6 +627,69 @@ class TestPickKernelBoundary:
                 FairShare().queue_lengths(rates, mu=1.0), want)
         assert np.allclose(want, fair_share_queues_recursive(rates, 1.0),
                            rtol=1e-12, atol=1e-12)
+
+
+_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _lib_reads(path) -> set:
+    """The attributes a source file reads off a ``lib`` or ``_lib``
+    object: the C entry points it calls (or hands on)."""
+    tree = ast.parse(path.read_text())
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and ast.unparse(node.value).split(".")[-1] in ("lib", "_lib")}
+
+
+def _compiled_reads(path) -> set:
+    """The names a source file takes from :mod:`repro.backends.compiled`:
+    imported from it, or read as attributes of the module under any
+    name it was imported as."""
+    tree = ast.parse(path.read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                if package == "compiled":
+                    names.add(alias.name)
+                elif package == "backends" and alias.name == "compiled":
+                    modules.add(alias.asname or alias.name)
+    names.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in modules)
+    return names
+
+
+class TestNoTestOnlyEntryPoints:
+    """Every C entry point the library binds is called from the engine,
+    and every public name of :mod:`repro.backends.compiled` has a
+    caller outside ``tests/``: a kernel only the tests reach is test
+    code in ``src/``."""
+
+    def test_every_bound_entry_point_is_called(self):
+        configure = ast.parse(textwrap.dedent(
+            inspect.getsource(_cext._configure)))
+        bound = {node.value.attr for node in ast.walk(configure)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr == "argtypes"
+                 and isinstance(node.value, ast.Attribute)}
+        assert {"fs_queue_batch", "observe_batch", "ensemble_loop",
+                "packet_run"} <= bound
+        called = set()
+        for path in ("src/repro/backends/compiled.py",
+                     "src/repro/simulation/kernel_compiled.py"):
+            called |= _lib_reads(_ROOT / path)
+        assert sorted(bound - called) == []
+
+    def test_every_public_wrapper_has_a_caller_outside_the_tests(self):
+        callers = set()
+        for folder in ("src", "benchmarks", "examples"):
+            for path in (_ROOT / folder).rglob("*.py"):
+                if path.name != "compiled.py":
+                    callers |= _compiled_reads(path)
+        assert sorted(set(compiled.__all__) - callers) == []
 
 
 class TestAddresses:

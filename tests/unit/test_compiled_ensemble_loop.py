@@ -52,7 +52,7 @@ from repro.faults import FaultPlan, FaultState, SignalLoss
 from repro.scenarios.oracles import reference_run
 
 pytestmark = pytest.mark.skipif(
-    not compiled.fs_available(),
+    compiled.tier() != "cext",
     reason="no compiled ensemble loop in this environment")
 
 SIGNAL = LinearSaturating()
@@ -294,20 +294,12 @@ class TestBitIdentical:
 
 
 class TestCoins:
-    SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 7)
-    STEPS = (0, 1, 399, 2**31, 2**32 - 1, 2**32 + 9)
+    """The clock gate the kernel draws: its seed words, and its masks
+    read off the kernel's own runs."""
 
     @staticmethod
     def _words(seed):
         return asynchronous._coin_gate(seed, np.ones(1)).seed
-
-    def test_stream_equals_default_rng(self):
-        for seed in self.SEEDS:
-            for step in self.STEPS:
-                for n in (1, 2, 17, 300):
-                    got = compiled.coin_stream(self._words(seed), step, n)
-                    want = np.random.default_rng([seed, step]).random(n)
-                    assert np.array_equal(got, want), (seed, step, n)
 
     def test_seed_words(self):
         assert self._words(0).tolist() == [0]
@@ -316,23 +308,38 @@ class TestCoins:
         assert asynchronous._coin_gate(2**256, np.ones(1)) is None
         assert asynchronous._coin_gate(-1, np.ones(1)) is None
 
-    @pytest.mark.parametrize("n", [1, 5, 33])
-    @pytest.mark.parametrize("schedule", [k for k in SCHEDULES
-                                          if k != "drifting"])
-    def test_masks_equal_participants(self, schedule, n):
-        sched = SCHEDULES[schedule]()
-        got = compiled.gate_masks(asynchronous._loop_gate(sched, n), 0,
-                                  300, n)
+    @staticmethod
+    def _masks_equal_participants(loop_calls, sched, n):
+        # Blasters step up by an exact 2**-10 at every tick and ignore
+        # the signal, so a source ticked at step t exactly when its rate
+        # changed: the kernel's 300 masks, from schedule step 0.
+        system = FlowControlSystem(single_gateway(n), Fifo(), SIGNAL,
+                                   BlasterRule(increment=2**-10, cap=10.0),
+                                   style=AGG)
+        res = run_async_ensemble(system, np.zeros((1, n)), schedule=sched,
+                                 max_steps=300, tol=0.0, settle=301,
+                                 history="full")
+        assert loop_calls and None not in loop_calls
+        history = res.histories[0]
+        assert history.shape == (301, n)
+        got = history[1:] != history[:-1]
         want = np.array([sched.participants(t, n) for t in range(300)])
         assert np.array_equal(got, want)
 
-    def test_masks_at_large_steps(self):
-        sched = SCHEDULES["bursty"]()
-        t0 = 2**32 - 3
-        got = compiled.gate_masks(asynchronous._loop_gate(sched, 9), t0,
-                                  6, 9)
-        want = np.array([sched.participants(t0 + k, 9) for k in range(6)])
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("n", [1, 5, 33])
+    @pytest.mark.parametrize("schedule", [k for k in SCHEDULES
+                                          if k != "drifting"])
+    def test_masks_equal_participants(self, loop_calls, schedule, n):
+        self._masks_equal_participants(loop_calls, SCHEDULES[schedule](), n)
+
+    @pytest.mark.parametrize("seed", [2**64 + 7, 2**100 + 3, 2**255 + 1],
+                             ids=["3-words", "4-words", "8-words"])
+    def test_wide_seeds(self, loop_calls, seed):
+        # Three, four and eight seed words: with the step's word the
+        # seed sequence takes in four words or more, and past the
+        # fourth it runs its extra mixing loop.
+        self._masks_equal_participants(
+            loop_calls, ClockSchedule(UniformClock(0.6, seed=seed)), 7)
 
 
 class _CustomSchedule(UpdateSchedule):

@@ -27,7 +27,7 @@ from repro.core.topology import (Connection, Gateway, Network, parking_lot,
                                  single_gateway)
 
 pytestmark = pytest.mark.skipif(
-    not compiled.fs_available(),
+    compiled.tier() != "cext",
     reason="no compiled ensemble loop in this environment")
 
 LOT = parking_lot(3, cross_per_hop=2)

@@ -228,7 +228,7 @@ class TestDelaysOnlyWhenRead(_StepPaths):
         assert len(sojourns) == self.STEPS
 
 
-@pytest.mark.skipif(not compiled.fs_available(),
+@pytest.mark.skipif(compiled.tier() != "cext",
                     reason="no compiled observe kernel in this environment")
 class TestDelaysRequestedOnlyWhenRead(_StepPaths):
     """The C-path twins: one observe kernel call per step, which asks

@@ -144,11 +144,12 @@ class TestObserveMatchesSeparatePaths:
         b[:, view.blackholed] = 1.0
         expected = np.maximum(
             system.rules[0].apply_batch(r, b, d), 0.0)
-        got = system.step_batch(r, structural=[state] * 4)
+        got = system._step_rows(r, structural=[state] * 4)
         assert np.array_equal(got, expected)
         for m in range(4):
             assert np.array_equal(
-                system.step(r[m], structural=state), expected[m])
+                system._step_rows(r[m:m + 1], structural=[state])[0],
+                expected[m])
 
 
 class TestOneRowBatchIsARow:
@@ -208,7 +209,7 @@ def _observe_calls(monkeypatch):
 
 
 needs_observe_kernel = pytest.mark.skipif(
-    not compiled.fs_available(),
+    compiled.tier() != "cext",
     reason="no compiled observe kernel in this environment")
 
 
@@ -325,7 +326,7 @@ class TestOneObserveKernelCallPerStep(TestOneQueueLawCallPerGateway):
                 seed=3).start(system)
             for start in (0, 10))
         states = [damaged, clean, damaged, damaged]
-        system.step_batch(self._start(system, m=4), structural=states)
+        system._step_rows(self._start(system, m=4), structural=states)
         assert sorted(counted) == [(1, False), (3, False)]
 
 

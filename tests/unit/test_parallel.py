@@ -5,7 +5,7 @@ import pytest
 
 from repro.observability import collect
 from repro.parallel import chunk_indices, sweep
-from repro.errors import RateVectorError, SweepError
+from repro.errors import SweepError
 
 
 def _square(x):
@@ -99,9 +99,9 @@ class TestSweep:
         assert rec.chunk_sizes == [len(self.GRID)]
 
     def test_validation(self):
-        with pytest.raises(RateVectorError):
+        with pytest.raises(SweepError, match="executor"):
             sweep(_square, self.GRID, executor="greenlet")
-        with pytest.raises(RateVectorError):
+        with pytest.raises(SweepError, match="workers"):
             sweep(_square, self.GRID, workers=-1)
-        with pytest.raises(RateVectorError):
+        with pytest.raises(SweepError, match="chunk_size"):
             sweep(_square, self.GRID, workers=2, chunk_size=0)

@@ -37,7 +37,7 @@ from repro.faults import (ClockSkew, ExtraDelay, FaultPlan, GatewayOutage,
                           SignalLoss, SignalNoise, SignalQuantisation)
 
 pytestmark = pytest.mark.skipif(
-    not compiled.fs_available(),
+    compiled.tier() != "cext",
     reason="no compiled ensemble loop in this environment")
 
 SIGNAL = LinearSaturating()
@@ -149,6 +149,20 @@ def _identical(monkeypatch, run):
     return fast
 
 
+#: PCG64's multiplier (numpy's, and the kernel's ``PCG_MULT``).
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _state_before(output, inc, high=0x0123456789ABCDEF):
+    """A PCG64 state whose next 64-bit output is ``output``: one step
+    before the state with upper half ``high`` (whose top six bits are
+    XSL-RR's rotation) and the lower half that maps to ``output``."""
+    rot, mask = high >> 58, 2**64 - 1
+    xored = ((output << rot) | (output >> (64 - rot))) & mask
+    after = (high << 64) | (high ^ xored)
+    return (after - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+
+
 def _ensemble(system, faults=None, structural=None, x0=None, **kwargs):
     x0 = _starts(N) if x0 is None else x0
     args = dict(max_steps=120, tol=1e-9, history="full", telemetry=True,
@@ -216,6 +230,31 @@ class TestBitIdentical:
             lags = [e.detail for e in res.fault_events
                     if e.step == 1 and e.kind != "outage"]
             assert lags == [] or plan is plans[0]
+
+    def test_a_bounded_draw_at_the_rejection_threshold(self, monkeypatch):
+        # An integers(0, 3) draw u is rejected when u * 3 mod 2**32 falls
+        # below (2**32 - 3) % 3 = 1, so u = 3**-1 mod 2**32, where it
+        # is 1, is kept and gives 2.  That comes once in 2**32 draws, so
+        # member 0's stream is set to make it the first draw; the spare
+        # upper half then gives 0.
+        plan = FaultPlan((ExtraDelay(delay=0, jitter=2),), seed=7)
+        start = FaultPlan.start
+        kept = pow(3, -1, 2**32)
+
+        def crafted(self, *args, **kwargs):
+            state = start(self, *args, **kwargs)
+            if state.member == 0:
+                bits = state.rng.bit_generator.state
+                bits["state"]["state"] = _state_before(
+                    0x10000000 << 32 | kept, bits["state"]["inc"])
+                state.rng.bit_generator.state = bits
+            return state
+
+        monkeypatch.setattr(FaultPlan, "start", crafted)
+        probe = plan.start(n_connections=2).rng
+        assert probe.integers(0, 3, size=2).tolist() == [2, 0]
+        res = _identical(monkeypatch, _ensemble(FIFO, plan))
+        assert res.fault_events
 
     def test_noise_clipped_at_both_ends(self, monkeypatch):
         plan = FaultPlan((SignalNoise(rate=1.0, amplitude=1.0),), seed=8)
@@ -425,32 +464,3 @@ class TestEventsBuiltOnRead:
                 tuple(e) for e in got.fault_events] != []
         assert len(builds) == 2
 
-
-class TestStream:
-    def test_draws_equal_numpy_interleaved(self):
-        # numpy's bounded integers below 2**32 draw 32-bit halves and
-        # keep the spare half in the generator across calls, random()
-        # calls included; the kernel's stream must carry it too.
-        picks = np.random.default_rng(0)
-        for case in range(300):
-            rng = np.random.default_rng([case, 1])
-            rng.integers(0, 3, size=int(picks.integers(0, 3)))
-            n = int(picks.integers(1, 9))
-            amp = float(picks.uniform(0.05, 1.0))
-            ops = picks.choice([0, -1, 1, 2, 3, 7],
-                               size=int(picks.integers(1, 7))).tolist()
-            words = compiled.stream_words(rng.bit_generator.state)
-            got = compiled.stream_draws(words, ops, n, amp)
-            want = [rng.random(n) if op == 0
-                    else rng.uniform(-amp, amp, n) if op == -1
-                    else rng.integers(0, op + 1, n) for op in ops]
-            assert np.array_equal(got, np.array(want, dtype=float)), case
-            assert np.array_equal(
-                words, compiled.stream_words(rng.bit_generator.state))
-
-    def test_rejects_ops_outside_its_domain(self):
-        words = compiled.stream_words(np.random.default_rng(1)
-                                      .bit_generator.state)
-        for op in (-2, 2**32 - 1):
-            with pytest.raises(ValueError):
-                compiled.stream_draws(words, [op], 3)

@@ -295,3 +295,26 @@ class TestSkippedTier:
         ok, report = bench.compare(COMMITTED, fresh, quick=True)
         assert ok
         assert [e["name"] for e in report if e["skipped"]] == C_CASES
+
+
+class TestStamps:
+    def test_each_result_carries_what_measured_it(self, monkeypatch):
+        # measure() stamps a case's numbers with the checkout's revision
+        # and the UTC time; compare() judges the ratio alone.
+        from datetime import datetime, timedelta, timezone
+
+        from repro.observability.provenance import git_revision
+
+        monkeypatch.setattr(bench, "CASES", (bench.Case(
+            "ensemble", lambda: {"speedup": 40.0}, {}, 5.0, 5.0),))
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        fresh = bench.measure(quick=True, cases=bench.CASES)
+        numbers = fresh["ensemble"]
+        assert numbers["git_revision"] == git_revision()
+        stamp = datetime.fromisoformat(numbers["measured_at"])
+        assert stamp.utcoffset() == timedelta(0)
+        assert before <= stamp <= datetime.now(timezone.utc)
+        bare = {"ensemble": {"speedup": 40.0}}
+        for quick in (False, True):
+            assert bench.compare(COMMITTED, fresh, quick=quick) == \
+                bench.compare(COMMITTED, bare, quick=quick)

@@ -41,7 +41,7 @@ from repro.chaos.structural import StructuralFaultState
 from repro.faults import FaultPlan, FaultState, SignalLoss
 
 pytestmark = pytest.mark.skipif(
-    not compiled.fs_available(),
+    compiled.tier() != "cext",
     reason="no compiled run loop in this environment")
 
 SIGNAL = LinearSaturating()

@@ -169,27 +169,3 @@ class TestCliFaultsAndResume:
         from repro.cli import console_main
         assert console_main(["list"]) == 0
 
-
-class TestSelftestExitCode:
-    def _run(self, *extra):
-        import os
-        import subprocess
-        import sys
-        env = dict(os.environ)
-        src = str((__import__("pathlib").Path(__file__)
-                   .resolve().parents[2] / "src"))
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.run(
-            [sys.executable, "-m", "repro", "selftest", "--quick",
-             *extra],
-            capture_output=True, text=True, env=env, timeout=300)
-
-    def test_selftest_passes_with_exit_zero(self):
-        proc = self._run()
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "PASSED" in proc.stdout
-
-    def test_selftest_failure_propagates_nonzero_exit(self):
-        proc = self._run("--force-fail")
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "FAILED" in proc.stdout
